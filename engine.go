@@ -389,7 +389,31 @@ func (e *Engine) StartTagged(ctx context.Context, i int, client string) (*Monito
 	if n := w.NumQueries(); i < 0 || i >= n {
 		return nil, fmt.Errorf("progressest: query index %d out of range [0,%d)", i, n)
 	}
-	class := w.QueryFamily(i)
+	var run func()
+	m, err := e.admit(ctx, w.QueryFamily(i), client, func(w *Workload, opts MonitorOptions) (m *Monitor, err error) {
+		m, run, err = w.prepare(i, opts)
+		return m, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	go run()
+	return m, nil
+}
+
+// admit is the one admission path, for native queries and external
+// sessions alike: it derives the class (family, or "family|client"),
+// waits for a slot in the gate's bounded fair queue, has build set the
+// run's monitor up on the granted replica under the engine's monitor
+// options, stamps the placement, and ties the slot to the run's end —
+// Monitor.finish releases it, whoever ends the run. The slot is held for
+// the run's whole life: an open session IS a live query from the gate's
+// point of view, so session load and native load share one capacity
+// model. build must not start the counter source; nothing may feed the
+// monitor until admit returns.
+func (e *Engine) admit(ctx context.Context, family, client string,
+	build func(w *Workload, opts MonitorOptions) (*Monitor, error)) (*Monitor, error) {
+	class := family
 	if client != "" {
 		class = class + "|" + client
 	}
@@ -397,17 +421,12 @@ func (e *Engine) StartTagged(ctx context.Context, i int, client string) (*Monito
 	if err != nil {
 		return nil, err
 	}
-	m, err := (*e.replicas.Load())[slot.Shard].Start(i, e.opts)
+	m, err := build((*e.replicas.Load())[slot.Shard], e.opts)
 	if err != nil {
 		slot.Release()
 		return nil, err
 	}
-	m.shard = slot.Shard
-	m.class = class
-	go func() {
-		<-m.done
-		slot.Release()
-	}()
+	m.shard, m.class, m.release = slot.Shard, class, slot.Release
 	return m, nil
 }
 
@@ -573,7 +592,7 @@ type EngineStats struct {
 // /engine/stats: live and lifetime session counts plus ingestion volume.
 type IngestStats struct {
 	// OpenSessions is the number of sessions open right now (each holds
-	// an engine admission slot).
+	// an engine admission slot), plus opens still waiting for theirs.
 	OpenSessions int `json:"open_sessions"`
 	// Opened, Completed, Expired and Aborted are lifetime counters over
 	// the session state machine.

@@ -289,8 +289,11 @@ func TestEngineResizeSoak(t *testing.T) {
 // replicas that serve.
 func TestEngineShrinkReclaimsReplicas(t *testing.T) {
 	w := serverWorkload(t)
+	// Pacing keeps each query live while the next ones start: the final
+	// spread check needs four concurrently held slots, and a finished
+	// query's slot is back the moment it ends.
 	eng := NewEngine(w, EngineConfig{Shards: 4, MaxLivePerShard: 1, QueueDepth: 4},
-		MonitorOptions{UpdateEvery: 4})
+		MonitorOptions{UpdateEvery: 4, Pace: time.Millisecond})
 	replicas := func() (total, held int) {
 		reps := *eng.replicas.Load()
 		for _, r := range reps {

@@ -116,9 +116,9 @@ func BenchmarkSnapshotUpdateCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkMonitorStartToDone is the end-to-end pair: a full monitored
-// query — Start, stream every update, Wait — in both delivery modes.
-// Execution itself dominates; the delta is the observation path.
+// BenchmarkMonitorStartToDone is the end-to-end figure: a full monitored
+// query — Start, stream every update, Wait. Execution itself dominates.
+// (The "/batched" sub-name is the key of its BENCH_baseline.json history.)
 func BenchmarkMonitorStartToDone(b *testing.B) {
 	w, err := Open(Config{Dataset: TPCH, Queries: 2, Scale: 0.08, Seed: 3})
 	if err != nil {
@@ -127,20 +127,18 @@ func BenchmarkMonitorStartToDone(b *testing.B) {
 	if _, err := w.planned(0); err != nil { // warm the plan cache
 		b.Fatal(err)
 	}
-	for _, mode := range cycleModes {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m, err := w.Start(0, MonitorOptions{Unbatched: !mode.batched})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for range m.Updates {
-				}
-				if _, err := m.Wait(); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("batched", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m, err := w.Start(0, MonitorOptions{})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			for range m.Updates {
+			}
+			if _, err := m.Wait(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"progressest/internal/exec"
-	"progressest/internal/progress"
 )
 
 // collectUpdates drives a monitorObserver through a synchronous execution
@@ -32,25 +31,19 @@ func collectUpdates(t testing.TB, w *Workload, qi int, sel *Selector, unbatched 
 	return got
 }
 
-// newTestObserver builds a monitorObserver exactly as Start does, minus
-// the channel plumbing.
+// newTestObserver builds query qi's monitorObserver through the shared
+// set-up Start uses, without starting an executor.
 func newTestObserver(t testing.TB, w *Workload, qi, every int) (*monitorObserver, *plannedQuery) {
 	t.Helper()
 	pq, err := w.planned(qi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := progress.NewOnlineView(pq.plan, pq.pipes)
-	view.Reserve = exec.DefaultTargetObservations + 1
-	np := len(pq.pipes.Pipelines)
-	return &monitorObserver{
-		view:      view,
-		every:     every,
-		choice:    make([]progress.Kind, np),
-		nextMark:  make([]int, np),
-		obsBefore: make([]int, np),
-		ch:        make(chan ProgressUpdate, 1),
-	}, pq
+	m, err := newMonitor(pq.plan, pq.pipes, "", "", qi, MonitorOptions{UpdateEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.obs, pq
 }
 
 // TestBatchedMonitorMatchesUnbatched is the monitor-level equivalence

@@ -9,27 +9,17 @@ import (
 	"progressest/internal/ingest"
 	"progressest/internal/pipeline"
 	"progressest/internal/plan"
-	"progressest/internal/progress"
 )
 
 // identityObserver builds a monitorObserver over an arbitrary plan (not
-// necessarily a workload query's), capturing the exact update stream
-// through the deliver hook.
+// necessarily a workload query's) through the shared set-up, capturing
+// the exact update stream through the deliver hook.
 func identityObserver(pl *plan.Plan, pipes *pipeline.Decomposition, sel *Selector, every int, got *[]ProgressUpdate) *monitorObserver {
-	view := progress.NewOnlineView(pl, pipes)
-	view.Reserve = exec.DefaultTargetObservations + 1
-	np := len(pipes.Pipelines)
-	obs := &monitorObserver{
-		view:      view,
-		every:     every,
-		choice:    make([]progress.Kind, np),
-		nextMark:  make([]int, np),
-		obsBefore: make([]int, np),
-		ch:        make(chan ProgressUpdate, 1),
+	m, err := newMonitor(pl, pipes, "", "", -1, MonitorOptions{Selector: sel, UpdateEvery: every})
+	if err != nil {
+		panic(err)
 	}
-	if sel != nil {
-		obs.sel = sel.inner
-	}
+	obs := m.obs
 	obs.deliver = func(u ProgressUpdate) {
 		u.Pipelines = append([]PipelineProgress(nil), u.Pipelines...)
 		*got = append(*got, u)

@@ -42,12 +42,6 @@ type MonitorOptions struct {
 	// Monitor.ModelFamily reports which target served. Without Learning
 	// the flag has no effect.
 	RouteByFamily bool
-	// Unbatched delivers counter snapshots to the estimator path one at a
-	// time instead of batched per update tick. The batched path produces
-	// bit-identical updates (asserted by the equivalence suite) with less
-	// per-snapshot overhead; the flag exists for paired benchmarks and
-	// equivalence tests.
-	Unbatched bool
 }
 
 func (o MonitorOptions) withDefaults() MonitorOptions {
@@ -110,9 +104,15 @@ type Monitor struct {
 	modelFamily string
 	shard       int
 	class       string
-	done        chan struct{}
-	run         *QueryRun
-	err         error
+	// obs assembles the updates; finish drops it, so a Monitor held for
+	// Wait pins the QueryRun and not the streaming view.
+	obs *monitorObserver
+	// release gives the admission slot back at the run's end (nil for a
+	// run started directly on a Workload).
+	release func()
+	done    chan struct{}
+	run     *QueryRun
+	err     error
 }
 
 // Wait blocks until the query completes and returns its QueryRun.
@@ -350,116 +350,25 @@ func (m *monitorObserver) send(u ProgressUpdate) {
 	m.ch <- u
 }
 
-// newIngestMonitor prepares the live-monitor machinery for an
-// externally executed query — a counter-ingestion session. Selector
-// resolution, the streaming OnlineView and the harvest subscription are
-// wired exactly as Start wires them, but no executor goroutine runs:
-// the session delivers the exec.Observer events itself, synthesized
-// from the ingested counter stream by an ingest.Runner, so the
-// estimates are bit-identical to an in-process run observing the same
-// counters. The caller completes the monitor with finishIngest (or
-// abortIngest) once the stream ends.
-func newIngestMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, workloadName, family string, opts MonitorOptions) (*Monitor, *monitorObserver, error) {
-	if opts.Estimator < 0 || int(opts.Estimator) >= int(progress.NumKinds) {
-		return nil, nil, fmt.Errorf("progressest: estimator %v is not computable online", opts.Estimator)
-	}
-	var sel *selection.Selector
-	var served *feedback.ServedModel
-	version := 0
-	modelFamily := ""
-	if opts.Selector != nil {
-		sel = opts.Selector.inner
-	} else if opts.Learning != nil {
-		target := ""
-		if opts.RouteByFamily {
-			target = family
-		}
-		if served = opts.Learning.servedFor(target); served != nil {
-			sel = served.Selector
-			version = served.Version
-			modelFamily = served.Target
-		}
-	}
-	if sel != nil {
-		for _, k := range sel.Kinds {
-			if k < 0 || int(k) >= int(progress.NumKinds) {
-				return nil, nil, fmt.Errorf("progressest: selector candidate %v is not computable online", k)
-			}
-		}
-	}
-	opts = opts.withDefaults()
-	view := progress.NewOnlineView(pl, pipes)
-	view.Reserve = exec.DefaultTargetObservations + 1
-	obs := &monitorObserver{
-		view:      view,
-		every:     opts.UpdateEvery,
-		choice:    make([]progress.Kind, len(pipes.Pipelines)),
-		nextMark:  make([]int, len(pipes.Pipelines)),
-		obsBefore: make([]int, len(pipes.Pipelines)),
-		ch:        make(chan ProgressUpdate, 1),
-	}
-	obs.sel = sel
-	if opts.Learning != nil {
-		// queryIndex -1: the query is not one of the bundled workload's —
-		// external sessions harvest under their own workload and family
-		// tags, joining drift, retraining and canary serving exactly as
-		// native queries do.
-		obs.harvest = opts.Learning.harv.Observer(workloadName, family, -1, served)
-	}
-	for pi := range obs.choice {
-		obs.choice[pi] = opts.Estimator
-	}
-	m := &Monitor{
-		Updates:     obs.ch,
-		version:     version,
-		family:      family,
-		modelFamily: modelFamily,
-		shard:       -1,
-		done:        make(chan struct{}),
-	}
-	return m, obs, nil
-}
-
-// finishIngest publishes the completed externally-executed run behind
-// the monitor: the final Done update goes out, the update stream closes
-// and Wait unblocks with the QueryRun over the synthesized trace. The
-// observer must already have seen the full event stream, OnDone
-// included.
-func (m *Monitor) finishIngest(obs *monitorObserver, tr *exec.Trace) {
-	run := &QueryRun{trace: tr}
-	for p := range tr.Pipes.Pipelines {
-		run.views = append(run.views, progress.NewPipelineView(tr, p))
-	}
-	m.run = run
-	obs.emit(true)
-	close(obs.ch)
-	close(m.done)
-}
-
-// abortIngest ends an ingest monitor without a completed run (the
-// session was aborted or expired): the update stream closes with no
-// final Done update and Wait unblocks with err.
-func (m *Monitor) abortIngest(obs *monitorObserver, err error) {
-	m.err = err
-	close(obs.ch)
-	close(m.done)
-}
-
-// Start plans query i and executes it on its own goroutine, streaming
-// live ProgressUpdates through the returned Monitor while the query runs.
-func (w *Workload) Start(i int, opts MonitorOptions) (*Monitor, error) {
-	if i < 0 || i >= len(w.inner.Queries) {
-		return nil, fmt.Errorf("progressest: query index %d out of range [0,%d)", i, len(w.inner.Queries))
-	}
+// newMonitor is the one monitor set-up, shared by native queries
+// (Workload.Start attaches exec.RunDecomposed as the counter source) and
+// external sessions (an ingest.Runner synthesizes the same exec.Observer
+// events from ingested counters, so the estimates are bit-identical):
+// estimator and selector validation, served-model resolution, the
+// streaming OnlineView and the harvest subscription. queryIndex is -1 for
+// a run that is not one of the bundled workload's queries — it harvests
+// under its own workload and family tags, joining drift, retraining and
+// canary serving exactly as native queries do. Whoever feeds the
+// observer ends the run with Monitor.finish.
+func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, workloadName, family string, queryIndex int, opts MonitorOptions) (*Monitor, error) {
 	if opts.Estimator < 0 || int(opts.Estimator) >= int(progress.NumKinds) {
 		// Oracle models need the finished trace; they cannot run online.
 		return nil, fmt.Errorf("progressest: estimator %v is not computable online", opts.Estimator)
 	}
-	// Resolve the selector: an explicit one wins; otherwise the query is
+	// Resolve the selector: an explicit one wins; otherwise the run is
 	// pinned to the learning registry's current version for its lifetime —
-	// the version routed for the query's family when RouteByFamily is on,
-	// else the global one.
-	family := w.inner.QueryFamily(i)
+	// the version routed for its family when RouteByFamily is on, else the
+	// global one.
 	var sel *selection.Selector
 	var served *feedback.ServedModel
 	version := 0
@@ -485,17 +394,13 @@ func (w *Workload) Start(i int, opts MonitorOptions) (*Monitor, error) {
 		}
 	}
 	opts = opts.withDefaults()
-	pq, err := w.planned(i)
-	if err != nil {
-		return nil, err
-	}
-	pl, pipes := pq.plan, pq.pipes
 	view := progress.NewOnlineView(pl, pipes)
 	// Pre-size the per-pipeline series for the engine's observation
 	// target, so feeding snapshots stays allocation-free at steady state.
 	view.Reserve = exec.DefaultTargetObservations + 1
 	obs := &monitorObserver{
 		view:      view,
+		sel:       sel,
 		every:     opts.UpdateEvery,
 		pace:      opts.Pace,
 		choice:    make([]progress.Kind, len(pipes.Pipelines)),
@@ -503,41 +408,85 @@ func (w *Workload) Start(i int, opts MonitorOptions) (*Monitor, error) {
 		obsBefore: make([]int, len(pipes.Pipelines)),
 		ch:        make(chan ProgressUpdate, 1),
 	}
-	obs.sel = sel
 	if opts.Learning != nil {
 		// The pinned served model rides along so the harvester can join
-		// the query's eventual estimator errors back to the version (and
+		// the run's eventual estimator errors back to the version (and
 		// routing target) that served it — the drift monitor's signal.
-		obs.harvest = opts.Learning.harv.Observer(w.inner.Spec.Name, family, i, served)
+		obs.harvest = opts.Learning.harv.Observer(workloadName, family, queryIndex, served)
 	}
 	for pi := range obs.choice {
 		obs.choice[pi] = opts.Estimator
 	}
-	m := &Monitor{
+	return &Monitor{
 		Updates:     obs.ch,
 		version:     version,
 		family:      family,
 		modelFamily: modelFamily,
 		shard:       -1,
+		obs:         obs,
 		done:        make(chan struct{}),
-	}
-	execOpts := exec.Options{Observer: obs}
-	if !opts.Unbatched {
-		// One snapshot batch per update tick: the engine conflates
-		// delivery to the granularity updates are emitted at anyway.
-		execOpts.SnapshotBatch = opts.UpdateEvery
-	}
-	go func() {
-		defer close(m.done)
-		tr := exec.RunDecomposed(w.inner.DB, pl, pipes, execOpts)
-		run := &QueryRun{trace: tr}
+	}, nil
+}
+
+// finish is the one end of a monitored run. With the completed trace
+// (the observer has seen the full event stream, OnDone included) Wait
+// yields the QueryRun and the final Done update goes out; with a nil
+// trace the run was aborted and Wait yields err. Either way the admission
+// slot comes back first — before the final update or Wait can tell
+// anyone the run is over — then the update stream closes.
+func (m *Monitor) finish(tr *exec.Trace, err error) {
+	obs := m.obs
+	m.obs = nil
+	if tr != nil {
+		m.run = &QueryRun{trace: tr}
 		for p := range tr.Pipes.Pipelines {
-			run.views = append(run.views, progress.NewPipelineView(tr, p))
+			m.run.views = append(m.run.views, progress.NewPipelineView(tr, p))
 		}
-		m.run = run
-		// The final update replaces any stale value, then the stream ends.
+	} else {
+		m.err = err
+	}
+	if m.release != nil {
+		m.release()
+	}
+	if tr != nil {
+		// The final update replaces any stale value.
 		obs.emit(true)
-		close(obs.ch)
-	}()
+	}
+	close(obs.ch)
+	close(m.done)
+}
+
+// Start plans query i and executes it on its own goroutine, streaming
+// live ProgressUpdates through the returned Monitor while the query runs.
+func (w *Workload) Start(i int, opts MonitorOptions) (*Monitor, error) {
+	m, run, err := w.prepare(i, opts)
+	if err != nil {
+		return nil, err
+	}
+	go run()
 	return m, nil
+}
+
+// prepare plans query i and sets its monitor up; the returned function
+// executes the query to completion, feeding and finishing the monitor.
+// The split lets the Engine stamp placement on the monitor and attach the
+// slot release before execution can reach them.
+func (w *Workload) prepare(i int, opts MonitorOptions) (*Monitor, func(), error) {
+	if i < 0 || i >= len(w.inner.Queries) {
+		return nil, nil, fmt.Errorf("progressest: query index %d out of range [0,%d)", i, len(w.inner.Queries))
+	}
+	pq, err := w.planned(i)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := newMonitor(pq.plan, pq.pipes, w.inner.Spec.Name, w.inner.QueryFamily(i), i, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	// One snapshot batch per update tick: the engine conflates delivery
+	// to the granularity updates are emitted at anyway.
+	execOpts := exec.Options{Observer: m.obs, SnapshotBatch: m.obs.every}
+	return m, func() {
+		m.finish(exec.RunDecomposed(w.inner.DB, pq.plan, pq.pipes, execOpts), nil)
+	}, nil
 }

@@ -123,29 +123,6 @@ func TestMonitorConflationUnderBatching(t *testing.T) {
 	}
 }
 
-// TestMonitorUnbatchedMatchesBatched drives the public API in both
-// delivery modes and checks the terminal state agrees (the full
-// bit-identity proof lives in the in-package equivalence suite).
-func TestMonitorUnbatchedMatchesBatched(t *testing.T) {
-	w := testWorkload(t)
-	for _, unbatched := range []bool{false, true} {
-		m, err := w.Start(1, progressest.MonitorOptions{UpdateEvery: 4, Unbatched: unbatched})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var last progressest.ProgressUpdate
-		for u := range m.Updates {
-			last = u
-		}
-		if !last.Done || last.Query != 1 || last.TrueProgress != 1 {
-			t.Fatalf("unbatched=%v: bad terminal update %+v", unbatched, last)
-		}
-		if _, err := m.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestMonitorOutOfRange checks index validation.
 func TestMonitorOutOfRange(t *testing.T) {
 	w := testWorkload(t)

@@ -9,49 +9,57 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"progressest/internal/engine"
 	"progressest/internal/ingest"
 )
 
-// Server exposes live query monitoring over HTTP — the daemon core of
-// cmd/progressd. It fronts a sharded Engine: submitted queries pass the
-// admission gate (waiting in its bounded queue when every replica is at
-// capacity), execute on the least-loaded Workload replica, and record the
-// freshest ProgressUpdate of each:
+// Server exposes live progress estimation over HTTP — the daemon core of
+// cmd/progressd. It fronts a sharded Engine and keeps one kind of record,
+// the tracked run: a query executing in process, or an external engine's
+// session streaming its counters in. Both admit through the same QoS
+// gate (waiting in its bounded fair queue when every replica is at
+// capacity), hold their slot until they end, drive the same estimators,
+// harvest into the same corpus, and live in the same state machine —
+// open → completed | aborted | expired. The two resource trees differ
+// only in the counter source their POST attaches; list and progress are
+// one handler each, answering one wire shape (runInfo):
 //
-//	POST /queries                {"query": i}  -> {"id": "q1", "shard": s, ...}
+//	POST /queries                {"query": i}  -> run, executed on the least-loaded replica
 //	GET  /queries                              -> list of submitted queries
-//	GET  /queries/{id}/progress                -> live progress JSON
+//	GET  /queries/{id}/progress                -> run + freshest ProgressUpdate
+//
+//	POST   /sessions                        {plan spec} -> run, fed by the routes below
+//	POST   /sessions/{id}/observations      {counter batch} -> apply result
+//	GET    /sessions                                    -> list of sessions
+//	GET    /sessions/{id}/progress                      -> run + freshest ProgressUpdate
+//	DELETE /sessions/{id}                               -> abort the session
+//
 //	GET  /engine/stats                         -> shard pool, queue, QoS + resize state
 //	POST /engine/resize          {"shards": n} -> operator pool resize
 //	GET  /healthz                              -> {"status": "ok"}
 //
-// A submission may carry "client" (refines the admission class from the
-// query's family to family|client, so fairness holds between a family's
-// clients) and "deadline_ms" (bounds the admission wait; with deadline
-// admission on, a request whose deadline cannot cover the predicted
-// queue wait is shed immediately). Admission refusals answer with a
-// JSON "reason" — "queue_full", "deadline_shed" or "draining" — and
+// Every run records its placement (shard), family, admission class and
+// the selector version that serves it ("model"/"model_family"). Once a
+// run ends only that identity and its last update are retained — the
+// monitor, trace and counter source are dropped — until eviction: each
+// tree keeps its finished runs up to its own bound (1024 queries,
+// SessionConfig.MaxKept sessions), oldest evicted first.
+//
+// A POST may carry "client" (refines the admission class from the family
+// to family|client, so fairness holds between a family's clients) and
+// "deadline_ms" (bounds the admission wait; with deadline admission on, a
+// request whose deadline cannot cover the predicted queue wait is shed
+// immediately). Admission refusals answer with a JSON "reason" —
+// "queue_full", "deadline_shed", "session_limit" or "draining" — and
 // 429/503s carry a Retry-After header derived from observed queue waits.
 //
-// The session routes turn the daemon into progress-estimation-as-a-
-// service for queries executing on external engines (see internal/ingest
-// and the README's "Estimation as a service"):
-//
-//	POST   /sessions                        {plan spec} -> {"id": "s1", ...}
-//	POST   /sessions/{id}/observations      {counter batch} -> apply result
-//	GET    /sessions/{id}/progress                      -> live progress JSON
-//	GET    /sessions                                    -> list of sessions
-//	DELETE /sessions/{id}                               -> abort the session
-//
-// A session admits through the same QoS gate as a native submission
-// (class = its family, optionally "family|client"; deadline-aware),
-// streams monotone counter observations that are validated and rejected
-// on regression or reordering, reads the same ProgressUpdate stream, and
-// on completion harvests into the feedback corpus under its family tag.
-// Idle sessions expire after a configurable TTL (SetSessionConfig).
+// A session streams monotone counter observations that are validated
+// and rejected on regression or reordering (see internal/ingest and the
+// README's "Estimation as a service"); one idle past the TTL expires
+// (SetSessionConfig).
 //
 // When MonitorOptions.Learning is set, the model-lifecycle routes come
 // alive too (404 otherwise):
@@ -60,51 +68,24 @@ import (
 //	GET  /models/drift                         -> observed-vs-predicted per target
 //	POST /models/retrain                       -> train + gate + hot-swap
 //	POST /models/rollback     [{"family": f}]  -> revert to the previous one
-//
-// Every submitted query records its placement (shard), its workload
-// family, and which selector version served it ("model"/"model_family" in
-// the submit, list and progress responses).
 type Server struct {
-	eng      *Engine
-	mux      *http.ServeMux
-	sessions *sessionManager
+	eng *Engine
+	mux *http.ServeMux
 
-	// maxKept is the retention bound for finished queries, settable before
-	// the server starts handling requests (tests shrink it).
-	maxKept int
+	// queries and sessions are the two instances of the tracked-run table.
+	queries, sessions *runTable
 
-	mu      sync.Mutex
-	queries map[string]*serverQuery
-	order   []*serverQuery // submission order, for stable listings
-	nextID  int
+	sessionCfg SessionConfig
+	janitor    sync.Once // starts the TTL sweeper on the first session
+	stopOnce   sync.Once
+	stopCh     chan struct{}
+	// Lifetime ingestion counters of the session wire.
+	batches, observations, rejectedBatches atomic.Int64
 }
 
-// defaultMaxKept bounds retention: finished queries beyond it are evicted
-// oldest-first so a long-running daemon's memory stays bounded. (The
+// defaultMaxKept bounds retention of finished queries. (The
 // concurrent-execution bound lives in EngineConfig.MaxLivePerShard.)
 const defaultMaxKept = 1024
-
-// serverQuery tracks one submitted query.
-type serverQuery struct {
-	id          string
-	query       int
-	shard       int    // engine replica executing it
-	family      string // the query's workload family
-	class       string // admission class (family, or family|client)
-	model       int    // selector version that serves it (0 = none)
-	modelFamily string // routing target of that version ("" = global)
-
-	mu     sync.Mutex
-	latest ProgressUpdate
-	seen   bool
-	done   bool
-}
-
-func (q *serverQuery) snapshot() (ProgressUpdate, bool, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.latest, q.seen, q.done
-}
 
 // NewServer wraps the workload in an HTTP monitoring server backed by a
 // single-shard engine. The monitor options apply to every submitted
@@ -116,42 +97,42 @@ func NewServer(w *Workload, opts MonitorOptions) *Server {
 // NewEngineServer wraps a sharded engine in the HTTP monitoring server.
 func NewEngineServer(e *Engine) *Server {
 	s := &Server{
-		eng:     e,
-		mux:     http.NewServeMux(),
-		maxKept: defaultMaxKept,
-		queries: make(map[string]*serverQuery),
+		eng:      e,
+		mux:      http.NewServeMux(),
+		queries:  newRunTable("query", defaultMaxKept),
+		sessions: newRunTable("session", 0),
+		stopCh:   make(chan struct{}),
 	}
+	s.SetSessionConfig(SessionConfig{})
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("POST /queries", s.handleSubmit)
-	s.mux.HandleFunc("GET /queries", s.handleList)
-	s.mux.HandleFunc("GET /queries/{id}/progress", s.handleProgress)
+	s.mux.HandleFunc("POST /sessions", s.handleSessionOpen)
+	s.mux.HandleFunc("GET /queries", s.queries.handleList)
+	s.mux.HandleFunc("GET /sessions", s.sessions.handleList)
+	s.mux.HandleFunc("GET /queries/{id}/progress", s.queries.handleProgress)
+	s.mux.HandleFunc("GET /sessions/{id}/progress", s.sessions.handleProgress)
+	s.mux.HandleFunc("POST /sessions/{id}/observations", s.handleSessionObserve)
+	s.mux.HandleFunc("DELETE /sessions/{id}", s.handleSessionDelete)
 	s.mux.HandleFunc("GET /engine/stats", s.handleEngineStats)
 	s.mux.HandleFunc("POST /engine/resize", s.handleResize)
 	s.mux.HandleFunc("GET /models", s.handleModels)
 	s.mux.HandleFunc("GET /models/drift", s.handleDrift)
 	s.mux.HandleFunc("POST /models/retrain", s.handleRetrain)
 	s.mux.HandleFunc("POST /models/rollback", s.handleRollback)
-	s.sessions = newSessionManager(e, SessionConfig{})
-	s.mux.HandleFunc("POST /sessions", s.handleSessionOpen)
-	s.mux.HandleFunc("GET /sessions", s.handleSessionList)
-	s.mux.HandleFunc("POST /sessions/{id}/observations", s.handleSessionObserve)
-	s.mux.HandleFunc("GET /sessions/{id}/progress", s.handleSessionProgress)
-	s.mux.HandleFunc("DELETE /sessions/{id}", s.handleSessionDelete)
 	return s
 }
 
-// SetSessionConfig replaces the external-session layer's sizing (TTL,
+// SetSessionConfig sets the external-session layer's sizing (TTL,
 // open-session bound, observation cap, retention). Call it before the
-// server starts handling requests; sessions already open keep the old
-// manager's state.
+// server starts handling requests.
 func (s *Server) SetSessionConfig(cfg SessionConfig) {
-	s.sessions.stop()
-	s.sessions = newSessionManager(s.eng, cfg)
+	s.sessionCfg = cfg.withDefaults()
+	s.sessions.maxKept, s.sessions.maxOpen = s.sessionCfg.MaxKept, s.sessionCfg.MaxSessions
 }
 
 // Close stops the session layer's background janitor. It does not drain;
 // use Drain first for a graceful shutdown.
-func (s *Server) Close() { s.sessions.stop() }
+func (s *Server) Close() { s.stopOnce.Do(func() { close(s.stopCh) }) }
 
 // Drain stops admission — queued submissions get 503 immediately instead
 // of stranding — and blocks until every admitted query has finished or
@@ -176,6 +157,27 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// maxSmallBody bounds the small JSON request bodies (submit, resize,
+// rollback); the session routes bound theirs in internal/ingest.
+const maxSmallBody = 64 << 10
+
+// decodeBody decodes a small JSON request body into v; an optional body
+// may be empty. On failure it answers — 413 past maxSmallBody, 400
+// otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, optional bool) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSmallBody)).Decode(v)
+	if err == nil || optional && errors.Is(err, io.EOF) {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, "invalid body: %v", err)
+	return false
 }
 
 // drainingRetryAfter is the fixed Retry-After stamped on 503 draining
@@ -222,7 +224,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleEngineStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.eng.Stats()
-	st.Ingest = s.sessions.stats()
+	st.Ingest = s.sessionStats()
 	writeJSON(w, http.StatusOK, st)
 }
 
@@ -237,8 +239,7 @@ type resizeRequest struct {
 // from the new size) and answers with the post-resize engine stats.
 func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 	var req resizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid body: %v", err)
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	err := s.eng.Resize(req.Shards)
@@ -269,171 +270,97 @@ type submitRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// queryInfo is the wire form of a submitted query's identity.
-type queryInfo struct {
-	ID    string `json:"id"`
-	Query int    `json:"query"`
-	Text  string `json:"text,omitempty"`
-	Done  bool   `json:"done"`
-	// Shard is the engine replica the query executes on.
-	Shard int `json:"shard"`
-	// Family is the query's workload family (the model-routing key);
-	// Class the admission class it was admitted under (the family, or
-	// "family|client" for a tagged submission — the QoS scheduling key).
-	Family string `json:"family,omitempty"`
-	Class  string `json:"class,omitempty"`
-	// Model is the selector version that serves the query (0 = fixed
-	// estimator or explicitly configured selector); ModelFamily is that
-	// version's routing target ("" = the global model).
-	Model       int    `json:"model,omitempty"`
-	ModelFamily string `json:"model_family,omitempty"`
-}
-
-func (q *serverQuery) info(text string, done bool) queryInfo {
-	return queryInfo{
-		ID: q.id, Query: q.query, Text: text, Done: done,
-		Shard: q.shard, Family: q.family, Class: q.class,
-		Model: q.model, ModelFamily: q.modelFamily,
-	}
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid body: %v", err)
-		return
-	}
-	if req.Query < 0 || req.Query >= s.eng.Workload().NumQueries() {
-		writeError(w, http.StatusBadRequest, "query index %d out of range [0,%d)",
-			req.Query, s.eng.Workload().NumQueries())
-		return
-	}
-	// The engine owns admission: the submission waits in the bounded
-	// fair queue under its class when every shard is at capacity, and
-	// the request context frees the queue slot if the client gives up.
-	// A deadline_ms bound rides on that same context, so it also feeds
-	// deadline-aware admission.
+// admitRun runs one of the two run constructors under the request's
+// admission deadline and returns the run, or answers the refusal and
+// returns nil. The engine owns admission: the run waits in the bounded
+// fair queue under its class when every shard is at capacity, and the
+// request context frees the queue slot if the client gives up. A
+// deadline_ms bound rides on that same context, so it also feeds
+// deadline-aware admission.
+func (s *Server) admitRun(w http.ResponseWriter, r *http.Request, what string, deadlineMS int64,
+	open func(ctx context.Context) (*trackedRun, error)) *trackedRun {
 	ctx := r.Context()
-	if req.DeadlineMS > 0 {
+	if deadlineMS > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
 		defer cancel()
 	}
-	m, err := s.eng.StartTagged(ctx, req.Query, req.Client)
+	run, err := open(ctx)
 	var shedErr *engine.DeadlineShedError
 	switch {
+	case err == nil:
+		return run
 	case errors.As(err, &shedErr):
 		// The predicted queue wait is the honest backoff hint: resubmitting
 		// sooner would just be shed again under the same conditions.
 		writeReject(w, http.StatusTooManyRequests, "deadline_shed", shedErr.Predicted, err)
-		return
+	case errors.Is(err, errSessionLimit):
+		writeReject(w, http.StatusTooManyRequests, "session_limit", s.eng.RetryAfterHint(), err)
 	case IsSaturated(err):
 		writeReject(w, http.StatusTooManyRequests, "queue_full", s.eng.RetryAfterHint(), err)
-		return
 	case IsDraining(err):
 		writeReject(w, http.StatusServiceUnavailable, "draining", drainingRetryAfter, err)
-		return
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// The client abandoned the queued submission (or its deadline_ms
+		// The client abandoned the queued request (or its deadline_ms
 		// expired while queued); nothing to answer.
-		writeError(w, http.StatusServiceUnavailable, "submit: %v", err)
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "start: %v", err)
-		return
+		writeError(w, http.StatusServiceUnavailable, "%s: %v", what, err)
+	default:
+		writeError(w, http.StatusInternalServerError, "%s: %v", what, err)
 	}
-
-	s.mu.Lock()
-	s.nextID++
-	q := &serverQuery{
-		id:          fmt.Sprintf("q%d", s.nextID),
-		query:       req.Query,
-		shard:       m.Shard(),
-		family:      m.Family(),
-		class:       m.Class(),
-		model:       m.ModelVersion(),
-		modelFamily: m.ModelFamily(),
-	}
-	s.queries[q.id] = q
-	s.order = append(s.order, q)
-	// Evict the oldest finished queries beyond the retention bound.
-	if len(s.order) > s.maxKept {
-		kept := s.order[:0]
-		excess := len(s.order) - s.maxKept
-		for _, old := range s.order {
-			_, _, done := old.snapshot()
-			if excess > 0 && done {
-				delete(s.queries, old.id)
-				excess--
-				continue
-			}
-			kept = append(kept, old)
-		}
-		s.order = kept
-	}
-	s.mu.Unlock()
-
-	go func() {
-		for u := range m.Updates {
-			q.mu.Lock()
-			q.latest = u
-			q.seen = true
-			q.done = q.done || u.Done
-			q.mu.Unlock()
-		}
-		q.mu.Lock()
-		q.done = true
-		q.mu.Unlock()
-	}()
-
-	info := q.info(s.eng.Workload().QueryText(req.Query), false)
-	writeJSON(w, http.StatusAccepted, info)
+	return nil
 }
 
-func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	queries := append([]*serverQuery(nil), s.order...)
-	s.mu.Unlock()
-	infos := make([]queryInfo, 0, len(queries))
-	for _, q := range queries {
-		_, _, done := q.snapshot()
-		infos = append(infos, q.info("", done))
+// handleSubmit is POST /queries: track a run whose counter source is the
+// in-process executor.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req submitRequest
+	if !decodeBody(w, r, &req, false) {
+		return
+	}
+	wl := s.eng.Workload()
+	if req.Query < 0 || req.Query >= wl.NumQueries() {
+		writeError(w, http.StatusBadRequest, "query index %d out of range [0,%d)", req.Query, wl.NumQueries())
+		return
+	}
+	run := s.admitRun(w, r, "submit", req.DeadlineMS, func(ctx context.Context) (*trackedRun, error) {
+		run := &trackedRun{query: req.Query, workload: wl.inner.Spec.Name}
+		return run, s.queries.track(run, func() (*Monitor, error) {
+			return s.eng.StartTagged(ctx, req.Query, req.Client)
+		})
+	})
+	if run != nil {
+		info := run.info(false)
+		info.Text = wl.QueryText(req.Query)
+		writeJSON(w, http.StatusAccepted, info)
+	}
+}
+
+// handleList is GET /queries and GET /sessions.
+func (t *runTable) handleList(w http.ResponseWriter, _ *http.Request) {
+	runs := t.list()
+	infos := make([]runInfo, 0, len(runs))
+	for _, run := range runs {
+		infos = append(infos, run.info(false))
 	}
 	writeJSON(w, http.StatusOK, infos)
 }
 
-// progressResponse is the GET /queries/{id}/progress wire form.
-type progressResponse struct {
-	ID          string          `json:"id"`
-	Query       int             `json:"query"`
-	Done        bool            `json:"done"`
-	Shard       int             `json:"shard"`
-	Family      string          `json:"family,omitempty"`
-	Class       string          `json:"class,omitempty"`
-	Model       int             `json:"model,omitempty"`
-	ModelFamily string          `json:"model_family,omitempty"`
-	Update      *ProgressUpdate `json:"update,omitempty"`
+// handleProgress is GET /queries/{id}/progress and GET
+// /sessions/{id}/progress: the run plus its freshest update.
+func (t *runTable) handleProgress(w http.ResponseWriter, r *http.Request) {
+	if run := t.find(w, r); run != nil {
+		writeJSON(w, http.StatusOK, run.info(true))
+	}
 }
 
-func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	q, ok := s.queries[id]
-	s.mu.Unlock()
+// find resolves the request's {id}, answering 404 itself when unknown.
+func (t *runTable) find(w http.ResponseWriter, r *http.Request) *trackedRun {
+	run, ok := t.lookup(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown query %q", id)
-		return
+		writeError(w, http.StatusNotFound, "unknown %s %q", t.noun, r.PathValue("id"))
+		return nil
 	}
-	latest, seen, done := q.snapshot()
-	resp := progressResponse{
-		ID: q.id, Query: q.query, Done: done,
-		Shard: q.shard, Family: q.family, Class: q.class,
-		Model: q.model, ModelFamily: q.modelFamily,
-	}
-	if seen {
-		resp.Update = &latest
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return run
 }
 
 // modelsResponse is the GET /models wire form.
@@ -596,8 +523,7 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req rollbackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, "invalid body: %v", err)
+	if !decodeBody(w, r, &req, true) {
 		return
 	}
 	v, persistErr, err := l.rollback(req.Family)
@@ -620,41 +546,9 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sessionInfo is the wire form of an external estimation session's
-// identity (POST /sessions response; GET /sessions entries).
-type sessionInfo struct {
-	ID       string `json:"id"`
-	Workload string `json:"workload"`
-	// Family is the session's workload family; Class the admission class
-	// it was admitted under (the family, or "family|client").
-	Family string `json:"family"`
-	Class  string `json:"class"`
-	// Shard is the engine slot whose capacity the session occupies.
-	Shard int `json:"shard"`
-	// Model is the selector version serving the session (0 = fixed
-	// estimator); ModelFamily that version's routing target ("" = global).
-	Model       int    `json:"model,omitempty"`
-	ModelFamily string `json:"model_family,omitempty"`
-	// State is "open", "completed", "aborted" or "expired".
-	State string `json:"state"`
-	// Observations is the number of counter snapshots ingested so far.
-	Observations int64 `json:"observations"`
-}
-
-func (s *ingestSession) info() sessionInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return sessionInfo{
-		ID: s.id, Workload: s.workload, Family: s.family, Class: s.class,
-		Shard: s.shard, Model: s.model, ModelFamily: s.modelFamily,
-		State: sessionStateName(s.state), Observations: s.ingested,
-	}
-}
-
-// handleSessionOpen is POST /sessions: validate the plan spec, admit
-// through the engine gate under the session's class, and register the
-// session. Admission refusals answer exactly as query submissions do
-// (429 queue_full / deadline_shed, 503 draining, Retry-After included).
+// handleSessionOpen is POST /sessions: validate the plan spec, then track
+// a run whose counter source is the observations route. Admission
+// refusals answer exactly as query submissions do.
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	spec, err := ingest.DecodeSpec(r.Body)
 	if err != nil {
@@ -670,44 +564,12 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "open session: %v", err)
 		return
 	}
-	ctx := r.Context()
-	if spec.DeadlineMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.DeadlineMS)*time.Millisecond)
-		defer cancel()
+	run := s.admitRun(w, r, "open session", spec.DeadlineMS, func(ctx context.Context) (*trackedRun, error) {
+		return s.openSession(ctx, spec, model)
+	})
+	if run != nil {
+		writeJSON(w, http.StatusCreated, run.info(false))
 	}
-	sess, err := s.sessions.open(ctx, spec, model)
-	var shedErr *engine.DeadlineShedError
-	switch {
-	case errors.As(err, &shedErr):
-		writeReject(w, http.StatusTooManyRequests, "deadline_shed", shedErr.Predicted, err)
-		return
-	case errors.Is(err, errSessionLimit):
-		writeReject(w, http.StatusTooManyRequests, "session_limit", s.eng.RetryAfterHint(), err)
-		return
-	case IsSaturated(err):
-		writeReject(w, http.StatusTooManyRequests, "queue_full", s.eng.RetryAfterHint(), err)
-		return
-	case IsDraining(err):
-		writeReject(w, http.StatusServiceUnavailable, "draining", drainingRetryAfter, err)
-		return
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusServiceUnavailable, "open session: %v", err)
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "open session: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, sess.info())
-}
-
-func (s *Server) handleSessionList(w http.ResponseWriter, _ *http.Request) {
-	sessions := s.sessions.list()
-	infos := make([]sessionInfo, 0, len(sessions))
-	for _, sess := range sessions {
-		infos = append(infos, sess.info())
-	}
-	writeJSON(w, http.StatusOK, infos)
 }
 
 // observeResponse is the POST /sessions/{id}/observations wire form.
@@ -728,9 +590,8 @@ type observeResponse struct {
 // 413 size or retention limits — and a rejected batch leaves the session
 // at its last consistent prefix.
 func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.sessions.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", r.PathValue("id"))
+	run := s.sessions.find(w, r)
+	if run == nil {
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, ingest.MaxBatchBytes+1))
@@ -747,7 +608,7 @@ func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "observations: %v", err)
 		return
 	}
-	added, state, err := s.sessions.apply(sess, batch)
+	added, state, err := s.apply(run, batch)
 	if err != nil {
 		status := http.StatusBadRequest
 		switch {
@@ -760,63 +621,22 @@ func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "observations: %v", err)
 		return
 	}
-	sess.mu.Lock()
-	total := sess.ingested
-	sess.mu.Unlock()
+	run.mu.Lock()
+	total := run.ingested
+	run.mu.Unlock()
 	writeJSON(w, http.StatusOK, observeResponse{
-		ID: sess.id, Added: added, Observations: total,
-		State: sessionStateName(state),
+		ID: run.id, Added: added, Observations: total,
+		State: state.String(),
 	})
-}
-
-// sessionProgressResponse is the GET /sessions/{id}/progress wire form —
-// the session's identity plus the freshest conflated ProgressUpdate,
-// exactly the shape native query progress reads get.
-type sessionProgressResponse struct {
-	ID          string          `json:"id"`
-	Workload    string          `json:"workload"`
-	Family      string          `json:"family"`
-	Class       string          `json:"class"`
-	State       string          `json:"state"`
-	Done        bool            `json:"done"`
-	Model       int             `json:"model,omitempty"`
-	ModelFamily string          `json:"model_family,omitempty"`
-	Update      *ProgressUpdate `json:"update,omitempty"`
-}
-
-func (s *Server) handleSessionProgress(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.sessions.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", r.PathValue("id"))
-		return
-	}
-	sess.mu.Lock()
-	state := sess.state
-	sess.mu.Unlock()
-	latest, seen := sess.snapshotProgress()
-	resp := sessionProgressResponse{
-		ID: sess.id, Workload: sess.workload, Family: sess.family,
-		Class: sess.class, State: sessionStateName(state),
-		Done:  state == sessionCompleted,
-		Model: sess.model, ModelFamily: sess.modelFamily,
-	}
-	if seen {
-		resp.Update = &latest
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleSessionDelete aborts an open session (idempotent: a terminal
 // session just reports its state).
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.sessions.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", r.PathValue("id"))
-		return
+	if run := s.sessions.find(w, r); run != nil {
+		writeJSON(w, http.StatusOK, map[string]string{
+			"id":    run.id,
+			"state": s.abort(run).String(),
+		})
 	}
-	state := s.sessions.abort(sess)
-	writeJSON(w, http.StatusOK, map[string]string{
-		"id":    sess.id,
-		"state": sessionStateName(state),
-	})
 }

@@ -147,7 +147,7 @@ func TestServerAdmissionBound(t *testing.T) {
 func TestServerRetentionEvictsOldest(t *testing.T) {
 	w := serverWorkload(t)
 	s := NewServer(w, MonitorOptions{UpdateEvery: 16})
-	s.maxKept = 2
+	s.queries.maxKept = 2
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 

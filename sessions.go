@@ -2,13 +2,10 @@ package progressest
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"progressest/internal/engine"
+	"progressest/internal/exec"
 	"progressest/internal/ingest"
 )
 
@@ -46,393 +43,141 @@ func (c SessionConfig) withDefaults() SessionConfig {
 	return c
 }
 
-// Session lifecycle states.
-const (
-	sessionOpen = iota
-	sessionCompleted
-	sessionAborted
-	sessionExpired
-)
-
-func sessionStateName(state int) string {
-	switch state {
-	case sessionOpen:
-		return "open"
-	case sessionCompleted:
-		return "completed"
-	case sessionAborted:
-		return "aborted"
-	default:
-		return "expired"
-	}
-}
-
-var (
-	// errSessionLimit rejects an open beyond MaxSessions (429).
-	errSessionLimit = errors.New("progressest: open session limit reached")
-	// errSessionAborted and errSessionExpired are the Wait errors of
-	// sessions that ended without completing.
-	errSessionAborted = errors.New("progressest: session aborted")
-	errSessionExpired = errors.New("progressest: session expired (idle past TTL)")
-)
-
-// ingestSession is one external estimation session: an admission slot, a
-// validated plan model, the ingestion runner synthesizing the observer
-// event stream, and the monitor machinery native queries use.
-type ingestSession struct {
-	id          string
-	workload    string
-	family      string
-	class       string
-	shard       int
-	model       int    // selector version serving the session
-	modelFamily string // routing target of that version
-
-	mu       sync.Mutex
-	state    int
-	lastSeen time.Time
-	runner   *ingest.Runner
-	obs      *monitorObserver
-	mon      *Monitor
-	batches  int64 // successfully applied batches
-	ingested int64 // successfully ingested snapshots
-	rejected int64 // rejected batches
-
-	// latest/seen mirror serverQuery: the freshest conflated update, for
-	// GET /sessions/{id}/progress.
-	progMu sync.Mutex
-	latest ProgressUpdate
-	seen   bool
-}
-
-func (s *ingestSession) snapshotProgress() (ProgressUpdate, bool) {
-	s.progMu.Lock()
-	defer s.progMu.Unlock()
-	return s.latest, s.seen
-}
-
-// sessionManager owns the session table: admission, ingestion dispatch,
-// TTL expiry and retention.
-type sessionManager struct {
-	eng *Engine
-	cfg SessionConfig
-
-	mu       sync.Mutex
-	sessions map[string]*ingestSession
-	order    []*ingestSession // open order, for stable listings + eviction
-	nextID   int
-	draining bool
-
-	janitor  sync.Once
-	stopOnce sync.Once
-	stopCh   chan struct{}
-
-	opened, completed, expired, aborted  atomic.Int64
-	batches, observations, rejectedTotal atomic.Int64
-}
-
-func newSessionManager(e *Engine, cfg SessionConfig) *sessionManager {
-	return &sessionManager{
-		eng:      e,
-		cfg:      cfg.withDefaults(),
-		sessions: make(map[string]*ingestSession),
-		stopCh:   make(chan struct{}),
-	}
-}
-
-// open admits and registers a new session. The spec must already have
+// openSession tracks a new external session. The spec must already have
 // passed ingest.Build (model is its validated form); admission waits in
 // the engine's bounded fair queue under the session's class exactly as a
-// native submission would, honoring ctx's deadline.
-func (sm *sessionManager) open(ctx context.Context, spec *ingest.Spec, model *ingest.Model) (*ingestSession, error) {
-	sm.mu.Lock()
-	if sm.draining {
-		sm.mu.Unlock()
-		return nil, fmt.Errorf("progressest: open session: %w", errDrainingSessions)
+// native submission would, honoring ctx's deadline. The counter source
+// it attaches is an ingest.Runner, fed by apply.
+func (s *Server) openSession(ctx context.Context, spec *ingest.Spec, model *ingest.Model) (*trackedRun, error) {
+	r := &trackedRun{query: -1, workload: spec.Workload, lastSeen: time.Now()}
+	if r.workload == "" {
+		r.workload = "external"
 	}
-	openCount := 0
-	for _, s := range sm.order {
-		s.mu.Lock()
-		if s.state == sessionOpen {
-			openCount++
+	err := s.sessions.track(r, func() (*Monitor, error) {
+		m, err := s.eng.admit(ctx, spec.Family, spec.Client,
+			func(_ *Workload, opts MonitorOptions) (*Monitor, error) {
+				if spec.UpdateEvery > 0 {
+					opts.UpdateEvery = spec.UpdateEvery
+				}
+				opts.Pace = 0 // pacing slows the executor; sessions have none
+				return newMonitor(model.Plan, model.Pipes, r.workload, spec.Family, -1, opts)
+			})
+		if err != nil {
+			return nil, err
 		}
-		s.mu.Unlock()
-	}
-	if openCount >= sm.cfg.MaxSessions {
-		sm.mu.Unlock()
-		return nil, errSessionLimit
-	}
-	sm.mu.Unlock()
-
-	class := spec.Family
-	if spec.Client != "" {
-		class = class + "|" + spec.Client
-	}
-	slot, err := sm.eng.gate.AdmitClass(ctx, class)
+		r.mon = m
+		r.runner = ingest.NewRunner(model, m.obs, m.obs.every, s.sessionCfg.MaxObservations)
+		return m, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	opts := sm.eng.opts
-	if spec.UpdateEvery > 0 {
-		opts.UpdateEvery = spec.UpdateEvery
-	}
-	opts = opts.withDefaults()
-	opts.Pace = 0 // pacing slows the executor; sessions have none
-	workload := spec.Workload
-	if workload == "" {
-		workload = "external"
-	}
-	mon, obs, err := newIngestMonitor(model.Plan, model.Pipes, workload, spec.Family, opts)
-	if err != nil {
-		slot.Release()
-		return nil, err
-	}
-	batch := opts.UpdateEvery
-	if opts.Unbatched {
-		batch = 0
-	}
-	runner := ingest.NewRunner(model, obs, batch, sm.cfg.MaxObservations)
-
-	s := &ingestSession{
-		workload:    workload,
-		family:      spec.Family,
-		class:       class,
-		shard:       slot.Shard,
-		model:       mon.ModelVersion(),
-		modelFamily: mon.ModelFamily(),
-		state:       sessionOpen,
-		lastSeen:    time.Now(),
-		runner:      runner,
-		obs:         obs,
-		mon:         mon,
-	}
-
-	sm.mu.Lock()
-	if sm.draining {
-		// Drain began while we were admitting; back out.
-		sm.mu.Unlock()
-		mon.abortIngest(obs, errDrainingSessions)
-		slot.Release()
-		return nil, fmt.Errorf("progressest: open session: %w", errDrainingSessions)
-	}
-	sm.nextID++
-	s.id = fmt.Sprintf("s%d", sm.nextID)
-	sm.sessions[s.id] = s
-	sm.order = append(sm.order, s)
-	sm.evictLocked()
-	sm.mu.Unlock()
-	sm.opened.Add(1)
-
-	// The slot is held for the session's whole life — an open session IS
-	// a live query from the gate's point of view, so session load and
-	// native load share one capacity model.
-	go func() {
-		<-mon.done
-		slot.Release()
-	}()
-	// Mirror the daemon's per-query consumer: record the freshest
-	// conflated update for progress reads.
-	go func() {
-		for u := range mon.Updates {
-			s.progMu.Lock()
-			s.latest = u
-			s.seen = true
-			s.progMu.Unlock()
-		}
-	}()
-	sm.startJanitor()
-	return s, nil
-}
-
-// errDrainingSessions reuses the engine's draining sentinel for the
-// session-open path, so the HTTP layer's IsDraining mapping (503 +
-// Retry-After) covers both refusals.
-var errDrainingSessions = engine.ErrDraining
-
-// lookup returns the session by id.
-func (sm *sessionManager) lookup(id string) (*ingestSession, bool) {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	s, ok := sm.sessions[id]
-	return s, ok
-}
-
-// list snapshots the sessions in open order.
-func (sm *sessionManager) list() []*ingestSession {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	return append([]*ingestSession(nil), sm.order...)
+	s.startJanitor()
+	return r, nil
 }
 
 // apply ingests one observation batch into the session. The returned
 // count is the snapshots the batch added. A validation error leaves the
 // session open at its last consistent prefix (the client may correct and
 // resend); only a Done batch that fully applies completes it.
-func (sm *sessionManager) apply(s *ingestSession, b *ingest.Batch) (added int, state int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != sessionOpen {
-		return 0, s.state, fmt.Errorf("session is %s: %w", sessionStateName(s.state), ingest.ErrCompleted)
+func (s *Server) apply(r *trackedRun, b *ingest.Batch) (added int, state runState, err error) {
+	r.feed.Lock()
+	defer r.feed.Unlock()
+	r.mu.Lock()
+	runner, mon := r.runner, r.mon
+	state = r.state
+	r.lastSeen = time.Now() // any ingest traffic proves the engine alive
+	r.mu.Unlock()
+	if runner == nil {
+		return 0, state, fmt.Errorf("session is %s: %w", state, ingest.ErrCompleted)
 	}
-	s.lastSeen = time.Now() // any ingest traffic proves the engine alive
-	before := s.runner.Observations()
-	if err := s.runner.Apply(b); err != nil {
-		s.rejected++
-		sm.rejectedTotal.Add(1)
-		return s.runner.Observations() - before, sessionOpen, err
+	before := runner.Observations()
+	err = runner.Apply(b)
+	added = runner.Observations() - before
+	if err == nil {
+		r.mu.Lock()
+		r.ingested += int64(added)
+		r.mu.Unlock()
+		s.batches.Add(1)
+		s.observations.Add(int64(added))
+		if b.Done {
+			// Only end-time validation fails here; the events above applied,
+			// so the session stays open and a corrected Done batch may follow.
+			var tr *exec.Trace
+			if tr, err = runner.Finish(b.Ends); err == nil {
+				// The Done update this emits completes r once mirrored;
+				// the batch is not acknowledged before that.
+				mon.finish(tr, nil)
+				r.mirrored.Wait()
+				state = runCompleted
+			}
+		}
 	}
-	added = s.runner.Observations() - before
-	s.batches++
-	s.ingested += int64(added)
-	sm.batches.Add(1)
-	sm.observations.Add(int64(added))
-	if !b.Done {
-		return added, sessionOpen, nil
-	}
-	tr, err := s.runner.Finish(b.Ends)
 	if err != nil {
-		// Only end-time validation fails here; the events above applied,
-		// so the session stays open and a corrected Done batch may follow.
-		s.rejected++
-		sm.rejectedTotal.Add(1)
-		return added, sessionOpen, err
+		s.rejectedBatches.Add(1)
 	}
-	s.mon.finishIngest(s.obs, tr)
-	s.state = sessionCompleted
-	s.runner = nil
-	sm.completed.Add(1)
-	return added, sessionCompleted, nil
+	return added, state, err
 }
 
-// abort ends an open session without completion (DELETE /sessions/{id},
-// or the drain path). Terminal sessions are left as they are.
-func (sm *sessionManager) abort(s *ingestSession) int {
-	return sm.terminate(s, sessionAborted, errSessionAborted, &sm.aborted)
-}
-
-func (sm *sessionManager) terminate(s *ingestSession, state int, cause error, counter *atomic.Int64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != sessionOpen {
-		return s.state
-	}
-	s.mon.abortIngest(s.obs, cause)
-	s.state = state
-	s.runner = nil
-	counter.Add(1)
-	return state
+// abort ends an open session without completion (DELETE /sessions/{id}).
+func (s *Server) abort(r *trackedRun) runState {
+	return r.terminate(runAborted, errSessionAborted)
 }
 
 // sweep expires open sessions idle past the TTL, as of now. The janitor
 // calls it on a timer; tests call it directly.
-func (sm *sessionManager) sweep(now time.Time) int {
-	if sm.cfg.TTL < 0 {
+func (s *Server) sweep(now time.Time) int {
+	ttl := s.sessionCfg.TTL
+	if ttl < 0 {
 		return 0
 	}
-	var idle []*ingestSession
-	sm.mu.Lock()
-	for _, s := range sm.order {
-		s.mu.Lock()
-		if s.state == sessionOpen && now.Sub(s.lastSeen) > sm.cfg.TTL {
-			idle = append(idle, s)
+	n := 0
+	for _, r := range s.sessions.list() {
+		r.mu.Lock()
+		idle := r.state == runRunning && now.Sub(r.lastSeen) > ttl
+		r.mu.Unlock()
+		if idle && r.terminate(runExpired, errSessionExpired) == runExpired {
+			n++
 		}
-		s.mu.Unlock()
 	}
-	sm.mu.Unlock()
-	for _, s := range idle {
-		sm.terminate(s, sessionExpired, errSessionExpired, &sm.expired)
-	}
-	return len(idle)
+	return n
 }
 
 // startJanitor starts the TTL sweeper on first use.
-func (sm *sessionManager) startJanitor() {
-	if sm.cfg.TTL < 0 {
+func (s *Server) startJanitor() {
+	ttl := s.sessionCfg.TTL
+	if ttl < 0 {
 		return
 	}
-	sm.janitor.Do(func() {
-		interval := sm.cfg.TTL / 2
-		if interval < 10*time.Millisecond {
-			interval = 10 * time.Millisecond
-		}
-		if interval > 30*time.Second {
-			interval = 30 * time.Second
-		}
+	s.janitor.Do(func() {
+		interval := min(max(ttl/2, 10*time.Millisecond), 30*time.Second)
 		go func() {
 			t := time.NewTicker(interval)
 			defer t.Stop()
 			for {
 				select {
-				case <-sm.stopCh:
+				case <-s.stopCh:
 					return
 				case now := <-t.C:
-					sm.sweep(now)
+					s.sweep(now)
 				}
 			}
 		}()
 	})
 }
 
-// drain refuses new sessions and aborts the open ones, releasing their
-// admission slots so the engine drain behind it can finish.
-func (sm *sessionManager) drain() {
-	sm.mu.Lock()
-	sm.draining = true
-	open := append([]*ingestSession(nil), sm.order...)
-	sm.mu.Unlock()
-	for _, s := range open {
-		sm.abort(s)
+// sessionStats snapshots the session-layer counters for GET /engine/stats.
+func (s *Server) sessionStats() *IngestStats {
+	t := s.sessions
+	return &IngestStats{
+		OpenSessions:    int(t.open.Load()),
+		Opened:          t.opened.Load(),
+		Completed:       t.ended[runCompleted].Load(),
+		Expired:         t.ended[runExpired].Load(),
+		Aborted:         t.ended[runAborted].Load(),
+		Batches:         s.batches.Load(),
+		RejectedBatches: s.rejectedBatches.Load(),
+		Observations:    s.observations.Load(),
+		TTLSeconds:      s.sessionCfg.TTL.Seconds(),
 	}
-}
-
-// stop halts the janitor (idempotent).
-func (sm *sessionManager) stop() {
-	sm.stopOnce.Do(func() { close(sm.stopCh) })
-}
-
-// evictLocked drops the oldest terminal sessions beyond the retention
-// bound. sm.mu must be held.
-func (sm *sessionManager) evictLocked() {
-	if len(sm.order) <= sm.cfg.MaxKept {
-		return
-	}
-	excess := len(sm.order) - sm.cfg.MaxKept
-	kept := sm.order[:0]
-	for _, s := range sm.order {
-		s.mu.Lock()
-		terminal := s.state != sessionOpen
-		s.mu.Unlock()
-		if excess > 0 && terminal {
-			delete(sm.sessions, s.id)
-			excess--
-			continue
-		}
-		kept = append(kept, s)
-	}
-	sm.order = kept
-}
-
-// stats snapshots the session-layer counters for GET /engine/stats.
-func (sm *sessionManager) stats() *IngestStats {
-	st := &IngestStats{
-		Opened:          sm.opened.Load(),
-		Completed:       sm.completed.Load(),
-		Expired:         sm.expired.Load(),
-		Aborted:         sm.aborted.Load(),
-		Batches:         sm.batches.Load(),
-		RejectedBatches: sm.rejectedTotal.Load(),
-		Observations:    sm.observations.Load(),
-		TTLSeconds:      sm.cfg.TTL.Seconds(),
-	}
-	sm.mu.Lock()
-	for _, s := range sm.order {
-		s.mu.Lock()
-		if s.state == sessionOpen {
-			st.OpenSessions++
-		}
-		s.mu.Unlock()
-	}
-	sm.mu.Unlock()
-	return st
 }

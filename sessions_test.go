@@ -67,7 +67,7 @@ func doRaw(t *testing.T, method, url, body string, out any) *http.Response {
 func openSession(t *testing.T, base string, tr *exec.Trace, workload, family string) string {
 	t.Helper()
 	spec := ingest.SpecFromTrace(tr, workload, family)
-	var info sessionInfo
+	var info runInfo
 	if code := doJSON(t, http.MethodPost, base+"/sessions", marshalJSON(t, spec), &info); code != http.StatusCreated {
 		t.Fatalf("open session: status %d", code)
 	}
@@ -135,7 +135,7 @@ func TestSessionHTTPLifecycle(t *testing.T) {
 	}
 
 	// Live progress is readable mid-stream.
-	var prog sessionProgressResponse
+	var prog runInfo
 	if code := doJSON(t, http.MethodGet, srv.URL+"/sessions/"+id+"/progress", "", &prog); code != http.StatusOK {
 		t.Fatalf("progress: status %d", code)
 	}
@@ -172,7 +172,7 @@ func TestSessionHTTPLifecycle(t *testing.T) {
 	}
 
 	// The listing and the engine stats account for the session.
-	var infos []sessionInfo
+	var infos []runInfo
 	if code := doJSON(t, http.MethodGet, srv.URL+"/sessions", "", &infos); code != http.StatusOK || len(infos) != 1 {
 		t.Fatalf("session list: %d entries", len(infos))
 	}
@@ -193,34 +193,36 @@ func TestSessionHTTPLifecycle(t *testing.T) {
 	}
 }
 
-// TestSessionTTLExpiry covers idle-session GC at the manager level: an
+// TestSessionTTLExpiry covers idle-session GC below the HTTP layer: an
 // open session idle past the TTL expires on sweep, releases its
 // admission slot, and refuses further observations.
 func TestSessionTTLExpiry(t *testing.T) {
 	w, tr := sessionWorkload(t)
 	eng := NewEngine(w, EngineConfig{}, MonitorOptions{UpdateEvery: 4})
-	sm := newSessionManager(eng, SessionConfig{TTL: 50 * time.Millisecond})
-	defer sm.stop()
+	sm := NewEngineServer(eng)
+	sm.SetSessionConfig(SessionConfig{TTL: 50 * time.Millisecond})
+	defer sm.Close()
 
 	spec := ingest.SpecFromTrace(tr, "ext", "fam")
 	model, err := ingest.Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sm.open(context.Background(), spec, model)
+	s, err := sm.openSession(context.Background(), spec, model)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mon := s.mon // the record drops it at expiry; Wait needs the handle
 	if n := sm.sweep(time.Now()); n != 0 {
 		t.Fatalf("fresh session swept: %d", n)
 	}
 	if n := sm.sweep(time.Now().Add(time.Minute)); n != 1 {
 		t.Fatalf("idle session not swept: %d", n)
 	}
-	if got := sm.stats(); got.Expired != 1 || got.OpenSessions != 0 {
+	if got := sm.sessionStats(); got.Expired != 1 || got.OpenSessions != 0 {
 		t.Fatalf("stats after expiry: %+v", got)
 	}
-	if _, err := s.mon.Wait(); !errors.Is(err, errSessionExpired) {
+	if _, err := mon.Wait(); !errors.Is(err, errSessionExpired) {
 		t.Fatalf("Wait after expiry: %v", err)
 	}
 	if _, _, err := sm.apply(s, &ingest.Batch{Done: true}); !errors.Is(err, ingest.ErrCompleted) {
@@ -252,7 +254,7 @@ func TestSessionTTLJanitorHTTP(t *testing.T) {
 	id := openSession(t, srv.URL, tr, "ext", "fam")
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var prog sessionProgressResponse
+		var prog runInfo
 		doJSON(t, http.MethodGet, srv.URL+"/sessions/"+id+"/progress", "", &prog)
 		if prog.State == "expired" {
 			break
@@ -412,30 +414,54 @@ func TestRollbackSurfacesPersistError(t *testing.T) {
 }
 
 // TestSessionLimit bounds concurrently open sessions: the opener beyond
-// MaxSessions is rejected, and closing a session frees the slot.
+// MaxSessions is rejected, and ending a session — by abort, expiry or
+// drain alike — gives its place back.
 func TestSessionLimit(t *testing.T) {
 	w, tr := sessionWorkload(t)
 	eng := NewEngine(w, EngineConfig{MaxLivePerShard: 8}, MonitorOptions{UpdateEvery: 4})
-	sm := newSessionManager(eng, SessionConfig{MaxSessions: 2})
-	defer sm.stop()
+	sm := NewEngineServer(eng)
+	sm.SetSessionConfig(SessionConfig{MaxSessions: 2})
+	defer sm.Close()
 	spec := ingest.SpecFromTrace(tr, "ext", "fam")
 	model, err := ingest.Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var open []*ingestSession
+	var open []*trackedRun
 	for i := 0; i < 2; i++ {
-		s, err := sm.open(context.Background(), spec, model)
+		s, err := sm.openSession(context.Background(), spec, model)
 		if err != nil {
 			t.Fatal(err)
 		}
 		open = append(open, s)
 	}
-	if _, err := sm.open(context.Background(), spec, model); !errors.Is(err, errSessionLimit) {
+	if _, err := sm.openSession(context.Background(), spec, model); !errors.Is(err, errSessionLimit) {
 		t.Fatalf("third open: %v", err)
 	}
 	sm.abort(open[0])
-	if _, err := sm.open(context.Background(), spec, model); err != nil {
+	if got := sm.sessionStats().OpenSessions; got != 1 {
+		t.Fatalf("open count after abort: %d, want 1", got)
+	}
+	if _, err := sm.openSession(context.Background(), spec, model); err != nil {
 		t.Fatalf("open after abort: %v", err)
+	}
+	// A refused open gave its reservation back too: still exactly full.
+	if _, err := sm.openSession(context.Background(), spec, model); !errors.Is(err, errSessionLimit) {
+		t.Fatalf("open beyond the refilled bound: %v", err)
+	}
+	if n := sm.sweep(time.Now().Add(time.Hour)); n != 2 {
+		t.Fatalf("sweep expired %d sessions, want 2", n)
+	}
+	if got := sm.sessionStats().OpenSessions; got != 0 {
+		t.Fatalf("open count after expiry: %d, want 0", got)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := sm.openSession(context.Background(), spec, model); err != nil {
+			t.Fatalf("open after expiry: %v", err)
+		}
+	}
+	sm.sessions.drain()
+	if got := sm.sessionStats(); got.OpenSessions != 0 || got.Aborted != 3 || got.Expired != 2 {
+		t.Fatalf("stats after drain: %+v", got)
 	}
 }
