@@ -86,7 +86,7 @@
 //	          [-drift-ratio F] [-drift-window N] [-no-drift-retrain]
 //	          [-family-quota N] [-compact-interval D]
 //	          [-canary-window N] [-canary-max-age D] [-drift-reject-limit N]
-//	          [-scan-workers N] [-train-workers N] [-corpus-cache-mb N]
+//	          [-corpus-cache-mb N]
 //	          [-pprof addr]
 //
 // -pprof serves the net/http/pprof profiling endpoints on a separate
@@ -109,12 +109,12 @@
 // GET /models/drift exposes the per-target standing and the retrainer's
 // decision history.
 //
-// The learning loop scales to large corpora: sealed corpus segments carry
-// sidecar indexes (rebuilt automatically when missing or corrupt) and a
-// bounded decode cache (-corpus-cache-mb), so a retrain re-reads only the
-// active tail and drift retrains read only the drifted family's records;
-// -scan-workers and -train-workers bound the corpus-read and per-family
-// fitting parallelism (results are bit-identical to sequential runs).
+// The learning loop scales to large corpora: the corpus is seg-*.log
+// files only, each sealed segment is indexed in memory at open (record
+// offsets and per-family ordinals) and decoded through a bounded cache
+// (-corpus-cache-mb), so a retrain re-reads only the active tail and
+// drift retrains read only the drifted family's records. Per-family
+// model fits run on min(GOMAXPROCS, 8) goroutines; there is no knob.
 //
 // -family-quota protects sparse workload families from burst traffic:
 // retention and compaction keep at least N examples of every tagged
@@ -191,8 +191,6 @@ func main() {
 	canaryMaxAge := flag.Duration("canary-max-age", 5*time.Minute, "reject a challenger that cannot fill its confirmation window within this long")
 	driftRejectLimit := flag.Int("drift-reject-limit", 3, "auto-rollback after N consecutive rejected drift retrains of a still-drifting target (0 = off)")
 	trees := flag.Int("trees", 200, "MART boosting iterations for retrained models")
-	scanWorkers := flag.Int("scan-workers", 0, "concurrent corpus-segment reads per retrain (0 = GOMAXPROCS capped at 8, 1 = sequential)")
-	trainWorkers := flag.Int("train-workers", 0, "concurrent per-family model fits per retrain (0 = GOMAXPROCS capped at 8, 1 = sequential)")
 	corpusCacheMB := flag.Int("corpus-cache-mb", 64, "decode-cache budget for sealed corpus segments in MiB (0 disables)")
 	ingestTTL := flag.Duration("ingest-ttl", 2*time.Minute, "expire external estimation sessions that ingested nothing for this long (negative = never)")
 	ingestMaxSessions := flag.Int("ingest-max-sessions", 256, "concurrently open external estimation sessions")
@@ -283,8 +281,6 @@ func main() {
 			CanaryMaxAge:        *canaryMaxAge,
 			DriftRejectLimit:    drl,
 			CorpusCacheBytes:    cacheBytes,
-			ScanWorkers:         *scanWorkers,
-			TrainWorkers:        *trainWorkers,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -13,21 +13,6 @@ import (
 
 // WriteFile atomically replaces path with data (mode 0644).
 func WriteFile(path string, data []byte) error {
-	return writeFile(path, data, true)
-}
-
-// WriteFileLazy atomically replaces path with data like WriteFile, but
-// skips every fsync: after a power loss the file may be missing, empty
-// or the previous version. It is only for DERIVED artifacts a reader
-// validates and can rebuild from primary state — segment sidecar
-// indexes, caches — where the rename's torn-file-free guarantee is what
-// matters and a durability barrier per write would tax the hot path that
-// produces them.
-func WriteFileLazy(path string, data []byte) error {
-	return writeFile(path, data, false)
-}
-
-func writeFile(path string, data []byte, durable bool) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -38,11 +23,9 @@ func writeFile(path string, data []byte, durable bool) error {
 		tmp.Close()
 		return fmt.Errorf("atomicio: %w", err)
 	}
-	if durable {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return fmt.Errorf("atomicio: %w", err)
-		}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("atomicio: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("atomicio: %w", err)
@@ -52,9 +35,6 @@ func writeFile(path string, data []byte, durable bool) error {
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("atomicio: %w", err)
-	}
-	if !durable {
-		return nil
 	}
 	// The rename itself lives in the directory, so the directory must be
 	// fsynced too — otherwise a power loss can forget the rename while

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"progressest/internal/atomicio"
 )
 
 // Compaction rewrites sealed segments in place to shed abundant records
@@ -18,7 +16,7 @@ import (
 // shape's, and no tagged family is ever cut below its retention quota.
 // The rewritten file is a byte-for-byte valid segment — the original
 // header followed by the surviving records' original bytes — so the
-// sealed-segment reader, sidecar index, decode cache and family-sliced
+// sealed-segment reader, in-memory index, decode cache and family-sliced
 // snapshots work on it unchanged.
 
 // planCompaction decides which records of one sealed segment a compaction
@@ -164,7 +162,7 @@ func (s *ExampleStore) CompactOnce() (CompactionResult, bool, error) {
 		if !ok {
 			return CompactionResult{}, false, fmt.Errorf("feedback: compact: %s: record %d does not match its index", path, i)
 		}
-		ex, err := decodeExample(payload, oldIdx.format)
+		ex, err := decodeExample(payload)
 		if err != nil {
 			return CompactionResult{}, false, fmt.Errorf("feedback: compact: %s: %w", path, err)
 		}
@@ -222,7 +220,7 @@ func (s *ExampleStore) CompactOnce() (CompactionResult, bool, error) {
 	tmpPath := tmp.Name()
 	// The records being rewritten were already durable in the original
 	// file; renaming a not-yet-synced image over it could lose them to a
-	// crash, so unlike sidecar writes this one is synced.
+	// crash, so the image is synced before the rename.
 	if _, err := tmp.Write(img); err == nil {
 		err = tmp.Sync()
 	}
@@ -246,7 +244,6 @@ func (s *ExampleStore) CompactOnce() (CompactionResult, bool, error) {
 		return CompactionResult{}, false, fmt.Errorf("feedback: compact: %w", err)
 	}
 	seg := s.segments[i]
-	_ = atomicio.WriteFileLazy(indexPath(path), newIdx.encode())
 	if s.cache != nil {
 		s.cache.remove(seg.cacheKey())
 	}

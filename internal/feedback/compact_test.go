@@ -163,10 +163,9 @@ func TestCompactionShedsBurstPreservesSparse(t *testing.T) {
 }
 
 // TestCompactionByteCompatible: a compacted segment is a byte-for-byte
-// valid segment in the original format — the reopened store (fresh
-// scan + sidecar validation) sees exactly the survivors the compacting
-// store kept, and the rewritten sidecars pass loadSegIndex against the
-// rewritten files.
+// valid segment in the original format — every rewritten file indexes
+// end to end with no trailing junk, and the reopened store (fresh scan)
+// sees exactly the survivors the compacting store kept.
 func TestCompactionByteCompatible(t *testing.T) {
 	dir := t.TempDir()
 	opts := StoreOptions{MaxSegmentBytes: 2048, MaxExamples: 30, FamilyQuota: 12}
@@ -213,27 +212,19 @@ func TestCompactionByteCompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewritten sidecars must validate against the rewritten segments.
+	// The rewritten segments index cleanly, end to end.
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments: %v", err)
 	}
-	validated := 0
 	for _, p := range segs {
-		if _, err := os.Stat(indexPath(p)); err != nil {
-			continue // unsealed tail has no sidecar
-		}
 		data, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ix, ok := loadSegIndex(p, data); !ok || ix == nil {
-			t.Fatalf("sidecar for %s does not validate after compaction", p)
+		if ix, err := buildSegIndex(data, p); err != nil || ix.good != int64(len(data)) {
+			t.Fatalf("%s does not index end to end after compaction: %+v, err %v", p, ix, err)
 		}
-		validated++
-	}
-	if validated == 0 {
-		t.Fatal("no sealed segment sidecars to validate")
 	}
 
 	// A fresh open sees exactly the compacted corpus.
@@ -318,7 +309,7 @@ func segImage(t testing.TB, exs []selection.Example) []byte {
 // yield an image that (a) still parses with exactly the kept records,
 // (b) keeps the original format version, and (c) decodes to exactly the
 // kept examples in order — the invariants the sealed-segment reader,
-// sidecar index and decode cache rely on.
+// in-memory index and decode cache rely on.
 func FuzzCompactSegmentImage(f *testing.F) {
 	seed := []selection.Example{
 		sigExample(1, "a", "x"), sigExample(2, "a", "x"), sigExample(3, "b", "y"),
@@ -341,7 +332,7 @@ func FuzzCompactSegmentImage(f *testing.F) {
 			if !ok {
 				t.Fatalf("index offset %d does not address an intact record", off)
 			}
-			ex, err := decodeExample(payload, ix.format)
+			ex, err := decodeExample(payload)
 			if err != nil {
 				return // CRC-valid but undecodable: CompactOnce errors out, never rewrites
 			}
@@ -368,8 +359,9 @@ func FuzzCompactSegmentImage(f *testing.F) {
 		if len(nix.offsets) != kept {
 			t.Fatalf("compacted image has %d records, want %d", len(nix.offsets), kept)
 		}
-		if nix.format != ix.format {
-			t.Fatalf("compaction changed the format: %d -> %d", ix.format, nix.format)
+		was, _ := segFormat(data, "fuzz")
+		if now, _ := segFormat(img, "fuzz-compacted"); now != was {
+			t.Fatalf("compaction changed the format: %d -> %d", was, now)
 		}
 		if nix.good != int64(len(img)) {
 			t.Fatalf("compacted image has %d trailing junk bytes", int64(len(img))-nix.good)

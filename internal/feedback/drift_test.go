@@ -644,6 +644,91 @@ func TestRetrainerDriftRetrainsOnlyDriftedTarget(t *testing.T) {
 	}
 }
 
+// TestRetrainerDriftAcceptRekeysWindow: an accepted drift retrain moves
+// the target's window onto the version it published — 0 samples, new
+// baseline — BEFORE the accepted decision is readable, so no observer
+// pairs "accepted" with the superseded version still drifting; and a late
+// harvest pinned to the superseded version is dropped, not recorded.
+func TestRetrainerDriftAcceptRekeysWindow(t *testing.T) {
+	store, err := OpenStore(t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if _, err := store.AppendAll(familyExamples(60, 0, "a", false)); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	drift := NewDriftTracker(DriftConfig{Window: 16, MinSamples: 4, Ratio: 1.5, AbsSlack: 0.01})
+	r := NewRetrainer(store, reg, RetrainerConfig{
+		Selection:    fastConfig(),
+		FamilyModels: true,
+		Gate:         QualityGate{Disabled: true},
+		Drift:        drift,
+		DriftRetrain: true,
+	})
+	if _, err := r.Retrain("manual"); err != nil {
+		t.Fatal(err)
+	}
+	old := reg.CurrentFor("a")
+	if old == nil || old.Meta.Family != "a" {
+		t.Fatalf("family model missing: %+v", old)
+	}
+	drift.Record(servedModel(old), repeat(0.9, 8))
+	if got := drift.Drifted(); len(got) != 1 || got[0].Version != old.ID {
+		t.Fatalf("Drifted() = %+v, want the family model", got)
+	}
+
+	// An observer reading the way Learning.DriftStatus does — decisions
+	// first, window second — while the retrain runs.
+	stop, watched := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			accepted := false
+			for _, d := range r.Decisions() {
+				accepted = accepted || (d.Trigger == "drift" && d.Decision == DecisionAccepted)
+			}
+			if st, _ := drift.Status("a"); accepted && st.Version == old.ID {
+				watched <- fmt.Errorf("accepted drift decision visible next to the superseded window %+v", st)
+				return
+			}
+			select {
+			case <-stop:
+				watched <- nil
+				return
+			default:
+			}
+		}
+	}()
+	r.retrainDrifted()
+	close(stop)
+	if err := <-watched; err != nil {
+		t.Fatal(err)
+	}
+
+	cur := reg.CurrentFor("a")
+	if cur == nil || cur.ID == old.ID || cur.Meta.Source != "drift" {
+		t.Fatalf("drift retrain did not publish: %+v", cur)
+	}
+	st, ok := drift.Status("a")
+	if !ok || st.Version != cur.ID || st.Samples != 0 || st.Drifted {
+		t.Fatalf("window after accepted drift retrain = %+v, want version %d with 0 samples", st, cur.ID)
+	}
+	if !near(st.BaselineL1, cur.Meta.HoldoutL1) || st.BaselineN != cur.Meta.HoldoutN {
+		t.Fatalf("window baseline %v/%d, want the new version's %v/%d", st.BaselineL1, st.BaselineN, cur.Meta.HoldoutL1, cur.Meta.HoldoutN)
+	}
+	// A query pinned before the swap finishes afterwards: dropped.
+	drift.Record(servedModel(old), repeat(0.9, 8))
+	if st, _ := drift.Status("a"); st.Version != cur.ID || st.Samples != 0 || st.Drifted {
+		t.Fatalf("late harvest for the superseded version was recorded: %+v", st)
+	}
+	// The new version's own harvests land.
+	drift.Record(servedModel(cur), repeat(0.1, 3))
+	if st, _ := drift.Status("a"); st.Version != cur.ID || st.Samples != 3 {
+		t.Fatalf("new version's harvest not recorded: %+v", st)
+	}
+}
+
 // TestRetrainerDriftDoesNotMaskTrainingErrors: a clean drift pass in
 // the same poll tick as a failed size/age run must not wipe the
 // recorded failure from LastError.

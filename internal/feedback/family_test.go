@@ -1,10 +1,10 @@
 package feedback
 
 import (
-	"encoding/binary"
-	"hash/crc32"
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"progressest/internal/progress"
@@ -668,9 +668,11 @@ func TestModelDirSyncSkipsUnchanged(t *testing.T) {
 	}
 }
 
-// TestStoreFamilyRoundTripAndV1Compat: family tags survive the v2 record
-// format, and a v1-format segment written by an older build still reads
-// (family empty), with fresh appends landing in a new v2 segment.
+// TestStoreFamilyRoundTripAndV1Compat: family tags survive the record
+// format, and the compatibility story for a format-1 segment (the
+// pre-family layout, never released) is an explicit refusal — OpenStore
+// and ReadCorpus both answer the "uses corpus format" error instead of
+// misreading the records, and leave the file untouched.
 func TestStoreFamilyRoundTripAndV1Compat(t *testing.T) {
 	dir := t.TempDir()
 	store, err := OpenStore(dir, StoreOptions{})
@@ -689,90 +691,36 @@ func TestStoreFamilyRoundTripAndV1Compat(t *testing.T) {
 	}
 	store.Close()
 
-	// Rewrite the segment as a v1 file: v1 records are v2 records minus
-	// the family field, so re-encode without it under a v1 header.
+	// Stamp the segment as format 1, as an older build would have written
+	// it. The record bytes do not matter: the header alone decides.
 	names, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if len(names) != 1 {
 		t.Fatalf("segments: %v", names)
 	}
-	v1 := segmentHeader()
-	v1[len(segMagic)] = 1 // format byte (little-endian uint32)
-	for i := range got {
-		ex := got[i]
-		ex.Family = ""
-		payload, err := encodeExample(&ex)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// encodeExample writes v2 (with an empty family length field);
-		// strip it by re-encoding manually is overkill — a v1 record is
-		// the v2 bytes with the 4-byte empty-family length removed before
-		// the meta count. Locate it from the tail: meta section length is
-		// deterministic.
-		v1 = appendRecord(v1, stripEmptyFamily(t, payload, &ex))
+	v1, err := os.ReadFile(names[0])
+	if err != nil {
+		t.Fatal(err)
 	}
+	v1[len(segMagic)] = 1 // format byte (little-endian uint32)
 	if err := os.WriteFile(names[0], v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	store2, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatalf("open over v1 segment: %v", err)
+	const want = "uses corpus format 1"
+	if _, err := OpenStore(dir, StoreOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenStore over a format-1 tail: err %v, want %q", err, want)
 	}
-	defer store2.Close()
-	back, err := store2.Snapshot()
-	if err != nil {
+	if _, err := ReadCorpus(dir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReadCorpus over a format-1 segment: err %v, want %q", err, want)
+	}
+	// Same refusal when the old segment is a sealed one behind a current tail.
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000002.log"), segmentHeader(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 5 {
-		t.Fatalf("v1 segment read %d examples, want 5", len(back))
+	if _, err := OpenStore(dir, StoreOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenStore over a sealed format-1 segment: err %v, want %q", err, want)
 	}
-	for i := range back {
-		if back[i].Family != "" {
-			t.Fatalf("v1 example %d conjured family %q", i, back[i].Family)
-		}
-		if back[i].Workload != got[i].Workload || back[i].Signature != got[i].Signature {
-			t.Fatalf("v1 example %d mangled", i)
-		}
+	after, err := os.ReadFile(names[0])
+	if err != nil || !bytes.Equal(after, v1) {
+		t.Fatalf("refused segment was modified (err %v)", err)
 	}
-	// Fresh appends must go to a NEW v2 segment, never mixing formats.
-	if store2.Segments() != 2 {
-		t.Fatalf("old-format tail not sealed: %d segments", store2.Segments())
-	}
-	if _, err := store2.AppendAll(familyExamples(2, 50, "orders", false)); err != nil {
-		t.Fatal(err)
-	}
-	all, err := store2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 7 || all[5].Family != "orders" {
-		t.Fatalf("mixed-format corpus read back %d examples, tail family %q", len(all), all[5].Family)
-	}
-}
-
-// stripEmptyFamily removes the empty family length field from a v2
-// payload, yielding the v1 encoding of the same example.
-func stripEmptyFamily(t *testing.T, payload []byte, ex *selection.Example) []byte {
-	t.Helper()
-	if ex.Family != "" {
-		t.Fatal("stripEmptyFamily needs an empty family")
-	}
-	// Meta section: 4 (count) + per key 4+len+8. Family field: the 4 zero
-	// bytes immediately before it.
-	metaLen := 4
-	for k := range ex.Meta {
-		metaLen += 4 + len(k) + 8
-	}
-	cut := len(payload) - metaLen - 4
-	out := append([]byte(nil), payload[:cut]...)
-	return append(out, payload[cut+4:]...)
-}
-
-// appendRecord frames one payload in the segment record format.
-func appendRecord(buf, payload []byte) []byte {
-	rec := make([]byte, recHeaderSize)
-	binary.LittleEndian.PutUint32(rec[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(payload))
-	return append(append(buf, rec...), payload...)
 }

@@ -4,53 +4,20 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"sort"
-	"strings"
 
 	"progressest/internal/progress"
 )
 
-// Sidecar index file layout (seg-XXXXXXXX.idx next to seg-XXXXXXXX.log):
-//
-//	magic "PESTCIDX" | uint32 index format version
-//	uint32 segment format | uint64 good bytes | uint32 segment CRC
-//	uint32 record count | count × uint64 record start offsets
-//	uint32 nFamilies | per family (sorted): uint32 len | name bytes |
-//	                   uint32 nRecords | nRecords × uint32 record ordinals
-//	uint32 index CRC (CRC-32 IEEE of everything before it)
-//
-// All integers are little-endian. The index is pure derived state: it is
-// written when a segment seals (atomically, via internal/atomicio, and
-// without fsync — a crash at worst loses a file the next open rebuilds),
-// and NEVER trusted blindly on open. Validation checks the index's own
-// CRC, that the segment CRC matches the segment's good-byte prefix on
-// disk, and that no intact record exists past the recorded watermark (a
-// segment that grew after seal — e.g. an older binary appended to it —
-// makes the sidecar stale, and a stale index silently hiding records
-// would be corpus loss). Any failure falls back to a full rescan of the
-// segment, which rewrites the sidecar.
-const (
-	idxMagic      = "PESTCIDX"
-	idxFormat     = 1
-	idxHeaderSize = len(idxMagic) + 4
-)
-
-// segIndex is the in-memory form of one sealed segment's sidecar: the
-// byte offset of every record and, per workload family, the ordinals of
-// its records. It is immutable once built (sealed segments never change),
-// so Snapshot/SnapshotFamily read it without the store lock.
+// segIndex is a sealed segment's in-memory index: the byte offset of every
+// record and, per workload family, the ordinals of its records. It is
+// derived state, never stored — buildSegIndex rebuilds it from the
+// segment's bytes at open, and sealing the tail freezes the bookkeeping
+// appends already maintain. It is immutable once built (sealed segments
+// never change), so Snapshot/SnapshotFamily read it without the store lock.
 type segIndex struct {
-	format   int
-	good     int64  // byte watermark of the last intact record
-	segCRC   uint32 // CRC-32 of the segment's [0, good) prefix
+	good     int64 // byte watermark of the last intact record
 	offsets  []int64
 	families map[string][]int32
-}
-
-// indexPath returns the sidecar path for a segment file.
-func indexPath(segPath string) string {
-	return strings.TrimSuffix(segPath, ".log") + ".idx"
 }
 
 // recordEnd returns the exclusive end offset of record ord.
@@ -61,150 +28,46 @@ func (ix *segIndex) recordEnd(ord int) int64 {
 	return ix.good
 }
 
-// encode serialises the index for its sidecar file.
-func (ix *segIndex) encode() []byte {
-	size := idxHeaderSize + 4 + 8 + 4 + 4 + 8*len(ix.offsets) + 4
-	fams := make([]string, 0, len(ix.families))
-	for f, ords := range ix.families {
-		fams = append(fams, f)
-		size += 4 + len(f) + 4 + 4*len(ords)
-	}
-	sort.Strings(fams)
-	buf := make([]byte, 0, size+4)
-	buf = append(buf, idxMagic...)
-	buf = putUint32(buf, idxFormat)
-	buf = putUint32(buf, uint32(ix.format))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(ix.good))
-	buf = putUint32(buf, ix.segCRC)
-	buf = putUint32(buf, uint32(len(ix.offsets)))
-	for _, off := range ix.offsets {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(off))
-	}
-	buf = putUint32(buf, uint32(len(fams)))
-	for _, f := range fams {
-		buf = putString(buf, f)
-		ords := ix.families[f]
-		buf = putUint32(buf, uint32(len(ords)))
-		for _, o := range ords {
-			buf = putUint32(buf, uint32(o))
-		}
-	}
-	buf = putUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf
-}
-
-// decodeSegIndex parses and self-validates a sidecar image: magic, format
-// range, trailing CRC, and internal consistency (ascending in-bounds
-// offsets, ordinals that address real records, families that exactly
-// partition the records). It does NOT validate against the segment file —
-// that is loadSegIndex's job.
-func decodeSegIndex(b []byte, path string) (*segIndex, error) {
-	if len(b) < idxHeaderSize+4 || string(b[:len(idxMagic)]) != idxMagic {
-		return nil, fmt.Errorf("feedback: %s is not a segment index (bad magic)", path)
-	}
-	if v := binary.LittleEndian.Uint32(b[len(idxMagic):]); v != idxFormat {
-		return nil, fmt.Errorf("feedback: %s uses index format %d; this build understands %d", path, v, idxFormat)
-	}
-	body, tail := b[:len(b)-4], b[len(b)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("feedback: %s: index checksum mismatch", path)
-	}
-	r := reader{b: body[idxHeaderSize:]}
-	ix := &segIndex{
-		format: int(r.uint32()),
-		good:   int64(r.uint64()),
-		segCRC: r.uint32(),
-	}
-	if ix.format < minFormat || ix.format > storeFormat {
-		return nil, fmt.Errorf("feedback: %s: index records segment format %d", path, ix.format)
-	}
-	count := r.uint32()
-	if r.err == nil && int64(count) > ix.good/recHeaderSize {
-		return nil, fmt.Errorf("feedback: %s: index record count %d exceeds segment capacity", path, count)
-	}
-	ix.offsets = make([]int64, count)
-	prev := int64(segHeaderSize) - 1
-	for i := range ix.offsets {
-		off := int64(r.uint64())
-		if r.err == nil && (off <= prev || off+recHeaderSize > ix.good) {
-			return nil, fmt.Errorf("feedback: %s: index offset %d out of order or out of bounds", path, off)
-		}
-		ix.offsets[i] = off
-		prev = off
-	}
-	nf := r.uint32()
-	if r.err == nil && nf > count+1 {
-		return nil, fmt.Errorf("feedback: %s: index family count %d exceeds record count", path, nf)
-	}
-	ix.families = make(map[string][]int32, nf)
-	indexed := 0
-	for i := uint32(0); i < nf && r.err == nil; i++ {
-		f := r.string()
-		n := r.uint32()
-		if r.err != nil {
-			break
-		}
-		if _, dup := ix.families[f]; dup || n > count {
-			return nil, fmt.Errorf("feedback: %s: index family %q malformed", path, f)
-		}
-		ords := make([]int32, n)
-		for j := range ords {
-			o := r.uint32()
-			if r.err == nil && o >= count {
-				return nil, fmt.Errorf("feedback: %s: index ordinal %d out of range", path, o)
-			}
-			ords[j] = int32(o)
-		}
-		ix.families[f] = ords
-		indexed += len(ords)
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("feedback: %s: truncated index: %w", path, r.err)
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("feedback: %s: trailing bytes in index", path)
-	}
-	if indexed != int(count) {
-		return nil, fmt.Errorf("feedback: %s: index families cover %d of %d records", path, indexed, count)
-	}
-	return ix, nil
-}
-
-// buildSegIndex scans a segment image and builds its index from scratch —
-// the open-time fallback for a missing, corrupt or stale sidecar, and the
-// recovery path for the tail segment. It walks records exactly like
-// scanRecords (torn or corrupt trailing records end the segment, never
-// error) but decodes only each record's family tag, so a rebuild costs
-// one CRC pass plus a cheap field skip per record — no example
-// materialisation.
-func buildSegIndex(data []byte, path string) (*segIndex, error) {
+// segFormat validates a segment image's header — magic, and a format
+// version this build reads — and returns the format.
+func segFormat(data []byte, path string) (int, error) {
 	if len(data) < segHeaderSize || string(data[:len(segMagic)]) != segMagic {
-		return nil, fmt.Errorf("feedback: %s is not a corpus segment (bad magic)", path)
+		return 0, fmt.Errorf("feedback: %s is not a corpus segment (bad magic)", path)
 	}
 	format := int(binary.LittleEndian.Uint32(data[len(segMagic):segHeaderSize]))
 	if format < minFormat || format > storeFormat {
-		return nil, fmt.Errorf("feedback: %s uses corpus format %d; this build understands formats %d..%d — retrain or migrate the corpus",
+		return 0, fmt.Errorf("feedback: %s uses corpus format %d; this build understands formats %d..%d — retrain or migrate the corpus",
 			path, format, minFormat, storeFormat)
 	}
-	ix := &segIndex{format: format, families: make(map[string][]int32)}
-	off := segHeaderSize
-	good := off
-	for off < len(data) {
-		n, payload, ok := recordAt(data, int64(off))
+	return format, nil
+}
+
+// buildSegIndex scans a segment image and builds its index — at open for
+// every segment, and for a compacted image before it replaces the
+// original. It walks records exactly like scanRecords (torn or corrupt
+// trailing records end the segment, never error) but decodes only each
+// record's family tag, so a build costs one CRC pass plus a cheap field
+// skip per record — no example materialisation.
+func buildSegIndex(data []byte, path string) (*segIndex, error) {
+	if _, err := segFormat(data, path); err != nil {
+		return nil, err
+	}
+	ix := &segIndex{families: make(map[string][]int32)}
+	off := int64(segHeaderSize)
+	for {
+		n, payload, ok := recordAt(data, off)
 		if !ok {
 			break
 		}
-		fam, err := decodeFamily(payload, format)
+		fam, err := decodeFamily(payload)
 		if err != nil {
 			return nil, fmt.Errorf("feedback: %s: %w", path, err)
 		}
 		ix.families[fam] = append(ix.families[fam], int32(len(ix.offsets)))
-		ix.offsets = append(ix.offsets, int64(off))
-		off += recHeaderSize + n
-		good = off
+		ix.offsets = append(ix.offsets, off)
+		off += recHeaderSize + int64(n)
 	}
-	ix.good = int64(good)
-	ix.segCRC = crc32.ChecksumIEEE(data[:good])
+	ix.good = off
 	return ix, nil
 }
 
@@ -227,45 +90,12 @@ func recordAt(data []byte, off int64) (n int, payload []byte, ok bool) {
 	return n, payload, true
 }
 
-// loadSegIndex reads and validates a sealed segment's sidecar against the
-// segment image actually on disk. ok is false — caller rebuilds — when
-// the sidecar is missing, fails self-validation, records a different
-// segment format, claims a watermark past the file, mismatches the
-// segment prefix's CRC, or is STALE: an intact record sits right at the
-// watermark, meaning the segment grew after the index was written.
-func loadSegIndex(segPath string, data []byte) (*segIndex, bool) {
-	raw, err := os.ReadFile(indexPath(segPath))
-	if err != nil {
-		return nil, false
-	}
-	ix, err := decodeSegIndex(raw, indexPath(segPath))
-	if err != nil {
-		return nil, false
-	}
-	if ix.good > int64(len(data)) {
-		return nil, false
-	}
-	segFormat := int(binary.LittleEndian.Uint32(data[len(segMagic):segHeaderSize]))
-	if ix.format != segFormat {
-		return nil, false
-	}
-	if crc32.ChecksumIEEE(data[:ix.good]) != ix.segCRC {
-		return nil, false
-	}
-	// Stale-growth check: appends land exactly at the watermark, so one
-	// intact record there means the index no longer covers the segment.
-	if _, _, ok := recordAt(data, ix.good); ok {
-		return nil, false
-	}
-	return ix, true
-}
-
 // decodeFamily extracts just the family tag from a record payload,
 // skipping every other field without materialising it. It shares
 // decodeExample's structural validation of the prefix it walks — in
 // particular the estimator-kind count, so estimator-set/version skew
 // still surfaces at open time even when no full decode happens.
-func decodeFamily(b []byte, format int) (string, error) {
+func decodeFamily(b []byte) (string, error) {
 	r := reader{b: b}
 	nf := r.uint32()
 	if nf > uint32(len(b)) {
@@ -279,10 +109,7 @@ func decodeFamily(b []byte, format int) (string, error) {
 	r.skip(2 * progress.TotalKinds * 8)
 	r.skipString() // workload
 	r.skipString() // signature
-	fam := ""
-	if format >= 2 {
-		fam = r.string()
-	}
+	fam := r.string()
 	if r.err != nil {
 		return "", fmt.Errorf("corrupt example: %w", r.err)
 	}

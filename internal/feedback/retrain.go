@@ -94,13 +94,6 @@ type RetrainerConfig struct {
 	FamilyModels bool
 	// MinFamilyExamples is the per-family training threshold (default 40).
 	MinFamilyExamples int
-	// TrainWorkers bounds how many family selectors fit concurrently in
-	// one retrain cycle (0 = GOMAXPROCS capped at 8; 1 = sequential).
-	// Fitting is the embarrassingly parallel part; gate evaluation and
-	// registry publication stay serial in sorted family order, so the
-	// published versions — ids, holdout metrics, gate decisions — are
-	// bit-identical to the sequential path.
-	TrainWorkers int
 	// Persist, when non-nil, saves the serving versions (selector files +
 	// manifest) after every run that published, so a restarted daemon
 	// resumes from its last trained models.
@@ -256,12 +249,6 @@ func NewRetrainer(store *ExampleStore, reg *Registry, cfg RetrainerConfig) *Retr
 	if cfg.MinFamilyExamples <= 0 {
 		cfg.MinFamilyExamples = defaultMinFamily
 	}
-	if cfg.TrainWorkers == 0 {
-		cfg.TrainWorkers = min(runtime.GOMAXPROCS(0), 8)
-	}
-	if cfg.TrainWorkers < 1 {
-		cfg.TrainWorkers = 1
-	}
 	if cfg.DriftRejectLimit == 0 {
 		cfg.DriftRejectLimit = 3
 	}
@@ -378,13 +365,14 @@ func (r *Retrainer) retrainLocked(source string) (*Version, []selection.Example,
 }
 
 // retrainFamiliesLocked trains one selector per sufficiently represented
-// family. Fitting — the expensive, side-effect-free part — runs on up to
-// TrainWorkers goroutines; gate evaluation and publication then run
-// serially in sorted family order, so version ids, holdout metrics and
-// gate decisions are bit-identical to a fully sequential run (training is
-// deterministic per family, and publishes only ever touch their own
-// family's route). Errors are joined and returned while the remaining
-// families still train.
+// family. Fitting — the expensive, side-effect-free part — runs on
+// min(GOMAXPROCS, 8, families) goroutines (measured on the learn_cycle
+// benchmark: fitting one family at a time costs +130 ms on a 660 ms
+// retrain); gate evaluation and publication then run serially in sorted
+// family order, so version ids, holdout metrics and gate decisions do
+// not depend on the pool's width (training is deterministic per family,
+// and publishes only ever touch their own family's route). Errors are
+// joined and returned while the remaining families still train.
 func (r *Retrainer) retrainFamiliesLocked(observed []selection.Example, source string) error {
 	byFamily := make(map[string][]selection.Example)
 	for _, ex := range observed {
@@ -420,30 +408,23 @@ func (r *Retrainer) retrainFamiliesLocked(observed []selection.Example, source s
 
 	fits := make([]*targetFit, len(families))
 	fitErrs := make([]error, len(families))
-	workers := min(r.cfg.TrainWorkers, len(families))
-	if workers > 1 {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					f := families[i]
-					fits[i], fitErrs[i] = r.fitTarget(f, byFamily[f], seedByFamily[f])
-				}
-			}()
-		}
-		for i := range families {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	} else {
-		for i, f := range families {
-			fits[i], fitErrs[i] = r.fitTarget(f, byFamily[f], seedByFamily[f])
-		}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := min(runtime.GOMAXPROCS(0), 8, len(families)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				f := families[i]
+				fits[i], fitErrs[i] = r.fitTarget(f, byFamily[f], seedByFamily[f])
+			}
+		}()
 	}
+	for i := range families {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 
 	var errs error
 	for i, f := range families {
@@ -552,8 +533,11 @@ func (r *Retrainer) publishFit(f *targetFit, source string, observedL1 float64) 
 	// retrains. Symmetrically, an in-sample candidate (degenerate split)
 	// carries an optimistically biased L1 of its own and must not use it
 	// to displace an honestly measured serving model.
-	if serving := r.reg.CurrentFor(f.family); serving != nil && serving.Meta.Family == f.family &&
-		serving.Meta.HoldoutN > 0 && !f.inSample &&
+	serving := r.reg.CurrentFor(f.family)
+	if serving != nil && serving.Meta.Family != f.family {
+		serving = nil // answered by the global fallback: no champion of its own
+	}
+	if serving != nil && serving.Meta.HoldoutN > 0 && !f.inSample &&
 		!r.cfg.Gate.Disabled && f.candEv.N > 0 && serving.Selector != nil && len(serving.Selector.Kinds) > 0 {
 		servEv := selection.Evaluate(serving.Selector, f.holdout)
 		meta.BaselineL1 = servEv.AvgL1
@@ -572,7 +556,7 @@ func (r *Retrainer) publishFit(f *targetFit, source string, observedL1 float64) 
 	// different target, so there is no champion to shadow-score against —
 	// exactly the asymmetry the gate above already encodes.
 	if r.cfg.Canary.enabled() && source != "manual" {
-		if serving := r.reg.CurrentFor(f.family); serving != nil && serving.Meta.Family == f.family && serving.Selector != nil {
+		if serving != nil && serving.Selector != nil {
 			r.cfg.Canary.propose(f, meta, source, observedL1, serving.ID, time.Now())
 			r.appendDecision(TrainDecision{
 				At:         meta.TrainedAt,
@@ -587,8 +571,32 @@ func (r *Retrainer) publishFit(f *targetFit, source string, observedL1 float64) 
 		}
 	}
 	v := r.reg.Publish(f.sel, meta)
+	if source == "drift" && serving != nil {
+		r.rekeyDrift(v, serving.ID)
+	}
 	r.recordDecision(v, source, observedL1)
 	return v
+}
+
+// servedModel is the drift-join form of a registry version.
+func servedModel(v *Version) ServedModel {
+	return ServedModel{
+		Target: v.Meta.Family, Version: v.ID, Selector: v.Selector,
+		BaselineL1: v.Meta.HoldoutL1, BaselineN: v.Meta.HoldoutN,
+	}
+}
+
+// rekeyDrift moves the target's drift window onto v, the version a
+// drift-triggered retrain just published over superseded. It must run
+// BEFORE the accepted decision is recorded: a reader that sees the
+// decision (Learning.DriftStatus reads decisions first, windows second)
+// then never finds the superseded version still drifting next to it, and
+// a late harvest pinned to the superseded version is dropped instead of
+// re-firing the verdict against a model that no longer serves.
+func (r *Retrainer) rekeyDrift(v *Version, superseded int) {
+	if r.cfg.Drift != nil {
+		r.cfg.Drift.Rebind(v.Meta.Family, servedModel(v), superseded)
+	}
 }
 
 // trainTarget fits and publishes one routing target in one step — the
@@ -643,10 +651,10 @@ func (r *Retrainer) driftDue() []DriftState {
 }
 
 // retrainDrifted trains exactly the drifted routing targets (source
-// "drift"), leaving every healthy target's model untouched. Each handled
-// target's drift window is reset afterwards — on acceptance the swap
-// re-keys the window to the new version anyway; on a gate rejection the
-// reset forces MinSamples fresh observations before the verdict can fire
+// "drift"), leaving every healthy target's model untouched. On acceptance
+// the publish re-keys the target's drift window to the new version (see
+// rekeyDrift); on a gate rejection or a canary divert the window is reset,
+// forcing MinSamples fresh observations before the verdict can fire
 // again, so a model that cannot be improved does not spin a retrain per
 // poll tick. The size/age growth budget is untouched: drift is an
 // independent trigger.
@@ -691,10 +699,7 @@ func (r *Retrainer) retrainDriftedLocked(shared []selection.Example) {
 			continue
 		}
 		if cur.ID != st.Version {
-			r.cfg.Drift.Rebind(st.Target, ServedModel{
-				Target: st.Target, Version: cur.ID, Selector: cur.Selector,
-				BaselineL1: cur.Meta.HoldoutL1, BaselineN: cur.Meta.HoldoutN,
-			}, st.Version)
+			r.cfg.Drift.Rebind(st.Target, servedModel(cur), st.Version)
 			continue
 		}
 		if time.Since(r.lastDriftAt[st.Target]) < r.cfg.Policy.MinInterval {
@@ -776,19 +781,18 @@ func (r *Retrainer) retrainDriftedLocked(shared []selection.Example) {
 		if st.Target != "" {
 			r.lastFamObserved[st.Target] = len(obs)
 		}
-		switch {
-		case v == nil:
-			// Diverted into canary confirmation (see publishFit); the
-			// reject streak moves only on the eventual live verdict.
-		case v.Meta.Decision == DecisionAccepted:
+		if v != nil && v.Meta.Decision == DecisionAccepted {
 			published = true
 			r.clearDriftRejects(st.Target)
-		case v.Meta.Decision == DecisionRejected:
-			if r.bumpDriftRejects(st.Target) {
-				published = r.autoRollbackLocked(st.Target, st.ObservedL1) || published
-			}
+			continue // publishFit already re-keyed the window to v
 		}
+		// The judged version keeps serving — rejected by the gate, or the
+		// candidate was diverted into canary confirmation (v == nil; the
+		// reject streak then moves only on the eventual live verdict).
 		r.cfg.Drift.Reset(st.Target)
+		if v != nil && r.bumpDriftRejects(st.Target) {
+			published = r.autoRollbackLocked(st.Target, st.ObservedL1) || published
+		}
 	}
 	if published && r.cfg.Persist != nil {
 		errs = errors.Join(errs, r.cfg.Persist.Sync(r.reg))
@@ -834,10 +838,11 @@ func (r *Retrainer) resolveCanariesLocked() {
 			st.meta.BaselineL1 = champMean
 			if chalMean <= champMean*(1+r.cfg.Gate.Tolerance)+gateAbsSlack {
 				v := r.reg.Publish(st.fit.sel, st.meta)
-				r.recordDecision(v, "canary", chalMean)
 				if st.source == "drift" {
+					r.rekeyDrift(v, st.champion)
 					r.clearDriftRejects(target)
 				}
+				r.recordDecision(v, "canary", chalMean)
 				published = true
 				continue
 			}
@@ -913,10 +918,7 @@ func (r *Retrainer) autoRollbackLocked(target string, observedL1 float64) bool {
 	// family pinned to global tombstones its window instead.
 	if r.cfg.Drift != nil {
 		if cur := r.reg.CurrentFor(target); cur != nil && cur.Meta.Family == target {
-			r.cfg.Drift.Rebind(target, ServedModel{
-				Target: target, Version: cur.ID, Selector: cur.Selector,
-				BaselineL1: cur.Meta.HoldoutL1, BaselineN: cur.Meta.HoldoutN,
-			}, rolledFrom)
+			r.cfg.Drift.Rebind(target, servedModel(cur), rolledFrom)
 		} else {
 			r.cfg.Drift.Rebind(target, ServedModel{Target: target}, rolledFrom)
 		}

@@ -16,7 +16,7 @@ func TestSnapshotWarmAllocBounded(t *testing.T) {
 	dir := t.TempDir()
 	buildScaleCorpus(t, dir, 120)
 
-	warm, err := OpenStore(dir, StoreOptions{MaxSegmentBytes: 2048, ScanWorkers: 1})
+	warm, err := OpenStore(dir, StoreOptions{MaxSegmentBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestSnapshotWarmAllocBounded(t *testing.T) {
 		}
 	})
 
-	cold, err := OpenStore(dir, StoreOptions{MaxSegmentBytes: 2048, ScanWorkers: 1, CacheBytes: -1})
+	cold, err := OpenStore(dir, StoreOptions{MaxSegmentBytes: 2048, CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,36 +88,3 @@ func BenchmarkSnapshotFamily(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkRetrainFamiliesSeqPar contrasts sequential and parallel family
-// fitting on one corpus (a fresh registry per iteration, so the
-// skip-unchanged heuristic never hides the training cost).
-func BenchmarkRetrainFamiliesSeqPar(b *testing.B) {
-	store, err := OpenStore(b.TempDir(), StoreOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer store.Close()
-	fams := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
-	for i, f := range fams {
-		if _, err := store.AppendAll(familyExamples(60, i*1000, f, i%2 == 1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	run := func(b *testing.B, workers int) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ret := NewRetrainer(store, NewRegistry(), RetrainerConfig{
-				Selection:         fastConfig(),
-				FamilyModels:      true,
-				MinFamilyExamples: 20,
-				TrainWorkers:      workers,
-			})
-			if _, err := ret.Retrain("manual"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("seq", func(b *testing.B) { run(b, 1) })
-	b.Run("par", func(b *testing.B) { run(b, 8) })
-}

@@ -19,11 +19,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 
-	"progressest/internal/atomicio"
 	"progressest/internal/progress"
 	"progressest/internal/selection"
 )
@@ -38,14 +36,13 @@ import (
 // extend the tail segment, so a crash can at worst leave one torn record
 // at the end of the newest file; the recovery scan keeps every record up
 // to the first corruption and truncates the torn tail.
-// Format history: v1 had no family tag; v2 appends the example's workload
-// family after the signature. Both decode; new segments are written at
-// storeFormat, and a reopened store seals an old-format tail segment so a
-// single segment never mixes formats.
+// minFormat..storeFormat is the range of formats this build reads — today
+// the single format 2; a segment stamped with any other is refused at
+// open with the "uses corpus format" error, never misread.
 const (
 	segMagic      = "PESTCORP"
 	storeFormat   = 2
-	minFormat     = 1
+	minFormat     = storeFormat
 	segHeaderSize = len(segMagic) + 4
 	recHeaderSize = 8
 )
@@ -69,11 +66,6 @@ type StoreOptions struct {
 	// bytes), so a warm Snapshot re-decodes only the active tail. 0 means
 	// the 64 MiB default; negative disables caching entirely.
 	CacheBytes int64
-	// ScanWorkers bounds how many segments Snapshot/SnapshotFamily read
-	// and decode concurrently (assembly stays in segment order, so the
-	// result is bit-identical to a sequential scan). 0 means GOMAXPROCS
-	// capped at 8; 1 forces the sequential path.
-	ScanWorkers int
 	// FamilyQuota protects each tagged family's newest examples from
 	// retention and compaction: while a family retains no more than this
 	// many examples, none of them may be dropped, no matter how far
@@ -98,12 +90,6 @@ func (o StoreOptions) withDefaults() StoreOptions {
 	if o.CacheBytes == 0 {
 		o.CacheBytes = defaultCacheBytes
 	}
-	if o.ScanWorkers == 0 {
-		o.ScanWorkers = min(runtime.GOMAXPROCS(0), 8)
-	}
-	if o.ScanWorkers < 1 {
-		o.ScanWorkers = 1
-	}
 	if o.FamilyQuota < 0 {
 		o.FamilyQuota = 0
 	}
@@ -115,21 +101,18 @@ func (o StoreOptions) withDefaults() StoreOptions {
 // demand (retrains are rare, serving-path memory is precious), with the
 // bounded decodeCache softening that for immutable sealed segments.
 type segment struct {
-	index  int
-	path   string
-	count  int
-	bytes  int64
-	format int
-	// idx is the sealed segment's in-memory sidecar index (non-nil iff
-	// the segment is sealed). Immutable once set.
+	index int
+	path  string
+	count int
+	bytes int64
+	// idx is the sealed segment's in-memory index (non-nil iff the segment
+	// is sealed). Immutable once set.
 	idx *segIndex
 	// Active-tail bookkeeping, maintained incrementally on append so
-	// sealing builds the sidecar without re-reading the file: per-record
-	// start offsets and family tags, plus the running CRC of the
-	// good-byte prefix.
+	// sealing builds the index without re-reading the file: per-record
+	// start offsets and family tags.
 	offsets []int64
 	fams    []string
-	crc     uint32
 	// gen counts in-place rewrites of this segment (compaction). It
 	// qualifies the decode-cache key, so a reader that captured a view of
 	// the pre-compaction image can never install its decode under the key
@@ -150,7 +133,7 @@ func (seg *segment) cacheKey() string {
 }
 
 // forEachFamilyCount calls fn with each family present in the segment and
-// its record count, whether the segment is sealed (sidecar) or the active
+// its record count, whether the segment is sealed (index) or the active
 // tail (incremental bookkeeping).
 func (seg *segment) forEachFamilyCount(fn func(family string, n int)) {
 	if seg.idx != nil {
@@ -168,25 +151,16 @@ func (seg *segment) forEachFamilyCount(fn func(family string, n int)) {
 	}
 }
 
-// sealLocked freezes the active-tail bookkeeping into a sidecar index
-// and writes it next to the segment. The write is atomic but unsynced
-// (atomicio.WriteFileLazy) and best-effort: the index is derived state a
-// future open validates and rebuilds, so losing it can never lose
-// corpus, while an fsync per rotation would tax the append path.
+// sealLocked freezes the active-tail bookkeeping into the segment's
+// in-memory index. Nothing is written: the index is derived state the
+// next open rebuilds from the segment's bytes.
 func (seg *segment) sealLocked() {
 	fams := make(map[string][]int32, 4)
 	for ord, f := range seg.fams {
 		fams[f] = append(fams[f], int32(ord))
 	}
-	seg.idx = &segIndex{
-		format:   seg.format,
-		good:     seg.bytes,
-		segCRC:   seg.crc,
-		offsets:  seg.offsets,
-		families: fams,
-	}
+	seg.idx = &segIndex{good: seg.bytes, offsets: seg.offsets, families: fams}
 	seg.offsets, seg.fams = nil, nil
-	_ = atomicio.WriteFileLazy(indexPath(seg.path), seg.idx.encode())
 }
 
 // ExampleStore is an append-only, segmented, crash-safe on-disk corpus of
@@ -263,18 +237,11 @@ func OpenStore(dir string, opts StoreOptions) (*ExampleStore, error) {
 		seg.forEachFamilyCount(func(fam string, n int) { s.famCounts[fam] += n })
 	}
 	s.appended = s.total
-	switch tail := s.tail(); {
-	case tail == nil:
+	if tail := s.tail(); tail == nil {
 		if err := s.newSegmentLocked(1); err != nil {
 			return nil, err
 		}
-	case tail.format != storeFormat:
-		// Seal the old-format tail: a segment must never mix record
-		// formats, so fresh appends go to a new current-format segment.
-		if err := s.newSegmentLocked(tail.index + 1); err != nil {
-			return nil, err
-		}
-	default:
+	} else {
 		f, err := os.OpenFile(tail.path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("feedback: reopen tail segment: %w", err)
@@ -331,53 +298,38 @@ func ReadCorpus(dir string) ([]selection.Example, error) {
 }
 
 // readSealedSegment validates one sealed segment file and returns its
-// bookkeeping WITHOUT materialising the examples. The fast path loads
-// and validates the sidecar index (see loadSegIndex) — one file read and
-// a CRC pass, no per-record scan; a missing, corrupt or stale sidecar
-// falls back to a full rescan that rebuilds and rewrites it, so the two
-// paths always agree on count, watermark and family layout. Corruption
+// bookkeeping WITHOUT materialising the examples: one file read, one CRC
+// pass and a family-tag skip per record (see buildSegIndex). Corruption
 // inside a sealed segment keeps the intact prefix and ignores the
-// remainder, exactly as before sidecars existed.
+// remainder.
 func readSealedSegment(path string, index int) (*segment, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("feedback: read segment: %w", err)
 	}
-	ix, ok := loadSegIndex(path, data)
-	if !ok {
-		if ix, err = buildSegIndex(data, path); err != nil {
-			return nil, err
-		}
-		_ = atomicio.WriteFileLazy(indexPath(path), ix.encode())
+	ix, err := buildSegIndex(data, path)
+	if err != nil {
+		return nil, err
 	}
-	return &segment{
-		index:  index,
-		path:   path,
-		count:  len(ix.offsets),
-		bytes:  ix.good,
-		format: ix.format,
-		idx:    ix,
-	}, nil
+	return &segment{index: index, path: path, count: len(ix.offsets), bytes: ix.good, idx: ix}, nil
 }
 
 // readTailSegment recovers the tail segment with crash semantics: a torn
 // or corrupt record at the end is truncated away so the segment can keep
 // growing. The scan also rebuilds the tail's incremental index state
-// (per-record offsets, family tags, running CRC), so a later seal writes
-// its sidecar without re-reading the file.
+// (per-record offsets and family tags), so a later seal needs no re-read.
 func readTailSegment(path string, index int) (*segment, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("feedback: read segment: %w", err)
 	}
-	seg := &segment{index: index, path: path, format: storeFormat}
+	seg := &segment{index: index, path: path}
 	if len(data) < segHeaderSize {
 		// A crash between create and header write; rewrite from scratch.
 		if err := os.WriteFile(path, segmentHeader(), 0o644); err != nil {
 			return nil, fmt.Errorf("feedback: reset torn segment: %w", err)
 		}
 		seg.bytes = int64(segHeaderSize)
-		seg.crc = crc32.ChecksumIEEE(segmentHeader())
 		return seg, nil
 	}
 	ix, err := buildSegIndex(data, path)
@@ -386,8 +338,6 @@ func readTailSegment(path string, index int) (*segment, error) {
 	}
 	seg.count = len(ix.offsets)
 	seg.bytes = ix.good
-	seg.format = ix.format
-	seg.crc = ix.segCRC
 	seg.offsets = ix.offsets
 	seg.fams = make([]string, len(ix.offsets))
 	for f, ords := range ix.families {
@@ -395,8 +345,8 @@ func readTailSegment(path string, index int) (*segment, error) {
 			seg.fams[o] = f
 		}
 	}
-	if good := int(ix.good); good < len(data) {
-		if err := os.Truncate(path, int64(good)); err != nil {
+	if ix.good < int64(len(data)) {
+		if err := os.Truncate(path, ix.good); err != nil {
 			return nil, fmt.Errorf("feedback: truncate torn tail: %w", err)
 		}
 	}
@@ -412,33 +362,20 @@ func readTailSegment(path string, index int) (*segment, error) {
 // trailing records are ignored (never an error): the caller decides
 // whether to truncate them away.
 func scanRecords(data []byte, path string, decode bool) ([]selection.Example, int, int, int, error) {
-	if len(data) < segHeaderSize || string(data[:len(segMagic)]) != segMagic {
-		return nil, 0, 0, 0, fmt.Errorf("feedback: %s is not a corpus segment (bad magic)", path)
-	}
-	format := int(binary.LittleEndian.Uint32(data[len(segMagic):segHeaderSize]))
-	if format < minFormat || format > storeFormat {
-		return nil, 0, 0, 0, fmt.Errorf("feedback: %s uses corpus format %d; this build understands formats %d..%d — retrain or migrate the corpus",
-			path, format, minFormat, storeFormat)
+	format, err := segFormat(data, path)
+	if err != nil {
+		return nil, 0, 0, 0, err
 	}
 	var examples []selection.Example
 	count := 0
-	off := segHeaderSize
-	good := off
-	for off < len(data) {
-		if off+recHeaderSize > len(data) {
-			break // torn record header
-		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if off+recHeaderSize+n > len(data) {
-			break // torn payload
-		}
-		payload := data[off+recHeaderSize : off+recHeaderSize+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // corrupt record; everything after it is suspect
+	off := int64(segHeaderSize)
+	for {
+		n, payload, ok := recordAt(data, off)
+		if !ok {
+			break // torn or corrupt record; everything after it is suspect
 		}
 		if decode || count == 0 {
-			ex, err := decodeExample(payload, format)
+			ex, err := decodeExample(payload)
 			if err != nil {
 				return nil, 0, 0, 0, fmt.Errorf("feedback: %s: %w", path, err)
 			}
@@ -447,10 +384,9 @@ func scanRecords(data []byte, path string, decode bool) ([]selection.Example, in
 			}
 		}
 		count++
-		off += recHeaderSize + n
-		good = off
+		off += recHeaderSize + int64(n)
 	}
-	return examples, count, good, format, nil
+	return examples, count, int(off), format, nil
 }
 
 func segmentHeader() []byte {
@@ -481,19 +417,12 @@ func (s *ExampleStore) newSegmentLocked(index int) error {
 		s.active.Close()
 	}
 	// The outgoing tail is sealed from here on: freeze its incremental
-	// bookkeeping into the sidecar index that family-sliced and warm
-	// snapshots read.
+	// bookkeeping into the index that family-sliced snapshots read.
 	if prev := s.tail(); prev != nil && !prev.sealed() {
 		prev.sealLocked()
 	}
 	s.active = f
-	s.segments = append(s.segments, &segment{
-		index:  index,
-		path:   path,
-		bytes:  int64(segHeaderSize),
-		format: storeFormat,
-		crc:    crc32.ChecksumIEEE(segmentHeader()),
-	})
+	s.segments = append(s.segments, &segment{index: index, path: path, bytes: int64(segHeaderSize)})
 	return nil
 }
 
@@ -546,7 +475,6 @@ func (s *ExampleStore) deletableLocked(seg *segment) bool {
 func (s *ExampleStore) dropSegmentLocked(i int) {
 	old := s.segments[i]
 	os.Remove(old.path)
-	os.Remove(indexPath(old.path))
 	if s.cache != nil {
 		s.cache.remove(old.cacheKey())
 	}
@@ -594,8 +522,8 @@ func (s *ExampleStore) AppendAll(exs []selection.Example) (int, error) {
 			// appended after it would be silently discarded by the next
 			// recovery scan. Roll the file back to the last good offset;
 			// if even that fails, seal the segment and move on so future
-			// appends land in a clean file. (The tracked offsets/CRC cover
-			// exactly the good prefix, so the sidecar written by that seal
+			// appends land in a clean file. (The tracked offsets cover
+			// exactly the good prefix, so the index that seal freezes
 			// stays truthful about the torn remainder.)
 			if terr := s.active.Truncate(tail.bytes); terr != nil {
 				_ = s.newSegmentLocked(tail.index + 1)
@@ -604,7 +532,6 @@ func (s *ExampleStore) AppendAll(exs []selection.Example) (int, error) {
 		}
 		tail.offsets = append(tail.offsets, tail.bytes)
 		tail.fams = append(tail.fams, exs[i].Family)
-		tail.crc = crc32.Update(tail.crc, crc32.IEEETable, rec)
 		tail.bytes += int64(len(rec))
 		tail.count++
 		s.total++
@@ -646,7 +573,7 @@ func (s *ExampleStore) Segments() int {
 
 // segView is one segment's snapshot-capture state: everything a reader
 // needs, lifted out of the store lock. For sealed segments idx is the
-// immutable sidecar index; the active tail has idx nil.
+// immutable in-memory index; the active tail has idx nil.
 type segView struct {
 	path  string
 	key   string // decode-cache key for the image this view captured
@@ -669,42 +596,6 @@ func (s *ExampleStore) captureViews() ([]segView, error) {
 		views[i] = segView{path: seg.path, key: seg.cacheKey(), limit: seg.bytes, count: seg.count, idx: seg.idx}
 	}
 	return views, nil
-}
-
-// forEachView runs fn over every view, fanning out across ScanWorkers
-// goroutines when more than one segment needs work. Results land in
-// caller-owned per-view slots, so assembly order is the segment order no
-// matter how the workers interleave; errors are joined in segment order,
-// so the leading one matches what a sequential scan reports first.
-func (s *ExampleStore) forEachView(views []segView, fn func(int, segView) error) error {
-	workers := s.opts.ScanWorkers
-	if workers > len(views) {
-		workers = len(views)
-	}
-	errs := make([]error, len(views))
-	if workers <= 1 {
-		for i, v := range views {
-			errs[i] = fn(i, v)
-		}
-	} else {
-		work := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					errs[i] = fn(i, views[i])
-				}
-			}()
-		}
-		for i := range views {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
-	return errors.Join(errs...)
 }
 
 // decodeView reads and decodes one segment view, serving sealed segments
@@ -742,50 +633,46 @@ func (s *ExampleStore) decodeView(v segView) ([]selection.Example, error) {
 	return exs, nil
 }
 
-// assemble concatenates per-segment decode results in segment order,
-// sized exactly from what the reads actually returned — segments dropped
-// by retention mid-snapshot contribute nothing, so the output is never
-// over-allocated from a stale pre-capture total.
-func assemble(parts [][]selection.Example) []selection.Example {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]selection.Example, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// Snapshot decodes the retained corpus in append order. The store keeps
-// no unbounded in-memory mirror — segments are read and decoded on
-// demand, concurrently across ScanWorkers, with sealed (immutable)
-// segments served from the bounded decode cache — so a warm snapshot
-// costs one decode of the active tail plus slice copies. The returned
-// slice is the caller's; the examples themselves may share backing
-// arrays with the cache and other snapshots and must be treated as
-// read-only (training and evaluation never mutate them).
-func (s *ExampleStore) Snapshot() ([]selection.Example, error) {
+// snapshot captures the segment list and runs decode over every view in
+// segment order, concatenating the results. The output is sized exactly
+// from what the reads returned — segments dropped by retention
+// mid-snapshot contribute nothing, so it is never over-allocated from a
+// stale pre-capture total.
+func (s *ExampleStore) snapshot(decode func(segView) ([]selection.Example, error)) ([]selection.Example, error) {
 	views, err := s.captureViews()
 	if err != nil {
 		return nil, err
 	}
 	parts := make([][]selection.Example, len(views))
-	err = s.forEachView(views, func(i int, v segView) error {
-		exs, err := s.decodeView(v)
-		parts[i] = exs
-		return err
-	})
-	if err != nil {
-		return nil, err
+	total := 0
+	for i, v := range views {
+		if parts[i], err = decode(v); err != nil {
+			return nil, err
+		}
+		total += len(parts[i])
 	}
-	return assemble(parts), nil
+	out := make([]selection.Example, 0, total)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out, nil
+}
+
+// Snapshot decodes the retained corpus in append order. The store keeps
+// no unbounded in-memory mirror — segments are read and decoded on
+// demand, one after another, with sealed (immutable) segments served from
+// the bounded decode cache — so a warm snapshot costs one decode of the
+// active tail plus slice copies. The returned slice is the caller's; the
+// examples themselves may share backing arrays with the cache and other
+// snapshots and must be treated as read-only (training and evaluation
+// never mutate them).
+func (s *ExampleStore) Snapshot() ([]selection.Example, error) {
+	return s.snapshot(s.decodeView)
 }
 
 // SnapshotFamily decodes only the examples of one workload family, in
 // the same order Snapshot would yield them. Sealed segments use their
-// sidecar index: a segment holding none of the family's records is
+// in-memory index: a segment holding none of the family's records is
 // skipped without touching the disk, and one that does either filters
 // the cached decode or decodes exactly the family's records off its
 // offsets — so a family-targeted retrain reads O(family), not O(corpus).
@@ -795,20 +682,9 @@ func (s *ExampleStore) Snapshot() ([]selection.Example, error) {
 // The family is matched exactly; use Snapshot for the global ("") target,
 // which trains on every example regardless of tag.
 func (s *ExampleStore) SnapshotFamily(family string) ([]selection.Example, error) {
-	views, err := s.captureViews()
-	if err != nil {
-		return nil, err
-	}
-	parts := make([][]selection.Example, len(views))
-	err = s.forEachView(views, func(i int, v segView) error {
-		exs, err := s.decodeViewFamily(v, family)
-		parts[i] = exs
-		return err
+	return s.snapshot(func(v segView) ([]selection.Example, error) {
+		return s.decodeViewFamily(v, family)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return assemble(parts), nil
 }
 
 // decodeViewFamily extracts one family's examples from a segment view.
@@ -870,7 +746,7 @@ func (s *ExampleStore) decodeViewFamily(v segView, family string) ([]selection.E
 			}
 			return out, nil
 		}
-		ex, err := decodeExample(payload, v.idx.format)
+		ex, err := decodeExample(payload)
 		if err != nil {
 			return nil, fmt.Errorf("feedback: %s: %w", v.path, err)
 		}
@@ -889,8 +765,8 @@ type CorpusStats struct {
 	Bytes    int64
 	Examples int
 	// Families maps each workload family to its retained example count
-	// (the empty key counts untagged v1-era examples), straight from the
-	// sidecar indexes plus the tail's incremental bookkeeping — no scan.
+	// (the empty key counts untagged examples), from counters kept on
+	// append, retention and compaction — no scan.
 	Families map[string]int
 	// CacheHits/CacheMisses are lifetime decode-cache lookups;
 	// CacheBytes/CachedSegments the current footprint; CacheCapBytes the
@@ -972,7 +848,7 @@ func (s *ExampleStore) Close() error {
 //	uint32 nKinds    | nKinds × float64 (ErrL1) | nKinds × float64 (ErrL2)
 //	uint32 len | workload bytes
 //	uint32 len | signature bytes
-//	uint32 len | family bytes          (format >= 2)
+//	uint32 len | family bytes
 //	uint32 nMeta | per entry: uint32 len | key bytes | float64 value
 //
 // Meta keys are written sorted so equal examples encode to equal bytes.
@@ -1016,9 +892,8 @@ func encodeExample(e *selection.Example) ([]byte, error) {
 // its payload (shared by the full decode and the family-only skip).
 var errCorruptFeatureCount = errors.New("corrupt example: feature count")
 
-// decodeExample is the inverse of encodeExample. format selects the
-// record layout; v1 records carry no family tag (Family stays "").
-func decodeExample(b []byte, format int) (selection.Example, error) {
+// decodeExample is the inverse of encodeExample.
+func decodeExample(b []byte) (selection.Example, error) {
 	var e selection.Example
 	r := reader{b: b}
 	nf := r.uint32()
@@ -1041,9 +916,7 @@ func decodeExample(b []byte, format int) (selection.Example, error) {
 	}
 	e.Workload = r.string()
 	e.Signature = r.string()
-	if format >= 2 {
-		e.Family = r.string()
-	}
+	e.Family = r.string()
 	nm := r.uint32()
 	if nm > uint32(len(b)) {
 		return e, errors.New("corrupt example: meta count")
@@ -1105,19 +978,6 @@ func (r *reader) float64() float64 {
 		return 0
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *reader) uint64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
 	r.b = r.b[8:]
 	return v
 }

@@ -2,7 +2,7 @@
 // the bytes the drift join's harvested errors ride on. The properties
 // under test: scanRecords never panics or over-reads on arbitrary bytes,
 // its good-byte watermark is a stable prefix (rescanning the prefix
-// reproduces it), v1 and v2 record layouts round-trip losslessly, and a
+// reproduces it), the record layout round-trips losslessly, and a
 // store survives a torn tail or a flipped bit at EVERY byte offset with
 // the maximal intact prefix recovered.
 package feedback
@@ -14,44 +14,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
-
-	"progressest/internal/progress"
-	"progressest/internal/selection"
 )
-
-// encodeExampleV1 mirrors the historical v1 record layout: exactly
-// encodeExample minus the family string. Kept test-side so the write
-// path stays v2-only while the read path's v1 compatibility is proven
-// against independently built bytes.
-func encodeExampleV1(e *selection.Example) []byte {
-	var buf []byte
-	buf = putUint32(buf, uint32(len(e.Features)))
-	for _, f := range e.Features {
-		buf = putFloat64(buf, f)
-	}
-	buf = putUint32(buf, uint32(progress.TotalKinds))
-	for k := 0; k < progress.TotalKinds; k++ {
-		buf = putFloat64(buf, e.ErrL1[k])
-	}
-	for k := 0; k < progress.TotalKinds; k++ {
-		buf = putFloat64(buf, e.ErrL2[k])
-	}
-	buf = putString(buf, e.Workload)
-	buf = putString(buf, e.Signature)
-	metaKeys := make([]string, 0, len(e.Meta))
-	for k := range e.Meta {
-		metaKeys = append(metaKeys, k)
-	}
-	sort.Strings(metaKeys)
-	buf = putUint32(buf, uint32(len(metaKeys)))
-	for _, k := range metaKeys {
-		buf = putString(buf, k)
-		buf = putFloat64(buf, e.Meta[k])
-	}
-	return buf
-}
 
 // segmentImage builds an in-memory segment file of the given format from
 // raw record payloads.
@@ -69,61 +33,11 @@ func segmentImage(format int, payloads ...[]byte) []byte {
 	return img
 }
 
-// TestExampleEncodingV1V2RoundTrip: a v2 record decodes back to the
-// exact example; a v1 record (independently encoded) decodes to the same
-// example minus the family tag, and re-encoding that at v2 round-trips
-// again — the upgrade path the drift join's corpus reads rely on.
-func TestExampleEncodingV1V2RoundTrip(t *testing.T) {
-	ex := mkExample(7)
-	ex.Family = "scan_heavy"
-
-	v2, err := encodeExample(&ex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeExample(v2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ex) {
-		t.Fatalf("v2 round trip:\n got %+v\nwant %+v", got, ex)
-	}
-
-	v1 := encodeExampleV1(&ex)
-	gotV1, err := decodeExample(v1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ex
-	want.Family = ""
-	if !reflect.DeepEqual(gotV1, want) {
-		t.Fatalf("v1 decode:\n got %+v\nwant %+v", gotV1, want)
-	}
-	// Upgrade: re-encode the v1-decoded example at v2 and decode again.
-	up, err := encodeExample(&gotV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	upGot, err := decodeExample(up, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(upGot, want) {
-		t.Fatalf("v1->v2 upgrade round trip:\n got %+v\nwant %+v", upGot, want)
-	}
-
-	// A v1 payload misread as v2 (or vice versa) must error, not alias:
-	// the family length bytes shift the meta section.
-	if _, err := decodeExample(v1, 2); err == nil {
-		t.Fatal("v1 payload decoded as v2 without error")
-	}
-}
-
 // FuzzScanRecords: on arbitrary bytes the segment scanner must never
 // panic, must keep its watermark inside the data, and the watermark must
 // be a stable prefix — scanning data[:good] again yields the same
-// records. Seeds cover valid v1 and v2 images, torn tails and CRC
-// corruption.
+// records. Seeds cover a valid image, a refused format-1 image, torn
+// tails and CRC corruption.
 func FuzzScanRecords(f *testing.F) {
 	ex := mkExample(3)
 	ex.Family = "fam"
@@ -131,10 +45,9 @@ func FuzzScanRecords(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	v1Payload := encodeExampleV1(&ex)
 
 	v2img := segmentImage(2, v2Payload, v2Payload)
-	v1img := segmentImage(1, v1Payload)
+	v1img := segmentImage(1, v2Payload) // unreadable format: must error
 	f.Add(v2img)
 	f.Add(v1img)
 	f.Add(v2img[:len(v2img)-5])         // torn payload
@@ -171,8 +84,8 @@ func FuzzScanRecords(f *testing.F) {
 	})
 }
 
-// FuzzDecodeExample: arbitrary payload bytes through both record formats
-// must error or round-trip, never panic or over-allocate past the input.
+// FuzzDecodeExample: arbitrary payload bytes must error or round-trip,
+// never panic or over-allocate past the input.
 func FuzzDecodeExample(f *testing.F) {
 	ex := mkExample(11)
 	ex.Family = "f"
@@ -180,22 +93,17 @@ func FuzzDecodeExample(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v2, 2)
-	f.Add(encodeExampleV1(&ex), 1)
-	f.Add([]byte{}, 2)
-	f.Add(v2[:len(v2)/2], 2)
+	f.Add(v2)
+	f.Add(append(v2[:len(v2):len(v2)], 0)) // trailing byte
+	f.Add([]byte{})
+	f.Add(v2[:len(v2)/2])
 
-	f.Fuzz(func(t *testing.T, payload []byte, format int) {
-		fm := 1 // clamp the fuzzed format to {1,2}
-		if format%2 == 0 {
-			fm = 2
-		}
-		got, err := decodeExample(payload, fm)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		got, err := decodeExample(payload)
 		if err != nil {
 			return
 		}
-		// A clean decode must re-encode and decode to the same value at
-		// the current format (family is dropped by v1, already absent).
+		// A clean decode must re-encode and decode to the same value.
 		// Compared as ENCODED BYTES: the canonical encoding is
 		// deterministic and, unlike reflect.DeepEqual, survives NaN bit
 		// patterns a fuzzed payload can carry.
@@ -203,7 +111,7 @@ func FuzzDecodeExample(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded example failed: %v", err)
 		}
-		again, err := decodeExample(enc, storeFormat)
+		again, err := decodeExample(enc)
 		if err != nil {
 			t.Fatalf("decode(encode(decode(x))) failed: %v", err)
 		}
@@ -352,72 +260,4 @@ func TestStoreCRCCorruptionEveryByte(t *testing.T) {
 	if _, count, _, _, err := scanRecords(data, "healed", true); err != nil || count != 2 {
 		t.Fatalf("healed segment: count %d err %v", count, err)
 	}
-}
-
-// FuzzIndexDecode: arbitrary sidecar bytes must decode to a
-// self-consistent index or error — never panic, never over-allocate past
-// the input, and never yield an index that re-encodes into something the
-// decoder rejects (the seal path round-trips through exactly this pair).
-func FuzzIndexDecode(f *testing.F) {
-	ex := mkExample(3)
-	ex.Family = "fam"
-	payload, err := encodeExample(&ex)
-	if err != nil {
-		f.Fatal(err)
-	}
-	img := segmentImage(2, payload, payload, payload)
-	ix, err := buildSegIndex(img, "seed")
-	if err != nil {
-		f.Fatal(err)
-	}
-	valid := ix.encode()
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3]) // torn tail
-	f.Add(valid[:idxHeaderSize])
-	f.Add([]byte("PESTCIDX"))
-	f.Add([]byte("not an index"))
-	flipped := append([]byte(nil), valid...)
-	flipped[len(flipped)/2] ^= 0x10
-	f.Add(flipped)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := decodeSegIndex(data, "fuzz")
-		if err != nil {
-			return
-		}
-		// Structural invariants decode promises: ascending in-bounds
-		// offsets and families that exactly partition the records.
-		indexed := 0
-		for _, ords := range ix.families {
-			indexed += len(ords)
-			for _, o := range ords {
-				if int(o) >= len(ix.offsets) {
-					t.Fatalf("ordinal %d out of range", o)
-				}
-			}
-		}
-		if indexed != len(ix.offsets) {
-			t.Fatalf("families cover %d of %d records", indexed, len(ix.offsets))
-		}
-		prev := int64(0)
-		for _, off := range ix.offsets {
-			if off <= prev && prev != 0 {
-				t.Fatalf("offsets not ascending: %d after %d", off, prev)
-			}
-			if off+recHeaderSize > ix.good {
-				t.Fatalf("offset %d past watermark %d", off, ix.good)
-			}
-			prev = off
-		}
-		// Round trip: what a seal would write must decode to the same
-		// index (families may have been stored unsorted; encode
-		// canonicalises, decode must still accept it).
-		again, err := decodeSegIndex(ix.encode(), "fuzz-roundtrip")
-		if err != nil {
-			t.Fatalf("re-encoded index rejected: %v", err)
-		}
-		if !reflect.DeepEqual(ix, again) {
-			t.Fatal("encode/decode round trip diverges")
-		}
-	})
 }

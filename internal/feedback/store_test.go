@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -364,6 +365,62 @@ func TestStoreTailRecoveryIgnoresForeignLastFile(t *testing.T) {
 	}
 	if len(got) != 4 || got[3].Meta["query"] != 42 {
 		t.Fatalf("append after foreign-file recovery lost: %d examples", len(got))
+	}
+}
+
+// TestStoreIgnoresLeftoverIndexFiles: seg-*.idx sidecars an older build
+// left next to its segments — well-formed-looking or garbage — are
+// foreign files now: open, Snapshot, SnapshotFamily and Stats answer
+// exactly what they answer without them, and nobody reads, rewrites or
+// removes them.
+func TestStoreIgnoresLeftoverIndexFiles(t *testing.T) {
+	dir := t.TempDir()
+	want := buildScaleCorpus(t, dir, 60)
+	read := func() ([]selection.Example, []selection.Example, CorpusStats) {
+		t.Helper()
+		s, err := OpenStore(dir, StoreOptions{MaxSegmentBytes: 2048})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		st := s.Stats()
+		all, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fam, err := s.SnapshotFamily("beta")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return all, fam, st
+	}
+	cleanAll, cleanFam, cleanStats := read()
+	if !reflect.DeepEqual(cleanAll, want) {
+		t.Fatalf("clean open read %d examples, want %d", len(cleanAll), len(want))
+	}
+
+	leftovers := map[string][]byte{
+		"seg-00000001.idx": []byte("PESTCIDX\x01\x00\x00\x00 claims three records that do not exist"),
+		"seg-00000002.idx": []byte("garbage"),
+		"seg-00000099.idx": nil, // its segment is long gone
+	}
+	for name, b := range leftovers {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all, fam, st := read()
+	if !reflect.DeepEqual(all, cleanAll) || !reflect.DeepEqual(fam, cleanFam) {
+		t.Fatalf("leftover index files changed the reads: %d/%d examples, want %d/%d", len(all), len(fam), len(cleanAll), len(cleanFam))
+	}
+	if !reflect.DeepEqual(st, cleanStats) {
+		t.Fatalf("leftover index files changed Stats:\n got %+v\nwant %+v", st, cleanStats)
+	}
+	for name, b := range leftovers {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || !bytes.Equal(got, b) {
+			t.Fatalf("%s was touched (err %v)", name, err)
+		}
 	}
 }
 

@@ -67,14 +67,6 @@ type LearningConfig struct {
 	// on-disk bytes), so a warm retrain re-decodes only the active tail.
 	// 0 means the 64 MiB default; negative disables caching.
 	CorpusCacheBytes int64
-	// ScanWorkers bounds how many corpus segments a retrain reads and
-	// decodes concurrently; TrainWorkers bounds how many family selectors
-	// fit concurrently per retrain cycle. Both default (at 0) to
-	// GOMAXPROCS capped at 8; 1 forces the sequential path. Results are
-	// bit-identical to sequential either way — parallelism only changes
-	// wall-clock time.
-	ScanWorkers  int
-	TrainWorkers int
 	// FamilyModels additionally trains one selector per workload family
 	// with at least MinFamilyExamples harvested examples (default 40).
 	// Queries routed by family (MonitorOptions.RouteByFamily, which
@@ -316,7 +308,6 @@ func OpenLearning(cfg LearningConfig) (*Learning, error) {
 		MaxExamples:     cfg.MaxExamples,
 		FamilyQuota:     cfg.FamilyQuota,
 		CacheBytes:      cfg.CorpusCacheBytes,
-		ScanWorkers:     cfg.ScanWorkers,
 	})
 	if err != nil {
 		return nil, err
@@ -377,7 +368,6 @@ func OpenLearning(cfg LearningConfig) (*Learning, error) {
 		},
 		FamilyModels:      cfg.FamilyModels,
 		MinFamilyExamples: cfg.MinFamilyExamples,
-		TrainWorkers:      cfg.TrainWorkers,
 		Persist:           models,
 		Drift:             drift,
 		DriftRetrain:      !cfg.DisableDriftRetrain,
@@ -549,8 +539,18 @@ func (l *Learning) LastTrainingError() error { return l.ret.LastError() }
 // target that served at least one harvested query, sorted by target
 // (global first), with the latest retrain provenance for each attached.
 func (l *Learning) DriftStatus() []DriftStatus {
+	out, _ := l.driftReport()
+	return out
+}
+
+// driftReport returns DriftStatus and the decision history it was joined
+// with, from one read of each. Decisions first, windows second: the
+// retrainer re-keys a target's window before it records the accepted
+// decision, so a decision in the report is never paired with the window
+// of the version it replaced, nor missing from its target's provenance.
+func (l *Learning) driftReport() ([]DriftStatus, []RetrainDecision) {
+	decisions := l.Decisions()
 	states := l.drift.Statuses()
-	decisions := l.ret.Decisions()
 	rejects := l.ret.DriftRejects()
 	cfg := l.drift.Config()
 	out := make([]DriftStatus, len(states))
@@ -579,7 +579,7 @@ func (l *Learning) DriftStatus() []DriftStatus {
 			}
 		}
 	}
-	return out
+	return out, decisions
 }
 
 // Canaries returns the challengers currently in champion/challenger

@@ -421,15 +421,16 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 	if l == nil {
 		return
 	}
+	drift, decisions := l.driftReport()
 	resp := modelsResponse{
 		Families:   l.FamilyVersions(),
 		CorpusSize: l.CorpusSize(),
 		Corpus:     l.CorpusStats(),
 		Harvest:    l.HarvestStats(),
 		Versions:   l.Versions(),
-		Drift:      l.DriftStatus(),
+		Drift:      drift,
 		Canaries:   l.Canaries(),
-		Decisions:  l.Decisions(),
+		Decisions:  decisions,
 	}
 	if perr := l.PersistError(); perr != nil {
 		resp.PersistError = perr.Error()
@@ -472,7 +473,8 @@ func (s *Server) handleDrift(w http.ResponseWriter, _ *http.Request) {
 	if l == nil {
 		return
 	}
-	resp := driftResponse{Targets: l.DriftStatus(), Decisions: l.Decisions()}
+	targets, decisions := l.driftReport()
+	resp := driftResponse{Targets: targets, Decisions: decisions}
 	if resp.Targets == nil {
 		resp.Targets = []DriftStatus{}
 	}
