@@ -113,8 +113,9 @@
 // files only, each sealed segment is indexed in memory at open (record
 // offsets and per-family ordinals) and decoded through a bounded cache
 // (-corpus-cache-mb), so a retrain re-reads only the active tail and
-// drift retrains read only the drifted family's records. Per-family
-// model fits run on min(GOMAXPROCS, 8) goroutines; there is no knob.
+// drift retrains read only the drifted family's records. Every selector
+// fit bins its matrix once and fits the candidate estimators' models on
+// min(GOMAXPROCS, candidates) goroutines; there is no knob.
 //
 // -family-quota protects sparse workload families from burst traffic:
 // retention and compaction keep at least N examples of every tagged

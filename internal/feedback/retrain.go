@@ -5,7 +5,6 @@ import (
 	"errors"
 	"hash/fnv"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -331,7 +330,7 @@ func (r *Retrainer) retrainLocked(source string) (*Version, []selection.Example,
 		return nil, observed, ErrEmptyCorpus
 	}
 
-	global, err := r.trainTarget("", observed, r.cfg.Seed, source, len(observed), 0)
+	global, err := r.trainTarget("", observed, r.cfg.Seed, source, 0)
 	r.mu.Lock()
 	// A failed run only rearms the age gate (retry after MinInterval, so
 	// a persistent failure cannot spin training every poll tick); the
@@ -365,14 +364,15 @@ func (r *Retrainer) retrainLocked(source string) (*Version, []selection.Example,
 }
 
 // retrainFamiliesLocked trains one selector per sufficiently represented
-// family. Fitting — the expensive, side-effect-free part — runs on
-// min(GOMAXPROCS, 8, families) goroutines (measured on the learn_cycle
-// benchmark: fitting one family at a time costs +130 ms on a 660 ms
-// retrain); gate evaluation and publication then run serially in sorted
-// family order, so version ids, holdout metrics and gate decisions do
-// not depend on the pool's width (training is deterministic per family,
-// and publishes only ever touch their own family's route). Errors are
-// joined and returned while the remaining families still train.
+// family, one family after another in sorted order, so version ids,
+// holdout metrics and gate decisions are deterministic. The parallelism
+// is inside each fit: selection.Train fits a selector's kinds on every
+// core, which left a pool across families nothing to add (measured on the
+// learn_cycle benchmark, 8 alternating pairs on 2 cores: retrain p50
+// 227.2 ms with a family pool, 231.7 ms without, pool lower in 6 of 8 —
+// inside the ±2 % that code layout alone moves a retrain — so the pool
+// went). Errors are joined and returned while the remaining families
+// still train.
 func (r *Retrainer) retrainFamiliesLocked(observed []selection.Example, source string) error {
 	byFamily := make(map[string][]selection.Example)
 	for _, ex := range observed {
@@ -406,33 +406,12 @@ func (r *Retrainer) retrainFamiliesLocked(observed []selection.Example, source s
 	}
 	sort.Strings(families)
 
-	fits := make([]*targetFit, len(families))
-	fitErrs := make([]error, len(families))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := min(runtime.GOMAXPROCS(0), 8, len(families)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				f := families[i]
-				fits[i], fitErrs[i] = r.fitTarget(f, byFamily[f], seedByFamily[f])
-			}
-		}()
-	}
-	for i := range families {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
 	var errs error
-	for i, f := range families {
-		if fitErrs[i] != nil {
-			errs = errors.Join(errs, fitErrs[i])
+	for _, f := range families {
+		if _, err := r.trainTarget(f, byFamily[f], seedByFamily[f], source, 0); err != nil {
+			errs = errors.Join(errs, err)
 			continue
 		}
-		r.publishFit(fits[i], source, 0)
 		r.lastFamObserved[f] = len(byFamily[f])
 	}
 	return errs
@@ -462,9 +441,8 @@ func splitHoldout(observed []selection.Example) (train, holdout []selection.Exam
 }
 
 // targetFit is the side-effect-free half of training one routing target:
-// everything fitTarget computes before the registry is consulted, so
-// fits for many families can run concurrently and publish later in a
-// deterministic order.
+// everything fitTarget computes before the registry is consulted. A
+// canary challenger is held in this form until live traffic confirms it.
 type targetFit struct {
 	family     string
 	sel        *selection.Selector
@@ -476,8 +454,7 @@ type targetFit struct {
 
 // fitTarget splits the holdout, trains the selector and evaluates the
 // candidate for one routing target (family "" = global). It is pure with
-// respect to the retrainer: no registry reads or writes, no shared state
-// — safe to run concurrently for distinct targets.
+// respect to the retrainer: no registry reads or writes, no shared state.
 func (r *Retrainer) fitTarget(family string, observed, seed []selection.Example) (*targetFit, error) {
 	trainSet, holdout, inSample := splitHoldout(observed)
 	full := make([]selection.Example, 0, len(seed)+len(trainSet))
@@ -599,14 +576,12 @@ func (r *Retrainer) rekeyDrift(v *Version, superseded int) {
 	}
 }
 
-// trainTarget fits and publishes one routing target in one step — the
-// sequential path used by the global model and drift retrains.
-func (r *Retrainer) trainTarget(family string, observed, seed []selection.Example, source string, corpusSize int, observedL1 float64) (*Version, error) {
+// trainTarget fits and publishes one routing target in one step.
+func (r *Retrainer) trainTarget(family string, observed, seed []selection.Example, source string, observedL1 float64) (*Version, error) {
 	f, err := r.fitTarget(family, observed, seed)
 	if err != nil {
 		return nil, err
 	}
-	f.corpusSize = corpusSize
 	return r.publishFit(f, source, observedL1), nil
 }
 
@@ -773,7 +748,7 @@ func (r *Retrainer) retrainDriftedLocked(shared []selection.Example) {
 		// Charged whether the run succeeds or fails: a persistent
 		// training failure must not spin either.
 		r.lastDriftAt[st.Target] = time.Now()
-		v, err := r.trainTarget(st.Target, obs, seed, "drift", len(obs), st.ObservedL1)
+		v, err := r.trainTarget(st.Target, obs, seed, "drift", st.ObservedL1)
 		if err != nil {
 			errs = errors.Join(errs, err)
 			continue

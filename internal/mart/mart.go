@@ -9,11 +9,22 @@
 // paper's largest configuration (60K examples, M=1000) in seconds, and —
 // like the paper emphasises — no input normalisation is required and
 // non-linear feature/error dependencies are handled natively.
+//
+// Fitting is split where the work is shared: Bin quantile-bins a design
+// matrix once (a sort per feature column), and Binned.Fit boosts one model
+// per label vector on it — the selector's six error models share one
+// matrix, so they share one Bin and fit concurrently. Train is the two in
+// sequence. The binned matrix is feature-major and the split search walks
+// it a small block of features at a time (see binner, findBestSplit); the
+// search's contract is the order in which it sums and compares, so a model
+// is a function of (matrix, labels, options) to the last bit, whatever
+// the kernel's blocking or the number of goroutines fitting beside it.
 package mart
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -140,38 +151,63 @@ func (m *Model) FeatureImportance() []float64 {
 	return out
 }
 
-// Train fits a MART model to (X, y). All rows must have equal length.
-func Train(X [][]float64, y []float64, opts Options) (*Model, error) {
+// Binned is a design matrix prepared for fitting: every feature column
+// quantile-binned once, under the options every fit on it will use. It is
+// read-only after Bin returns, so any number of Fit calls — one per label
+// vector — may run concurrently on it. This is the one way to fit several
+// targets on the same rows; Train is Bin followed by a single Fit.
+type Binned struct {
+	opts Options
+	bins *binner
+}
+
+// Bin validates X (non-empty, all rows of equal length) and bins it under
+// opts. Binning sorts every feature column, which for a wide matrix is a
+// seventh of a short fit — callers with several label vectors on one
+// matrix pay it once here rather than once per Train.
+func Bin(X [][]float64, opts Options) (*Binned, error) {
 	if len(X) == 0 {
 		return nil, errors.New("mart: empty training set")
 	}
-	if len(X) != len(y) {
-		return nil, fmt.Errorf("mart: %d rows but %d labels", len(X), len(y))
-	}
-	opts = opts.withDefaults()
 	nf := len(X[0])
 	for i, row := range X {
 		if len(row) != nf {
 			return nil, fmt.Errorf("mart: row %d has %d features, want %d", i, len(row), nf)
 		}
 	}
+	opts = opts.withDefaults()
+	return &Binned{opts: opts, bins: newBinner(X, opts.Bins)}, nil
+}
 
-	b := newBinner(X, opts.Bins)
-	pool := newHistPool(nf, opts.Bins)
-	m := &Model{NumFeature: nf, Importance: make([]float64, nf)}
+// Fit trains one model for the label vector y (one finite label per
+// binned row). The result depends only on the matrix, y and the options
+// given to Bin — not on what else is being fitted on the matrix, or on
+// how many goroutines are doing so.
+func (bd *Binned) Fit(y []float64) (*Model, error) {
+	b, opts := bd.bins, bd.opts
+	if len(y) != b.numRows {
+		return nil, fmt.Errorf("mart: %d rows but %d labels", b.numRows, len(y))
+	}
 	var bias float64
-	for _, v := range y {
+	for i, v := range y {
+		// A NaN or infinite label would poison the bias and every
+		// residual: the fit "succeeds" with a model that predicts NaN, and
+		// NaN loses every comparison downstream.
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("mart: label of row %d is %v", i, v)
+		}
 		bias += v
 	}
 	bias /= float64(len(y))
-	m.Bias = bias
+	nf := len(b.cols)
+	m := &Model{Bias: bias, NumFeature: nf, Importance: make([]float64, nf)}
 
 	// Current model output per row.
 	f := make([]float64, len(y))
 	for i := range f {
 		f[i] = bias
 	}
-	resid := make([]float64, len(y))
+	g := &grower{b: b, opts: opts, resid: make([]float64, len(y)), gathered: make([]float64, len(y)), importance: m.Importance}
 	rng := rand.New(rand.NewSource(opts.Seed + 1))
 	perm := make([]int, len(y))
 	for i := range perm {
@@ -180,7 +216,7 @@ func Train(X [][]float64, y []float64, opts Options) (*Model, error) {
 
 	for t := 0; t < opts.Trees; t++ {
 		for i := range y {
-			resid[i] = y[i] - f[i]
+			g.resid[i] = y[i] - f[i]
 		}
 		// Stochastic subsample of rows.
 		rows := perm
@@ -192,7 +228,7 @@ func Train(X [][]float64, y []float64, opts Options) (*Model, error) {
 			}
 			rows = perm[:n]
 		}
-		tr := fitTree(b, resid, rows, opts, m.Importance, pool)
+		tr := g.fitTree(rows)
 		// Apply shrinkage and update the running model on ALL rows.
 		for i := range tr.Nodes {
 			if tr.Nodes[i].Left < 0 {
@@ -205,6 +241,16 @@ func Train(X [][]float64, y []float64, opts Options) (*Model, error) {
 		m.Trees = append(m.Trees, *tr)
 	}
 	return m, nil
+}
+
+// Train fits a MART model to (X, y). All rows must have equal length and
+// every label must be finite.
+func Train(X [][]float64, y []float64, opts Options) (*Model, error) {
+	bd, err := Bin(X, opts)
+	if err != nil {
+		return nil, err
+	}
+	return bd.Fit(y)
 }
 
 // MSE returns the mean squared error of predictions against labels.
@@ -222,33 +268,40 @@ func MSE(pred, y []float64) float64 {
 
 // --- feature binning ---
 
-// binner holds the quantile-binned design matrix in row-major form (one
-// contiguous bin vector per row, so a single pass over a leaf's rows fills
-// the histograms of every feature) plus the raw threshold value at each
-// bin's upper edge.
+// binner holds the quantile-binned design matrix feature-major — one
+// contiguous bin vector per feature, indexed by row — plus the raw
+// threshold value at each bin's upper edge and the list of live features
+// (those with at least one threshold; a constant column can never split,
+// so the split search never reads it).
+//
+// Feature-major because the split search is a histogram build per
+// (leaf, feature): with a column contiguous, a pass over a leaf's rows
+// touches one ~numRows-byte vector and one 768-byte histogram per feature
+// instead of striding through every row's full bin vector into
+// numFeatures×768 bytes of histograms. There is one layout; the tree
+// walk over training rows (predictBinned) reads the same columns.
 type binner struct {
-	rows       [][]uint8   // [row][feature]
+	cols       [][]uint8   // [feature][row]
 	thresholds [][]float64 // [feature][binIdx] upper edge value
+	live       []int       // features with len(thresholds) > 0, ascending
 	numRows    int
 }
 
 func newBinner(X [][]float64, nbins int) *binner {
 	nf := len(X[0])
 	b := &binner{
-		rows:       make([][]uint8, len(X)),
+		cols:       make([][]uint8, nf),
 		thresholds: make([][]float64, nf),
 		numRows:    len(X),
 	}
 	flat := make([]uint8, len(X)*nf)
-	for ri := range X {
-		b.rows[ri] = flat[ri*nf : (ri+1)*nf]
-	}
 	vals := make([]float64, len(X))
+	sorted := make([]float64, len(X))
 	for fi := 0; fi < nf; fi++ {
 		for ri := range X {
 			vals[ri] = X[ri][fi]
 		}
-		sorted := append([]float64(nil), vals...)
+		copy(sorted, vals)
 		sort.Float64s(sorted)
 		// Candidate thresholds at quantile boundaries, deduplicated.
 		var ths []float64
@@ -263,10 +316,13 @@ func newBinner(X [][]float64, nbins int) *binner {
 			ths = ths[:len(ths)-1]
 		}
 		b.thresholds[fi] = ths
+		if len(ths) > 0 {
+			b.live = append(b.live, fi)
+		}
 		// Bin index of v is the smallest b with v <= ths[b] (len(ths) for
 		// values above every threshold).
-		for ri := range X {
-			v := vals[ri]
+		col := flat[fi*len(X) : (fi+1)*len(X)]
+		for ri, v := range vals {
 			lo, hi := 0, len(ths)
 			for lo < hi {
 				mid := (lo + hi) / 2
@@ -276,8 +332,9 @@ func newBinner(X [][]float64, nbins int) *binner {
 					lo = mid + 1
 				}
 			}
-			b.rows[ri][fi] = uint8(lo)
+			col[ri] = uint8(lo)
 		}
+		b.cols[fi] = col
 	}
 	return b
 }
@@ -286,7 +343,6 @@ func newBinner(X [][]float64, nbins int) *binner {
 // (exact for thresholds that are bin edges).
 func (t *tree) predictBinned(b *binner, ri int) float64 {
 	i := 0
-	bins := b.rows[ri]
 	for {
 		n := &t.Nodes[i]
 		if n.Left < 0 {
@@ -294,7 +350,7 @@ func (t *tree) predictBinned(b *binner, ri int) float64 {
 		}
 		// Threshold is thresholds[f][binIdx]; row goes left iff its bin
 		// index <= binIdx of the threshold.
-		if int(bins[n.Feature]) <= n.thresholdBin {
+		if int(b.cols[n.Feature][ri]) <= n.thresholdBin {
 			i = n.Left
 		} else {
 			i = n.Right
@@ -310,37 +366,43 @@ type leafCand struct {
 	bestGain    float64
 	bestFeature int
 	bestBin     int
+	bestLeft    int // rows on the left of the best split
 	sum         float64
 	nodeIdx     int // position in tree.Nodes
 }
 
-// histPool is scratch space for per-leaf histograms: one (sum, count) pair
-// per (feature, bin), reused across leaves of all trees.
-type histPool struct {
-	sums [][64]float64
-	cnts [][64]int32
-	bins int
+// blockFeatures is how many features' histograms one pass over a leaf's
+// rows fills. A measured constant, not a tunable. One feature per pass
+// leaves each `sums[bin] += r` waiting on the previous row's store to the
+// same histogram; a few features per pass give independent chains that
+// overlap, while their histograms (768 B each) and columns still sit in
+// L1. Six 20-tree models on the benchmark's 1474 × 211 corpus (166 live
+// features), one core: the row-major search this replaced 544 ms, block
+// of 1 380 ms, 2 280 ms, 4 249 ms, 8 243 ms — and on two cores 8 is
+// indistinguishable from 4 (133–138 vs 138–140 ms), so the smaller
+// unrolled body stays. Any block size yields the same trees.
+const blockFeatures = 4
+
+// hist is one feature's per-bin residual sum and row count for a leaf.
+type hist struct {
+	sums [64]float64
+	cnts [64]int32
 }
 
-func newHistPool(nf, bins int) *histPool {
-	if bins > 64 {
-		bins = 64
-	}
-	return &histPool{
-		sums: make([][64]float64, nf),
-		cnts: make([][64]int32, nf),
-		bins: bins,
-	}
+// grower is the state of one Fit's tree growth: the shared read-only
+// matrix, the current residuals, and the split search's scratch.
+type grower struct {
+	b          *binner
+	opts       Options
+	resid      []float64 // current residual per training row
+	importance []float64
+
+	gathered []float64 // the leaf's residuals, in leaf row order
+	hists    [blockFeatures]hist
 }
 
-func (h *histPool) reset() {
-	for i := range h.sums {
-		h.sums[i] = [64]float64{}
-		h.cnts[i] = [64]int32{}
-	}
-}
-
-func fitTree(b *binner, resid []float64, rows []int, opts Options, importance []float64, pool *histPool) *tree {
+func (g *grower) fitTree(rows []int) *tree {
+	b, resid := g.b, g.resid
 	t := &tree{}
 	root := &leafCand{rows: rows}
 	for _, r := range rows {
@@ -348,11 +410,11 @@ func fitTree(b *binner, resid []float64, rows []int, opts Options, importance []
 	}
 	t.Nodes = append(t.Nodes, node{Left: -1, Right: -1, Value: mean(root.sum, len(root.rows))})
 	root.nodeIdx = 0
-	findBestSplit(b, resid, root, opts, pool)
+	g.findBestSplit(root)
 
 	leaves := []*leafCand{root}
 	numLeaves := 1
-	for numLeaves < opts.MaxLeaves {
+	for numLeaves < g.opts.MaxLeaves {
 		// Pick the leaf with the highest gain.
 		bi, bg := -1, 1e-12
 		for i, lf := range leaves {
@@ -365,7 +427,7 @@ func fitTree(b *binner, resid []float64, rows []int, opts Options, importance []
 		}
 		lf := leaves[bi]
 		leftRows, rightRows := partition(b, lf)
-		importance[lf.bestFeature] += lf.bestGain
+		g.importance[lf.bestFeature] += lf.bestGain
 
 		var lsum, rsum float64
 		for _, r := range leftRows {
@@ -389,8 +451,8 @@ func fitTree(b *binner, resid []float64, rows []int, opts Options, importance []
 
 		left := &leafCand{rows: leftRows, sum: lsum, nodeIdx: li}
 		right := &leafCand{rows: rightRows, sum: rsum, nodeIdx: ri}
-		findBestSplit(b, resid, left, opts, pool)
-		findBestSplit(b, resid, right, opts, pool)
+		g.findBestSplit(left)
+		g.findBestSplit(right)
 		leaves[bi] = left
 		leaves = append(leaves, right)
 		numLeaves++
@@ -406,60 +468,101 @@ func mean(sum float64, n int) float64 {
 }
 
 // findBestSplit computes the best (feature, bin) split of the leaf by the
-// squared-error-reduction criterion. Histograms for all features fill in
-// one cache-friendly pass over the leaf's (row-major) bin vectors.
-func findBestSplit(b *binner, resid []float64, lf *leafCand, opts Options, pool *histPool) {
+// squared-error-reduction criterion.
+//
+// The contract is the order of summation, not just the sums: every
+// per-(feature, bin) residual sum adds the leaf's rows in leaf order, and
+// candidates are compared in ascending (feature, bin) order with a strict
+// ">" — so the chosen split, and therefore the whole model, is the same
+// to the last bit however the passes below are blocked. That is what lets
+// the kernel change shape without any trained selector changing.
+//
+// The leaf's residuals are gathered once; then each pass over the rows
+// fills the histograms of blockFeatures live features (see the constant
+// for why that many) and scans them before the next block overwrites
+// them.
+func (g *grower) findBestSplit(lf *leafCand) {
 	lf.bestGain = 0
 	n := len(lf.rows)
-	if n < 2*opts.MinLeaf {
+	if n < 2*g.opts.MinLeaf {
 		return
 	}
-	parentScore := lf.sum * lf.sum / float64(n)
-
-	pool.reset()
-	nf := len(b.thresholds)
-	for _, r := range lf.rows {
-		bins := b.rows[r]
-		rv := resid[r]
-		for fi := 0; fi < nf; fi++ {
-			bin := bins[fi]
-			pool.sums[fi][bin] += rv
-			pool.cnts[fi][bin]++
+	rv := g.gathered[:n]
+	for i, r := range lf.rows {
+		rv[i] = g.resid[r]
+	}
+	cols, live := g.b.cols, g.b.live
+	h := &g.hists
+	i := 0
+	for ; i+blockFeatures <= len(live); i += blockFeatures {
+		*h = [blockFeatures]hist{}
+		c0, c1, c2, c3 := cols[live[i]], cols[live[i+1]], cols[live[i+2]], cols[live[i+3]]
+		for j, r := range lf.rows {
+			v := rv[j]
+			// Bin indices are < 64 by construction; the mask only tells
+			// the compiler so.
+			b0, b1, b2, b3 := c0[r]&63, c1[r]&63, c2[r]&63, c3[r]&63
+			h[0].sums[b0] += v
+			h[0].cnts[b0]++
+			h[1].sums[b1] += v
+			h[1].cnts[b1]++
+			h[2].sums[b2] += v
+			h[2].cnts[b2]++
+			h[3].sums[b3] += v
+			h[3].cnts[b3]++
+		}
+		for k := 0; k < blockFeatures; k++ {
+			g.scanSplits(lf, live[i+k], &h[k])
 		}
 	}
-	for fi := 0; fi < nf; fi++ {
-		ths := b.thresholds[fi]
-		if len(ths) == 0 {
+	for ; i < len(live); i++ {
+		h[0] = hist{}
+		c0 := cols[live[i]]
+		for j, r := range lf.rows {
+			b0 := c0[r] & 63
+			h[0].sums[b0] += rv[j]
+			h[0].cnts[b0]++
+		}
+		g.scanSplits(lf, live[i], &h[0])
+	}
+}
+
+// scanSplits prefix-scans one feature's histogram — a split at bin sends
+// rows with bin index <= bin left — and keeps the candidate if it beats
+// the leaf's best so far.
+func (g *grower) scanSplits(lf *leafCand, fi int, h *hist) {
+	n := len(lf.rows)
+	parentScore := lf.sum * lf.sum / float64(n)
+	minLeaf := g.opts.MinLeaf
+	var lsum float64
+	var lcnt int
+	for bin := range g.b.thresholds[fi] {
+		lsum += h.sums[bin]
+		lcnt += int(h.cnts[bin])
+		rcnt := n - lcnt
+		if lcnt < minLeaf || rcnt < minLeaf {
 			continue
 		}
-		// Prefix scan over bins: split at bin => rows with bin <= split go
-		// left.
-		var lsum float64
-		var lcnt int
-		sums, cnts := &pool.sums[fi], &pool.cnts[fi]
-		for bin := 0; bin < len(ths); bin++ {
-			lsum += sums[bin]
-			lcnt += int(cnts[bin])
-			rcnt := n - lcnt
-			if lcnt < opts.MinLeaf || rcnt < opts.MinLeaf {
-				continue
-			}
-			rsum := lf.sum - lsum
-			gain := lsum*lsum/float64(lcnt) + rsum*rsum/float64(rcnt) - parentScore
-			if gain > lf.bestGain {
-				lf.bestGain = gain
-				lf.bestFeature = fi
-				lf.bestBin = bin
-			}
+		rsum := lf.sum - lsum
+		gain := lsum*lsum/float64(lcnt) + rsum*rsum/float64(rcnt) - parentScore
+		if gain > lf.bestGain {
+			lf.bestGain = gain
+			lf.bestFeature = fi
+			lf.bestBin = bin
+			lf.bestLeft = lcnt
 		}
 	}
 }
 
-// partition splits the leaf's rows by its best split.
+// partition splits the leaf's rows by its best split, each side keeping
+// leaf order. The split search already counted the left side, so both
+// halves are carved from one exactly sized allocation.
 func partition(b *binner, lf *leafCand) (left, right []int) {
-	fi, bin := lf.bestFeature, uint8(lf.bestBin)
+	col, bin := b.cols[lf.bestFeature], uint8(lf.bestBin)
+	buf := make([]int, len(lf.rows))
+	left, right = buf[:0:lf.bestLeft], buf[lf.bestLeft:lf.bestLeft]
 	for _, r := range lf.rows {
-		if b.rows[r][fi] <= bin {
+		if col[r] <= bin {
 			left = append(left, r)
 		} else {
 			right = append(right, r)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -160,6 +161,13 @@ func TestErrorsOnBadInput(t *testing.T) {
 	}
 	if _, err := Train([][]float64{{1, 2}, {1}}, []float64{1, 2}, Options{}); err == nil {
 		t.Error("ragged rows should error")
+	}
+	// A non-finite label used to train "fine" into a Bias: NaN model.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := Train([][]float64{{1}, {2}, {3}}, []float64{0.5, 0.25, bad}, Options{Trees: 2})
+		if err == nil || !strings.Contains(err.Error(), "row 2") {
+			t.Errorf("label %v in row 2 should be rejected naming the row, got %v", bad, err)
+		}
 	}
 }
 

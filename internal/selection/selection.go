@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
+	"sync"
 
 	"progressest/internal/atomicio"
 	"progressest/internal/features"
@@ -88,6 +90,13 @@ func featureSlice(full []float64, dynamic bool) []float64 {
 }
 
 // Train fits one error-regression model per candidate estimator.
+//
+// The kinds share one design matrix, so it is binned once (mart.Bin) and
+// every kind's label vector is fitted on that read-only binning. The fits
+// share nothing else and run on min(GOMAXPROCS, len(Kinds)) goroutines —
+// a derived width, not a setting. Each model depends only on the matrix,
+// its own labels and cfg.Mart, so the selector is the same to the last
+// bit at any width.
 func Train(examples []Example, cfg Config) (*Selector, error) {
 	if len(examples) == 0 {
 		return nil, errors.New("selection: no training examples")
@@ -107,21 +116,45 @@ func Train(examples []Example, cfg Config) (*Selector, error) {
 	for i := range examples {
 		X[i] = featureSlice(examples[i].Features, cfg.Dynamic)
 	}
-	s := &Selector{
-		Kinds:   append([]progress.Kind(nil), cfg.Kinds...),
-		Dynamic: cfg.Dynamic,
-		Models:  make(map[progress.Kind]*mart.Model, len(cfg.Kinds)),
+	binned, err := mart.Bin(X, cfg.Mart)
+	if err != nil {
+		return nil, fmt.Errorf("selection: %w", err)
 	}
-	y := make([]float64, len(examples))
-	for _, k := range cfg.Kinds {
-		for i := range examples {
-			y[i] = examples[i].ErrL1[k]
+
+	kinds := append([]progress.Kind(nil), cfg.Kinds...)
+	models := make([]*mart.Model, len(kinds))
+	fitErrs := make([]error, len(kinds))
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := min(runtime.GOMAXPROCS(0), len(kinds)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			y := make([]float64, len(examples))
+			for ki := range next {
+				for i := range examples {
+					y[i] = examples[i].ErrL1[kinds[ki]]
+				}
+				models[ki], fitErrs[ki] = binned.Fit(y)
+			}
+		}()
+	}
+	for ki := range kinds {
+		next <- ki
+	}
+	close(next)
+	wg.Wait()
+
+	s := &Selector{Kinds: kinds, Dynamic: cfg.Dynamic, Models: make(map[progress.Kind]*mart.Model, len(kinds))}
+	var errs error
+	for ki, k := range kinds {
+		if fitErrs[ki] != nil {
+			errs = errors.Join(errs, fmt.Errorf("selection: training model for %v: %w", k, fitErrs[ki]))
 		}
-		m, err := mart.Train(X, y, cfg.Mart)
-		if err != nil {
-			return nil, fmt.Errorf("selection: training model for %v: %w", k, err)
-		}
-		s.Models[k] = m
+		s.Models[k] = models[ki]
+	}
+	if errs != nil {
+		return nil, errs
 	}
 	return s, nil
 }
