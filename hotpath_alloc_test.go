@@ -47,3 +47,40 @@ func TestQueryEstimateZeroAlloc(t *testing.T) {
 		t.Fatalf("AppendSeries into scratch: %v allocs/op, want 0", avg)
 	}
 }
+
+// startToDoneAllocCeiling bounds a whole monitored query of
+// BenchmarkMonitorStartToDone's fixture — Start, every update drained,
+// Wait — about 15 % over the 123 allocations it measures today (959
+// before a run's rows, join table, snapshot sink and observation tables
+// stopped being allocated row by row). Every piece of a run's working
+// memory is sized by the run, none recycled through a pool, so the count
+// does not move with the collector's timing.
+const startToDoneAllocCeiling = 142
+
+// TestStartToDoneAllocBudget gates what BENCH_baseline.json only records:
+// a query's set-up and working memory, the dominant per-query cost once
+// the snapshot→update cycle allocates nothing.
+func TestStartToDoneAllocBudget(t *testing.T) {
+	w, err := Open(Config{Dataset: TPCH, Queries: 2, Scale: 0.08, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.planned(0); err != nil { // warm the plan cache
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(50, func() {
+		m, err := w.Start(0, MonitorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range m.Updates {
+		}
+		if _, err := m.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > startToDoneAllocCeiling {
+		t.Fatalf("monitored query start-to-done: %v allocs, ceiling %d", avg, startToDoneAllocCeiling)
+	}
+	t.Logf("monitored query start-to-done: %v allocs (ceiling %d)", avg, startToDoneAllocCeiling)
+}

@@ -10,9 +10,9 @@ import (
 // hot-path benchmarks and the zero-alloc assertions: a warm
 // monitorObserver plus the recorded snapshots of one real execution, fed
 // in UpdateEvery-sized ticks that wrap around the recording. A synthetic
-// thin keeps the view's storage inside its reservation, exactly as the
-// engine's MaxObservations bound does in a long-running query — so each
-// tick is one Start→Update→Done-cycle slice at steady state.
+// thin keeps the view's storage bounded, exactly as the engine's
+// MaxObservations bound does in a long-running query — so each tick is
+// one Start→Update→Done-cycle slice at steady state.
 type snapshotCycle struct {
 	obs      *monitorObserver
 	snaps    []exec.Snapshot
@@ -22,9 +22,9 @@ type snapshotCycle struct {
 	batched  bool
 }
 
-// thinAt bounds the retained history just under the monitor's storage
-// reservation (exec.DefaultTargetObservations+1), so steady state never
-// grows the series.
+// thinAt bounds the retained history (just under
+// exec.DefaultTargetObservations+1), so at steady state the view's
+// observation tables have stopped growing.
 const thinAt = 384
 
 func newSnapshotCycle(t testing.TB, batched bool) *snapshotCycle {

@@ -93,7 +93,7 @@ func RunDecomposed(db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposi
 	tr := &Trace{
 		Plan:      p,
 		Pipes:     pipes,
-		Snapshots: ctx.sink.snapshots,
+		Snapshots: ctx.sink.snapshots(),
 		N:         ctx.K,
 		FinalR:    ctx.R,
 		FinalW:    ctx.W,
@@ -180,8 +180,8 @@ func newContext(db *storage.Database, p *plan.Plan, pipes *pipeline.Decompositio
 		pipeStarted: make([]bool, len(pipes.Pipelines)),
 		pipeKnown:   make([]bool, len(pipes.Pipelines)),
 		obsEvery:    obsEvery,
+		sink:        traceSink{nodes: n},
 	}
-	ctx.sink.init(n, opts.TargetObservations+1, opts.MaxObservations+1)
 	if opts.SnapshotBatch > 1 {
 		if bo, ok := opts.Observer.(BatchObserver); ok {
 			ctx.batchObs = bo
@@ -231,9 +231,12 @@ type context struct {
 	sink      traceSink
 	lastSnapT float64
 
-	// Batched snapshot delivery (Options.SnapshotBatch): rows
-	// sink.snapshots[flushed:] have been captured but not yet delivered
-	// to batchObs.
+	// rows backs every row an operator builds (see rowArena).
+	rows rowArena
+
+	// Batched snapshot delivery (Options.SnapshotBatch): the sink's rows
+	// from flushed on have been captured but not yet delivered to
+	// batchObs.
 	batchObs  BatchObserver
 	batchSize int
 	flushed   int
@@ -358,14 +361,14 @@ func (c *context) snapshot() {
 	if c.sink.rows() > 0 && c.clock == c.lastSnapT {
 		return
 	}
-	s := c.sink.add(c.clock, c.K, c.R, c.W)
+	c.sink.add(c.clock, c.K, c.R, c.W)
 	if c.batchObs != nil {
 		if c.sink.rows()-c.flushed >= c.batchSize {
 			c.flushSnapshots()
 		}
 	} else if c.observer != nil {
-		c.observer.OnSnapshot(s)
 		c.flushed = c.sink.rows()
+		c.observer.OnSnapshot(c.sink.at(c.flushed - 1))
 	}
 	c.lastSnapT = c.clock
 }
@@ -378,7 +381,7 @@ func (c *context) flushSnapshots() {
 		return
 	}
 	if n := c.sink.rows(); n > c.flushed {
-		c.batchObs.OnSnapshots(c.sink.snapshots[c.flushed:n])
+		c.batchObs.OnSnapshots(c.sink.window(c.flushed, n))
 		c.flushed = n
 	}
 }

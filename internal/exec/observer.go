@@ -1,5 +1,7 @@
 package exec
 
+import "math"
+
 // PipelineStart describes a pipeline the moment it first becomes active:
 // the virtual start time and the driver-input totals that are exactly
 // knowable at that point (base-table scans know their table size,
@@ -89,106 +91,88 @@ func (BaseObserver) OnDone(*Trace) {}
 
 // traceSink accumulates the snapshot history of the Trace returned by
 // Run. It sees exactly the event stream a user-supplied Observer does,
-// but stores the counter rows in one contiguous arena (3·nodes int64s
-// per row) instead of three fresh slices per snapshot: at steady state —
-// once thinning caps the row count — capturing a snapshot allocates
-// nothing. Snapshot headers alias arena rows, so the no-mutation
+// but stores the counter rows in an arena of fixed-size chunks (the
+// capture time plus 3·nodes int64s per row) instead of three fresh
+// slices per snapshot. The arena grows one chunk at a time and never
+// moves a stored row, so a run allocates what its peak row count needs —
+// to within a chunk — and copies nothing when it grows; thinning frees
+// rows for reuse in place. Snapshot headers are built on demand: a small
+// reused window for batched delivery, and once, at the run's final row
+// count, for the Trace. They alias arena rows, so the no-mutation
 // contract of Observer extends to the finished Trace.
 type traceSink struct {
-	nodes   int
-	maxRows int // thinning bound: rows never exceed it (0 = unbounded)
-
-	buf       []int64    // rows×3·nodes counter arena
-	snapshots []Snapshot // headers aliasing buf, one per row
+	nodes  int
+	n      int       // rows held
+	chunks [][]int64 // sinkChunkRows rows of 1+3·nodes words each
+	win    []Snapshot
 }
 
-// init sizes the arena. initRows is a starting capacity hint; the arena
-// grows geometrically up to maxRows, the ceiling thinning enforces.
-func (t *traceSink) init(nodes, initRows, maxRows int) {
-	if initRows < 16 {
-		initRows = 16
-	}
-	if maxRows > 0 && initRows > maxRows {
-		initRows = maxRows
-	}
-	t.nodes = nodes
-	t.maxRows = maxRows
-	t.buf = make([]int64, 0, initRows*3*nodes)
-	t.snapshots = make([]Snapshot, 0, initRows)
+// sinkChunkRows is the arena's growth step in rows. A run at the default
+// observation target holds 7–19 chunks, of 5–15 KB each at the
+// benchmark's plan sizes (3–12 nodes); half a chunk is what it wastes.
+const sinkChunkRows = 64
+
+func (t *traceSink) rows() int { return t.n }
+
+// row returns row i's words: the capture time's bits, then K, R and W.
+func (t *traceSink) row(i int) []int64 {
+	stride := 1 + 3*t.nodes
+	off := (i % sinkChunkRows) * stride
+	return t.chunks[i/sinkChunkRows][off : off+stride]
 }
 
-func (t *traceSink) rows() int { return len(t.snapshots) }
+// at builds the Snapshot header of row i.
+func (t *traceSink) at(i int) Snapshot {
+	n := t.nodes
+	row := t.row(i)
+	c := row[1:]
+	return Snapshot{Time: math.Float64frombits(uint64(row[0])),
+		K: c[:n:n], R: c[n : 2*n : 2*n], W: c[2*n : 3*n : 3*n]}
+}
 
-// add copies the counters into the arena's next row and appends a
-// Snapshot header aliasing it. Alloc-free while within capacity.
-func (t *traceSink) add(time float64, K, R, W []int64) Snapshot {
-	if len(t.snapshots) == cap(t.snapshots) {
-		t.grow()
+// add copies the counters into the arena's next row. Alloc-free except
+// for every sinkChunkRows-th row beyond the arena's high-water mark.
+func (t *traceSink) add(time float64, K, R, W []int64) {
+	if t.n == len(t.chunks)*sinkChunkRows {
+		t.chunks = append(t.chunks, make([]int64, sinkChunkRows*(1+3*t.nodes)))
 	}
 	n := t.nodes
-	base := len(t.buf)
-	t.buf = t.buf[:base+3*n]
-	row := t.buf[base : base+3*n]
-	copy(row[:n], K)
-	copy(row[n:2*n], R)
-	copy(row[2*n:], W)
-	s := Snapshot{Time: time, K: row[:n:n], R: row[n : 2*n : 2*n], W: row[2*n : 3*n : 3*n]}
-	t.snapshots = append(t.snapshots, s)
-	return s
+	row := t.row(t.n)
+	row[0] = int64(math.Float64bits(time))
+	copy(row[1:1+n], K)
+	copy(row[1+n:1+2*n], R)
+	copy(row[1+2*n:], W)
+	t.n++
 }
 
-// grow doubles the arena (clipped to maxRows) and re-points every
-// retained header at the moved backing array. Headers handed out before
-// the move stay valid — they alias the old, no-longer-mutated backing.
-func (t *traceSink) grow() {
-	newCap := 2 * cap(t.snapshots)
-	if newCap < 16 {
-		newCap = 16
+// window returns the headers of rows [lo, hi) in a buffer reused by the
+// next call — the batch handed to BatchObserver.OnSnapshots, which is
+// only valid for the duration of that call.
+func (t *traceSink) window(lo, hi int) []Snapshot {
+	t.win = t.win[:0]
+	for i := lo; i < hi; i++ {
+		t.win = append(t.win, t.at(i))
 	}
-	if t.maxRows > len(t.snapshots) && newCap > t.maxRows {
-		newCap = t.maxRows
-	}
-	if newCap <= cap(t.snapshots) {
-		newCap = cap(t.snapshots) + 1
-	}
-	stride := 3 * t.nodes
-	nb := make([]int64, len(t.buf), newCap*stride)
-	copy(nb, t.buf)
-	t.buf = nb
-	ns := make([]Snapshot, len(t.snapshots), newCap)
-	copy(ns, t.snapshots)
-	t.snapshots = ns
-	for i := range t.snapshots {
-		t.bind(i)
-	}
+	return t.win
 }
 
-// bind points snapshot header i at its arena row.
-func (t *traceSink) bind(i int) {
-	n := t.nodes
-	row := t.buf[i*3*n : (i+1)*3*n]
-	s := &t.snapshots[i]
-	s.K = row[:n:n]
-	s.R = row[n : 2*n : 2*n]
-	s.W = row[2*n : 3*n : 3*n]
+// snapshots builds the finished trace's headers, one allocation at the
+// final row count.
+func (t *traceSink) snapshots() []Snapshot {
+	out := make([]Snapshot, t.n)
+	for i := range out {
+		out[i] = t.at(i)
+	}
+	return out
 }
 
 // thin keeps every other snapshot (the odd 0-based ordinals), compacting
-// the surviving rows down the arena in place. Headers are positional —
-// header i always aliases row i — so they stay bound through the move.
+// the surviving rows down the arena in place.
 func (t *traceSink) thin() {
-	n := t.nodes
 	w := 0
-	for r := 0; r < len(t.snapshots); r++ {
-		if r%2 != 1 {
-			continue
-		}
-		if w != r {
-			copy(t.buf[w*3*n:(w+1)*3*n], t.buf[r*3*n:(r+1)*3*n])
-			t.snapshots[w].Time = t.snapshots[r].Time
-		}
+	for r := 1; r < t.n; r += 2 {
+		copy(t.row(w), t.row(r))
 		w++
 	}
-	t.snapshots = t.snapshots[:w]
-	t.buf = t.buf[:w*3*n]
+	t.n = w
 }

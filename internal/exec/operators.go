@@ -19,6 +19,43 @@ type iter interface {
 	close()
 }
 
+// rowArena backs the rows a run's operators build — join and projection
+// outputs, aggregate states — so a run pays one allocation per chunk
+// instead of one per row. A row is written once, by the operator that
+// carves it, before it is emitted; nothing carved here may be retained
+// past RunDecomposed (the Trace holds counters only), so the arena goes
+// with the run's context.
+type rowArena struct {
+	free  []int64 // unused tail of the current chunk
+	chunk int     // words in the current chunk; the next one doubles it
+}
+
+// The first chunk serves a short query whole; chunks double up to a size
+// whose unused tail is small beside what a run that long allocates.
+const (
+	arenaFirstChunk = 512
+	arenaMaxChunk   = 8192
+)
+
+// row carves a zeroed row of n columns.
+func (a *rowArena) row(n int) storage.Row {
+	if n > len(a.free) {
+		a.chunk = min(max(2*a.chunk, arenaFirstChunk), arenaMaxChunk)
+		a.free = make([]int64, max(a.chunk, n))
+	}
+	r := a.free[:n:n]
+	a.free = a.free[n:]
+	return r
+}
+
+// concat carves the row left ++ right.
+func (a *rowArena) concat(left, right storage.Row) storage.Row {
+	out := a.row(len(left) + len(right))
+	copy(out, left)
+	copy(out[len(left):], right)
+	return out
+}
+
 // --- scans ---
 
 type tableScanIter struct {
@@ -172,7 +209,7 @@ func (it *projectIter) next() (storage.Row, bool) {
 	if !ok {
 		return nil, false
 	}
-	out := make(storage.Row, len(it.n.ProjCols))
+	out := it.ctx.rows.row(len(it.n.ProjCols))
 	for i, c := range it.n.ProjCols {
 		out[i] = row[c]
 	}
@@ -195,15 +232,78 @@ func mix64(x int64) uint64 {
 
 const spillPartitions = 16
 
+// joinTable is a hash join's build side: every build row in one slice,
+// grouped by join key, each group in build-arrival order, with one index
+// from key to the group's span.
+type joinTable struct {
+	rows  []storage.Row
+	spans []rowSpan
+	index map[int64]int32 // join key -> ordinal in spans
+}
+
+// rowSpan is the half-open range of one key's rows in joinTable.rows.
+type rowSpan struct{ lo, hi int32 }
+
+// newJoinTable groups rows — in place, the table keeps the slice — by
+// their key column: a stable counting sort on the key's first-arrival
+// ordinal. One pass counts each key's rows, one lays the spans out and
+// gives every row its destination (a group fills in arrival order), and
+// the last applies that permutation by following its cycles. Rows that
+// arrive already grouped, as a key column's do, never move.
+func newJoinTable(rows []storage.Row, key int) joinTable {
+	t := joinTable{rows: rows, index: make(map[int64]int32)}
+	dest := make([]int32, len(rows)) // first the row's span ordinal, then its final position
+	for i, row := range rows {
+		o, ok := t.index[row[key]]
+		if !ok {
+			o = int32(len(t.spans))
+			t.index[row[key]] = o
+			t.spans = append(t.spans, rowSpan{})
+		}
+		t.spans[o].hi++ // a count until the spans are laid out below
+		dest[i] = o
+	}
+	at := int32(0)
+	for i, sp := range t.spans {
+		t.spans[i] = rowSpan{at, at}
+		at += sp.hi
+	}
+	for i, o := range dest {
+		dest[i] = t.spans[o].hi
+		t.spans[o].hi++
+	}
+	for i := range rows {
+		// dest[j] is where the row now at j belongs; each swap puts one
+		// row in its final place.
+		for d := dest[i]; d != int32(i); d = dest[i] {
+			rows[i], rows[d] = rows[d], rows[i]
+			dest[i], dest[d] = dest[d], d
+		}
+	}
+	return t
+}
+
+// matches returns the build rows with the key, in build-arrival order.
+func (t *joinTable) matches(k int64) []storage.Row {
+	o, ok := t.index[k]
+	if !ok {
+		return nil
+	}
+	sp := t.spans[o]
+	return t.rows[sp.lo:sp.hi]
+}
+
 type hashJoinIter struct {
 	ctx   *context
 	n     *plan.Node
 	probe iter
 	build iter
 
-	ht          map[int64][]storage.Row
+	// table holds the whole build side. A key belongs to exactly one
+	// partition, so the rows phase 1 probes (resident partitions) and the
+	// rows phase 2 reads back (spilled ones) never share a group.
+	table       joinTable
 	spilledPart [spillPartitions]bool
-	spillBuild  map[int64][]storage.Row
 	spillProbe  []storage.Row
 	buildWidth  float64
 	probeWidth  float64
@@ -223,19 +323,17 @@ type hashJoinIter struct {
 func (it *hashJoinIter) open() {
 	it.probe.open()
 	it.build.open()
-	it.ht = make(map[int64][]storage.Row)
-	it.spillBuild = make(map[int64][]storage.Row)
-
-	leftCols := it.n.Children[0].OutCols
 	it.probeWidth = it.n.Children[0].RowWidth
 	it.buildWidth = it.n.Children[1].RowWidth
-	_ = leftCols
 
 	// Build phase: consume the entire build input. If the build side
 	// exceeds the memory budget, later rows in spilled partitions are
 	// written out (extra GetNext calls at this node, as the paper models
-	// spills).
-	var buildRows []storage.Row
+	// spills). The buffer starts at the optimizer's estimate of the build
+	// side plus an eighth: right, it is the one allocation; low, append
+	// grows it; high, the bound caps what is wasted.
+	est := int(it.n.Children[1].EstRows)
+	buildRows := make([]storage.Row, 0, min(max(est+est/8, 16), 1<<14))
 	for {
 		row, ok := it.build.next()
 		if !ok {
@@ -255,24 +353,19 @@ func (it *hashJoinIter) open() {
 		for p := 0; p < nSpill; p++ {
 			it.spilledPart[p] = true
 		}
-	}
-	key := it.n.JoinRightCol
-	for _, row := range buildRows {
-		k := row[key]
-		if it.spilledPart[mix64(k)%spillPartitions] {
-			it.spillBuild[k] = append(it.spillBuild[k], row)
-			it.ctx.write(it.n, it.buildWidth)
-			it.ctx.spillCall(it.n, it.buildWidth, false)
-		} else {
-			it.ht[k] = append(it.ht[k], row)
+		key := it.n.JoinRightCol
+		for _, row := range buildRows {
+			if it.spilledPart[mix64(row[key])%spillPartitions] {
+				it.ctx.write(it.n, it.buildWidth)
+				it.ctx.spillCall(it.n, it.buildWidth, false)
+			}
 		}
 	}
+	it.table = newJoinTable(buildRows, it.n.JoinRightCol)
 }
 
 func (it *hashJoinIter) emit(probeRow, buildRow storage.Row) storage.Row {
-	out := make(storage.Row, 0, len(probeRow)+len(buildRow))
-	out = append(out, probeRow...)
-	out = append(out, buildRow...)
+	out := it.ctx.rows.concat(probeRow, buildRow)
 	it.ctx.produced(it.n)
 	return out
 }
@@ -303,7 +396,7 @@ func (it *hashJoinIter) next() (storage.Row, bool) {
 			continue
 		}
 		it.cur = row
-		it.matches = it.ht[k]
+		it.matches = it.table.matches(k)
 		it.midx = 0
 	}
 }
@@ -325,7 +418,7 @@ func (it *hashJoinIter) nextPhase2() (storage.Row, bool) {
 		it.ctx.read(it.n, it.probeWidth)
 		it.ctx.spillCall(it.n, it.probeWidth, true)
 		it.p2row = row
-		it.p2matches = it.spillBuild[row[it.n.JoinLeftCol]]
+		it.p2matches = it.table.matches(row[it.n.JoinLeftCol])
 		it.p2match = 0
 	}
 }
@@ -414,9 +507,7 @@ func (it *mergeJoinIter) next() (storage.Row, bool) {
 		if it.gidx < len(it.group) {
 			r := it.group[it.gidx]
 			it.gidx++
-			out := make(storage.Row, 0, len(it.curLeft)+len(r))
-			out = append(out, it.curLeft...)
-			out = append(out, r...)
+			out := it.ctx.rows.concat(it.curLeft, r)
 			it.ctx.produced(it.n)
 			return out, true
 		}
@@ -424,13 +515,13 @@ func (it *mergeJoinIter) next() (storage.Row, bool) {
 			return nil, false
 		}
 		// Advance the left row; reuse the buffered group if its key matches.
-		if it.group != nil && it.lRow[lc] == it.groupKey {
+		if len(it.group) > 0 && it.lRow[lc] == it.groupKey {
 			it.curLeft = it.lRow
 			it.gidx = 0
 			it.lRow, it.lOK = it.left.next()
 			continue
 		}
-		it.group = nil
+		it.group = it.group[:0] // the buffer is reused by the next group
 		// Advance right until rKey >= lKey.
 		for it.rOK && it.rRow[rc] < it.lRow[lc] {
 			it.rRow, it.rOK = it.right.next()
@@ -448,7 +539,6 @@ func (it *mergeJoinIter) next() (storage.Row, bool) {
 		}
 		// Equal keys: buffer the full right group.
 		it.groupKey = it.rRow[rc]
-		it.group = it.group[:0]
 		for it.rOK && it.rRow[rc] == it.groupKey {
 			it.group = append(it.group, it.rRow)
 			it.rRow, it.rOK = it.right.next()
@@ -496,9 +586,7 @@ func (it *nlJoinIter) next() (storage.Row, bool) {
 			it.haveCur = false
 			continue
 		}
-		out := make(storage.Row, 0, len(it.curOuter)+len(innerRow))
-		out = append(out, it.curOuter...)
-		out = append(out, innerRow...)
+		out := it.ctx.rows.concat(it.curOuter, innerRow)
 		it.ctx.produced(it.n)
 		return out, true
 	}
@@ -644,42 +732,40 @@ func groupKey(row storage.Row, cols []int) int64 {
 	}
 }
 
+// aggState is one group's running aggregate. out is the group's output
+// row — the group columns, then one accumulator per aggregate — carved
+// from the row arena when the group's first row arrives and updated in
+// place until the group is emitted.
 type aggState struct {
-	groupVals []int64
-	accs      []int64
-	counts    []int64
-	inited    bool
+	out    storage.Row
+	inited bool
 }
 
-func newAggState(n *plan.Node, row storage.Row) *aggState {
-	st := &aggState{
-		groupVals: make([]int64, len(n.GroupCols)),
-		accs:      make([]int64, len(n.Aggs)),
-		counts:    make([]int64, len(n.Aggs)),
-	}
+func newAggState(ctx *context, n *plan.Node, row storage.Row) aggState {
+	out := ctx.rows.row(len(n.GroupCols) + len(n.Aggs))
 	for i, c := range n.GroupCols {
-		st.groupVals[i] = row[c]
+		out[i] = row[c]
 	}
-	return st
+	return aggState{out: out}
 }
 
 func (st *aggState) update(n *plan.Node, row storage.Row) {
+	accs := st.out[len(n.GroupCols):]
 	for i, a := range n.Aggs {
 		switch a.Func {
 		case AggCountFunc:
-			st.accs[i]++
+			accs[i]++
 		case AggSumFunc:
-			st.accs[i] += row[a.Col]
+			accs[i] += row[a.Col]
 		case AggMinFunc:
-			if !st.inited || row[a.Col] < st.accs[i] {
-				st.accs[i] = row[a.Col]
+			if !st.inited || row[a.Col] < accs[i] {
+				accs[i] = row[a.Col]
 			}
 		case AggMaxFunc:
-			if !st.inited || row[a.Col] > st.accs[i] {
-				st.accs[i] = row[a.Col]
+			if !st.inited || row[a.Col] > accs[i] {
+				accs[i] = row[a.Col]
 			}
 		}
-		st.counts[i]++
 	}
 	st.inited = true
 }
@@ -692,25 +778,17 @@ const (
 	AggMaxFunc   = plan.AggMax
 )
 
-func (st *aggState) row() storage.Row {
-	out := make(storage.Row, 0, len(st.groupVals)+len(st.accs))
-	out = append(out, st.groupVals...)
-	out = append(out, st.accs...)
-	return out
-}
-
 type hashAggIter struct {
 	ctx    *context
 	n      *plan.Node
 	child  iter
-	groups []*aggState
+	groups []aggState // in first-arrival order of their keys
 	pos    int
 }
 
 func (it *hashAggIter) open() {
 	it.child.open()
-	byKey := make(map[int64]*aggState)
-	var order []int64
+	byKey := make(map[int64]int32) // group key -> ordinal in groups
 	for {
 		row, ok := it.child.next()
 		if !ok {
@@ -718,17 +796,13 @@ func (it *hashAggIter) open() {
 		}
 		it.ctx.consumed(it.n)
 		k := groupKey(row, it.n.GroupCols)
-		st, ok := byKey[k]
+		g, ok := byKey[k]
 		if !ok {
-			st = newAggState(it.n, row)
-			byKey[k] = st
-			order = append(order, k)
+			g = int32(len(it.groups))
+			byKey[k] = g
+			it.groups = append(it.groups, newAggState(it.ctx, it.n, row))
 		}
-		st.update(it.n, row)
-	}
-	it.groups = make([]*aggState, len(order))
-	for i, k := range order {
-		it.groups[i] = byKey[k]
+		it.groups[g].update(it.n, row)
 	}
 	it.ctx.filled(it.n, len(it.groups))
 	it.pos = 0
@@ -738,10 +812,10 @@ func (it *hashAggIter) next() (storage.Row, bool) {
 	if it.pos >= len(it.groups) {
 		return nil, false
 	}
-	st := it.groups[it.pos]
+	out := it.groups[it.pos].out
 	it.pos++
 	it.ctx.produced(it.n)
-	return st.row(), true
+	return out, true
 }
 
 func (it *hashAggIter) rebind(storage.Row) { panic("exec: hash aggregate cannot be rebound") }
@@ -768,7 +842,7 @@ func (it *streamAggIter) next() (storage.Row, bool) {
 	if !it.havePen || it.done {
 		return nil, false
 	}
-	st := newAggState(it.n, it.pending)
+	st := newAggState(it.ctx, it.n, it.pending)
 	key := groupKey(it.pending, it.n.GroupCols)
 	st.update(it.n, it.pending)
 	for {
@@ -785,7 +859,7 @@ func (it *streamAggIter) next() (storage.Row, bool) {
 		st.update(it.n, row)
 	}
 	it.ctx.produced(it.n)
-	return st.row(), true
+	return st.out, true
 }
 
 func (it *streamAggIter) rebind(storage.Row) { panic("exec: stream aggregate cannot be rebound") }

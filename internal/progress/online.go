@@ -25,12 +25,12 @@ type OnlineView struct {
 	// Trace is the finished trace, set by OnDone.
 	Trace *exec.Trace
 
-	// Reserve, when positive, pre-sizes each pipeline's observation
-	// storage for this many observations at pipeline start: all
-	// per-observation series are carved from one slab, so feeding
-	// snapshots allocates nothing until the reservation is exceeded
-	// (and then only the amortized growth the append built-in performs).
-	// The live monitor reserves the engine's target observation count.
+	// Reserve, when positive, allocates each pipeline's observation
+	// storage for this many observations at pipeline start, so feeding
+	// snapshots allocates nothing until the reservation is exceeded.
+	// Without it storage is allocated a chunk at a time, as observations
+	// arrive — what the live monitor does: most pipelines stay far below
+	// the engine's observation target.
 	Reserve int
 
 	snapCount int // retained snapshots seen so far (mirrors the trace sink)
@@ -116,14 +116,12 @@ func (o *OnlineView) OnPipelineEnd(pi int, end float64) {
 	if end <= p.StartTime {
 		// Degenerate span (a single activity instant): the offline replay
 		// attributes no observations to it.
-		p.truncate(0)
+		p.n = 0
 		return
 	}
-	n := len(p.times)
-	for n > 0 && p.times[n-1] > end {
-		n--
+	for p.n > 0 && p.at(colTime, p.n-1) > end {
+		p.n--
 	}
-	p.truncate(n)
 }
 
 // OnDone implements exec.Observer.
@@ -203,14 +201,16 @@ type OnlinePipeline struct {
 	pipe *pipeline.Pipeline
 	plan *plan.Plan
 
-	times []float64           // snapshot virtual times, one per observation
-	est   [NumKinds][]float64 // per-kind estimate series
-	fracs []float64           // driver fraction per observation
-	gidx  []int               // retained global snapshot index per observation
-
-	// Per-observation sums needed to rebuild the worst-case (PMAX/SAFE)
-	// state after thinning.
-	kNodes, kDrivers, eDrivers []float64
+	// The observation table: one column per obsCols value (see the col
+	// constants), one row per observation, in fixed-size chunks allocated
+	// as the pipeline's history grows — growing moves nothing, and a
+	// pipeline holds what its observation count needs, to within a chunk.
+	chunks []*obsChunk
+	n      int // observations held
+	// g0 is the retained global snapshot index of observation 0. A
+	// started pipeline is fed every snapshot until it ends, so
+	// observation i is global snapshot g0+i — before and after a thin.
+	g0 int
 
 	worst worstState
 
@@ -221,27 +221,68 @@ type OnlinePipeline struct {
 	valid   bool // lastSig corresponds to the last appended observation
 }
 
+// Columns of the observation table: the snapshot's virtual time, the
+// driver fraction, the three sums the worst-case (PMAX/SAFE) state is
+// rebuilt from after thinning, then one estimate per kind.
+const (
+	colTime = iota
+	colFrac
+	colKNodes
+	colKDrivers
+	colEDrivers
+	colEst
+	obsCols = colEst + int(NumKinds)
+)
+
+// obsChunkRows is the table's growth step: a third of the benchmark's
+// pipelines never outgrow one chunk (6.5 KB), the longest take 14.
+const obsChunkRows = 64
+
+// obsChunk holds obsChunkRows observations column by column, so a scan
+// down one column — the marker searches of the dynamic features — reads
+// consecutive words.
+type obsChunk [obsCols][obsChunkRows]float64
+
+// slot returns observation i's chunk and its row there.
+func (p *OnlinePipeline) slot(i int) (*obsChunk, int) {
+	return p.chunks[i/obsChunkRows], i % obsChunkRows
+}
+
+// at returns column col of observation i.
+func (p *OnlinePipeline) at(col, i int) float64 {
+	return p.chunks[i/obsChunkRows][col][i%obsChunkRows]
+}
+
+// reserve makes room for n observations.
+func (p *OnlinePipeline) reserve(n int) {
+	for len(p.chunks)*obsChunkRows < n {
+		p.chunks = append(p.chunks, new(obsChunk))
+	}
+}
+
 // NumObs returns the number of observations recorded for the pipeline.
-func (p *OnlinePipeline) NumObs() int { return len(p.times) }
+func (p *OnlinePipeline) NumObs() int { return p.n }
 
 // Estimate returns estimator kind's current (latest) value, or 0 before
 // the first observation.
 func (p *OnlinePipeline) Estimate(kind Kind) float64 {
-	s := p.est[kind]
-	if len(s) == 0 {
+	if p.n == 0 {
 		return 0
 	}
-	return s[len(s)-1]
+	return p.EstimateAt(kind, p.n-1)
 }
 
 // EstimateAt returns estimator kind's value at observation ordinal i.
-func (p *OnlinePipeline) EstimateAt(kind Kind, i int) float64 { return p.est[kind][i] }
+func (p *OnlinePipeline) EstimateAt(kind Kind, i int) float64 { return p.at(colEst+int(kind), i) }
 
 // AppendSeries appends estimator kind's accumulated series to dst and
 // returns the extended slice — the alloc-free counterpart of Series for
 // callers that reuse a scratch buffer across reads.
 func (p *OnlinePipeline) AppendSeries(dst []float64, kind Kind) []float64 {
-	return append(dst, p.est[kind]...)
+	for left, ci := p.n, 0; left > 0; left, ci = left-obsChunkRows, ci+1 {
+		dst = append(dst, p.chunks[ci][colEst+int(kind)][:min(left, obsChunkRows)]...)
+	}
+	return dst
 }
 
 // Series returns a copy of estimator kind's accumulated series.
@@ -251,83 +292,53 @@ func (p *OnlinePipeline) Series(kind Kind) []float64 {
 
 // DriverFraction returns the consumed driver-input fraction at observation
 // ordinal i.
-func (p *OnlinePipeline) DriverFraction(i int) float64 { return p.fracs[i] }
+func (p *OnlinePipeline) DriverFraction(i int) float64 { return p.at(colFrac, i) }
 
 // CurrentDriverFraction returns the latest driver fraction (0 before the
 // first observation).
 func (p *OnlinePipeline) CurrentDriverFraction() float64 {
-	if len(p.fracs) == 0 {
+	if p.n == 0 {
 		return 0
 	}
-	return p.fracs[len(p.fracs)-1]
+	return p.DriverFraction(p.n - 1)
 }
 
 // TimeSinceStart returns the virtual time elapsed since the pipeline's
 // start at observation ordinal i.
-func (p *OnlinePipeline) TimeSinceStart(i int) float64 { return p.times[i] - p.StartTime }
+func (p *OnlinePipeline) TimeSinceStart(i int) float64 { return p.at(colTime, i) - p.StartTime }
 
-// reserve pre-sizes every per-observation series for n observations,
-// carving them all from one slab so pipeline start costs one allocation
-// (plus one for the index column) instead of thirteen. Subsequent feeds
-// append within capacity — allocation-free until n is exceeded.
-func (p *OnlinePipeline) reserve(n int) {
-	if n <= 0 || cap(p.times) >= n {
-		return
-	}
-	slab := make([]float64, (5+int(NumKinds))*n)
-	off := 0
-	carve := func(old []float64) []float64 {
-		s := slab[off : off+len(old) : off+n]
-		copy(s, old)
-		off += n
-		return s
-	}
-	p.times = carve(p.times)
-	p.fracs = carve(p.fracs)
-	p.kNodes = carve(p.kNodes)
-	p.kDrivers = carve(p.kDrivers)
-	p.eDrivers = carve(p.eDrivers)
-	for k := range p.est {
-		p.est[k] = carve(p.est[k])
-	}
-	p.gidx = append(make([]int, 0, n), p.gidx...)
-}
-
-// feed appends the estimates for one snapshot.
+// feed appends the estimates for one snapshot, the retained global
+// snapshot g.
 func (p *OnlinePipeline) feed(s *exec.Snapshot, g int) {
+	if p.n == 0 {
+		p.g0 = g
+	}
+	p.reserve(p.n + 1)
+	c, r := p.slot(p.n)
+	p.n++
+	c[colTime][r] = s.Time
 	if p.unchanged(s) {
 		// Counters identical to the previous observation: every estimator
 		// is a pure function of them (and of state that only moves when
 		// they move), so the previous values repeat exactly.
-		n := len(p.times) - 1
-		p.times = append(p.times, s.Time)
-		p.fracs = append(p.fracs, p.fracs[n])
-		p.kNodes = append(p.kNodes, p.kNodes[n])
-		p.kDrivers = append(p.kDrivers, p.kDrivers[n])
-		p.eDrivers = append(p.eDrivers, p.eDrivers[n])
-		for k := range p.est {
-			p.est[k] = append(p.est[k], p.est[k][n])
+		pc, pr := p.slot(p.n - 2)
+		for col := colTime + 1; col < obsCols; col++ {
+			c[col][r] = pc[col][pr]
 		}
-		p.gidx = append(p.gidx, g)
 		return
 	}
-	p.times = append(p.times, s.Time)
-	p.fracs = append(p.fracs, p.driverFractionAt(s))
+	c[colFrac][r] = p.driverFractionAt(s)
 	k, _ := p.sums(p.Pipe.Nodes, s)
 	dk, de := p.sums(p.Pipe.Drivers, s)
-	p.kNodes = append(p.kNodes, k)
-	p.kDrivers = append(p.kDrivers, dk)
-	p.eDrivers = append(p.eDrivers, de)
-	p.est[DNE] = append(p.est[DNE], p.ratioAt(p.Pipe.Drivers, s))
-	p.est[TGN] = append(p.est[TGN], p.ratioAt(p.Pipe.Nodes, s))
-	p.est[BATCHDNE] = append(p.est[BATCHDNE], p.ratioAt(p.batchDrivers, s))
-	p.est[DNESEEK] = append(p.est[DNESEEK], p.ratioAt(p.seekDrivers, s))
-	p.est[TGNINT] = append(p.est[TGNINT], p.tgnintAt(s))
-	p.est[LUO] = append(p.est[LUO], p.luoAt(s))
-	pmax, safe := worstStep(&p.worst, k, dk, de)
-	p.est[PMAX] = append(p.est[PMAX], pmax)
-	p.est[SAFE] = append(p.est[SAFE], safe)
-	p.gidx = append(p.gidx, g)
+	c[colKNodes][r], c[colKDrivers][r], c[colEDrivers][r] = k, dk, de
+	est := c[colEst:]
+	est[DNE][r] = p.ratioAt(p.Pipe.Drivers, s)
+	est[TGN][r] = p.ratioAt(p.Pipe.Nodes, s)
+	est[BATCHDNE][r] = p.ratioAt(p.batchDrivers, s)
+	est[DNESEEK][r] = p.ratioAt(p.seekDrivers, s)
+	est[TGNINT][r] = p.tgnintAt(s)
+	est[LUO][r] = p.luoAt(s)
+	est[PMAX][r], est[SAFE][r] = worstStep(&p.worst, k, dk, de)
 	p.remember(s)
 }
 
@@ -358,26 +369,21 @@ func (p *OnlinePipeline) remember(s *exec.Snapshot) {
 }
 
 // thin mirrors the engine's history thinning: observations whose retained
-// global index is even are dropped, remaining indices are remapped, and
-// the history-dependent worst-case series is rebuilt over what remains.
+// global index is even are dropped, the survivors move down the table
+// (global index g becomes (g-1)/2, so they stay consecutive), and the
+// history-dependent worst-case series is rebuilt over what remains.
 func (p *OnlinePipeline) thin() {
 	w := 0
-	for r := 0; r < len(p.times); r++ {
-		if p.gidx[r]%2 != 1 {
-			continue
+	for r := 1 - p.g0%2; r < p.n; r += 2 {
+		wc, wr := p.slot(w)
+		rc, rr := p.slot(r)
+		for col := range wc {
+			wc[col][wr] = rc[col][rr]
 		}
-		p.times[w] = p.times[r]
-		p.fracs[w] = p.fracs[r]
-		p.kNodes[w] = p.kNodes[r]
-		p.kDrivers[w] = p.kDrivers[r]
-		p.eDrivers[w] = p.eDrivers[r]
-		for k := range p.est {
-			p.est[k][w] = p.est[k][r]
-		}
-		p.gidx[w] = (p.gidx[r] - 1) / 2
 		w++
 	}
-	p.truncate(w)
+	p.g0 /= 2
+	p.n = w
 	p.rebuildWorst()
 	// The last retained observation may no longer be the last fed
 	// snapshot, so the pure-function shortcut must re-verify.
@@ -389,21 +395,9 @@ func (p *OnlinePipeline) thin() {
 // exactly as an offline replay over the thinned trace would compute it.
 func (p *OnlinePipeline) rebuildWorst() {
 	st := newWorstState()
-	for i := range p.times {
-		p.est[PMAX][i], p.est[SAFE][i] = worstStep(&st, p.kNodes[i], p.kDrivers[i], p.eDrivers[i])
+	for i := 0; i < p.n; i++ {
+		c, r := p.slot(i)
+		c[colEst+int(PMAX)][r], c[colEst+int(SAFE)][r] = worstStep(&st, c[colKNodes][r], c[colKDrivers][r], c[colEDrivers][r])
 	}
 	p.worst = st
-}
-
-// truncate drops observations at ordinal n and beyond.
-func (p *OnlinePipeline) truncate(n int) {
-	p.times = p.times[:n]
-	p.fracs = p.fracs[:n]
-	p.kNodes = p.kNodes[:n]
-	p.kDrivers = p.kDrivers[:n]
-	p.eDrivers = p.eDrivers[:n]
-	for k := range p.est {
-		p.est[k] = p.est[k][:n]
-	}
-	p.gidx = p.gidx[:n]
 }

@@ -2,6 +2,7 @@ package progressest
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"progressest/internal/exec"
@@ -105,19 +106,29 @@ type Monitor struct {
 	shard       int
 	class       string
 	// obs assembles the updates; finish drops it, so a Monitor held for
-	// Wait pins the QueryRun and not the streaming view.
+	// Wait pins the trace and not the streaming view.
 	obs *monitorObserver
 	// release gives the admission slot back at the run's end (nil for a
 	// run started directly on a Workload).
 	release func()
 	done    chan struct{}
-	run     *QueryRun
+	// trace and err are the run's outcome, written by finish before done
+	// closes; run is built from trace by the first Wait.
+	trace   *exec.Trace
 	err     error
+	runOnce sync.Once
+	run     *QueryRun
 }
 
-// Wait blocks until the query completes and returns its QueryRun.
+// Wait blocks until the query completes and returns its QueryRun — the
+// same one to every caller. The replay views are built here, on the
+// first waiter's goroutine: the serving paths never wait, and the
+// executing goroutine has a slot to give back.
 func (m *Monitor) Wait() (*QueryRun, error) {
 	<-m.done
+	if m.trace != nil {
+		m.runOnce.Do(func() { m.run = newQueryRun(m.trace) })
+	}
 	return m.run, m.err
 }
 
@@ -395,9 +406,6 @@ func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, workloadName, fami
 	}
 	opts = opts.withDefaults()
 	view := progress.NewOnlineView(pl, pipes)
-	// Pre-size the per-pipeline series for the engine's observation
-	// target, so feeding snapshots stays allocation-free at steady state.
-	view.Reserve = exec.DefaultTargetObservations + 1
 	obs := &monitorObserver{
 		view:      view,
 		sel:       sel,
@@ -430,21 +438,14 @@ func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, workloadName, fami
 
 // finish is the one end of a monitored run. With the completed trace
 // (the observer has seen the full event stream, OnDone included) Wait
-// yields the QueryRun and the final Done update goes out; with a nil
+// yields its QueryRun and the final Done update goes out; with a nil
 // trace the run was aborted and Wait yields err. Either way the admission
 // slot comes back first — before the final update or Wait can tell
 // anyone the run is over — then the update stream closes.
 func (m *Monitor) finish(tr *exec.Trace, err error) {
 	obs := m.obs
 	m.obs = nil
-	if tr != nil {
-		m.run = &QueryRun{trace: tr}
-		for p := range tr.Pipes.Pipelines {
-			m.run.views = append(m.run.views, progress.NewPipelineView(tr, p))
-		}
-	} else {
-		m.err = err
-	}
+	m.trace, m.err = tr, err
 	if m.release != nil {
 		m.release()
 	}

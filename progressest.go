@@ -214,12 +214,7 @@ func (w *Workload) Run(i int) (*QueryRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := exec.RunDecomposed(w.inner.DB, pq.plan, pq.pipes, exec.Options{})
-	run := &QueryRun{trace: tr}
-	for p := range tr.Pipes.Pipelines {
-		run.views = append(run.views, progress.NewPipelineView(tr, p))
-	}
-	return run, nil
+	return newQueryRun(exec.RunDecomposed(w.inner.DB, pq.plan, pq.pipes, exec.Options{})), nil
 }
 
 // Example is one labelled pipeline execution: a feature vector plus the
@@ -255,6 +250,15 @@ type QueryRun struct {
 	trace *exec.Trace
 	views []*progress.PipelineView
 	query *progress.QueryView // lazily built for whole-query progress
+}
+
+// newQueryRun prepares the replay views of a finished trace.
+func newQueryRun(tr *exec.Trace) *QueryRun {
+	run := &QueryRun{trace: tr, views: make([]*progress.PipelineView, len(tr.Pipes.Pipelines))}
+	for p := range run.views {
+		run.views[p] = progress.NewPipelineView(tr, p)
+	}
+	return run
 }
 
 // queryView lazily builds the eq. 5 whole-query combination.
