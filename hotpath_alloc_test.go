@@ -84,3 +84,27 @@ func TestStartToDoneAllocBudget(t *testing.T) {
 	}
 	t.Logf("monitored query start-to-done: %v allocs (ceiling %d)", avg, startToDoneAllocCeiling)
 }
+
+// observeAllocCeiling bounds one POST …/observations of
+// BenchmarkSessionObserve's fixture — request and recorder included —
+// about 15 % over the 22 allocations it measures today (97 while the
+// batch was decoded by reflection into per-snapshot structs and the
+// session kept a fresh row per snapshot). The decode scratch is pooled,
+// so a collection mid-measurement costs a few allocations once; the
+// average over the runs does not see it.
+const observeAllocCeiling = 25
+
+// TestObserveAllocBudget gates the session wire the way
+// TestStartToDoneAllocBudget gates the native path: a per-snapshot or
+// per-delta allocation creeping back into the body read, the decoder or
+// the Runner's history fails here, not in a benchmark someone has to
+// read.
+func TestObserveAllocBudget(t *testing.T) {
+	f := newObserveFixture(t)
+	f.post() // the first batch starts the pipelines
+	avg := testing.AllocsPerRun(200, f.post)
+	if avg > observeAllocCeiling {
+		t.Fatalf("observation batch through ServeHTTP: %v allocs, ceiling %d", avg, observeAllocCeiling)
+	}
+	t.Logf("observation batch through ServeHTTP: %v allocs (ceiling %d)", avg, observeAllocCeiling)
+}

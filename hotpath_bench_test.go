@@ -1,9 +1,13 @@
 package progressest
 
 import (
+	"encoding/json"
+	"net/http"
+	"strings"
 	"testing"
 
 	"progressest/internal/exec"
+	"progressest/internal/ingest"
 )
 
 // snapshotCycle is the steady-state replay harness behind the paired
@@ -141,4 +145,104 @@ func BenchmarkMonitorStartToDone(b *testing.B) {
 			}
 		}
 	})
+}
+
+// observeFixture drives POST /sessions/{id}/observations through
+// Server.ServeHTTP with a recorder: a recorded 16-snapshot batch whose
+// snapshot times are rewritten in place before every post (a session's
+// clock only moves forward), so the fixture itself allocates nothing but
+// the request and the recorder (serve, sessions_scratch_test.go).
+type observeFixture struct {
+	tb     testing.TB
+	server *Server
+	spec   []byte
+	path   string
+	body   []byte
+	times  []int // offset of each snapshot's 10-digit time in body
+	clock  int   // the last time written
+	posted int   // snapshots posted to the current session
+}
+
+// observeFixtureSnapshots bounds what one fixture session ingests before
+// post opens the next: its history is retained until it ends.
+const observeFixtureSnapshots = 16384
+
+func newObserveFixture(tb testing.TB) *observeFixture {
+	tb.Helper()
+	w, err := Open(Config{Dataset: TPCH, Queries: 2, Scale: 0.08, Seed: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	run, err := w.Run(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f := &observeFixture{tb: tb, server: NewServer(w, MonitorOptions{}), clock: 1e9}
+	tb.Cleanup(f.server.Close)
+	if f.spec, err = json.Marshal(ingest.SpecFromTrace(run.trace, "bench-ext", "bench-fam")); err != nil {
+		tb.Fatal(err)
+	}
+	// A mid-session batch: 16 snapshots, no start events.
+	batch := ingest.RecordBatches(run.trace, 16)[1]
+	f.body = append(f.body, `{"events":[`...)
+	for i, ev := range batch.Events {
+		deltas, err := json.Marshal(ev.Snapshot.Deltas)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if i > 0 {
+			f.body = append(f.body, ',')
+		}
+		f.body = append(f.body, `{"snapshot":{"time":`...)
+		f.times = append(f.times, len(f.body))
+		f.body = append(f.body, "0000000000"...)
+		f.body = append(f.body, `,"deltas":`...)
+		f.body = append(f.body, deltas...)
+		f.body = append(f.body, `}}`...)
+	}
+	f.body = append(f.body, `]}`...)
+	f.open()
+	return f
+}
+
+func (f *observeFixture) open() {
+	rec := serve(f.server, http.MethodPost, "/sessions", f.spec, true)
+	var info runInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || rec.Code != http.StatusCreated {
+		f.tb.Fatalf("open session: status %d: %s", rec.Code, rec.Body)
+	}
+	f.path, f.posted = "/sessions/"+info.ID+"/observations", 0
+}
+
+// post sends the batch once more, its snapshots stamped with the next 16
+// clock ticks.
+func (f *observeFixture) post() {
+	if f.posted >= observeFixtureSnapshots {
+		serve(f.server, http.MethodDelete, strings.TrimSuffix(f.path, "/observations"), nil, true)
+		f.open()
+	}
+	for _, at := range f.times {
+		f.clock++
+		for i, v := at+9, f.clock; i >= at; i, v = i-1, v/10 {
+			f.body[i] = byte('0' + v%10)
+		}
+	}
+	rec := serve(f.server, http.MethodPost, f.path, f.body, true)
+	if rec.Code != http.StatusOK {
+		f.tb.Fatalf("observations: status %d: %s", rec.Code, rec.Body)
+	}
+	f.posted += len(f.times)
+}
+
+// BenchmarkSessionObserve is the session wire's unit of work, handler to
+// handler: one observation batch read, decoded, applied to the session's
+// estimators and acknowledged.
+func BenchmarkSessionObserve(b *testing.B) {
+	f := newObserveFixture(b)
+	f.post() // the first batch starts the pipelines
+	b.SetBytes(int64(len(f.body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		f.post()
+	}
 }

@@ -93,7 +93,7 @@ func RunDecomposed(db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposi
 	tr := &Trace{
 		Plan:      p,
 		Pipes:     pipes,
-		Snapshots: ctx.sink.snapshots(),
+		Snapshots: ctx.sink.Snapshots(),
 		N:         ctx.K,
 		FinalR:    ctx.R,
 		FinalW:    ctx.W,
@@ -180,7 +180,7 @@ func newContext(db *storage.Database, p *plan.Plan, pipes *pipeline.Decompositio
 		pipeStarted: make([]bool, len(pipes.Pipelines)),
 		pipeKnown:   make([]bool, len(pipes.Pipelines)),
 		obsEvery:    obsEvery,
-		sink:        traceSink{nodes: n},
+		sink:        NewTraceSink(n),
 	}
 	if opts.SnapshotBatch > 1 {
 		if bo, ok := opts.Observer.(BatchObserver); ok {
@@ -228,7 +228,7 @@ type context struct {
 
 	totalGN   int64
 	obsEvery  int64
-	sink      traceSink
+	sink      TraceSink
 	lastSnapT float64
 
 	// rows backs every row an operator builds (see rowArena).
@@ -342,14 +342,14 @@ func (c *context) maybeSnapshot() {
 		return
 	}
 	c.snapshot()
-	if c.sink.rows() > c.opts.MaxObservations {
+	if c.sink.Rows() > c.opts.MaxObservations {
 		// Thin: keep every other snapshot and halve the sampling rate.
 		// Pending batched snapshots flush first — thinning compacts the
 		// arena in place, and the event order must match the unbatched
 		// stream (every snapshot delivered before the thin that drops it).
 		c.flushSnapshots()
 		c.sink.thin()
-		c.flushed = c.sink.rows()
+		c.flushed = c.sink.Rows()
 		if c.observer != nil {
 			c.observer.OnThin()
 		}
@@ -358,17 +358,17 @@ func (c *context) maybeSnapshot() {
 }
 
 func (c *context) snapshot() {
-	if c.sink.rows() > 0 && c.clock == c.lastSnapT {
+	if c.sink.Rows() > 0 && c.clock == c.lastSnapT {
 		return
 	}
-	c.sink.add(c.clock, c.K, c.R, c.W)
+	c.sink.Add(c.clock, c.K, c.R, c.W)
 	if c.batchObs != nil {
-		if c.sink.rows()-c.flushed >= c.batchSize {
+		if c.sink.Rows()-c.flushed >= c.batchSize {
 			c.flushSnapshots()
 		}
 	} else if c.observer != nil {
-		c.flushed = c.sink.rows()
-		c.observer.OnSnapshot(c.sink.at(c.flushed - 1))
+		c.flushed = c.sink.Rows()
+		c.observer.OnSnapshot(c.sink.At(c.flushed - 1))
 	}
 	c.lastSnapT = c.clock
 }
@@ -380,8 +380,8 @@ func (c *context) flushSnapshots() {
 	if c.batchObs == nil {
 		return
 	}
-	if n := c.sink.rows(); n > c.flushed {
-		c.batchObs.OnSnapshots(c.sink.window(c.flushed, n))
+	if n := c.sink.Rows(); n > c.flushed {
+		c.batchObs.OnSnapshots(c.sink.Window(c.flushed, n))
 		c.flushed = n
 	}
 }

@@ -89,40 +89,44 @@ func (BaseObserver) OnThin() {}
 // OnDone implements Observer.
 func (BaseObserver) OnDone(*Trace) {}
 
-// traceSink accumulates the snapshot history of the Trace returned by
-// Run. It sees exactly the event stream a user-supplied Observer does,
-// but stores the counter rows in an arena of fixed-size chunks (the
-// capture time plus 3·nodes int64s per row) instead of three fresh
-// slices per snapshot. The arena grows one chunk at a time and never
-// moves a stored row, so a run allocates what its peak row count needs —
-// to within a chunk — and copies nothing when it grows; thinning frees
-// rows for reuse in place. Snapshot headers are built on demand: a small
-// reused window for batched delivery, and once, at the run's final row
-// count, for the Trace. They alias arena rows, so the no-mutation
-// contract of Observer extends to the finished Trace.
-type traceSink struct {
+// TraceSink accumulates the snapshot history of a Trace — the one Run
+// returns, and the one an ingest.Runner synthesizes from an external
+// engine's counters. It stores the counter rows in an arena of
+// fixed-size chunks (the capture time plus 3·nodes int64s per row)
+// instead of three fresh slices per snapshot. The arena grows one chunk
+// at a time and never moves a stored row, so a run allocates what its
+// peak row count needs — to within a chunk — and copies nothing when it
+// grows; thinning frees rows for reuse in place. Snapshot headers are
+// built on demand: a small reused window for batched delivery, and once,
+// at the run's final row count, for the Trace. They alias arena rows, so
+// the no-mutation contract of Observer extends to the finished Trace.
+type TraceSink struct {
 	nodes  int
 	n      int       // rows held
 	chunks [][]int64 // sinkChunkRows rows of 1+3·nodes words each
 	win    []Snapshot
 }
 
+// NewTraceSink returns an empty sink for a plan of the given node count.
+func NewTraceSink(nodes int) TraceSink { return TraceSink{nodes: nodes} }
+
 // sinkChunkRows is the arena's growth step in rows. A run at the default
 // observation target holds 7–19 chunks, of 5–15 KB each at the
 // benchmark's plan sizes (3–12 nodes); half a chunk is what it wastes.
 const sinkChunkRows = 64
 
-func (t *traceSink) rows() int { return t.n }
+// Rows returns the number of snapshots held.
+func (t *TraceSink) Rows() int { return t.n }
 
 // row returns row i's words: the capture time's bits, then K, R and W.
-func (t *traceSink) row(i int) []int64 {
+func (t *TraceSink) row(i int) []int64 {
 	stride := 1 + 3*t.nodes
 	off := (i % sinkChunkRows) * stride
 	return t.chunks[i/sinkChunkRows][off : off+stride]
 }
 
-// at builds the Snapshot header of row i.
-func (t *traceSink) at(i int) Snapshot {
+// At builds the Snapshot header of row i.
+func (t *TraceSink) At(i int) Snapshot {
 	n := t.nodes
 	row := t.row(i)
 	c := row[1:]
@@ -130,9 +134,9 @@ func (t *traceSink) at(i int) Snapshot {
 		K: c[:n:n], R: c[n : 2*n : 2*n], W: c[2*n : 3*n : 3*n]}
 }
 
-// add copies the counters into the arena's next row. Alloc-free except
+// Add copies the counters into the arena's next row. Alloc-free except
 // for every sinkChunkRows-th row beyond the arena's high-water mark.
-func (t *traceSink) add(time float64, K, R, W []int64) {
+func (t *TraceSink) Add(time float64, K, R, W []int64) {
 	if t.n == len(t.chunks)*sinkChunkRows {
 		t.chunks = append(t.chunks, make([]int64, sinkChunkRows*(1+3*t.nodes)))
 	}
@@ -145,30 +149,30 @@ func (t *traceSink) add(time float64, K, R, W []int64) {
 	t.n++
 }
 
-// window returns the headers of rows [lo, hi) in a buffer reused by the
+// Window returns the headers of rows [lo, hi) in a buffer reused by the
 // next call — the batch handed to BatchObserver.OnSnapshots, which is
 // only valid for the duration of that call.
-func (t *traceSink) window(lo, hi int) []Snapshot {
+func (t *TraceSink) Window(lo, hi int) []Snapshot {
 	t.win = t.win[:0]
 	for i := lo; i < hi; i++ {
-		t.win = append(t.win, t.at(i))
+		t.win = append(t.win, t.At(i))
 	}
 	return t.win
 }
 
-// snapshots builds the finished trace's headers, one allocation at the
+// Snapshots builds the finished trace's headers, one allocation at the
 // final row count.
-func (t *traceSink) snapshots() []Snapshot {
+func (t *TraceSink) Snapshots() []Snapshot {
 	out := make([]Snapshot, t.n)
 	for i := range out {
-		out[i] = t.at(i)
+		out[i] = t.At(i)
 	}
 	return out
 }
 
 // thin keeps every other snapshot (the odd 0-based ordinals), compacting
 // the surviving rows down the arena in place.
-func (t *traceSink) thin() {
+func (t *TraceSink) thin() {
 	w := 0
 	for r := 1; r < t.n; r += 2 {
 		copy(t.row(w), t.row(r))

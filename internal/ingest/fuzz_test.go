@@ -6,10 +6,12 @@ import (
 	"progressest/internal/exec"
 )
 
-// FuzzDecodeBatch fuzzes the observation-batch wire decoder and the
-// runner behind it: whatever bytes arrive, decoding either fails cleanly
-// or yields a batch the session state machine processes without panics,
-// and the monotone-counter invariants hold on every accepted prefix.
+// FuzzDecodeBatch fuzzes the observation-batch wire decoder against the
+// reflection decoder it replaced, and the runner behind it: whatever
+// bytes arrive, the two decoders agree (or the grammar decoder refuses
+// for a documented reason — checkAgainstReference), and an accepted batch
+// is one the session state machine processes without panics, with the
+// monotone-counter invariants holding on every accepted prefix.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte(`{"events":[{"snapshot":{"time":1,"deltas":[{"node":0,"k":5,"r":40}]}}]}`))
 	f.Add([]byte(`{"events":[{"start":{"pipeline":0,"time":0.5}},{"snapshot":{"time":1,"deltas":[{"node":0,"k":5}]}}],"done":true,"ends":[{"pipeline":0,"time":1}]}`))
@@ -17,8 +19,22 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte(`{"events":[{"snapshot":{"time":-1,"deltas":[{"node":0,"k":-3}]}}]}`))
 	f.Add([]byte(`{"events":[{}]}`))
 	f.Add([]byte(`[]`))
+	// Two snapshots whose counters sum past int64.
+	f.Add([]byte(`{"events":[{"snapshot":{"time":1,"deltas":[{"node":0,"k":9223372036854775807}]}},{"snapshot":{"time":2,"deltas":[{"node":0,"k":9223372036854775807}]}}]}`))
+	// What the grammar refuses and the reflection decoder let through.
+	f.Add([]byte(`{"EVENTS":[],"Done":true}`))
+	f.Add([]byte(`{"d\u006fne":true}`))
+	f.Add([]byte(`{"done":false,"done":true}`))
+	f.Add([]byte(`{"events":[{"snapshot":{"time":1},"snapshot":{"deltas":[]}}]}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"events":[{"start":null,"snapshot":{"time":1,"deltas":null}}]}`))
+	// What both accept or both refuse.
+	f.Add([]byte(" {\t\"ends\" : [ ] ,\r\n\"events\":[ { \"snapshot\" : {\"deltas\":[ {\"w\":0 , \"node\" : 1} ],\"time\":-0.0e+0} } ] } \n"))
+	f.Add([]byte(`{"events":[{"snapshot":{"time":1e999}}]}`))
+	f.Add([]byte(`{"events":[{"snapshot":{"time":1,"deltas":[{"node":1.0,"k":1e2,"r":99999999999999999999,"w":01}]}}]}`))
+	f.Add([]byte(`{"events":[{"start":{"pipeline":-9223372036854775808,"time":1E-400}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeBatch(data)
+		b, err := checkAgainstReference(t, new(BatchDecoder), data)
 		if err != nil {
 			return
 		}

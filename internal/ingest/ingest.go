@@ -3,6 +3,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"progressest/internal/exec"
 	"progressest/internal/pipeline"
@@ -166,8 +167,10 @@ func Build(spec *Spec) (*Model, error) {
 // Runner is one session's ingestion state machine: it validates the
 // incoming event stream, maintains the cumulative counters, synthesizes
 // the exec.Observer events the estimator machinery consumes, and
-// retains the snapshots so completion can hand a full exec.Trace to the
-// harvest path. Callers must serialize Apply/Finish.
+// retains the snapshots — in the executor's own chunked sink — so
+// completion can hand a full exec.Trace to the harvest path. It keeps
+// nothing of a Batch past the call that applied it. Callers must
+// serialize Apply/Finish.
 type Runner struct {
 	model *Model
 	obs   exec.Observer
@@ -183,8 +186,8 @@ type Runner struct {
 	startAt  []float64
 	lastAct  []float64 // last time a pipeline's counters advanced
 
-	snaps     []exec.Snapshot // retained history (copied rows)
-	delivered int             // snaps delivered to the observer
+	sink      exec.TraceSink // retained history
+	delivered int            // rows delivered to the observer
 	finished  bool
 }
 
@@ -199,6 +202,7 @@ func NewRunner(m *Model, obs exec.Observer, batch, maxObs int) *Runner {
 		obs:     obs,
 		batch:   batch,
 		maxObs:  maxObs,
+		sink:    exec.NewTraceSink(n),
 		k:       make([]int64, n),
 		r:       make([]int64, n),
 		w:       make([]int64, n),
@@ -220,7 +224,7 @@ func NewRunner(m *Model, obs exec.Observer, batch, maxObs int) *Runner {
 }
 
 // Observations returns the number of retained snapshots.
-func (r *Runner) Observations() int { return len(r.snaps) }
+func (r *Runner) Observations() int { return r.sink.Rows() }
 
 // Finished reports whether Finish ran.
 func (r *Runner) Finished() bool { return r.finished }
@@ -268,27 +272,41 @@ func (r *Runner) applyStart(st *StartEvent) error {
 }
 
 func (r *Runner) applySnapshot(s *SnapshotEvent) error {
-	if s.Time < r.clock || (len(r.snaps) > 0 && s.Time <= r.lastSnap) {
+	if s.Time < r.clock || (r.sink.Rows() > 0 && s.Time <= r.lastSnap) {
 		return fmt.Errorf("%w: snapshot at %v, stream already at %v", ErrOutOfOrder, s.Time, r.clock)
 	}
-	if len(r.snaps) >= r.maxObs {
+	if r.sink.Rows() >= r.maxObs {
 		return fmt.Errorf("%w: %d snapshots", ErrLimit, r.maxObs)
 	}
 	n := r.model.Plan.NumNodes()
-	// Validate the whole delta set before mutating anything, so a
-	// rejected snapshot leaves the counters at the last consistent state.
-	for _, d := range s.Deltas {
-		if d.Node < 0 || d.Node >= n {
-			return fmt.Errorf("%w: unknown node %d", ErrInvalid, d.Node)
+	// Validate the whole delta set before anything observable happens. A
+	// delta is checked against the counters with the earlier deltas of
+	// the snapshot already added (two may address one node), so the first
+	// bad one takes those additions back: a rejected snapshot leaves the
+	// counters at the last consistent state.
+	for i, d := range s.Deltas {
+		var err error
+		switch {
+		case d.Node < 0 || d.Node >= n:
+			err = fmt.Errorf("%w: unknown node %d", ErrInvalid, d.Node)
+		case d.K < 0 || d.R < 0 || d.W < 0:
+			err = fmt.Errorf("%w: node %d delta (%d,%d,%d)", ErrRegression, d.Node, d.K, d.R, d.W)
+		case d.K > math.MaxInt64-r.k[d.Node] || d.R > math.MaxInt64-r.r[d.Node] || d.W > math.MaxInt64-r.w[d.Node]:
+			err = fmt.Errorf("%w: node %d delta (%d,%d,%d) overflows its counters", ErrInvalid, d.Node, d.K, d.R, d.W)
 		}
-		if d.K < 0 || d.R < 0 || d.W < 0 {
-			return fmt.Errorf("%w: node %d delta (%d,%d,%d)", ErrRegression, d.Node, d.K, d.R, d.W)
+		if err != nil {
+			for _, u := range s.Deltas[:i] {
+				r.k[u.Node] -= u.K
+				r.r[u.Node] -= u.R
+				r.w[u.Node] -= u.W
+			}
+			return err
 		}
-	}
-	for _, d := range s.Deltas {
 		r.k[d.Node] += d.K
 		r.r[d.Node] += d.R
 		r.w[d.Node] += d.W
+	}
+	for _, d := range s.Deltas {
 		if d.K != 0 || d.R != 0 || d.W != 0 {
 			pi := r.model.Pipes.PipelineOf(d.Node).ID
 			if !r.started[pi] {
@@ -302,19 +320,14 @@ func (r *Runner) applySnapshot(s *SnapshotEvent) error {
 	r.clock = s.Time
 	r.lastSnap = s.Time
 
-	row := make([]int64, 3*n)
-	copy(row[:n], r.k)
-	copy(row[n:2*n], r.r)
-	copy(row[2*n:], r.w)
-	snap := exec.Snapshot{Time: s.Time, K: row[:n:n], R: row[n : 2*n : 2*n], W: row[2*n : 3*n : 3*n]}
-	r.snaps = append(r.snaps, snap)
+	r.sink.Add(s.Time, r.k, r.r, r.w)
 	if r.bo != nil {
-		if len(r.snaps)-r.delivered >= r.batch {
+		if r.sink.Rows()-r.delivered >= r.batch {
 			r.flush()
 		}
 	} else {
-		r.obs.OnSnapshot(snap)
-		r.delivered = len(r.snaps)
+		r.delivered = r.sink.Rows()
+		r.obs.OnSnapshot(r.sink.At(r.delivered - 1))
 	}
 	return nil
 }
@@ -341,8 +354,8 @@ func (r *Runner) flush() {
 	if r.bo == nil {
 		return
 	}
-	if n := len(r.snaps); n > r.delivered {
-		r.bo.OnSnapshots(r.snaps[r.delivered:n])
+	if n := r.sink.Rows(); n > r.delivered {
+		r.bo.OnSnapshots(r.sink.Window(r.delivered, n))
 		r.delivered = n
 	}
 }
@@ -374,7 +387,7 @@ func (r *Runner) Finish(ends []PipeEnd) (*exec.Trace, error) {
 	tr := &exec.Trace{
 		Plan:              r.model.Plan,
 		Pipes:             r.model.Pipes,
-		Snapshots:         r.snaps,
+		Snapshots:         r.sink.Snapshots(),
 		N:                 r.k,
 		FinalR:            r.r,
 		FinalW:            r.w,

@@ -240,6 +240,94 @@ func TestDecodeBatchStrict(t *testing.T) {
 	if len(b.Events) != 1 || !b.Done || len(b.Ends) != 1 {
 		t.Fatalf("decoded batch: %+v", b)
 	}
+
+	// The grammar, case by case (decode.go spells it out): everything
+	// refused matches ErrInvalid and carries the wire prefix.
+	snap := func(deltas string) string {
+		return `{"events":[{"snapshot":{"time":1,"deltas":[` + deltas + `]}}]}`
+	}
+	for _, tc := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"case-folded keys", `{"EVENTS":[],"Done":true}`, false},
+		{"escaped key", `{"d\u006fne":true}`, false},
+		{"duplicate key", `{"done":false,"done":true}`, false},
+		{"duplicate snapshot", `{"events":[{"snapshot":{"time":1},"snapshot":{"time":2}}]}`, false},
+		{"duplicate delta key", snap(`{"node":0,"k":1,"k":2}`), false},
+		{"bare null", `null`, false},
+		{"null start beside a snapshot", `{"events":[{"start":null,"snapshot":{"time":1}}]}`, false},
+		{"null events", `{"events":null}`, false},
+		{"null deltas", `{"events":[{"snapshot":{"time":1,"deltas":null}}]}`, false},
+		{"null counter", snap(`{"node":0,"k":null}`), false},
+		{"null done", `{"done":null}`, false},
+		{"fractional node", snap(`{"node":1.0}`), false},
+		{"exponent counter", snap(`{"node":0,"k":1e2}`), false},
+		{"20-digit counter", snap(`{"node":0,"r":99999999999999999999}`), false},
+		{"counter one past int64", snap(`{"node":0,"w":9223372036854775808}`), false},
+		{"fractional pipeline", `{"events":[{"start":{"pipeline":0.5,"time":1}}]}`, false},
+		{"float out of range", `{"events":[{"snapshot":{"time":1e999}}]}`, false},
+		{"leading zero", snap(`{"node":01}`), false},
+		{"string value", snap(`{"node":"0"}`), false},
+		{"key of another shape", snap(`{"node":0,"time":1}`), false},
+		{"trailing comma", `{"done":true,}`, false},
+		{"array body", `[]`, false},
+		{"empty body", ``, false},
+		{"second value", `{"done":true}{}`, false},
+		{"NUL after the body", "{\"done\":true}\x00", false},
+
+		{"empty batch", `{}`, true},
+		{"int64 extremes", snap(`{"node":0,"k":9223372036854775807,"r":-9223372036854775808,"w":-0}`), true},
+		{"any member order", `{"ends":[{"time":2,"pipeline":0}],"done":true,"events":[{"snapshot":{"deltas":[{"w":1,"node":0}],"time":2}}]}`, true},
+		{"insignificant whitespace", " {\t\"done\" :\r\n true , \"events\" : [ { \"start\" : { \"pipeline\" : 0 , \"time\" : 1.5e0 } } ] } \n", true},
+		{"float forms", `{"events":[{"snapshot":{"time":-0.0E+0}},{"start":{"pipeline":0,"time":1e-400}}]}`, true},
+	} {
+		_, err := checkAgainstReference(t, new(BatchDecoder), []byte(tc.body))
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case !tc.ok && (!errors.Is(err, ErrInvalid) || !strings.HasPrefix(err.Error(), "ingest: invalid batch: ")):
+			t.Errorf("%s: want ErrInvalid with the wire prefix, got %v", tc.name, err)
+		}
+	}
+}
+
+// TestRunnerRejectsCounterOverflow: a cumulative counter that would pass
+// int64 is refused whole — across snapshots, and between two deltas for
+// one node inside a snapshot — and the session stays at the last
+// consistent prefix instead of harvesting a negative "monotone" counter.
+func TestRunnerRejectsCounterOverflow(t *testing.T) {
+	const big = 1<<63 - 1
+	r := NewRunner(mustBuild(t, testSpec()), exec.BaseObserver{}, 0, 0)
+	if err := r.Apply(&Batch{Events: []Event{snapEv(1, Delta{Node: 0, K: big, R: big - 5})}}); err != nil {
+		t.Fatal(err)
+	}
+	for name, ev := range map[string]Event{
+		"k across snapshots":  snapEv(2, Delta{Node: 0, K: 1}),
+		"r across snapshots":  snapEv(2, Delta{Node: 1, W: 7}, Delta{Node: 0, R: 6}),
+		"w inside a snapshot": snapEv(2, Delta{Node: 1, W: big}, Delta{Node: 1, K: 3, W: 1}),
+	} {
+		if err := r.Apply(&Batch{Events: []Event{ev}}); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("%s: want ErrInvalid, got %v", name, err)
+		}
+	}
+	if r.Observations() != 1 {
+		t.Fatalf("a refused snapshot was retained: %d observations", r.Observations())
+	}
+	// Nothing of the refused snapshots applied: the same node still has
+	// exactly the headroom it had.
+	if err := r.Apply(&Batch{Events: []Event{snapEv(2, Delta{Node: 0, R: 5}, Delta{Node: 1, K: 3, W: big})}}); err != nil {
+		t.Fatalf("in-range snapshot after the refusals: %v", err)
+	}
+	tr, err := r.Finish(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.N[0] != big || tr.FinalR[0] != big || tr.N[1] != 3 || tr.FinalW[1] != big {
+		t.Fatalf("final counters N=%v R=%v W=%v", tr.N, tr.FinalR, tr.FinalW)
+	}
 }
 
 // TestSpecJSONRoundTrip proves the wire encoding loses nothing Build

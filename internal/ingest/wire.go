@@ -10,7 +10,6 @@
 package ingest
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -135,55 +134,31 @@ type PipeEnd struct {
 	Time     float64 `json:"time"`
 }
 
-// MaxBatchBytes bounds one observation batch's wire size: a session
-// streams many small batches, so an oversized body is a client bug (or
-// abuse), not a use case.
+// MaxBatchBytes bounds one observation batch's wire size (and a session
+// spec's): a session streams many small batches, so an oversized body is
+// a client bug (or abuse), not a use case.
 const MaxBatchBytes = 8 << 20
 
-// ErrBatchTooLarge rejects an observation batch above the wire bound.
-var ErrBatchTooLarge = errors.New("ingest: observation batch exceeds wire size bound")
+// ErrBatchTooLarge rejects a request body — an observation batch or a
+// session spec — above the wire bound.
+var ErrBatchTooLarge = errors.New("ingest: request body exceeds the wire size bound")
 
-// DecodeBatch strictly decodes one observation batch: unknown fields
-// and trailing garbage are errors, so a client schema drift fails loudly
-// instead of silently dropping counters.
-func DecodeBatch(data []byte) (*Batch, error) {
-	if len(data) > MaxBatchBytes {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBatchTooLarge, len(data))
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var b Batch
-	if err := dec.Decode(&b); err != nil {
-		return nil, fmt.Errorf("ingest: invalid batch: %w", err)
-	}
-	if err := checkTrailing(dec); err != nil {
-		return nil, err
-	}
-	for i, ev := range b.Events {
-		if (ev.Start == nil) == (ev.Snapshot == nil) {
-			return nil, fmt.Errorf("%w: event %d must set exactly one of start/snapshot", ErrInvalid, i)
-		}
-	}
-	return &b, nil
-}
-
-// DecodeSpec strictly decodes a session-open spec from r.
+// DecodeSpec strictly decodes a session-open spec from r. A body over
+// MaxBatchBytes is ErrBatchTooLarge, not a truncated read.
 func DecodeSpec(r io.Reader) (*Spec, error) {
-	dec := json.NewDecoder(io.LimitReader(r, MaxBatchBytes))
+	body := &io.LimitedReader{R: r, N: MaxBatchBytes + 1}
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	err := dec.Decode(&s)
+	if body.N <= 0 {
+		return nil, fmt.Errorf("%w: spec over %d bytes", ErrBatchTooLarge, MaxBatchBytes)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("ingest: invalid spec: %w", err)
 	}
-	if err := checkTrailing(dec); err != nil {
-		return nil, err
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after body", ErrInvalid)
 	}
 	return &s, nil
-}
-
-func checkTrailing(dec *json.Decoder) error {
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("%w: trailing data after body", ErrInvalid)
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package progressest
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -160,7 +161,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // maxSmallBody bounds the small JSON request bodies (submit, resize,
-// rollback); the session routes bound theirs in internal/ingest.
+// rollback); the session routes bound theirs in requestScratch.readBody.
 const maxSmallBody = 64 << 10
 
 // decodeBody decodes a small JSON request body into v; an optional body
@@ -552,7 +553,19 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 // a run whose counter source is the observations route. Admission
 // refusals answer exactly as query submissions do.
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
-	spec, err := ingest.DecodeSpec(r.Body)
+	// The spec copies what it keeps of the body, so the scratch goes back
+	// before the admission wait, not after it.
+	sc := scratchPool.Get().(*requestScratch)
+	body, ok := sc.readBody(w, r, "open session")
+	var spec *ingest.Spec
+	var err error
+	if ok {
+		spec, err = ingest.DecodeSpec(bytes.NewReader(body))
+	}
+	sc.release(nil)
+	if !ok {
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "open session: %v", err)
 		return
@@ -590,24 +603,24 @@ type observeResponse struct {
 // observation batch. Validation failures map onto the ingest error
 // taxonomy — 400 malformed, 409 ordering/regression/already-completed,
 // 413 size or retention limits — and a rejected batch leaves the session
-// at its last consistent prefix.
+// at its last consistent prefix. The body and the decoded batch live in
+// pooled scratch that goes back when the handler returns: apply copies
+// what the session keeps.
 func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 	run := s.sessions.find(w, r)
 	if run == nil {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, ingest.MaxBatchBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "observations: %v", err)
+	sc := scratchPool.Get().(*requestScratch)
+	var batch *ingest.Batch
+	defer func() { sc.release(batch) }()
+	body, ok := sc.readBody(w, r, "observations")
+	if !ok {
 		return
 	}
-	batch, err := ingest.DecodeBatch(body)
+	batch, err := sc.dec.Decode(body)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ingest.ErrBatchTooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, "observations: %v", err)
+		writeError(w, http.StatusBadRequest, "observations: %v", err)
 		return
 	}
 	added, state, err := s.apply(run, batch)

@@ -3,6 +3,9 @@ package progressest
 import (
 	"context"
 	"fmt"
+	"io"
+	"net/http"
+	"sync"
 	"time"
 
 	"progressest/internal/exec"
@@ -41,6 +44,74 @@ func (c SessionConfig) withDefaults() SessionConfig {
 		c.MaxKept = 256
 	}
 	return c
+}
+
+// requestScratch is one session-route request's working memory: the
+// body's bytes and, for an observation batch, the decoder whose slabs the
+// decoded Batch lives in. Both are valid until the handler returns and
+// no longer — nothing decoded from a request may be retained past apply,
+// which is why ingest.Runner copies every delta and end time it keeps.
+// Scratch is pooled per process, not per session or connection, so an
+// idle daemon holds none of it past the next two GC cycles.
+type requestScratch struct {
+	body []byte
+	dec  ingest.BatchDecoder
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(requestScratch) }}
+
+// maxPooledBody keeps a scratch grown by one huge body (a hundred times
+// the usual batch) from pinning that memory in the pool.
+const maxPooledBody = 256 << 10
+
+// scratchReleased, when a test sets it, sees every scratch on its way
+// back to the pool: the whole body buffer and the batch decoded into the
+// slabs (nil if the request decoded none).
+var scratchReleased func(body []byte, batch *ingest.Batch)
+
+func (sc *requestScratch) release(batch *ingest.Batch) {
+	if scratchReleased != nil {
+		scratchReleased(sc.body[:cap(sc.body)], batch)
+	}
+	if cap(sc.body) <= maxPooledBody {
+		scratchPool.Put(sc)
+	}
+}
+
+// readBody is the session routes' bounded body read, into the scratch's
+// buffer (sized from Content-Length when the client sent one). On
+// failure it answers — 413 past ingest.MaxBatchBytes, 400 for a broken
+// read — and returns false.
+func (sc *requestScratch) readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
+	const limit = ingest.MaxBatchBytes
+	tooLarge := r.ContentLength > limit
+	buf := sc.body[:0]
+	var err error
+	if !tooLarge {
+		// One byte more than announced: the Read that reports EOF needs room.
+		if need := int(max(r.ContentLength+1, 512)); need > cap(buf) {
+			buf = make([]byte, 0, need)
+		}
+		for err == nil && len(buf) <= limit {
+			if len(buf) == cap(buf) {
+				buf = append(buf, 0)[:len(buf)]
+			}
+			var n int
+			n, err = r.Body.Read(buf[len(buf):min(cap(buf), limit+1)])
+			buf = buf[:len(buf)+n]
+		}
+		sc.body = buf
+		tooLarge = len(buf) > limit
+	}
+	switch {
+	case tooLarge:
+		writeError(w, http.StatusRequestEntityTooLarge, "%s: %v (%d bytes)", what, ingest.ErrBatchTooLarge, limit)
+	case err != io.EOF:
+		writeError(w, http.StatusBadRequest, "%s: %v", what, err)
+	default:
+		return buf, true
+	}
+	return nil, false
 }
 
 // openSession tracks a new external session. The spec must already have
