@@ -1,19 +1,20 @@
 // Command progressd is the progress-estimation daemon: it builds a
 // workload (database + parameterised queries), optionally loads a trained
 // selection model, and serves live query monitoring over HTTP. The
-// serving core is a sharded engine — a pool of workload replicas behind
-// one admission gate with a bounded queue and least-loaded dispatch — so
-// submitted queries execute concurrently across replicas while their
-// streaming progress estimates (per pipeline and combined per eq. 5 of
-// the paper) are polled as JSON.
+// serving core is a sharded engine — one workload behind one admission
+// gate with a bounded queue and least-loaded dispatch over a pool of
+// shards, each a bucket of -max-live admission slots, so pool size ×
+// -max-live is the concurrency cap — and submitted queries execute
+// concurrently up to that cap while their streaming progress estimates
+// (per pipeline and combined per eq. 5 of the paper) are polled as JSON.
 //
 // The pool is elastic: with -max-shards above -min-shards a background
 // controller polls the gate every -autoscale-interval and grows the pool
-// by one replica after sustained saturation (admission queue more than
+// by one shard after sustained saturation (admission queue more than
 // half full, or rejections, across consecutive polls) up to -max-shards,
-// and drains one replica back after sustained idleness down to
+// and drains one shard back after sustained idleness down to
 // -min-shards — with a cooldown between resizes so a single bursty poll
-// never flaps the pool. A shrunk replica finishes its live queries,
+// never flaps the pool. A shrunk shard finishes its live queries,
 // receives nothing new, and is reaped once empty; its lifetime counters
 // survive in GET /engine/stats, which also reports the resize history
 // and the controller's last decision. POST /engine/resize is the
@@ -163,10 +164,10 @@ func main() {
 	scale := flag.Float64("scale", 0.15, "database scale")
 	zipf := flag.Float64("zipf", 1, "data skew factor z")
 	seed := flag.Int64("seed", 1, "random seed")
-	shards := flag.Int("shards", 1, "workload replicas the pool starts with")
+	shards := flag.Int("shards", 1, "shards the pool starts with: buckets of -max-live admission slots, so the concurrency cap is shards × max-live")
 	queueDepth := flag.Int("queue-depth", 64, "admissions queued once all shards are at capacity (0 = reject immediately)")
 	maxLive := flag.Int("max-live", 64, "concurrent queries per shard")
-	minShards := flag.Int("min-shards", 0, "lower autoscale bound for the replica pool (default: -shards)")
+	minShards := flag.Int("min-shards", 0, "lower autoscale bound for the shard pool (default: -shards)")
 	maxShards := flag.Int("max-shards", 0, "upper autoscale bound; above -min-shards it enables load-driven grow/shrink (default: -shards, fixed pool)")
 	autoscaleInterval := flag.Duration("autoscale-interval", 2*time.Second, "how often the autoscaler polls the admission gate")
 	noAutoscale := flag.Bool("no-autoscale", false, "never resize the pool automatically (POST /engine/resize still works)")

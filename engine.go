@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"progressest/internal/engine"
@@ -16,17 +14,18 @@ import (
 
 // EngineConfig sizes the sharded execution engine.
 type EngineConfig struct {
-	// Shards is the number of Workload replicas the pool starts with
-	// (default 1, clamped into [MinShards, MaxShards]). Replicas share
-	// the immutable database and query set, so extra shards cost planner
-	// state, not a database copy.
+	// Shards is the number of shards the pool starts with (default 1,
+	// clamped into [MinShards, MaxShards]). A shard is a bucket of
+	// MaxLivePerShard admission slots, not a copy of anything: every
+	// shard executes on the engine's one Workload, so the pool size only
+	// sets the concurrency cap, and resizing moves that cap.
 	Shards int
-	// MaxLivePerShard bounds the queries executing concurrently on one
-	// replica (default 64); the engine-wide live bound is
+	// MaxLivePerShard bounds the queries holding a slot of one shard at
+	// once (default 64); the engine-wide live bound is
 	// active shards × MaxLivePerShard.
 	MaxLivePerShard int
 	// QueueDepth bounds the admissions waiting for a slot once every
-	// replica is at capacity; 0 disables queueing, so a saturated engine
+	// shard is at capacity; 0 disables queueing, so a saturated engine
 	// rejects immediately (IsSaturated).
 	QueueDepth int
 	// RouteByFamily serves each query with the selector version trained
@@ -38,7 +37,7 @@ type EngineConfig struct {
 	// initial pool size, i.e. a fixed pool; MinShards wins when they
 	// conflict). When MaxShards > MinShards and autoscaling is not
 	// disabled, a background controller grows the pool while the
-	// admission queue runs hot and shrinks it back while replicas idle —
+	// admission queue runs hot and shrinks it back while shards idle —
 	// see the Autoscale* knobs. Resize is available either way.
 	MinShards int
 	MaxShards int
@@ -50,7 +49,7 @@ type EngineConfig struct {
 	// AutoscaleGrowPolls is the number of consecutive polls the admission
 	// queue must be more than half full (or rejecting) before one shard
 	// is added (default 3); AutoscaleShrinkPolls the consecutive polls
-	// with an empty queue and an idle replica before one is drained
+	// with an empty queue and an idle shard before one is drained
 	// (default 10). AutoscaleCooldown is the minimum gap between two
 	// resizes (default 3× the interval). The hysteresis exists so one
 	// bursty poll never flaps the pool.
@@ -64,7 +63,7 @@ type EngineConfig struct {
 	// submission carries a client tag, which inherits the family weight
 	// — so under saturation every class converges to at least its weight
 	// share of the admissions instead of one hot family monopolizing
-	// every replica.
+	// every slot.
 	QoSWeights map[string]int
 	// ClassQueueDepth bounds one class's share of the admission queue
 	// (default QueueDepth: no per-class tightening).
@@ -105,27 +104,19 @@ func ParseQoSWeights(s string) (map[string]int, error) {
 	return out, nil
 }
 
-// Engine is the sharded execution engine: a pool of Workload replicas
-// behind one admission gate (bounded queue, per-replica live bound,
-// least-loaded dispatch), sharing one Learning loop — every replica
-// harvests into the same corpus and serves from the same hot-swapped
-// model registry, optionally routed per workload family. The pool is
-// elastic: Resize grows and shrinks it at runtime, and an optional
+// Engine is the sharded execution engine: one Workload behind one
+// admission gate (bounded fair queue, per-shard live bound, least-loaded
+// dispatch) and one Learning loop — every query harvests into the same
+// corpus and is served from the same hot-swapped model registry,
+// optionally routed per workload family. Its shards are buckets of
+// admission slots: pool size × MaxLivePerShard is the concurrency cap.
+// The pool is elastic: Resize moves the cap at runtime, and an optional
 // autoscaler drives Resize from the gate's own queue-depth and rejection
 // signals. It is the serving core progressd wraps in HTTP.
 type Engine struct {
+	w    *Workload
 	opts MonitorOptions
 	gate *engine.Gate
-	// replicas is the slot-indexed replica pool, published atomically so
-	// the Start hot path never takes the resize lock. The slice only ever
-	// grows (shrink marks gate slots draining, it never compacts), and a
-	// slot becomes dispatchable only AFTER its replica is published, so
-	// indexing the freshest slice with a granted Slot.Shard is always in
-	// bounds.
-	replicas atomic.Pointer[[]*Workload]
-	// resizeMu serialises resizes: replica growth and the gate resize
-	// must be one atomic step from other resizers' point of view.
-	resizeMu sync.Mutex
 
 	minShards, maxShards int
 	sloP99               time.Duration
@@ -133,7 +124,7 @@ type Engine struct {
 	scaler               *engine.Autoscaler // nil with autoscaling off
 }
 
-// NewEngine builds an engine of cfg.Shards replicas of w. The monitor
+// NewEngine builds an engine of cfg.Shards shards over w. The monitor
 // options apply to every query the engine starts; cfg.RouteByFamily
 // switches them to per-family model routing. Defaulting of the gate
 // bounds (per-shard live limit, queue depth) is owned by the internal
@@ -176,12 +167,8 @@ func NewEngine(w *Workload, cfg EngineConfig, opts MonitorOptions) *Engine {
 		ClassQueueDepth:   cfg.ClassQueueDepth,
 		DeadlineAdmission: cfg.DeadlineAdmission,
 	})
-	replicas := make([]*Workload, shards)
-	replicas[0] = w
-	for i := 1; i < shards; i++ {
-		replicas[i] = w.replica()
-	}
 	e := &Engine{
+		w:         w,
 		opts:      opts,
 		gate:      gate,
 		minShards: minShards,
@@ -189,7 +176,6 @@ func NewEngine(w *Workload, cfg EngineConfig, opts MonitorOptions) *Engine {
 		sloP99:    cfg.SLOQueueWaitP99,
 		deadline:  cfg.DeadlineAdmission,
 	}
-	e.replicas.Store(&replicas)
 	if !cfg.DisableAutoscale && maxShards > minShards {
 		e.scaler = engine.NewAutoscaler(engine.AutoscalerConfig{
 			Min:             minShards,
@@ -207,171 +193,63 @@ func NewEngine(w *Workload, cfg EngineConfig, opts MonitorOptions) *Engine {
 	return e
 }
 
-// Workload returns the engine's primary replica (slot 0) — the handle
-// for query metadata like NumQueries and QueryText. Slot 0 can be
-// drained out of dispatch by a shrink, but its workload handle stays
-// valid for the engine's life.
-func (e *Engine) Workload() *Workload { return (*e.replicas.Load())[0] }
+// Workload returns the workload every shard of the engine executes on —
+// also the handle for query metadata like NumQueries and QueryText.
+func (e *Engine) Workload() *Workload { return e.w }
 
-// NumShards returns the number of active (dispatchable) replicas right
+// NumShards returns the number of active (dispatchable) shards right
 // now; a resize changes it.
 func (e *Engine) NumShards() int { return e.gate.NumShards() }
 
 // learning returns the shared learning loop, or nil.
 func (e *Engine) learning() *Learning { return e.opts.Learning }
 
-// maxResizePool bounds any requested pool size: a replica costs real
-// memory (planner state), so an absurd operator request must fail fast
-// instead of allocating its way to an OOM. A configured MaxShards above
-// it raises the bound.
+// maxResizePool bounds any requested pool size: the gate scans its slots
+// on every dispatch and reports each one in Stats, so an absurd operator
+// request must fail fast. A configured MaxShards above it raises the
+// bound.
 const maxResizePool = 256
 
 // errResizeInvalid marks a resize request refused by validation (the
 // HTTP layer's 400, vs. IsDraining's 409).
 var errResizeInvalid = errors.New("invalid resize")
 
-// Resize sets the active replica count to n (operator override of the
-// autoscaler; POST /engine/resize in the daemon). Grow publishes fresh
-// replicas and then widens the gate, admitting queued work immediately;
-// shrink marks the emptiest replicas draining — they finish their live
-// queries, receive nothing new, and are reaped once empty, keeping their
-// lifetime counters in Stats. n may land outside [MinShards, MaxShards]
-// (the bounds steer the autoscaler, not the operator, whose override
-// also restarts the controller's hysteresis) but never above
-// max(256, MaxShards) — each replica costs planner state. Resizing fails
-// with an IsDraining error once Drain began.
+// Resize sets the active shard count to n (operator override of the
+// autoscaler; POST /engine/resize in the daemon). Grow widens the gate,
+// admitting queued work immediately; shrink marks the emptiest shards
+// draining — their live queries finish, they receive nothing new, and
+// they are reaped once empty, keeping their lifetime counters in Stats.
+// n may land outside [MinShards, MaxShards] (the bounds steer the
+// autoscaler, not the operator, whose override also restarts the
+// controller's hysteresis) but never above max(256, MaxShards). Resizing
+// fails with an IsDraining error once Drain began.
 func (e *Engine) Resize(n int) error {
 	return e.resize(-1, n, "operator", "operator resize request")
-}
-
-// resizeCap is the largest acceptable pool size.
-func (e *Engine) resizeCap() int {
-	if e.maxShards > maxResizePool {
-		return e.maxShards
-	}
-	return maxResizePool
 }
 
 // resize applies one pool resize. expectFrom >= 0 makes it conditional
 // on the active count still being expectFrom (the autoscaler's
 // compare-and-swap against concurrent operator overrides); -1 applies
-// unconditionally.
+// unconditionally. The gate serialises resizers under its own lock and
+// is the authority on draining and the compare-and-swap.
 func (e *Engine) resize(expectFrom, n int, source, reason string) error {
 	if n < 1 {
 		return fmt.Errorf("progressest: %w: %d shards, need at least 1", errResizeInvalid, n)
 	}
-	if bound := e.resizeCap(); n > bound {
+	if bound := max(maxResizePool, e.maxShards); n > bound {
 		return fmt.Errorf("progressest: %w: %d shards exceeds the pool cap %d", errResizeInvalid, n, bound)
 	}
-	e.resizeMu.Lock()
-	defer e.resizeMu.Unlock()
-	gs := e.gate.Stats()
-	// Fail fast BEFORE allocating replicas — a refusal the gate would
-	// issue anyway (draining, stale CAS) must not cost a pool's worth of
-	// planner state. The gate re-checks both authoritatively under its
-	// own lock; losing that race just means the rollback below fires.
-	if gs.Draining {
-		return engine.ErrDraining
-	}
-	if expectFrom >= 0 && gs.ActiveShards != expectFrom {
-		return engine.ErrResizeConflict
-	}
-	// Publish replicas for every slot the gate could make dispatchable
-	// BEFORE widening it, because queued waiters are granted inside
-	// Resize itself. The gate grows by reactivating draining slots
-	// (replica still present — pruning only touches slots observed
-	// reaped, under this same mutex), then resurrecting reaped slots
-	// lowest-index first (replica was reclaimed on reap, rebuild it),
-	// then appending. A draining slot can reap between this snapshot
-	// and the gate's commit, shifting which reaped slots the gate picks,
-	// so provision the reachable SUPERSET — the first `need` reaped
-	// slots with no draining discount (any commit-time pick is provably
-	// within it) — rather than mirroring the gate's exact selection; the
-	// prune after a successful resize reclaims whatever went unused. A
-	// deep-shrunk pool growing by one still rebuilds one replica, not
-	// every reclaimed slot.
-	old := *e.replicas.Load()
-	grew := false
-	if need := n - gs.ActiveShards; need > 0 {
-		size := len(old)
-		if n > size {
-			size = n
-		}
-		grown := make([]*Workload, size)
-		copy(grown, old)
-		left := need
-		for i, sh := range gs.Shards {
-			if left == 0 {
-				break
-			}
-			if sh.State == engine.ShardReaped {
-				if grown[i] == nil {
-					grown[i] = old[0].replica()
-					grew = true
-				}
-				left--
-			}
-		}
-		for i := len(gs.Shards); left > 0 && i < len(grown); i++ {
-			grown[i] = old[0].replica()
-			grew = true
-			left--
-		}
-		if grew {
-			e.replicas.Store(&grown)
-		}
-	}
-	var err error
 	if expectFrom >= 0 {
-		err = e.gate.ResizeFrom(expectFrom, n, source, reason)
-	} else {
-		err = e.gate.Resize(n, source, reason)
+		return e.gate.ResizeFrom(expectFrom, n, source, reason)
 	}
-	if err != nil {
-		// None of the fresh slots became dispatchable; drop them again.
-		if grew {
-			e.replicas.Store(&old)
-		}
-		return err
-	}
-	e.pruneReapedLocked()
-	return nil
-}
-
-// pruneReapedLocked reclaims the planner state of reaped slots — the
-// point of shrinking an idle pool — by dropping their replicas from the
-// published slice, and returns the gate snapshot it judged against so
-// the caller need not take a second one. resizeMu must be held: it
-// excludes the resize path that resurrects reaped slots, and a slot
-// observed reaped here cannot be granted work (the gate only grants to
-// active slots, and a granted slot has live > 0 until released, so it
-// can never read as reaped). Slot 0 is never pruned: it is the engine's
-// primary Workload handle and the template future replicas are cloned
-// from.
-func (e *Engine) pruneReapedLocked() engine.Stats {
-	gs := e.gate.Stats()
-	old := *e.replicas.Load()
-	var pruned []*Workload
-	for i, sh := range gs.Shards {
-		if i == 0 || i >= len(old) || old[i] == nil || sh.State != engine.ShardReaped {
-			continue
-		}
-		if pruned == nil {
-			pruned = append([]*Workload(nil), old...)
-		}
-		pruned[i] = nil
-	}
-	if pruned != nil {
-		e.replicas.Store(&pruned)
-	}
-	return gs
+	return e.gate.Resize(n, source, reason)
 }
 
 // Start admits query i through the gate — waiting in the bounded fair
-// queue under the query family's admission class when every replica is
-// at capacity — then plans and executes it on the least-loaded replica,
-// streaming progress through the returned Monitor (whose Shard reports
-// the placement). It fails with an IsSaturated error when the queue is
+// queue under the query family's admission class when every shard is at
+// capacity — then plans and executes it in a slot of the least-loaded
+// shard, streaming progress through the returned Monitor (whose Shard
+// reports the placement). It fails with an IsSaturated error when the queue is
 // full, an IsDeadlineShed error when deadline admission sheds it, an
 // IsDraining error after Drain began, or ctx's error if it expires
 // while queued.
@@ -385,13 +263,12 @@ func (e *Engine) Start(ctx context.Context, i int) (*Monitor, error) {
 // between a family's clients too — one flooding client cannot starve
 // the rest of its own family. Monitor.Class reports the class used.
 func (e *Engine) StartTagged(ctx context.Context, i int, client string) (*Monitor, error) {
-	w := e.Workload()
-	if n := w.NumQueries(); i < 0 || i >= n {
+	if n := e.w.NumQueries(); i < 0 || i >= n {
 		return nil, fmt.Errorf("progressest: query index %d out of range [0,%d)", i, n)
 	}
 	var run func()
-	m, err := e.admit(ctx, w.QueryFamily(i), client, func(w *Workload, opts MonitorOptions) (m *Monitor, err error) {
-		m, run, err = w.prepare(i, opts)
+	m, err := e.admit(ctx, e.w.QueryFamily(i), client, func(opts MonitorOptions) (m *Monitor, err error) {
+		m, run, err = e.w.prepare(i, opts)
 		return m, err
 	})
 	if err != nil {
@@ -404,15 +281,15 @@ func (e *Engine) StartTagged(ctx context.Context, i int, client string) (*Monito
 // admit is the one admission path, for native queries and external
 // sessions alike: it derives the class (family, or "family|client"),
 // waits for a slot in the gate's bounded fair queue, has build set the
-// run's monitor up on the granted replica under the engine's monitor
-// options, stamps the placement, and ties the slot to the run's end —
+// run's monitor up under the engine's monitor options, stamps the
+// placement, and ties the slot to the run's end —
 // Monitor.finish releases it, whoever ends the run. The slot is held for
 // the run's whole life: an open session IS a live query from the gate's
 // point of view, so session load and native load share one capacity
 // model. build must not start the counter source; nothing may feed the
 // monitor until admit returns.
 func (e *Engine) admit(ctx context.Context, family, client string,
-	build func(w *Workload, opts MonitorOptions) (*Monitor, error)) (*Monitor, error) {
+	build func(opts MonitorOptions) (*Monitor, error)) (*Monitor, error) {
 	class := family
 	if client != "" {
 		class = class + "|" + client
@@ -421,7 +298,7 @@ func (e *Engine) admit(ctx context.Context, family, client string,
 	if err != nil {
 		return nil, err
 	}
-	m, err := build((*e.replicas.Load())[slot.Shard], e.opts)
+	m, err := build(e.opts)
 	if err != nil {
 		slot.Release()
 		return nil, err
@@ -446,43 +323,16 @@ func (e *Engine) Drain(ctx context.Context) error {
 	return e.gate.Drain(ctx)
 }
 
-// ShardStats is one replica's live/lifetime admission counters.
-type ShardStats struct {
-	// Shard is the replica index.
-	Shard int `json:"shard"`
-	// Live is the number of queries executing on the replica right now.
-	Live int `json:"live"`
-	// Admitted counts the queries ever dispatched to the replica; a
-	// reaped replica keeps its count.
-	Admitted int64 `json:"admitted"`
-	// State is the replica's pool state: "active" (dispatchable),
-	// "draining" (shrink-marked: finishing live queries, receiving
-	// nothing new) or "reaped" (out of the pool; counters retained).
-	State string `json:"state"`
-}
+// ShardStats is one shard's live/lifetime admission counters, with its
+// pool state: "active", "draining" or "reaped".
+type ShardStats = engine.ShardStats
 
 // ResizeEvent is one applied pool resize (the GET /engine/stats
 // "resize_events" entries, newest last, bounded history).
-type ResizeEvent struct {
-	// At is when the resize was applied.
-	At time.Time `json:"at"`
-	// From and To are the active shard counts before and after.
-	From int `json:"from"`
-	To   int `json:"to"`
-	// Source is who asked: "autoscale" or "operator".
-	Source string `json:"source"`
-	// Reason is the requester's rationale.
-	Reason string `json:"reason,omitempty"`
-}
+type ResizeEvent = engine.ResizeEvent
 
 // AutoscaleDecision is the controller's most recent poll verdict.
-type AutoscaleDecision struct {
-	At     time.Time `json:"at"`
-	Action string    `json:"action"` // "grow", "shrink" or "hold"
-	From   int       `json:"from"`
-	To     int       `json:"to"`
-	Reason string    `json:"reason,omitempty"`
-}
+type AutoscaleDecision = engine.Decision
 
 // LatencyStats is one windowed latency distribution's wire form:
 // nearest-rank percentiles over the most recent Samples observations,
@@ -538,10 +388,10 @@ type ClassStats struct {
 // EngineStats is a point-in-time snapshot of the engine (the GET
 // /engine/stats wire form).
 type EngineStats struct {
-	// Shards holds the per-replica counters, including draining and
-	// reaped replicas (whose lifetime counters survive a shrink).
+	// Shards holds the per-shard counters, including draining and
+	// reaped shards (whose lifetime counters survive a shrink).
 	Shards []ShardStats `json:"shards"`
-	// CurrentShards is the active (dispatchable) replica count;
+	// CurrentShards is the active (dispatchable) shard count;
 	// MinShards and MaxShards are the autoscaler's bounds.
 	CurrentShards int `json:"current_shards"`
 	MinShards     int `json:"min_shards"`
@@ -552,7 +402,7 @@ type EngineStats struct {
 	// is the queue's bound.
 	Queued     int `json:"queued"`
 	QueueDepth int `json:"queue_depth"`
-	// MaxLivePerShard is the per-replica live bound.
+	// MaxLivePerShard is the per-shard live bound.
 	MaxLivePerShard int `json:"max_live_per_shard"`
 	// Admitted and Rejected are lifetime engine-wide counters; ShedTotal
 	// counts submissions deadline admission shed before they could occupy
@@ -614,20 +464,9 @@ type IngestStats struct {
 
 // Stats snapshots the engine's admission counters.
 func (e *Engine) Stats() EngineStats {
-	// Opportunistically reclaim the replicas of shards reaped since the
-	// last resize — a loaded shard drains first and reaps on its final
-	// release, outside any resize call — reusing the prune's own gate
-	// snapshot for the report. TryLock: a stats poll must never wait
-	// behind a resize building replicas.
-	var gs engine.Stats
-	if e.resizeMu.TryLock() {
-		gs = e.pruneReapedLocked()
-		e.resizeMu.Unlock()
-	} else {
-		gs = e.gate.Stats()
-	}
+	gs := e.gate.Stats()
 	st := EngineStats{
-		Shards:          make([]ShardStats, len(gs.Shards)),
+		Shards:          gs.Shards,
 		CurrentShards:   gs.ActiveShards,
 		MinShards:       e.minShards,
 		MaxShards:       e.maxShards,
@@ -640,14 +479,12 @@ func (e *Engine) Stats() EngineStats {
 		ShedTotal:       gs.Shed,
 		QueueWait:       latencyStats(gs.QueueWait),
 		Resizes:         gs.Resizes,
+		ResizeEvents:    gs.ResizeEvents,
 		Draining:        gs.Draining,
 		RouteByFamily:   e.opts.RouteByFamily,
 
 		SLOQueueWaitP99MS: float64(e.sloP99) / float64(time.Millisecond),
 		DeadlineAdmission: e.deadline,
-	}
-	for i, sh := range gs.Shards {
-		st.Shards[i] = ShardStats(sh)
 	}
 	for _, c := range gs.Classes {
 		st.Classes = append(st.Classes, ClassStats{
@@ -661,20 +498,16 @@ func (e *Engine) Stats() EngineStats {
 			Latency:   latencyStats(c.Latency),
 		})
 	}
-	for _, ev := range gs.ResizeEvents {
-		st.ResizeEvents = append(st.ResizeEvents, ResizeEvent(ev))
-	}
 	if e.scaler != nil {
 		if d, ok := e.scaler.Last(); ok {
-			dec := AutoscaleDecision(d)
-			st.LastDecision = &dec
+			st.LastDecision = &d
 		}
 	}
 	return st
 }
 
 // IsSaturated reports whether err means the engine rejected a query
-// because every replica is at capacity and the admission queue is full —
+// because every shard is at capacity and the admission queue is full —
 // the HTTP layer's 429.
 func IsSaturated(err error) bool { return errors.Is(err, engine.ErrSaturated) }
 

@@ -35,7 +35,7 @@ func waitStats(t *testing.T, base, what string, pred func(EngineStats) bool) Eng
 // submission burst keeps the admission queue hot, the autoscaler grows
 // the pool to MaxShards — both the shard count and the grow events
 // observable in GET /engine/stats — and once the burst stops and the
-// replicas idle, the pool shrinks back to MinShards.
+// shards idle, the pool shrinks back to MinShards.
 func TestEngineAdaptivePoolEndToEnd(t *testing.T) {
 	w := serverWorkload(t)
 	eng := NewEngine(w, EngineConfig{
@@ -99,7 +99,7 @@ func TestEngineAdaptivePoolEndToEnd(t *testing.T) {
 		t.Fatal("no autoscaler decision surfaced in stats")
 	}
 
-	// End the burst; queries finish, replicas idle, the pool shrinks back.
+	// End the burst; queries finish, shards idle, the pool shrinks back.
 	close(stop)
 	wg.Wait()
 	shrunk := waitStats(t, srv.URL, "shrink back to min shards", func(st EngineStats) bool {
@@ -114,7 +114,7 @@ func TestEngineAdaptivePoolEndToEnd(t *testing.T) {
 	if !sawShrink {
 		t.Fatalf("no autoscale shrink event in %+v", shrunk.ResizeEvents)
 	}
-	// The reaped replicas' lifetime counters survive in the stats.
+	// The reaped shards' lifetime counters survive in the stats.
 	var sum int64
 	for _, sh := range shrunk.Shards {
 		sum += sh.Admitted
@@ -137,8 +137,9 @@ func TestEngineAdaptivePoolEndToEnd(t *testing.T) {
 
 // TestEngineOperatorResizeEndpoint: POST /engine/resize is the operator
 // override — it resizes a fixed (non-autoscaled) pool in both
-// directions, validates its input, and is refused once the engine
-// drains.
+// directions (a regrow over reaped shards included), answers with the
+// document GET /engine/stats serves, validates its input, and is refused
+// once the engine drains.
 func TestEngineOperatorResizeEndpoint(t *testing.T) {
 	w := serverWorkload(t)
 	eng := NewEngine(w, EngineConfig{Shards: 2, MaxLivePerShard: 1, QueueDepth: 4},
@@ -157,27 +158,35 @@ func TestEngineOperatorResizeEndpoint(t *testing.T) {
 	if len(st.ResizeEvents) != 1 || st.ResizeEvents[0].Source != "operator" {
 		t.Fatalf("resize events: %+v", st.ResizeEvents)
 	}
-	// The widened pool actually serves: four concurrent paced queries
-	// land on four distinct replicas.
-	seen := map[int]bool{}
-	var ids []string
-	for i := 0; i < 4; i++ {
-		var info struct {
-			ID    string `json:"id"`
-			Shard int    `json:"shard"`
+	// The answer is the whole stats document, session accounting included.
+	if st.Ingest == nil {
+		t.Fatalf("resize response lacks the ingest block GET /engine/stats carries: %+v", st)
+	}
+	// The widened pool actually serves: four concurrently held paced
+	// queries land on four distinct shards.
+	spread := func(when string) {
+		t.Helper()
+		seen := map[int]bool{}
+		var ids []string
+		for i := 0; i < 4; i++ {
+			var info struct {
+				ID    string `json:"id"`
+				Shard int    `json:"shard"`
+			}
+			if code := doJSON(t, http.MethodPost, srv.URL+"/queries", `{"query": 0}`, &info); code != http.StatusAccepted {
+				t.Fatalf("%s: submit %d: status %d", when, i, code)
+			}
+			seen[info.Shard] = true
+			ids = append(ids, info.ID)
 		}
-		if code := doJSON(t, http.MethodPost, srv.URL+"/queries", `{"query": 0}`, &info); code != http.StatusAccepted {
-			t.Fatalf("submit %d: status %d", i, code)
+		if len(seen) != 4 {
+			t.Fatalf("%s: 4 concurrent queries used shards %v, want all 4", when, seen)
 		}
-		seen[info.Shard] = true
-		ids = append(ids, info.ID)
+		for _, id := range ids {
+			waitDone(t, srv.URL, id)
+		}
 	}
-	if len(seen) != 4 {
-		t.Fatalf("4 concurrent queries used shards %v, want all 4", seen)
-	}
-	for _, id := range ids {
-		waitDone(t, srv.URL, id)
-	}
+	spread("post-grow")
 
 	if code := doJSON(t, http.MethodPost, srv.URL+"/engine/resize", `{"shards": 1}`, &st); code != http.StatusOK {
 		t.Fatalf("resize down: status %d", code)
@@ -185,9 +194,14 @@ func TestEngineOperatorResizeEndpoint(t *testing.T) {
 	if st.CurrentShards != 1 {
 		t.Fatalf("post-shrink stats: %+v", st)
 	}
+	// Regrow resurrects the three reaped shards, and they serve.
+	if err := eng.Resize(4); err != nil {
+		t.Fatal(err)
+	}
+	spread("post-regrow")
 
 	// Invalid sizes — including one past the pool cap, which must fail
-	// validation instead of allocating a billion replica slots.
+	// validation instead of allocating a billion shard slots.
 	for _, body := range []string{`{"shards": 0}`, `{"shards": -2}`, `{"shards": 1000000000}`, `{not json`} {
 		if code := doJSON(t, http.MethodPost, srv.URL+"/engine/resize", body, nil); code != http.StatusBadRequest {
 			t.Fatalf("resize %s: status %d, want 400", body, code)
@@ -202,13 +216,15 @@ func TestEngineOperatorResizeEndpoint(t *testing.T) {
 	if code := doJSON(t, http.MethodPost, srv.URL+"/engine/resize", `{"shards": 2}`, nil); code != http.StatusConflict {
 		t.Fatalf("resize while draining: status %d, want 409", code)
 	}
+	if err := eng.Resize(200); !IsDraining(err) {
+		t.Fatalf("resize while draining: %v, want IsDraining", err)
+	}
 }
 
 // TestEngineResizeSoak races real query execution against a resize storm
-// at the Engine level (under -race): every admitted query must execute on
-// a provisioned replica — a gate-activated slot with a nil *Workload
-// would panic here — stats must stay serviceable throughout, and every
-// query must complete.
+// at the Engine level (under -race): every admitted query must execute,
+// whichever shard's slot it was granted mid-resize, stats must stay
+// serviceable throughout, and every query must complete.
 func TestEngineResizeSoak(t *testing.T) {
 	w := serverWorkload(t)
 	eng := NewEngine(w, EngineConfig{Shards: 2, MaxLivePerShard: 2, QueueDepth: 16},
@@ -279,88 +295,6 @@ func TestEngineResizeSoak(t *testing.T) {
 		if sh.Live != 0 {
 			t.Fatalf("shard %d still live after soak: %+v", sh.Shard, st.Shards)
 		}
-	}
-}
-
-// TestEngineShrinkReclaimsReplicas: shrinking actually frees what the
-// feature exists to free — a reaped slot's *Workload replica is dropped
-// from the engine's published slice (slot 0, the primary handle, always
-// stays), a refused resize retains nothing, and a later grow rebuilds
-// replicas that serve.
-func TestEngineShrinkReclaimsReplicas(t *testing.T) {
-	w := serverWorkload(t)
-	// Pacing keeps each query live while the next ones start: the final
-	// spread check needs four concurrently held slots, and a finished
-	// query's slot is back the moment it ends.
-	eng := NewEngine(w, EngineConfig{Shards: 4, MaxLivePerShard: 1, QueueDepth: 4},
-		MonitorOptions{UpdateEvery: 4, Pace: time.Millisecond})
-	replicas := func() (total, held int) {
-		reps := *eng.replicas.Load()
-		for _, r := range reps {
-			if r != nil {
-				held++
-			}
-		}
-		return len(reps), held
-	}
-	if total, held := replicas(); total != 4 || held != 4 {
-		t.Fatalf("initial pool %d/%d, want 4/4", held, total)
-	}
-	// Idle shrink reaps immediately and reclaims all but the survivor.
-	if err := eng.Resize(1); err != nil {
-		t.Fatal(err)
-	}
-	if total, held := replicas(); total != 4 || held != 1 {
-		t.Fatalf("post-shrink pool holds %d/%d replicas, want 1/4 (reaped slots reclaimed)", held, total)
-	}
-	if eng.Workload() == nil {
-		t.Fatal("primary replica pruned")
-	}
-	// A +1 grow after the deep shrink rebuilds exactly one replica, not
-	// every reclaimed slot.
-	if err := eng.Resize(2); err != nil {
-		t.Fatal(err)
-	}
-	if total, held := replicas(); total != 4 || held != 2 {
-		t.Fatalf("post-(+1)-grow pool holds %d/%d replicas, want 2/4", held, total)
-	}
-	// Regrow resurrects the remaining reaped slots with fresh replicas
-	// that serve.
-	if err := eng.Resize(4); err != nil {
-		t.Fatal(err)
-	}
-	if total, held := replicas(); total != 4 || held != 4 {
-		t.Fatalf("post-regrow pool holds %d/%d replicas, want 4/4", held, total)
-	}
-	seen := map[int]bool{}
-	var monitors []*Monitor
-	for i := 0; i < 4; i++ {
-		m, err := eng.Start(context.Background(), i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[m.Shard()] = true
-		monitors = append(monitors, m)
-	}
-	if len(seen) != 4 {
-		t.Fatalf("post-regrow queries on shards %v, want all 4", seen)
-	}
-	for _, m := range monitors {
-		for range m.Updates {
-		}
-		if _, err := m.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A refused resize (draining) allocates and retains nothing.
-	if err := eng.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Resize(200); !IsDraining(err) {
-		t.Fatalf("resize while draining: %v, want IsDraining", err)
-	}
-	if total, _ := replicas(); total != 4 {
-		t.Fatalf("refused resize leaked %d slots", total)
 	}
 }
 

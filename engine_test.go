@@ -11,7 +11,7 @@ import (
 )
 
 // TestEngineShardsServeConcurrently: `-shards 4` serves concurrent
-// queries spread across all replicas, and GET /engine/stats reports the
+// queries spread across all shards, and GET /engine/stats reports the
 // per-shard live counts while they run.
 func TestEngineShardsServeConcurrently(t *testing.T) {
 	w := serverWorkload(t)
@@ -270,7 +270,7 @@ func TestEngineFamilyRoutingEndToEnd(t *testing.T) {
 			mOther.ModelVersion(), mOther.ModelFamily(), global.ID)
 	}
 	if mTop.Shard() == mOther.Shard() {
-		t.Fatalf("both queries landed on shard %d despite a free replica", mTop.Shard())
+		t.Fatalf("both queries landed on shard %d despite a free shard", mTop.Shard())
 	}
 	for range mTop.Updates {
 	}

@@ -84,7 +84,7 @@ func (c *snapshotCycle) tick() {
 		c.obs.OnSnapshots(seg)
 	} else {
 		for i := range seg {
-			c.obs.OnSnapshot(seg[i])
+			c.obs.OnSnapshots(seg[i : i+1])
 		}
 	}
 	c.retained += c.every

@@ -1,6 +1,7 @@
 package progressest
 
 import (
+	"sync"
 	"testing"
 
 	"progressest/internal/exec"
@@ -111,9 +112,8 @@ func assertSameUpdates(t *testing.T, qi int, a, b []ProgressUpdate) {
 	}
 }
 
-// TestPlanCacheReusesPlans checks the per-workload plan cache: repeated
-// runs of one query share the cached plan and decomposition, and an
-// engine replica starts with its own empty cache.
+// TestPlanCacheReusesPlans checks the per-workload plan table: repeated
+// runs of one query share the cached plan and decomposition.
 func TestPlanCacheReusesPlans(t *testing.T) {
 	w, err := Open(Config{Dataset: TPCH, Queries: 2, Scale: 0.08, Seed: 3})
 	if err != nil {
@@ -136,18 +136,53 @@ func TestPlanCacheReusesPlans(t *testing.T) {
 	if pq3, _ := w.planned(0); pq3 != pq1 {
 		t.Fatal("Run evicted or replaced the cached plan")
 	}
-	r := w.replica()
-	if r.plans.entries != nil {
-		t.Fatal("replica inherited the parent's plan cache")
-	}
-	rq, err := r.planned(0)
+}
+
+// TestPlanTableColdRace (run under -race in CI): goroutines planning the
+// same cold query concurrently — every engine shard shares the one table
+// — all come back with the same entry, and neither Run nor Start ever
+// replaces it.
+func TestPlanTableColdRace(t *testing.T) {
+	w, err := Open(Config{Dataset: TPCH, Queries: 4, Scale: 0.08, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rq == pq1 {
-		t.Fatal("replica shares the parent's cache entries")
-	}
-	if rq.plan.String() != pq1.plan.String() {
-		t.Fatal("replica planned a different plan for the same query")
+	for qi := 0; qi < w.NumQueries(); qi++ {
+		const planners = 8
+		got := make([]*plannedQuery, planners)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				pq, err := w.planned(qi)
+				if err != nil {
+					t.Error(err)
+				}
+				got[g] = pq
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for g, pq := range got {
+			if pq == nil || pq != got[0] {
+				t.Fatalf("query %d: planner %d got entry %p, planner 0 got %p", qi, g, pq, got[0])
+			}
+		}
+		if _, err := w.Run(qi); err != nil {
+			t.Fatal(err)
+		}
+		m, err := w.Start(qi, MonitorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if pq, _ := w.planned(qi); pq != got[0] {
+			t.Fatalf("query %d: Run/Start replaced the published plan entry", qi)
+		}
 	}
 }

@@ -21,7 +21,7 @@ type AutoscalerConfig struct {
 	GrowAfter int
 	// ShrinkAfter is the number of consecutive idle polls — an empty
 	// queue and at least one active shard with zero live queries — before
-	// one shard is drained (default 10; idling a replica is cheap, so the
+	// one shard is drained (default 10; idle slots are free, so the
 	// controller is slower to give capacity back than to add it).
 	ShrinkAfter int
 	// Cooldown is the minimum gap between two applied resizes (default

@@ -1,11 +1,12 @@
-// Package engine is the sharded execution core of progressd: a pool of
-// workload replicas ("shards") behind one admission gate with a bounded
-// wait queue, least-loaded dispatch, a draining shutdown path and
-// runtime resizing — the pool grows and shrinks while admissions flow.
-// The gate is execution-agnostic — it hands out shard slots and the
-// caller runs whatever work the slot admits, releasing it on completion —
-// so the admission logic is unit-testable without a database, a trained
-// model or an HTTP layer.
+// Package engine is the admission core of progressd: a pool of shards —
+// buckets of MaxLivePerShard admission slots each, so pool size × that
+// bound is the concurrency cap — behind one gate with a bounded wait
+// queue, least-loaded dispatch, a draining shutdown path and runtime
+// resizing, which moves the cap while admissions flow. The gate is
+// execution-agnostic — it hands out shard slots and the caller runs
+// whatever work the slot admits (all of it on one shared workload),
+// releasing it on completion — so the admission logic is unit-testable
+// without a database, a trained model or an HTTP layer.
 //
 // Admission is QoS-aware: waiters queue under named classes (workload
 // families, optionally per client) scheduled by the internal/qos
@@ -28,8 +29,8 @@ import (
 
 // Config sizes the gate.
 type Config struct {
-	// Shards is the number of workload replicas behind the gate
-	// (default 1). The pool can be resized at runtime (Resize).
+	// Shards is the number of slot buckets behind the gate (default 1).
+	// The pool can be resized at runtime (Resize).
 	Shards int
 	// MaxLivePerShard bounds the queries executing concurrently on one
 	// shard (default 64).
@@ -120,11 +121,11 @@ const (
 	ShardReaped = "reaped"
 )
 
-// shardState is one replica slot's admission bookkeeping. Slots are
-// identified by their index in the gate's slice, which is stable for the
-// gate's life: shrink never compacts the slice, it only marks slots
+// shardState is one shard's admission bookkeeping. Shards are identified
+// by their index in the gate's slice, which is stable for the gate's
+// life: shrink never compacts the slice, it only marks shards
 // draining/reaped, so a Slot.Shard handed out earlier always refers to
-// the same replica.
+// the same counters.
 type shardState struct {
 	live     int
 	admitted int64
@@ -146,7 +147,7 @@ func (s *shardState) state() string {
 // Slot is one admitted unit of work, pinned to a shard. Release it
 // exactly when the work finishes; Release is idempotent.
 type Slot struct {
-	// Shard is the replica index the admission was dispatched to.
+	// Shard is the index of the shard the admission was dispatched to.
 	Shard int
 
 	g    *Gate
@@ -164,7 +165,8 @@ func (s *Slot) Release() {
 // maxResizeEvents bounds the retained resize history.
 const maxResizeEvents = 32
 
-// ResizeEvent records one applied pool resize.
+// ResizeEvent records one applied pool resize (the GET /engine/stats
+// "resize_events" entries, oldest first, bounded history).
 type ResizeEvent struct {
 	// At is when the resize was applied.
 	At time.Time `json:"at"`
@@ -375,15 +377,12 @@ func (g *Gate) release(shard int, cls *qos.Class, at time.Time) {
 // Resize sets the number of active shards to n. Grow reactivates draining
 // shards first (their live work is capacity already paid for), then
 // resurrects reaped slots, and only appends brand-new slots for the
-// remainder — so a caller owning per-slot replicas must provision every
-// slot this could activate (len(Stats().Shards) existing slots plus the
-// appended tail up to n) BEFORE calling Resize, because fresh capacity
-// admits queued work immediately, inside this call. Shrink marks the emptiest
-// active shards draining (ties to the highest index, so slot 0 — the
-// primary replica — is the last to go); a draining shard finishes its
-// live queries, receives nothing new, and is reaped when empty, keeping
-// its lifetime counters in Stats. Resizing a draining gate fails with
-// ErrDraining; n == current active count is a recorded no-op-free
+// remainder; fresh capacity admits queued work immediately, inside this
+// call. Shrink marks the emptiest active shards draining (ties to the
+// highest index, so shard 0 is the last to go); a draining shard finishes
+// its live queries, receives nothing new, and is reaped when empty,
+// keeping its lifetime counters in Stats. Resizing a draining gate fails
+// with ErrDraining; n == current active count is a recorded no-op-free
 // success.
 func (g *Gate) Resize(n int, source, reason string) error {
 	return g.resizeChecked(-1, n, source, reason)
@@ -415,12 +414,8 @@ func (g *Gate) resizeChecked(expectFrom, n int, source, reason string) error {
 	case n == from:
 		return nil
 	case n > from:
-		// Grow order — reactivate draining, resurrect reaped
-		// lowest-index first, append — is a contract: the caller owning
-		// per-slot replicas provisions a superset of the slots this
-		// order can activate before calling (see
-		// progressest.Engine.resize, which also covers a draining slot
-		// reaping between its snapshot and this commit).
+		// Grow order: reactivate draining, resurrect reaped lowest-index
+		// first, append.
 		need := n - from
 		for i := range g.shards {
 			if need == 0 {
@@ -511,14 +506,21 @@ func (g *Gate) QueueWaitHint() time.Duration {
 	return g.sched.WaitSummary().P90
 }
 
-// ShardStats is one shard's live/lifetime counters. Reaped shards keep
-// reporting their lifetime Admitted count — shrinking never erases
-// history.
+// ShardStats is one shard's live/lifetime counters (the GET /engine/stats
+// "shards" entries).
 type ShardStats struct {
-	Shard    int    `json:"shard"`
-	Live     int    `json:"live"`
-	Admitted int64  `json:"admitted"`
-	State    string `json:"state"`
+	// Shard is the shard index.
+	Shard int `json:"shard"`
+	// Live is the number of queries holding one of the shard's slots
+	// right now.
+	Live int `json:"live"`
+	// Admitted counts the queries ever dispatched to the shard; a reaped
+	// shard keeps its count — shrinking never erases history.
+	Admitted int64 `json:"admitted"`
+	// State is the shard's pool state: ShardActive (dispatchable),
+	// ShardDraining (shrink-marked: finishing live queries, receiving
+	// nothing new) or ShardReaped (out of the pool; counters retained).
+	State string `json:"state"`
 }
 
 // Stats is a point-in-time snapshot of the gate. The whole snapshot —

@@ -42,11 +42,11 @@ type Options struct {
 	// Observer, when non-nil, receives the execution event stream (pipeline
 	// starts/ends, snapshots, thinning, completion) while the query runs.
 	Observer Observer
-	// SnapshotBatch, when > 1 and Observer implements BatchObserver,
-	// buffers up to this many consecutive snapshots and delivers them in
-	// one OnSnapshots call. Pending snapshots always flush before another
-	// event fires, so the delivered stream is identical to the unbatched
-	// one — only the call granularity changes. Ignored otherwise.
+	// SnapshotBatch, when > 1, buffers up to this many consecutive
+	// snapshots and delivers them to Observer in one OnSnapshots call.
+	// Pending snapshots always flush before another event fires, so the
+	// delivered stream is identical to the batch-of-one default — only the
+	// call granularity changes.
 	SnapshotBatch int
 }
 
@@ -181,12 +181,7 @@ func newContext(db *storage.Database, p *plan.Plan, pipes *pipeline.Decompositio
 		pipeKnown:   make([]bool, len(pipes.Pipelines)),
 		obsEvery:    obsEvery,
 		sink:        NewTraceSink(n),
-	}
-	if opts.SnapshotBatch > 1 {
-		if bo, ok := opts.Observer.(BatchObserver); ok {
-			ctx.batchObs = bo
-			ctx.batchSize = opts.SnapshotBatch
-		}
+		batchSize:   max(opts.SnapshotBatch, 1),
 	}
 	for i := range ctx.firstActive {
 		ctx.firstActive[i] = -1
@@ -234,10 +229,8 @@ type context struct {
 	// rows backs every row an operator builds (see rowArena).
 	rows rowArena
 
-	// Batched snapshot delivery (Options.SnapshotBatch): the sink's rows
-	// from flushed on have been captured but not yet delivered to
-	// batchObs.
-	batchObs  BatchObserver
+	// Snapshot delivery (Options.SnapshotBatch): the sink's rows from
+	// flushed on have been captured but not yet delivered to observer.
 	batchSize int
 	flushed   int
 }
@@ -344,9 +337,9 @@ func (c *context) maybeSnapshot() {
 	c.snapshot()
 	if c.sink.Rows() > c.opts.MaxObservations {
 		// Thin: keep every other snapshot and halve the sampling rate.
-		// Pending batched snapshots flush first — thinning compacts the
-		// arena in place, and the event order must match the unbatched
-		// stream (every snapshot delivered before the thin that drops it).
+		// Pending snapshots flush first — thinning compacts the arena in
+		// place, and every snapshot is delivered before the thin that
+		// drops it, whatever the batch size.
 		c.flushSnapshots()
 		c.sink.thin()
 		c.flushed = c.sink.Rows()
@@ -362,26 +355,20 @@ func (c *context) snapshot() {
 		return
 	}
 	c.sink.Add(c.clock, c.K, c.R, c.W)
-	if c.batchObs != nil {
-		if c.sink.Rows()-c.flushed >= c.batchSize {
-			c.flushSnapshots()
-		}
-	} else if c.observer != nil {
-		c.flushed = c.sink.Rows()
-		c.observer.OnSnapshot(c.sink.At(c.flushed - 1))
+	if c.sink.Rows()-c.flushed >= c.batchSize {
+		c.flushSnapshots()
 	}
 	c.lastSnapT = c.clock
 }
 
 // flushSnapshots delivers the captured-but-undelivered snapshots as one
-// batch. No-op in unbatched mode (delivery already happened per
-// snapshot) and when nothing is pending.
+// batch. No-op without an observer and when nothing is pending.
 func (c *context) flushSnapshots() {
-	if c.batchObs == nil {
+	if c.observer == nil {
 		return
 	}
 	if n := c.sink.Rows(); n > c.flushed {
-		c.batchObs.OnSnapshots(c.sink.Window(c.flushed, n))
+		c.observer.OnSnapshots(c.sink.Window(c.flushed, n))
 		c.flushed = n
 	}
 }

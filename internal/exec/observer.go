@@ -41,8 +41,16 @@ type Observer interface {
 	// is certain no further activity can occur, which for nested plans may
 	// be at query completion.
 	OnPipelineEnd(pipe int, end float64)
-	// OnSnapshot fires for every recorded counter snapshot.
-	OnSnapshot(s Snapshot)
+	// OnSnapshots delivers consecutive recorded counter snapshots in
+	// execution order: up to Options.SnapshotBatch of them per call, one
+	// per call by default. A batch never straddles another event — pending
+	// snapshots are always delivered before an OnPipelineStart, OnThin or
+	// OnDone — so the stream is the same snapshot for snapshot whatever
+	// the batch size; only the call granularity changes (the live monitor
+	// uses it to conflate per-snapshot work into per-tick work). The slice
+	// and the counter slices inside its elements are only valid for the
+	// duration of the call.
+	OnSnapshots(batch []Snapshot)
 	// OnThin fires when the snapshot history was thinned: every other
 	// previously delivered snapshot (the even 0-based ordinals of those
 	// retained so far) was dropped and the sampling interval doubled.
@@ -51,23 +59,6 @@ type Observer interface {
 	OnThin()
 	// OnDone fires once with the completed trace.
 	OnDone(tr *Trace)
-}
-
-// BatchObserver is an optional extension of Observer. When the engine
-// runs with Options.SnapshotBatch > 1 and the observer implements it,
-// consecutive counter snapshots are buffered and delivered in one
-// OnSnapshots call per batch instead of one OnSnapshot call each — the
-// batched hot path the live monitor uses to conflate per-snapshot work
-// into per-tick work. The event stream is otherwise identical: pending
-// snapshots are always flushed before an OnPipelineStart, OnThin or
-// OnDone event, so a batch never straddles another event and the
-// delivery order matches the unbatched stream snapshot for snapshot.
-type BatchObserver interface {
-	Observer
-	// OnSnapshots delivers a batch of consecutive snapshots in execution
-	// order. The slice and the counter slices inside its elements are
-	// only valid for the duration of the call.
-	OnSnapshots(batch []Snapshot)
 }
 
 // BaseObserver is a no-op Observer for embedding, so implementations can
@@ -80,8 +71,8 @@ func (BaseObserver) OnPipelineStart(PipelineStart) {}
 // OnPipelineEnd implements Observer.
 func (BaseObserver) OnPipelineEnd(int, float64) {}
 
-// OnSnapshot implements Observer.
-func (BaseObserver) OnSnapshot(Snapshot) {}
+// OnSnapshots implements Observer.
+func (BaseObserver) OnSnapshots([]Snapshot) {}
 
 // OnThin implements Observer.
 func (BaseObserver) OnThin() {}
@@ -97,7 +88,7 @@ func (BaseObserver) OnDone(*Trace) {}
 // at a time and never moves a stored row, so a run allocates what its
 // peak row count needs — to within a chunk — and copies nothing when it
 // grows; thinning frees rows for reuse in place. Snapshot headers are
-// built on demand: a small reused window for batched delivery, and once,
+// built on demand: a small reused window for delivery, and once,
 // at the run's final row count, for the Trace. They alias arena rows, so
 // the no-mutation contract of Observer extends to the finished Trace.
 type TraceSink struct {
@@ -150,8 +141,8 @@ func (t *TraceSink) Add(time float64, K, R, W []int64) {
 }
 
 // Window returns the headers of rows [lo, hi) in a buffer reused by the
-// next call — the batch handed to BatchObserver.OnSnapshots, which is
-// only valid for the duration of that call.
+// next call — the batch handed to Observer.OnSnapshots, which is only
+// valid for the duration of that call.
 func (t *TraceSink) Window(lo, hi int) []Snapshot {
 	t.win = t.win[:0]
 	for i := lo; i < hi; i++ {

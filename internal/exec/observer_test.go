@@ -21,13 +21,15 @@ type recordingObserver struct {
 
 func (r *recordingObserver) OnPipelineStart(st PipelineStart) { r.starts = append(r.starts, st) }
 func (r *recordingObserver) OnPipelineEnd(p int, end float64) { r.ends[p] = end }
-func (r *recordingObserver) OnSnapshot(s Snapshot) {
-	r.snapshots = append(r.snapshots, Snapshot{
-		Time: s.Time,
-		K:    append([]int64(nil), s.K...),
-		R:    append([]int64(nil), s.R...),
-		W:    append([]int64(nil), s.W...),
-	})
+func (r *recordingObserver) OnSnapshots(batch []Snapshot) {
+	for _, s := range batch {
+		r.snapshots = append(r.snapshots, Snapshot{
+			Time: s.Time,
+			K:    append([]int64(nil), s.K...),
+			R:    append([]int64(nil), s.R...),
+			W:    append([]int64(nil), s.W...),
+		})
+	}
 }
 func (r *recordingObserver) OnDone(tr *Trace) { r.done = tr }
 
@@ -158,9 +160,9 @@ func TestTraceThinning(t *testing.T) {
 	}
 }
 
-// batchRecorder records the same stream as recordingObserver, but through
-// the BatchObserver extension, interleaving event markers so the ordering
-// guarantee (batches never straddle starts/thins/completion) is checkable.
+// batchRecorder records the same stream as recordingObserver plus each
+// batch's size, interleaving event markers so the ordering guarantee
+// (batches never straddle starts/thins/completion) is checkable.
 type batchRecorder struct {
 	recordingObserver
 	batches []int    // size of each delivered batch
@@ -169,12 +171,11 @@ type batchRecorder struct {
 
 func (b *batchRecorder) OnSnapshots(batch []Snapshot) {
 	b.batches = append(b.batches, len(batch))
-	for i := range batch {
-		b.recordingObserver.OnSnapshot(batch[i])
+	b.recordingObserver.OnSnapshots(batch)
+	for range batch {
 		b.events = append(b.events, "snap")
 	}
 }
-func (b *batchRecorder) OnSnapshot(Snapshot) { panic("unbatched delivery in batch mode") }
 func (b *batchRecorder) OnPipelineStart(st PipelineStart) {
 	b.events = append(b.events, "start")
 	b.recordingObserver.OnPipelineStart(st)

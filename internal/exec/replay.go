@@ -11,10 +11,9 @@ import "sort"
 // so the replayed stream is that of a run whose sampling interval
 // matched the retained snapshots from the outset.
 //
-// batch > 1 delivers snapshots through OnSnapshots when obs implements
-// BatchObserver, flushing pending snapshots before each start event —
-// the live engine's SnapshotBatch delivery contract. Any other batch
-// value delivers per snapshot.
+// Snapshots are delivered up to batch at a time (one at a time for
+// batch <= 1), pending ones flushed before each start event — the live
+// engine's SnapshotBatch delivery contract.
 //
 // Replay is the snapshot-injection entry point the counter-ingestion
 // sessions and the equivalence suites share: feeding a recorded trace
@@ -33,14 +32,10 @@ func Replay(tr *Trace, obs Observer, batch int) {
 	}
 	sort.SliceStable(starts, func(i, j int) bool { return starts[i].t < starts[j].t })
 
-	var bo BatchObserver
-	if batch > 1 {
-		bo, _ = obs.(BatchObserver)
-	}
-	first := 0 // snapshots delivered so far (batched mode)
+	first := 0 // snapshots delivered so far
 	flush := func(hi int) {
-		if bo != nil && hi > first {
-			bo.OnSnapshots(tr.Snapshots[first:hi])
+		if hi > first {
+			obs.OnSnapshots(tr.Snapshots[first:hi])
 		}
 		first = hi
 	}
@@ -50,12 +45,8 @@ func Replay(tr *Trace, obs Observer, batch int) {
 			obs.OnPipelineStart(replayStart(tr, starts[0].pipe))
 			starts = starts[1:]
 		}
-		if bo != nil {
-			if i+1-first >= batch {
-				flush(i + 1)
-			}
-		} else {
-			obs.OnSnapshot(s)
+		if i+1-first >= batch {
+			flush(i + 1)
 		}
 	}
 	flush(len(tr.Snapshots))

@@ -180,28 +180,29 @@ func (c *Canary) Drop(target string) {
 }
 
 // CanaryState is one pending challenger's public standing, surfaced in
-// GET /models.
+// GET /models as "canaries".
 type CanaryState struct {
-	// Target is the routing target ("" = the global model).
-	Target string
+	// Family is the routing target ("" = the global model).
+	Family string `json:"family"`
 	// Source is the trigger of the training run that produced the
 	// challenger ("auto" or "drift").
-	Source string
+	Source string `json:"source"`
 	// Champion is the serving version id the challenger shadow-scores
 	// against.
-	Champion int
+	Champion int `json:"champion"`
 	// ProposedAt is when the challenger entered confirmation; ExpiresAt
 	// when it will be rejected for lack of traffic.
-	ProposedAt time.Time
-	ExpiresAt  time.Time
-	// Samples of Window observations are in; ChampionL1/ChallengerL1 are
-	// the running mean live errors (0 until the first observation).
-	Samples      int
-	Window       int
-	ChampionL1   float64
-	ChallengerL1 float64
+	ProposedAt time.Time `json:"proposed_at"`
+	ExpiresAt  time.Time `json:"expires_at"`
+	// Samples of Window live observations are in; ChampionL1/ChallengerL1
+	// are the running mean L1 errors on exactly those queries (0 until the
+	// first observation).
+	Samples      int     `json:"samples"`
+	Window       int     `json:"window"`
+	ChampionL1   float64 `json:"champion_l1"`
+	ChallengerL1 float64 `json:"challenger_l1"`
 	// HoldoutL1 is the challenger's training-time holdout error.
-	HoldoutL1 float64
+	HoldoutL1 float64 `json:"holdout_l1"`
 }
 
 // States returns the pending challengers sorted by target. Nil-safe.
@@ -214,7 +215,7 @@ func (c *Canary) States() []CanaryState {
 	out := make([]CanaryState, 0, len(c.pending))
 	for target, st := range c.pending {
 		cs := CanaryState{
-			Target:     target,
+			Family:     target,
 			Source:     st.source,
 			Champion:   st.champion,
 			ProposedAt: st.proposedAt,
@@ -229,6 +230,6 @@ func (c *Canary) States() []CanaryState {
 		}
 		out = append(out, cs)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Target < out[j].Target })
+	sort.Slice(out, func(i, j int) bool { return out[i].Family < out[j].Family })
 	return out
 }

@@ -60,7 +60,7 @@ func TestCanaryDivertsBackgroundRetrain(t *testing.T) {
 		t.Fatal("challenger hot-swapped past the confirmation window")
 	}
 	states := canary.States()
-	if len(states) != 1 || states[0].Target != "" || states[0].Champion != v1.ID ||
+	if len(states) != 1 || states[0].Family != "" || states[0].Champion != v1.ID ||
 		states[0].Samples != 0 || states[0].Window != 8 {
 		t.Fatalf("canary state = %+v, want one fresh global challenger", states)
 	}

@@ -126,26 +126,26 @@ type RetrainerConfig struct {
 // manual) outlives the registry's version pruning.
 type TrainDecision struct {
 	// At is the decision time.
-	At time.Time
+	At time.Time `json:"at"`
 	// Trigger is what caused the run: "manual", "auto" (size/age policy),
 	// "drift" (observed-vs-predicted monitor), "canary" (a challenger's
 	// live-traffic verdict) or "auto-rollback" (the consecutive-drift-
 	// rejection breaker firing).
-	Trigger string
+	Trigger string `json:"trigger"`
 	// Family is the routing target trained ("" = the global model).
-	Family string
+	Family string `json:"family,omitempty"`
 	// Version is the id of the trained version (accepted or rejected).
-	Version int
+	Version int `json:"version"`
 	// Decision is the quality-gate verdict (DecisionAccepted/Rejected).
-	Decision string
+	Decision string `json:"decision"`
 	// HoldoutL1 is the candidate's holdout error; BaselineL1 the serving
 	// version's error on the same holdout the gate compared against (0
 	// when ungated).
-	HoldoutL1  float64
-	BaselineL1 float64
+	HoldoutL1  float64 `json:"holdout_l1"`
+	BaselineL1 float64 `json:"baseline_l1,omitempty"`
 	// ObservedL1 is the drift-window mean serving error that fired the
 	// trigger (0 for non-drift triggers).
-	ObservedL1 float64
+	ObservedL1 float64 `json:"observed_l1,omitempty"`
 }
 
 // maxDecisions bounds the retained decision history.

@@ -761,30 +761,30 @@ func (s *ExampleStore) decodeViewFamily(v segView, family string) ([]selection.E
 type CorpusStats struct {
 	// Segments and Bytes are the on-disk segment count and their summed
 	// good bytes; Examples is the retained example count.
-	Segments int
-	Bytes    int64
-	Examples int
+	Segments int   `json:"segments"`
+	Bytes    int64 `json:"bytes"`
+	Examples int   `json:"examples"`
 	// Families maps each workload family to its retained example count
 	// (the empty key counts untagged examples), from counters kept on
 	// append, retention and compaction — no scan.
-	Families map[string]int
+	Families map[string]int `json:"families"`
 	// CacheHits/CacheMisses are lifetime decode-cache lookups;
 	// CacheBytes/CachedSegments the current footprint; CacheCapBytes the
 	// configured budget (0 = caching disabled).
-	CacheHits      uint64
-	CacheMisses    uint64
-	CacheBytes     int64
-	CacheCapBytes  int64
-	CachedSegments int
+	CacheHits      uint64 `json:"cache_hits"`
+	CacheMisses    uint64 `json:"cache_misses"`
+	CacheBytes     int64  `json:"cache_bytes"`
+	CacheCapBytes  int64  `json:"cache_cap_bytes"`
+	CachedSegments int    `json:"cached_segments"`
 	// FamilyQuota echoes the configured per-family retention floor (0 =
 	// quotas off); the compaction counters are lifetime totals:
 	// CompactionRuns successful CompactOnce passes, CompactedSegments
 	// segments rewritten or removed by them, CompactionDropped examples
 	// downsampled away.
-	FamilyQuota       int
-	CompactionRuns    int
-	CompactedSegments int
-	CompactionDropped int
+	FamilyQuota       int `json:"family_quota,omitempty"`
+	CompactionRuns    int `json:"compaction_runs,omitempty"`
+	CompactedSegments int `json:"compacted_segments,omitempty"`
+	CompactionDropped int `json:"compaction_dropped,omitempty"`
 }
 
 // Stats reports the corpus shape and cache counters. The lock is held

@@ -174,7 +174,6 @@ func Build(spec *Spec) (*Model, error) {
 type Runner struct {
 	model *Model
 	obs   exec.Observer
-	bo    exec.BatchObserver // non-nil when delivering batched
 	batch int
 
 	maxObs int
@@ -191,10 +190,10 @@ type Runner struct {
 	finished  bool
 }
 
-// NewRunner builds the session runner. Events are delivered to obs; a
-// positive batch > 1 delivers snapshots through OnSnapshots when obs
-// implements exec.BatchObserver (the live monitor's delivery mode).
-// maxObs caps retained snapshots (0 = DefaultMaxObservations).
+// NewRunner builds the session runner. Events are delivered to obs,
+// snapshots up to batch per OnSnapshots call (the live monitor's
+// delivery mode; one per call for batch <= 1). maxObs caps retained
+// snapshots (0 = DefaultMaxObservations).
 func NewRunner(m *Model, obs exec.Observer, batch, maxObs int) *Runner {
 	n := m.Plan.NumNodes()
 	r := &Runner{
@@ -209,9 +208,6 @@ func NewRunner(m *Model, obs exec.Observer, batch, maxObs int) *Runner {
 		started: make([]bool, len(m.Pipes.Pipelines)),
 		startAt: make([]float64, len(m.Pipes.Pipelines)),
 		lastAct: make([]float64, len(m.Pipes.Pipelines)),
-	}
-	if batch > 1 {
-		r.bo, _ = obs.(exec.BatchObserver)
 	}
 	if r.maxObs <= 0 {
 		r.maxObs = DefaultMaxObservations
@@ -321,13 +317,8 @@ func (r *Runner) applySnapshot(s *SnapshotEvent) error {
 	r.lastSnap = s.Time
 
 	r.sink.Add(s.Time, r.k, r.r, r.w)
-	if r.bo != nil {
-		if r.sink.Rows()-r.delivered >= r.batch {
-			r.flush()
-		}
-	} else {
-		r.delivered = r.sink.Rows()
-		r.obs.OnSnapshot(r.sink.At(r.delivered - 1))
+	if r.sink.Rows()-r.delivered >= r.batch {
+		r.flush()
 	}
 	return nil
 }
@@ -351,11 +342,8 @@ func (r *Runner) startPipeline(pi int, t float64) {
 }
 
 func (r *Runner) flush() {
-	if r.bo == nil {
-		return
-	}
 	if n := r.sink.Rows(); n > r.delivered {
-		r.bo.OnSnapshots(r.sink.Window(r.delivered, n))
+		r.obs.OnSnapshots(r.sink.Window(r.delivered, n))
 		r.delivered = n
 	}
 }

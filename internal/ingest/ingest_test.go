@@ -39,7 +39,7 @@ type eventCounter struct {
 }
 
 func (c *eventCounter) OnPipelineStart(exec.PipelineStart) { c.starts++ }
-func (c *eventCounter) OnSnapshot(exec.Snapshot)           { c.snaps++ }
+func (c *eventCounter) OnSnapshots(b []exec.Snapshot)      { c.snaps += len(b) }
 func (c *eventCounter) OnPipelineEnd(int, float64)         { c.ends++ }
 func (c *eventCounter) OnDone(*exec.Trace)                 { c.done++ }
 

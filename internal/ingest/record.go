@@ -62,21 +62,22 @@ func (rec *recorder) OnPipelineStart(st exec.PipelineStart) {
 	rec.started[st.Pipe] = true
 }
 
-func (rec *recorder) OnSnapshot(s exec.Snapshot) {
-	ev := &SnapshotEvent{Time: s.Time}
-	n := rec.nodes
-	for id := 0; id < n; id++ {
-		dk := s.K[id] - rec.prev[3*id]
-		dr := s.R[id] - rec.prev[3*id+1]
-		dw := s.W[id] - rec.prev[3*id+2]
-		if dk != 0 || dr != 0 || dw != 0 {
-			ev.Deltas = append(ev.Deltas, Delta{Node: id, K: dk, R: dr, W: dw})
-			rec.prev[3*id] = s.K[id]
-			rec.prev[3*id+1] = s.R[id]
-			rec.prev[3*id+2] = s.W[id]
+func (rec *recorder) OnSnapshots(batch []exec.Snapshot) {
+	for _, s := range batch {
+		ev := &SnapshotEvent{Time: s.Time}
+		for id := 0; id < rec.nodes; id++ {
+			dk := s.K[id] - rec.prev[3*id]
+			dr := s.R[id] - rec.prev[3*id+1]
+			dw := s.W[id] - rec.prev[3*id+2]
+			if dk != 0 || dr != 0 || dw != 0 {
+				ev.Deltas = append(ev.Deltas, Delta{Node: id, K: dk, R: dr, W: dw})
+				rec.prev[3*id] = s.K[id]
+				rec.prev[3*id+1] = s.R[id]
+				rec.prev[3*id+2] = s.W[id]
+			}
 		}
+		rec.events = append(rec.events, Event{Snapshot: ev})
 	}
-	rec.events = append(rec.events, Event{Snapshot: ev})
 }
 
 func (rec *recorder) OnPipelineEnd(pipe int, end float64) {

@@ -72,25 +72,19 @@ func (o *OnlineView) OnPipelineStart(st exec.PipelineStart) {
 	p.reserve(o.Reserve)
 }
 
-// OnSnapshot implements exec.Observer: every started, still-active
-// pipeline appends its current estimates.
-func (o *OnlineView) OnSnapshot(s exec.Snapshot) {
-	g := o.snapCount
-	o.snapCount++
-	for _, p := range o.Pipelines {
-		if p.Started && !p.Ended {
-			p.feed(&s, g)
-		}
-	}
-}
-
-// OnSnapshots implements exec.BatchObserver: one call folds a whole
-// delivery batch into the per-pipeline state, observation by observation
-// — the arithmetic is the per-snapshot path's, so the accumulated series
-// are bit-identical to unbatched delivery.
+// OnSnapshots implements exec.Observer: for each snapshot of the batch,
+// every started, still-active pipeline appends its current estimates —
+// observation by observation, so the accumulated series do not depend on
+// how the stream was cut into batches.
 func (o *OnlineView) OnSnapshots(batch []exec.Snapshot) {
 	for i := range batch {
-		o.OnSnapshot(batch[i])
+		g := o.snapCount
+		o.snapCount++
+		for _, p := range o.Pipelines {
+			if p.Started && !p.Ended {
+				p.feed(&batch[i], g)
+			}
+		}
 	}
 }
 

@@ -87,16 +87,6 @@ func (w *Workload) QueryFamily(i int) string {
 	return w.Queries[i].First.Table
 }
 
-// Replica returns a lightweight execution replica of the workload for the
-// sharded engine: it shares the immutable database, statistics and bound
-// query specs with the original, but owns its planner instance, so
-// per-replica planner tuning never bleeds across shards.
-func (w *Workload) Replica() *Workload {
-	cp := *w
-	cp.Planner = optimizer.NewPlanner(cp.DB, cp.Stats)
-	return &cp
-}
-
 // queryGen binds one random query spec.
 type queryGen func(rng *rand.Rand, db *storage.Database) *optimizer.QuerySpec
 

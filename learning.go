@@ -198,87 +198,20 @@ type DriftStatus struct {
 
 // CanaryStatus is one pending challenger in champion/challenger
 // confirmation, surfaced in GET /models as "canaries".
-type CanaryStatus struct {
-	// Family is the routing target ("" = the global model).
-	Family string `json:"family"`
-	// Source is the trigger of the training run that produced the
-	// challenger ("auto" or "drift").
-	Source string `json:"source"`
-	// Champion is the serving version id the challenger shadow-scores
-	// against.
-	Champion int `json:"champion"`
-	// ProposedAt is when confirmation began; ExpiresAt when the challenger
-	// is rejected for lack of traffic.
-	ProposedAt time.Time `json:"proposed_at"`
-	ExpiresAt  time.Time `json:"expires_at"`
-	// Samples of Window live observations are in; ChampionL1/ChallengerL1
-	// are the running mean L1 errors on exactly those queries.
-	Samples      int     `json:"samples"`
-	Window       int     `json:"window"`
-	ChampionL1   float64 `json:"champion_l1"`
-	ChallengerL1 float64 `json:"challenger_l1"`
-	// HoldoutL1 is the challenger's training-time holdout error.
-	HoldoutL1 float64 `json:"holdout_l1"`
-}
+type CanaryStatus = feedback.CanaryState
 
 // RetrainDecision is one entry of the retrainer's bounded decision
 // history: which trigger trained which routing target, and how the
 // quality gate ruled.
-type RetrainDecision struct {
-	At       time.Time `json:"at"`
-	Trigger  string    `json:"trigger"`
-	Family   string    `json:"family,omitempty"`
-	Version  int       `json:"version"`
-	Decision string    `json:"decision"`
-	// HoldoutL1 is the trained candidate's holdout error; BaselineL1 the
-	// serving version's error on the same holdout (0 when ungated);
-	// ObservedL1 the drift-window mean that fired a "drift" trigger.
-	HoldoutL1  float64 `json:"holdout_l1"`
-	BaselineL1 float64 `json:"baseline_l1,omitempty"`
-	ObservedL1 float64 `json:"observed_l1,omitempty"`
-}
+type RetrainDecision = feedback.TrainDecision
 
 // HarvestStats counts the learning loop's harvesting activity.
-type HarvestStats struct {
-	// Queries is the number of finished queries harvested.
-	Queries int `json:"queries"`
-	// Examples is the number of labelled examples appended to the corpus.
-	Examples int `json:"examples"`
-	// Skipped counts pipelines filtered out (too few observations).
-	Skipped int `json:"skipped"`
-	// Errors counts failed corpus appends.
-	Errors int `json:"errors"`
-}
+type HarvestStats = feedback.HarvestStats
 
 // CorpusStats describes the on-disk corpus shape and the standing of the
 // sealed-segment decode cache — what the next retrain is about to pay
 // for. Surfaced in GET /models as "corpus".
-type CorpusStats struct {
-	// Segments and Bytes are the on-disk segment count and their summed
-	// intact bytes; Examples is the retained example count.
-	Segments int   `json:"segments"`
-	Bytes    int64 `json:"bytes"`
-	Examples int   `json:"examples"`
-	// Families maps each workload family to its retained example count
-	// (the empty key counts untagged examples), read from the segment
-	// indexes — no corpus scan.
-	Families map[string]int `json:"families"`
-	// CacheHits/CacheMisses are lifetime decode-cache lookups;
-	// CacheBytes/CachedSegments the current footprint; CacheCapBytes the
-	// configured budget (0 = caching disabled).
-	CacheHits      uint64 `json:"cache_hits"`
-	CacheMisses    uint64 `json:"cache_misses"`
-	CacheBytes     int64  `json:"cache_bytes"`
-	CacheCapBytes  int64  `json:"cache_cap_bytes"`
-	CachedSegments int    `json:"cached_segments"`
-	// FamilyQuota is the per-family retention floor (0 = off); the
-	// compaction counters are lifetime totals for the signature-aware
-	// compactor.
-	FamilyQuota       int `json:"family_quota,omitempty"`
-	CompactionRuns    int `json:"compaction_runs,omitempty"`
-	CompactedSegments int `json:"compacted_segments,omitempty"`
-	CompactionDropped int `json:"compaction_dropped,omitempty"`
-}
+type CorpusStats = feedback.CorpusStats
 
 // Learning is the continuous-learning subsystem: an on-disk corpus of
 // examples harvested from finished queries, a background retrainer, and a
@@ -398,16 +331,12 @@ func OpenLearning(cfg LearningConfig) (*Learning, error) {
 func (l *Learning) CorpusSize() int { return l.store.Len() }
 
 // HarvestStats returns the harvesting counters.
-func (l *Learning) HarvestStats() HarvestStats {
-	return HarvestStats(l.harv.Stats())
-}
+func (l *Learning) HarvestStats() HarvestStats { return l.harv.Stats() }
 
 // CorpusStats reports the corpus shape (segments, bytes, per-family
 // example counts) and the decode cache's hit/miss counters. Cheap: it
 // reads the in-memory segment indexes, never the disk.
-func (l *Learning) CorpusStats() CorpusStats {
-	return CorpusStats(l.store.Stats())
-}
+func (l *Learning) CorpusStats() CorpusStats { return l.store.Stats() }
 
 // Retrain synchronously trains new selector versions on the accumulated
 // corpus — the global model, plus one per sufficiently represented family
@@ -585,46 +514,12 @@ func (l *Learning) driftReport() ([]DriftStatus, []RetrainDecision) {
 // Canaries returns the challengers currently in champion/challenger
 // confirmation, sorted by family (empty when canary serving is off or
 // nothing is pending).
-func (l *Learning) Canaries() []CanaryStatus {
-	states := l.canary.States()
-	out := make([]CanaryStatus, len(states))
-	for i, st := range states {
-		out[i] = CanaryStatus{
-			Family:       st.Target,
-			Source:       st.Source,
-			Champion:     st.Champion,
-			ProposedAt:   st.ProposedAt,
-			ExpiresAt:    st.ExpiresAt,
-			Samples:      st.Samples,
-			Window:       st.Window,
-			ChampionL1:   st.ChampionL1,
-			ChallengerL1: st.ChallengerL1,
-			HoldoutL1:    st.HoldoutL1,
-		}
-	}
-	return out
-}
+func (l *Learning) Canaries() []CanaryStatus { return l.canary.States() }
 
 // Decisions returns the retrainer's bounded decision history, oldest
 // first — trigger provenance (size/age, drift, manual) per trained
 // routing target, surviving the registry's version pruning.
-func (l *Learning) Decisions() []RetrainDecision {
-	ds := l.ret.Decisions()
-	out := make([]RetrainDecision, len(ds))
-	for i, d := range ds {
-		out[i] = RetrainDecision{
-			At:         d.At,
-			Trigger:    d.Trigger,
-			Family:     d.Family,
-			Version:    d.Version,
-			Decision:   d.Decision,
-			HoldoutL1:  d.HoldoutL1,
-			BaselineL1: d.BaselineL1,
-			ObservedL1: d.ObservedL1,
-		}
-	}
-	return out
-}
+func (l *Learning) Decisions() []RetrainDecision { return l.ret.Decisions() }
 
 // Close drains the retrainer goroutine (waiting out a training run in
 // flight, however long it takes) and closes the corpus store. Queries

@@ -148,8 +148,9 @@ func (m *Monitor) Family() string { return m.family }
 // it, "" when the global model (or no model at all) does.
 func (m *Monitor) ModelFamily() string { return m.modelFamily }
 
-// Shard returns the engine replica executing the query, or -1 when the
-// query was started directly on a Workload rather than through an Engine.
+// Shard returns the engine shard whose admission slot the query holds, or
+// -1 when the query was started directly on a Workload rather than
+// through an Engine.
 func (m *Monitor) Shard() int { return m.shard }
 
 // Class returns the admission class the query was admitted under — its
@@ -173,11 +174,10 @@ var reselectMarkers = func() []float64 {
 // monitorObserver adapts the exec event stream into conflated
 // ProgressUpdates: it maintains the streaming OnlineView, re-selects
 // estimators at marker crossings, and emits an update every n-th
-// snapshot. It implements exec.BatchObserver, so with batched delivery
-// the engine hands it whole segments of snapshots at once and the
-// per-snapshot work between two update marks collapses into one
+// snapshot. The engine hands it whole segments of snapshots at once, so
+// the per-snapshot work between two update marks collapses into one
 // OnlineView advance plus one selector sweep — producing exactly the
-// updates per-snapshot delivery would.
+// updates batches of one would.
 type monitorObserver struct {
 	view  *progress.OnlineView
 	sel   *selection.Selector
@@ -199,7 +199,6 @@ type monitorObserver struct {
 	// captures the exact update stream without conflation.
 	deliver func(ProgressUpdate)
 
-	one       [1]exec.Snapshot   // scratch for unbatched delivery
 	obsBefore []int              // per-pipeline observation count at segment start
 	spare     []PipelineProgress // recycled update buffer (see send)
 }
@@ -223,16 +222,10 @@ func (m *monitorObserver) OnDone(tr *exec.Trace) {
 	}
 }
 
-func (m *monitorObserver) OnSnapshot(s exec.Snapshot) {
-	m.one[0] = s
-	m.OnSnapshots(m.one[:1])
-}
-
-// OnSnapshots implements exec.BatchObserver: the batch is consumed in
+// OnSnapshots implements exec.Observer: the batch is consumed in
 // segments bounded by the UpdateEvery mark, each segment advancing the
 // view in one call, re-picking estimators once, and emitting at most one
-// update. With batch size 1 this degenerates to exactly the per-snapshot
-// path, so both delivery modes share one code path.
+// update — the same updates whatever the batch size.
 func (m *monitorObserver) OnSnapshots(batch []exec.Snapshot) {
 	for len(batch) > 0 {
 		n := m.every - m.sinceSend

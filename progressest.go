@@ -23,7 +23,7 @@ package progressest
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"progressest/internal/catalog"
 	"progressest/internal/datagen"
@@ -102,17 +102,11 @@ type Config struct {
 // Workload is a generated database plus parameterised queries.
 type Workload struct {
 	inner *workload.Workload
-	plans planCache
-}
-
-// planCache memoizes the physical plan and pipeline decomposition per
-// query index. Planning is deterministic and execution never mutates a
-// plan, so one planned query can back any number of runs. Each engine
-// replica owns its own cache (replica() starts fresh), keeping the reuse
-// shard-local on the serving hot path.
-type planCache struct {
-	mu      sync.RWMutex
-	entries map[int]*plannedQuery
+	// plans memoizes the physical plan and pipeline decomposition per
+	// query index, one slot per query. Planning is deterministic and
+	// execution never mutates a plan, so one planned query backs any
+	// number of concurrent runs, on every engine shard.
+	plans []atomic.Pointer[plannedQuery]
 }
 
 type plannedQuery struct {
@@ -120,31 +114,20 @@ type plannedQuery struct {
 	pipes *pipeline.Decomposition
 }
 
-// planned returns the cached plan+decomposition for query i, planning on
-// first use.
+// planned returns the plan+decomposition of query i, planning on first
+// use. Concurrent first users each plan (identically); the first to
+// publish wins and every caller returns the winner.
 func (w *Workload) planned(i int) (*plannedQuery, error) {
-	w.plans.mu.RLock()
-	pq := w.plans.entries[i]
-	w.plans.mu.RUnlock()
-	if pq != nil {
+	slot := &w.plans[i]
+	if pq := slot.Load(); pq != nil {
 		return pq, nil
 	}
 	pl, err := w.inner.Planner.Plan(w.inner.Queries[i])
 	if err != nil {
 		return nil, err
 	}
-	pq = &plannedQuery{plan: pl, pipes: pipeline.Decompose(pl)}
-	w.plans.mu.Lock()
-	if prior, ok := w.plans.entries[i]; ok {
-		pq = prior // a concurrent planner won; both results are identical
-	} else {
-		if w.plans.entries == nil {
-			w.plans.entries = make(map[int]*plannedQuery)
-		}
-		w.plans.entries[i] = pq
-	}
-	w.plans.mu.Unlock()
-	return pq, nil
+	slot.CompareAndSwap(nil, &plannedQuery{plan: pl, pipes: pipeline.Decompose(pl)})
+	return slot.Load(), nil
 }
 
 // Open generates the database and queries for the configuration.
@@ -176,7 +159,7 @@ func Open(cfg Config) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Workload{inner: w}, nil
+	return &Workload{inner: w, plans: make([]atomic.Pointer[plannedQuery], len(w.Queries))}, nil
 }
 
 // NumQueries returns the number of generated queries.
@@ -196,13 +179,6 @@ func (w *Workload) QueryFamily(i int) string {
 		return ""
 	}
 	return w.inner.QueryFamily(i)
-}
-
-// replica returns a lightweight execution replica for the sharded engine:
-// it shares the immutable database, statistics and bound queries with w
-// but owns its planner instance.
-func (w *Workload) replica() *Workload {
-	return &Workload{inner: w.inner.Replica()}
 }
 
 // Run plans and executes query i, capturing the counter trace.

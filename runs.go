@@ -305,11 +305,17 @@ func (t *runTable) evictLocked() {
 		return
 	}
 	kept := t.order[:0]
-	for _, r := range t.order {
+	for i, r := range t.order {
+		if excess == 0 {
+			// Everything from here on stays whatever its state: one copy,
+			// not a lock per retained run.
+			kept = append(kept, t.order[i:]...)
+			break
+		}
 		r.mu.Lock()
 		terminal := r.state != runRunning
 		r.mu.Unlock()
-		if excess > 0 && terminal {
+		if terminal {
 			delete(t.runs, r.id)
 			excess--
 			continue

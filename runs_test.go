@@ -253,8 +253,8 @@ func TestRetentionBothTables(t *testing.T) {
 					var execute func()
 					err := s.queries.track(run, func() (*Monitor, error) {
 						return s.eng.admit(context.Background(), "fam", "",
-							func(w *Workload, opts MonitorOptions) (m *Monitor, err error) {
-								m, execute, err = w.prepare(0, opts)
+							func(opts MonitorOptions) (m *Monitor, err error) {
+								m, execute, err = s.eng.w.prepare(0, opts)
 								return m, err
 							})
 					})

@@ -21,14 +21,14 @@ import (
 // cmd/progressd. It fronts a sharded Engine and keeps one kind of record,
 // the tracked run: a query executing in process, or an external engine's
 // session streaming its counters in. Both admit through the same QoS
-// gate (waiting in its bounded fair queue when every replica is at
+// gate (waiting in its bounded fair queue when every shard is at
 // capacity), hold their slot until they end, drive the same estimators,
 // harvest into the same corpus, and live in the same state machine —
 // open → completed | aborted | expired. The two resource trees differ
 // only in the counter source their POST attaches; list and progress are
 // one handler each, answering one wire shape (runInfo):
 //
-//	POST /queries                {"query": i}  -> run, executed on the least-loaded replica
+//	POST /queries                {"query": i}  -> run, holding a slot of the least-loaded shard
 //	GET  /queries                              -> list of submitted queries
 //	GET  /queries/{id}/progress                -> run + freshest ProgressUpdate
 //
@@ -223,6 +223,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleEngineStats is GET /engine/stats — and the answer of a successful
+// POST /engine/resize: the engine's snapshot plus the session layer's
+// accounting.
 func (s *Server) handleEngineStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.eng.Stats()
 	st.Ingest = s.sessionStats()
@@ -231,7 +234,8 @@ func (s *Server) handleEngineStats(w http.ResponseWriter, _ *http.Request) {
 
 // resizeRequest is the POST /engine/resize body.
 type resizeRequest struct {
-	// Shards is the desired active replica count.
+	// Shards is the desired active shard count: the concurrency cap in
+	// units of MaxLivePerShard admission slots.
 	Shards int `json:"shards"`
 }
 
@@ -252,7 +256,7 @@ func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, "resize: %v", err)
 	default:
-		writeJSON(w, http.StatusOK, s.eng.Stats())
+		s.handleEngineStats(w, r)
 	}
 }
 

@@ -126,7 +126,7 @@ func (s *Server) openSession(ctx context.Context, spec *ingest.Spec, model *inge
 	}
 	err := s.sessions.track(r, func() (*Monitor, error) {
 		m, err := s.eng.admit(ctx, spec.Family, spec.Client,
-			func(_ *Workload, opts MonitorOptions) (*Monitor, error) {
+			func(opts MonitorOptions) (*Monitor, error) {
 				if spec.UpdateEvery > 0 {
 					opts.UpdateEvery = spec.UpdateEvery
 				}
