@@ -7,7 +7,8 @@
 //	            [-full] [-seed N] [-queries N]
 //
 // By default a quick configuration runs (seconds per experiment); -full
-// uses the configuration recorded in EXPERIMENTS.md (minutes).
+// uses the paper-scale configuration, experiments.Full (minutes; see the
+// Layout section of the README).
 package main
 
 import (

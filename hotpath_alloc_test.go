@@ -85,6 +85,49 @@ func TestStartToDoneAllocBudget(t *testing.T) {
 	t.Logf("monitored query start-to-done: %v allocs (ceiling %d)", avg, startToDoneAllocCeiling)
 }
 
+// learningStartToDoneAllocCeiling bounds the same query with Learning
+// attached — its finished run labelled and appended to the corpus before
+// Wait returns — about 15 % over the 176 allocations it measures
+// today (266 while harvest replayed every estimator through an
+// offline view of the trace).
+const learningStartToDoneAllocCeiling = 202
+
+// TestLearningStartToDoneAllocBudget gates what harvest adds to a
+// monitored query: labelling from the monitor's own view must stay a
+// copy of what the view holds, not a second pass over the trace.
+func TestLearningStartToDoneAllocBudget(t *testing.T) {
+	w, err := Open(Config{Dataset: TPCH, Queries: 2, Scale: 0.08, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lrn, err := OpenLearning(LearningConfig{Dir: t.TempDir(), DisableBackground: true, DisableGate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lrn.Close()
+	if _, err := w.planned(0); err != nil { // warm the plan cache
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(50, func() {
+		m, err := w.Start(0, MonitorOptions{Learning: lrn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range m.Updates {
+		}
+		if _, err := m.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st := lrn.HarvestStats(); st.Examples == 0 || st.Errors != 0 {
+		t.Fatalf("harvest stats %+v: the query must land examples in the corpus", st)
+	}
+	if avg > learningStartToDoneAllocCeiling {
+		t.Fatalf("learning query start-to-done: %v allocs, ceiling %d", avg, learningStartToDoneAllocCeiling)
+	}
+	t.Logf("learning query start-to-done: %v allocs (ceiling %d)", avg, learningStartToDoneAllocCeiling)
+}
+
 // observeAllocCeiling bounds one POST …/observations of
 // BenchmarkSessionObserve's fixture — request and recorder included —
 // about 15 % over the 22 allocations it measures today (97 while the

@@ -3,12 +3,14 @@ package progressest
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"progressest/internal/exec"
 	"progressest/internal/ingest"
 	"progressest/internal/pipeline"
 	"progressest/internal/plan"
+	"progressest/internal/workload"
 )
 
 // identityObserver builds a monitorObserver over an arbitrary plan (not
@@ -44,6 +46,22 @@ func replayedUpdates(tr *exec.Trace, sel *Selector, every int) []ProgressUpdate 
 // plus the synthesized trace.
 func ingestedUpdates(t *testing.T, tr *exec.Trace, sel *Selector, every, snapsPerBatch int) ([]ProgressUpdate, *exec.Trace) {
 	t.Helper()
+	var got []ProgressUpdate
+	var obs *monitorObserver
+	synth := streamIngested(t, tr, every, snapsPerBatch, func(model *ingest.Model) *monitorObserver {
+		obs = identityObserver(model.Plan, model.Pipes, sel, every, &got)
+		return obs
+	})
+	obs.emit(true)
+	return got, synth
+}
+
+// streamIngested serializes tr's spec and observation batches to JSON,
+// decodes them with the strict wire decoders, rebuilds the model with
+// ingest.Build and streams it through an ingest.Runner into the monitor
+// newObs builds over that model, returning the synthesized trace.
+func streamIngested(t *testing.T, tr *exec.Trace, every, snapsPerBatch int, newObs func(*ingest.Model) *monitorObserver) *exec.Trace {
+	t.Helper()
 	specJSON, err := json.Marshal(ingest.SpecFromTrace(tr, "ext-engine", "ext-fam"))
 	if err != nil {
 		t.Fatal(err)
@@ -56,9 +74,7 @@ func ingestedUpdates(t *testing.T, tr *exec.Trace, sel *Selector, every, snapsPe
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []ProgressUpdate
-	obs := identityObserver(model.Plan, model.Pipes, sel, every, &got)
-	runner := ingest.NewRunner(model, obs, every, 0)
+	runner := ingest.NewRunner(model, newObs(model), every, 0)
 	var synth *exec.Trace
 	for _, b := range ingest.RecordBatches(tr, snapsPerBatch) {
 		wire, err := json.Marshal(b)
@@ -81,8 +97,58 @@ func ingestedUpdates(t *testing.T, tr *exec.Trace, sel *Selector, every, snapsPe
 	if synth == nil {
 		t.Fatal("recorded stream carried no completion marker")
 	}
-	obs.emit(true)
-	return got, synth
+	return synth
+}
+
+// TestIngestedSessionHarvestMatchesBatch pins the labels of an ingested
+// session: a learning session's corpus examples — labelled from the view
+// its monitor fed while the batches arrived — equal a batch harvest of
+// the native trace the session replays, bit for bit, over full and
+// thinned traces of every dataset family.
+func TestIngestedSessionHarvestMatchesBatch(t *testing.T) {
+	const every = 4
+	lrn, err := OpenLearning(LearningConfig{Dir: t.TempDir(), DisableBackground: true, DisableGate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lrn.Close()
+	var want []Example
+	for _, ds := range []Dataset{TPCH, TPCDS, Real1, Real2} {
+		w, err := Open(Config{Dataset: ds, Queries: 3, Scale: 0.08, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi := 0; qi < w.NumQueries(); qi++ {
+			pq, err := w.planned(qi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, execOpts := range []exec.Options{{}, {TargetObservations: 900, MaxObservations: 64}} {
+				tr := exec.RunDecomposed(w.inner.DB, pq.plan, pq.pipes, execOpts)
+				streamIngested(t, tr, every, 5, func(model *ingest.Model) *monitorObserver {
+					m, err := newMonitor(model.Plan, model.Pipes, "ext-engine", "ext-fam", -1,
+						MonitorOptions{Learning: lrn, UpdateEvery: every})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return m.obs
+				})
+				want = append(want, workload.HarvestTrace(tr, "ext-engine", "ext-fam", -1, 0)...)
+			}
+		}
+	}
+	got, err := lrn.store.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("corpus has %d examples, batch harvest %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("corpus example %d is not the batch harvest's:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
 }
 
 // TestIngestedStreamBitIdentical is the tentpole's equivalence proof:

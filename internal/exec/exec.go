@@ -180,6 +180,7 @@ func newContext(db *storage.Database, p *plan.Plan, pipes *pipeline.Decompositio
 		pipeStarted: make([]bool, len(pipes.Pipelines)),
 		pipeKnown:   make([]bool, len(pipes.Pipelines)),
 		obsEvery:    obsEvery,
+		untilSnap:   obsEvery,
 		sink:        NewTraceSink(n),
 		batchSize:   max(opts.SnapshotBatch, 1),
 	}
@@ -221,8 +222,11 @@ type context struct {
 	pipeStarted []bool // pipeline became active
 	pipeKnown   []bool // all driver totals known at pipeline start
 
-	totalGN   int64
-	obsEvery  int64
+	totalGN  int64
+	obsEvery int64
+	// untilSnap counts the GetNext calls left before the next snapshot:
+	// the next multiple of obsEvery, without a division per call.
+	untilSnap int64
 	sink      TraceSink
 	lastSnapT float64
 
@@ -331,9 +335,10 @@ func (c *context) write(n *plan.Node, bytes float64) {
 
 func (c *context) maybeSnapshot() {
 	c.totalGN++
-	if c.totalGN%c.obsEvery != 0 {
+	if c.untilSnap--; c.untilSnap > 0 {
 		return
 	}
+	c.untilSnap = c.obsEvery
 	c.snapshot()
 	if c.sink.Rows() > c.opts.MaxObservations {
 		// Thin: keep every other snapshot and halve the sampling rate.
@@ -347,6 +352,7 @@ func (c *context) maybeSnapshot() {
 			c.observer.OnThin()
 		}
 		c.obsEvery *= 2
+		c.untilSnap = c.obsEvery - c.totalGN%c.obsEvery
 	}
 }
 

@@ -2,8 +2,8 @@
 // evaluation (Section 1 Figure 1; Section 6 Tables 1-8, Figures 4-7; the
 // feature-importance study of 6.5 and the model validation of 6.7). Each
 // experiment returns a typed result with a String() rendering; the
-// cmd/experiments binary runs any subset, and EXPERIMENTS.md records
-// paper-vs-measured values.
+// cmd/experiments binary runs any subset (see the Layout section of the
+// README).
 package experiments
 
 import (
@@ -42,8 +42,8 @@ func Quick() Config {
 	}
 }
 
-// Full returns the configuration used for the recorded results in
-// EXPERIMENTS.md (minutes).
+// Full returns the paper-scale configuration cmd/experiments -full runs
+// (minutes).
 func Full() Config {
 	return Config{
 		QueriesTPCH: 250, QueriesTPCDS: 160, QueriesReal1: 200, QueriesReal2: 200,

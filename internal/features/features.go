@@ -8,6 +8,7 @@ package features
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"progressest/internal/plan"
 	"progressest/internal/progress"
@@ -214,16 +215,53 @@ type Source interface {
 	EstimateAt(kind progress.Kind, i int) float64
 }
 
-// markerObservation returns the first ordinal where the driver fraction
-// reaches frac, or -1.
-func markerObservation(v Source, frac float64) int {
-	n := v.NumObs()
-	for i := 0; i < n; i++ {
-		if v.DriverFraction(i) >= frac {
-			return i
+// markerFracs are the driver fractions the dynamic features sample at:
+// the markers x/100 first (index mi), then the sub-markers x/100·i/CorK
+// (index subMarker(i, mi)). markerOrder lists their indices by ascending
+// fraction: the first ordinal reaching a fraction never precedes the one
+// reaching a smaller fraction, so one forward pass settles them in this
+// order.
+var markerFracs, markerOrder = func() ([]float64, []int) {
+	fracs := make([]float64, 0, len(Markers)*(1+CorK))
+	for _, x := range Markers {
+		fracs = append(fracs, float64(x)/100)
+	}
+	for i := 1; i <= CorK; i++ {
+		for _, x := range Markers {
+			fracs = append(fracs, float64(x)/100*float64(i)/CorK)
 		}
 	}
-	return -1
+	order := make([]int, len(fracs))
+	for j := range order {
+		order[j] = j
+	}
+	sort.SliceStable(order, func(a, b int) bool { return fracs[order[a]] < fracs[order[b]] })
+	return fracs, order
+}()
+
+// subMarker is the markerFracs index of the sub-marker at fraction
+// (i/CorK)·x of marker mi.
+func subMarker(i, mi int) int { return i*len(Markers) + mi }
+
+// maxMarkerFracs bounds len(markerFracs), so the ordinals live on the
+// stack.
+const maxMarkerFracs = 32
+
+// markerOrdinals fills obs[j] with the first ordinal at which the
+// driver fraction reaches markerFracs[j], or -1 if none does, in a single
+// forward pass over the observations.
+func markerOrdinals(v Source, obs []int) {
+	next := 0
+	for i, n := 0, v.NumObs(); i < n && next < len(markerOrder); i++ {
+		f := v.DriverFraction(i)
+		for next < len(markerOrder) && f >= markerFracs[markerOrder[next]] {
+			obs[markerOrder[next]] = i
+			next++
+		}
+	}
+	for ; next < len(markerOrder); next++ {
+		obs[markerOrder[next]] = -1
+	}
 }
 
 // Dynamic computes the dynamic features from the observation prefix up to
@@ -240,13 +278,17 @@ func Dynamic(v Source) []float64 {
 func AppendDynamic(dst []float64, v Source) []float64 {
 	out := dst
 
-	// Marker observations: first ordinal where the driver fraction reaches
-	// x%. The marker list is small and fixed, so the ordinals live on the
-	// stack.
-	var markerArr [8]int
-	markerObs := markerArr[:0]
-	for _, x := range Markers {
-		markerObs = append(markerObs, markerObservation(v, float64(x)/100))
+	// First ordinal where the driver fraction reaches each marker and
+	// sub-marker fraction.
+	var obsArr [maxMarkerFracs]int
+	markerObs := obsArr[:len(markerFracs)]
+	markerOrdinals(v, markerObs)
+	// Elapsed time at each reached marker and sub-marker.
+	var elapsed [maxMarkerFracs]float64
+	for j, o := range markerObs {
+		if o >= 0 {
+			elapsed[j] = v.TimeSinceStart(o)
+		}
 	}
 
 	for _, pr := range diffPairs {
@@ -265,21 +307,28 @@ func AppendDynamic(dst []float64, v Source) []float64 {
 	}
 
 	for _, k := range corKinds {
+		// k's estimate at each reached marker.
+		var atMarker [maxMarkerFracs]float64
+		for mi, o := range markerObs[:len(Markers)] {
+			if o >= 0 {
+				atMarker[mi] = v.EstimateAt(k, o)
+			}
+		}
 		for i := 1; i <= CorK; i++ {
-			for mi, x := range Markers {
-				o := markerObs[mi]
-				if o < 0 {
+			for mi := range Markers {
+				if markerObs[mi] < 0 {
 					out = append(out, 1) // neutral: looks perfectly linear
 					continue
 				}
 				// Sub-marker at fraction (i/k)*x of the driver input.
-				oSub := markerObservation(v, float64(x)/100*float64(i)/CorK)
-				so := v.EstimateAt(k, o)
-				if oSub < 0 || v.TimeSinceStart(o) <= 0 || so <= 0 {
+				sub := subMarker(i, mi)
+				oSub := markerObs[sub]
+				so := atMarker[mi]
+				if oSub < 0 || elapsed[mi] <= 0 || so <= 0 {
 					out = append(out, 1)
 					continue
 				}
-				timeRatio := v.TimeSinceStart(oSub) / v.TimeSinceStart(o)
+				timeRatio := elapsed[sub] / elapsed[mi]
 				estRatio := v.EstimateAt(k, oSub) / so
 				if estRatio <= 0 {
 					out = append(out, 1)

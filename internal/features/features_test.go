@@ -13,7 +13,7 @@ import (
 	"progressest/internal/progress"
 )
 
-func pipelineViews(t *testing.T, level catalog.DesignLevel) []*progress.PipelineView {
+func pipelineViews(t testing.TB, level catalog.DesignLevel) []*progress.PipelineView {
 	t.Helper()
 	db := datagen.GenTPCH(datagen.Params{Scale: 0.08, Zipf: 1, Seed: 11})
 	if err := db.ApplyDesign(datagen.Designs(datagen.TPCHLike)[level]); err != nil {
@@ -240,5 +240,23 @@ func TestDeterministicFeatures(t *testing.T) {
 				t.Fatalf("feature %d differs across identical runs", j)
 			}
 		}
+	}
+}
+
+// BenchmarkOnlineFull times one re-pick's feature vector over a finished
+// pipeline of the streaming view.
+func BenchmarkOnlineFull(b *testing.B) {
+	tr := pipelineViews(b, catalog.Untuned)[0].Trace
+	view := progress.NewOnlineView(tr.Plan, tr.Pipes)
+	exec.Replay(tr, view, len(tr.Snapshots))
+	p := view.Pipelines[0]
+	for _, q := range view.Pipelines {
+		if q.NumObs() > p.NumObs() {
+			p = q
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		OnlineFull(p)
 	}
 }

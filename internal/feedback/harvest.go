@@ -4,6 +4,8 @@ import (
 	"sync"
 
 	"progressest/internal/exec"
+	"progressest/internal/progress"
+	"progressest/internal/selection"
 	"progressest/internal/workload"
 )
 
@@ -19,14 +21,16 @@ type HarvestStats struct {
 	Errors int `json:"errors"`
 }
 
-// Harvester turns finished query executions into corpus examples. It
-// reuses workload.HarvestTrace — the exact conversion the batch training
-// path applies — so an online-harvested corpus is bit-identical to a
-// batch harvest of the same traces. When wired with a DriftTracker it
-// additionally closes the observed-vs-predicted loop: each harvested
-// example's errors are replayed through the selector version that served
-// the query, and the served estimator's error is recorded against that
-// version's routing target.
+// Harvester turns finished query executions into corpus examples. A
+// served query is labelled from the streaming view that watched it run
+// (workload.LabelView); a bare trace is replayed into such a view first
+// (workload.HarvestTrace) — one labeller either way, so an
+// online-harvested corpus is bit-identical to a batch harvest of the same
+// traces. When wired with a DriftTracker it additionally closes the
+// observed-vs-predicted loop: each harvested example's errors are
+// replayed through the selector version that served the query, and the
+// served estimator's error is recorded against that version's routing
+// target.
 type Harvester struct {
 	store *ExampleStore
 	// minObs filters pipelines with too few counter snapshots (<= 0 uses
@@ -56,17 +60,27 @@ func NewHarvester(store *ExampleStore, minObs int, drift *DriftTracker, canary *
 // appended — on a partial failure the prefix written before the error is
 // still counted, so the stats stay consistent with the corpus.
 func (h *Harvester) HarvestTrace(tr *exec.Trace, workloadName, family string, queryIndex int) (int, error) {
-	return h.harvestServed(tr, workloadName, family, queryIndex, nil)
+	return h.harvest(tr, workload.HarvestTrace(tr, workloadName, family, queryIndex, h.minObs), nil)
 }
 
-// harvestServed is HarvestTrace plus the drift join: with a non-nil
-// served model, the errors the serving selector's choices incur on the
-// freshly harvested examples are recorded into the drift tracker under
-// the version's routing target. The join uses exactly the examples that
-// land in the corpus — the drift verdict and the retrainer's training
-// set always agree on what was observed.
-func (h *Harvester) harvestServed(tr *exec.Trace, workloadName, family string, queryIndex int, served *ServedModel) (int, error) {
-	exs := workload.HarvestTrace(tr, workloadName, family, queryIndex, h.minObs)
+// HarvestView is HarvestTrace for a query the serving path monitored:
+// view is the streaming view that watched the run that produced tr, so
+// labelling reads the estimator series it already holds instead of
+// replaying them. served, when non-nil, is the model version pinned to
+// the query at start — its observed errors feed the drift tracker and
+// the canary. It runs on the executing goroutine, after the query's last
+// snapshot.
+func (h *Harvester) HarvestView(view *progress.OnlineView, tr *exec.Trace, workloadName, family string, queryIndex int, served *ServedModel) (int, error) {
+	return h.harvest(tr, workload.LabelView(view, tr, workloadName, family, queryIndex, h.minObs), served)
+}
+
+// harvest appends the labelled examples of tr and runs the drift join:
+// with a non-nil served model, the errors the serving selector's choices
+// incur on the freshly harvested examples are recorded into the drift
+// tracker under the version's routing target. The join uses exactly the
+// examples that land in the corpus — the drift verdict and the
+// retrainer's training set always agree on what was observed.
+func (h *Harvester) harvest(tr *exec.Trace, exs []selection.Example, served *ServedModel) (int, error) {
 	n, err := h.store.AppendAll(exs)
 	h.mu.Lock()
 	h.stats.Queries++
@@ -101,31 +115,4 @@ func (h *Harvester) Stats() HarvestStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.stats
-}
-
-// Observer returns an exec.Observer that harvests the query's trace on
-// its completion event. Install it (or chain it after other observers) in
-// exec.Options to subscribe a live execution to the corpus; the OnDone
-// callback runs synchronously on the executing goroutine, after the
-// query's last snapshot. served, when non-nil, is the model version
-// pinned to the query at start — its observed errors feed the drift
-// tracker.
-func (h *Harvester) Observer(workloadName, family string, queryIndex int, served *ServedModel) exec.Observer {
-	return &harvestObserver{h: h, workload: workloadName, family: family, query: queryIndex, served: served}
-}
-
-// harvestObserver subscribes to the completion event of one execution.
-type harvestObserver struct {
-	exec.BaseObserver
-	h        *Harvester
-	workload string
-	family   string
-	query    int
-	served   *ServedModel
-}
-
-func (o *harvestObserver) OnDone(tr *exec.Trace) {
-	// Append errors are recorded in the harvester's stats; the executing
-	// query must not fail because the corpus is unavailable.
-	_, _ = o.h.harvestServed(tr, o.workload, o.family, o.query, o.served)
 }

@@ -202,23 +202,44 @@ func (v *PipelineView) ratioSeries(ids []int) []float64 {
 // replace all estimates (Section 6.7). It needs the finished trace, so it
 // exists only on the offline view.
 func (v *PipelineView) oracleBytesSeries() []float64 {
-	var trueTotal float64
-	for _, d := range v.Pipe.Drivers {
-		trueTotal += float64(v.Trace.N[d]) * v.Width[d]
-	}
-	trueTotal += float64(v.Trace.N[v.top]) * v.Width[v.top]
-	for _, id := range v.spill {
-		trueTotal += float64(v.Trace.FinalR[id] + v.Trace.FinalW[id])
-	}
+	trueTotal := v.oracleBytesTotal(v.Trace)
 	out := make([]float64, v.NumObs())
 	for i := range out {
-		if trueTotal <= 0 {
-			out[i] = 1
-			continue
-		}
-		out[i] = clamp01(v.luoDoneAt(v.snap(i)) / trueTotal)
+		out[i] = oracleRatio(v.luoDoneAt(v.snap(i)), trueTotal)
 	}
 	return out
+}
+
+// oracleBytesTotal is the true bytes-processed total of the pipeline in
+// the finished trace: the denominator of the OracleBytes model.
+func (c *PipeContext) oracleBytesTotal(tr *exec.Trace) float64 {
+	var total float64
+	for _, d := range c.Pipe.Drivers {
+		total += float64(tr.N[d]) * c.Width[d]
+	}
+	total += float64(tr.N[c.top]) * c.Width[c.top]
+	for _, id := range c.spill {
+		total += float64(tr.FinalR[id] + tr.FinalW[id])
+	}
+	return total
+}
+
+// oracleGetNextTotal is the true GetNext total of the pipeline in the
+// finished trace: the denominator of the OracleGetNext model.
+func (c *PipeContext) oracleGetNextTotal(tr *exec.Trace) float64 {
+	var total float64
+	for _, id := range c.Pipe.Nodes {
+		total += float64(tr.N[id])
+	}
+	return total
+}
+
+// oracleRatio is an oracle model's value: work done over the true total.
+func oracleRatio(done, total float64) float64 {
+	if total <= 0 {
+		return 1
+	}
+	return clamp01(done / total)
 }
 
 // worstCaseSeries computes PMAX and SAFE together.
@@ -275,22 +296,11 @@ func (v *PipelineView) UnrefinedTGNErrors() ErrorStats {
 // oracleGetNextSeries is the idealised GetNext model: sum(K)/sum(N) with
 // true totals (Section 6.7).
 func (v *PipelineView) oracleGetNextSeries() []float64 {
-	var total float64
-	for _, id := range v.Pipe.Nodes {
-		total += float64(v.Trace.N[id])
-	}
+	total := v.oracleGetNextTotal(v.Trace)
 	out := make([]float64, v.NumObs())
 	for i := range out {
-		s := v.snap(i)
-		var k float64
-		for _, id := range v.Pipe.Nodes {
-			k += float64(s.K[id])
-		}
-		if total <= 0 {
-			out[i] = 1
-			continue
-		}
-		out[i] = clamp01(k / total)
+		k, _ := v.sums(v.Pipe.Nodes, v.snap(i))
+		out[i] = oracleRatio(k, total)
 	}
 	return out
 }

@@ -7,8 +7,11 @@
 // GetNext and Bytes-Processed models (Section 6.7).
 //
 // All estimators are pure functions over a prefix of an execution Trace,
-// so a single execution can be replayed through every estimator — which is
-// how training labels are collected at negligible overhead.
+// so one execution yields every estimator's series: the streaming
+// OnlineView computes every selectable one as the run advances, and a
+// finished run's training labels are read from that view
+// (workload.LabelView) rather than recomputed; only the oracle models,
+// which need the finished run's true totals, are computed afterwards.
 package progress
 
 import "fmt"

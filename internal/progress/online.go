@@ -284,6 +284,34 @@ func (p *OnlinePipeline) Series(kind Kind) []float64 {
 	return p.AppendSeries(nil, kind)
 }
 
+// AppendOracleSeries appends an oracle model's series (OracleGetNext or
+// OracleBytes) to dst. The oracles divide by true totals, so they exist
+// only once the run is over: tr is the finished trace the pipeline's
+// observations came from. OracleGetNext divides the GetNext sums the
+// table already holds; OracleBytes takes one bytes-processed pass over
+// the pipeline's snapshots in tr. The values equal the offline view's.
+func (p *OnlinePipeline) AppendOracleSeries(dst []float64, tr *exec.Trace, kind Kind) []float64 {
+	if p.n == 0 {
+		return dst
+	}
+	switch kind {
+	case OracleGetNext:
+		total := p.oracleGetNextTotal(tr)
+		for i := 0; i < p.n; i++ {
+			dst = append(dst, oracleRatio(p.at(colKNodes, i), total))
+		}
+	case OracleBytes:
+		total := p.oracleBytesTotal(tr)
+		lo, _ := tr.ObsRange(p.Pipe.ID)
+		for i := lo; i < lo+p.n; i++ {
+			dst = append(dst, oracleRatio(p.luoDoneAt(&tr.Snapshots[i]), total))
+		}
+	default:
+		panic("progress: " + kind.String() + " is not an oracle model")
+	}
+	return dst
+}
+
 // DriverFraction returns the consumed driver-input fraction at observation
 // ordinal i.
 func (p *OnlinePipeline) DriverFraction(i int) float64 { return p.at(colFrac, i) }

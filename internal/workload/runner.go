@@ -4,14 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 
 	"progressest/internal/exec"
-	"progressest/internal/features"
 	"progressest/internal/plan"
-	"progressest/internal/progress"
 	"progressest/internal/selection"
 )
 
@@ -72,51 +68,6 @@ func (w *Workload) perQueryExecOptions(opts RunOptions) []exec.Options {
 			}
 		}
 		out[qi] = execOpts
-	}
-	return out
-}
-
-// HarvestTrace converts one finished execution trace into labelled
-// training examples: for every pipeline with at least minObs counter
-// snapshots it builds the full feature vector and replays the trace to
-// measure every candidate estimator's true L1/L2 error post-hoc. This is
-// the single harvest implementation — the batch runner and the streaming
-// feedback harvester both call it, so online-collected examples are
-// bit-identical to a batch harvest of the same traces. family tags each
-// example with the query's workload family (the per-family model routing
-// key; see Workload.QueryFamily). minObs <= 0 uses the default (8).
-func HarvestTrace(tr *exec.Trace, workloadName, family string, queryIndex int, minObs int) []selection.Example {
-	if minObs <= 0 {
-		minObs = RunOptions{}.withDefaults().MinObservations
-	}
-	var out []selection.Example
-	for p := range tr.Pipes.Pipelines {
-		pipe := tr.Pipes.Pipelines[p]
-		v := progress.NewPipelineView(tr, p)
-		if v.NumObs() < minObs {
-			continue
-		}
-		ex := selection.Example{
-			Features:  features.Full(v),
-			Workload:  workloadName,
-			Signature: pipelineSignature(tr, p),
-			Family:    family,
-			Meta: map[string]float64{
-				"query":    float64(queryIndex),
-				"pipeline": float64(p),
-			},
-		}
-		var totalGN float64
-		for _, id := range pipe.Nodes {
-			totalGN += float64(tr.N[id])
-		}
-		ex.Meta["getnext_total"] = totalGN
-		for _, k := range progress.AllKinds() {
-			e := v.Errors(k)
-			ex.ErrL1[k] = e.L1
-			ex.ErrL2[k] = e.L2
-		}
-		out = append(out, ex)
 	}
 	return out
 }
@@ -223,21 +174,6 @@ func (w *Workload) RunParallel(opts RunOptions, workers int) (*Result, error) {
 		}
 	}
 	return merge(results), nil
-}
-
-// pipelineSignature summarises a pipeline's operator shape: the sorted
-// multiset of (operator, table) pairs of its members. Instances of the
-// same query template produce equal signatures, which is what the
-// selectivity-sensitivity experiment (Table 2) groups by.
-func pipelineSignature(tr *exec.Trace, p int) string {
-	pipe := tr.Pipes.Pipelines[p]
-	parts := make([]string, 0, len(pipe.Nodes))
-	for _, id := range pipe.Nodes {
-		n := tr.Plan.Node(id)
-		parts = append(parts, n.Op.String()+":"+n.TableName)
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
 }
 
 // BuildAndRun is the convenience composition of Build and Run.

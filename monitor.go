@@ -184,9 +184,9 @@ type monitorObserver struct {
 	every int
 	pace  time.Duration
 	// harvest, when non-nil, subscribes the learning harvester to the
-	// completion event: the finished trace is labelled and appended to
-	// the corpus before the final update goes out.
-	harvest exec.Observer
+	// completion event: the finished run is labelled from view and
+	// appended to the corpus before the final update goes out.
+	harvest func(view *progress.OnlineView, tr *exec.Trace)
 
 	choice    []progress.Kind
 	nextMark  []int
@@ -218,7 +218,7 @@ func (m *monitorObserver) OnThin()                             { m.view.OnThin()
 func (m *monitorObserver) OnDone(tr *exec.Trace) {
 	m.view.OnDone(tr)
 	if m.harvest != nil {
-		m.harvest.OnDone(tr)
+		m.harvest(m.view, tr)
 	}
 }
 
@@ -413,7 +413,12 @@ func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, workloadName, fami
 		// The pinned served model rides along so the harvester can join
 		// the run's eventual estimator errors back to the version (and
 		// routing target) that served it — the drift monitor's signal.
-		obs.harvest = opts.Learning.harv.Observer(workloadName, family, queryIndex, served)
+		// Append errors land in the harvester's stats; the query must not
+		// fail because the corpus is unavailable.
+		harv := opts.Learning.harv
+		obs.harvest = func(view *progress.OnlineView, tr *exec.Trace) {
+			_, _ = harv.HarvestView(view, tr, workloadName, family, queryIndex, served)
+		}
 	}
 	for pi := range obs.choice {
 		obs.choice[pi] = opts.Estimator
