@@ -48,28 +48,18 @@ func TestQueryEstimateZeroAlloc(t *testing.T) {
 	}
 }
 
-// startToDoneAllocCeiling bounds a whole monitored query of
-// BenchmarkMonitorStartToDone's fixture — Start, every update drained,
-// Wait — about 15 % over the 123 allocations it measures today (959
-// before a run's rows, join table, snapshot sink and observation tables
-// stopped being allocated row by row). Every piece of a run's working
-// memory is sized by the run, none recycled through a pool, so the count
-// does not move with the collector's timing.
-const startToDoneAllocCeiling = 142
-
-// TestStartToDoneAllocBudget gates what BENCH_baseline.json only records:
-// a query's set-up and working memory, the dominant per-query cost once
-// the snapshot→update cycle allocates nothing.
-func TestStartToDoneAllocBudget(t *testing.T) {
+// startToDoneAllocs is the average allocation count of one monitored
+// query of BenchmarkMonitorStartToDone's fixture — Start, every update
+// drained, Wait — past the runs that fill the plan entry.
+func startToDoneAllocs(t *testing.T, opts MonitorOptions) float64 {
+	t.Helper()
 	w, err := Open(Config{Dataset: TPCH, Queries: 2, Scale: 0.08, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.planned(0); err != nil { // warm the plan cache
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		m, err := w.Start(0, MonitorOptions{})
+	// AllocsPerRun's warm-up run plans the query and fills its entry.
+	return testing.AllocsPerRun(50, func() {
+		m, err := w.Start(0, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,6 +69,22 @@ func TestStartToDoneAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// startToDoneAllocCeiling bounds a whole monitored query about 15 % over
+// the 95 allocations it measures today (123 while every run rebuilt its
+// pipeline contexts and carved nothing from slabs; 959 before a run's
+// rows, join table, snapshot sink and observation tables stopped being
+// allocated row by row). Every piece of a run's working memory is sized
+// by the run, none recycled through a pool, so the count does not move
+// with the collector's timing.
+const startToDoneAllocCeiling = 109
+
+// TestStartToDoneAllocBudget gates what BENCH_baseline.json only records:
+// a query's set-up and working memory, the dominant per-query cost once
+// the snapshot→update cycle allocates nothing.
+func TestStartToDoneAllocBudget(t *testing.T) {
+	avg := startToDoneAllocs(t, MonitorOptions{})
 	if avg > startToDoneAllocCeiling {
 		t.Fatalf("monitored query start-to-done: %v allocs, ceiling %d", avg, startToDoneAllocCeiling)
 	}
@@ -87,38 +93,22 @@ func TestStartToDoneAllocBudget(t *testing.T) {
 
 // learningStartToDoneAllocCeiling bounds the same query with Learning
 // attached — its finished run labelled and appended to the corpus before
-// Wait returns — about 15 % over the 176 allocations it measures
-// today (266 while harvest replayed every estimator through an
-// offline view of the trace).
-const learningStartToDoneAllocCeiling = 202
+// Wait returns — about 15 % over the 122 allocations it measures
+// today (176 while every run rebuilt its pipeline contexts; 266 while
+// harvest replayed every estimator through an offline view of the
+// trace).
+const learningStartToDoneAllocCeiling = 140
 
 // TestLearningStartToDoneAllocBudget gates what harvest adds to a
 // monitored query: labelling from the monitor's own view must stay a
 // copy of what the view holds, not a second pass over the trace.
 func TestLearningStartToDoneAllocBudget(t *testing.T) {
-	w, err := Open(Config{Dataset: TPCH, Queries: 2, Scale: 0.08, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	lrn, err := OpenLearning(LearningConfig{Dir: t.TempDir(), DisableBackground: true, DisableGate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lrn.Close()
-	if _, err := w.planned(0); err != nil { // warm the plan cache
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		m, err := w.Start(0, MonitorOptions{Learning: lrn})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for range m.Updates {
-		}
-		if _, err := m.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	avg := startToDoneAllocs(t, MonitorOptions{Learning: lrn})
 	if st := lrn.HarvestStats(); st.Examples == 0 || st.Errors != 0 {
 		t.Fatalf("harvest stats %+v: the query must land examples in the corpus", st)
 	}
@@ -126,6 +116,24 @@ func TestLearningStartToDoneAllocBudget(t *testing.T) {
 		t.Fatalf("learning query start-to-done: %v allocs, ceiling %d", avg, learningStartToDoneAllocCeiling)
 	}
 	t.Logf("learning query start-to-done: %v allocs (ceiling %d)", avg, learningStartToDoneAllocCeiling)
+}
+
+// selectorStartToDoneAllocCeiling bounds the same query served by a
+// trained selector — native_closed's configuration: a pick at every
+// pipeline start and marker crossing — about 15 % over the 97
+// allocations it measures today (151 while every run rebuilt its
+// pipeline contexts and static feature prefixes).
+const selectorStartToDoneAllocCeiling = 112
+
+// TestSelectorStartToDoneAllocBudget gates what selection adds to a
+// monitored query: the static prefix comes from the plan entry, so a
+// pick must stay a copy into the pipeline's feature scratch.
+func TestSelectorStartToDoneAllocBudget(t *testing.T) {
+	avg := startToDoneAllocs(t, MonitorOptions{Selector: trainedSelector(t)})
+	if avg > selectorStartToDoneAllocCeiling {
+		t.Fatalf("selector-served query start-to-done: %v allocs, ceiling %d", avg, selectorStartToDoneAllocCeiling)
+	}
+	t.Logf("selector-served query start-to-done: %v allocs (ceiling %d)", avg, selectorStartToDoneAllocCeiling)
 }
 
 // observeAllocCeiling bounds one POST …/observations of

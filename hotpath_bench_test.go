@@ -52,13 +52,9 @@ func newSnapshotCycle(t testing.TB, batched bool) *snapshotCycle {
 		if tr.PipeSpans[pi].Start < 0 {
 			continue
 		}
-		totals := make(map[int]int64)
-		for _, d := range tr.Pipes.Pipelines[pi].Drivers {
-			totals[d] = tr.DriverTotal[d]
-		}
 		obs.OnPipelineStart(exec.PipelineStart{
 			Pipe: pi, Time: tr.PipeSpans[pi].Start,
-			DriverTotalsKnown: tr.DriverTotalsKnown[pi], DriverTotals: totals,
+			DriverTotalsKnown: tr.DriverTotalsKnown[pi], DriverTotals: tr.DriverTotal,
 		})
 	}
 	c := &snapshotCycle{obs: obs, snaps: tr.Snapshots, every: every, batched: batched}
@@ -121,30 +117,45 @@ func BenchmarkSnapshotUpdateCycle(b *testing.B) {
 }
 
 // BenchmarkMonitorStartToDone is the end-to-end figure: a full monitored
-// query — Start, stream every update, Wait. Execution itself dominates.
-// (The "/batched" sub-name is the key of its BENCH_baseline.json history.)
+// query — Start, stream every update, Wait — with a fixed estimator
+// ("/batched", the key of its BENCH_baseline.json history) and served by
+// a trained selector ("/selector"), beside "/bare": the same cached plan
+// executed with no observer. (start→done − bare) / bare is what
+// estimation adds to a query; execution itself dominates.
 func BenchmarkMonitorStartToDone(b *testing.B) {
 	w, err := Open(Config{Dataset: TPCH, Queries: 2, Scale: 0.08, Seed: 3})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := w.planned(0); err != nil { // warm the plan cache
+	pq, err := w.planned(0) // warm the plan cache
+	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("batched", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m, err := w.Start(0, MonitorOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for range m.Updates {
-			}
-			if _, err := m.Wait(); err != nil {
-				b.Fatal(err)
+	sel := trainedSelector(b)
+	monitored := func(opts MonitorOptions) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := w.Start(0, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for range m.Updates {
+				}
+				if _, err := m.Wait(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
+	}
+	b.Run("batched", monitored(MonitorOptions{}))
+	b.Run("bare", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			exec.RunDecomposed(w.inner.DB, pq.plan, pq.pipes, exec.Options{})
+		}
 	})
+	b.Run("selector", monitored(MonitorOptions{Selector: sel}))
 }
 
 // observeFixture drives POST /sessions/{id}/observations through

@@ -33,14 +33,15 @@ func collectUpdates(t testing.TB, w *Workload, qi int, sel *Selector, unbatched 
 }
 
 // newTestObserver builds query qi's monitorObserver through the shared
-// set-up Start uses, without starting an executor.
+// set-up Start uses — the plan entry's cached start contexts included —
+// without starting an executor.
 func newTestObserver(t testing.TB, w *Workload, qi, every int) (*monitorObserver, *plannedQuery) {
 	t.Helper()
 	pq, err := w.planned(qi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := newMonitor(pq.plan, pq.pipes, "", "", qi, MonitorOptions{UpdateEvery: every})
+	m, err := newMonitor(pq.plan, pq.pipes, pq.starts, "", "", qi, MonitorOptions{UpdateEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,20 +54,7 @@ func newTestObserver(t testing.TB, w *Workload, qi, every int) (*monitorObserver
 // crossings, and under forced thinning — the delivered update stream is
 // bit-identical between batched and per-snapshot delivery.
 func TestBatchedMonitorMatchesUnbatched(t *testing.T) {
-	var sel *Selector
-	{
-		tw, err := Open(Config{Dataset: TPCH, Queries: 4, Scale: 0.08, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		examples, err := tw.Harvest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sel, err = TrainSelector(examples, SelectorConfig{Trees: 24}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	sel := trainedSelector(t)
 	for _, ds := range []Dataset{TPCH, TPCDS, Real1, Real2} {
 		t.Run(ds.String(), func(t *testing.T) {
 			w, err := Open(Config{Dataset: ds, Queries: 4, Scale: 0.08, Seed: 7})

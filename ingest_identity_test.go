@@ -17,7 +17,7 @@ import (
 // necessarily a workload query's) through the shared set-up, capturing
 // the exact update stream through the deliver hook.
 func identityObserver(pl *plan.Plan, pipes *pipeline.Decomposition, sel *Selector, every int, got *[]ProgressUpdate) *monitorObserver {
-	m, err := newMonitor(pl, pipes, "", "", -1, MonitorOptions{Selector: sel, UpdateEvery: every})
+	m, err := newMonitor(pl, pipes, nil, "", "", -1, MonitorOptions{Selector: sel, UpdateEvery: every})
 	if err != nil {
 		panic(err)
 	}
@@ -126,7 +126,7 @@ func TestIngestedSessionHarvestMatchesBatch(t *testing.T) {
 			for _, execOpts := range []exec.Options{{}, {TargetObservations: 900, MaxObservations: 64}} {
 				tr := exec.RunDecomposed(w.inner.DB, pq.plan, pq.pipes, execOpts)
 				streamIngested(t, tr, every, 5, func(model *ingest.Model) *monitorObserver {
-					m, err := newMonitor(model.Plan, model.Pipes, "ext-engine", "ext-fam", -1,
+					m, err := newMonitor(model.Plan, model.Pipes, nil, "ext-engine", "ext-fam", -1,
 						MonitorOptions{Learning: lrn, UpdateEvery: every})
 					if err != nil {
 						t.Fatal(err)
@@ -161,20 +161,7 @@ func TestIngestedSessionHarvestMatchesBatch(t *testing.T) {
 // and a synthesized trace whose estimator-relevant state matches the
 // native one exactly.
 func TestIngestedStreamBitIdentical(t *testing.T) {
-	var sel *Selector
-	{
-		tw, err := Open(Config{Dataset: TPCH, Queries: 4, Scale: 0.08, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		examples, err := tw.Harvest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sel, err = TrainSelector(examples, SelectorConfig{Trees: 24}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	sel := trainedSelector(t)
 	const every = 4
 	for _, ds := range []Dataset{TPCH, TPCDS, Real1, Real2} {
 		t.Run(ds.String(), func(t *testing.T) {

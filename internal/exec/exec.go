@@ -117,7 +117,7 @@ func RunDecomposed(db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposi
 	}
 	// Driver totals as they were known at each pipeline's start (recorded
 	// by startPipeline); pipelines that never became active report unknown.
-	tr.DriverTotalsKnown = append([]bool(nil), ctx.pipeKnown...)
+	tr.DriverTotalsKnown = ctx.pipeKnown
 	tr.DriverTotal = ctx.driverTotal
 	if ctx.observer != nil {
 		for pi := range pipes.Pipelines {
@@ -160,25 +160,30 @@ func driverTotalAtStart(db *storage.Database, n *plan.Node, ctx *context) (int64
 	}
 }
 
-// newContext builds the execution state for one run.
+// newContext builds the execution state for one run. Its per-node and
+// per-pipeline slices are carved from one slab per element type, each
+// capped at its own length, so the Trace's aliases of K, R, W,
+// driverTotal and pipeKnown stay independent of one another.
 func newContext(db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposition, opts Options, obsEvery int64) *context {
-	n := p.NumNodes()
+	n, np := p.NumNodes(), len(pipes.Pipelines)
+	counters := make([]int64, 5*n)
+	active := make([]float64, 2*n)
+	flags := make([]bool, 2*np)
 	ctx := &context{
 		db:          db,
 		p:           p,
 		pipes:       pipes,
 		opts:        opts,
 		observer:    opts.Observer,
-		K:           make([]int64, n),
-		R:           make([]int64, n),
-		W:           make([]int64, n),
-		firstActive: make([]float64, n),
-		lastActive:  make([]float64, n),
-		blockTotal:  make([]int64, n),
-		driverTotal: make([]int64, n),
-		pipeOf:      make([]int, n),
-		pipeStarted: make([]bool, len(pipes.Pipelines)),
-		pipeKnown:   make([]bool, len(pipes.Pipelines)),
+		K:           counters[:n:n],
+		R:           counters[n : 2*n : 2*n],
+		W:           counters[2*n : 3*n : 3*n],
+		blockTotal:  counters[3*n : 4*n : 4*n],
+		driverTotal: counters[4*n:],
+		firstActive: active[:n:n],
+		lastActive:  active[n:],
+		pipeStarted: flags[:np:np],
+		pipeKnown:   flags[np:],
 		obsEvery:    obsEvery,
 		untilSnap:   obsEvery,
 		sink:        NewTraceSink(n),
@@ -187,11 +192,6 @@ func newContext(db *storage.Database, p *plan.Plan, pipes *pipeline.Decompositio
 	for i := range ctx.firstActive {
 		ctx.firstActive[i] = -1
 		ctx.blockTotal[i] = -1
-	}
-	for pi, pl := range pipes.Pipelines {
-		for _, id := range pl.Nodes {
-			ctx.pipeOf[id] = pi
-		}
 	}
 	return ctx
 }
@@ -218,7 +218,6 @@ type context struct {
 	// driverTotal[n] is the driver input size recorded at pipeline start.
 	driverTotal []int64
 
-	pipeOf      []int  // node ID -> pipeline index
 	pipeStarted []bool // pipeline became active
 	pipeKnown   []bool // all driver totals known at pipeline start
 
@@ -269,7 +268,7 @@ func (c *context) tickActive(id int, cost float64) {
 		c.firstActive[id] = c.clock
 	}
 	c.lastActive[id] = c.clock
-	if pi := c.pipeOf[id]; !c.pipeStarted[pi] {
+	if pi := c.pipes.IndexOf(id); !c.pipeStarted[pi] {
 		c.startPipeline(pi)
 	}
 }
@@ -283,7 +282,6 @@ func (c *context) startPipeline(pi int) {
 	c.pipeStarted[pi] = true
 	pl := c.pipes.Pipelines[pi]
 	known := len(pl.Drivers) > 0
-	var totals map[int]int64
 	for _, d := range pl.Drivers {
 		t, ok := driverTotalAtStart(c.db, c.p.Node(d), c)
 		if !ok {
@@ -291,10 +289,6 @@ func (c *context) startPipeline(pi int) {
 			continue
 		}
 		c.driverTotal[d] = t
-		if totals == nil {
-			totals = make(map[int]int64, len(pl.Drivers))
-		}
-		totals[d] = t
 	}
 	c.pipeKnown[pi] = known
 	c.flushSnapshots() // starts must not land mid-batch
@@ -303,7 +297,7 @@ func (c *context) startPipeline(pi int) {
 			Pipe:              pi,
 			Time:              c.clock,
 			DriverTotalsKnown: known,
-			DriverTotals:      totals,
+			DriverTotals:      c.driverTotal,
 		})
 	}
 }

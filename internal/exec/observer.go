@@ -18,9 +18,13 @@ type PipelineStart struct {
 	// was known exactly at this moment (the common case, as the paper
 	// notes).
 	DriverTotalsKnown bool
-	// DriverTotals maps driver node IDs to their exact input sizes, for the
-	// drivers whose size is knowable.
-	DriverTotals map[int]int64
+	// DriverTotals is indexed by plan node ID. When DriverTotalsKnown is
+	// true, the entry of every driver node of the pipeline is its exact
+	// input size; no other entry means anything. It aliases the source's
+	// own per-node totals (the executor's, a replayed Trace's DriverTotal,
+	// an ingest model's Total), so like a Snapshot's counters it is valid
+	// only for the duration of the OnPipelineStart call.
+	DriverTotals []int64
 }
 
 // Observer receives execution events while a query runs. It is the

@@ -19,7 +19,10 @@ type recordingObserver struct {
 	done      *Trace
 }
 
-func (r *recordingObserver) OnPipelineStart(st PipelineStart) { r.starts = append(r.starts, st) }
+func (r *recordingObserver) OnPipelineStart(st PipelineStart) {
+	st.DriverTotals = append([]int64(nil), st.DriverTotals...)
+	r.starts = append(r.starts, st)
+}
 func (r *recordingObserver) OnPipelineEnd(p int, end float64) { r.ends[p] = end }
 func (r *recordingObserver) OnSnapshots(batch []Snapshot) {
 	for _, s := range batch {
@@ -80,9 +83,12 @@ func TestObserverMirrorsTrace(t *testing.T) {
 		if st.DriverTotalsKnown != tr.DriverTotalsKnown[st.Pipe] {
 			t.Fatalf("pipeline %d: known flag diverges", st.Pipe)
 		}
-		for d, total := range st.DriverTotals {
-			if tr.DriverTotal[d] != total {
-				t.Fatalf("driver %d: start total %d, trace total %d", d, total, tr.DriverTotal[d])
+		if !st.DriverTotalsKnown {
+			continue
+		}
+		for _, d := range tr.Pipes.Pipelines[st.Pipe].Drivers {
+			if st.DriverTotals[d] != tr.DriverTotal[d] {
+				t.Fatalf("driver %d: start total %d, trace total %d", d, st.DriverTotals[d], tr.DriverTotal[d])
 			}
 		}
 	}

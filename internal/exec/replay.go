@@ -63,23 +63,16 @@ func Replay(tr *Trace, obs Observer, batch int) {
 	obs.OnDone(tr)
 }
 
-// replayStart rebuilds pipeline pi's start event from the trace. Driver
-// totals are reconstructed only for fully-known pipelines: with
-// DriverTotalsKnown false the totals map is never consulted (estimators
-// fall back to plan-time cardinalities), and the trace does not record
-// which partial totals were knowable.
+// replayStart rebuilds pipeline pi's start event from the trace. The
+// totals are the trace's own DriverTotal, which holds every driver's
+// total of a fully-known pipeline; with DriverTotalsKnown false they are
+// never consulted (estimators fall back to plan-time cardinalities), and
+// the trace does not record which partial totals were knowable.
 func replayStart(tr *Trace, pi int) PipelineStart {
-	st := PipelineStart{
+	return PipelineStart{
 		Pipe:              pi,
 		Time:              tr.PipeSpans[pi].Start,
 		DriverTotalsKnown: tr.DriverTotalsKnown[pi],
+		DriverTotals:      tr.DriverTotal,
 	}
-	if st.DriverTotalsKnown {
-		drivers := tr.Pipes.Pipelines[pi].Drivers
-		st.DriverTotals = make(map[int]int64, len(drivers))
-		for _, d := range drivers {
-			st.DriverTotals[d] = tr.DriverTotal[d]
-		}
-	}
-	return st
 }

@@ -350,14 +350,12 @@ func Full(v *progress.PipelineView) []float64 {
 	return append(Static(v.PipeContext), Dynamic(v)...)
 }
 
-// OnlineStatic returns the static feature prefix of a live pipeline,
-// computing it on first use and caching it on the view (the static
-// context never changes after pipeline start).
+// OnlineStatic returns the static feature prefix of a live pipeline. The
+// static context never changes after pipeline start, so the prefix is
+// computed once per start — and once per plan for the runs of a cached
+// plan, which share it read-only (see progress.OnlinePipeline.StaticPrefix).
 func OnlineStatic(v *progress.OnlinePipeline) []float64 {
-	if v.StaticCache == nil {
-		v.StaticCache = Static(v.PipeContext)
-	}
-	return v.StaticCache
+	return v.StaticPrefix(Static)
 }
 
 // OnlineFull returns the current full feature vector of a live pipeline:

@@ -330,15 +330,7 @@ func (r *Runner) startPipeline(pi int, t float64) {
 	r.startAt[pi] = t
 	r.lastAct[pi] = t
 	r.flush()
-	st := exec.PipelineStart{Pipe: pi, Time: t, DriverTotalsKnown: r.model.Known[pi]}
-	if st.DriverTotalsKnown {
-		drivers := r.model.Pipes.Pipelines[pi].Drivers
-		st.DriverTotals = make(map[int]int64, len(drivers))
-		for _, d := range drivers {
-			st.DriverTotals[d] = r.model.Total[d]
-		}
-	}
-	r.obs.OnPipelineStart(st)
+	r.obs.OnPipelineStart(exec.PipelineStart{Pipe: pi, Time: t, DriverTotalsKnown: r.model.Known[pi], DriverTotals: r.model.Total})
 }
 
 func (r *Runner) flush() {

@@ -54,6 +54,10 @@ func (d *Decomposition) PipelineOf(id int) *Pipeline {
 	return d.Pipelines[d.byNode[id]]
 }
 
+// IndexOf returns the index in Pipelines of the pipeline containing node
+// id.
+func (d *Decomposition) IndexOf(id int) int { return d.byNode[id] }
+
 // FromPipelines builds a Decomposition from an explicitly supplied
 // pipeline set — the counter-ingestion path, where an external engine
 // declares its own decomposition instead of deriving one from the plan's

@@ -36,20 +36,42 @@ type OnlineView struct {
 	snapCount int // retained snapshots seen so far (mirrors the trace sink)
 	done      bool
 
-	wbuf []float64 // QueryEstimate weight scratch, reused across calls
+	wbuf  []float64  // QueryEstimate weight scratch, reused across calls
+	cache *PlanCache // shared start contexts of a cached plan, or nil
 }
 
-// NewOnlineView prepares a streaming view for one execution of the plan.
-// Pass it as exec.Options.Observer.
+// NewOnlineView prepares a streaming view for one execution of the plan,
+// building every pipeline's start context privately. Pass it as
+// exec.Options.Observer.
 func NewOnlineView(p *plan.Plan, pipes *pipeline.Decomposition) *OnlineView {
+	return NewCachedOnlineView(p, pipes, nil)
+}
+
+// NewCachedOnlineView is NewOnlineView for one run of a cached plan: a
+// pipeline start takes its PipeContext and static feature prefix from
+// cache (see PlanCache). A nil cache builds every context privately.
+//
+// The pipelines and their lastSig rows are carved from one slab each.
+func NewCachedOnlineView(p *plan.Plan, pipes *pipeline.Decomposition, cache *PlanCache) *OnlineView {
+	n := len(pipes.Pipelines)
 	o := &OnlineView{
 		Plan:      p,
 		Pipes:     pipes,
-		Pipelines: make([]*OnlinePipeline, 0, len(pipes.Pipelines)),
-		wbuf:      make([]float64, len(pipes.Pipelines)),
+		Pipelines: make([]*OnlinePipeline, n),
+		wbuf:      make([]float64, n),
+		cache:     cache,
 	}
+	sigs := 0
 	for _, pl := range pipes.Pipelines {
-		o.Pipelines = append(o.Pipelines, &OnlinePipeline{pipe: pl, plan: p})
+		sigs += 3 * len(pl.Nodes)
+	}
+	slab := make([]OnlinePipeline, n)
+	sig := make([]int64, sigs)
+	for i, pl := range pipes.Pipelines {
+		k := 3 * len(pl.Nodes)
+		slab[i] = OnlinePipeline{pipe: pl, plan: p, lastSig: sig[:k:k]}
+		sig = sig[k:]
+		o.Pipelines[i] = &slab[i]
 	}
 	return o
 }
@@ -61,14 +83,10 @@ func (o *OnlineView) Done() bool { return o.done }
 // static context from the driver totals known at start.
 func (o *OnlineView) OnPipelineStart(st exec.PipelineStart) {
 	p := o.Pipelines[st.Pipe]
-	p.PipeContext = NewPipeContext(o.Plan, p.pipe, st.DriverTotalsKnown,
-		func(node int) int64 { return st.DriverTotals[node] })
+	p.shared, p.PipeContext = o.cache.start(o.Plan, p.pipe, &st)
 	p.Started = true
 	p.StartTime = st.Time
 	p.worst = newWorstState()
-	if p.lastSig == nil {
-		p.lastSig = make([]int64, 3*len(p.pipe.Nodes))
-	}
 	p.reserve(o.Reserve)
 }
 
@@ -182,9 +200,11 @@ type OnlinePipeline struct {
 	StartTime float64
 	EndTime   float64
 
-	// StaticCache holds the pipeline's static feature vector, computed
-	// once at pipeline start by the features package.
-	StaticCache []float64
+	// static is the static feature prefix once computed (see
+	// StaticPrefix). shared is the cached plan's start state the
+	// PipeContext came from, nil for a private context.
+	static []float64
+	shared *startContext
 
 	// FeatBuf is the reusable scratch the features package assembles the
 	// full online feature vector into, so a selector re-pick allocates
@@ -252,6 +272,26 @@ func (p *OnlinePipeline) reserve(n int) {
 	for len(p.chunks)*obsChunkRows < n {
 		p.chunks = append(p.chunks, new(obsChunk))
 	}
+}
+
+// StaticPrefix returns the pipeline's static feature prefix, built from
+// the PipeContext by build on first use. A pipeline whose context came
+// from a PlanCache takes the prefix an earlier run of the plan published
+// there, or publishes its own: the slice is shared read-only by every run
+// of the plan, so callers must not modify it.
+func (p *OnlinePipeline) StaticPrefix(build func(*PipeContext) []float64) []float64 {
+	if p.static == nil {
+		if p.shared == nil {
+			p.static = build(p.PipeContext)
+		} else {
+			if p.shared.static.Load() == nil {
+				s := build(p.PipeContext)
+				p.shared.static.CompareAndSwap(nil, &s)
+			}
+			p.static = *p.shared.static.Load()
+		}
+	}
+	return p.static
 }
 
 // NumObs returns the number of observations recorded for the pipeline.
@@ -380,9 +420,6 @@ func (p *OnlinePipeline) unchanged(s *exec.Snapshot) bool {
 }
 
 func (p *OnlinePipeline) remember(s *exec.Snapshot) {
-	if p.lastSig == nil {
-		p.lastSig = make([]int64, 3*len(p.Pipe.Nodes))
-	}
 	for i, id := range p.Pipe.Nodes {
 		j := 3 * i
 		p.lastSig[j], p.lastSig[j+1], p.lastSig[j+2] = s.K[id], s.R[id], s.W[id]

@@ -12,7 +12,9 @@ import (
 // offline replay path (PipelineView) and the streaming path (OnlineView):
 // the driver-node sets, exact driver totals where known, and structural
 // upper bounds used for online estimate refinement (Section 3.3). It is
-// fully determined at pipeline start and never changes afterwards.
+// fully determined at pipeline start and never changes afterwards: on a
+// run of a cached plan one PipeContext is shared read-only by every run
+// whose start matches (see PlanCache).
 type PipeContext struct {
 	Plan *plan.Plan
 	Pipe *pipeline.Pipeline
@@ -36,9 +38,9 @@ type PipeContext struct {
 }
 
 // NewPipeContext prepares the static evaluation context of a pipeline.
-// driverTotal returns the exact input size of a driver node; it is only
-// consulted when known is true.
-func NewPipeContext(p *plan.Plan, pipe *pipeline.Pipeline, known bool, driverTotal func(node int) int64) *PipeContext {
+// driverTotals is indexed by node ID and holds the exact input size of
+// every driver node; it is only read when known is true.
+func NewPipeContext(p *plan.Plan, pipe *pipeline.Pipeline, known bool, driverTotals []int64) *PipeContext {
 	nodes := p.Nodes()
 	c := &PipeContext{
 		Plan:  p,
@@ -57,7 +59,7 @@ func NewPipeContext(p *plan.Plan, pipe *pipeline.Pipeline, known bool, driverTot
 	// and completed blocking operators).
 	if known {
 		for _, d := range pipe.Drivers {
-			t := float64(driverTotal(d))
+			t := float64(driverTotals[d])
 			c.E0[d] = t
 			c.UB[d] = t
 		}
@@ -182,9 +184,8 @@ type PipelineView struct {
 func NewPipelineView(tr *exec.Trace, p int) *PipelineView {
 	pipe := tr.Pipes.Pipelines[p]
 	v := &PipelineView{
-		Trace: tr,
-		PipeContext: NewPipeContext(tr.Plan, pipe, tr.DriverTotalsKnown[p],
-			func(node int) int64 { return tr.DriverTotal[node] }),
+		Trace:       tr,
+		PipeContext: NewPipeContext(tr.Plan, pipe, tr.DriverTotalsKnown[p], tr.DriverTotal),
 	}
 	v.obsLo, v.obsHi = tr.ObsRange(p)
 	return v

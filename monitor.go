@@ -359,12 +359,14 @@ func (m *monitorObserver) send(u ProgressUpdate) {
 // external sessions (an ingest.Runner synthesizes the same exec.Observer
 // events from ingested counters, so the estimates are bit-identical):
 // estimator and selector validation, served-model resolution, the
-// streaming OnlineView and the harvest subscription. queryIndex is -1 for
-// a run that is not one of the bundled workload's queries — it harvests
-// under its own workload and family tags, joining drift, retraining and
-// canary serving exactly as native queries do. Whoever feeds the
-// observer ends the run with Monitor.finish.
-func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, workloadName, family string, queryIndex int, opts MonitorOptions) (*Monitor, error) {
+// streaming OnlineView and the harvest subscription. starts is the plan
+// entry's cache of pipeline start contexts for a workload query, nil for
+// a session (its plan is its own). queryIndex is -1 for a run that is not
+// one of the bundled workload's queries — it harvests under its own
+// workload and family tags, joining drift, retraining and canary serving
+// exactly as native queries do. Whoever feeds the observer ends the run
+// with Monitor.finish.
+func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, starts *progress.PlanCache, workloadName, family string, queryIndex int, opts MonitorOptions) (*Monitor, error) {
 	if opts.Estimator < 0 || int(opts.Estimator) >= int(progress.NumKinds) {
 		// Oracle models need the finished trace; they cannot run online.
 		return nil, fmt.Errorf("progressest: estimator %v is not computable online", opts.Estimator)
@@ -398,15 +400,16 @@ func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, workloadName, fami
 		}
 	}
 	opts = opts.withDefaults()
-	view := progress.NewOnlineView(pl, pipes)
+	n := len(pipes.Pipelines)
+	marks := make([]int, 2*n)
 	obs := &monitorObserver{
-		view:      view,
+		view:      progress.NewCachedOnlineView(pl, pipes, starts),
 		sel:       sel,
 		every:     opts.UpdateEvery,
 		pace:      opts.Pace,
-		choice:    make([]progress.Kind, len(pipes.Pipelines)),
-		nextMark:  make([]int, len(pipes.Pipelines)),
-		obsBefore: make([]int, len(pipes.Pipelines)),
+		choice:    make([]progress.Kind, n),
+		nextMark:  marks[:n:n],
+		obsBefore: marks[n:],
 		ch:        make(chan ProgressUpdate, 1),
 	}
 	if opts.Learning != nil {
@@ -478,7 +481,7 @@ func (w *Workload) prepare(i int, opts MonitorOptions) (*Monitor, func(), error)
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := newMonitor(pq.plan, pq.pipes, w.inner.Spec.Name, w.inner.QueryFamily(i), i, opts)
+	m, err := newMonitor(pq.plan, pq.pipes, pq.starts, w.inner.Spec.Name, w.inner.QueryFamily(i), i, opts)
 	if err != nil {
 		return nil, nil, err
 	}

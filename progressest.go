@@ -107,11 +107,18 @@ type Workload struct {
 	// execution never mutates a plan, so one planned query backs any
 	// number of concurrent runs, on every engine shard.
 	plans []atomic.Pointer[plannedQuery]
+	// texts holds each query's pseudo-SQL, rendered once at Open.
+	texts []string
 }
 
+// plannedQuery is the per-plan set-up every run of a query shares, for
+// the Workload's lifetime.
 type plannedQuery struct {
 	plan  *plan.Plan
 	pipes *pipeline.Decomposition
+	// starts caches each pipeline's start context and static feature
+	// prefix across the plan's runs.
+	starts *progress.PlanCache
 }
 
 // planned returns the plan+decomposition of query i, planning on first
@@ -126,7 +133,8 @@ func (w *Workload) planned(i int) (*plannedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	slot.CompareAndSwap(nil, &plannedQuery{plan: pl, pipes: pipeline.Decompose(pl)})
+	pipes := pipeline.Decompose(pl)
+	slot.CompareAndSwap(nil, &plannedQuery{plan: pl, pipes: pipes, starts: progress.NewPlanCache(pipes)})
 	return slot.Load(), nil
 }
 
@@ -159,14 +167,24 @@ func Open(cfg Config) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Workload{inner: w, plans: make([]atomic.Pointer[plannedQuery], len(w.Queries))}, nil
+	texts := make([]string, len(w.Queries))
+	for i, q := range w.Queries {
+		texts[i] = q.String()
+	}
+	return &Workload{inner: w, plans: make([]atomic.Pointer[plannedQuery], len(w.Queries)), texts: texts}, nil
 }
 
 // NumQueries returns the number of generated queries.
 func (w *Workload) NumQueries() int { return len(w.inner.Queries) }
 
-// QueryText returns a pseudo-SQL rendering of query i.
-func (w *Workload) QueryText(i int) string { return w.inner.Queries[i].String() }
+// QueryText returns a pseudo-SQL rendering of query i, or "" for an index
+// outside the workload.
+func (w *Workload) QueryText(i int) string {
+	if i < 0 || i >= len(w.texts) {
+		return ""
+	}
+	return w.texts[i]
+}
 
 // QueryFamily returns the workload family of query i — queries driven by
 // the same base table form one family. Families are the routing key of

@@ -26,6 +26,12 @@ func TestOpenAndRun(t *testing.T) {
 	if w.QueryText(0) == "" {
 		t.Error("empty query text")
 	}
+	// Out of range, QueryText answers "" as QueryFamily does.
+	for _, i := range []int{-1, w.NumQueries()} {
+		if text, fam := w.QueryText(i), w.QueryFamily(i); text != "" || fam != "" {
+			t.Errorf("query %d out of range: text %q, family %q", i, text, fam)
+		}
+	}
 	run, err := w.Run(0)
 	if err != nil {
 		t.Fatal(err)

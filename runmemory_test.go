@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"progressest/internal/exec"
+	"progressest/internal/progress"
 )
 
 // TestWaitBuildsRunOnceForEveryCaller covers the finish/Wait split: the
@@ -57,7 +58,7 @@ func TestWaitBuildsRunOnceForEveryCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aborted, err := newMonitor(pq.plan, pq.pipes, "", "", 1, MonitorOptions{})
+	aborted, err := newMonitor(pq.plan, pq.pipes, pq.starts, "", "", 1, MonitorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,27 +71,35 @@ func TestWaitBuildsRunOnceForEveryCaller(t *testing.T) {
 	}
 }
 
-// monitoredUpdates executes query qi synchronously under a monitor set
-// up the way Start does, returning the exact update stream (the deliver
-// hook bypasses conflation). Unlike collectUpdates it reports errors
-// instead of failing the test, so goroutines may call it.
-func monitoredUpdates(w *Workload, qi int, sel *Selector) ([]ProgressUpdate, error) {
+// entryStream executes query qi synchronously under a monitor set up the
+// way Start does — through the plan entry, UpdateEvery 4, batched
+// delivery — returning the exact update stream (the deliver hook
+// bypasses conflation) and the view that served it. With private set,
+// the monitor ignores the entry's start contexts and builds its own.
+// Unlike collectUpdates it reports errors instead of failing the test,
+// so goroutines may call it.
+func entryStream(w *Workload, qi int, sel *Selector, private bool, execOpts exec.Options) ([]ProgressUpdate, *progress.OnlineView, error) {
 	pq, err := w.planned(qi)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	m, err := newMonitor(pq.plan, pq.pipes, "", "", qi, MonitorOptions{Selector: sel, UpdateEvery: 4})
+	starts := pq.starts
+	if private {
+		starts = nil
+	}
+	m, err := newMonitor(pq.plan, pq.pipes, starts, "", "", qi, MonitorOptions{Selector: sel, UpdateEvery: 4})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var got []ProgressUpdate
 	m.obs.deliver = func(u ProgressUpdate) {
 		u.Pipelines = append([]PipelineProgress(nil), u.Pipelines...)
 		got = append(got, u)
 	}
-	exec.RunDecomposed(w.inner.DB, pq.plan, pq.pipes, exec.Options{Observer: m.obs, SnapshotBatch: 4})
+	execOpts.Observer, execOpts.SnapshotBatch = m.obs, m.obs.every
+	exec.RunDecomposed(w.inner.DB, pq.plan, pq.pipes, execOpts)
 	m.obs.emit(true)
-	return got, nil
+	return got, m.obs.view, nil
 }
 
 // runFingerprint reads everything a QueryRun replays.
@@ -158,7 +167,7 @@ func TestRunsShareNoWorkingMemory(t *testing.T) {
 	want := make([][]ProgressUpdate, n)
 	traces := make([]*exec.Trace, n)
 	for qi := range want {
-		if want[qi], err = monitoredUpdates(w, qi, sel); err != nil {
+		if want[qi], _, err = entryStream(w, qi, sel, false, exec.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		pq, err := w.planned(qi)
@@ -176,7 +185,7 @@ func TestRunsShareNoWorkingMemory(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perGoroutine; i++ {
 				qi := (g + i) % n
-				if got, err := monitoredUpdates(w, qi, sel); err != nil || !reflect.DeepEqual(got, want[qi]) {
+				if got, _, err := entryStream(w, qi, sel, false, exec.Options{}); err != nil || !reflect.DeepEqual(got, want[qi]) {
 					failed <- qi
 					return
 				}

@@ -131,7 +131,7 @@ func (s *Server) openSession(ctx context.Context, spec *ingest.Spec, model *inge
 					opts.UpdateEvery = spec.UpdateEvery
 				}
 				opts.Pace = 0 // pacing slows the executor; sessions have none
-				return newMonitor(model.Plan, model.Pipes, r.workload, spec.Family, -1, opts)
+				return newMonitor(model.Plan, model.Pipes, nil, r.workload, spec.Family, -1, opts)
 			})
 		if err != nil {
 			return nil, err
