@@ -190,11 +190,11 @@ func newObserveFixture(tb testing.TB) *observeFixture {
 	}
 	f := &observeFixture{tb: tb, server: NewServer(w, MonitorOptions{}), clock: 1e9}
 	tb.Cleanup(f.server.Close)
-	if f.spec, err = json.Marshal(ingest.SpecFromTrace(run.trace, "bench-ext", "bench-fam")); err != nil {
+	if f.spec, err = json.Marshal(ingest.SpecFromTrace(run.view.Trace, "bench-ext", "bench-fam")); err != nil {
 		tb.Fatal(err)
 	}
 	// A mid-session batch: 16 snapshots, no start events.
-	batch := ingest.RecordBatches(run.trace, 16)[1]
+	batch := ingest.RecordBatches(run.view.Trace, 16)[1]
 	f.body = append(f.body, `{"events":[`...)
 	for i, ev := range batch.Events {
 		deltas, err := json.Marshal(ev.Snapshot.Deltas)

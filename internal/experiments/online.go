@@ -76,17 +76,20 @@ func (s *Suite) Online() (*OnlineResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: online query %d: %w", qi, err)
 		}
-		tr := exec.Run(w.DB, pl, exec.Options{})
-		for p := range tr.Pipes.Pipelines {
-			v := progress.NewPipelineView(tr, p)
-			if v.NumObs() < 8 {
+		view := progress.Replay(exec.Run(w.DB, pl, exec.Options{}))
+		for p, pl := range view.Pipelines {
+			if pl.NumObs() < 8 {
 				continue
 			}
-			out := monitor.Monitor(v)
-			staticErr := v.Errors(out.Initial).L1
+			out := monitor.Monitor(pl, view.AppendTrueSeries(nil, p))
+			staticErr := view.Errors(p, out.Initial).L1
 			res.StaticL1 += staticErr
 			res.CompositeL1 += out.Err.L1
-			_, best := progress.Best(v.AllErrors(), progress.ExtendedKinds())
+			errs := make(map[progress.Kind]progress.ErrorStats)
+			for _, k := range progress.ExtendedKinds() {
+				errs[k] = view.Errors(p, k)
+			}
+			_, best := progress.Best(errs, progress.ExtendedKinds())
 			res.OracleL1 += best
 			res.N++
 			if out.Revised != out.Initial {

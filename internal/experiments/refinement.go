@@ -42,16 +42,19 @@ func (s *Suite) Refinement() (*RefinementResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: refinement query %d: %w", qi, err)
 		}
-		tr := exec.Run(w.DB, pl, exec.Options{})
-		for p := range tr.Pipes.Pipelines {
-			v := progress.NewPipelineView(tr, p)
-			if v.NumObs() < 8 {
+		view := progress.Replay(exec.Run(w.DB, pl, exec.Options{}))
+		for p, pl := range view.Pipelines {
+			if pl.NumObs() < 8 {
 				continue
 			}
-			res.RawL1 += v.UnrefinedTGNErrors().L1
-			res.BoundedL1 += v.Errors(progress.TGN).L1
-			res.InterpL1 += v.Errors(progress.TGNINT).L1
-			res.OracleL1 += v.Errors(progress.OracleGetNext).L1
+			raw := pl.UnrefinedTGNSeries()
+			for i, v := range view.AppendTrueSeries(nil, p) {
+				raw[i] -= v
+			}
+			res.RawL1 += progress.ErrorStatsOf(raw).L1
+			res.BoundedL1 += view.Errors(p, progress.TGN).L1
+			res.InterpL1 += view.Errors(p, progress.TGNINT).L1
+			res.OracleL1 += view.Errors(p, progress.OracleGetNext).L1
 			res.N++
 		}
 	}

@@ -41,21 +41,20 @@ func (r *TraceResult) String() string {
 // traceForPipeline extracts the estimator series of the pipeline with the
 // most observations.
 func traceForPipeline(tr *exec.Trace, kinds []progress.Kind) (*TraceResult, int) {
+	view := progress.Replay(tr)
 	bestPipe, bestObs := -1, 0
-	for p := range tr.Pipes.Pipelines {
-		v := progress.NewPipelineView(tr, p)
-		if v.NumObs() > bestObs {
-			bestObs, bestPipe = v.NumObs(), p
+	for p, pl := range view.Pipelines {
+		if pl.NumObs() > bestObs {
+			bestObs, bestPipe = pl.NumObs(), p
 		}
 	}
-	v := progress.NewPipelineView(tr, bestPipe)
 	res := &TraceResult{
-		Truth:  v.TrueSeries(),
+		Truth:  view.AppendTrueSeries(nil, bestPipe),
 		Series: make(map[progress.Kind][]float64),
 		Shown:  kinds,
 	}
 	for _, k := range kinds {
-		res.Series[k] = v.Series(k)
+		res.Series[k] = view.AppendSeries(nil, bestPipe, k)
 	}
 	return res, bestPipe
 }

@@ -196,25 +196,6 @@ func Static(v *progress.PipeContext) []float64 {
 	return out
 }
 
-// Source is the observation stream the dynamic features are computed
-// from. Both the offline replay view (progress.PipelineView) and the
-// streaming view (progress.OnlinePipeline) implement it; in the streaming
-// case the features evolve as observations arrive, and unreached markers
-// take their neutral defaults.
-type Source interface {
-	// NumObs is the number of observations recorded so far.
-	NumObs() int
-	// DriverFraction is the consumed driver-input fraction at ordinal i.
-	DriverFraction(i int) float64
-	// TimeSinceStart is the virtual time since the pipeline's span start
-	// at ordinal i. Only ratios of these enter the features, so any
-	// monotone affine rescaling (such as the offline span fraction)
-	// produces the same values.
-	TimeSinceStart(i int) float64
-	// EstimateAt is estimator kind's value at ordinal i.
-	EstimateAt(kind progress.Kind, i int) float64
-}
-
 // markerFracs are the driver fractions the dynamic features sample at:
 // the markers x/100 first (index mi), then the sub-markers x/100·i/CorK
 // (index subMarker(i, mi)). markerOrder lists their indices by ascending
@@ -250,7 +231,7 @@ const maxMarkerFracs = 32
 // markerOrdinals fills obs[j] with the first ordinal at which the
 // driver fraction reaches markerFracs[j], or -1 if none does, in a single
 // forward pass over the observations.
-func markerOrdinals(v Source, obs []int) {
+func markerOrdinals(v *progress.OnlinePipeline, obs []int) {
 	next := 0
 	for i, n := 0, v.NumObs(); i < n && next < len(markerOrder); i++ {
 		f := v.DriverFraction(i)
@@ -264,18 +245,20 @@ func markerOrdinals(v Source, obs []int) {
 	}
 }
 
-// Dynamic computes the dynamic features from the observation prefix up to
-// the 20% driver-input marker: pairwise estimator differences at each
-// marker, and time-correlation features quantifying how well each
-// estimator tracks elapsed time.
-func Dynamic(v Source) []float64 {
+// Dynamic computes the dynamic features from the observations a pipeline
+// holds, up to the 20% driver-input marker: pairwise estimator
+// differences at each marker, and time-correlation features quantifying
+// how well each estimator tracks elapsed time. In a live pipeline the
+// features evolve as observations arrive, and markers not yet reached
+// take their neutral defaults.
+func Dynamic(v *progress.OnlinePipeline) []float64 {
 	return AppendDynamic(make([]float64, 0, NumTotal-NumStatic), v)
 }
 
 // AppendDynamic appends the dynamic features to dst and returns the
 // extended slice — the alloc-free form the streaming hot path uses with a
 // reusable scratch buffer.
-func AppendDynamic(dst []float64, v Source) []float64 {
+func AppendDynamic(dst []float64, v *progress.OnlinePipeline) []float64 {
 	out := dst
 
 	// First ordinal where the driver fraction reaches each marker and
@@ -345,11 +328,6 @@ func AppendDynamic(dst []float64, v Source) []float64 {
 	return out
 }
 
-// Full returns static ++ dynamic features of a replayed pipeline.
-func Full(v *progress.PipelineView) []float64 {
-	return append(Static(v.PipeContext), Dynamic(v)...)
-}
-
 // OnlineStatic returns the static feature prefix of a live pipeline. The
 // static context never changes after pipeline start, so the prefix is
 // computed once per start — and once per plan for the runs of a cached
@@ -361,8 +339,7 @@ func OnlineStatic(v *progress.OnlinePipeline) []float64 {
 // OnlineFull returns the current full feature vector of a live pipeline:
 // the cached static prefix plus the dynamic suffix over the observations
 // seen so far. Markers not yet reached contribute their neutral defaults,
-// so the vector is well-formed from the very first observation onwards and
-// converges to the offline Full vector as the pipeline completes.
+// so the vector is well-formed from the very first observation onwards.
 //
 // The vector is assembled into the pipeline's FeatBuf scratch, so at
 // steady state a re-pick allocates nothing; the returned slice is only

@@ -13,7 +13,9 @@ import (
 	"progressest/internal/progress"
 )
 
-func pipelineViews(t testing.TB, level catalog.DesignLevel) []*progress.PipelineView {
+// pipelineViews replays a realistic query and returns its pipelines with
+// at least five observations.
+func pipelineViews(t testing.TB, level catalog.DesignLevel) []*progress.OnlinePipeline {
 	t.Helper()
 	db := datagen.GenTPCH(datagen.Params{Scale: 0.08, Zipf: 1, Seed: 11})
 	if err := db.ApplyDesign(datagen.Designs(datagen.TPCHLike)[level]); err != nil {
@@ -36,10 +38,8 @@ func pipelineViews(t testing.TB, level catalog.DesignLevel) []*progress.Pipeline
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := exec.Run(db, pl, exec.Options{})
-	var views []*progress.PipelineView
-	for i := range tr.Pipes.Pipelines {
-		v := progress.NewPipelineView(tr, i)
+	var views []*progress.OnlinePipeline
+	for _, v := range progress.Replay(exec.Run(db, pl, exec.Options{})).Pipelines {
 		if v.NumObs() >= 5 {
 			views = append(views, v)
 		}
@@ -78,9 +78,9 @@ func TestVectorsHaveDeclaredLengths(t *testing.T) {
 		if len(d) != NumTotal-NumStatic {
 			t.Fatalf("Dynamic length %d, want %d", len(d), NumTotal-NumStatic)
 		}
-		f := Full(v)
+		f := OnlineFull(v)
 		if len(f) != NumTotal {
-			t.Fatalf("Full length %d, want %d", len(f), NumTotal)
+			t.Fatalf("OnlineFull length %d, want %d", len(f), NumTotal)
 		}
 		for i, x := range f {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -102,7 +102,7 @@ func TestStaticEncodesOperatorMix(t *testing.T) {
 		// Count features must equal actual node counts per op.
 		counts := map[plan.OpType]float64{}
 		for _, id := range v.Pipe.Nodes {
-			counts[v.Trace.Plan.Node(id).Op]++
+			counts[v.Plan.Node(id).Op]++
 		}
 		for op, want := range counts {
 			got := s[idxCount["Count_"+op.String()]]
@@ -144,7 +144,7 @@ func TestSelBelowAboveRelationship(t *testing.T) {
 	for _, v := range pipelineViews(t, catalog.Untuned) {
 		hasFilter := false
 		for _, id := range v.Pipe.Nodes {
-			if v.Trace.Plan.Node(id).Op == plan.Filter {
+			if v.Plan.Node(id).Op == plan.Filter {
 				hasFilter = true
 			}
 		}
@@ -179,15 +179,14 @@ func TestSemiJoinFeaturesPresent(t *testing.T) {
 	if pl.CountOp(plan.SemiJoin) != 1 {
 		t.Fatalf("want semi join:\n%s", pl)
 	}
-	tr := exec.Run(db, pl, exec.Options{})
+	view := progress.Replay(exec.Run(db, pl, exec.Options{}))
 	idx := map[string]int{}
 	for i, n := range Names() {
 		idx[n] = i
 	}
 	found := false
-	for p := range tr.Pipes.Pipelines {
-		v := progress.NewPipelineView(tr, p)
-		s := Static(v.PipeContext)
+	for p := range view.Pipelines {
+		s := Static(view.Context(p))
 		if s[idx["Count_SemiJoin"]] > 0 {
 			found = true
 			if s[idx["SelAt_SemiJoin"]] <= 0 {
@@ -234,7 +233,7 @@ func TestDeterministicFeatures(t *testing.T) {
 		t.Fatal("pipeline counts differ")
 	}
 	for i := range va {
-		fa, fb := Full(va[i]), Full(vb[i])
+		fa, fb := OnlineFull(va[i]), OnlineFull(vb[i])
 		for j := range fa {
 			if fa[j] != fb[j] {
 				t.Fatalf("feature %d differs across identical runs", j)
@@ -246,11 +245,9 @@ func TestDeterministicFeatures(t *testing.T) {
 // BenchmarkOnlineFull times one re-pick's feature vector over a finished
 // pipeline of the streaming view.
 func BenchmarkOnlineFull(b *testing.B) {
-	tr := pipelineViews(b, catalog.Untuned)[0].Trace
-	view := progress.NewOnlineView(tr.Plan, tr.Pipes)
-	exec.Replay(tr, view, len(tr.Snapshots))
-	p := view.Pipelines[0]
-	for _, q := range view.Pipelines {
+	views := pipelineViews(b, catalog.Untuned)
+	p := views[0]
+	for _, q := range views {
 		if q.NumObs() > p.NumObs() {
 			p = q
 		}

@@ -7,11 +7,15 @@
 // GetNext and Bytes-Processed models (Section 6.7).
 //
 // All estimators are pure functions over a prefix of an execution Trace,
-// so one execution yields every estimator's series: the streaming
-// OnlineView computes every selectable one as the run advances, and a
-// finished run's training labels are read from that view
-// (workload.LabelView) rather than recomputed; only the oracle models,
-// which need the finished run's true totals, are computed afterwards.
+// so one execution yields every estimator's series, and one
+// implementation computes them: the streaming OnlineView, which evaluates
+// every selectable estimator as the run advances. Everything read about
+// a finished run — a served query's QueryRun, its training labels
+// (workload.LabelView), the experiments' series — is read from the view
+// that watched it, or from a fresh view a finished trace is replayed
+// through (Replay). Only the oracle models, which divide by the finished
+// run's true totals, are computed afterwards, and QueryView combines the
+// pipelines' series into whole-query progress (eq. 5).
 package progress
 
 import "fmt"

@@ -6,15 +6,15 @@ import (
 	"progressest/internal/plan"
 )
 
-// OnlineView is the streaming counterpart of the per-pipeline replay
-// views: it implements exec.Observer, consumes counter snapshots one at a
-// time while the query runs, and maintains every candidate estimator's
-// current estimate incrementally — O(pipeline nodes + estimators) work per
-// snapshot instead of the O(snapshots·pipelines) span scans of a full
-// replay. After the run completes, each pipeline's accumulated series is
-// exactly the series an offline PipelineView would compute from the
-// finished trace (the estimator primitives are shared, so the arithmetic
-// is bit-identical).
+// OnlineView is the one implementation of the estimators: it implements
+// exec.Observer, consumes counter snapshots as the query runs, and
+// maintains every candidate estimator's estimate incrementally —
+// O(pipeline nodes + estimators) work per snapshot. Once the run
+// completes the view is its record: each pipeline holds exactly the
+// observations the finished trace attributes to it, and the finished-run
+// reads (AppendSeries, AppendTrueSeries, Errors, Context) answer from
+// what the view accumulated plus the trace's true totals. A finished
+// trace is read the same way: Replay feeds it through a fresh view.
 type OnlineView struct {
 	exec.BaseObserver
 
@@ -76,6 +76,14 @@ func NewCachedOnlineView(p *plan.Plan, pipes *pipeline.Decomposition, cache *Pla
 	return o
 }
 
+// Replay feeds a finished trace through a fresh view, as one batch, and
+// returns the completed view.
+func Replay(tr *exec.Trace) *OnlineView {
+	view := NewOnlineView(tr.Plan, tr.Pipes)
+	exec.Replay(tr, view, len(tr.Snapshots))
+	return view
+}
+
 // Done reports whether the observed execution has completed.
 func (o *OnlineView) Done() bool { return o.done }
 
@@ -119,14 +127,14 @@ func (o *OnlineView) OnThin() {
 }
 
 // OnPipelineEnd implements exec.Observer: estimates recorded after the
-// span's final activity are discarded, leaving exactly the observations an
-// offline replay attributes to the pipeline.
+// span's final activity are discarded, leaving exactly the observations
+// the finished trace attributes to the pipeline (Trace.ObsRange).
 func (o *OnlineView) OnPipelineEnd(pi int, end float64) {
 	p := o.Pipelines[pi]
 	p.Ended = true
 	p.EndTime = end
 	if end <= p.StartTime {
-		// Degenerate span (a single activity instant): the offline replay
+		// Degenerate span (a single activity instant): the trace
 		// attributes no observations to it.
 		p.n = 0
 		return
@@ -185,6 +193,68 @@ func (o *OnlineView) QueryEstimate(choose func(p int) Kind) float64 {
 		}
 	}
 	return clamp01(sum)
+}
+
+// The finished-run reads below need the completed view (OnDone has
+// fired); they write nothing, so any number of goroutines may call them.
+
+// Context returns pipeline p's static context: the one frozen at its
+// start, or — for a pipeline that never started — the one the trace's
+// driver totals determine.
+func (o *OnlineView) Context(p int) *PipeContext {
+	if c := o.Pipelines[p].PipeContext; c != nil {
+		return c
+	}
+	return NewPipeContext(o.Plan, o.Pipelines[p].pipe, o.Trace.DriverTotalsKnown[p], o.Trace.DriverTotal)
+}
+
+// AppendSeries appends estimator kind's series over pipeline p's
+// observations to dst. A selectable estimator's series is the view's
+// own; an oracle model divides by the finished trace's true totals —
+// OracleGetNext the GetNext sums the table holds, OracleBytes one
+// bytes-processed pass over the pipeline's snapshots.
+func (o *OnlineView) AppendSeries(dst []float64, p int, kind Kind) []float64 {
+	pl := o.Pipelines[p]
+	switch {
+	case kind < NumKinds:
+		return pl.AppendSeries(dst, kind)
+	case pl.n == 0:
+	case kind == OracleGetNext:
+		total := pl.oracleGetNextTotal(o.Trace)
+		for i := 0; i < pl.n; i++ {
+			dst = append(dst, oracleRatio(pl.at(colKNodes, i), total))
+		}
+	case kind == OracleBytes:
+		total := pl.oracleBytesTotal(o.Trace)
+		lo, _ := o.Trace.ObsRange(p)
+		for i := lo; i < lo+pl.n; i++ {
+			dst = append(dst, oracleRatio(pl.luoDoneAt(&o.Trace.Snapshots[i]), total))
+		}
+	default:
+		panic("progress: unknown estimator kind " + kind.String())
+	}
+	return dst
+}
+
+// AppendTrueSeries appends the true progress of pipeline p at each of
+// its observations to dst.
+func (o *OnlineView) AppendTrueSeries(dst []float64, p int) []float64 {
+	lo, _ := o.Trace.ObsRange(p)
+	for i := lo; i < lo+o.Pipelines[p].n; i++ {
+		dst = append(dst, o.Trace.TruePipelineProgress(p, i))
+	}
+	return dst
+}
+
+// Errors returns estimator kind's error statistics on pipeline p against
+// true pipeline progress (measured in virtual time, as the paper
+// measures wall time).
+func (o *OnlineView) Errors(p int, kind Kind) ErrorStats {
+	dev := o.AppendSeries(nil, p, kind)
+	for i, v := range o.AppendTrueSeries(nil, p) {
+		dev[i] -= v
+	}
+	return ErrorStatsOf(dev)
 }
 
 // OnlinePipeline is the incremental estimator state of one pipeline: the
@@ -324,32 +394,22 @@ func (p *OnlinePipeline) Series(kind Kind) []float64 {
 	return p.AppendSeries(nil, kind)
 }
 
-// AppendOracleSeries appends an oracle model's series (OracleGetNext or
-// OracleBytes) to dst. The oracles divide by true totals, so they exist
-// only once the run is over: tr is the finished trace the pipeline's
-// observations came from. OracleGetNext divides the GetNext sums the
-// table already holds; OracleBytes takes one bytes-processed pass over
-// the pipeline's snapshots in tr. The values equal the offline view's.
-func (p *OnlinePipeline) AppendOracleSeries(dst []float64, tr *exec.Trace, kind Kind) []float64 {
-	if p.n == 0 {
-		return dst
+// UnrefinedTGNSeries returns the TGN estimator *without* any online
+// refinement of cardinality estimates: sum(K) over the raw plan-time
+// sum(E_i^0), clamped to [0,1], from the GetNext sums the table holds. It
+// quantifies how much the Section 3.3 refinement techniques contribute
+// (the paper's concluding outlook points at online cardinality
+// refinement as the main lever for further progress-estimation gains).
+func (p *OnlinePipeline) UnrefinedTGNSeries() []float64 {
+	var e0 float64
+	for _, id := range p.pipe.Nodes {
+		e0 += p.plan.Node(id).EstRows
 	}
-	switch kind {
-	case OracleGetNext:
-		total := p.oracleGetNextTotal(tr)
-		for i := 0; i < p.n; i++ {
-			dst = append(dst, oracleRatio(p.at(colKNodes, i), total))
-		}
-	case OracleBytes:
-		total := p.oracleBytesTotal(tr)
-		lo, _ := tr.ObsRange(p.Pipe.ID)
-		for i := lo; i < lo+p.n; i++ {
-			dst = append(dst, oracleRatio(p.luoDoneAt(&tr.Snapshots[i]), total))
-		}
-	default:
-		panic("progress: " + kind.String() + " is not an oracle model")
+	out := make([]float64, p.n)
+	for i := range out {
+		out[i] = oracleRatio(p.at(colKNodes, i), e0)
 	}
-	return dst
+	return out
 }
 
 // DriverFraction returns the consumed driver-input fraction at observation
@@ -451,7 +511,7 @@ func (p *OnlinePipeline) thin() {
 
 // rebuildWorst recomputes the PMAX/SAFE series: after thinning, the
 // fan-out bound m derives from the deltas of the retained observations,
-// exactly as an offline replay over the thinned trace would compute it.
+// exactly as a replay of the thinned trace computes it.
 func (p *OnlinePipeline) rebuildWorst() {
 	st := newWorstState()
 	for i := 0; i < p.n; i++ {

@@ -28,12 +28,12 @@ func runOnline(t *testing.T, w *workload.Workload, qi int, opts exec.Options) (*
 	return ov, tr
 }
 
-// TestOnlineMatchesOfflineAllKinds is the equivalence proof of the
-// streaming refactor: for several queries across all four dataset
-// families, the estimates the OnlineView accumulated incrementally while
-// the query ran are identical — bit for bit — to the series an offline
-// PipelineView replays from the finished trace, for every candidate
-// estimator.
+// TestOnlineMatchesOfflineAllKinds is the equivalence proof of the one
+// estimator implementation: for several queries across all four dataset
+// families, the series the OnlineView accumulated incrementally while
+// the query ran are identical — bit for bit — to the test-side reference
+// that evaluates every estimator snapshot by snapshot from the finished
+// trace, the oracle models included.
 func TestOnlineMatchesOfflineAllKinds(t *testing.T) {
 	kinds := []datagen.DatasetKind{
 		datagen.TPCHLike, datagen.TPCDSLike, datagen.Real1Like, datagen.Real2Like,
@@ -48,7 +48,7 @@ func TestOnlineMatchesOfflineAllKinds(t *testing.T) {
 			}
 			for qi := range w.Queries {
 				ov, tr := runOnline(t, w, qi, exec.Options{})
-				assertOnlineEqualsOffline(t, ov, tr, qi)
+				assertOnlineEqualsReference(t, ov, tr, qi)
 			}
 		})
 	}
@@ -69,40 +69,46 @@ func TestOnlineMatchesOfflineUnderThinning(t *testing.T) {
 		if len(tr.Snapshots) > 64+1 {
 			t.Fatalf("query %d: thinning did not bound snapshots: %d", qi, len(tr.Snapshots))
 		}
-		assertOnlineEqualsOffline(t, ov, tr, qi)
+		assertOnlineEqualsReference(t, ov, tr, qi)
 	}
 }
 
-func assertOnlineEqualsOffline(t *testing.T, ov *progress.OnlineView, tr *exec.Trace, qi int) {
+func assertOnlineEqualsReference(t *testing.T, ov *progress.OnlineView, tr *exec.Trace, qi int) {
 	t.Helper()
 	for p := range tr.Pipes.Pipelines {
-		v := progress.NewPipelineView(tr, p)
+		ref := progress.NewReferencePipeline(tr, p)
 		op := ov.Pipelines[p]
-		if op.NumObs() != v.NumObs() {
-			t.Fatalf("query %d pipeline %d: online %d obs, offline %d obs",
-				qi, p, op.NumObs(), v.NumObs())
+		if op.NumObs() != ref.NumObs() {
+			t.Fatalf("query %d pipeline %d: online %d obs, reference %d obs",
+				qi, p, op.NumObs(), ref.NumObs())
 		}
-		for _, kind := range progress.Kinds() {
-			offline := v.Series(kind)
-			online := op.Series(kind)
-			for i := range offline {
-				if online[i] != offline[i] {
-					t.Fatalf("query %d pipeline %d %v obs %d: online %v != offline %v",
-						qi, p, kind, i, online[i], offline[i])
+		for _, kind := range progress.AllKinds() {
+			want := ref.Series(kind)
+			got := ov.AppendSeries(nil, p, kind)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("query %d pipeline %d %v obs %d: online %v != reference %v",
+						qi, p, kind, i, got[i], want[i])
 				}
+			}
+		}
+		// What the dynamic features read besides the series.
+		truth := ov.AppendTrueSeries(nil, p)
+		for i, want := range ref.TrueSeries() {
+			if op.DriverFraction(i) != ref.DriverFraction(i) || op.TimeSinceStart(i) != ref.TimeSinceStart(i) || truth[i] != want {
+				t.Fatalf("query %d pipeline %d obs %d: driver fraction, elapsed time or truth diverges", qi, p, i)
 			}
 		}
 		// The static context the online view froze at pipeline start must
-		// agree with what the offline view derives from the finished trace.
-		if v.NumObs() > 0 {
-			if op.DriverKnown != v.DriverKnown {
-				t.Fatalf("query %d pipeline %d: DriverKnown online %v offline %v",
-					qi, p, op.DriverKnown, v.DriverKnown)
-			}
-			for id := range v.E0 {
-				if op.E0[id] != v.E0[id] || op.UB[id] != v.UB[id] {
-					t.Fatalf("query %d pipeline %d node %d: context diverges", qi, p, id)
-				}
+		// agree with what the reference derives from the finished trace.
+		ctx := ov.Context(p)
+		if ctx.DriverKnown != ref.DriverKnown {
+			t.Fatalf("query %d pipeline %d: DriverKnown online %v reference %v",
+				qi, p, ctx.DriverKnown, ref.DriverKnown)
+		}
+		for id := range ref.E0 {
+			if ctx.E0[id] != ref.E0[id] || ctx.UB[id] != ref.UB[id] {
+				t.Fatalf("query %d pipeline %d node %d: context diverges", qi, p, id)
 			}
 		}
 	}
@@ -161,9 +167,11 @@ func TestOnlineBatchedDeliveryMatches(t *testing.T) {
 	}
 }
 
-// TestOnlineFeaturesConvergeToOffline checks the feature split: the online
-// static prefix plus the dynamic suffix computed from the completed online
-// view equals the offline Full vector.
+// TestOnlineFeaturesConvergeToOffline checks the feature split: the
+// cached static prefix plus the dynamic suffix of the view that watched
+// the run live equals the vector of the same trace replayed through a
+// fresh view in one batch, whose inputs assertOnlineEqualsReference pins to
+// the reference.
 func TestOnlineFeaturesConvergeToOffline(t *testing.T) {
 	w, err := workload.Build(workload.Spec{
 		Name: "real1", Kind: datagen.Real1Like, Queries: 5, Scale: 0.1, Zipf: 1, Seed: 5,
@@ -174,20 +182,21 @@ func TestOnlineFeaturesConvergeToOffline(t *testing.T) {
 	checked := 0
 	for qi := range w.Queries {
 		ov, tr := runOnline(t, w, qi, exec.Options{})
-		for p := range tr.Pipes.Pipelines {
-			v := progress.NewPipelineView(tr, p)
-			if v.NumObs() < 8 {
+		replayed := progress.Replay(tr)
+		assertOnlineEqualsReference(t, replayed, tr, qi)
+		for p, rp := range replayed.Pipelines {
+			if rp.NumObs() < 8 {
 				continue
 			}
-			offline := features.Full(v)
+			want := append(features.Static(rp.PipeContext), features.Dynamic(rp)...)
 			online := features.OnlineFull(ov.Pipelines[p])
-			if len(online) != len(offline) {
-				t.Fatalf("feature width: online %d offline %d", len(online), len(offline))
+			if len(online) != len(want) {
+				t.Fatalf("feature width: online %d replayed %d", len(online), len(want))
 			}
-			for i := range offline {
-				if online[i] != offline[i] {
-					t.Fatalf("query %d pipeline %d feature %d (%s): online %v != offline %v",
-						qi, p, i, features.Names()[i], online[i], offline[i])
+			for i := range want {
+				if online[i] != want[i] {
+					t.Fatalf("query %d pipeline %d feature %d (%s): online %v != replayed %v",
+						qi, p, i, features.Names()[i], online[i], want[i])
 				}
 			}
 			checked++

@@ -1,33 +1,32 @@
 package progress
 
-import "progressest/internal/exec"
-
-// QueryView combines per-pipeline estimates into whole-query progress,
+// QueryView reads whole-query progress off a finished OnlineView,
 // following eq. 5 of the paper: the query's progress is the weighted sum
 // of the pipelines' estimated progress, each weighted by its share of the
 // estimated total work (driver-node E_i for driver-based estimators; we
 // use the pipeline's total estimated GetNext count, which reduces to the
 // same weights for single-driver pipelines and remains well-defined for
-// every estimator kind).
+// every estimator kind). The weights are taken in hindsight, from every
+// pipeline's final context, so they hold still over the whole series —
+// unlike OnlineView.QueryEstimate, whose weights move as pipelines start.
+//
+// A QueryView is read-only once built.
 type QueryView struct {
-	Trace *exec.Trace
-	Views []*PipelineView
-
+	view    *OnlineView
 	weights []float64 // per pipeline, normalised
 }
 
-// NewQueryView builds the pipeline views and work weights of a trace.
-func NewQueryView(tr *exec.Trace) *QueryView {
-	q := &QueryView{Trace: tr}
+// NewQueryView prepares the eq. 5 combination of a finished view.
+func NewQueryView(view *OnlineView) *QueryView {
+	q := &QueryView{view: view, weights: make([]float64, len(view.Pipelines))}
 	var total float64
-	for p := range tr.Pipes.Pipelines {
-		v := NewPipelineView(tr, p)
-		q.Views = append(q.Views, v)
+	for p := range view.Pipelines {
 		var w float64
-		for _, id := range v.Pipe.Nodes {
-			w += v.E0[id]
+		c := view.Context(p)
+		for _, id := range c.Pipe.Nodes {
+			w += c.E0[id]
 		}
-		q.weights = append(q.weights, w)
+		q.weights[p] = w
 		total += w
 	}
 	if total > 0 {
@@ -41,77 +40,71 @@ func NewQueryView(tr *exec.Trace) *QueryView {
 // Weight returns pipeline p's share of the estimated total work.
 func (q *QueryView) Weight(p int) float64 { return q.weights[p] }
 
-// EstimateAt returns the whole-query progress estimate at global snapshot
-// index obs, using estimator kind (or a per-pipeline choice function) for
-// each pipeline: completed pipelines contribute their full weight, the
-// active pipeline contributes its partial estimate, and future pipelines
-// contribute zero.
-func (q *QueryView) EstimateAt(obs int, choose func(p int) Kind) float64 {
-	t := q.Trace.Snapshots[obs].Time
-	var sum float64
-	for p, v := range q.Views {
-		span := q.Trace.PipeSpans[p]
-		switch {
-		case span.End <= span.Start:
-			// Degenerate pipeline (no activity): count as done.
-			sum += q.weights[p]
-		case t >= span.End:
-			sum += q.weights[p]
-		case t < span.Start:
-			// not started
-		default:
-			// Active: use the estimator's value at the nearest pipeline
-			// observation at or before obs.
-			ord := v.ordinalAtOrBefore(obs)
-			if ord < 0 {
-				continue
-			}
-			sum += q.weights[p] * v.Estimate(choose(p), ord)
-		}
+// Series returns the whole-query progress estimate at every snapshot of
+// the run, with estimator choose(p) for pipeline p: completed pipelines
+// contribute their full weight, the active pipeline its estimate at its
+// latest observation at or before the snapshot, and future pipelines
+// zero.
+func (q *QueryView) Series(choose func(p int) Kind) []float64 {
+	tr := q.view.Trace
+	per := make([][]float64, len(q.view.Pipelines))
+	lo := make([]int, len(per)) // each pipeline's first observation's snapshot
+	for p := range per {
+		per[p] = q.view.AppendSeries(nil, p, choose(p))
+		lo[p], _ = tr.ObsRange(p)
 	}
-	return clamp01(sum)
-}
-
-// Series returns the whole-query progress series over all snapshots for a
-// single estimator kind.
-func (q *QueryView) Series(kind Kind) []float64 {
-	out := make([]float64, len(q.Trace.Snapshots))
-	for i := range out {
-		out[i] = q.EstimateAt(i, func(int) Kind { return kind })
+	out := make([]float64, len(tr.Snapshots))
+	for obs := range out {
+		t := tr.Snapshots[obs].Time
+		var sum float64
+		for p, s := range per {
+			span := tr.PipeSpans[p]
+			switch {
+			case span.End <= span.Start, t >= span.End:
+				// Completed — or degenerate (no activity): count as done.
+				sum += q.weights[p]
+			case t < span.Start:
+				// not started
+			default:
+				if ord := ordinalAtOrBefore(obs, lo[p], len(s)); ord >= 0 {
+					sum += q.weights[p] * s[ord]
+				}
+			}
+		}
+		out[obs] = clamp01(sum)
 	}
 	return out
 }
 
-// TrueSeries returns the true whole-query progress (virtual time).
+// TrueSeries returns the true whole-query progress (virtual time) at
+// every snapshot.
 func (q *QueryView) TrueSeries() []float64 {
-	out := make([]float64, len(q.Trace.Snapshots))
+	tr := q.view.Trace
+	out := make([]float64, len(tr.Snapshots))
 	for i := range out {
-		out[i] = q.Trace.TrueProgress(i)
+		out[i] = tr.TrueProgress(i)
 	}
 	return out
 }
 
 // Errors returns the error statistics of a single-estimator query series.
 func (q *QueryView) Errors(kind Kind) ErrorStats {
-	est := q.Series(kind)
-	truth := q.TrueSeries()
-	dev := make([]float64, len(est))
-	for i := range est {
-		dev[i] = est[i] - truth[i]
+	dev := q.Series(func(int) Kind { return kind })
+	for i, v := range q.TrueSeries() {
+		dev[i] -= v
 	}
-	return errorStatsOf(dev, est, truth)
+	return ErrorStatsOf(dev)
 }
 
-// ordinalAtOrBefore maps a global snapshot index to the pipeline-local
-// observation ordinal at or before it, or -1. The pipeline's observations
-// are the contiguous snapshot range [obsLo, obsHi), so the mapping is a
-// clamped subtraction.
-func (v *PipelineView) ordinalAtOrBefore(obs int) int {
-	if obs >= v.obsHi {
-		obs = v.obsHi - 1
+// ordinalAtOrBefore maps a global snapshot index to the ordinal of the
+// pipeline observation at or before it, or -1, for a pipeline whose n
+// observations are the contiguous snapshots [lo, lo+n).
+func ordinalAtOrBefore(obs, lo, n int) int {
+	if obs >= lo+n {
+		obs = lo + n - 1
 	}
-	if obs < v.obsLo {
+	if obs < lo {
 		return -1
 	}
-	return obs - v.obsLo
+	return obs - lo
 }

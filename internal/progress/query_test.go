@@ -34,14 +34,16 @@ func queryView(t *testing.T) *QueryView {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := exec.Run(db, pl, exec.Options{})
-	return NewQueryView(tr)
+	return NewQueryView(Replay(exec.Run(db, pl, exec.Options{})))
 }
+
+// single chooses kind for every pipeline.
+func single(kind Kind) func(int) Kind { return func(int) Kind { return kind } }
 
 func TestQueryWeightsNormalised(t *testing.T) {
 	q := queryView(t)
 	var sum float64
-	for p := range q.Views {
+	for p := range q.view.Pipelines {
 		w := q.Weight(p)
 		if w < 0 || w > 1 {
 			t.Fatalf("weight %v out of range", w)
@@ -56,7 +58,7 @@ func TestQueryWeightsNormalised(t *testing.T) {
 func TestQuerySeriesBoundedAndTerminal(t *testing.T) {
 	q := queryView(t)
 	for _, k := range []Kind{DNE, TGN, LUO, TGNINT, OracleGetNext} {
-		s := q.Series(k)
+		s := q.Series(single(k))
 		for i, v := range s {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				t.Fatalf("%v: query progress %v at obs %d", k, v, i)
@@ -105,8 +107,7 @@ func TestPerPipelineChoiceFunction(t *testing.T) {
 		}
 		return TGN
 	}
-	for i := range q.Trace.Snapshots {
-		v := q.EstimateAt(i, mixed)
+	for i, v := range q.Series(mixed) {
 		if v < 0 || v > 1 {
 			t.Fatalf("mixed estimate %v at obs %d", v, i)
 		}
@@ -115,25 +116,27 @@ func TestPerPipelineChoiceFunction(t *testing.T) {
 
 func TestOrdinalAtOrBefore(t *testing.T) {
 	q := queryView(t)
-	for _, v := range q.Views {
-		if v.NumObs() == 0 {
+	last := len(q.view.Trace.Snapshots) - 1
+	for p, pl := range q.view.Pipelines {
+		lo, _ := q.view.Trace.ObsRange(p)
+		n := pl.NumObs()
+		if n == 0 {
 			continue
 		}
 		// The last global snapshot is at or after every pipeline obs.
-		last := len(q.Trace.Snapshots) - 1
-		if got := v.ordinalAtOrBefore(last); got > v.NumObs()-1 {
+		if got := ordinalAtOrBefore(last, lo, n); got > n-1 {
 			t.Fatalf("ordinal out of range: %d", got)
 		}
 		// Before the first pipeline observation: -1.
-		if v.ObsIndex(0) > 0 {
-			if got := v.ordinalAtOrBefore(v.ObsIndex(0) - 1); got != -1 {
+		if lo > 0 {
+			if got := ordinalAtOrBefore(lo-1, lo, n); got != -1 {
 				t.Errorf("expected -1 before first obs, got %d", got)
 			}
 		}
 		// Exactly at each observation index: that ordinal.
-		for ord := 0; ord < v.NumObs(); ord++ {
-			if got := v.ordinalAtOrBefore(v.ObsIndex(ord)); got != ord {
-				t.Fatalf("ordinalAtOrBefore(%d) = %d, want %d", v.ObsIndex(ord), got, ord)
+		for ord := 0; ord < n; ord++ {
+			if got := ordinalAtOrBefore(lo+ord, lo, n); got != ord {
+				t.Fatalf("ordinalAtOrBefore(%d) = %d, want %d", lo+ord, got, ord)
 			}
 		}
 	}

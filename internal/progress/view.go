@@ -8,13 +8,12 @@ import (
 	"progressest/internal/plan"
 )
 
-// PipeContext is the static per-pipeline evaluation context shared by the
-// offline replay path (PipelineView) and the streaming path (OnlineView):
-// the driver-node sets, exact driver totals where known, and structural
-// upper bounds used for online estimate refinement (Section 3.3). It is
-// fully determined at pipeline start and never changes afterwards: on a
-// run of a cached plan one PipeContext is shared read-only by every run
-// whose start matches (see PlanCache).
+// PipeContext is the static per-pipeline evaluation context every
+// estimator reads: the driver-node sets, exact driver totals where known,
+// and structural upper bounds used for online estimate refinement
+// (Section 3.3). It is fully determined at pipeline start and never
+// changes afterwards: on a run of a cached plan one PipeContext is shared
+// read-only by every run whose start matches (see PlanCache).
 type PipeContext struct {
 	Plan *plan.Plan
 	Pipe *pipeline.Pipeline
@@ -162,84 +161,6 @@ func (c *PipeContext) sums(ids []int, s *exec.Snapshot) (k, e float64) {
 		e += c.refinedE(id, s)
 	}
 	return k, e
-}
-
-// PipelineView is the per-pipeline offline evaluation context shared by
-// all estimators: the static PipeContext plus the observation prefix of a
-// finished trace belonging to the pipeline.
-type PipelineView struct {
-	*PipeContext
-	Trace *exec.Trace
-
-	// obsLo and obsHi bound the half-open global snapshot index range
-	// falling within the pipeline's span (the observations are one
-	// contiguous run because snapshot times are strictly increasing).
-	obsLo, obsHi int
-
-	cache map[Kind][]float64
-}
-
-// NewPipelineView prepares the evaluation context for pipeline p of the
-// trace.
-func NewPipelineView(tr *exec.Trace, p int) *PipelineView {
-	pipe := tr.Pipes.Pipelines[p]
-	v := &PipelineView{
-		Trace:       tr,
-		PipeContext: NewPipeContext(tr.Plan, pipe, tr.DriverTotalsKnown[p], tr.DriverTotal),
-	}
-	v.obsLo, v.obsHi = tr.ObsRange(p)
-	return v
-}
-
-// NumObs returns the number of observations within the pipeline.
-func (v *PipelineView) NumObs() int { return v.obsHi - v.obsLo }
-
-// ObsIndex maps an observation ordinal to its global snapshot index.
-func (v *PipelineView) ObsIndex(i int) int { return v.obsLo + i }
-
-// snap returns the snapshot of observation ordinal i.
-func (v *PipelineView) snap(i int) *exec.Snapshot {
-	return &v.Trace.Snapshots[v.obsLo+i]
-}
-
-// DriverFraction returns alpha_Pj (eq. 1): the consumed fraction of the
-// driver-node inputs at observation ordinal i.
-func (v *PipelineView) DriverFraction(i int) float64 {
-	return v.driverFractionAt(v.snap(i))
-}
-
-// TimeSinceStart returns the virtual time elapsed since the pipeline's
-// span start at observation ordinal i (the online-observable part of true
-// pipeline progress).
-func (v *PipelineView) TimeSinceStart(i int) float64 {
-	return v.snap(i).Time - v.Trace.PipeSpans[v.Pipe.ID].Start
-}
-
-// TrueSeries returns the true pipeline progress at each observation.
-func (v *PipelineView) TrueSeries() []float64 {
-	out := make([]float64, v.NumObs())
-	pid := v.Pipe.ID
-	for i := range out {
-		out[i] = v.Trace.TruePipelineProgress(pid, v.obsLo+i)
-	}
-	return out
-}
-
-// TimeFractionSeries returns, per observation, the fraction of the
-// pipeline's span elapsed (identical to TrueSeries; exposed for feature
-// computation readability).
-func (v *PipelineView) TimeFractionSeries() []float64 { return v.TrueSeries() }
-
-// MarkerObservation returns the first observation ordinal t{x} at which
-// the consumed driver-input fraction reaches frac (Section 4.4.2), or -1
-// if the pipeline never reaches it within the recorded observations.
-func (v *PipelineView) MarkerObservation(frac float64) int {
-	for i := 0; i < v.NumObs(); i++ {
-		if v.DriverFraction(i) >= frac {
-			return i
-		}
-	}
-	return -1
 }
 
 func clamp01(x float64) float64 {

@@ -36,39 +36,46 @@ type OnlineResult struct {
 	Err progress.ErrorStats
 }
 
-// Monitor replays the pipeline through the online policy.
-func (m *OnlineMonitor) Monitor(v *progress.PipelineView) OnlineResult {
+// Monitor runs a finished pipeline through the online policy; truth is
+// the pipeline's true progress at each of its observations.
+func (m *OnlineMonitor) Monitor(p *progress.OnlinePipeline, truth []float64) OnlineResult {
 	frac := m.ReviseAtDriverFraction
 	if frac <= 0 {
 		frac = 0.20
 	}
-	full := features.Full(v)
+	full := features.OnlineFull(p)
 	res := OnlineResult{RevisedAt: -1}
 	res.Initial = m.Static.Select(full)
 	res.Revised = res.Initial
 	if m.Dynamic != nil {
-		if at := v.MarkerObservation(frac); at >= 0 {
-			if choice := m.Dynamic.Select(full); choice != res.Initial {
-				res.Revised = choice
-				res.RevisedAt = at
-			} else {
-				res.RevisedAt = at
-			}
+		if at := markerObservation(p, frac); at >= 0 {
+			res.Revised = m.Dynamic.Select(full)
+			res.RevisedAt = at
 		}
 	}
 
-	initialSeries := v.Series(res.Initial)
-	res.Series = append([]float64(nil), initialSeries...)
+	res.Series = p.Series(res.Initial)
 	if res.RevisedAt >= 0 && res.Revised != res.Initial {
-		revised := v.Series(res.Revised)
+		revised := p.Series(res.Revised)
 		copy(res.Series[res.RevisedAt:], revised[res.RevisedAt:])
 	}
 
-	truth := v.TrueSeries()
 	dev := make([]float64, len(res.Series))
 	for i := range dev {
 		dev[i] = res.Series[i] - truth[i]
 	}
-	res.Err = progress.ErrorStatsFrom(dev, res.Series, truth)
+	res.Err = progress.ErrorStatsOf(dev)
 	return res
+}
+
+// markerObservation returns the first observation ordinal t{x} at which
+// the consumed driver-input fraction reaches frac (Section 4.4.2), or -1
+// if the pipeline never reaches it.
+func markerObservation(p *progress.OnlinePipeline, frac float64) int {
+	for i := 0; i < p.NumObs(); i++ {
+		if p.DriverFraction(i) >= frac {
+			return i
+		}
+	}
+	return -1
 }

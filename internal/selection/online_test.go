@@ -12,9 +12,22 @@ import (
 	"progressest/internal/workload"
 )
 
+// monitored is one pipeline of a finished, replayed run.
+type monitored struct {
+	view *progress.OnlineView
+	p    int
+}
+
+func (v monitored) pipe() *progress.OnlinePipeline { return v.view.Pipelines[v.p] }
+
+// monitor runs the pipeline through m.
+func (v monitored) monitor(m *selection.OnlineMonitor) selection.OnlineResult {
+	return m.Monitor(v.pipe(), v.view.AppendTrueSeries(nil, v.p))
+}
+
 // onlineFixture trains static+dynamic selectors on the shared pool and
-// returns pipeline views from a freshly executed workload.
-func onlineFixture(t *testing.T) (*selection.OnlineMonitor, []*progress.PipelineView) {
+// returns the pipelines of a freshly executed workload.
+func onlineFixture(t *testing.T) (*selection.OnlineMonitor, []monitored) {
 	t.Helper()
 	ex := pool(t)
 	static, err := selection.Train(ex, selection.Config{
@@ -37,17 +50,16 @@ func onlineFixture(t *testing.T) (*selection.OnlineMonitor, []*progress.Pipeline
 	if err != nil {
 		t.Fatal(err)
 	}
-	var views []*progress.PipelineView
+	var views []monitored
 	for _, q := range w.Queries {
 		pl, err := w.Planner.Plan(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := exec.Run(w.DB, pl, exec.Options{})
-		for p := range tr.Pipes.Pipelines {
-			v := progress.NewPipelineView(tr, p)
+		view := progress.Replay(exec.Run(w.DB, pl, exec.Options{}))
+		for p, v := range view.Pipelines {
 			if v.NumObs() >= 8 {
-				views = append(views, v)
+				views = append(views, monitored{view, p})
 			}
 		}
 	}
@@ -60,9 +72,9 @@ func onlineFixture(t *testing.T) (*selection.OnlineMonitor, []*progress.Pipeline
 func TestOnlineMonitorCompositeSeries(t *testing.T) {
 	m, views := onlineFixture(t)
 	for _, v := range views {
-		out := m.Monitor(v)
-		if len(out.Series) != v.NumObs() {
-			t.Fatalf("composite series length %d, want %d", len(out.Series), v.NumObs())
+		out := v.monitor(m)
+		if n := v.pipe().NumObs(); len(out.Series) != n {
+			t.Fatalf("composite series length %d, want %d", len(out.Series), n)
 		}
 		for i, val := range out.Series {
 			if val < 0 || val > 1 {
@@ -71,8 +83,8 @@ func TestOnlineMonitorCompositeSeries(t *testing.T) {
 		}
 		// Before the revision point the composite equals the initial
 		// estimator's series; after, the revised one's.
-		initial := v.Series(out.Initial)
-		revised := v.Series(out.Revised)
+		initial := v.pipe().Series(out.Initial)
+		revised := v.pipe().Series(out.Revised)
 		for i := range out.Series {
 			want := initial[i]
 			if out.RevisedAt >= 0 && i >= out.RevisedAt {
@@ -92,12 +104,12 @@ func TestOnlineMonitorWithoutDynamicNeverRevises(t *testing.T) {
 	m, views := onlineFixture(t)
 	m.Dynamic = nil
 	for _, v := range views {
-		out := m.Monitor(v)
+		out := v.monitor(m)
 		if out.Revised != out.Initial || out.RevisedAt != -1 {
 			t.Fatal("monitor without a dynamic model must not revise")
 		}
 		// Composite must then be exactly the initial estimator's error.
-		if want := v.Errors(out.Initial).L1; out.Err.L1 != want {
+		if want := v.view.Errors(v.p, out.Initial).L1; out.Err.L1 != want {
 			t.Fatalf("composite L1 %v != initial estimator's %v", out.Err.L1, want)
 		}
 	}
@@ -108,11 +120,15 @@ func TestOnlineMonitorCustomMarker(t *testing.T) {
 	m.ReviseAtDriverFraction = 0.05
 	early := 0
 	for _, v := range views {
-		out := m.Monitor(v)
+		out := v.monitor(m)
 		if out.RevisedAt >= 0 {
 			early++
 			// The 5% marker must be no later than the 20% marker.
-			if m20 := v.MarkerObservation(0.20); m20 >= 0 && out.RevisedAt > m20 {
+			m20 := 0
+			for m20 < v.pipe().NumObs() && v.pipe().DriverFraction(m20) < 0.20 {
+				m20++
+			}
+			if m20 < v.pipe().NumObs() && out.RevisedAt > m20 {
 				t.Fatalf("5%% revision at obs %d after 20%% marker %d", out.RevisedAt, m20)
 			}
 		}
@@ -148,10 +164,9 @@ func BenchmarkOnlineMonitor(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr := exec.Run(w.DB, pl, exec.Options{})
-	v := progress.NewPipelineView(tr, 0)
+	v := monitored{progress.Replay(exec.Run(w.DB, pl, exec.Options{})), 0}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Monitor(v)
+		v.monitor(m)
 	}
 }

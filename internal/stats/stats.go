@@ -80,31 +80,6 @@ func L2Error(deviations []float64) float64 {
 	return math.Sqrt(sum / float64(len(deviations)))
 }
 
-// RatioError returns max(est/true, true/est) averaged over observation
-// pairs, the worst-case metric studied in the SAFE/PMAX line of work.
-// Pairs where either value is <= 0 are skipped (they occur only at the very
-// first observation of a query).
-func RatioError(estimates, truths []float64) float64 {
-	n := 0
-	var sum float64
-	for i := range estimates {
-		e, tr := estimates[i], truths[i]
-		if e <= 0 || tr <= 0 {
-			continue
-		}
-		r := e / tr
-		if r < 1 {
-			r = 1 / r
-		}
-		sum += r
-		n++
-	}
-	if n == 0 {
-		return 1
-	}
-	return sum / float64(n)
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. xs is not modified.
 func Quantile(xs []float64, q float64) float64 {

@@ -71,18 +71,6 @@ func TestL2AtLeastL1(t *testing.T) {
 	}
 }
 
-func TestRatioError(t *testing.T) {
-	if got := RatioError([]float64{0.5}, []float64{0.25}); !almostEq(got, 2, 1e-12) {
-		t.Errorf("RatioError = %v, want 2", got)
-	}
-	if got := RatioError([]float64{0.25}, []float64{0.5}); !almostEq(got, 2, 1e-12) {
-		t.Errorf("RatioError symmetric = %v, want 2", got)
-	}
-	if got := RatioError([]float64{0, 0.5}, []float64{0.1, 0.5}); !almostEq(got, 1, 1e-12) {
-		t.Errorf("RatioError skipping zeros = %v, want 1", got)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ q, want float64 }{

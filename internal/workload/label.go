@@ -24,9 +24,7 @@ var labelKinds = progress.AllKinds()
 // per-family model routing key; see Workload.QueryFamily). minObs <= 0
 // uses the default (8).
 func HarvestTrace(tr *exec.Trace, workloadName, family string, queryIndex int, minObs int) []selection.Example {
-	view := progress.NewOnlineView(tr.Plan, tr.Pipes)
-	exec.Replay(tr, view, len(tr.Snapshots))
-	return LabelView(view, tr, workloadName, family, queryIndex, minObs)
+	return LabelView(progress.Replay(tr), tr, workloadName, family, queryIndex, minObs)
 }
 
 // LabelView labels one finished execution from the streaming view that
@@ -34,10 +32,9 @@ func HarvestTrace(tr *exec.Trace, workloadName, family string, queryIndex int, m
 // example holding the full feature vector at completion and the L1/L2
 // error, against true pipeline progress, of every candidate estimator and
 // both oracle models. view must have seen the whole run that produced tr
-// — live, or through exec.Replay. The selectable estimators' series are
-// read from the view as it holds them; only the oracle models, which
-// divide by the trace's true totals, are computed here. minObs <= 0 uses
-// the default (8).
+// — live, or through progress.Replay. The selectable estimators' series
+// are read from the view as it holds them; only the oracle models divide
+// by the trace's true totals. minObs <= 0 uses the default (8).
 func LabelView(view *progress.OnlineView, tr *exec.Trace, workloadName, family string, queryIndex, minObs int) []selection.Example {
 	if minObs <= 0 {
 		minObs = RunOptions{}.withDefaults().MinObservations
@@ -61,10 +58,7 @@ func LabelView(view *progress.OnlineView, tr *exec.Trace, workloadName, family s
 		truth := scratch[:0:maxObs]
 		est := scratch[maxObs : maxObs : 2*maxObs]
 		dev := scratch[2*maxObs : 2*maxObs+n]
-		lo, _ := tr.ObsRange(pi)
-		for i := lo; i < lo+n; i++ {
-			truth = append(truth, tr.TruePipelineProgress(pi, i))
-		}
+		truth = view.AppendTrueSeries(truth, pi)
 		var totalGN float64
 		for _, id := range tr.Pipes.Pipelines[pi].Nodes {
 			totalGN += float64(tr.N[id])
@@ -81,11 +75,7 @@ func LabelView(view *progress.OnlineView, tr *exec.Trace, workloadName, family s
 			},
 		}
 		for _, k := range labelKinds {
-			if k < progress.NumKinds {
-				est = p.AppendSeries(est[:0], k)
-			} else {
-				est = p.AppendOracleSeries(est[:0], tr, k)
-			}
+			est = view.AppendSeries(est[:0], pi, k)
 			for i := range dev {
 				dev[i] = est[i] - truth[i]
 			}

@@ -16,19 +16,23 @@ import (
 	"progressest/internal/selection"
 )
 
-// offlineLabels is the reference labeller: every pipeline replayed
-// through a fresh offline PipelineView, its features from features.Full
-// and its labels from PipelineView.Errors — the labelling LabelView
-// replaced, kept here as the oracle it must match bit for bit.
-func offlineLabels(tr *exec.Trace, workloadName, family string, queryIndex, minObs int) []selection.Example {
+// referenceLabels is the reference labeller: the trace replayed snapshot
+// by snapshot through a fresh view, each pipeline's features assembled
+// from features.Static and features.Dynamic and its labels from
+// OnlineView.Errors — none of LabelView's scratch reuse or cached static
+// prefix. The series themselves are pinned to the test-side reference in
+// package progress.
+func referenceLabels(tr *exec.Trace, workloadName, family string, queryIndex, minObs int) []selection.Example {
+	view := progress.NewOnlineView(tr.Plan, tr.Pipes)
+	exec.Replay(tr, view, 1)
 	var out []selection.Example
 	for p, pipe := range tr.Pipes.Pipelines {
-		v := progress.NewPipelineView(tr, p)
+		v := view.Pipelines[p]
 		if v.NumObs() < minObs {
 			continue
 		}
 		ex := selection.Example{
-			Features:  features.Full(v),
+			Features:  append(features.Static(v.PipeContext), features.Dynamic(v)...),
 			Workload:  workloadName,
 			Signature: pipelineSignature(tr, p),
 			Family:    family,
@@ -40,7 +44,7 @@ func offlineLabels(tr *exec.Trace, workloadName, family string, queryIndex, minO
 		}
 		ex.Meta["getnext_total"] = totalGN
 		for _, k := range progress.AllKinds() {
-			e := v.Errors(k)
+			e := view.Errors(p, k)
 			ex.ErrL1[k], ex.ErrL2[k] = e.L1, e.L2
 		}
 		out = append(out, ex)
@@ -99,8 +103,8 @@ var allDatasetKinds = []datagen.DatasetKind{
 // budgets (some queries spill), with and without forced thinning, and
 // with the snapshots delivered one at a time and eight at a time, the
 // examples LabelView takes from the view that watched the run live — and
-// those HarvestTrace takes from a replay — equal the offline reference
-// on every field, bit for bit.
+// those HarvestTrace takes from a replay — equal the reference on every
+// field, bit for bit.
 func TestLabelViewMatchesOfflineLabels(t *testing.T) {
 	for _, kind := range allDatasetKinds {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -125,7 +129,7 @@ func TestLabelViewMatchesOfflineLabels(t *testing.T) {
 						view := progress.NewOnlineView(pl, pipeline.Decompose(pl))
 						opts.Observer = view
 						tr := exec.Run(w.DB, pl, opts)
-						want := offlineLabels(tr, "w", "f", qi, 8)
+						want := referenceLabels(tr, "w", "f", qi, 8)
 						assertSameLabels(t, "LabelView", LabelView(view, tr, "w", "f", qi, 8), want)
 						assertSameLabels(t, "HarvestTrace", HarvestTrace(tr, "w", "f", qi, 8), want)
 						labelled += len(want)
@@ -186,8 +190,8 @@ func labelDigest(exs []selection.Example) string {
 // TestHarvestMatchesRecordedDigest pins a seed corpus — every query of
 // the four dataset kinds, harvested by Run under the randomised memory
 // budgets, with the default observation target and with thinning forced
-// — to digests recorded while labels still came from the offline
-// PipelineView replay.
+// — to digests recorded while labels still came from an offline replay
+// of the trace through per-pipeline views.
 func TestHarvestMatchesRecordedDigest(t *testing.T) {
 	want := map[datagen.DatasetKind][2]string{ // default, thinning
 		datagen.TPCHLike:  {"4b7cb70c9b9e50612d96b14dc42186d8f20f0b931850681f2791f8092186b827", "0cdd790283e1562159bd1b601796869245a3d91eef1e6df78a08094a0630c8b8"},

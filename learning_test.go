@@ -62,7 +62,7 @@ func TestContinuousLearningLoopEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Batch-harvest the very same trace with the shared converter.
-		expected = append(expected, workload.HarvestTrace(run.trace, w.inner.Spec.Name, w.QueryFamily(i), i, 0)...)
+		expected = append(expected, workload.HarvestTrace(run.view.Trace, w.inner.Spec.Name, w.QueryFamily(i), i, 0)...)
 	}
 
 	// Phase 2: the corpus holds exactly the batch-harvest examples,

@@ -85,7 +85,7 @@ type ProgressUpdate struct {
 	Done bool `json:"done"`
 	// TrueProgress is the true (virtual-time) progress of the query: -1
 	// while the query runs (the truth is unknowable before termination)
-	// and 1 on the final update. Replay the returned QueryRun for the full
+	// and 1 on the final update. The QueryRun Wait returns holds the full
 	// true series.
 	TrueProgress float64 `json:"true_progress"`
 }
@@ -94,7 +94,7 @@ type ProgressUpdate struct {
 // delivers live ProgressUpdates while the query runs; it is conflated (a
 // slow consumer sees the freshest update, not a backlog) and closed after
 // the final Done update. Wait blocks until execution finishes and returns
-// the completed QueryRun for offline replay.
+// the completed QueryRun, read from the view that served the updates.
 type Monitor struct {
 	// Updates delivers live progress. The channel is closed when the query
 	// completes; the last value delivered has Done == true.
@@ -105,29 +105,30 @@ type Monitor struct {
 	modelFamily string
 	shard       int
 	class       string
-	// obs assembles the updates; finish drops it, so a Monitor held for
-	// Wait pins the trace and not the streaming view.
+	// obs assembles the updates; finish drops it, keeping only its view.
 	obs *monitorObserver
 	// release gives the admission slot back at the run's end (nil for a
 	// run started directly on a Workload).
 	release func()
 	done    chan struct{}
-	// trace and err are the run's outcome, written by finish before done
-	// closes; run is built from trace by the first Wait.
-	trace   *exec.Trace
+	// view and err are the run's outcome, written by finish before done
+	// closes: the finished view, or nil for an aborted run. run is read
+	// off view by the first Wait.
+	view    *progress.OnlineView
 	err     error
 	runOnce sync.Once
 	run     *QueryRun
 }
 
 // Wait blocks until the query completes and returns its QueryRun — the
-// same one to every caller. The replay views are built here, on the
-// first waiter's goroutine: the serving paths never wait, and the
-// executing goroutine has a slot to give back.
+// same one to every caller, read off the streaming view that served the
+// run's updates. The run is built here, on the first waiter's
+// goroutine: the serving paths never wait, and the executing goroutine
+// has a slot to give back.
 func (m *Monitor) Wait() (*QueryRun, error) {
 	<-m.done
-	if m.trace != nil {
-		m.runOnce.Do(func() { m.run = newQueryRun(m.trace) })
+	if m.view != nil {
+		m.runOnce.Do(func() { m.run = newQueryRun(m.view) })
 	}
 	return m.run, m.err
 }
@@ -446,7 +447,10 @@ func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, starts *progress.P
 func (m *Monitor) finish(tr *exec.Trace, err error) {
 	obs := m.obs
 	m.obs = nil
-	m.trace, m.err = tr, err
+	if tr != nil {
+		m.view = obs.view
+	}
+	m.err = err
 	if m.release != nil {
 		m.release()
 	}

@@ -199,7 +199,8 @@ func (w *Workload) QueryFamily(i int) string {
 	return w.inner.QueryFamily(i)
 }
 
-// Run plans and executes query i, capturing the counter trace.
+// Run plans and executes query i under a streaming view of its
+// estimators and returns the finished run.
 func (w *Workload) Run(i int) (*QueryRun, error) {
 	if i < 0 || i >= len(w.inner.Queries) {
 		return nil, fmt.Errorf("progressest: query index %d out of range [0,%d)", i, len(w.inner.Queries))
@@ -208,7 +209,9 @@ func (w *Workload) Run(i int) (*QueryRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newQueryRun(exec.RunDecomposed(w.inner.DB, pq.plan, pq.pipes, exec.Options{})), nil
+	view := progress.NewCachedOnlineView(pq.plan, pq.pipes, pq.starts)
+	exec.RunDecomposed(w.inner.DB, pq.plan, pq.pipes, exec.Options{Observer: view})
+	return newQueryRun(view), nil
 }
 
 // Example is one labelled pipeline execution: a feature vector plus the
@@ -239,131 +242,77 @@ func (w *Workload) HarvestParallel(workers int) ([]Example, error) {
 	return res.Examples, nil
 }
 
-// QueryRun is one executed query with its full observation trace.
+// QueryRun is one executed query, read from the finished streaming view
+// that observed it. It writes nothing once built, so any number of
+// goroutines may read one run, and every slice it returns is the
+// caller's.
 type QueryRun struct {
-	trace *exec.Trace
-	views []*progress.PipelineView
-	query *progress.QueryView // lazily built for whole-query progress
+	view  *progress.OnlineView
+	query *progress.QueryView
 }
 
-// newQueryRun prepares the replay views of a finished trace.
-func newQueryRun(tr *exec.Trace) *QueryRun {
-	run := &QueryRun{trace: tr, views: make([]*progress.PipelineView, len(tr.Pipes.Pipelines))}
-	for p := range run.views {
-		run.views[p] = progress.NewPipelineView(tr, p)
-	}
-	return run
-}
-
-// queryView lazily builds the eq. 5 whole-query combination.
-func (r *QueryRun) queryView() *progress.QueryView {
-	if r.query == nil {
-		r.query = progress.NewQueryView(r.trace)
-	}
-	return r.query
+// newQueryRun reads a run off its finished view.
+func newQueryRun(view *progress.OnlineView) *QueryRun {
+	return &QueryRun{view: view, query: progress.NewQueryView(view)}
 }
 
 // PlanText renders the executed physical plan.
-func (r *QueryRun) PlanText() string { return r.trace.Plan.String() }
+func (r *QueryRun) PlanText() string { return r.view.Plan.String() }
 
 // NumPipelines returns the number of pipelines in the plan.
-func (r *QueryRun) NumPipelines() int { return len(r.views) }
+func (r *QueryRun) NumPipelines() int { return len(r.view.Pipelines) }
 
 // Observations returns the number of counter snapshots recorded for
 // pipeline p.
-func (r *QueryRun) Observations(p int) int { return r.views[p].NumObs() }
+func (r *QueryRun) Observations(p int) int { return r.view.Pipelines[p].NumObs() }
 
 // Estimates returns estimator e's progress series over pipeline p's
 // observations (values in [0, 1]).
 func (r *QueryRun) Estimates(p int, e Estimator) []float64 {
-	return r.views[p].Series(e)
+	return r.view.AppendSeries(make([]float64, 0, r.Observations(p)), p, e)
 }
 
 // TrueProgress returns the true (virtual-time) progress of pipeline p at
 // each observation.
-func (r *QueryRun) TrueProgress(p int) []float64 { return r.views[p].TrueSeries() }
+func (r *QueryRun) TrueProgress(p int) []float64 {
+	return r.view.AppendTrueSeries(make([]float64, 0, r.Observations(p)), p)
+}
 
 // Errors returns estimator e's L1 and L2 progress error on pipeline p.
 func (r *QueryRun) Errors(p int, e Estimator) (l1, l2 float64) {
-	st := r.views[p].Errors(e)
+	st := r.view.Errors(p, e)
 	return st.L1, st.L2
 }
 
 // Features returns the selection feature vector of pipeline p (static
 // prefix + dynamic suffix).
 func (r *QueryRun) Features(p int) []float64 {
-	return features.Full(r.views[p])
+	return append(features.Static(r.view.Context(p)), features.Dynamic(r.view.Pipelines[p])...)
 }
 
 // QueryEstimates returns whole-query progress (the estimate-weighted sum
 // of pipeline estimates, eq. 5 of the paper) using estimator e for every
 // pipeline, over all counter snapshots of the query.
 func (r *QueryRun) QueryEstimates(e Estimator) []float64 {
-	return r.queryView().Series(e)
+	return r.query.Series(func(int) Estimator { return e })
 }
 
 // QueryTrueProgress returns the true whole-query progress per snapshot.
-func (r *QueryRun) QueryTrueProgress() []float64 {
-	return r.queryView().TrueSeries()
-}
+func (r *QueryRun) QueryTrueProgress() []float64 { return r.query.TrueSeries() }
 
 // QueryErrors returns the L1/L2 error of a single-estimator whole-query
 // progress series.
 func (r *QueryRun) QueryErrors(e Estimator) (l1, l2 float64) {
-	st := r.queryView().Errors(e)
+	st := r.query.Errors(e)
 	return st.L1, st.L2
 }
 
 // PipelineWeight returns pipeline p's share of the query's estimated total
 // work (the eq. 5 weight).
-func (r *QueryRun) PipelineWeight(p int) float64 {
-	return r.queryView().Weight(p)
-}
+func (r *QueryRun) PipelineWeight(p int) float64 { return r.query.Weight(p) }
 
 // FeatureNames returns the ordered names of the feature vector entries.
 func FeatureNames() []string { return features.Names() }
-
-// BatchRun is the combined execution of several queries, with one progress
-// series for the whole batch (the multi-query extension the paper lists as
-// future work, after Luo et al.'s multi-query indicators).
-type BatchRun struct {
-	m *progress.MultiQuery
-}
-
-// RunBatch executes the given queries back to back and returns the batch
-// view. Indices must be valid query indices of the workload.
-func (w *Workload) RunBatch(indices []int) (*BatchRun, error) {
-	var traces []*exec.Trace
-	for _, i := range indices {
-		if i < 0 || i >= len(w.inner.Queries) {
-			return nil, fmt.Errorf("progressest: query index %d out of range", i)
-		}
-		pq, err := w.planned(i)
-		if err != nil {
-			return nil, err
-		}
-		traces = append(traces, exec.RunDecomposed(w.inner.DB, pq.plan, pq.pipes, exec.Options{}))
-	}
-	if len(traces) == 0 {
-		return nil, errors.New("progressest: empty batch")
-	}
-	return &BatchRun{m: progress.NewMultiQuery(traces)}, nil
-}
-
-// QueryWeight returns query q's share of the batch's estimated work.
-func (b *BatchRun) QueryWeight(q int) float64 { return b.m.QueryWeight(q) }
-
-// Progress returns the batch progress series for one estimator together
-// with the true batch progress.
-func (b *BatchRun) Progress(e Estimator) (est, truth []float64) {
-	return b.m.SerialSeries(e)
-}
-
-// Errors returns the batch progress series' L1/L2 error for one estimator.
-func (b *BatchRun) Errors(e Estimator) (l1, l2 float64) {
-	st := b.m.Errors(e)
-	return st.L1, st.L2
-}
 
 // SelectorConfig configures selector training.
 type SelectorConfig struct {

@@ -151,38 +151,6 @@ func TestQueryLevelProgress(t *testing.T) {
 	}
 }
 
-func TestRunBatch(t *testing.T) {
-	w := openSmall(t, progressest.TPCDS)
-	run, err := w.RunBatch([]int{0, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for q := 0; q < 3; q++ {
-		sum += run.QueryWeight(q)
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("batch weights sum to %v", sum)
-	}
-	est, truth := run.Progress(progressest.DNE)
-	if len(est) != len(truth) || len(est) == 0 {
-		t.Fatal("batch series misaligned")
-	}
-	if truth[len(truth)-1] < 0.999 {
-		t.Errorf("final batch truth %v", truth[len(truth)-1])
-	}
-	l1, l2 := run.Errors(progressest.OracleGetNext)
-	if l1 < 0 || l2 < l1-1e-9 {
-		t.Errorf("bad batch errors %v/%v", l1, l2)
-	}
-	if _, err := w.RunBatch([]int{99}); err == nil {
-		t.Error("out-of-range batch index should error")
-	}
-	if _, err := w.RunBatch(nil); err == nil {
-		t.Error("empty batch should error")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := progressest.Open(progressest.Config{Zipf: -1}); err == nil {
 		t.Error("negative Zipf should error")

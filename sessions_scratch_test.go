@@ -51,7 +51,7 @@ func scratchFixture(t *testing.T, opts MonitorOptions) (*Server, []scratchSessio
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := run.trace
+		tr := run.view.Trace
 		ss := scratchSession{spec: []byte(marshalJSON(t, ingest.SpecFromTrace(tr, "ext-engine", "ext-fam")))}
 		// A batch size off the update cadence, different per plan.
 		for _, b := range ingest.RecordBatches(tr, 5+3*qi) {
@@ -113,7 +113,7 @@ func checkScratchSession(server *Server, id string, mon *Monitor, ss *scratchSes
 	if err != nil {
 		return err
 	}
-	if !sameTraces(run.trace, ss.trace) {
+	if !sameTraces(run.view.Trace, ss.trace) {
 		return fmt.Errorf("session %s: synthesized trace diverges from its sequential reference", id)
 	}
 	return nil

@@ -28,7 +28,7 @@ func sessionWorkload(t *testing.T) (*Workload, *exec.Trace) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w, run.trace
+	return w, run.view.Trace
 }
 
 func marshalJSON(t *testing.T, v any) string {
