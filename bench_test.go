@@ -1,9 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation, one testing.B target per artifact, plus ablation benches for
-// the design decisions called out in DESIGN.md. Each benchmark runs the
-// corresponding experiment end to end (workload execution, estimator
-// replay, model training where applicable) in the quick configuration;
-// use `go run ./cmd/experiments -full` for the recorded full-size numbers.
+// evaluation, one testing.B target per artifact, plus ablation and
+// component benches for individual design choices. Each artifact
+// benchmark runs the corresponding experiment end to end (workload
+// execution, estimator series, model training where applicable) in the
+// quick configuration; use `go run ./cmd/experiments -full` for the
+// recorded full-size numbers.
 package progressest_test
 
 import (
@@ -153,7 +154,7 @@ func BenchmarkModelsValidation(b *testing.B) {
 	}
 }
 
-// --- ablation benches (design decisions from DESIGN.md) ---
+// --- ablation and component benches ---
 
 // benchExamples harvests a small shared example pool.
 func benchExamples(b *testing.B) []progressest.Example {
@@ -269,11 +270,12 @@ func BenchmarkHarvestParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkOnlineVsReplay compares the cost of maintaining all candidate
-// estimators incrementally while a query runs (the streaming OnlineView
-// attached as exec.Observer) against executing and then replaying the
-// finished trace through every estimator — the dataflow the streaming
-// refactor replaces.
+// BenchmarkOnlineVsReplay compares the two ways a caller gets a finished
+// query, both executing under the one streaming OnlineView: "online"
+// serves it through a monitor (Start with intermediate updates
+// suppressed, drain, Wait), "replay" runs it with Workload.Run and reads
+// every estimator's per-pipeline errors off the finished view — the
+// monitor's goroutine and update plumbing against the finished-run reads.
 func BenchmarkOnlineVsReplay(b *testing.B) {
 	w := harvestWorkload(b)
 	b.Run("online", func(b *testing.B) {
@@ -324,10 +326,13 @@ func BenchmarkSelectionOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimatorReplay measures replaying all candidate estimators
-// over one pipeline trace — the cost of collecting one training label
-// ("the overhead for tracking multiple estimators is nearly identical to
-// the overhead for computing a single one").
+// BenchmarkEstimatorReplay measures reading every estimator's error on
+// the longest pipeline of a finished run off its view — the selectable
+// estimators' series as accumulated, the oracle models' computed from the
+// trace's true totals — the per-pipeline cost of collecting a training
+// label once the run is over ("the overhead for tracking multiple
+// estimators is nearly identical to the overhead for computing a single
+// one").
 func BenchmarkEstimatorReplay(b *testing.B) {
 	w, err := progressest.Open(progressest.Config{
 		Dataset: progressest.TPCH, Queries: 1, Scale: 0.1, Seed: 9,
@@ -347,8 +352,7 @@ func BenchmarkEstimatorReplay(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Fresh run views would re-execute; replay estimator series on the
-		// recorded trace via the public API.
+		// Only the finished view is read; nothing re-executes.
 		for _, e := range progressest.AllEstimators() {
 			if l1, _ := run.Errors(pipe, e); l1 < 0 {
 				b.Fatal("negative error")

@@ -46,7 +46,7 @@ func newSnapshotCycle(t testing.TB, batched bool) *snapshotCycle {
 	if len(tr.Snapshots) < 4*every {
 		t.Fatalf("recorded trace too short for cycling: %d snapshots", len(tr.Snapshots))
 	}
-	obs, _ := newTestObserver(t, w, 0, every)
+	obs, _ := newTestObserver(t, w, 0, nil, every)
 	// Replay the pipeline starts so every pipeline that ran is live.
 	for pi := range tr.Pipes.Pipelines {
 		if tr.PipeSpans[pi].Start < 0 {

@@ -14,10 +14,7 @@ import (
 func collectUpdates(t testing.TB, w *Workload, qi int, sel *Selector, unbatched bool, execOpts exec.Options) []ProgressUpdate {
 	t.Helper()
 	const every = 4
-	obs, pq := newTestObserver(t, w, qi, every)
-	if sel != nil {
-		obs.sel = sel.inner
-	}
+	obs, pq := newTestObserver(t, w, qi, sel, every)
 	var got []ProgressUpdate
 	obs.deliver = func(u ProgressUpdate) {
 		u.Pipelines = append([]PipelineProgress(nil), u.Pipelines...)
@@ -34,14 +31,14 @@ func collectUpdates(t testing.TB, w *Workload, qi int, sel *Selector, unbatched 
 
 // newTestObserver builds query qi's monitorObserver through the shared
 // set-up Start uses — the plan entry's cached start contexts included —
-// without starting an executor.
-func newTestObserver(t testing.TB, w *Workload, qi, every int) (*monitorObserver, *plannedQuery) {
+// without starting an executor. sel, when non-nil, picks the estimators.
+func newTestObserver(t testing.TB, w *Workload, qi int, sel *Selector, every int) (*monitorObserver, *plannedQuery) {
 	t.Helper()
 	pq, err := w.planned(qi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := newMonitor(pq.plan, pq.pipes, pq.starts, "", "", qi, MonitorOptions{UpdateEvery: every})
+	m, err := newMonitor(pq.plan, pq.pipes, pq.starts, "", "", qi, MonitorOptions{Selector: sel, UpdateEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}

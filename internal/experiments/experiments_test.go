@@ -275,16 +275,19 @@ func TestOnlineRevision(t *testing.T) {
 	if r.N == 0 {
 		t.Fatal("no pipelines monitored")
 	}
-	if r.OracleL1 > r.CompositeL1+1e-9 || r.OracleL1 > r.StaticL1+1e-9 {
+	if r.OracleL1 > r.ServedL1+1e-9 || r.OracleL1 > r.FirstPickL1+1e-9 {
 		t.Error("oracle cannot exceed any policy's error")
 	}
-	if r.RevisedShare < 0 || r.RevisedShare > 1 {
-		t.Errorf("revised share %v", r.RevisedShare)
+	if r.RepickedShare < 0 || r.RepickedShare > 1 {
+		t.Errorf("re-picked share %v", r.RepickedShare)
 	}
-	if r.RevisionHelped+r.RevisionHurt > 1+1e-9 {
-		t.Errorf("helped+hurt = %v > 1", r.RevisionHelped+r.RevisionHurt)
+	if r.RepickHelped+r.RepickHurt > 1+1e-9 {
+		t.Errorf("helped+hurt = %v > 1", r.RepickHelped+r.RepickHurt)
 	}
-	if s := r.String(); !strings.Contains(s, "online composite") {
+	if r.Queries == 0 || r.ServedQueryL1 < 0 || r.ServedQueryL1 > 1 {
+		t.Errorf("served query L1 %v over %d queries", r.ServedQueryL1, r.Queries)
+	}
+	if s := r.String(); !strings.Contains(s, "served (re-picks)") || !strings.Contains(s, "served query progress") {
 		t.Error("missing rendering content")
 	}
 }

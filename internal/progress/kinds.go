@@ -14,8 +14,12 @@
 // (workload.LabelView), the experiments' series — is read from the view
 // that watched it, or from a fresh view a finished trace is replayed
 // through (Replay). Only the oracle models, which divide by the finished
-// run's true totals, are computed afterwards, and QueryView combines the
-// pipelines' series into whole-query progress (eq. 5).
+// run's true totals, are computed afterwards.
+//
+// Whole-query progress (eq. 5) is one rule on the view, too: the live
+// QueryEstimate a monitor serves after each snapshot and the finished
+// AppendQuerySeries evaluate the same weighted combination, so a finished
+// run reports, snapshot for snapshot, the query progress it served.
 package progress
 
 import "fmt"

@@ -12,7 +12,8 @@ import (
 // O(pipeline nodes + estimators) work per snapshot. Once the run
 // completes the view is its record: each pipeline holds exactly the
 // observations the finished trace attributes to it, and the finished-run
-// reads (AppendSeries, AppendTrueSeries, Errors, Context) answer from
+// reads (AppendSeries, AppendTrueSeries, Errors, Context, and the
+// whole-query AppendQuerySeries, QueryErrors, QueryWeight) answer from
 // what the view accumulated plus the trace's true totals. A finished
 // trace is read the same way: Replay feeds it through a fresh view.
 type OnlineView struct {
@@ -94,6 +95,7 @@ func (o *OnlineView) OnPipelineStart(st exec.PipelineStart) {
 	p.shared, p.PipeContext = o.cache.start(o.Plan, p.pipe, &st)
 	p.Started = true
 	p.StartTime = st.Time
+	p.g0 = o.snapCount
 	p.worst = newWorstState()
 	p.reserve(o.Reserve)
 }
@@ -104,11 +106,10 @@ func (o *OnlineView) OnPipelineStart(st exec.PipelineStart) {
 // how the stream was cut into batches.
 func (o *OnlineView) OnSnapshots(batch []exec.Snapshot) {
 	for i := range batch {
-		g := o.snapCount
 		o.snapCount++
 		for _, p := range o.Pipelines {
 			if p.Started && !p.Ended {
-				p.feed(&batch[i], g)
+				p.feed(&batch[i])
 			}
 		}
 	}
@@ -150,49 +151,65 @@ func (o *OnlineView) OnDone(tr *exec.Trace) {
 	o.done = true
 }
 
-// QueryEstimate combines the current per-pipeline estimates into a live
-// whole-query estimate in the spirit of eq. 5: each pipeline weighted by
-// its share of the estimated total work. Pipelines that have not started
-// contribute zero; their weights use plan-time estimates until their
-// driver totals become known at start. choose picks the estimator per
-// pipeline.
+// QueryEstimate is the whole-query estimate a monitor serves after the
+// latest snapshot: eq. 5 (combine) at that snapshot, with estimator
+// choose(p) for pipeline p — or 1 once the run is done, the value of the
+// final update.
+//
 // QueryEstimate is not safe for concurrent calls on one view (the weight
 // scratch is reused across calls); the monitor invokes it only from the
 // executing goroutine.
 func (o *OnlineView) QueryEstimate(choose func(p int) Kind) float64 {
-	var total, sum float64
-	weights := o.wbuf
-	if len(weights) != len(o.Pipelines) {
-		weights = make([]float64, len(o.Pipelines))
-		o.wbuf = weights
+	if o.done {
+		return 1
 	}
+	return o.combine(o.snapCount-1, o.wbuf, func(p, i int) float64 {
+		return o.Pipelines[p].EstimateAt(choose(p), i)
+	})
+}
+
+// combine is eq. 5 of the paper at retained snapshot g, the one rule the
+// live QueryEstimate and the finished AppendQuerySeries share: the
+// weighted sum of the per-pipeline estimates, each pipeline weighted by
+// its share of the estimated total work (weight). A pipeline started by
+// g contributes est(p, g−g0), its estimate at the snapshot — a started
+// pipeline is fed every snapshot until the run ends, so that row exists
+// even past its span's end. A pipeline not yet started contributes zero.
+// weights is scratch with one slot per pipeline.
+func (o *OnlineView) combine(g int, weights []float64, est func(p, i int) float64) float64 {
+	var total, sum float64
 	for i, p := range o.Pipelines {
-		var w float64
-		for _, id := range p.pipe.Nodes {
-			if p.PipeContext != nil {
-				w += p.E0[id]
-			} else {
-				w += o.Plan.Node(id).EstRows
-			}
-		}
-		weights[i] = w
-		total += w
+		weights[i] = o.weight(p, g)
+		total += weights[i]
 	}
 	if total <= 0 {
 		return 0
 	}
 	for i, p := range o.Pipelines {
-		switch {
-		case p.Ended || (o.done && !p.Started):
-			// Completed — or degenerate (never active) in a finished run.
-			sum += weights[i] / total
-		case !p.Started || p.NumObs() == 0:
-			// Not started yet: contributes zero.
-		default:
-			sum += weights[i] / total * p.Estimate(choose(i))
+		if p.startedBy(g) {
+			sum += weights[i] / total * est(i, g-p.g0)
 		}
 	}
 	return clamp01(sum)
+}
+
+// weight is pipeline p's unnormalised eq. 5 weight at retained snapshot
+// g, its estimated total GetNext calls: ΣE0 over its nodes from its start
+// context once it has started by g, the plan-time ΣEstRows before. (The
+// paper weights by driver-node E_i; the total GetNext count reduces to
+// the same weights for single-driver pipelines and is well-defined for
+// every estimator kind.)
+func (o *OnlineView) weight(p *OnlinePipeline, g int) float64 {
+	started := p.startedBy(g)
+	var w float64
+	for _, id := range p.pipe.Nodes {
+		if started {
+			w += p.E0[id]
+		} else {
+			w += o.Plan.Node(id).EstRows
+		}
+	}
+	return w
 }
 
 // The finished-run reads below need the completed view (OnDone has
@@ -214,20 +231,26 @@ func (o *OnlineView) Context(p int) *PipeContext {
 // OracleGetNext the GetNext sums the table holds, OracleBytes one
 // bytes-processed pass over the pipeline's snapshots.
 func (o *OnlineView) AppendSeries(dst []float64, p int, kind Kind) []float64 {
+	return o.appendRows(dst, p, kind, o.Pipelines[p].n)
+}
+
+// appendRows is AppendSeries over the pipeline's first rows rows of the
+// observation table, which may reach into the post-span tail
+// OnPipelineEnd drops from the series but leaves in the table.
+func (o *OnlineView) appendRows(dst []float64, p int, kind Kind, rows int) []float64 {
 	pl := o.Pipelines[p]
 	switch {
 	case kind < NumKinds:
-		return pl.AppendSeries(dst, kind)
-	case pl.n == 0:
+		return pl.appendRows(dst, kind, rows)
+	case rows == 0:
 	case kind == OracleGetNext:
 		total := pl.oracleGetNextTotal(o.Trace)
-		for i := 0; i < pl.n; i++ {
+		for i := 0; i < rows; i++ {
 			dst = append(dst, oracleRatio(pl.at(colKNodes, i), total))
 		}
 	case kind == OracleBytes:
 		total := pl.oracleBytesTotal(o.Trace)
-		lo, _ := o.Trace.ObsRange(p)
-		for i := lo; i < lo+pl.n; i++ {
+		for i := pl.g0; i < pl.g0+rows; i++ {
 			dst = append(dst, oracleRatio(pl.luoDoneAt(&o.Trace.Snapshots[i]), total))
 		}
 	default:
@@ -255,6 +278,65 @@ func (o *OnlineView) Errors(p int, kind Kind) ErrorStats {
 		dev[i] -= v
 	}
 	return ErrorStatsOf(dev)
+}
+
+// AppendQuerySeries appends the whole-query progress served at each
+// retained snapshot of the run to dst, with estimator choose(p) for
+// pipeline p: eq. 5 (combine) at every snapshot but the last, where the
+// final update's value, 1, stands. A pipeline's estimates are read over
+// every snapshot it was fed — past its span's end, the rows that hold
+// its final counters, as served — and oracle kinds are read the way
+// AppendSeries reads them.
+func (o *OnlineView) AppendQuerySeries(dst []float64, choose func(p int) Kind) []float64 {
+	series := make([][]float64, len(o.Pipelines))
+	for p, pl := range o.Pipelines {
+		if pl.Started {
+			series[p] = o.appendRows(nil, p, choose(p), o.snapCount-pl.g0)
+		}
+	}
+	weights := make([]float64, len(o.Pipelines))
+	est := func(p, i int) float64 { return series[p][i] }
+	last := len(o.Trace.Snapshots) - 1
+	for g := 0; g < last; g++ {
+		dst = append(dst, o.combine(g, weights, est))
+	}
+	if last >= 0 {
+		dst = append(dst, 1)
+	}
+	return dst
+}
+
+// AppendQueryTrueSeries appends the true whole-query progress (virtual
+// time) at each retained snapshot to dst.
+func (o *OnlineView) AppendQueryTrueSeries(dst []float64) []float64 {
+	for i := range o.Trace.Snapshots {
+		dst = append(dst, o.Trace.TrueProgress(i))
+	}
+	return dst
+}
+
+// QueryErrors returns the error statistics of the whole-query series
+// served with estimator kind for every pipeline.
+func (o *OnlineView) QueryErrors(kind Kind) ErrorStats {
+	dev := o.AppendQuerySeries(nil, func(int) Kind { return kind })
+	for i, v := range o.AppendQueryTrueSeries(nil) {
+		dev[i] -= v
+	}
+	return ErrorStatsOf(dev)
+}
+
+// QueryWeight returns pipeline p's normalised eq. 5 weight at the run's
+// last retained snapshot: the weight the served combination ended with.
+func (o *OnlineView) QueryWeight(p int) float64 {
+	g := len(o.Trace.Snapshots) - 1
+	var total float64
+	for _, pl := range o.Pipelines {
+		total += o.weight(pl, g)
+	}
+	if total <= 0 {
+		return 0
+	}
+	return o.weight(o.Pipelines[p], g) / total
 }
 
 // OnlinePipeline is the incremental estimator state of one pipeline: the
@@ -290,10 +372,13 @@ type OnlinePipeline struct {
 	// as the pipeline's history grows — growing moves nothing, and a
 	// pipeline holds what its observation count needs, to within a chunk.
 	chunks []*obsChunk
-	n      int // observations held
-	// g0 is the retained global snapshot index of observation 0. A
-	// started pipeline is fed every snapshot until it ends, so
-	// observation i is global snapshot g0+i — before and after a thin.
+	// n is the observations held. OnPipelineEnd drops the post-span tail
+	// from n, not from the table: the query reads still see those rows.
+	n int
+	// g0 is the retained global snapshot index of the first snapshot
+	// after the pipeline's start, its observation 0. A started pipeline
+	// is fed every snapshot until it ends, so observation i is global
+	// snapshot g0+i — before and after a thin.
 	g0 int
 
 	worst worstState
@@ -364,6 +449,10 @@ func (p *OnlinePipeline) StaticPrefix(build func(*PipeContext) []float64) []floa
 	return p.static
 }
 
+// startedBy reports whether the pipeline had started by retained
+// snapshot g.
+func (p *OnlinePipeline) startedBy(g int) bool { return p.Started && g >= p.g0 }
+
 // NumObs returns the number of observations recorded for the pipeline.
 func (p *OnlinePipeline) NumObs() int { return p.n }
 
@@ -383,7 +472,12 @@ func (p *OnlinePipeline) EstimateAt(kind Kind, i int) float64 { return p.at(colE
 // returns the extended slice — the alloc-free counterpart of Series for
 // callers that reuse a scratch buffer across reads.
 func (p *OnlinePipeline) AppendSeries(dst []float64, kind Kind) []float64 {
-	for left, ci := p.n, 0; left > 0; left, ci = left-obsChunkRows, ci+1 {
+	return p.appendRows(dst, kind, p.n)
+}
+
+// appendRows appends estimator kind's first rows values to dst.
+func (p *OnlinePipeline) appendRows(dst []float64, kind Kind, rows int) []float64 {
+	for left, ci := rows, 0; left > 0; left, ci = left-obsChunkRows, ci+1 {
 		dst = append(dst, p.chunks[ci][colEst+int(kind)][:min(left, obsChunkRows)]...)
 	}
 	return dst
@@ -429,12 +523,8 @@ func (p *OnlinePipeline) CurrentDriverFraction() float64 {
 // start at observation ordinal i.
 func (p *OnlinePipeline) TimeSinceStart(i int) float64 { return p.at(colTime, i) - p.StartTime }
 
-// feed appends the estimates for one snapshot, the retained global
-// snapshot g.
-func (p *OnlinePipeline) feed(s *exec.Snapshot, g int) {
-	if p.n == 0 {
-		p.g0 = g
-	}
+// feed appends the estimates for one snapshot.
+func (p *OnlinePipeline) feed(s *exec.Snapshot) {
 	p.reserve(p.n + 1)
 	c, r := p.slot(p.n)
 	p.n++

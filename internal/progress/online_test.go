@@ -207,8 +207,8 @@ func TestOnlineFeaturesConvergeToOffline(t *testing.T) {
 	}
 }
 
-// TestOnlineQueryEstimate sanity-checks the live eq. 5 combination: it is
-// within [0,1] throughout and reaches 1 once every pipeline has ended.
+// TestOnlineQueryEstimate sanity-checks the live eq. 5 combination: it
+// reads 1 once the run is done, the value of the final update.
 func TestOnlineQueryEstimate(t *testing.T) {
 	w, err := workload.Build(workload.Spec{
 		Name: "tpch", Kind: datagen.TPCHLike, Queries: 2, Scale: 0.08, Zipf: 1, Seed: 2,

@@ -11,7 +11,8 @@ import (
 	"progressest/internal/plan"
 )
 
-func queryView(t *testing.T) *QueryView {
+// queryView replays a multi-pipeline query into a finished view.
+func queryView(t *testing.T) *OnlineView {
 	t.Helper()
 	db := datagen.GenTPCH(datagen.Params{Scale: 0.08, Zipf: 1, Seed: 21})
 	if err := db.ApplyDesign(datagen.Designs(datagen.TPCHLike)[catalog.Untuned]); err != nil {
@@ -34,7 +35,7 @@ func queryView(t *testing.T) *QueryView {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewQueryView(Replay(exec.Run(db, pl, exec.Options{})))
+	return Replay(exec.Run(db, pl, exec.Options{}))
 }
 
 // single chooses kind for every pipeline.
@@ -43,8 +44,8 @@ func single(kind Kind) func(int) Kind { return func(int) Kind { return kind } }
 func TestQueryWeightsNormalised(t *testing.T) {
 	q := queryView(t)
 	var sum float64
-	for p := range q.view.Pipelines {
-		w := q.Weight(p)
+	for p := range q.Pipelines {
+		w := q.QueryWeight(p)
 		if w < 0 || w > 1 {
 			t.Fatalf("weight %v out of range", w)
 		}
@@ -58,21 +59,24 @@ func TestQueryWeightsNormalised(t *testing.T) {
 func TestQuerySeriesBoundedAndTerminal(t *testing.T) {
 	q := queryView(t)
 	for _, k := range []Kind{DNE, TGN, LUO, TGNINT, OracleGetNext} {
-		s := q.Series(single(k))
+		s := q.AppendQuerySeries(nil, single(k))
+		if len(s) != len(q.Trace.Snapshots) {
+			t.Fatalf("%v: %d query estimates over %d snapshots", k, len(s), len(q.Trace.Snapshots))
+		}
 		for i, v := range s {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				t.Fatalf("%v: query progress %v at obs %d", k, v, i)
 			}
 		}
-		if last := s[len(s)-1]; last < 0.98 {
-			t.Errorf("%v: final query progress %v, want ~1", k, last)
+		if last := s[len(s)-1]; last != 1 {
+			t.Errorf("%v: final query progress %v, want the final update's 1", k, last)
 		}
 	}
 }
 
 func TestQueryTrueSeriesMonotone(t *testing.T) {
 	q := queryView(t)
-	truth := q.TrueSeries()
+	truth := q.AppendQueryTrueSeries(nil)
 	for i := 1; i < len(truth); i++ {
 		if truth[i] < truth[i-1] {
 			t.Fatalf("true progress not monotone at %d", i)
@@ -85,10 +89,10 @@ func TestQueryTrueSeriesMonotone(t *testing.T) {
 
 func TestQueryOracleBeatsWorstEstimator(t *testing.T) {
 	q := queryView(t)
-	oracle := q.Errors(OracleGetNext).L1
+	oracle := q.QueryErrors(OracleGetNext).L1
 	worst := 0.0
 	for _, k := range CoreKinds() {
-		if e := q.Errors(k).L1; e > worst {
+		if e := q.QueryErrors(k).L1; e > worst {
 			worst = e
 		}
 	}
@@ -107,37 +111,9 @@ func TestPerPipelineChoiceFunction(t *testing.T) {
 		}
 		return TGN
 	}
-	for i, v := range q.Series(mixed) {
+	for i, v := range q.AppendQuerySeries(nil, mixed) {
 		if v < 0 || v > 1 {
 			t.Fatalf("mixed estimate %v at obs %d", v, i)
-		}
-	}
-}
-
-func TestOrdinalAtOrBefore(t *testing.T) {
-	q := queryView(t)
-	last := len(q.view.Trace.Snapshots) - 1
-	for p, pl := range q.view.Pipelines {
-		lo, _ := q.view.Trace.ObsRange(p)
-		n := pl.NumObs()
-		if n == 0 {
-			continue
-		}
-		// The last global snapshot is at or after every pipeline obs.
-		if got := ordinalAtOrBefore(last, lo, n); got > n-1 {
-			t.Fatalf("ordinal out of range: %d", got)
-		}
-		// Before the first pipeline observation: -1.
-		if lo > 0 {
-			if got := ordinalAtOrBefore(lo-1, lo, n); got != -1 {
-				t.Errorf("expected -1 before first obs, got %d", got)
-			}
-		}
-		// Exactly at each observation index: that ordinal.
-		for ord := 0; ord < n; ord++ {
-			if got := ordinalAtOrBefore(lo+ord, lo, n); got != ord {
-				t.Fatalf("ordinalAtOrBefore(%d) = %d, want %d", lo+ord, got, ord)
-			}
 		}
 	}
 }

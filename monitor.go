@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"progressest/internal/exec"
-	"progressest/internal/features"
 	"progressest/internal/feedback"
 	"progressest/internal/pipeline"
 	"progressest/internal/plan"
@@ -160,28 +159,15 @@ func (m *Monitor) Shard() int { return m.shard }
 // through an Engine.
 func (m *Monitor) Class() string { return m.class }
 
-// reselectMarkers are the driver-input fractions at which the selector
-// revises its choice — derived from the dynamic-feature markers so that
-// re-selection always coincides with the crossings the feature vector
-// encodes (selection stops refining after the last marker, 20%).
-var reselectMarkers = func() []float64 {
-	out := make([]float64, len(features.Markers))
-	for i, x := range features.Markers {
-		out[i] = float64(x) / 100
-	}
-	return out
-}()
-
 // monitorObserver adapts the exec event stream into conflated
-// ProgressUpdates: it maintains the streaming OnlineView, re-selects
-// estimators at marker crossings, and emits an update every n-th
-// snapshot. The engine hands it whole segments of snapshots at once, so
-// the per-snapshot work between two update marks collapses into one
-// OnlineView advance plus one selector sweep — producing exactly the
-// updates batches of one would.
+// ProgressUpdates: it maintains the streaming OnlineView under the pick
+// policy, and emits an update every n-th snapshot. The engine hands it
+// whole segments of snapshots at once, so the per-snapshot work between
+// two update marks collapses into one OnlineView advance plus one
+// selector sweep — producing exactly the updates batches of one would.
 type monitorObserver struct {
 	view  *progress.OnlineView
-	sel   *selection.Selector
+	pick  selection.Policy
 	every int
 	pace  time.Duration
 	// harvest, when non-nil, subscribes the learning harvester to the
@@ -189,8 +175,6 @@ type monitorObserver struct {
 	// appended to the corpus before the final update goes out.
 	harvest func(view *progress.OnlineView, tr *exec.Trace)
 
-	choice    []progress.Kind
-	nextMark  []int
 	seq       int
 	sinceSend int
 	lastTime  float64
@@ -200,18 +184,10 @@ type monitorObserver struct {
 	// captures the exact update stream without conflation.
 	deliver func(ProgressUpdate)
 
-	obsBefore []int              // per-pipeline observation count at segment start
-	spare     []PipelineProgress // recycled update buffer (see send)
+	spare []PipelineProgress // recycled update buffer (see send)
 }
 
-func (m *monitorObserver) OnPipelineStart(st exec.PipelineStart) {
-	m.view.OnPipelineStart(st)
-	if m.sel != nil {
-		// Initial pick from the static prefix (the dynamic suffix still
-		// holds its neutral defaults).
-		m.choice[st.Pipe] = m.sel.PickOnline(m.view.Pipelines[st.Pipe])
-	}
-}
+func (m *monitorObserver) OnPipelineStart(st exec.PipelineStart) { m.pick.Start(m.view, st) }
 
 func (m *monitorObserver) OnPipelineEnd(pipe int, end float64) { m.view.OnPipelineEnd(pipe, end) }
 func (m *monitorObserver) OnThin()                             { m.view.OnThin() }
@@ -225,8 +201,8 @@ func (m *monitorObserver) OnDone(tr *exec.Trace) {
 
 // OnSnapshots implements exec.Observer: the batch is consumed in
 // segments bounded by the UpdateEvery mark, each segment advancing the
-// view in one call, re-picking estimators once, and emitting at most one
-// update — the same updates whatever the batch size.
+// view and re-picking estimators in one policy call, and emitting at most
+// one update — the same updates whatever the batch size.
 func (m *monitorObserver) OnSnapshots(batch []exec.Snapshot) {
 	for len(batch) > 0 {
 		n := m.every - m.sinceSend
@@ -235,47 +211,12 @@ func (m *monitorObserver) OnSnapshots(batch []exec.Snapshot) {
 		}
 		seg := batch[:n]
 		batch = batch[n:]
-		if m.sel != nil {
-			for pi, p := range m.view.Pipelines {
-				m.obsBefore[pi] = p.NumObs()
-			}
-		}
-		m.view.OnSnapshots(seg)
+		m.pick.Advance(m.view, seg)
 		m.lastTime = seg[n-1].Time
-		if m.sel != nil {
-			m.repickCrossed()
-		}
 		m.sinceSend += n
 		if m.sinceSend >= m.every {
 			m.sinceSend = 0
 			m.emit(false)
-		}
-	}
-}
-
-// repickCrossed advances each active pipeline's marker cursor over the
-// observations its segment appended, re-picking the estimator when a
-// marker was crossed. Scanning every new observation's recorded fraction
-// (not just the segment's final one) keeps the marker bookkeeping — and
-// therefore the picks, whose dynamic features depend only on the
-// first-crossing ordinals and the immutable history at them — identical
-// to per-snapshot delivery. Pipeline starts and thins always flush the
-// pending batch, so the active set and the history are segment-stable.
-func (m *monitorObserver) repickCrossed() {
-	for pi, p := range m.view.Pipelines {
-		if !p.Started || p.Ended {
-			continue
-		}
-		crossed := false
-		for i := m.obsBefore[pi]; i < p.NumObs(); i++ {
-			f := p.DriverFraction(i)
-			for m.nextMark[pi] < len(reselectMarkers) && f >= reselectMarkers[m.nextMark[pi]] {
-				m.nextMark[pi]++
-				crossed = true
-			}
-		}
-		if crossed {
-			m.choice[pi] = m.sel.PickOnline(p)
 		}
 	}
 }
@@ -302,13 +243,7 @@ func (m *monitorObserver) update(done bool) ProgressUpdate {
 		TrueProgress: -1,
 	}
 	m.seq++
-	if done {
-		// Every pipeline has completed; the weighted combination only
-		// misses 1.0 by floating-point dust.
-		u.Query = 1
-	} else {
-		u.Query = m.view.QueryEstimate(func(p int) progress.Kind { return m.choice[p] })
-	}
+	u.Query = m.view.QueryEstimate(m.pick.Choice)
 	buf := m.spare
 	m.spare = nil
 	if cap(buf) < len(m.view.Pipelines) {
@@ -317,15 +252,16 @@ func (m *monitorObserver) update(done bool) ProgressUpdate {
 		buf = buf[:0]
 	}
 	for pi, p := range m.view.Pipelines {
+		kind := m.pick.Choice(pi)
 		pp := PipelineProgress{
 			Pipeline:      pi,
 			Started:       p.Started,
 			Done:          p.Ended || (done && !p.Started),
-			Estimator:     m.choice[pi],
-			EstimatorName: m.choice[pi].String(),
+			Estimator:     kind,
+			EstimatorName: kind.String(),
 		}
 		if p.Started && p.NumObs() > 0 {
-			pp.Estimate = p.Estimate(m.choice[pi])
+			pp.Estimate = p.Estimate(kind)
 			pp.DriverFraction = p.CurrentDriverFraction()
 		}
 		if pp.Done {
@@ -401,17 +337,12 @@ func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, starts *progress.P
 		}
 	}
 	opts = opts.withDefaults()
-	n := len(pipes.Pipelines)
-	marks := make([]int, 2*n)
 	obs := &monitorObserver{
-		view:      progress.NewCachedOnlineView(pl, pipes, starts),
-		sel:       sel,
-		every:     opts.UpdateEvery,
-		pace:      opts.Pace,
-		choice:    make([]progress.Kind, n),
-		nextMark:  marks[:n:n],
-		obsBefore: marks[n:],
-		ch:        make(chan ProgressUpdate, 1),
+		view:  progress.NewCachedOnlineView(pl, pipes, starts),
+		pick:  selection.NewPolicy(sel, len(pipes.Pipelines), opts.Estimator),
+		every: opts.UpdateEvery,
+		pace:  opts.Pace,
+		ch:    make(chan ProgressUpdate, 1),
 	}
 	if opts.Learning != nil {
 		// The pinned served model rides along so the harvester can join
@@ -423,9 +354,6 @@ func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, starts *progress.P
 		obs.harvest = func(view *progress.OnlineView, tr *exec.Trace) {
 			_, _ = harv.HarvestView(view, tr, workloadName, family, queryIndex, served)
 		}
-	}
-	for pi := range obs.choice {
-		obs.choice[pi] = opts.Estimator
 	}
 	return &Monitor{
 		Updates:     obs.ch,

@@ -247,14 +247,11 @@ func (w *Workload) HarvestParallel(workers int) ([]Example, error) {
 // goroutines may read one run, and every slice it returns is the
 // caller's.
 type QueryRun struct {
-	view  *progress.OnlineView
-	query *progress.QueryView
+	view *progress.OnlineView
 }
 
 // newQueryRun reads a run off its finished view.
-func newQueryRun(view *progress.OnlineView) *QueryRun {
-	return &QueryRun{view: view, query: progress.NewQueryView(view)}
-}
+func newQueryRun(view *progress.OnlineView) *QueryRun { return &QueryRun{view: view} }
 
 // PlanText renders the executed physical plan.
 func (r *QueryRun) PlanText() string { return r.view.Plan.String() }
@@ -290,26 +287,27 @@ func (r *QueryRun) Features(p int) []float64 {
 	return append(features.Static(r.view.Context(p)), features.Dynamic(r.view.Pipelines[p])...)
 }
 
-// QueryEstimates returns whole-query progress (the estimate-weighted sum
-// of pipeline estimates, eq. 5 of the paper) using estimator e for every
-// pipeline, over all counter snapshots of the query.
+// QueryEstimates returns the whole-query progress served at every
+// retained counter snapshot of the query — the eq. 5 combination of the
+// pipeline estimates, weighted by estimated work — using estimator e for
+// every pipeline. The last value is the final update's 1.
 func (r *QueryRun) QueryEstimates(e Estimator) []float64 {
-	return r.query.Series(func(int) Estimator { return e })
+	return r.view.AppendQuerySeries(nil, func(int) Estimator { return e })
 }
 
 // QueryTrueProgress returns the true whole-query progress per snapshot.
-func (r *QueryRun) QueryTrueProgress() []float64 { return r.query.TrueSeries() }
+func (r *QueryRun) QueryTrueProgress() []float64 { return r.view.AppendQueryTrueSeries(nil) }
 
 // QueryErrors returns the L1/L2 error of a single-estimator whole-query
 // progress series.
 func (r *QueryRun) QueryErrors(e Estimator) (l1, l2 float64) {
-	st := r.query.Errors(e)
+	st := r.view.QueryErrors(e)
 	return st.L1, st.L2
 }
 
 // PipelineWeight returns pipeline p's share of the query's estimated total
-// work (the eq. 5 weight).
-func (r *QueryRun) PipelineWeight(p int) float64 { return r.query.Weight(p) }
+// work: the eq. 5 weight the served combination ended with.
+func (r *QueryRun) PipelineWeight(p int) float64 { return r.view.QueryWeight(p) }
 
 // FeatureNames returns the ordered names of the feature vector entries.
 func FeatureNames() []string { return features.Names() }

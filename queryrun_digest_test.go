@@ -15,95 +15,106 @@ import (
 // ones, then the two oracle models.
 var digestKinds = []Estimator{DNE, TGN, LUO, PMAX, SAFE, BATCHDNE, DNESEEK, TGNINT, OracleGetNext, OracleBytes}
 
-// runDigest folds every output of a QueryRun into h: per pipeline its
-// observation count, every kind's series and L1/L2 error, the true
-// series, the feature vector and the eq. 5 weight; then per kind the
-// whole-query series and its errors, and the true whole-query series.
-// Every length is folded in.
-func runDigest(h hash.Hash, run *QueryRun) {
+// runDigest folds every output of a QueryRun into two hashes. pipes
+// gets, per pipeline, its observation count, every kind's series and
+// L1/L2 error, the true series and the feature vector, then the true
+// whole-query series. query gets the served whole-query reads: per
+// pipeline the eq. 5 weight, then per kind the whole-query series and
+// its errors. Every length is folded in.
+func runDigest(pipes, query hash.Hash, run *QueryRun) {
 	var b [8]byte
-	u64 := func(v uint64) {
+	u64 := func(h hash.Hash, v uint64) {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	vec := func(s []float64) {
-		u64(uint64(len(s)))
+	f64 := func(h hash.Hash, v float64) { u64(h, math.Float64bits(v)) }
+	vec := func(h hash.Hash, s []float64) {
+		u64(h, uint64(len(s)))
 		for _, v := range s {
-			f64(v)
+			f64(h, v)
 		}
 	}
-	u64(uint64(run.NumPipelines()))
+	u64(pipes, uint64(run.NumPipelines()))
 	for p := 0; p < run.NumPipelines(); p++ {
-		u64(uint64(run.Observations(p)))
+		u64(pipes, uint64(run.Observations(p)))
 		for _, e := range digestKinds {
-			vec(run.Estimates(p, e))
+			vec(pipes, run.Estimates(p, e))
 			l1, l2 := run.Errors(p, e)
-			f64(l1)
-			f64(l2)
+			f64(pipes, l1)
+			f64(pipes, l2)
 		}
-		vec(run.TrueProgress(p))
-		vec(run.Features(p))
-		f64(run.PipelineWeight(p))
+		vec(pipes, run.TrueProgress(p))
+		vec(pipes, run.Features(p))
+		f64(query, run.PipelineWeight(p))
 	}
+	vec(pipes, run.QueryTrueProgress())
 	for _, e := range digestKinds {
-		vec(run.QueryEstimates(e))
+		vec(query, run.QueryEstimates(e))
 		l1, l2 := run.QueryErrors(e)
-		f64(l1)
-		f64(l2)
+		f64(query, l1)
+		f64(query, l2)
 	}
-	vec(run.QueryTrueProgress())
 }
 
-// waitRun executes query qi the way Start does — the plan entry's
-// monitor, batched delivery, finish — synchronously and with execOpts'
-// observation budget, and returns what Wait hands back.
+// waitRun executes query qi the way Start does, synchronously and with
+// execOpts' observation budget, and returns what Wait hands back.
 func waitRun(t *testing.T, w *Workload, qi int, execOpts exec.Options) *QueryRun {
 	t.Helper()
-	pq, err := w.planned(qi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := newMonitor(pq.plan, pq.pipes, pq.starts, w.inner.Spec.Name, w.inner.QueryFamily(qi), qi, MonitorOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	execOpts.Observer, execOpts.SnapshotBatch = m.obs, m.obs.every
-	m.finish(exec.RunDecomposed(w.inner.DB, pq.plan, pq.pipes, execOpts), nil)
-	run, err := m.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, run := servedStream(t, w, qi, MonitorOptions{}, execOpts)
 	return run
 }
 
 // TestQueryRunMatchesRecordedDigest pins every QueryRun output — series,
 // errors, features and weights of every pipeline, and the whole-query
-// series — for every query of the four dataset kinds, to digests
-// recorded while each run was replayed through offline per-pipeline
-// views of its trace. Runs come from Workload.Run and from Monitor.Wait,
-// with the default observation budget and with thinning forced.
+// series — for every query of the four dataset kinds. Runs come from
+// Workload.Run and from Monitor.Wait, with the default observation budget
+// and with thinning forced. The per-pipeline digests were recorded while
+// each run was replayed through offline per-pipeline views of its trace;
+// the whole-query digests when the finished run came to report the
+// whole-query series its monitor served (TestFinishedQuerySeriesIsServed).
 func TestQueryRunMatchesRecordedDigest(t *testing.T) {
-	want := map[Dataset][3]string{ // Run, Wait, Wait with thinning
+	wantPipes := map[Dataset][3]string{ // Run, Wait, Wait with thinning
 		TPCH: {
-			"e8be30c74319d8a1f1a5916492401644ae2b6d2d31f091f9b1adee3939d962c4",
-			"e8be30c74319d8a1f1a5916492401644ae2b6d2d31f091f9b1adee3939d962c4",
-			"b392ad853330aa9c77dc060727dae195552c3d71f8cd04719435c9a0ec4238d3",
+			"1a40d7a7eae793840218ac0cb63521b2856a8475538734bc2a43c29713c01345",
+			"1a40d7a7eae793840218ac0cb63521b2856a8475538734bc2a43c29713c01345",
+			"b802df9956651dec8278da4b7c521eb1b9ef64b84e4978cfe687a18ff240f632",
 		},
 		TPCDS: {
-			"640bf21d002b8f3538c1b3d53303511a3c671185bd53b5369ce3cfe48ace70de",
-			"640bf21d002b8f3538c1b3d53303511a3c671185bd53b5369ce3cfe48ace70de",
-			"a95836a446d38511b547d9ffe668b71e1fe322696c1f9893963859fa5f404a5b",
+			"30504913951e7e98ae5d5cf9d0bd248481a7fa95da9c807bb90db55ca5cc1e03",
+			"30504913951e7e98ae5d5cf9d0bd248481a7fa95da9c807bb90db55ca5cc1e03",
+			"b11842641d359eddac617aff51f47c6665988caf25aabce8f1afca3b9e108cb5",
 		},
 		Real1: {
-			"f026e89c35839713e1e82dc09880c5088c56ad736a2af31494d3ccfce26d6ad8",
-			"f026e89c35839713e1e82dc09880c5088c56ad736a2af31494d3ccfce26d6ad8",
-			"8772a3809a222fdc3f69383c904fbb5df01717cbb26d81df261c47babddddcd7",
+			"dd6945dbdb99effbb3414348f408fadcfab34ea610fbaa47565eb314f602d27b",
+			"dd6945dbdb99effbb3414348f408fadcfab34ea610fbaa47565eb314f602d27b",
+			"6cf8e3114bb0fb8c13af5e43ad4822a62cd5e7d100c82be9270bbba3877b9d8e",
 		},
 		Real2: {
-			"ba9c3ca28d3ab778eb92af38736c5346d283b48f091f8cf53085ad663857be25",
-			"ba9c3ca28d3ab778eb92af38736c5346d283b48f091f8cf53085ad663857be25",
-			"93368d8b8065a6831a2ddc246152cf9abbf61e70706cb1f4789ce79c5308e25a",
+			"a5e48193dc7cd64b1e29bc1e5d40bf6d76003bf5700711b21fadfed70af00f5d",
+			"a5e48193dc7cd64b1e29bc1e5d40bf6d76003bf5700711b21fadfed70af00f5d",
+			"248f150b9e551f8c35d610f3d8ed63ca2c0609176f624b042e95e3524302c58b",
+		},
+	}
+	wantQuery := map[Dataset][3]string{ // Run, Wait, Wait with thinning
+		TPCH: {
+			"39fb1617e16b3be1e4540039cf2883e8a5a6223e2a83d7ffdde1a4dfe9070146",
+			"39fb1617e16b3be1e4540039cf2883e8a5a6223e2a83d7ffdde1a4dfe9070146",
+			"8b8483608b2f01e43257fae6e123154670c8ccaad80c43612fb1f9e441fa19ca",
+		},
+		TPCDS: {
+			"fd571ceeecc85d6fbf816b4824bb833fa3404fcb2de35e8b07465fe8cb3c74f2",
+			"fd571ceeecc85d6fbf816b4824bb833fa3404fcb2de35e8b07465fe8cb3c74f2",
+			"7629809509e9929fa898bae43450595eb493cbc46d9e391a6dca6aff587a92bd",
+		},
+		Real1: {
+			"ff111fd8455b4c7baa8a8751ec7b1745339b1ab5cfb8642de99bef77bda16dbf",
+			"ff111fd8455b4c7baa8a8751ec7b1745339b1ab5cfb8642de99bef77bda16dbf",
+			"c2c7e43e3603510564d0bcba26119aa485f88f3545f26086efc5aaaa900178f0",
+		},
+		Real2: {
+			"0755dd22c5bfe3ddf28c1a1ee7955eb53800b596a51ed9fe270d7cba96eef411",
+			"0755dd22c5bfe3ddf28c1a1ee7955eb53800b596a51ed9fe270d7cba96eef411",
+			"f78f272db5c1eb87a57794adad16013fce4546d51bbdd1df5392b505065adab1",
 		},
 	}
 	thinning := exec.Options{TargetObservations: 900, MaxObservations: 64}
@@ -113,22 +124,25 @@ func TestQueryRunMatchesRecordedDigest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var hs [3]hash.Hash
-			for i := range hs {
-				hs[i] = sha256.New()
+			var pipes, query [3]hash.Hash
+			for i := range pipes {
+				pipes[i], query[i] = sha256.New(), sha256.New()
 			}
 			for qi := 0; qi < w.NumQueries(); qi++ {
 				run, err := w.Run(qi)
 				if err != nil {
 					t.Fatal(err)
 				}
-				runDigest(hs[0], run)
-				runDigest(hs[1], waitRun(t, w, qi, exec.Options{}))
-				runDigest(hs[2], waitRun(t, w, qi, thinning))
+				runDigest(pipes[0], query[0], run)
+				runDigest(pipes[1], query[1], waitRun(t, w, qi, exec.Options{}))
+				runDigest(pipes[2], query[2], waitRun(t, w, qi, thinning))
 			}
-			for i, h := range hs {
-				if got := hex.EncodeToString(h.Sum(nil)); got != want[ds][i] {
-					t.Errorf("%s digest %d: %s, want %s", ds, i, got, want[ds][i])
+			for i := range pipes {
+				if got := hex.EncodeToString(pipes[i].Sum(nil)); got != wantPipes[ds][i] {
+					t.Errorf("%s pipeline digest %d: %s, want %s", ds, i, got, wantPipes[ds][i])
+				}
+				if got := hex.EncodeToString(query[i].Sum(nil)); got != wantQuery[ds][i] {
+					t.Errorf("%s query digest %d: %s, want %s", ds, i, got, wantQuery[ds][i])
 				}
 			}
 		})
