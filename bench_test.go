@@ -363,13 +363,16 @@ func BenchmarkEstimatorReplay(b *testing.B) {
 
 // BenchmarkDriftRecord measures the drift tracker's harvest-path cost:
 // one windowed Record of a finished query's per-pipeline observed errors
-// against the serving version's baseline. This runs synchronously on
-// every query completion, so its ns/op (and 0 allocs/op in steady state)
-// is tracked by the CI bench-smoke artifact from day one.
+// into the serving version's window. This runs synchronously on every
+// query completion; CI records its ns/op and gates its steady-state 0
+// allocs/op (the window is allocated on the version's first Record, made
+// here before the timer starts).
 func BenchmarkDriftRecord(b *testing.B) {
-	tr := feedback.NewDriftTracker(feedback.DriftConfig{})
-	served := feedback.ServedModel{Target: "fam", Version: 1, BaselineL1: 0.05, BaselineN: 50}
+	reg := feedback.NewRegistry()
+	tr := feedback.NewDriftTracker(reg, feedback.DriftConfig{})
+	served := reg.Publish(nil, feedback.VersionMeta{Family: "fam", HoldoutL1: 0.05, HoldoutN: 50})
 	errs := []float64{0.04, 0.07, 0.05, 0.06}
+	tr.Record(served, errs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

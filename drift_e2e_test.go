@@ -18,7 +18,7 @@ import (
 // pinned version; the background retrainer's drift trigger fires and
 // retrains exactly that family (trigger "drift" in the decision
 // history); and GET /models/drift reflects the whole transition: drifted
-// true with the stale version, then a fresh version with a reset window.
+// true with the stale version, then the fresh version's own window.
 func TestDriftDetectAutoRetrainEndToEnd(t *testing.T) {
 	w := learningWorkload(t)
 	// Pick the family to poison and a query of another family as the
@@ -193,10 +193,12 @@ func TestDriftDetectAutoRetrainEndToEnd(t *testing.T) {
 		t.Fatal("a global version appeared although only the family drifted")
 	}
 
-	// GET /models/drift reflects the transition: the fam target is keyed
-	// to a version newer than the stale one, with drift provenance
-	// attached. (The window may already hold fresh post-swap samples; it
-	// must no longer be the stale version's.)
+	// GET /models/drift reflects the transition: once the replacement has
+	// served a query, the fam target reports its window — never again the
+	// stale version's — with drift provenance attached. (The replacement
+	// omits the target until its first harvest.)
+	runQuery(famQueries[0])
+	after = getDrift()
 	found := false
 	for _, tg := range after.Targets {
 		if tg.Family != fam {

@@ -337,8 +337,8 @@ func TestEngineConfigShardBoundsDefaulting(t *testing.T) {
 }
 
 // TestDriftStateInvariantAcrossResize pins the design note the adaptive
-// pool relies on: the drift monitor's per-target windows are
-// engine-global, keyed by routing target rather than by shard, so
+// pool relies on: the drift monitor's windows are engine-global, each
+// hanging off the model version it judges rather than off a shard, so
 // resizing the pool migrates no drift state — the windows, verdicts and
 // sample counts are bit-identical across a grow and a shrink, and keep
 // accumulating afterwards.

@@ -12,8 +12,8 @@ import (
 // gate-accepted candidate from a background (non-manual) training run
 // does NOT hot-swap immediately. It becomes a pending challenger that
 // shadow-scores on live traffic: every harvest that feeds the serving
-// champion's drift window (the existing DriftTracker join) also replays
-// the same examples through the challenger's selector, accumulating the
+// champion's drift window (the DriftTracker join) also replays the same
+// examples through the challenger's selector, accumulating the
 // L1 error each would have incurred on exactly the queries the champion
 // actually served. Once a confirmation window of observations accrues,
 // the challenger is promoted (atomic hot-swap, decision "accepted") only
@@ -49,8 +49,8 @@ type canaryState struct {
 	fit        *targetFit
 	meta       VersionMeta
 	source     string
-	observedL1 float64 // drift-window mean that fired the trigger, if any
-	champion   int     // serving version the challenger must beat
+	observedL1 float64  // drift-window mean that fired the trigger, if any
+	champion   *Version // serving version the challenger must beat
 	proposedAt time.Time
 	champSum   float64
 	chalSum    float64
@@ -88,7 +88,7 @@ func (c *Canary) Window() int {
 
 // propose registers a challenger for its target, replacing any pending
 // one.
-func (c *Canary) propose(f *targetFit, meta VersionMeta, source string, observedL1 float64, champion int, now time.Time) {
+func (c *Canary) propose(f *targetFit, meta VersionMeta, source string, observedL1 float64, champion *Version, now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.pending[meta.Family] = &canaryState{
@@ -101,23 +101,23 @@ func (c *Canary) propose(f *targetFit, meta VersionMeta, source string, observed
 	}
 }
 
-// Observe shadow-scores the target's pending challenger on a harvest
-// batch: exs are the examples harvested from queries the serving version
-// answered, champErrs the L1 error the champion's estimator choices
+// Observe shadow-scores the pending challenger of champion's routing
+// target on a harvest batch: exs are the examples harvested from queries
+// champion answered, champErrs the L1 error its estimator choices
 // incurred on each (the same values fed to the drift window). The
 // challenger replays each example through its own selector. Observations
 // are only credited while the champion the challenger was proposed
 // against is still the one serving — evidence against a different
 // champion would corrupt the comparison — and accumulation stops at the
 // confirmation window.
-func (c *Canary) Observe(target string, championVersion int, exs []selection.Example, champErrs []float64) {
+func (c *Canary) Observe(champion *Version, exs []selection.Example, champErrs []float64) {
 	if !c.enabled() || len(exs) == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.pending[target]
-	if st == nil || st.champion != championVersion || st.fit.sel == nil {
+	st := c.pending[champion.Meta.Family]
+	if st == nil || st.champion != champion || st.fit.sel == nil {
 		return
 	}
 	for i := range exs {
@@ -217,7 +217,7 @@ func (c *Canary) States() []CanaryState {
 		cs := CanaryState{
 			Family:     target,
 			Source:     st.source,
-			Champion:   st.champion,
+			Champion:   st.champion.ID,
 			ProposedAt: st.proposedAt,
 			ExpiresAt:  st.proposedAt.Add(c.cfg.MaxAge),
 			Samples:    st.n,

@@ -88,7 +88,7 @@ func TestCanaryPromotesAfterWindow(t *testing.T) {
 	// the challenger's selector can pick (at most 0.40), so the live
 	// comparison must pass.
 	exs := trainable(8, 300)
-	canary.Observe("", v1.ID, exs, repeat(0.5, 8))
+	canary.Observe(v1, exs, repeat(0.5, 8))
 	if st := canary.States(); len(st) != 1 || st[0].Samples != 8 {
 		t.Fatalf("window not filled: %+v", st)
 	}
@@ -128,7 +128,7 @@ func TestCanaryRejectsOnLiveRegression(t *testing.T) {
 	histBefore := len(reg.Versions())
 	// The champion's live errors (0.01) beat anything the challenger can
 	// select (at least 0.05) beyond tolerance + slack.
-	canary.Observe("", v1.ID, trainable(8, 300), repeat(0.01, 8))
+	canary.Observe(v1, trainable(8, 300), repeat(0.01, 8))
 
 	resolve(r)
 
@@ -204,7 +204,7 @@ func TestCanaryStaleChampionVoidsChallenger(t *testing.T) {
 	if v, err := r.Retrain("auto"); err != nil || v != nil {
 		t.Fatalf("divert failed: v=%v err=%v", v, err)
 	}
-	canary.Observe("", v1.ID, trainable(8, 300), repeat(0.5, 8))
+	canary.Observe(v1, trainable(8, 300), repeat(0.5, 8))
 	// A manual retrain replaces the champion before the verdict.
 	if _, err := r.Retrain("manual"); err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestCanaryObserveIgnoresMismatchedChampion(t *testing.T) {
 	if v, err := r.Retrain("auto"); err != nil || v != nil {
 		t.Fatalf("divert failed: v=%v err=%v", v, err)
 	}
-	canary.Observe("", v1.ID+100, trainable(4, 300), repeat(0.5, 4))
+	canary.Observe(&Version{ID: v1.ID + 100}, trainable(4, 300), repeat(0.5, 4))
 	if st := canary.States(); len(st) != 1 || st[0].Samples != 0 {
 		t.Fatalf("mismatched-champion observations were credited: %+v", st)
 	}
@@ -254,7 +254,7 @@ func TestAutoRollbackAfterConsecutiveDriftRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	drift := NewDriftTracker(DriftConfig{Window: 16, MinSamples: 4})
+	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), Drift: drift, DriftRetrain: true,
 		DriftRejectLimit: 2,
@@ -281,10 +281,7 @@ func TestAutoRollbackAfterConsecutiveDriftRejects(t *testing.T) {
 	}
 	driftOn := func() {
 		v := reg.Current()
-		drift.Record(ServedModel{
-			Target: "", Version: v.ID, Selector: v.Selector,
-			BaselineL1: v.Meta.HoldoutL1, BaselineN: v.Meta.HoldoutN,
-		}, repeat(0.9, 8))
+		drift.Record(v, repeat(0.9, 8))
 	}
 
 	driftOn()
@@ -313,9 +310,9 @@ func TestAutoRollbackAfterConsecutiveDriftRejects(t *testing.T) {
 	if last.Trigger != "auto-rollback" || last.Decision != "rolled_back" || last.Version != v1.ID {
 		t.Fatalf("auto-rollback decision = %+v", last)
 	}
-	// The drift window must follow the rollback: re-keyed to v1, empty.
+	// The drift window must follow the rollback: v1's, fresh and empty.
 	if st, ok := drift.Status(""); !ok || st.Version != v1.ID || st.Samples != 0 {
-		t.Fatalf("drift window not re-keyed to the rolled-back-to version: %+v", st)
+		t.Fatalf("drift window not the rolled-back-to version's: %+v", st)
 	}
 }
 
@@ -333,7 +330,7 @@ func TestAutoRollbackPinsFamilyToGlobal(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	drift := NewDriftTracker(DriftConfig{Window: 16, MinSamples: 4})
+	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), FamilyModels: true, MinFamilyExamples: 10,
 		Drift: drift, DriftRetrain: true, DriftRejectLimit: 2,
@@ -355,10 +352,7 @@ func TestAutoRollbackPinsFamilyToGlobal(t *testing.T) {
 	}
 	driftOn := func() {
 		v := reg.CurrentFor("a")
-		drift.Record(ServedModel{
-			Target: "a", Version: v.ID, Selector: v.Selector,
-			BaselineL1: v.Meta.HoldoutL1, BaselineN: v.Meta.HoldoutN,
-		}, repeat(0.9, 8))
+		drift.Record(v, repeat(0.9, 8))
 	}
 
 	driftOn()
@@ -382,7 +376,7 @@ func TestAutoRollbackPinsFamilyToGlobal(t *testing.T) {
 		t.Fatalf("auto-rollback decision = %+v", last)
 	}
 	if _, ok := drift.Status("a"); ok {
-		t.Fatal("pinned family's drift window should be tombstoned")
+		t.Fatal("pinned family still reports a drift window")
 	}
 }
 
@@ -399,16 +393,12 @@ func TestHarvesterFeedsCanary(t *testing.T) {
 		t.Fatalf("divert failed: v=%v err=%v", v, err)
 	}
 	// Drive Observe through the exported surface the harvester uses.
-	served := ServedModel{
-		Target: "", Version: v1.ID, Selector: v1.Selector,
-		BaselineL1: v1.Meta.HoldoutL1, BaselineN: v1.Meta.HoldoutN,
-	}
 	exs := trainable(4, 300)
 	obs := make([]float64, len(exs))
 	for i := range exs {
-		obs[i] = exs[i].ErrL1[served.Selector.Select(exs[i].Features)]
+		obs[i] = exs[i].ErrL1[v1.Selector.Select(exs[i].Features)]
 	}
-	canary.Observe(served.Target, served.Version, exs, obs)
+	canary.Observe(v1, exs, obs)
 	st := canary.States()
 	if len(st) != 1 || st[0].Samples != 4 {
 		t.Fatalf("observations not credited: %+v", st)

@@ -136,7 +136,7 @@ func TestCompactionShedsBurstPreservesSparse(t *testing.T) {
 	// The sparse family's drift retrain still finds them: after the burst,
 	// a drifted "sparse" target trains on its full 100-example slice.
 	reg := NewRegistry()
-	drift := NewDriftTracker(DriftConfig{Window: 16, MinSamples: 4})
+	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), FamilyModels: true, MinFamilyExamples: 10,
 		Drift: drift, DriftRetrain: true,
@@ -148,10 +148,7 @@ func TestCompactionShedsBurstPreservesSparse(t *testing.T) {
 	if vs == nil || vs.Meta.Family != "sparse" {
 		t.Fatalf("sparse family model missing after burst: %+v", vs)
 	}
-	drift.Record(ServedModel{
-		Target: "sparse", Version: vs.ID, Selector: vs.Selector,
-		BaselineL1: vs.Meta.HoldoutL1, BaselineN: vs.Meta.HoldoutN,
-	}, repeat(0.9, 8))
+	drift.Record(vs, repeat(0.9, 8))
 	r.retrainDrifted()
 	ns := reg.CurrentFor("sparse")
 	if ns == nil || ns.ID == vs.ID || ns.Meta.Source != "drift" {
@@ -366,7 +363,7 @@ func FuzzCompactSegmentImage(f *testing.F) {
 		if nix.good != int64(len(img)) {
 			t.Fatalf("compacted image has %d trailing junk bytes", int64(len(img))-nix.good)
 		}
-		got, count, _, _, err := scanRecords(img, "fuzz-compacted", true)
+		got, count, _, _, err := scanRecords(img, "fuzz-compacted")
 		if err != nil || count != kept {
 			t.Fatalf("compacted image scan: %d records, err %v; want %d", count, err, kept)
 		}

@@ -4,14 +4,12 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"progressest/internal/selection"
 )
 
 // DriftConfig tunes the observed-vs-predicted drift monitor.
 type DriftConfig struct {
 	// Window is the number of most recent observed per-pipeline errors the
-	// tracker keeps per routing target (default 256). Older observations
+	// tracker keeps per serving version (default 256). Older observations
 	// roll off, so the verdict reflects current traffic, not the version's
 	// lifetime average.
 	Window int
@@ -60,30 +58,6 @@ func (c DriftConfig) withDefaults() DriftConfig {
 	return c
 }
 
-// ServedModel pins, at query start, everything the drift join needs to
-// know about the selector version serving that query: the routing target
-// it was published under, its id, the selector itself (to replay its
-// choices on the harvested examples), and the holdout baseline recorded
-// at training time. BaselineN 0 means the version was never fairly
-// holdout-evaluated (seed or restored models) — its errors are still
-// tracked, but no drift verdict fires against an in-sample baseline.
-type ServedModel struct {
-	// Target is the routing target the version serves ("" = the global
-	// model). Observed errors are accounted per target, not per query
-	// family: a family falling back to the global model contributes
-	// evidence to the global window.
-	Target string
-	// Version is the registry id of the pinned version.
-	Version int
-	// Selector replays the version's estimator choices on harvested
-	// examples.
-	Selector *selection.Selector
-	// BaselineL1/BaselineN are the version's recorded holdout error and
-	// the holdout size it was measured on (VersionMeta.HoldoutL1/N).
-	BaselineL1 float64
-	BaselineN  int
-}
-
 // DriftState is one routing target's observed-vs-predicted standing.
 type DriftState struct {
 	// Target is the routing target ("" = the global model).
@@ -114,95 +88,56 @@ type DriftState struct {
 	Since time.Time
 }
 
-// driftWindow is one routing target's mutable accounting.
+// driftWindow is one version's mutable accounting, hung off the
+// Version it judges and guarded by the tracker's lock.
 type driftWindow struct {
-	version    int
-	baselineL1 float64
-	baselineN  int
-	ring       []float64
-	next       int // ring write cursor
-	filled     int // observations in the ring (≤ len(ring))
-	sum        float64
-	total      int // lifetime observations for this version/window epoch
-	since      time.Time
-	// maxSeen is the highest version id ever bound to this target.
-	// Registry ids are monotonic, so any id above it must be a NEW
-	// publish (re-key the window), while an id at or below it that is
-	// not the bound version is a late harvest for a replaced — or
-	// rolled-back-from — version (drop it). Rebind preserves maxSeen
-	// across a rollback precisely so the rolled-back-from version's
-	// stragglers stay dropped even though the bound version moved
-	// backwards.
-	maxSeen int
+	ring   []float64
+	next   int // ring write cursor
+	filled int // observations in the ring (≤ len(ring))
+	sum    float64
+	total  int // observations recorded since the window was last reset
+	since  time.Time
 }
 
 // DriftTracker joins each served query's pinned model version with the
-// estimator errors later harvested for that same query, per routing
-// target, and compares the windowed observed error against the version's
-// recorded holdout baseline — König et al.'s serving-time signal that a
-// selection model has gone stale. All methods are safe for concurrent
-// use; Record sits on the harvest path (one append per finished
-// pipeline), so the window keeps a running sum and defers anything
-// O(window) to Status.
+// estimator errors later harvested for that same query, and compares the
+// version's windowed observed error against its recorded holdout
+// baseline — König et al.'s serving-time signal that a selection model
+// has gone stale. Each window belongs to the Version it judges; the
+// registry's routing table alone says which windows are read: Status,
+// Statuses and Drifted report only the versions serving a target now, so
+// a late harvest for a replaced or rolled-back-from version lands in a
+// window no one reads. All methods are safe for concurrent use; Record
+// sits on the harvest path (one append per finished pipeline), so the
+// window keeps a running sum and defers anything O(window) to Status.
 type DriftTracker struct {
 	cfg DriftConfig
+	reg *Registry
 
-	mu      sync.Mutex
-	targets map[string]*driftWindow
+	mu sync.Mutex // guards every Version's window
 }
 
-// NewDriftTracker returns an empty tracker.
-func NewDriftTracker(cfg DriftConfig) *DriftTracker {
-	return &DriftTracker{cfg: cfg.withDefaults(), targets: make(map[string]*driftWindow)}
+// NewDriftTracker returns a tracker reading reg's routing table.
+func NewDriftTracker(reg *Registry, cfg DriftConfig) *DriftTracker {
+	return &DriftTracker{cfg: cfg.withDefaults(), reg: reg}
 }
 
 // Config returns the tracker's effective (defaulted) configuration.
 func (t *DriftTracker) Config() DriftConfig { return t.cfg }
 
-// newWindowLocked binds a fresh, empty window for served, carrying the
-// highest version id the target has ever seen forward.
-func (t *DriftTracker) newWindowLocked(served ServedModel, prev *driftWindow) *driftWindow {
-	w := &driftWindow{
-		version:    served.Version,
-		baselineL1: served.BaselineL1,
-		baselineN:  served.BaselineN,
-		ring:       make([]float64, t.cfg.Window),
-		maxSeen:    served.Version,
-	}
-	if prev != nil && prev.maxSeen > w.maxSeen {
-		w.maxSeen = prev.maxSeen
-	}
-	return w
-}
-
 // Record accounts the observed per-pipeline L1 errors of one finished
-// query against the version that served it. Version transitions are
-// resolved by registry id: a version NEWER than anything the target has
-// seen is a fresh publish and re-keys the window (its baseline changed,
-// old observations are evidence about the old model); a version other
-// than the bound one that is NOT newer is a late harvest for a replaced
-// (or rolled-back-from) version and is dropped — a query pinned
-// pre-transition must not poison the current window. Rollbacks move the
-// bound version backwards via Rebind, which is why "newer" is judged
-// against the high-water mark, not the bound version.
-func (t *DriftTracker) Record(served ServedModel, errs []float64) {
-	if len(errs) == 0 || served.Version == 0 {
+// query against v, the version pinned to it at start. The window is
+// allocated on v's first Record; later Records allocate nothing.
+func (t *DriftTracker) Record(v *Version, errs []float64) {
+	if len(errs) == 0 || v == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	w := t.targets[served.Target]
-	switch {
-	case w == nil:
-		w = t.newWindowLocked(served, nil)
-		t.targets[served.Target] = w
-	case served.Version == w.version:
-		// The bound version: record below.
-	case served.Version > w.maxSeen:
-		w = t.newWindowLocked(served, w)
-		t.targets[served.Target] = w
-	default:
-		return // late harvest for a replaced or rolled-back-from version
+	w := v.drift
+	if w == nil {
+		w = &driftWindow{ring: make([]float64, t.cfg.Window)}
+		v.drift = w
 	}
 	for _, e := range errs {
 		if w.filled == len(w.ring) {
@@ -215,7 +150,7 @@ func (t *DriftTracker) Record(served ServedModel, errs []float64) {
 		w.next = (w.next + 1) % len(w.ring)
 		w.total++
 	}
-	if t.driftedLocked(w) {
+	if t.driftedLocked(v) {
 		if w.since.IsZero() {
 			w.since = time.Now()
 		}
@@ -224,78 +159,51 @@ func (t *DriftTracker) Record(served ServedModel, errs []float64) {
 	}
 }
 
-// driftedLocked evaluates the verdict for one window.
-func (t *DriftTracker) driftedLocked(w *driftWindow) bool {
-	if w.baselineN <= 0 || w.filled < t.cfg.MinSamples {
+// driftedLocked evaluates the verdict for v's window.
+func (t *DriftTracker) driftedLocked(v *Version) bool {
+	w := v.drift
+	if v.Meta.HoldoutN <= 0 || w.filled < t.cfg.MinSamples {
 		return false
 	}
 	mean := w.sum / float64(w.filled)
-	return mean > w.baselineL1*t.cfg.Ratio+t.cfg.AbsSlack
+	return mean > v.Meta.HoldoutL1*t.cfg.Ratio+t.cfg.AbsSlack
 }
 
-// Rebind re-keys target's existing window to the version the registry
-// now serves it with — the reconciliation hook for transitions Record
-// cannot infer from harvests alone. A rollback moves the bound version
-// BACKWARDS (observations clear, the high-water mark survives so the
-// rolled-back-from version's late harvests stay dropped); a
-// served.Version of 0 tombstones the window (the target lost its own
-// serving version entirely, e.g. a family rolled back past its last
-// model onto the global fallback): it stops appearing in Statuses and
-// never produces a verdict, yet keeps dropping stragglers until a fresh
-// publish re-keys it. A target with no window is left without one.
-//
-// superseded is the id of the version just moved OFF the target (0 if
-// unknown). The window's own high-water mark only tracks versions whose
-// harvests it has seen; a rolled-back-from version that never finished
-// a query is above it, and without this floor its first straggler would
-// look like a fresh publish and hijack the window away from the version
-// actually serving. For the same reason a target with no window yet
-// GETS one here: a rollback can precede the target's first harvest, and
-// dropping the floor on that path would let the straggler create the
-// window keyed to the dead version.
-func (t *DriftTracker) Rebind(target string, served ServedModel, superseded int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	nw := t.newWindowLocked(served, t.targets[target])
-	if superseded > nw.maxSeen {
-		nw.maxSeen = superseded
-	}
-	t.targets[target] = nw
-}
-
-// Reset clears target's window, keeping the version/baseline binding: a
+// Reset gives the version serving target a fresh, empty window: a
 // drift-triggered retrain whose candidate the gate rejected (the old
 // version keeps serving) must re-accrue MinSamples fresh observations
 // before the verdict can fire again, instead of re-firing every poll
-// tick on the same stale window.
+// tick on the same stale window; a rollback starts the rolled-back-to
+// version's evidence afresh. A target with no route of its own is left
+// alone.
 func (t *DriftTracker) Reset(target string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	w := t.targets[target]
-	if w == nil {
+	v, ok := t.reg.router.Get(target)
+	if !ok {
 		return
 	}
-	w.filled = 0
-	w.next = 0
-	w.sum = 0
-	w.total = 0
-	w.since = time.Time{}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v.drift = &driftWindow{ring: make([]float64, t.cfg.Window)}
 }
 
-// stateLocked snapshots one window into its public form.
-func (t *DriftTracker) stateLocked(target string, w *driftWindow) DriftState {
+// stateLocked snapshots v's window into its public form; the O(window)
+// p90 is computed only when withP90 is set.
+func (t *DriftTracker) stateLocked(target string, v *Version, withP90 bool) DriftState {
+	w := v.drift
 	st := DriftState{
 		Target:     target,
-		Version:    w.version,
-		BaselineL1: w.baselineL1,
-		BaselineN:  w.baselineN,
+		Version:    v.ID,
+		BaselineL1: v.Meta.HoldoutL1,
+		BaselineN:  v.Meta.HoldoutN,
 		Samples:    w.filled,
 		Total:      w.total,
-		Drifted:    t.driftedLocked(w),
+		Drifted:    t.driftedLocked(v),
 		Since:      w.since,
 	}
 	if w.filled > 0 {
 		st.ObservedL1 = w.sum / float64(w.filled)
+	}
+	if withP90 && w.filled > 0 {
 		obs := make([]float64, w.filled)
 		copy(obs, w.ring[:w.filled])
 		sort.Float64s(obs)
@@ -309,60 +217,46 @@ func (t *DriftTracker) stateLocked(target string, w *driftWindow) DriftState {
 	return st
 }
 
-// Status returns target's current standing; ok is false before any
-// observation was recorded for it, and after a tombstone Rebind (the
-// target has no serving version of its own to account against).
+// Status returns the standing of the version serving target; ok is false
+// when no version of target's own serves it, or the serving one has no
+// window yet (no harvest recorded since it started serving).
 func (t *DriftTracker) Status(target string) (DriftState, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	w := t.targets[target]
-	if w == nil || w.version == 0 {
+	v, ok := t.reg.router.Get(target)
+	if !ok {
 		return DriftState{}, false
 	}
-	return t.stateLocked(target, w), true
-}
-
-// Statuses returns every tracked target's standing, sorted by target
-// (the global "" first). Tombstoned targets are omitted.
-func (t *DriftTracker) Statuses() []DriftState {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]DriftState, 0, len(t.targets))
-	for target, w := range t.targets {
-		if w.version == 0 {
-			continue
-		}
-		out = append(out, t.stateLocked(target, w))
+	if v.drift == nil {
+		return DriftState{}, false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Target < out[j].Target })
-	return out
+	return t.stateLocked(target, v, true), true
 }
 
-// Drifted returns the targets whose verdict is currently true, sorted —
-// the retrainer's drift trigger. It runs every poll tick, so unlike
-// Statuses it stays O(1) per target (no window copy/sort): the returned
-// states carry everything the trigger consumes but leave ObservedP90
-// zero.
-func (t *DriftTracker) Drifted() []DriftState {
+// states returns the windowed standing of every serving version, sorted
+// by target (the global "" first), keeping only the drifted ones when
+// driftedOnly is set.
+func (t *DriftTracker) states(driftedOnly bool) []DriftState {
+	routed := t.reg.Routed()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []DriftState
-	for target, w := range t.targets {
-		if w.version == 0 || !t.driftedLocked(w) {
+	for target, v := range routed {
+		if v.drift == nil || (driftedOnly && !t.driftedLocked(v)) {
 			continue
 		}
-		out = append(out, DriftState{
-			Target:     target,
-			Version:    w.version,
-			BaselineL1: w.baselineL1,
-			BaselineN:  w.baselineN,
-			ObservedL1: w.sum / float64(w.filled),
-			Samples:    w.filled,
-			Total:      w.total,
-			Drifted:    true,
-			Since:      w.since,
-		})
+		out = append(out, t.stateLocked(target, v, !driftedOnly))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Target < out[j].Target })
 	return out
 }
+
+// Statuses returns the standing of every serving version with a window,
+// sorted by target (the global "" first).
+func (t *DriftTracker) Statuses() []DriftState { return t.states(false) }
+
+// Drifted returns the serving versions whose verdict is currently true,
+// sorted by target — the retrainer's drift trigger. It runs every poll
+// tick, so unlike Statuses it stays O(1) per target (no window copy or
+// sort): the returned states leave ObservedP90 zero.
+func (t *DriftTracker) Drifted() []DriftState { return t.states(true) }

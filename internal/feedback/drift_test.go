@@ -21,10 +21,20 @@ func repeat(v float64, n int) []float64 {
 	return out
 }
 
-// driftServed builds a ServedModel without a selector (Record never
-// touches it; the harvester replays the selector before calling Record).
-func driftServed(target string, version int, baseline float64, baselineN int) ServedModel {
-	return ServedModel{Target: target, Version: version, BaselineL1: baseline, BaselineN: baselineN}
+// driftRig is a tracker over its own registry, with the retrainer whose
+// Rollback the operator and the auto-rollback breaker share. Nothing here
+// trains, so the retrainer has no store.
+func driftRig(cfg DriftConfig) (*DriftTracker, *Registry, *Retrainer) {
+	reg := NewRegistry()
+	tr := NewDriftTracker(reg, cfg)
+	return tr, reg, NewRetrainer(nil, reg, RetrainerConfig{Drift: tr})
+}
+
+// publishBaseline publishes a selector-less version of family with the
+// given holdout baseline (Record never touches the selector; the
+// harvester replays it before calling Record).
+func publishBaseline(reg *Registry, family string, baseline float64, baselineN int) *Version {
+	return reg.Publish(nil, VersionMeta{Family: family, HoldoutL1: baseline, HoldoutN: baselineN})
 }
 
 // TestDriftTrackerVerdicts drives the ratio+slack boundary, the
@@ -51,8 +61,8 @@ func TestDriftTrackerVerdicts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := NewDriftTracker(DriftConfig{Window: 16, MinSamples: 4, Ratio: 2, AbsSlack: 0.25})
-			tr.Record(driftServed("", 1, tc.baseline, tc.baseN), tc.errs)
+			tr, reg, _ := driftRig(DriftConfig{Window: 16, MinSamples: 4, Ratio: 2, AbsSlack: 0.25})
+			tr.Record(publishBaseline(reg, "", tc.baseline, tc.baseN), tc.errs)
 			st, ok := tr.Status("")
 			if !ok {
 				t.Fatal("no status after Record")
@@ -74,15 +84,15 @@ func TestDriftTrackerVerdicts(t *testing.T) {
 // the lifetime: a burst of bad observations rolls off once enough good
 // ones displace it, and vice versa.
 func TestDriftTrackerWindowRollOver(t *testing.T) {
-	tr := NewDriftTracker(DriftConfig{Window: 4, MinSamples: 4, Ratio: 2, AbsSlack: 0.25})
-	sm := driftServed("", 1, 0.5, 50) // threshold 1.25
+	tr, reg, _ := driftRig(DriftConfig{Window: 4, MinSamples: 4, Ratio: 2, AbsSlack: 0.25})
+	v := publishBaseline(reg, "", 0.5, 50) // threshold 1.25
 
-	tr.Record(sm, repeat(10, 4))
+	tr.Record(v, repeat(10, 4))
 	if st, _ := tr.Status(""); !st.Drifted {
 		t.Fatalf("bad burst should drift: %+v", st)
 	}
 	// Four good observations displace the whole window.
-	tr.Record(sm, repeat(0.1, 4))
+	tr.Record(v, repeat(0.1, 4))
 	st, _ := tr.Status("")
 	if st.Drifted {
 		t.Fatalf("recovered window still drifted: %+v", st)
@@ -98,7 +108,7 @@ func TestDriftTrackerWindowRollOver(t *testing.T) {
 	}
 	// A partial roll mixes: two bad ones -> window {0.1, 0.1, 10, 10},
 	// mean 5.05 -> drifted again.
-	tr.Record(sm, repeat(10, 2))
+	tr.Record(v, repeat(10, 2))
 	if st, _ := tr.Status(""); !st.Drifted || !near(st.ObservedL1, 5.05) {
 		t.Fatalf("partial roll: %+v, want drifted with mean 5.05", st)
 	}
@@ -108,10 +118,10 @@ func TestDriftTrackerWindowRollOver(t *testing.T) {
 // the global window (or another family's), and Statuses reports each
 // target separately, sorted.
 func TestDriftTrackerPerTargetIsolation(t *testing.T) {
-	tr := NewDriftTracker(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
-	tr.Record(driftServed("", 1, 0.5, 50), repeat(0.1, 4))
-	tr.Record(driftServed("scan", 2, 0.5, 50), repeat(10, 4))
-	tr.Record(driftServed("join", 3, 0.5, 50), repeat(0.2, 4))
+	tr, reg, _ := driftRig(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
+	tr.Record(publishBaseline(reg, "", 0.5, 50), repeat(0.1, 4))
+	tr.Record(publishBaseline(reg, "scan", 0.5, 50), repeat(10, 4))
+	tr.Record(publishBaseline(reg, "join", 0.5, 50), repeat(0.2, 4))
 
 	sts := tr.Statuses()
 	if len(sts) != 3 {
@@ -133,44 +143,55 @@ func TestDriftTrackerPerTargetIsolation(t *testing.T) {
 	}
 }
 
-// TestDriftTrackerVersionTransitions: a newer version resets the
-// target's window (fresh baseline, fresh evidence), while a LATE harvest
-// for an already replaced version is dropped — a query pinned before the
-// swap must not poison the successor's window.
+// TestDriftTrackerVersionTransitions: a newly published version is judged
+// on a window of its own (fresh baseline, fresh evidence) — the target is
+// omitted until that version's first harvest, and never again shows the
+// replaced version's window — while a LATE harvest for the replaced
+// version lands in a window no one reads: a query pinned before the swap
+// must not poison the successor's window.
 func TestDriftTrackerVersionTransitions(t *testing.T) {
-	tr := NewDriftTracker(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
-	tr.Record(driftServed("", 3, 0.5, 50), repeat(10, 6)) // v3 drifts
+	tr, reg, _ := driftRig(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
+	v1 := publishBaseline(reg, "", 0.5, 50)
+	tr.Record(v1, repeat(10, 6)) // v1 drifts
 	if st, _ := tr.Status(""); !st.Drifted {
-		t.Fatal("v3 window should have drifted")
+		t.Fatal("v1 window should have drifted")
 	}
 
-	tr.Record(driftServed("", 4, 0.25, 40), repeat(0.1, 2)) // v4 swaps in
+	v2 := publishBaseline(reg, "", 0.25, 40) // v2 swaps in
+	if st, ok := tr.Status(""); ok {
+		t.Fatalf("replaced v1's window still reported: %+v", st)
+	}
+	if len(tr.Drifted()) != 0 {
+		t.Fatal("replaced v1's verdict still fires")
+	}
+	tr.Record(v2, repeat(0.1, 2))
 	st, _ := tr.Status("")
-	if st.Version != 4 || st.BaselineL1 != 0.25 || st.BaselineN != 40 {
-		t.Fatalf("swap did not re-key the window: %+v", st)
+	if st.Version != v2.ID || st.BaselineL1 != 0.25 || st.BaselineN != 40 {
+		t.Fatalf("swap did not move the target onto v2's window: %+v", st)
 	}
 	if st.Samples != 2 || st.Drifted {
-		t.Fatalf("swap should reset the window: %+v", st)
+		t.Fatalf("v2's window should start fresh: %+v", st)
 	}
 
-	tr.Record(driftServed("", 3, 0.5, 50), repeat(10, 6)) // late v3 harvest
-	if st, _ := tr.Status(""); st.Samples != 2 || st.Version != 4 {
-		t.Fatalf("late harvest for replaced v3 should be dropped: %+v", st)
+	tr.Record(v1, repeat(10, 6)) // late v1 harvest
+	if st, _ := tr.Status(""); st.Samples != 2 || st.Version != v2.ID {
+		t.Fatalf("late harvest for replaced v1 reached the serving window: %+v", st)
 	}
 
-	tr.Record(ServedModel{Target: "", Version: 0}, repeat(10, 6)) // unversioned
+	tr.Record(nil, repeat(10, 6)) // unversioned
 	if st, _ := tr.Status(""); st.Samples != 2 {
-		t.Fatalf("version-0 records should be ignored: %+v", st)
+		t.Fatalf("unversioned records should be ignored: %+v", st)
 	}
 }
 
 // TestDriftTrackerResetForcesFreshEvidence: Reset (the gate-rejected
-// drift-retrain path) clears the window without forgetting the version,
-// so the verdict needs MinSamples fresh observations to fire again.
+// drift-retrain path) clears the serving version's window without
+// forgetting the version, so the verdict needs MinSamples fresh
+// observations to fire again.
 func TestDriftTrackerResetForcesFreshEvidence(t *testing.T) {
-	tr := NewDriftTracker(DriftConfig{Window: 8, MinSamples: 4, Ratio: 2, AbsSlack: 0.25})
-	sm := driftServed("scan", 7, 0.5, 50)
-	tr.Record(sm, repeat(10, 8))
+	tr, reg, _ := driftRig(DriftConfig{Window: 8, MinSamples: 4, Ratio: 2, AbsSlack: 0.25})
+	v := publishBaseline(reg, "scan", 0.5, 50)
+	tr.Record(v, repeat(10, 8))
 	if st, _ := tr.Status("scan"); !st.Drifted {
 		t.Fatal("should drift before reset")
 	}
@@ -179,14 +200,14 @@ func TestDriftTrackerResetForcesFreshEvidence(t *testing.T) {
 	if st.Drifted || st.Samples != 0 || st.Total != 0 || !st.Since.IsZero() {
 		t.Fatalf("reset left state behind: %+v", st)
 	}
-	if st.Version != 7 {
+	if st.Version != v.ID {
 		t.Fatalf("reset should keep the version binding, got %+v", st)
 	}
-	tr.Record(sm, repeat(10, 3))
+	tr.Record(v, repeat(10, 3))
 	if st, _ := tr.Status("scan"); st.Drifted {
 		t.Fatalf("verdict re-fired before MinSamples fresh observations: %+v", st)
 	}
-	tr.Record(sm, repeat(10, 1))
+	tr.Record(v, repeat(10, 1))
 	if st, _ := tr.Status("scan"); !st.Drifted {
 		t.Fatalf("verdict should fire again after fresh evidence: %+v", st)
 	}
@@ -196,92 +217,97 @@ func TestDriftTrackerResetForcesFreshEvidence(t *testing.T) {
 	}
 }
 
-// TestDriftTrackerRebindRollback: a rollback moves the bound version
-// BACKWARDS via Rebind — observations about the rolled-back-to model
-// are accepted again, stragglers from the rolled-back-from version stay
-// dropped, and a fresh publish still re-keys forward.
-func TestDriftTrackerRebindRollback(t *testing.T) {
-	tr := NewDriftTracker(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
-	v1 := driftServed("", 1, 0.5, 50)
-	v2 := driftServed("", 2, 0.25, 40)
+// TestDriftTrackerRollback: a rollback gives the rolled-back-to version
+// a fresh window — observations about it count again, stragglers from
+// the rolled-back-from version stay out of the window being read, and a
+// fresh publish still moves the target forward.
+func TestDriftTrackerRollback(t *testing.T) {
+	tr, reg, ret := driftRig(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
+	v1 := publishBaseline(reg, "", 0.5, 50)
 	tr.Record(v1, repeat(0.1, 2))
+	v2 := publishBaseline(reg, "", 0.25, 40)
 	tr.Record(v2, repeat(10, 4)) // v2 serves, drifts
 
 	// Operator rolls back to v1.
-	tr.Rebind("", v1, 2)
+	if _, err := ret.Rollback(""); err != nil {
+		t.Fatal(err)
+	}
 	st, ok := tr.Status("")
-	if !ok || st.Version != 1 || st.BaselineL1 != 0.5 || st.Samples != 0 || st.Drifted {
-		t.Fatalf("rebind to v1: %+v", st)
+	if !ok || st.Version != v1.ID || st.BaselineL1 != 0.5 || st.Samples != 0 || st.Drifted {
+		t.Fatalf("rollback to v1: %+v", st)
 	}
 	// v1's observations now count again — this is the window the
 	// operator is watching to judge the rollback.
 	tr.Record(v1, repeat(0.1, 3))
-	if st, _ := tr.Status(""); st.Samples != 3 || st.Version != 1 {
+	if st, _ := tr.Status(""); st.Samples != 3 || st.Version != v1.ID {
 		t.Fatalf("post-rollback v1 records dropped: %+v", st)
 	}
-	// A straggler query pinned to v2 pre-rollback finishes late: its id
-	// is above the bound version but NOT above the high-water mark, so
-	// it must not re-key the window back to the rolled-back-from model.
+	// A straggler query pinned to v2 pre-rollback finishes late: it lands
+	// in v2's own window, which the routing table no longer reads.
 	tr.Record(v2, repeat(10, 4))
-	if st, _ := tr.Status(""); st.Version != 1 || st.Samples != 3 {
+	if st, _ := tr.Status(""); st.Version != v1.ID || st.Samples != 3 {
 		t.Fatalf("v2 straggler poisoned the rolled-back window: %+v", st)
 	}
-	// A genuinely new publish re-keys forward.
-	tr.Record(driftServed("", 3, 0.3, 30), repeat(0.1, 1))
-	if st, _ := tr.Status(""); st.Version != 3 || st.Samples != 1 {
+	// A genuinely new publish moves the target forward.
+	v3 := publishBaseline(reg, "", 0.3, 30)
+	tr.Record(v3, repeat(0.1, 1))
+	if st, _ := tr.Status(""); st.Version != v3.ID || st.Samples != 1 {
 		t.Fatalf("new publish after rollback: %+v", st)
 	}
 }
 
-// TestDriftTrackerRebindBeforeFirstHarvest: a rollback can land before
-// the target's first harvest; Rebind must still install the window (and
-// its superseded floor), or the rolled-back-from version's straggler
-// would create one keyed to the dead version and shut out the serving
-// model's evidence.
-func TestDriftTrackerRebindBeforeFirstHarvest(t *testing.T) {
-	tr := NewDriftTracker(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
-	v1 := driftServed("", 1, 0.5, 50)
-	tr.Rebind("", v1, 2) // rollback v2 -> v1 with no harvest ever recorded
+// TestDriftTrackerRollbackBeforeFirstHarvest: a rollback can land before
+// the target's first harvest; the rolled-back-to version still gets its
+// window, and the rolled-back-from version's straggler cannot take the
+// target over and shut out the serving model's evidence.
+func TestDriftTrackerRollbackBeforeFirstHarvest(t *testing.T) {
+	tr, reg, ret := driftRig(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
+	v1 := publishBaseline(reg, "", 0.5, 50)
+	v2 := publishBaseline(reg, "", 0.2, 30)
+	if _, err := ret.Rollback(""); err != nil { // v2 -> v1, no harvest ever recorded
+		t.Fatal(err)
+	}
 
-	tr.Record(driftServed("", 2, 0.2, 30), repeat(10, 4)) // v2 straggler
+	tr.Record(v2, repeat(10, 4)) // v2 straggler
 	st, ok := tr.Status("")
-	if !ok || st.Version != 1 || st.Samples != 0 {
-		t.Fatalf("straggler hijacked the pre-harvest rebind: %+v", st)
+	if !ok || st.Version != v1.ID || st.Samples != 0 {
+		t.Fatalf("straggler hijacked the pre-harvest rollback: %+v", st)
 	}
 	tr.Record(v1, repeat(0.1, 2))
-	if st, _ := tr.Status(""); st.Version != 1 || st.Samples != 2 {
+	if st, _ := tr.Status(""); st.Version != v1.ID || st.Samples != 2 {
 		t.Fatalf("serving version's records dropped: %+v", st)
 	}
 }
 
-// TestDriftTrackerRebindNeverHarvestedSuperseded: rolling back from a
-// version that never finished a query (so the tracker's own high-water
-// mark has not seen its id) must still drop that version's stragglers —
-// the superseded floor passed to Rebind, without which the straggler
-// would masquerade as a fresh publish and hijack the window from the
-// version actually serving.
-func TestDriftTrackerRebindNeverHarvestedSuperseded(t *testing.T) {
-	tr := NewDriftTracker(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
-	v5 := driftServed("", 5, 0.5, 50)
-	tr.Record(v5, repeat(0.1, 2)) // maxSeen 5
+// TestDriftTrackerRollbackNeverHarvestedSuperseded: rolling back from a
+// version that never finished a query must still keep that version's
+// stragglers out of the serving window — they cannot masquerade as a
+// fresh publish and take the target from the version actually serving.
+func TestDriftTrackerRollbackNeverHarvestedSuperseded(t *testing.T) {
+	tr, reg, ret := driftRig(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
+	v5 := publishBaseline(reg, "", 0.5, 50)
+	tr.Record(v5, repeat(0.1, 2))
 	// v6 publishes but no v6-served query has finished yet; the operator
 	// rolls back to v5 immediately.
-	tr.Rebind("", v5, 6)
-	// The in-flight v6 query finishes late: 6 is above the harvest-seen
-	// mark but not above the superseded floor — drop it.
-	tr.Record(driftServed("", 6, 0.2, 30), repeat(10, 4))
+	v6 := publishBaseline(reg, "", 0.2, 30)
+	if _, err := ret.Rollback(""); err != nil {
+		t.Fatal(err)
+	}
+	// The in-flight v6 query finishes late.
+	tr.Record(v6, repeat(10, 4))
 	st, ok := tr.Status("")
-	if !ok || st.Version != 5 || st.Samples != 0 {
+	if !ok || st.Version != v5.ID || st.Samples != 0 {
 		t.Fatalf("never-harvested superseded version hijacked the window: %+v", st)
 	}
 	// The serving v5's observations land normally.
 	tr.Record(v5, repeat(0.1, 2))
-	if st, _ := tr.Status(""); st.Version != 5 || st.Samples != 2 {
+	if st, _ := tr.Status(""); st.Version != v5.ID || st.Samples != 2 {
 		t.Fatalf("serving version's records dropped: %+v", st)
 	}
-	// The NEXT real publish (id above the floor) re-keys forward.
-	tr.Record(driftServed("", 7, 0.3, 30), repeat(0.1, 1))
-	if st, _ := tr.Status(""); st.Version != 7 {
+	// The NEXT real publish moves the target forward.
+	v7 := publishBaseline(reg, "", 0.3, 30)
+	tr.Record(v7, repeat(0.1, 1))
+	if st, _ := tr.Status(""); st.Version != v7.ID {
 		t.Fatalf("fresh publish after rollback: %+v", st)
 	}
 }
@@ -290,41 +316,50 @@ func TestDriftTrackerRebindNeverHarvestedSuperseded(t *testing.T) {
 // minimum sample count would make every verdict impossible; the config
 // clamps instead of silently disabling detection.
 func TestDriftConfigClampsMinSamplesToWindow(t *testing.T) {
-	tr := NewDriftTracker(DriftConfig{Window: 8}) // MinSamples defaults to 32
+	tr, reg, _ := driftRig(DriftConfig{Window: 8}) // MinSamples defaults to 32
 	if got := tr.Config(); got.MinSamples != 8 {
 		t.Fatalf("MinSamples = %d, want clamped to window 8", got.MinSamples)
 	}
-	tr.Record(driftServed("", 1, 0.001, 50), repeat(10, 8))
+	tr.Record(publishBaseline(reg, "", 0.001, 50), repeat(10, 8))
 	if len(tr.Drifted()) != 1 {
 		t.Fatal("a full window must be able to reach a verdict")
 	}
 }
 
 // TestDriftTrackerTombstone: rolling a family back past its last version
-// leaves no serving version for the target; the tombstoned window
-// disappears from Statuses, keeps dropping stragglers, and comes back
-// only with a fresh publish.
+// leaves no serving version of the target's own; the family disappears
+// from Statuses, its stragglers produce no verdict, the global model's
+// window is left alone, and the family comes back only with a fresh
+// publish.
 func TestDriftTrackerTombstone(t *testing.T) {
-	tr := NewDriftTracker(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
-	v5 := driftServed("scan", 5, 0.5, 50)
+	tr, reg, ret := driftRig(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
+	global := publishBaseline(reg, "", 0.5, 50)
+	tr.Record(global, repeat(0.1, 3))
+	v5 := publishBaseline(reg, "scan", 0.5, 50)
 	tr.Record(v5, repeat(10, 4))
-	tr.Rebind("scan", ServedModel{Target: "scan"}, 5) // rolled back past the last version
+	if _, err := ret.Rollback("scan"); err != nil { // rolled back past the last version
+		t.Fatal(err)
+	}
 
 	if _, ok := tr.Status("scan"); ok {
-		t.Fatal("tombstoned target still reports status")
+		t.Fatal("rolled-past target still reports status")
 	}
-	if got := tr.Statuses(); len(got) != 0 {
-		t.Fatalf("tombstoned target in Statuses: %+v", got)
+	if got := tr.Statuses(); len(got) != 1 || got[0].Target != "" {
+		t.Fatalf("Statuses = %+v, want the global target alone", got)
+	}
+	if st, _ := tr.Status(""); st.Version != global.ID || st.Samples != 3 {
+		t.Fatalf("rolling a family past its last version touched the global window: %+v", st)
 	}
 	tr.Record(v5, repeat(10, 4)) // straggler for the rolled-back-from version
 	if len(tr.Drifted()) != 0 {
-		t.Fatal("straggler revived a tombstoned window")
+		t.Fatal("straggler revived the rolled-past target's verdict")
 	}
 	// A new publish for the family (which clears the registry pin)
-	// re-keys and tracking resumes.
-	tr.Record(driftServed("scan", 6, 0.3, 30), repeat(0.1, 2))
-	if st, ok := tr.Status("scan"); !ok || st.Version != 6 || st.Samples != 2 {
-		t.Fatalf("post-tombstone publish: %+v", st)
+	// brings tracking back.
+	v6 := publishBaseline(reg, "scan", 0.3, 30)
+	tr.Record(v6, repeat(0.1, 2))
+	if st, ok := tr.Status("scan"); !ok || st.Version != v6.ID || st.Samples != 2 {
+		t.Fatalf("post-rollback publish: %+v", st)
 	}
 }
 
@@ -342,7 +377,7 @@ func TestRetrainerDriftHonorsFallbackPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	drift := NewDriftTracker(DriftConfig{Window: 16, MinSamples: 4})
+	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), FamilyModels: true, MinFamilyExamples: 10,
 		Drift: drift, DriftRetrain: true,
@@ -351,10 +386,7 @@ func TestRetrainerDriftHonorsFallbackPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	va := reg.CurrentFor("a")
-	drift.Record(ServedModel{
-		Target: "a", Version: va.ID, Selector: va.Selector,
-		BaselineL1: va.Meta.HoldoutL1, BaselineN: va.Meta.HoldoutN,
-	}, repeat(0.9, 8))
+	drift.Record(va, repeat(0.9, 8))
 
 	// Operator rolls the family back past its only version: route gone,
 	// pin set.
@@ -375,15 +407,16 @@ func TestRetrainerDriftHonorsFallbackPin(t *testing.T) {
 		t.Fatal("family a no longer falls back to the global model")
 	}
 	if _, ok := drift.Status("a"); ok {
-		t.Fatal("pinned family's window should be tombstoned")
+		t.Fatal("pinned family still reports a drift window")
 	}
 }
 
-// TestRetrainerDriftStaleVerdictRebinds: when a concurrent retrain
+// TestRetrainerDriftStaleVerdictSkipped: when a concurrent retrain
 // already replaced the drifted version, the background trigger must not
-// train against the old version's observations; it re-keys the window
-// to the current version instead.
-func TestRetrainerDriftStaleVerdictRebinds(t *testing.T) {
+// train against the old version's observations: the routing table no
+// longer reads that window, and the serving version's own window starts
+// with its first harvest.
+func TestRetrainerDriftStaleVerdictSkipped(t *testing.T) {
 	store, err := OpenStore(t.TempDir(), StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +426,7 @@ func TestRetrainerDriftStaleVerdictRebinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	drift := NewDriftTracker(DriftConfig{Window: 16, MinSamples: 4})
+	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), Drift: drift, DriftRetrain: true,
 	})
@@ -401,10 +434,7 @@ func TestRetrainerDriftStaleVerdictRebinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := reg.Current()
-	drift.Record(ServedModel{
-		Target: "", Version: v1.ID, Selector: v1.Selector,
-		BaselineL1: v1.Meta.HoldoutL1, BaselineN: v1.Meta.HoldoutN,
-	}, repeat(0.9, 8))
+	drift.Record(v1, repeat(0.9, 8))
 
 	// A manual retrain wins the race and publishes v2 before the tick.
 	if _, err := r.Retrain("manual"); err != nil {
@@ -421,9 +451,13 @@ func TestRetrainerDriftStaleVerdictRebinds(t *testing.T) {
 	if len(reg.Versions()) != histBefore || reg.Current() != v2 {
 		t.Fatal("stale drift verdict trained a fresh version anyway")
 	}
+	if st, ok := drift.Status(""); ok {
+		t.Fatalf("replaced v1's window still reported: %+v", st)
+	}
+	drift.Record(v2, repeat(0.1, 2))
 	st, ok := drift.Status("")
-	if !ok || st.Version != v2.ID || st.Samples != 0 {
-		t.Fatalf("window not re-keyed to the serving version: %+v", st)
+	if !ok || st.Version != v2.ID || st.Samples != 2 {
+		t.Fatalf("window not the serving version's: %+v", st)
 	}
 }
 
@@ -441,7 +475,7 @@ func TestRetrainerDriftRespectsFamilyFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	drift := NewDriftTracker(DriftConfig{Window: 16, MinSamples: 4})
+	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), FamilyModels: true,
 		MinFamilyExamples: 1000, // nothing can clear the floor
@@ -456,10 +490,7 @@ func TestRetrainerDriftRespectsFamilyFloor(t *testing.T) {
 	va := reg.Publish(gv.Selector, VersionMeta{
 		TrainedAt: time.Now(), HoldoutL1: 0.001, HoldoutN: 10, Source: "manual", Family: "a",
 	})
-	drift.Record(ServedModel{
-		Target: "a", Version: va.ID, Selector: va.Selector,
-		BaselineL1: va.Meta.HoldoutL1, BaselineN: va.Meta.HoldoutN,
-	}, repeat(0.9, 8))
+	drift.Record(va, repeat(0.9, 8))
 	histBefore := len(reg.Versions())
 
 	r.retrainDrifted()
@@ -475,12 +506,12 @@ func TestRetrainerDriftRespectsFamilyFloor(t *testing.T) {
 // TestDriftTrackerQuantile: ObservedP90 is the nearest-rank 90th
 // percentile of the window.
 func TestDriftTrackerQuantile(t *testing.T) {
-	tr := NewDriftTracker(DriftConfig{Window: 16, MinSamples: 2})
+	tr, reg, _ := driftRig(DriftConfig{Window: 16, MinSamples: 2})
 	errs := make([]float64, 10)
 	for i := range errs {
 		errs[i] = float64(i + 1) // 1..10
 	}
-	tr.Record(driftServed("", 1, 0.5, 50), errs)
+	tr.Record(publishBaseline(reg, "", 0.5, 50), errs)
 	st, _ := tr.Status("")
 	if st.ObservedP90 != 9 {
 		t.Fatalf("p90 = %v, want 9 (nearest rank over 1..10)", st.ObservedP90)
@@ -491,10 +522,14 @@ func TestDriftTrackerQuantile(t *testing.T) {
 }
 
 // TestDriftTrackerConcurrent hammers Record, Status, Statuses, Drifted
-// and Reset from many goroutines; under -race this proves the tracker is
-// data-race-free on the harvest hot path.
+// and Reset from many goroutines while publishes move the routing table;
+// under -race this proves the tracker is data-race-free on the harvest
+// hot path.
 func TestDriftTrackerConcurrent(t *testing.T) {
-	tr := NewDriftTracker(DriftConfig{Window: 32, MinSamples: 8})
+	tr, reg, _ := driftRig(DriftConfig{Window: 32, MinSamples: 8})
+	for _, f := range []string{"fam0", "fam1"} {
+		publishBaseline(reg, f, 0.05, 50)
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -508,15 +543,15 @@ func TestDriftTrackerConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				tr.Record(driftServed(target, 1+i/100, 0.05, 50), repeat(float64(i%5)/10, 3))
+				tr.Record(reg.CurrentFor(target), repeat(float64(i%5)/10, 3))
 			}
 		}(g)
 	}
-	for g := 0; g < 3; g++ {
+	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for {
+			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
@@ -531,6 +566,10 @@ func TestDriftTrackerConcurrent(t *testing.T) {
 					tr.Status("fam1")
 				case 2:
 					tr.Reset("fam1")
+				case 3:
+					if i%100 == 0 {
+						publishBaseline(reg, "fam0", 0.05, 50)
+					}
 				}
 			}
 		}(g)
@@ -569,8 +608,8 @@ func TestRetrainerDecisionRingBounded(t *testing.T) {
 // TestRetrainerDriftRetrainsOnlyDriftedTarget: with two family models
 // serving, a drift verdict against one family retrains exactly that
 // family (source "drift", provenance in the decision ring) and leaves
-// the other family's and the global model untouched; the handled window
-// is reset afterwards.
+// the other family's and the global model untouched; the target then
+// reports no window until the new version's first harvest.
 func TestRetrainerDriftRetrainsOnlyDriftedTarget(t *testing.T) {
 	store, err := OpenStore(t.TempDir(), StoreOptions{})
 	if err != nil {
@@ -585,7 +624,7 @@ func TestRetrainerDriftRetrainsOnlyDriftedTarget(t *testing.T) {
 	}
 
 	reg := NewRegistry()
-	drift := NewDriftTracker(DriftConfig{Window: 16, MinSamples: 4, Ratio: 1.5, AbsSlack: 0.01})
+	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4, Ratio: 1.5, AbsSlack: 0.01})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection:    fastConfig(),
 		FamilyModels: true,
@@ -603,10 +642,7 @@ func TestRetrainerDriftRetrainsOnlyDriftedTarget(t *testing.T) {
 
 	// Family a's serving model drifts: observed errors far above its
 	// holdout baseline.
-	drift.Record(ServedModel{
-		Target: "a", Version: va.ID, Selector: va.Selector,
-		BaselineL1: va.Meta.HoldoutL1, BaselineN: va.Meta.HoldoutN,
-	}, repeat(0.9, 8))
+	drift.Record(va, repeat(0.9, 8))
 	if got := drift.Drifted(); len(got) != 1 || got[0].Target != "a" {
 		t.Fatalf("Drifted() = %+v, want [a]", got)
 	}
@@ -639,16 +675,16 @@ func TestRetrainerDriftRetrainsOnlyDriftedTarget(t *testing.T) {
 	if found == nil || found.Family != "a" || found.Version != na.ID || !near(found.ObservedL1, 0.9) {
 		t.Fatalf("drift decision missing or wrong: %+v", found)
 	}
-	if st, ok := drift.Status("a"); !ok || st.Samples != 0 || st.Drifted {
-		t.Fatalf("drift window not reset after retrain: %+v", st)
+	if st, ok := drift.Status("a"); ok {
+		t.Fatalf("drifted version's window still reported after the retrain: %+v", st)
 	}
 }
 
 // TestRetrainerDriftAcceptRekeysWindow: an accepted drift retrain moves
-// the target's window onto the version it published — 0 samples, new
-// baseline — BEFORE the accepted decision is readable, so no observer
-// pairs "accepted" with the superseded version still drifting; and a late
-// harvest pinned to the superseded version is dropped, not recorded.
+// the target onto the version it published — no window until its first
+// harvest, then the new baseline — and no observer pairs the "accepted"
+// decision with the superseded version still drifting; a late harvest
+// pinned to the superseded version lands in a window no one reads.
 func TestRetrainerDriftAcceptRekeysWindow(t *testing.T) {
 	store, err := OpenStore(t.TempDir(), StoreOptions{})
 	if err != nil {
@@ -659,7 +695,7 @@ func TestRetrainerDriftAcceptRekeysWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	drift := NewDriftTracker(DriftConfig{Window: 16, MinSamples: 4, Ratio: 1.5, AbsSlack: 0.01})
+	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4, Ratio: 1.5, AbsSlack: 0.01})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection:    fastConfig(),
 		FamilyModels: true,
@@ -674,13 +710,13 @@ func TestRetrainerDriftAcceptRekeysWindow(t *testing.T) {
 	if old == nil || old.Meta.Family != "a" {
 		t.Fatalf("family model missing: %+v", old)
 	}
-	drift.Record(servedModel(old), repeat(0.9, 8))
+	drift.Record(old, repeat(0.9, 8))
 	if got := drift.Drifted(); len(got) != 1 || got[0].Version != old.ID {
 		t.Fatalf("Drifted() = %+v, want the family model", got)
 	}
 
-	// An observer reading the way Learning.DriftStatus does — decisions
-	// first, window second — while the retrain runs.
+	// An observer reading decisions, then the window, while the retrain
+	// runs.
 	stop, watched := make(chan struct{}), make(chan error, 1)
 	go func() {
 		for {
@@ -710,22 +746,23 @@ func TestRetrainerDriftAcceptRekeysWindow(t *testing.T) {
 	if cur == nil || cur.ID == old.ID || cur.Meta.Source != "drift" {
 		t.Fatalf("drift retrain did not publish: %+v", cur)
 	}
+	if st, ok := drift.Status("a"); ok {
+		t.Fatalf("window after accepted drift retrain = %+v, want none before version %d's first harvest", st, cur.ID)
+	}
+	// A query pinned before the swap finishes afterwards: it lands in the
+	// superseded version's window, which no one reads.
+	drift.Record(old, repeat(0.9, 8))
+	if st, ok := drift.Status("a"); ok || len(drift.Drifted()) != 0 {
+		t.Fatalf("late harvest for the superseded version was reported: %+v", st)
+	}
+	// The new version's own harvests land, against its own baseline.
+	drift.Record(cur, repeat(0.1, 3))
 	st, ok := drift.Status("a")
-	if !ok || st.Version != cur.ID || st.Samples != 0 || st.Drifted {
-		t.Fatalf("window after accepted drift retrain = %+v, want version %d with 0 samples", st, cur.ID)
+	if !ok || st.Version != cur.ID || st.Samples != 3 || st.Drifted {
+		t.Fatalf("new version's harvest not recorded: %+v", st)
 	}
 	if !near(st.BaselineL1, cur.Meta.HoldoutL1) || st.BaselineN != cur.Meta.HoldoutN {
 		t.Fatalf("window baseline %v/%d, want the new version's %v/%d", st.BaselineL1, st.BaselineN, cur.Meta.HoldoutL1, cur.Meta.HoldoutN)
-	}
-	// A query pinned before the swap finishes afterwards: dropped.
-	drift.Record(servedModel(old), repeat(0.9, 8))
-	if st, _ := drift.Status("a"); st.Version != cur.ID || st.Samples != 0 || st.Drifted {
-		t.Fatalf("late harvest for the superseded version was recorded: %+v", st)
-	}
-	// The new version's own harvests land.
-	drift.Record(servedModel(cur), repeat(0.1, 3))
-	if st, _ := drift.Status("a"); st.Version != cur.ID || st.Samples != 3 {
-		t.Fatalf("new version's harvest not recorded: %+v", st)
 	}
 }
 
@@ -742,7 +779,7 @@ func TestRetrainerDriftDoesNotMaskTrainingErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	drift := NewDriftTracker(DriftConfig{Window: 16, MinSamples: 4})
+	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), Drift: drift, DriftRetrain: true,
 	})
@@ -750,10 +787,7 @@ func TestRetrainerDriftDoesNotMaskTrainingErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := reg.Current()
-	drift.Record(ServedModel{
-		Target: "", Version: v1.ID, Selector: v1.Selector,
-		BaselineL1: v1.Meta.HoldoutL1, BaselineN: v1.Meta.HoldoutN,
-	}, repeat(0.95, 8))
+	drift.Record(v1, repeat(0.95, 8))
 
 	sizeAgeFailure := errors.New("size/age run failed this tick")
 	r.mu.Lock()
@@ -784,7 +818,7 @@ func TestRetrainerDriftCooldown(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	drift := NewDriftTracker(DriftConfig{Window: 16, MinSamples: 4})
+	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), Drift: drift, DriftRetrain: true,
 		Policy: RetrainPolicy{MinInterval: time.Hour},
@@ -794,10 +828,7 @@ func TestRetrainerDriftCooldown(t *testing.T) {
 	}
 	driftOn := func() {
 		v := reg.Current()
-		drift.Record(ServedModel{
-			Target: "", Version: v.ID, Selector: v.Selector,
-			BaselineL1: v.Meta.HoldoutL1, BaselineN: v.Meta.HoldoutN,
-		}, repeat(0.95, 8))
+		drift.Record(v, repeat(0.95, 8))
 	}
 	driftOn()
 	r.retrainDrifted() // first run: lastDriftAt zero, allowed
@@ -835,7 +866,7 @@ func TestRetrainerDriftGlobalTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	drift := NewDriftTracker(DriftConfig{Window: 16, MinSamples: 4})
+	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), Drift: drift, DriftRetrain: true,
 	})
@@ -843,10 +874,7 @@ func TestRetrainerDriftGlobalTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := reg.Current()
-	drift.Record(ServedModel{
-		Target: "", Version: v1.ID, Selector: v1.Selector,
-		BaselineL1: v1.Meta.HoldoutL1, BaselineN: v1.Meta.HoldoutN,
-	}, repeat(0.95, 8))
+	drift.Record(v1, repeat(0.95, 8))
 	r.retrainDrifted()
 	v2 := reg.Current()
 	if v2 == v1 || v2.Meta.Source != "drift" || v2.Meta.Family != "" {
@@ -866,7 +894,7 @@ func TestRetrainerDriftDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	drift := NewDriftTracker(DriftConfig{MinSamples: 4})
+	drift := NewDriftTracker(reg, DriftConfig{MinSamples: 4})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), Drift: drift, DriftRetrain: false,
 	})
@@ -874,10 +902,7 @@ func TestRetrainerDriftDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := reg.Current()
-	drift.Record(ServedModel{
-		Target: "", Version: v1.ID, Selector: v1.Selector,
-		BaselineL1: v1.Meta.HoldoutL1, BaselineN: v1.Meta.HoldoutN,
-	}, repeat(0.95, 8))
+	drift.Record(v1, repeat(0.95, 8))
 	if len(r.driftDue()) != 0 {
 		t.Fatal("driftDue should be empty with DriftRetrain off")
 	}

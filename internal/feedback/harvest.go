@@ -28,9 +28,9 @@ type HarvestStats struct {
 // online-harvested corpus is bit-identical to a batch harvest of the same
 // traces. When wired with a DriftTracker it additionally closes the
 // observed-vs-predicted loop: each harvested example's errors are
-// replayed through the selector version that served the query, and the
-// served estimator's error is recorded against that version's routing
-// target.
+// replayed through the selector version pinned to the query at start,
+// and the served estimator's error is recorded into that version's own
+// drift window.
 type Harvester struct {
 	store *ExampleStore
 	// minObs filters pipelines with too few counter snapshots (<= 0 uses
@@ -70,17 +70,17 @@ func (h *Harvester) HarvestTrace(tr *exec.Trace, workloadName, family string, qu
 // the query at start — its observed errors feed the drift tracker and
 // the canary. It runs on the executing goroutine, after the query's last
 // snapshot.
-func (h *Harvester) HarvestView(view *progress.OnlineView, tr *exec.Trace, workloadName, family string, queryIndex int, served *ServedModel) (int, error) {
+func (h *Harvester) HarvestView(view *progress.OnlineView, tr *exec.Trace, workloadName, family string, queryIndex int, served *Version) (int, error) {
 	return h.harvest(tr, workload.LabelView(view, tr, workloadName, family, queryIndex, h.minObs), served)
 }
 
 // harvest appends the labelled examples of tr and runs the drift join:
-// with a non-nil served model, the errors the serving selector's choices
-// incur on the freshly harvested examples are recorded into the drift
-// tracker under the version's routing target. The join uses exactly the
-// examples that land in the corpus — the drift verdict and the
-// retrainer's training set always agree on what was observed.
-func (h *Harvester) harvest(tr *exec.Trace, exs []selection.Example, served *ServedModel) (int, error) {
+// with a non-nil served version, the errors its selector's choices incur
+// on the freshly harvested examples are recorded into that version's
+// drift window. The join uses exactly the examples that land in the
+// corpus — the drift verdict and the retrainer's training set always
+// agree on what was observed.
+func (h *Harvester) harvest(tr *exec.Trace, exs []selection.Example, served *Version) (int, error) {
 	n, err := h.store.AppendAll(exs)
 	h.mu.Lock()
 	h.stats.Queries++
@@ -101,11 +101,11 @@ func (h *Harvester) harvest(tr *exec.Trace, exs []selection.Example, served *Ser
 			obs[i] = exs[i].ErrL1[served.Selector.Select(exs[i].Features)]
 		}
 		if h.drift != nil {
-			h.drift.Record(*served, obs)
+			h.drift.Record(served, obs)
 		}
 		// The challenger replays exactly the queries the champion served —
 		// obs already holds the champion's per-example error.
-		h.canary.Observe(served.Target, served.Version, exs[:n], obs)
+		h.canary.Observe(served, exs[:n], obs)
 	}
 	return n, err
 }

@@ -51,12 +51,15 @@ type VersionMeta struct {
 	BaselineL1 float64
 }
 
-// Version is one published selector with its metadata. Versions are
-// immutable after publication.
+// Version is one published selector with its metadata. ID, Selector and
+// Meta are immutable after publication; the drift window judging the
+// version hangs off it, written only under its DriftTracker's lock.
 type Version struct {
 	ID       int
 	Selector *selection.Selector
 	Meta     VersionMeta
+
+	drift *driftWindow
 }
 
 // Registry holds the published selector versions and, per routing target

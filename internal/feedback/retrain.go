@@ -62,6 +62,14 @@ type QualityGate struct {
 // of the serving model.
 const gateAbsSlack = 0.01
 
+// passes reports whether a candidate with L1 error candL1 stays within
+// the gate's tolerance of a baseline measured at baseL1 on the same
+// examples — the one inequality the holdout gate and the canary's live
+// verdict share.
+func (g QualityGate) passes(candL1, baseL1 float64) bool {
+	return candL1 <= baseL1*(1+g.Tolerance)+gateAbsSlack
+}
+
 func (g QualityGate) withDefaults() QualityGate {
 	switch {
 	case g.Tolerance < 0:
@@ -518,7 +526,7 @@ func (r *Retrainer) publishFit(f *targetFit, source string, observedL1 float64) 
 		!r.cfg.Gate.Disabled && f.candEv.N > 0 && serving.Selector != nil && len(serving.Selector.Kinds) > 0 {
 		servEv := selection.Evaluate(serving.Selector, f.holdout)
 		meta.BaselineL1 = servEv.AvgL1
-		if servEv.N > 0 && f.candEv.AvgL1 > servEv.AvgL1*(1+r.cfg.Gate.Tolerance)+gateAbsSlack {
+		if servEv.N > 0 && !r.cfg.Gate.passes(f.candEv.AvgL1, servEv.AvgL1) {
 			v := r.reg.Record(f.sel, meta)
 			r.recordDecision(v, source, observedL1)
 			return v
@@ -534,7 +542,7 @@ func (r *Retrainer) publishFit(f *targetFit, source string, observedL1 float64) 
 	// exactly the asymmetry the gate above already encodes.
 	if r.cfg.Canary.enabled() && source != "manual" {
 		if serving != nil && serving.Selector != nil {
-			r.cfg.Canary.propose(f, meta, source, observedL1, serving.ID, time.Now())
+			r.cfg.Canary.propose(f, meta, source, observedL1, serving, time.Now())
 			r.appendDecision(TrainDecision{
 				At:         meta.TrainedAt,
 				Trigger:    source,
@@ -548,32 +556,8 @@ func (r *Retrainer) publishFit(f *targetFit, source string, observedL1 float64) 
 		}
 	}
 	v := r.reg.Publish(f.sel, meta)
-	if source == "drift" && serving != nil {
-		r.rekeyDrift(v, serving.ID)
-	}
 	r.recordDecision(v, source, observedL1)
 	return v
-}
-
-// servedModel is the drift-join form of a registry version.
-func servedModel(v *Version) ServedModel {
-	return ServedModel{
-		Target: v.Meta.Family, Version: v.ID, Selector: v.Selector,
-		BaselineL1: v.Meta.HoldoutL1, BaselineN: v.Meta.HoldoutN,
-	}
-}
-
-// rekeyDrift moves the target's drift window onto v, the version a
-// drift-triggered retrain just published over superseded. It must run
-// BEFORE the accepted decision is recorded: a reader that sees the
-// decision (Learning.DriftStatus reads decisions first, windows second)
-// then never finds the superseded version still drifting next to it, and
-// a late harvest pinned to the superseded version is dropped instead of
-// re-firing the verdict against a model that no longer serves.
-func (r *Retrainer) rekeyDrift(v *Version, superseded int) {
-	if r.cfg.Drift != nil {
-		r.cfg.Drift.Rebind(v.Meta.Family, servedModel(v), superseded)
-	}
 }
 
 // trainTarget fits and publishes one routing target in one step.
@@ -627,12 +611,12 @@ func (r *Retrainer) driftDue() []DriftState {
 
 // retrainDrifted trains exactly the drifted routing targets (source
 // "drift"), leaving every healthy target's model untouched. On acceptance
-// the publish re-keys the target's drift window to the new version (see
-// rekeyDrift); on a gate rejection or a canary divert the window is reset,
-// forcing MinSamples fresh observations before the verdict can fire
-// again, so a model that cannot be improved does not spin a retrain per
-// poll tick. The size/age growth budget is untouched: drift is an
-// independent trigger.
+// the new version serves with a window of its own, so the drifted one is
+// no longer read; on a gate rejection or a canary divert the judged
+// version's window is reset, forcing MinSamples fresh observations before
+// the verdict can fire again, so a model that cannot be improved does not
+// spin a retrain per poll tick. The size/age growth budget is untouched:
+// drift is an independent trigger.
 func (r *Retrainer) retrainDrifted() {
 	r.trainMu.Lock()
 	defer r.trainMu.Unlock()
@@ -645,42 +629,18 @@ func (r *Retrainer) retrainDrifted() {
 // corpus again; family targets otherwise use SnapshotFamily, which the
 // segment indexes reduce to exactly that family's records.
 func (r *Retrainer) retrainDriftedLocked(shared []selection.Example) {
-	// Re-check after winning trainMu: a concurrent manual retrain may
-	// have just replaced the drifted version.
-	drifted := r.driftDue()
-	if len(drifted) == 0 {
-		return
-	}
-	// Cheap reconciliation pass first, so a tick where nothing is
-	// actionable (every verdict stale, pinned or cooling down) costs no
-	// corpus snapshot. A verdict is only actionable while the version it
-	// judged is still the one serving the target: an operator pin or a
-	// rollback past the target's last version means they moved OFF this
-	// model family deliberately — honor it exactly like the size/age
-	// path does (an ungated drift publish would override the pin) and
-	// tombstone the window so it stops re-firing. A different serving
-	// version (concurrent manual retrain or rollback) means the
-	// verdict's evidence is about a replaced model: re-key the window to
-	// the current version instead of training against stale
-	// observations. Finally the per-target cooldown mirrors the
-	// size/age path's age gate — the window is left alone, so a held
-	// verdict simply re-fires on the first tick past MinInterval.
-	actionable := drifted[:0]
-	for _, st := range drifted {
-		cur := r.reg.CurrentFor(st.Target)
-		if cur == nil || cur.Meta.Family != st.Target ||
-			(st.Target != "" && r.reg.FallbackPinned(st.Target)) {
-			r.cfg.Drift.Rebind(st.Target, ServedModel{Target: st.Target}, st.Version)
-			continue
+	// Read after winning trainMu: a concurrent manual retrain may have
+	// just replaced the drifted version, whose window the routing table
+	// then no longer reads. The per-target cooldown mirrors the size/age
+	// path's age gate — the window is left alone, so a held verdict
+	// simply re-fires on the first tick past MinInterval — and is checked
+	// before any corpus read, so a tick where every verdict is cooling
+	// down costs no snapshot.
+	var actionable []DriftState
+	for _, st := range r.driftDue() {
+		if time.Since(r.lastDriftAt[st.Target]) >= r.cfg.Policy.MinInterval {
+			actionable = append(actionable, st)
 		}
-		if cur.ID != st.Version {
-			r.cfg.Drift.Rebind(st.Target, servedModel(cur), st.Version)
-			continue
-		}
-		if time.Since(r.lastDriftAt[st.Target]) < r.cfg.Policy.MinInterval {
-			continue
-		}
-		actionable = append(actionable, st)
 	}
 	if len(actionable) == 0 {
 		return
@@ -759,7 +719,7 @@ func (r *Retrainer) retrainDriftedLocked(shared []selection.Example) {
 		if v != nil && v.Meta.Decision == DecisionAccepted {
 			published = true
 			r.clearDriftRejects(st.Target)
-			continue // publishFit already re-keyed the window to v
+			continue
 		}
 		// The judged version keeps serving — rejected by the gate, or the
 		// candidate was diverted into canary confirmation (v == nil; the
@@ -799,8 +759,7 @@ func (r *Retrainer) resolveCanariesLocked() {
 		// serving: a manual retrain, rollback or pin in the meantime makes
 		// the comparison moot — record the challenger as rejected (the
 		// history keeps it inspectable) and move on.
-		serving := r.reg.CurrentFor(target)
-		if serving == nil || serving.Meta.Family != target || serving.ID != st.champion {
+		if r.reg.CurrentFor(target) != st.champion {
 			v := r.reg.Record(st.fit.sel, st.meta)
 			r.recordDecision(v, "canary", st.observedL1)
 			continue
@@ -811,10 +770,9 @@ func (r *Retrainer) resolveCanariesLocked() {
 			// The live comparison supersedes the training-time baseline:
 			// record what the verdict was actually judged against.
 			st.meta.BaselineL1 = champMean
-			if chalMean <= champMean*(1+r.cfg.Gate.Tolerance)+gateAbsSlack {
+			if r.cfg.Gate.passes(chalMean, champMean) {
 				v := r.reg.Publish(st.fit.sel, st.meta)
 				if st.source == "drift" {
-					r.rekeyDrift(v, st.champion)
 					r.clearDriftRejects(target)
 				}
 				r.recordDecision(v, "canary", chalMean)
@@ -846,59 +804,57 @@ func (r *Retrainer) resolveCanariesLocked() {
 	}
 }
 
+// Rollback moves family's routing target ("" = the global model) back
+// to its previous accepted version — or, for a family with none, pins it
+// to the global fallback — exactly as Registry.Rollback does, then
+// settles what hangs off the route: the target's pending challenger is
+// dropped (it was shadow-scoring against the rolled-off model) and the
+// version now serving the target starts a fresh drift window. A family
+// rolled back past its last version leaves the global model's window
+// alone. The operator's rollback and the auto-rollback breaker both come
+// here. It does not take trainMu, so an operator rollback never waits
+// behind a training run.
+func (r *Retrainer) Rollback(family string) (*Version, error) {
+	v, err := r.reg.Rollback(family)
+	if err != nil {
+		return nil, err
+	}
+	r.cfg.Canary.Drop(family)
+	if r.cfg.Drift != nil && v.Meta.Family == family {
+		r.cfg.Drift.Reset(family)
+	}
+	return v, nil
+}
+
 // autoRollbackLocked trips the drift breaker for one routing target:
 // DriftRejectLimit consecutive drift-triggered retrains produced nothing
 // the gate (or the canary) would accept, so the live corpus cannot
 // currently beat the serving model — yet that model keeps drifting. The
 // champion itself is the problem; retraining harder will not fix it.
-// Roll the target back to its previous accepted version (a family with
-// no earlier version of its own is pinned to the global fallback)
-// exactly as an operator rollback would, re-keying the drift window to
-// whatever now serves. Requires trainMu.
+// Roll the target back exactly as an operator rollback would (see
+// Rollback) and record the decision. Requires trainMu.
 func (r *Retrainer) autoRollbackLocked(target string, observedL1 float64) bool {
-	r.cfg.Canary.Drop(target)
-	rolledFrom := 0
-	if from := r.reg.CurrentFor(target); from != nil && from.Meta.Family == target {
-		rolledFrom = from.ID
-	}
-	v, err := r.reg.Rollback(target)
+	v, err := r.Rollback(target)
 	d := TrainDecision{
 		At:         time.Now(),
 		Trigger:    "auto-rollback",
 		Family:     target,
 		ObservedL1: observedL1,
 	}
-	switch {
-	case err != nil:
+	if err != nil {
 		// Nothing to fall back to (a global model with no accepted
 		// predecessor). The breaker still resets — re-tripping it every
 		// K rejections would only spam the decision ring.
 		d.Decision = "rollback_unavailable"
-	case target != "" && r.reg.FallbackPinned(target):
-		d.Decision = "pinned_to_global"
-		d.Version = v.ID
-		d.HoldoutL1 = v.Meta.HoldoutL1
-	default:
+	} else {
 		d.Decision = "rolled_back"
-		d.Version = v.ID
-		d.HoldoutL1 = v.Meta.HoldoutL1
+		if v.Meta.Family != target {
+			d.Decision = "pinned_to_global"
+		}
+		d.Version, d.HoldoutL1 = v.ID, v.Meta.HoldoutL1
 	}
 	r.appendDecision(d)
-	if err != nil {
-		return false
-	}
-	// Re-key the drift window to the rolled-back-to model (mirrors the
-	// operator rollback path in Learning.rollback): the bound version
-	// moved backwards, which harvest-driven re-keying cannot express. A
-	// family pinned to global tombstones its window instead.
-	if r.cfg.Drift != nil {
-		if cur := r.reg.CurrentFor(target); cur != nil && cur.Meta.Family == target {
-			r.cfg.Drift.Rebind(target, servedModel(cur), rolledFrom)
-		} else {
-			r.cfg.Drift.Rebind(target, ServedModel{Target: target}, rolledFrom)
-		}
-	}
-	return true
+	return err == nil
 }
 
 // clearDriftRejects resets the target's consecutive-rejection streak

@@ -285,7 +285,7 @@ func ReadCorpus(dir string) ([]selection.Example, error) {
 		if err != nil {
 			return nil, fmt.Errorf("feedback: read corpus: %w", err)
 		}
-		exs, _, _, _, err := scanRecords(data, name, true) // read-only: never truncates
+		exs, _, _, _, err := scanRecords(data, name) // read-only: never truncates
 		if err != nil {
 			return nil, err
 		}
@@ -353,15 +353,12 @@ func readTailSegment(path string, index int) (*segment, error) {
 	return seg, nil
 }
 
-// scanRecords validates a segment image's header and walks its records,
-// returning the record count, the byte offset of the end of the last
-// intact record and the segment's format version. With decode set it also
-// materialises the examples; with it clear only the FIRST record is
-// decoded — a cheap sanity check that catches estimator-set/version skew
-// at open time — and the rest are verified by CRC alone. Torn or corrupt
-// trailing records are ignored (never an error): the caller decides
-// whether to truncate them away.
-func scanRecords(data []byte, path string, decode bool) ([]selection.Example, int, int, int, error) {
+// scanRecords validates a segment image's header and decodes its
+// records, returning the examples, the record count, the byte offset of
+// the end of the last intact record and the segment's format version.
+// Torn or corrupt trailing records are ignored (never an error): the
+// caller decides whether to truncate them away.
+func scanRecords(data []byte, path string) ([]selection.Example, int, int, int, error) {
 	format, err := segFormat(data, path)
 	if err != nil {
 		return nil, 0, 0, 0, err
@@ -374,15 +371,11 @@ func scanRecords(data []byte, path string, decode bool) ([]selection.Example, in
 		if !ok {
 			break // torn or corrupt record; everything after it is suspect
 		}
-		if decode || count == 0 {
-			ex, err := decodeExample(payload)
-			if err != nil {
-				return nil, 0, 0, 0, fmt.Errorf("feedback: %s: %w", path, err)
-			}
-			if decode {
-				examples = append(examples, ex)
-			}
+		ex, err := decodeExample(payload)
+		if err != nil {
+			return nil, 0, 0, 0, fmt.Errorf("feedback: %s: %w", path, err)
 		}
+		examples = append(examples, ex)
 		count++
 		off += recHeaderSize + int64(n)
 	}
@@ -620,7 +613,7 @@ func (s *ExampleStore) decodeView(v segView) ([]selection.Example, error) {
 	if int64(len(data)) > v.limit {
 		data = data[:v.limit]
 	}
-	exs, _, _, _, err := scanRecords(data, v.path, true)
+	exs, _, _, _, err := scanRecords(data, v.path)
 	if err != nil {
 		return nil, err
 	}
@@ -734,7 +727,7 @@ func (s *ExampleStore) decodeViewFamily(v segView, family string) ([]selection.E
 			// segments are immutable). Fall back to the full scan, whose
 			// corruption semantics — keep the intact prefix — are the
 			// ground truth the index is only a shortcut for.
-			exs, _, _, _, err := scanRecords(data, v.path, true)
+			exs, _, _, _, err := scanRecords(data, v.path)
 			if err != nil {
 				return nil, err
 			}

@@ -60,7 +60,7 @@ func FuzzScanRecords(f *testing.F) {
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		exs, count, good, format, err := scanRecords(data, "fuzz", true)
+		exs, count, good, format, err := scanRecords(data, "fuzz")
 		if err != nil {
 			return
 		}
@@ -70,7 +70,7 @@ func FuzzScanRecords(f *testing.F) {
 		if len(exs) != count {
 			t.Fatalf("decoded %d examples but counted %d", len(exs), count)
 		}
-		exs2, count2, good2, format2, err := scanRecords(data[:good], "fuzz", true)
+		exs2, count2, good2, format2, err := scanRecords(data[:good], "fuzz")
 		if err != nil {
 			t.Fatalf("rescan of the good prefix failed: %v", err)
 		}
@@ -212,7 +212,7 @@ func TestStoreCRCCorruptionEveryByte(t *testing.T) {
 	for off := rec2; off < rec2end; off++ {
 		mut := append([]byte(nil), img...)
 		mut[off] ^= 0x01
-		exs, count, good, _, err := scanRecords(mut, "crc", true)
+		exs, count, good, _, err := scanRecords(mut, "crc")
 		if err != nil {
 			t.Fatalf("offset %d: scan errored: %v", off, err)
 		}
@@ -227,7 +227,7 @@ func TestStoreCRCCorruptionEveryByte(t *testing.T) {
 	}
 
 	// Intact image as control: all three records scan.
-	if _, count, good, _, err := scanRecords(img, "crc", true); err != nil || count != 3 || good != len(img) {
+	if _, count, good, _, err := scanRecords(img, "crc"); err != nil || count != 3 || good != len(img) {
 		t.Fatalf("control scan: count %d good %d err %v", count, good, err)
 	}
 
@@ -257,7 +257,7 @@ func TestStoreCRCCorruptionEveryByte(t *testing.T) {
 	if !bytes.Equal(data[:rec2], img[:rec2]) {
 		t.Fatal("recovery damaged the intact prefix")
 	}
-	if _, count, _, _, err := scanRecords(data, "healed", true); err != nil || count != 2 {
+	if _, count, _, _, err := scanRecords(data, "healed"); err != nil || count != 2 {
 		t.Fatalf("healed segment: count %d err %v", count, err)
 	}
 }

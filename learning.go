@@ -28,9 +28,9 @@ type LearningConfig struct {
 	// Poll is how often the retrain policy is evaluated. It defaults to
 	// 5s, capped at MinInterval when that is shorter — a sub-5s
 	// -retrain-every must not silently wait for a 5s tick.
+	Poll time.Duration
 	// DisableBackground turns the background retrainer off entirely;
 	// Retrain can still be called manually (e.g. via POST /models/retrain).
-	Poll              time.Duration
 	DisableBackground bool
 	// SeedExamples, when non-empty, is a synthetic corpus (e.g. a batch
 	// Harvest) mixed into every training set so early versions trained on
@@ -92,9 +92,9 @@ type LearningConfig struct {
 	// fixed estimators.
 	DisablePersist bool
 	// DriftWindow, DriftMinSamples, DriftRatio and DriftAbsSlack tune the
-	// observed-vs-predicted drift monitor: per routing target, the mean L1
-	// error the serving version's estimator choices incur on the last
-	// DriftWindow harvested pipelines (default 256) is compared against
+	// observed-vs-predicted drift monitor: per serving version, the mean
+	// L1 error its estimator choices incur on the last DriftWindow
+	// harvested pipelines it served (default 256) is compared against
 	// the version's recorded holdout baseline once at least
 	// DriftMinSamples observations accrued (default 32); the target counts
 	// as drifted when observed > baseline*DriftRatio + DriftAbsSlack
@@ -274,7 +274,7 @@ func OpenLearning(cfg LearningConfig) (*Learning, error) {
 	if poll <= 0 && cfg.MinInterval > 0 && cfg.MinInterval < 5*time.Second {
 		poll = cfg.MinInterval
 	}
-	drift := feedback.NewDriftTracker(feedback.DriftConfig{
+	drift := feedback.NewDriftTracker(reg, feedback.DriftConfig{
 		Window:     cfg.DriftWindow,
 		MinSamples: cfg.DriftMinSamples,
 		Ratio:      cfg.DriftRatio,
@@ -375,32 +375,9 @@ func (l *Learning) RollbackFamily(family string) (ModelVersion, error) {
 // persisted routing table), distinctly from err, which means the
 // rollback itself did not happen.
 func (l *Learning) rollback(family string) (v ModelVersion, persistErr, err error) {
-	// The version about to be rolled off: the drift tracker needs its id
-	// as a drop floor — if it never finished a query, the tracker's own
-	// high-water mark has not seen it, and its first straggler harvest
-	// would otherwise masquerade as a fresh publish.
-	rolledFrom := 0
-	if from := l.reg.CurrentFor(family); from != nil && from.Meta.Family == family {
-		rolledFrom = from.ID
-	}
-	rv, err := l.reg.Rollback(family)
+	rv, err := l.ret.Rollback(family)
 	if err != nil {
 		return ModelVersion{}, nil, err
-	}
-	// An operator moving off this model line moots any pending challenger
-	// for the target — it was shadow-scoring against the rolled-off model.
-	l.canary.Drop(family)
-	// Re-key the target's drift window to what now serves it. The bound
-	// version moved BACKWARDS, which harvest-driven re-keying alone
-	// cannot express (a lower id normally means a late harvest to drop);
-	// without this the window would silently discard every observation
-	// about the rolled-back-to model. Rolling a family back past its last
-	// version tombstones its window instead — its queries route to the
-	// global target now.
-	if sm := l.servedFor(family); sm != nil && sm.Target == family {
-		l.drift.Rebind(family, *sm, rolledFrom)
-	} else {
-		l.drift.Rebind(family, feedback.ServedModel{Target: family}, rolledFrom)
 	}
 	if l.models != nil {
 		// The routing table changed; refresh the persisted manifest so a
@@ -473,10 +450,7 @@ func (l *Learning) DriftStatus() []DriftStatus {
 }
 
 // driftReport returns DriftStatus and the decision history it was joined
-// with, from one read of each. Decisions first, windows second: the
-// retrainer re-keys a target's window before it records the accepted
-// decision, so a decision in the report is never paired with the window
-// of the version it replaced, nor missing from its target's provenance.
+// with, from one read of each.
 func (l *Learning) driftReport() ([]DriftStatus, []RetrainDecision) {
 	decisions := l.Decisions()
 	states := l.drift.Statuses()
@@ -571,27 +545,6 @@ func (l *Learning) modelVersion(v *feedback.Version) ModelVersion {
 		Decision:   v.Meta.Decision,
 		BaselineL1: v.Meta.BaselineL1,
 		Current:    l.reg.IsCurrent(v),
-	}
-}
-
-// servedFor resolves the serving version for a new query of the given
-// routing target ("" = the global model; a family name falls back to the
-// global model when the family has no trained version), pinned into the
-// ServedModel form the drift join consumes: selector, version id, the
-// family the version was trained for ("" when the global model
-// answered), and its holdout baseline. Nil before the first published
-// version.
-func (l *Learning) servedFor(family string) *feedback.ServedModel {
-	v := l.reg.CurrentFor(family)
-	if v == nil {
-		return nil
-	}
-	return &feedback.ServedModel{
-		Target:     v.Meta.Family,
-		Version:    v.ID,
-		Selector:   v.Selector,
-		BaselineL1: v.Meta.HoldoutL1,
-		BaselineN:  v.Meta.HoldoutN,
 	}
 }
 

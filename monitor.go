@@ -99,11 +99,12 @@ type Monitor struct {
 	// completes; the last value delivered has Done == true.
 	Updates <-chan ProgressUpdate
 
-	version     int
-	family      string
-	modelFamily string
-	shard       int
-	class       string
+	// served is the registry version pinned at start (nil when none
+	// applied).
+	served *feedback.Version
+	family string
+	shard  int
+	class  string
 	// obs assembles the updates; finish drops it, keeping only its view.
 	obs *monitorObserver
 	// release gives the admission slot back at the run's end (nil for a
@@ -137,7 +138,12 @@ func (m *Monitor) Wait() (*QueryRun, error) {
 // learning configured, an explicit Selector, or no version published
 // yet). The version is pinned at Start, so a swap mid-query never mixes
 // models within one execution.
-func (m *Monitor) ModelVersion() int { return m.version }
+func (m *Monitor) ModelVersion() int {
+	if m.served == nil {
+		return 0
+	}
+	return m.served.ID
+}
 
 // Family returns the workload family of the monitored query (see
 // Workload.QueryFamily) — the key per-family model routing dispatches on.
@@ -146,7 +152,12 @@ func (m *Monitor) Family() string { return m.family }
 // ModelFamily returns the routing target of the selector version serving
 // this query: the query's own family when a family-trained model serves
 // it, "" when the global model (or no model at all) does.
-func (m *Monitor) ModelFamily() string { return m.modelFamily }
+func (m *Monitor) ModelFamily() string {
+	if m.served == nil {
+		return ""
+	}
+	return m.served.Meta.Family
+}
 
 // Shard returns the engine shard whose admission slot the query holds, or
 // -1 when the query was started directly on a Workload rather than
@@ -313,9 +324,7 @@ func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, starts *progress.P
 	// the version routed for its family when RouteByFamily is on, else the
 	// global one.
 	var sel *selection.Selector
-	var served *feedback.ServedModel
-	version := 0
-	modelFamily := ""
+	var served *feedback.Version
 	if opts.Selector != nil {
 		sel = opts.Selector.inner
 	} else if opts.Learning != nil {
@@ -323,10 +332,8 @@ func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, starts *progress.P
 		if opts.RouteByFamily {
 			target = family
 		}
-		if served = opts.Learning.servedFor(target); served != nil {
+		if served = opts.Learning.reg.CurrentFor(target); served != nil {
 			sel = served.Selector
-			version = served.Version
-			modelFamily = served.Target
 		}
 	}
 	if sel != nil {
@@ -345,9 +352,9 @@ func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, starts *progress.P
 		ch:    make(chan ProgressUpdate, 1),
 	}
 	if opts.Learning != nil {
-		// The pinned served model rides along so the harvester can join
-		// the run's eventual estimator errors back to the version (and
-		// routing target) that served it — the drift monitor's signal.
+		// The pinned served version rides along so the harvester can join
+		// the run's eventual estimator errors back to the version that
+		// served it — the drift monitor's signal.
 		// Append errors land in the harvester's stats; the query must not
 		// fail because the corpus is unavailable.
 		harv := opts.Learning.harv
@@ -356,13 +363,12 @@ func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, starts *progress.P
 		}
 	}
 	return &Monitor{
-		Updates:     obs.ch,
-		version:     version,
-		family:      family,
-		modelFamily: modelFamily,
-		shard:       -1,
-		obs:         obs,
-		done:        make(chan struct{}),
+		Updates: obs.ch,
+		served:  served,
+		family:  family,
+		shard:   -1,
+		obs:     obs,
+		done:    make(chan struct{}),
 	}, nil
 }
 

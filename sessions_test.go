@@ -134,10 +134,19 @@ func TestSessionHTTPLifecycle(t *testing.T) {
 		t.Fatalf("unknown wire field: status %d", code)
 	}
 
-	// Live progress is readable mid-stream.
+	// Live progress is readable mid-stream. The session's first update
+	// reaches the route once the mirror goroutine has copied it, so poll
+	// against a bounded deadline until it is there.
 	var prog runInfo
-	if code := doJSON(t, http.MethodGet, srv.URL+"/sessions/"+id+"/progress", "", &prog); code != http.StatusOK {
-		t.Fatalf("progress: status %d", code)
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		prog = runInfo{}
+		if code := doJSON(t, http.MethodGet, srv.URL+"/sessions/"+id+"/progress", "", &prog); code != http.StatusOK {
+			t.Fatalf("progress: status %d", code)
+		}
+		if prog.Update != nil || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if prog.State != "open" || prog.Done {
 		t.Fatalf("mid-stream progress: %+v", prog)
