@@ -3,6 +3,7 @@
 package progressest
 
 import (
+	"runtime"
 	"testing"
 
 	"progressest/internal/progress"
@@ -48,17 +49,17 @@ func TestQueryEstimateZeroAlloc(t *testing.T) {
 	}
 }
 
-// startToDoneAllocs is the average allocation count of one monitored
+// startToDoneCost is the allocation count and heap bytes of one monitored
 // query of BenchmarkMonitorStartToDone's fixture — Start, every update
-// drained, Wait — past the runs that fill the plan entry.
-func startToDoneAllocs(t *testing.T, opts MonitorOptions) float64 {
+// drained, Wait — past the run that fills the plan entry, averaged the
+// way testing.AllocsPerRun averages (on one P, the count truncated).
+func startToDoneCost(t *testing.T, opts MonitorOptions) (allocs, bytes float64) {
 	t.Helper()
 	w, err := Open(Config{Dataset: TPCH, Queries: 2, Scale: 0.08, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// AllocsPerRun's warm-up run plans the query and fills its entry.
-	return testing.AllocsPerRun(50, func() {
+	query := func() {
 		m, err := w.Start(0, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -68,11 +69,23 @@ func startToDoneAllocs(t *testing.T, opts MonitorOptions) float64 {
 		if _, err := m.Wait(); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	query() // plans the query and fills its entry
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / runs), float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
 // startToDoneAllocCeiling bounds a whole monitored query about 15 % over
-// the 78 allocations it measures today (81 while Wait built a second
+// the 64 allocations it measures today (78 while the hash operators
+// indexed keys in Go maps and every join and Project output row was
+// carved from the row arena; 81 while Wait built a second
 // eq. 5 over the finished view and a fixed estimator carried marker
 // cursors; 95 while Wait rebuilt every
 // pipeline context to replay the trace offline; 123 while every run
@@ -81,27 +94,43 @@ func startToDoneAllocs(t *testing.T, opts MonitorOptions) float64 {
 // stopped being allocated row by row). Every piece of a run's working
 // memory is sized by the run, none recycled through a pool, so the count
 // does not move with the collector's timing.
-const startToDoneAllocCeiling = 90
+const startToDoneAllocCeiling = 74
+
+// startToDoneByteCeiling bounds the same query's heap bytes about 4 % over
+// the 132.3 KB it measures today (144.7 KB while the hash operators
+// indexed keys in Go maps and every join and Project output row was
+// carved from the row arena). The bytes repeat to a few bytes run to run,
+// and join and Project outputs carved per row again read 140.5 KB (+6 %)
+// for one more allocation, so only a ceiling this close sees them.
+const startToDoneByteCeiling = 138_000
 
 // TestStartToDoneAllocBudget gates what BENCH_baseline.json only records:
 // a query's set-up and working memory, the dominant per-query cost once
-// the snapshot→update cycle allocates nothing.
+// the snapshot→update cycle allocates nothing — in allocations and in
+// bytes, so rows an operator drops creeping back into the row arena fail
+// here.
 func TestStartToDoneAllocBudget(t *testing.T) {
-	avg := startToDoneAllocs(t, MonitorOptions{})
+	avg, bytes := startToDoneCost(t, MonitorOptions{})
 	if avg > startToDoneAllocCeiling {
 		t.Fatalf("monitored query start-to-done: %v allocs, ceiling %d", avg, startToDoneAllocCeiling)
 	}
-	t.Logf("monitored query start-to-done: %v allocs (ceiling %d)", avg, startToDoneAllocCeiling)
+	if bytes > startToDoneByteCeiling {
+		t.Fatalf("monitored query start-to-done: %.0f bytes, ceiling %d", bytes, startToDoneByteCeiling)
+	}
+	t.Logf("monitored query start-to-done: %v allocs (ceiling %d), %.0f bytes (ceiling %d)",
+		avg, startToDoneAllocCeiling, bytes, startToDoneByteCeiling)
 }
 
 // learningStartToDoneAllocCeiling bounds the same query with Learning
 // attached — its finished run labelled and appended to the corpus before
-// Wait returns — about 15 % over the 105 allocations it measures
-// today (108 while Wait built a second eq. 5 over the finished view;
+// Wait returns — about 15 % over the 91 allocations it measures
+// today (105 while the hash operators indexed keys in Go maps and join
+// and Project outputs were carved per row; 108 while Wait built a second
+// eq. 5 over the finished view;
 // 122 while Wait replayed the trace offline; 176 while every run
 // rebuilt its pipeline contexts; 266 while harvest replayed every
 // estimator through an offline view of the trace).
-const learningStartToDoneAllocCeiling = 121
+const learningStartToDoneAllocCeiling = 105
 
 // TestLearningStartToDoneAllocBudget gates what harvest adds to a
 // monitored query: labelling from the monitor's own view must stay a
@@ -112,7 +141,7 @@ func TestLearningStartToDoneAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lrn.Close()
-	avg := startToDoneAllocs(t, MonitorOptions{Learning: lrn})
+	avg, _ := startToDoneCost(t, MonitorOptions{Learning: lrn})
 	if st := lrn.HarvestStats(); st.Examples == 0 || st.Errors != 0 {
 		t.Fatalf("harvest stats %+v: the query must land examples in the corpus", st)
 	}
@@ -124,21 +153,33 @@ func TestLearningStartToDoneAllocBudget(t *testing.T) {
 
 // selectorStartToDoneAllocCeiling bounds the same query served by a
 // trained selector — native_closed's configuration: a pick at every
-// pipeline start and marker crossing — about 15 % over the 81
-// allocations it measures today (83 while Wait built a second eq. 5 over
-// the finished view; 97 while Wait replayed the trace offline; 151 while
-// every run rebuilt its pipeline contexts and static feature prefixes).
-const selectorStartToDoneAllocCeiling = 93
+// pipeline start and marker crossing — about 15 % over the 67
+// allocations it measures today (81 while the hash operators indexed keys
+// in Go maps and join and Project outputs were carved per row; 83 while
+// Wait built a second eq. 5 over the finished view; 97 while Wait
+// replayed the trace offline; 151 while every run rebuilt its pipeline
+// contexts and static feature prefixes).
+const selectorStartToDoneAllocCeiling = 77
+
+// selectorStartToDoneByteCeiling bounds the same query's heap bytes about
+// 4 % over the 135.9 KB it measures today (148.3 KB before; 144.1 KB with
+// join and Project outputs carved per row again) — see
+// startToDoneByteCeiling.
+const selectorStartToDoneByteCeiling = 141_500
 
 // TestSelectorStartToDoneAllocBudget gates what selection adds to a
 // monitored query: the static prefix comes from the plan entry, so a
 // pick must stay a copy into the pipeline's feature scratch.
 func TestSelectorStartToDoneAllocBudget(t *testing.T) {
-	avg := startToDoneAllocs(t, MonitorOptions{Selector: trainedSelector(t)})
+	avg, bytes := startToDoneCost(t, MonitorOptions{Selector: trainedSelector(t)})
 	if avg > selectorStartToDoneAllocCeiling {
 		t.Fatalf("selector-served query start-to-done: %v allocs, ceiling %d", avg, selectorStartToDoneAllocCeiling)
 	}
-	t.Logf("selector-served query start-to-done: %v allocs (ceiling %d)", avg, selectorStartToDoneAllocCeiling)
+	if bytes > selectorStartToDoneByteCeiling {
+		t.Fatalf("selector-served query start-to-done: %.0f bytes, ceiling %d", bytes, selectorStartToDoneByteCeiling)
+	}
+	t.Logf("selector-served query start-to-done: %v allocs (ceiling %d), %.0f bytes (ceiling %d)",
+		avg, selectorStartToDoneAllocCeiling, bytes, selectorStartToDoneByteCeiling)
 }
 
 // observeAllocCeiling bounds one POST …/observations of

@@ -388,10 +388,12 @@ func buildIter(ctx *context, n *plan.Node) iter {
 		return &projectIter{ctx: ctx, n: n, child: buildIter(ctx, n.Children[0])}
 	case plan.HashJoin:
 		return &hashJoinIter{ctx: ctx, n: n,
-			probe: buildIter(ctx, n.Children[0]), build: buildIter(ctx, n.Children[1])}
+			probe: buildIter(ctx, n.Children[0]), build: buildIter(ctx, n.Children[1]),
+			copyProbe: transient(n.Children[0]), copyBuild: transient(n.Children[1])}
 	case plan.MergeJoin:
 		return &mergeJoinIter{ctx: ctx, n: n,
-			left: buildIter(ctx, n.Children[0]), right: buildIter(ctx, n.Children[1])}
+			left: buildIter(ctx, n.Children[0]), right: buildIter(ctx, n.Children[1]),
+			copyLeft: transient(n.Children[0]), copyRight: transient(n.Children[1])}
 	case plan.SemiJoin:
 		return &semiJoinIter{ctx: ctx, n: n,
 			probe: buildIter(ctx, n.Children[0]), build: buildIter(ctx, n.Children[1])}
@@ -399,9 +401,9 @@ func buildIter(ctx *context, n *plan.Node) iter {
 		return &nlJoinIter{ctx: ctx, n: n,
 			outer: buildIter(ctx, n.Children[0]), inner: buildIter(ctx, n.Children[1])}
 	case plan.Sort:
-		return &sortIter{ctx: ctx, n: n, child: buildIter(ctx, n.Children[0])}
+		return &sortIter{ctx: ctx, n: n, child: buildIter(ctx, n.Children[0]), copyChild: transient(n.Children[0])}
 	case plan.BatchSort:
-		return &batchSortIter{ctx: ctx, n: n, child: buildIter(ctx, n.Children[0])}
+		return &batchSortIter{ctx: ctx, n: n, child: buildIter(ctx, n.Children[0]), copyChild: transient(n.Children[0])}
 	case plan.HashAgg:
 		return &hashAggIter{ctx: ctx, n: n, child: buildIter(ctx, n.Children[0])}
 	case plan.StreamAgg:

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 
 	"progressest/internal/catalog"
@@ -261,10 +262,16 @@ func TestAggregationValuesCorrect(t *testing.T) {
 	}
 }
 
-// collectRows runs a plan gathering the emitted rows (test helper that
-// bypasses Run's trace machinery).
+// collectRows runs a plan gathering a copy of every emitted row (test
+// helper that bypasses Run's trace machinery). A join or Project root
+// rewrites one row per call, so the rows must be cloned to be kept.
 func collectRows(db *storage.Database, p *plan.Plan) []storage.Row {
-	ctx := newContext(db, p, pipeline.Decompose(p), Options{}.withDefaults(), 1<<30)
+	return runRows(db, p, Options{})
+}
+
+// runRows is collectRows under opts.
+func runRows(db *storage.Database, p *plan.Plan, opts Options) []storage.Row {
+	ctx := newContext(db, p, pipeline.Decompose(p), opts.withDefaults(), 1<<30)
 	root := buildIter(ctx, p.Root)
 	root.open()
 	var rows []storage.Row
@@ -273,7 +280,7 @@ func collectRows(db *storage.Database, p *plan.Plan) []storage.Row {
 		if !ok {
 			break
 		}
-		rows = append(rows, row)
+		rows = append(rows, slices.Clone(row))
 	}
 	root.close()
 	return rows

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"progressest/internal/catalog"
-	"progressest/internal/pipeline"
 	"progressest/internal/plan"
 	"progressest/internal/storage"
 )
@@ -17,8 +16,8 @@ import (
 // ample memory, and with a budget that spills half the partitions, where
 // the resident partitions' matches come first (in probe order) and the
 // spilled probe rows' matches follow (in the order they were written
-// out). A Project on top carves its rows from the same arena as the
-// join. The expectation is computed here from the two tables, not from
+// out). A Project on top rewrites one row per call, as the join below it
+// does. The expectation is computed here from the two tables, not from
 // the operator.
 func TestHashJoinOutputOrder(t *testing.T) {
 	schema := &catalog.Schema{Name: "t", Tables: []*catalog.Table{
@@ -68,19 +67,7 @@ func TestHashJoinOutputOrder(t *testing.T) {
 
 	for _, budget := range []int{0, 40} {
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			pl := mkPlan()
-			ctx := newContext(db, pl, pipeline.Decompose(pl), Options{MemBudgetRows: budget}.withDefaults(), 1<<30)
-			root := buildIter(ctx, pl.Root)
-			root.open()
-			var got []storage.Row
-			for {
-				row, ok := root.next()
-				if !ok {
-					break
-				}
-				got = append(got, row)
-			}
-			root.close()
+			got := runRows(db, mkPlan(), Options{MemBudgetRows: budget})
 
 			var spilled [spillPartitions]bool
 			if nb := len(buildRows); budget > 0 {

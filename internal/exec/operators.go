@@ -19,12 +19,11 @@ type iter interface {
 	close()
 }
 
-// rowArena backs the rows a run's operators build — join and projection
-// outputs, aggregate states — so a run pays one allocation per chunk
-// instead of one per row. A row is written once, by the operator that
-// carves it, before it is emitted; nothing carved here may be retained
-// past RunDecomposed (the Trace holds counters only), so the arena goes
-// with the run's context.
+// rowArena backs the rows a run keeps — aggregate states, the emitting
+// buffers of joins and Project, and the copies operators retain of those
+// buffers' rows — so a run pays one allocation per chunk instead of one
+// per row. Nothing carved here may be retained past RunDecomposed (the
+// Trace holds counters only), so the arena goes with the run's context.
 type rowArena struct {
 	free  []int64 // unused tail of the current chunk
 	chunk int     // words in the current chunk; the next one doubles it
@@ -48,12 +47,44 @@ func (a *rowArena) row(n int) storage.Row {
 	return r
 }
 
-// concat carves the row left ++ right.
-func (a *rowArena) concat(left, right storage.Row) storage.Row {
-	out := a.row(len(left) + len(right))
-	copy(out, left)
-	copy(out[len(left):], right)
+// concatInto writes left ++ right into buf, an emitting iterator's one
+// output row, carving buf on first use, and returns it.
+func (a *rowArena) concatInto(buf, left, right storage.Row) storage.Row {
+	if len(buf) != len(left)+len(right) {
+		buf = a.row(len(left) + len(right))
+	}
+	copy(buf, left)
+	copy(buf[len(left):], right)
+	return buf
+}
+
+// keep returns what an operator may hold of a child's row past the
+// child's next call: the row itself, or — when the child is transient and
+// will overwrite it — a copy carved here.
+func (a *rowArena) keep(row storage.Row, transient bool) storage.Row {
+	if !transient {
+		return row
+	}
+	out := a.row(len(row))
+	copy(out, row)
 	return out
+}
+
+// transient reports whether the rows n's iterator emits live in a buffer
+// it overwrites on its next call: a join's or Project's output row, or
+// one a Filter, Top or SemiJoin passes through from such a child. An
+// operator that holds a child's row past the child's next call copies it
+// (rowArena.keep) when the child is transient; base-table rows and
+// aggregate rows live as long as the run and are held as they are.
+func transient(n *plan.Node) bool {
+	switch n.Op {
+	case plan.HashJoin, plan.MergeJoin, plan.NestedLoopJoin, plan.Project:
+		return true
+	case plan.Filter, plan.Top, plan.SemiJoin:
+		return transient(n.Children[0])
+	default:
+		return false
+	}
 }
 
 // --- scans ---
@@ -200,6 +231,7 @@ type projectIter struct {
 	ctx   *context
 	n     *plan.Node
 	child iter
+	out   storage.Row // the emitted row, rewritten by every call
 }
 
 func (it *projectIter) open() { it.child.open() }
@@ -209,12 +241,14 @@ func (it *projectIter) next() (storage.Row, bool) {
 	if !ok {
 		return nil, false
 	}
-	out := it.ctx.rows.row(len(it.n.ProjCols))
+	if it.out == nil {
+		it.out = it.ctx.rows.row(len(it.n.ProjCols))
+	}
 	for i, c := range it.n.ProjCols {
-		out[i] = row[c]
+		it.out[i] = row[c]
 	}
 	it.ctx.produced(it.n)
-	return out, true
+	return it.out, true
 }
 
 func (it *projectIter) rebind(outer storage.Row) { it.child.rebind(outer) }
@@ -237,8 +271,8 @@ const spillPartitions = 16
 // from key to the group's span.
 type joinTable struct {
 	rows  []storage.Row
-	spans []rowSpan
-	index map[int64]int32 // join key -> ordinal in spans
+	spans []rowSpan // by the key's ordinal in index
+	index keyIndex
 }
 
 // rowSpan is the half-open range of one key's rows in joinTable.rows.
@@ -251,13 +285,12 @@ type rowSpan struct{ lo, hi int32 }
 // the last applies that permutation by following its cycles. Rows that
 // arrive already grouped, as a key column's do, never move.
 func newJoinTable(rows []storage.Row, key int) joinTable {
-	t := joinTable{rows: rows, index: make(map[int64]int32)}
+	// Sized by the row count, the index never grows.
+	t := joinTable{rows: rows, index: newKeyIndex(len(rows))}
 	dest := make([]int32, len(rows)) // first the row's span ordinal, then its final position
 	for i, row := range rows {
-		o, ok := t.index[row[key]]
-		if !ok {
-			o = int32(len(t.spans))
-			t.index[row[key]] = o
+		o, added := t.index.insert(row[key])
+		if added {
 			t.spans = append(t.spans, rowSpan{})
 		}
 		t.spans[o].hi++ // a count until the spans are laid out below
@@ -285,8 +318,8 @@ func newJoinTable(rows []storage.Row, key int) joinTable {
 
 // matches returns the build rows with the key, in build-arrival order.
 func (t *joinTable) matches(k int64) []storage.Row {
-	o, ok := t.index[k]
-	if !ok {
+	o := t.index.find(k)
+	if o < 0 {
 		return nil
 	}
 	sp := t.spans[o]
@@ -298,6 +331,9 @@ type hashJoinIter struct {
 	n     *plan.Node
 	probe iter
 	build iter
+	// copyProbe, copyBuild: the side is transient, so the rows buffered
+	// from it are copies (rowArena.keep).
+	copyProbe, copyBuild bool
 
 	// table holds the whole build side. A key belongs to exactly one
 	// partition, so the rows phase 1 probes (resident partitions) and the
@@ -317,7 +353,8 @@ type hashJoinIter struct {
 
 	matches []storage.Row
 	midx    int
-	cur     storage.Row
+	cur     storage.Row // the probe child is not advanced while it is read
+	out     storage.Row // the emitted row, rewritten by every call
 }
 
 func (it *hashJoinIter) open() {
@@ -340,7 +377,7 @@ func (it *hashJoinIter) open() {
 			break
 		}
 		it.ctx.consumed(it.n)
-		buildRows = append(buildRows, row)
+		buildRows = append(buildRows, it.ctx.rows.keep(row, it.copyBuild))
 	}
 	budget := it.ctx.opts.MemBudgetRows
 	if budget > 0 && len(buildRows) > budget {
@@ -365,9 +402,9 @@ func (it *hashJoinIter) open() {
 }
 
 func (it *hashJoinIter) emit(probeRow, buildRow storage.Row) storage.Row {
-	out := it.ctx.rows.concat(probeRow, buildRow)
+	it.out = it.ctx.rows.concatInto(it.out, probeRow, buildRow)
 	it.ctx.produced(it.n)
-	return out
+	return it.out
 }
 
 func (it *hashJoinIter) next() (storage.Row, bool) {
@@ -390,7 +427,7 @@ func (it *hashJoinIter) next() (storage.Row, bool) {
 		k := row[it.n.JoinLeftCol]
 		if it.spilledPart[mix64(k)%spillPartitions] {
 			// Probe row in a spilled partition: write it out for phase 2.
-			it.spillProbe = append(it.spillProbe, row)
+			it.spillProbe = append(it.spillProbe, it.ctx.rows.keep(row, it.copyProbe))
 			it.ctx.write(it.n, it.probeWidth)
 			it.ctx.spillCall(it.n, it.probeWidth, true)
 			continue
@@ -435,13 +472,13 @@ type semiJoinIter struct {
 	n     *plan.Node
 	probe iter
 	build iter
-	keys  map[int64]struct{}
+	keys  keyIndex
 }
 
 func (it *semiJoinIter) open() {
 	it.probe.open()
 	it.build.open()
-	it.keys = make(map[int64]struct{})
+	it.keys = newKeyIndex(min(int(it.n.Children[1].EstRows), 1<<14))
 	key := it.n.JoinRightCol
 	for {
 		row, ok := it.build.next()
@@ -449,7 +486,7 @@ func (it *semiJoinIter) open() {
 			break
 		}
 		it.ctx.consumed(it.n)
-		it.keys[row[key]] = struct{}{}
+		it.keys.insert(row[key])
 	}
 }
 
@@ -459,7 +496,7 @@ func (it *semiJoinIter) next() (storage.Row, bool) {
 		if !ok {
 			return nil, false
 		}
-		if _, hit := it.keys[row[it.n.JoinLeftCol]]; hit {
+		if it.keys.find(row[it.n.JoinLeftCol]) >= 0 {
 			it.ctx.produced(it.n)
 			return row, true
 		}
@@ -476,8 +513,11 @@ type mergeJoinIter struct {
 	n     *plan.Node
 	left  iter
 	right iter
+	// copyLeft, copyRight: the side is transient, so curLeft — read after
+	// the left child advances — and the group rows are copies.
+	copyLeft, copyRight bool
 
-	lRow, rRow storage.Row
+	lRow, rRow storage.Row // each child is not advanced while its row is read
 	lOK, rOK   bool
 	primed     bool
 
@@ -485,6 +525,7 @@ type mergeJoinIter struct {
 	groupKey int64
 	gidx     int
 	curLeft  storage.Row
+	out      storage.Row // the emitted row, rewritten by every call
 }
 
 func (it *mergeJoinIter) open() {
@@ -507,16 +548,16 @@ func (it *mergeJoinIter) next() (storage.Row, bool) {
 		if it.gidx < len(it.group) {
 			r := it.group[it.gidx]
 			it.gidx++
-			out := it.ctx.rows.concat(it.curLeft, r)
+			it.out = it.ctx.rows.concatInto(it.out, it.curLeft, r)
 			it.ctx.produced(it.n)
-			return out, true
+			return it.out, true
 		}
 		if !it.lOK {
 			return nil, false
 		}
 		// Advance the left row; reuse the buffered group if its key matches.
 		if len(it.group) > 0 && it.lRow[lc] == it.groupKey {
-			it.curLeft = it.lRow
+			it.curLeft = it.ctx.rows.keep(it.lRow, it.copyLeft)
 			it.gidx = 0
 			it.lRow, it.lOK = it.left.next()
 			continue
@@ -540,10 +581,10 @@ func (it *mergeJoinIter) next() (storage.Row, bool) {
 		// Equal keys: buffer the full right group.
 		it.groupKey = it.rRow[rc]
 		for it.rOK && it.rRow[rc] == it.groupKey {
-			it.group = append(it.group, it.rRow)
+			it.group = append(it.group, it.ctx.rows.keep(it.rRow, it.copyRight))
 			it.rRow, it.rOK = it.right.next()
 		}
-		it.curLeft = it.lRow
+		it.curLeft = it.ctx.rows.keep(it.lRow, it.copyLeft)
 		it.gidx = 0
 		it.lRow, it.lOK = it.left.next()
 	}
@@ -558,9 +599,10 @@ type nlJoinIter struct {
 	outer iter
 	inner iter
 
-	curOuter storage.Row
+	curOuter storage.Row // the outer child is not advanced while it is read
 	haveCur  bool
 	opened   bool
+	out      storage.Row // the emitted row, rewritten by every call
 }
 
 func (it *nlJoinIter) open() {
@@ -586,9 +628,9 @@ func (it *nlJoinIter) next() (storage.Row, bool) {
 			it.haveCur = false
 			continue
 		}
-		out := it.ctx.rows.concat(it.curOuter, innerRow)
+		it.out = it.ctx.rows.concatInto(it.out, it.curOuter, innerRow)
 		it.ctx.produced(it.n)
-		return out, true
+		return it.out, true
 	}
 }
 
@@ -609,11 +651,12 @@ func sortRows(rows []storage.Row, cols []int) {
 }
 
 type sortIter struct {
-	ctx   *context
-	n     *plan.Node
-	child iter
-	rows  []storage.Row
-	pos   int
+	ctx       *context
+	n         *plan.Node
+	child     iter
+	copyChild bool // the child is transient: rows holds copies
+	rows      []storage.Row
+	pos       int
 }
 
 func (it *sortIter) open() {
@@ -624,7 +667,7 @@ func (it *sortIter) open() {
 			break
 		}
 		it.ctx.consumed(it.n)
-		it.rows = append(it.rows, row)
+		it.rows = append(it.rows, it.ctx.rows.keep(row, it.copyChild))
 	}
 	// Spill accounting when the input exceeds memory: one write + one read
 	// of the whole input (external merge sort).
@@ -662,12 +705,13 @@ func (it *sortIter) close()             { it.child.close() }
 // rows from its child, sorts them, emits them, then refills. The blocking
 // happens per batch, which is what breaks driver-node-only estimators.
 type batchSortIter struct {
-	ctx   *context
-	n     *plan.Node
-	child iter
-	buf   []storage.Row
-	pos   int
-	done  bool
+	ctx       *context
+	n         *plan.Node
+	child     iter
+	copyChild bool // the child is transient: buf holds copies
+	buf       []storage.Row
+	pos       int
+	done      bool
 }
 
 func (it *batchSortIter) open() {
@@ -687,7 +731,7 @@ func (it *batchSortIter) fill() {
 			break
 		}
 		it.ctx.consumed(it.n)
-		it.buf = append(it.buf, row)
+		it.buf = append(it.buf, it.ctx.rows.keep(row, it.copyChild))
 	}
 	sortRows(it.buf, it.n.SortCols)
 	nb := float64(len(it.buf))
@@ -788,18 +832,15 @@ type hashAggIter struct {
 
 func (it *hashAggIter) open() {
 	it.child.open()
-	byKey := make(map[int64]int32) // group key -> ordinal in groups
+	byKey := newKeyIndex(min(int(it.n.EstRows), 1<<14)) // group key -> ordinal in groups
 	for {
 		row, ok := it.child.next()
 		if !ok {
 			break
 		}
 		it.ctx.consumed(it.n)
-		k := groupKey(row, it.n.GroupCols)
-		g, ok := byKey[k]
-		if !ok {
-			g = int32(len(it.groups))
-			byKey[k] = g
+		g, added := byKey.insert(groupKey(row, it.n.GroupCols))
+		if added {
 			it.groups = append(it.groups, newAggState(it.ctx, it.n, row))
 		}
 		it.groups[g].update(it.n, row)
@@ -825,7 +866,7 @@ type streamAggIter struct {
 	ctx     *context
 	n       *plan.Node
 	child   iter
-	pending storage.Row
+	pending storage.Row // the child is not advanced while it is read
 	havePen bool
 	done    bool
 }
