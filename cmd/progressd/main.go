@@ -85,7 +85,7 @@
 //	          [-learn corpus/] [-retrain-after N] [-retrain-every D]
 //	          [-gate-tolerance F] [-no-gate]
 //	          [-drift-ratio F] [-drift-window N] [-no-drift-retrain]
-//	          [-family-quota N] [-compact-interval D]
+//	          [-family-quota N]
 //	          [-canary-window N] [-canary-max-age D] [-drift-reject-limit N]
 //	          [-corpus-cache-mb N]
 //	          [-pprof addr]
@@ -113,16 +113,17 @@
 // The learning loop scales to large corpora: the corpus is seg-*.log
 // files only, each sealed segment is indexed in memory at open (record
 // offsets and per-family ordinals) and decoded through a bounded cache
-// (-corpus-cache-mb), so a retrain re-reads only the active tail and
-// drift retrains read only the drifted family's records. Every selector
-// fit bins its matrix once and fits the candidate estimators' models on
+// (-corpus-cache-mb), so a retrain re-reads only the active tail. Every
+// background poll takes one corpus snapshot and fits each due target —
+// global, families with new evidence, drifted targets — at most once.
+// Every selector fit bins its matrix once and fits the candidate estimators' models on
 // min(GOMAXPROCS, candidates) goroutines; there is no knob.
 //
 // -family-quota protects sparse workload families from burst traffic:
 // retention and compaction keep at least N examples of every tagged
-// family on disk, and a background compactor (every -compact-interval)
-// rewrites sealed segments, downsampling the largest (family, plan
-// signature) groups first, so one hot family's flood cannot evict the
+// family on disk, and every background retrainer poll first compacts the
+// corpus, rewriting sealed segments and downsampling the largest (family,
+// plan signature) groups first, so one hot family's flood cannot evict the
 // examples a rarer family's drift retrain will need.
 //
 // -canary-window gates hot-swaps on live evidence: a background-retrained
@@ -188,7 +189,6 @@ func main() {
 	driftWindow := flag.Int("drift-window", 256, "drift monitor: observed errors kept per routing target")
 	noDriftRetrain := flag.Bool("no-drift-retrain", false, "track drift but never auto-retrain on it (operator decides)")
 	familyQuota := flag.Int("family-quota", 0, "per-family corpus retention floor: keep at least N examples of every tagged family through retention and compaction (0 = off)")
-	compactInterval := flag.Duration("compact-interval", 30*time.Second, "how often the corpus compactor downsamples over-represented (family, signature) groups (needs -family-quota; 0 disables)")
 	canaryWindow := flag.Int("canary-window", 0, "champion/challenger confirmation: shadow-score retrained models on N live queries before hot-swap (0 = swap immediately)")
 	canaryMaxAge := flag.Duration("canary-max-age", 5*time.Minute, "reject a challenger that cannot fill its confirmation window within this long")
 	driftRejectLimit := flag.Int("drift-reject-limit", 3, "auto-rollback after N consecutive rejected drift retrains of a still-drifting target (0 = off)")
@@ -254,13 +254,9 @@ func main() {
 		if cacheBytes <= 0 {
 			cacheBytes = -1
 		}
-		// Same convention for -compact-interval 0 (no compactor) and
-		// -drift-reject-limit 0 (no auto-rollback breaker): explicit zero
-		// means OFF, which the config encodes as negative.
-		ci := *compactInterval
-		if ci <= 0 {
-			ci = -1
-		}
+		// Same convention for -drift-reject-limit 0 (no auto-rollback
+		// breaker): explicit zero means OFF, which the config encodes as
+		// negative.
 		drl := *driftRejectLimit
 		if drl <= 0 {
 			drl = -1
@@ -278,7 +274,6 @@ func main() {
 			DriftWindow:         *driftWindow,
 			DisableDriftRetrain: *noDriftRetrain,
 			FamilyQuota:         *familyQuota,
-			CompactInterval:     ci,
 			CanaryWindow:        *canaryWindow,
 			CanaryMaxAge:        *canaryMaxAge,
 			DriftRejectLimit:    drl,

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
-	"time"
 )
 
 // Compaction rewrites sealed segments in place to shed abundant records
@@ -301,7 +299,8 @@ func (s *ExampleStore) segmentAtLocked(path string, idx *segIndex) int {
 
 // Compact runs compaction passes until the corpus is back under its cap
 // or no further record can be shed, returning the number of examples
-// dropped. It is what the background Compactor calls each tick, exported
+// dropped. The retrainer's background loop calls it every poll while
+// family quotas are on (before that poll's training pass); it is exported
 // for tests and operational tooling.
 func (s *ExampleStore) Compact() (int, error) {
 	dropped := 0
@@ -315,73 +314,4 @@ func (s *ExampleStore) Compact() (int, error) {
 		dropped += res.Dropped
 	}
 	return dropped, nil
-}
-
-// Compactor periodically compacts a store in the background, in the same
-// start/stop idiom as the Retrainer.
-type Compactor struct {
-	store    *ExampleStore
-	interval time.Duration
-
-	mu      sync.Mutex
-	lastErr error
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	done      chan struct{}
-}
-
-// NewCompactor creates a background compactor ticking at interval
-// (default 30s when <= 0).
-func NewCompactor(store *ExampleStore, interval time.Duration) *Compactor {
-	if interval <= 0 {
-		interval = 30 * time.Second
-	}
-	return &Compactor{
-		store:    store,
-		interval: interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-}
-
-// Start launches the background loop. It is idempotent.
-func (c *Compactor) Start() {
-	c.startOnce.Do(func() {
-		go c.loop()
-	})
-}
-
-// Stop halts the background loop and waits for it to exit. A compaction
-// pass in flight completes first. Stop is idempotent and safe without
-// Start.
-func (c *Compactor) Stop() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	c.startOnce.Do(func() { close(c.done) }) // never started: nothing to drain
-	<-c.done
-}
-
-func (c *Compactor) loop() {
-	defer close(c.done)
-	t := time.NewTicker(c.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-			_, err := c.store.Compact()
-			c.mu.Lock()
-			c.lastErr = err
-			c.mu.Unlock()
-		}
-	}
-}
-
-// LastError reports the most recent tick's error (nil when healthy).
-func (c *Compactor) LastError() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastErr
 }

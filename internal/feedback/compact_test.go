@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"progressest/internal/selection"
 )
@@ -245,9 +244,10 @@ func TestCompactionByteCompatible(t *testing.T) {
 	}
 }
 
-// TestCompactorBackground: the background loop compacts an over-cap
-// store without being asked, and Stop drains it.
-func TestCompactorBackground(t *testing.T) {
+// TestTickCompacts: a background tick compacts an over-cap quota store
+// without being asked, records no error and keeps every quota-protected
+// example.
+func TestTickCompacts(t *testing.T) {
 	store, err := OpenStore(t.TempDir(), StoreOptions{
 		MaxSegmentBytes: 2048, MaxExamples: 30, FamilyQuota: 12,
 	})
@@ -264,17 +264,12 @@ func TestCompactorBackground(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := NewCompactor(store, time.Millisecond)
-	c.Start()
-	defer c.Stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for store.Stats().CompactionRuns == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	r := NewRetrainer(store, NewRegistry(), RetrainerConfig{Selection: fastConfig()})
+	r.tick()
 	if st := store.Stats(); st.CompactionRuns == 0 {
-		t.Fatalf("background compactor never ran: %+v", st)
+		t.Fatalf("background tick never compacted: %+v", st)
 	}
-	if err := c.LastError(); err != nil {
+	if err := r.LastError(); err != nil {
 		t.Fatal(err)
 	}
 	if n := store.Stats().Families["b"]; n != 12 {

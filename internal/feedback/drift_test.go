@@ -30,6 +30,14 @@ func driftRig(cfg DriftConfig) (*DriftTracker, *Registry, *Retrainer) {
 	return tr, reg, NewRetrainer(nil, reg, RetrainerConfig{Drift: tr})
 }
 
+// retrainDrifted runs one drift-only training pass, the part of a
+// background tick that retrains exactly the drifted routing targets.
+func (r *Retrainer) retrainDrifted() {
+	r.trainMu.Lock()
+	defer r.trainMu.Unlock()
+	r.trainLocked("", true)
+}
+
 // publishBaseline publishes a selector-less version of family with the
 // given holdout baseline (Record never touches the selector; the
 // harvester replays it before calling Record).
@@ -913,4 +921,69 @@ func TestRetrainerDriftDisabled(t *testing.T) {
 	if got := drift.Drifted(); len(got) != 1 {
 		t.Fatalf("tracking itself should continue: %+v", got)
 	}
+}
+
+// TestTickFitsEachTargetOnce: a tick that is both size/age-due and
+// drift-due for the same target fits it once, under "drift" — never a
+// second time on the identical capture.
+func TestTickFitsEachTargetOnce(t *testing.T) {
+	rig := func(t *testing.T, canary *Canary) (*Retrainer, *Registry, *DriftTracker, *ExampleStore) {
+		t.Helper()
+		store, err := OpenStore(t.TempDir(), StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { store.Close() })
+		if _, err := store.AppendAll(familyExamples(200, 0, "", false)); err != nil {
+			t.Fatal(err)
+		}
+		reg := NewRegistry()
+		drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
+		r := NewRetrainer(store, reg, RetrainerConfig{
+			Selection: fastConfig(), Drift: drift, DriftRetrain: true, Canary: canary,
+			Policy: RetrainPolicy{MinNewExamples: 1, MinInterval: time.Nanosecond},
+		})
+		if _, err := r.Retrain("manual"); err != nil {
+			t.Fatal(err)
+		}
+		return r, reg, drift, store
+	}
+
+	t.Run("gate rejects", func(t *testing.T) {
+		r, reg, drift, store := rig(t, nil)
+		v1 := reg.Current()
+		if _, err := store.AppendAll(poisonedCorpus(400, 1000)); err != nil {
+			t.Fatal(err)
+		}
+		drift.Record(v1, repeat(0.95, 8))
+		versions, decisions := len(reg.Versions()), len(r.Decisions())
+		r.tick()
+		ds := r.Decisions()[decisions:]
+		if len(ds) != 1 || ds[0].Trigger != "drift" || ds[0].Decision != DecisionRejected {
+			t.Fatalf("tick decisions = %+v, want one rejected drift fit", ds)
+		}
+		if got := len(reg.Versions()) - versions; got != 1 {
+			t.Fatalf("tick recorded %d versions, want 1", got)
+		}
+		if reg.Current() != v1 {
+			t.Fatal("rejected candidate replaced the serving version")
+		}
+		if got := r.DriftRejects()[""]; got != 1 {
+			t.Fatalf("reject streak = %d, want 1", got)
+		}
+	})
+
+	t.Run("canary diverts", func(t *testing.T) {
+		r, reg, drift, store := rig(t, NewCanary(CanaryConfig{Window: 8, MaxAge: time.Hour}))
+		if _, err := store.AppendAll(familyExamples(400, 1000, "", false)); err != nil {
+			t.Fatal(err)
+		}
+		drift.Record(reg.Current(), repeat(0.95, 8))
+		decisions := len(r.Decisions())
+		r.tick()
+		ds := r.Decisions()[decisions:]
+		if len(ds) != 1 || ds[0].Trigger != "drift" || ds[0].Decision != DecisionCanary {
+			t.Fatalf("tick decisions = %+v, want one canary divert under drift", ds)
+		}
+	})
 }

@@ -192,9 +192,10 @@ func isHoldout(e *selection.Example) bool {
 
 // Retrainer trains fresh selector versions from the accumulated corpus
 // and publishes them to a Registry — either on demand (Retrain) or from a
-// background goroutine driven by a size/age policy (Start/Stop). Only one
-// training runs at a time; serving is never blocked because publication
-// is an atomic routing-table swap.
+// background goroutine (Start/Stop) that compacts the corpus and trains
+// on the size/age policy and the drift verdicts. Only one training runs
+// at a time; serving is never blocked because publication is an atomic
+// routing-table swap.
 type Retrainer struct {
 	store *ExampleStore
 	reg   *Registry
@@ -282,16 +283,21 @@ func NewRetrainer(store *ExampleStore, reg *Registry, cfg RetrainerConfig) *Retr
 func (r *Retrainer) Retrain(source string) (*Version, error) {
 	r.trainMu.Lock()
 	defer r.trainMu.Unlock()
-	v, _, err := r.retrainLocked(source)
-	return v, err
+	return r.trainLocked(source, false)
 }
 
-// tick runs one background poll. Both triggers share ONE corpus capture:
-// when the size/age retrain fires, the snapshot it already took feeds any
-// drift retrains of the same tick instead of a second full-corpus read —
-// and when only drift fires, the drift path's family-sliced reads touch
-// just the drifted targets' records.
+// tick runs one background poll: a compaction pass while family quotas
+// are on, then the ripe canary verdicts, then one training pass for
+// whichever triggers are due. A compaction failure is only recorded,
+// like a drift-only pass's, so it never clears a training failure.
 func (r *Retrainer) tick() {
+	if r.store.opts.FamilyQuota > 0 {
+		if _, err := r.store.Compact(); err != nil {
+			r.mu.Lock()
+			r.lastErr = err
+			r.mu.Unlock()
+		}
+	}
 	due := r.due()
 	drifted := len(r.driftDue()) > 0
 	canaryDue := r.cfg.Canary.resolvable(time.Now())
@@ -304,23 +310,62 @@ func (r *Retrainer) tick() {
 	// challenger becomes the serving baseline the new candidates gate
 	// (and canary) against.
 	r.resolveCanariesLocked()
-	var shared []selection.Example
 	// Re-check the policy AFTER winning trainMu, so an auto tick queued
 	// behind a concurrent manual retrain does not immediately train again
-	// on the same corpus. A failure rearms the age gate (see
-	// retrainLocked), so it is retried once MinInterval passes and
-	// surfaced via LastError.
+	// on the same corpus. A failure rearms the age gate (see trainLocked),
+	// so it is retried once MinInterval passes and surfaced via LastError.
+	source := ""
 	if r.due() {
-		_, observed, _ := r.retrainLocked("auto")
-		shared = observed
+		source = "auto"
 	}
-	r.retrainDriftedLocked(shared)
+	r.trainLocked(source, true)
 }
 
-// retrainLocked does the actual training run; trainMu must be held. It
-// also returns the corpus capture it trained on, so the caller can reuse
-// it for drift retrains in the same cycle (nil when the capture failed).
-func (r *Retrainer) retrainLocked(source string) (*Version, []selection.Example, error) {
+// trainLocked is the one training pass; trainMu must be held. It takes
+// one corpus capture and fits each due routing target at most once:
+//
+//   - with source "auto" (size/age policy) or "manual", the global target
+//     first and then, once it trained, every family with new evidence in
+//     sorted order, so version ids, holdout metrics and gate decisions
+//     are deterministic;
+//   - with drift set, every drifted target past its cooldown that the
+//     first part did not list, in the tracker's (sorted) order.
+//
+// A listed target that is drifted past its cooldown trains under trigger
+// "drift" wherever it is listed, carrying its observed L1 and the drift
+// bookkeeping, so a tick both size/age- and drift-due never fits it
+// twice. Source "" runs the drift part alone; that pass only records
+// failures, so it never hides an earlier size/age failure from
+// LastError. trainLocked returns the first part's global version.
+//
+// The parallelism is inside each fit: selection.Train fits a selector's
+// kinds on every core, which left a pool across families nothing to add
+// (measured on the learn_cycle benchmark, 8 alternating pairs on 2 cores:
+// retrain p50 227.2 ms with a family pool, 231.7 ms without, pool lower
+// in 6 of 8 — inside the ±2 % that code layout alone moves a retrain —
+// so the pool went).
+func (r *Retrainer) trainLocked(source string, drift bool) (*Version, error) {
+	// Read after winning trainMu: a concurrent manual retrain may have
+	// just replaced the drifted version, whose window the routing table
+	// then no longer reads. The per-target cooldown mirrors the size/age
+	// age gate — the window is left alone, so a held verdict simply
+	// re-fires on the first tick past MinInterval — and is checked before
+	// the corpus read, so a drift-only pass where every verdict is
+	// cooling down costs no snapshot.
+	var driftOrder []DriftState
+	var drifted map[string]DriftState
+	if drift {
+		drifted = make(map[string]DriftState)
+		for _, st := range r.driftDue() {
+			if time.Since(r.lastDriftAt[st.Target]) >= r.cfg.Policy.MinInterval {
+				driftOrder = append(driftOrder, st)
+				drifted[st.Target] = st
+			}
+		}
+	}
+	if source == "" && len(driftOrder) == 0 {
+		return nil, nil
+	}
 	// Capture the append counter BEFORE the snapshot: examples landing in
 	// between are then trained on without being charged to the budget (a
 	// harmless slightly-early next retrain) instead of charged without
@@ -329,71 +374,126 @@ func (r *Retrainer) retrainLocked(source string) (*Version, []selection.Example,
 	observed, err := r.store.Snapshot()
 	if err != nil {
 		r.mu.Lock()
-		r.lastAt = time.Now()
+		if source != "" {
+			r.lastAt = time.Now()
+		}
 		r.lastErr = err
 		r.mu.Unlock()
-		return nil, nil, err
+		return nil, err
 	}
-	if len(observed)+len(r.cfg.Seed) == 0 {
-		return nil, observed, ErrEmptyCorpus
+	sizeAge := source != "" && len(observed)+len(r.cfg.Seed) > 0
+	// Group the capture and the seed by family once, and only when a
+	// family target can be listed.
+	var byFamily, seedByFamily map[string][]selection.Example
+	needFamilies := sizeAge && r.cfg.FamilyModels
+	for target := range drifted {
+		needFamilies = needFamilies || target != ""
 	}
-
-	global, err := r.trainTarget("", observed, r.cfg.Seed, source, 0)
-	r.mu.Lock()
-	// A failed run only rearms the age gate (retry after MinInterval, so
-	// a persistent failure cannot spin training every poll tick); the
-	// growth budget is spent on success alone.
-	r.lastAt = time.Now()
-	r.lastErr = err
-	if err == nil {
-		r.lastAppended = appended
-	}
-	r.mu.Unlock()
-	if err != nil {
-		return nil, observed, err
+	if needFamilies {
+		byFamily, seedByFamily = groupByFamily(observed), groupByFamily(r.cfg.Seed)
 	}
 
-	// The global model published fine; family-training and persistence
-	// failures are surfaced via LastError without failing the run —
-	// joined, so neither masks the other.
-	var bgErr error
-	if r.cfg.FamilyModels {
-		bgErr = errors.Join(bgErr, r.retrainFamiliesLocked(observed, source))
+	published := false
+	fit := func(target, trigger string) (*Version, error) {
+		obs, seed := observed, r.cfg.Seed
+		if target != "" {
+			obs, seed = byFamily[target], seedByFamily[target]
+		}
+		st, isDrift := drifted[target]
+		if isDrift {
+			delete(drifted, target)
+			if (target != "" && len(obs) < r.cfg.MinFamilyExamples) || len(obs)+len(seed) == 0 {
+				// Retention shrank the family below the training floor the
+				// size/age part enforces (a model fit on a handful of
+				// examples would publish ungated garbage), or dropped every
+				// example of the target. Reset so the verdict waits for
+				// fresh evidence.
+				r.cfg.Drift.Reset(target)
+				return nil, nil
+			}
+			// Charged whether the run succeeds or fails: a persistent
+			// training failure must not spin either.
+			r.lastDriftAt[target] = time.Now()
+			trigger = "drift"
+		}
+		f, err := r.fitTarget(target, obs, seed)
+		if err != nil {
+			return nil, err
+		}
+		v := r.publishFit(f, trigger, st.ObservedL1)
+		if target != "" {
+			r.lastFamObserved[target] = len(obs)
+		}
+		if !isDrift {
+			return v, nil
+		}
+		if v != nil && v.Meta.Decision == DecisionAccepted {
+			// The new version serves with a window of its own.
+			published = true
+			r.clearDriftRejects(target)
+			return v, nil
+		}
+		// The judged version keeps serving — rejected by the gate, or the
+		// candidate was diverted into canary confirmation (v == nil; the
+		// reject streak then moves only on the eventual live verdict). Its
+		// window is reset, forcing MinSamples fresh observations before the
+		// verdict can fire again, so a model that cannot be improved does
+		// not spin a retrain per poll tick.
+		r.cfg.Drift.Reset(target)
+		if v != nil && r.bumpDriftRejects(target) {
+			published = r.autoRollbackLocked(target, st.ObservedL1) || published
+		}
+		return v, nil
 	}
-	if r.cfg.Persist != nil {
-		bgErr = errors.Join(bgErr, r.cfg.Persist.Sync(r.reg))
-	}
-	if bgErr != nil {
+
+	var global *Version
+	var globalErr, errs error
+	if sizeAge {
+		global, globalErr = fit("", source)
 		r.mu.Lock()
-		r.lastErr = bgErr
+		// A failed run only rearms the age gate (retry after MinInterval,
+		// so a persistent failure cannot spin training every poll tick);
+		// the growth budget is spent on success alone.
+		r.lastAt = time.Now()
+		if globalErr == nil {
+			r.lastAppended = appended
+		}
+		r.mu.Unlock()
+		errs = globalErr
+		// Family failures are joined into LastError without failing the
+		// run, and the remaining families still train.
+		if globalErr == nil && r.cfg.FamilyModels {
+			for _, f := range r.familiesDue(byFamily, source) {
+				if _, err := fit(f, source); err != nil {
+					errs = errors.Join(errs, err)
+				}
+			}
+		}
+	} else if source != "" {
+		globalErr = ErrEmptyCorpus
+	}
+	for _, st := range driftOrder {
+		if _, pending := drifted[st.Target]; pending {
+			if _, err := fit(st.Target, "drift"); err != nil {
+				errs = errors.Join(errs, err)
+			}
+		}
+	}
+	if r.cfg.Persist != nil && ((sizeAge && globalErr == nil) || published) {
+		errs = errors.Join(errs, r.cfg.Persist.Sync(r.reg))
+	}
+	if sizeAge || errs != nil {
+		r.mu.Lock()
+		r.lastErr = errs
 		r.mu.Unlock()
 	}
-	return global, observed, nil
+	return global, globalErr
 }
 
-// retrainFamiliesLocked trains one selector per sufficiently represented
-// family, one family after another in sorted order, so version ids,
-// holdout metrics and gate decisions are deterministic. The parallelism
-// is inside each fit: selection.Train fits a selector's kinds on every
-// core, which left a pool across families nothing to add (measured on the
-// learn_cycle benchmark, 8 alternating pairs on 2 cores: retrain p50
-// 227.2 ms with a family pool, 231.7 ms without, pool lower in 6 of 8 —
-// inside the ±2 % that code layout alone moves a retrain — so the pool
-// went). Errors are joined and returned while the remaining families
-// still train.
-func (r *Retrainer) retrainFamiliesLocked(observed []selection.Example, source string) error {
-	byFamily := make(map[string][]selection.Example)
-	for _, ex := range observed {
-		if ex.Family != "" {
-			byFamily[ex.Family] = append(byFamily[ex.Family], ex)
-		}
-	}
-	seedByFamily := make(map[string][]selection.Example)
-	for _, ex := range r.cfg.Seed {
-		if ex.Family != "" {
-			seedByFamily[ex.Family] = append(seedByFamily[ex.Family], ex)
-		}
-	}
+// familiesDue lists, sorted, the families a size/age or manual pass
+// trains: at least MinFamilyExamples examples and new evidence since the
+// family last trained.
+func (r *Retrainer) familiesDue(byFamily map[string][]selection.Example, source string) []string {
 	families := make([]string, 0, len(byFamily))
 	for f, exs := range byFamily {
 		if len(exs) < r.cfg.MinFamilyExamples {
@@ -413,16 +513,18 @@ func (r *Retrainer) retrainFamiliesLocked(observed []selection.Example, source s
 		families = append(families, f)
 	}
 	sort.Strings(families)
+	return families
+}
 
-	var errs error
-	for _, f := range families {
-		if _, err := r.trainTarget(f, byFamily[f], seedByFamily[f], source, 0); err != nil {
-			errs = errors.Join(errs, err)
-			continue
+// groupByFamily splits tagged examples by family, keeping their order.
+func groupByFamily(exs []selection.Example) map[string][]selection.Example {
+	out := make(map[string][]selection.Example)
+	for _, ex := range exs {
+		if ex.Family != "" {
+			out[ex.Family] = append(out[ex.Family], ex)
 		}
-		r.lastFamObserved[f] = len(byFamily[f])
 	}
-	return errs
+	return out
 }
 
 // splitHoldout holds out a deterministic, position-independent slice of
@@ -560,15 +662,6 @@ func (r *Retrainer) publishFit(f *targetFit, source string, observedL1 float64) 
 	return v
 }
 
-// trainTarget fits and publishes one routing target in one step.
-func (r *Retrainer) trainTarget(family string, observed, seed []selection.Example, source string, observedL1 float64) (*Version, error) {
-	f, err := r.fitTarget(family, observed, seed)
-	if err != nil {
-		return nil, err
-	}
-	return r.publishFit(f, source, observedL1), nil
-}
-
 // recordDecision appends one entry to the bounded decision ring.
 func (r *Retrainer) recordDecision(v *Version, trigger string, observedL1 float64) {
 	r.appendDecision(TrainDecision{
@@ -607,140 +700,6 @@ func (r *Retrainer) driftDue() []DriftState {
 		return nil
 	}
 	return r.cfg.Drift.Drifted()
-}
-
-// retrainDrifted trains exactly the drifted routing targets (source
-// "drift"), leaving every healthy target's model untouched. On acceptance
-// the new version serves with a window of its own, so the drifted one is
-// no longer read; on a gate rejection or a canary divert the judged
-// version's window is reset, forcing MinSamples fresh observations before
-// the verdict can fire again, so a model that cannot be improved does not
-// spin a retrain per poll tick. The size/age growth budget is untouched:
-// drift is an independent trigger.
-func (r *Retrainer) retrainDrifted() {
-	r.trainMu.Lock()
-	defer r.trainMu.Unlock()
-	r.retrainDriftedLocked(nil)
-}
-
-// retrainDriftedLocked is retrainDrifted with trainMu already held.
-// shared, when non-nil, is a corpus capture the caller just took (the
-// size/age retrain of the same tick) and is reused instead of reading the
-// corpus again; family targets otherwise use SnapshotFamily, which the
-// segment indexes reduce to exactly that family's records.
-func (r *Retrainer) retrainDriftedLocked(shared []selection.Example) {
-	// Read after winning trainMu: a concurrent manual retrain may have
-	// just replaced the drifted version, whose window the routing table
-	// then no longer reads. The per-target cooldown mirrors the size/age
-	// path's age gate — the window is left alone, so a held verdict
-	// simply re-fires on the first tick past MinInterval — and is checked
-	// before any corpus read, so a tick where every verdict is cooling
-	// down costs no snapshot.
-	var actionable []DriftState
-	for _, st := range r.driftDue() {
-		if time.Since(r.lastDriftAt[st.Target]) >= r.cfg.Policy.MinInterval {
-			actionable = append(actionable, st)
-		}
-	}
-	if len(actionable) == 0 {
-		return
-	}
-	// Only a drifted GLOBAL target needs the whole corpus; family targets
-	// read just their own slice. When the same tick's size/age retrain
-	// already captured the corpus, both reuse it for free.
-	if shared == nil {
-		for _, st := range actionable {
-			if st.Target == "" {
-				observed, err := r.store.Snapshot()
-				if err != nil {
-					r.mu.Lock()
-					r.lastErr = err
-					r.mu.Unlock()
-					return
-				}
-				shared = observed
-				break
-			}
-		}
-	}
-	var errs error
-	published := false
-	for _, st := range actionable {
-		obs := shared
-		seed := r.cfg.Seed
-		if st.Target != "" {
-			seed = nil
-			if shared != nil {
-				obs = nil
-				for _, ex := range shared {
-					if ex.Family == st.Target {
-						obs = append(obs, ex)
-					}
-				}
-			} else {
-				var err error
-				obs, err = r.store.SnapshotFamily(st.Target)
-				if err != nil {
-					errs = errors.Join(errs, err)
-					continue
-				}
-			}
-			for _, ex := range r.cfg.Seed {
-				if ex.Family == st.Target {
-					seed = append(seed, ex)
-				}
-			}
-			if len(obs) < r.cfg.MinFamilyExamples {
-				// Retention shrank the family below the same training
-				// floor the size/age path enforces: a model fit on a
-				// handful of examples would publish ungated garbage.
-				// Reset so the verdict waits for fresh evidence.
-				r.cfg.Drift.Reset(st.Target)
-				continue
-			}
-		}
-		if len(obs)+len(seed) == 0 {
-			// Retention dropped every example of the target; nothing to
-			// retrain on. Reset so the stale window does not re-fire.
-			r.cfg.Drift.Reset(st.Target)
-			continue
-		}
-		// Charged whether the run succeeds or fails: a persistent
-		// training failure must not spin either.
-		r.lastDriftAt[st.Target] = time.Now()
-		v, err := r.trainTarget(st.Target, obs, seed, "drift", st.ObservedL1)
-		if err != nil {
-			errs = errors.Join(errs, err)
-			continue
-		}
-		if st.Target != "" {
-			r.lastFamObserved[st.Target] = len(obs)
-		}
-		if v != nil && v.Meta.Decision == DecisionAccepted {
-			published = true
-			r.clearDriftRejects(st.Target)
-			continue
-		}
-		// The judged version keeps serving — rejected by the gate, or the
-		// candidate was diverted into canary confirmation (v == nil; the
-		// reject streak then moves only on the eventual live verdict).
-		r.cfg.Drift.Reset(st.Target)
-		if v != nil && r.bumpDriftRejects(st.Target) {
-			published = r.autoRollbackLocked(st.Target, st.ObservedL1) || published
-		}
-	}
-	if published && r.cfg.Persist != nil {
-		errs = errors.Join(errs, r.cfg.Persist.Sync(r.reg))
-	}
-	// Only RECORD failures: a size/age run may have failed in this very
-	// poll tick, and a clean drift pass overwriting lastErr with nil
-	// would hide that from LastError/GET /models. The next successful
-	// size/age run clears it, exactly as before drift existed.
-	if errs != nil {
-		r.mu.Lock()
-		r.lastErr = errs
-		r.mu.Unlock()
-	}
 }
 
 // resolveCanariesLocked delivers verdicts on every ripe challenger
@@ -914,7 +873,8 @@ func (r *Retrainer) due() bool {
 	return time.Since(lastAt) >= r.cfg.Policy.MinInterval
 }
 
-// Start launches the background policy loop. It is idempotent.
+// Start launches the background loop, one tick per Policy.Poll. It is
+// idempotent.
 func (r *Retrainer) Start() {
 	r.startOnce.Do(func() {
 		go func() {

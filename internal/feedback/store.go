@@ -432,8 +432,9 @@ func (s *ExampleStore) tail() *segment {
 // survives; a negative bound disables retention. With family quotas on, a
 // segment whose deletion would push any tagged family below its quota is
 // SKIPPED rather than blocking retention outright — newer all-abundant
-// segments behind it are still deletable, and the compactor reclaims the
-// skipped segment's abundant records in place.
+// segments behind it are still deletable, and compaction (the
+// retrainer's poll, see Compact) reclaims the skipped segment's abundant
+// records in place.
 func (s *ExampleStore) enforceRetentionLocked() {
 	if s.opts.MaxExamples < 0 {
 		return
@@ -668,9 +669,11 @@ func (s *ExampleStore) Snapshot() ([]selection.Example, error) {
 // in-memory index: a segment holding none of the family's records is
 // skipped without touching the disk, and one that does either filters
 // the cached decode or decodes exactly the family's records off its
-// offsets — so a family-targeted retrain reads O(family), not O(corpus).
-// The active tail (index-less) is scanned and filtered. The read-only
-// sharing contract matches Snapshot's.
+// offsets, so the read is O(family), not O(corpus). The active tail
+// (index-less) is scanned and filtered. The read-only sharing contract
+// matches Snapshot's. The retrainer no longer calls it — every training
+// pass groups one full Snapshot by family — but the benchmark's corpus
+// probe still times it.
 //
 // The family is matched exactly; use Snapshot for the global ("") target,
 // which trains on every example regardless of tag.

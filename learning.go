@@ -52,16 +52,13 @@ type LearningConfig struct {
 	// least this many of its newest examples on disk (quota outranks
 	// MaxExamples — a corpus where every example is quota-protected stops
 	// shrinking). 0 disables quotas; untagged examples are never
-	// protected. With a quota set, a background compactor additionally
-	// rewrites sealed segments in place of whole-segment drops,
-	// downsampling the largest (family, plan-signature) groups first so a
-	// burst family's bulk is shed while sparse families survive intact.
+	// protected. With a quota set, every background retrainer poll (see
+	// Poll) first compacts the corpus: sealed segments are rewritten in
+	// place of whole-segment drops, downsampling the largest (family,
+	// plan-signature) groups first so a burst family's bulk is shed while
+	// sparse families survive intact. DisableBackground turns compaction
+	// off with the retrainer.
 	FamilyQuota int
-	// CompactInterval is how often the background compactor looks for
-	// over-cap segments to rewrite (default 30s; negative disables the
-	// compactor, leaving whole-segment retention only). It only runs when
-	// FamilyQuota > 0 and the background loop is enabled.
-	CompactInterval time.Duration
 	// CorpusCacheBytes bounds the sealed-segment decode cache: immutable
 	// corpus segments keep their decoded examples in memory (LRU by
 	// on-disk bytes), so a warm retrain re-decodes only the active tail.
@@ -220,14 +217,13 @@ type CorpusStats = feedback.CorpusStats
 // from the current version) and to the HTTP daemon via NewServer, which
 // then exposes /models, /models/retrain and /models/rollback.
 type Learning struct {
-	store     *feedback.ExampleStore
-	harv      *feedback.Harvester
-	reg       *feedback.Registry
-	ret       *feedback.Retrainer
-	drift     *feedback.DriftTracker
-	canary    *feedback.Canary    // nil when canary confirmation is disabled
-	compactor *feedback.Compactor // nil when the background compactor is off
-	models    *feedback.ModelDir  // nil when persistence is disabled
+	store  *feedback.ExampleStore
+	harv   *feedback.Harvester
+	reg    *feedback.Registry
+	ret    *feedback.Retrainer
+	drift  *feedback.DriftTracker
+	canary *feedback.Canary   // nil when canary confirmation is disabled
+	models *feedback.ModelDir // nil when persistence is disabled
 }
 
 // OpenLearning opens (or creates) the corpus directory and starts the
@@ -307,23 +303,17 @@ func OpenLearning(cfg LearningConfig) (*Learning, error) {
 		Canary:            canary,
 		DriftRejectLimit:  cfg.DriftRejectLimit,
 	})
-	var compactor *feedback.Compactor
 	if !cfg.DisableBackground {
 		ret.Start()
-		if cfg.FamilyQuota > 0 && cfg.CompactInterval >= 0 {
-			compactor = feedback.NewCompactor(store, cfg.CompactInterval)
-			compactor.Start()
-		}
 	}
 	return &Learning{
-		store:     store,
-		harv:      feedback.NewHarvester(store, cfg.MinObservations, drift, canary),
-		reg:       reg,
-		ret:       ret,
-		drift:     drift,
-		canary:    canary,
-		compactor: compactor,
-		models:    models,
+		store:  store,
+		harv:   feedback.NewHarvester(store, cfg.MinObservations, drift, canary),
+		reg:    reg,
+		ret:    ret,
+		drift:  drift,
+		canary: canary,
+		models: models,
 	}, nil
 }
 
@@ -437,8 +427,8 @@ func (l *Learning) Versions() []ModelVersion {
 	return out
 }
 
-// LastTrainingError returns the most recent background training failure,
-// or nil.
+// LastTrainingError returns the most recent failure of the background
+// loop (training or compaction), or nil.
 func (l *Learning) LastTrainingError() error { return l.ret.LastError() }
 
 // DriftStatus returns the observed-vs-predicted standing of every routing
@@ -501,9 +491,6 @@ func (l *Learning) Decisions() []RetrainDecision { return l.ret.Decisions() }
 // are dropped (and counted in HarvestStats.Errors). Daemons with a
 // shutdown deadline should prefer Shutdown.
 func (l *Learning) Close() error {
-	if l.compactor != nil {
-		l.compactor.Stop()
-	}
 	l.ret.Stop()
 	return l.store.Close()
 }
@@ -520,9 +507,6 @@ func (l *Learning) Shutdown(ctx context.Context) error {
 	}
 	done := make(chan struct{})
 	go func() {
-		if l.compactor != nil {
-			l.compactor.Stop()
-		}
 		l.ret.Stop()
 		close(done)
 	}()

@@ -416,3 +416,76 @@ func TestMonitorLearningWithExplicitSelector(t *testing.T) {
 		t.Fatal("explicit selector disabled harvesting")
 	}
 }
+
+// TestModelsReportCompactionError: a compaction pass that fails on the
+// background poll reaches the operator through LastTrainingError and
+// GET /models training_error.
+func TestModelsReportCompactionError(t *testing.T) {
+	w := learningWorkload(t)
+	dir := t.TempDir()
+	lrn, err := OpenLearning(LearningConfig{
+		Dir:             dir,
+		Selector:        SelectorConfig{Trees: 5},
+		Poll:            time.Millisecond,
+		MaxSegmentBytes: 2048,
+		MaxExamples:     30,
+		FamilyQuota:     12,
+		DisablePersist:  true,
+		// The loop starts below, once the corpus is broken.
+		DisableBackground: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lrn.Close()
+	// Over the cap, with family b's 12 examples quota-protected in every
+	// segment, so whole-segment retention cannot bring it back down.
+	for i := 0; i < 60; i++ {
+		ex := selection.Example{Features: make([]float64, 6), Family: "a", Signature: "heavy"}
+		if i%5 == 4 {
+			ex.Family, ex.Signature = "b", "light"
+		}
+		for j := range ex.Features {
+			ex.Features[j] = float64(i) / 100
+		}
+		if err := lrn.store.Append(ex); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := lrn.CorpusStats(); st.Examples <= 30 || st.Segments < 2 {
+		t.Fatalf("corpus not over its cap across sealed segments: %+v", st)
+	}
+	// Cut the oldest sealed segment short under the open store: its
+	// in-memory index now names records the file no longer holds.
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("segments %v: %v", segs, err)
+	}
+	info, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(segs[0], info.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	lrn.ret.Start()
+	deadline := time.Now().Add(5 * time.Second)
+	for lrn.LastTrainingError() == nil && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	terr := lrn.LastTrainingError()
+	if terr == nil || !strings.Contains(terr.Error(), "compact") {
+		t.Fatalf("LastTrainingError = %v, want the compaction failure", terr)
+	}
+	srv := httptest.NewServer(NewServer(w, MonitorOptions{Learning: lrn}))
+	defer srv.Close()
+	var models struct {
+		TrainingError string `json:"training_error"`
+	}
+	if code := doJSON(t, http.MethodGet, srv.URL+"/models", "", &models); code != http.StatusOK {
+		t.Fatalf("GET /models: status %d", code)
+	}
+	if !strings.Contains(models.TrainingError, "compact") {
+		t.Fatalf("GET /models training_error = %q, want the compaction failure", models.TrainingError)
+	}
+}

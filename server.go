@@ -405,9 +405,10 @@ type modelsResponse struct {
 	// successfully persisted models); the next successful persist clears
 	// it.
 	PersistError string `json:"persist_error,omitempty"`
-	// TrainingError, when set, is the most recent background-training
-	// failure (e.g. a family whose model could not be fit); a fully
-	// successful retrain clears it.
+	// TrainingError, when set, is the most recent failure of the
+	// background loop (training or compaction), e.g. a family whose model
+	// could not be fit or a corpus segment compaction could not read; a
+	// fully successful retrain clears it.
 	TrainingError string `json:"training_error,omitempty"`
 }
 
