@@ -16,7 +16,10 @@ import (
 // in UpdateEvery-sized ticks that wrap around the recording. A synthetic
 // thin keeps the view's storage bounded, exactly as the engine's
 // MaxObservations bound does in a long-running query — so each tick is
-// one Start→Update→Done-cycle slice at steady state.
+// one Start→Update→Done-cycle slice at steady state. The monitor's fixed
+// estimator settles every pipeline at its start; a picking cycle starts
+// them on the view alone, so every snapshot appends a table row, as it
+// does while a selector's pick is still open.
 type snapshotCycle struct {
 	obs      *monitorObserver
 	snaps    []exec.Snapshot
@@ -31,7 +34,7 @@ type snapshotCycle struct {
 // observation tables have stopped growing.
 const thinAt = 384
 
-func newSnapshotCycle(t testing.TB, batched bool) *snapshotCycle {
+func newSnapshotCycle(t testing.TB, batched, picking bool) *snapshotCycle {
 	t.Helper()
 	w, err := Open(Config{Dataset: TPCH, Queries: 2, Scale: 0.08, Seed: 3})
 	if err != nil {
@@ -48,11 +51,15 @@ func newSnapshotCycle(t testing.TB, batched bool) *snapshotCycle {
 	}
 	obs, _ := newTestObserver(t, w, 0, nil, every)
 	// Replay the pipeline starts so every pipeline that ran is live.
+	start := obs.OnPipelineStart
+	if picking {
+		start = obs.view.OnPipelineStart
+	}
 	for pi := range tr.Pipes.Pipelines {
 		if tr.PipeSpans[pi].Start < 0 {
 			continue
 		}
-		obs.OnPipelineStart(exec.PipelineStart{
+		start(exec.PipelineStart{
 			Pipe: pi, Time: tr.PipeSpans[pi].Start,
 			DriverTotalsKnown: tr.DriverTotalsKnown[pi], DriverTotals: tr.DriverTotal,
 		})
@@ -106,7 +113,7 @@ var cycleModes = []struct {
 func BenchmarkSnapshotUpdateCycle(b *testing.B) {
 	for _, mode := range cycleModes {
 		b.Run(mode.name, func(b *testing.B) {
-			c := newSnapshotCycle(b, mode.batched)
+			c := newSnapshotCycle(b, mode.batched, false)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

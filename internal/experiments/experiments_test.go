@@ -267,6 +267,10 @@ func TestFeatureImportance(t *testing.T) {
 	}
 }
 
+// TestOnlineRevision checks the online-revision study's invariants and
+// pins its figures exactly: the replay reads every row of views whose
+// pipelines settle (at their last marker crossing) while it runs, so the
+// rows a settled pipeline deferred must come back bit for bit.
 func TestOnlineRevision(t *testing.T) {
 	r, err := testSuite.Online()
 	if err != nil {
@@ -274,6 +278,19 @@ func TestOnlineRevision(t *testing.T) {
 	}
 	if r.N == 0 {
 		t.Fatal("no pipelines monitored")
+	}
+	for _, pin := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"served L1", r.ServedL1, 0.02014650763943829},
+		{"first-pick L1", r.FirstPickL1, 0.02260409929299459},
+		{"oracle L1", r.OracleL1, 0.013102425390628815},
+		{"served query L1", r.ServedQueryL1, 0.025077319825775157},
+	} {
+		if pin.got != pin.want {
+			t.Errorf("%s = %v, recorded %v", pin.name, pin.got, pin.want)
+		}
 	}
 	if r.OracleL1 > r.ServedL1+1e-9 || r.OracleL1 > r.FirstPickL1+1e-9 {
 		t.Error("oracle cannot exceed any policy's error")

@@ -101,9 +101,10 @@ func (s *Suite) Online() (*OnlineResult, error) {
 				continue
 			}
 			dev := view.AppendTrueSeries(nil, p)
+			rows := pl.Rows()
 			changed := false
 			for i := range dev {
-				dev[i] = pl.EstimateAt(picks[p][i], i) - dev[i]
+				dev[i] = rows.EstimateAt(picks[p][i], i) - dev[i]
 				changed = changed || picks[p][i] != first[p]
 			}
 			servedErr := progress.ErrorStatsOf(dev).L1

@@ -230,11 +230,11 @@ const maxMarkerFracs = 32
 
 // markerOrdinals fills obs[j] with the first ordinal at which the
 // driver fraction reaches markerFracs[j], or -1 if none does, in a single
-// forward pass over the observations.
-func markerOrdinals(v *progress.OnlinePipeline, obs []int) {
+// forward pass over the n observations.
+func markerOrdinals(rows progress.Rows, n int, obs []int) {
 	next := 0
-	for i, n := 0, v.NumObs(); i < n && next < len(markerOrder); i++ {
-		f := v.DriverFraction(i)
+	for i := 0; i < n && next < len(markerOrder); i++ {
+		f := rows.DriverFraction(i)
 		for next < len(markerOrder) && f >= markerFracs[markerOrder[next]] {
 			obs[markerOrder[next]] = i
 			next++
@@ -263,14 +263,15 @@ func AppendDynamic(dst []float64, v *progress.OnlinePipeline) []float64 {
 
 	// First ordinal where the driver fraction reaches each marker and
 	// sub-marker fraction.
+	rows := v.Rows()
 	var obsArr [maxMarkerFracs]int
 	markerObs := obsArr[:len(markerFracs)]
-	markerOrdinals(v, markerObs)
+	markerOrdinals(rows, v.NumObs(), markerObs)
 	// Elapsed time at each reached marker and sub-marker.
 	var elapsed [maxMarkerFracs]float64
 	for j, o := range markerObs {
 		if o >= 0 {
-			elapsed[j] = v.TimeSinceStart(o)
+			elapsed[j] = rows.TimeSinceStart(o)
 		}
 	}
 
@@ -281,7 +282,7 @@ func AppendDynamic(dst []float64, v *progress.OnlinePipeline) []float64 {
 				out = append(out, 0)
 				continue
 			}
-			d := v.EstimateAt(pr[0], o) - v.EstimateAt(pr[1], o)
+			d := rows.EstimateAt(pr[0], o) - rows.EstimateAt(pr[1], o)
 			if d < 0 {
 				d = -d
 			}
@@ -294,7 +295,7 @@ func AppendDynamic(dst []float64, v *progress.OnlinePipeline) []float64 {
 		var atMarker [maxMarkerFracs]float64
 		for mi, o := range markerObs[:len(Markers)] {
 			if o >= 0 {
-				atMarker[mi] = v.EstimateAt(k, o)
+				atMarker[mi] = rows.EstimateAt(k, o)
 			}
 		}
 		for i := 1; i <= CorK; i++ {
@@ -312,7 +313,7 @@ func AppendDynamic(dst []float64, v *progress.OnlinePipeline) []float64 {
 					continue
 				}
 				timeRatio := elapsed[sub] / elapsed[mi]
-				estRatio := v.EstimateAt(k, oSub) / so
+				estRatio := rows.EstimateAt(k, oSub) / so
 				if estRatio <= 0 {
 					out = append(out, 1)
 					continue

@@ -22,6 +22,29 @@ func (c *PipeContext) ratioAt(ids []int, s *exec.Snapshot) float64 {
 	return clamp01(k / e)
 }
 
+// estimate is estimator kind's value at one snapshot — what a settled
+// pipeline advances, one kind at a time, where the row function
+// (OnlinePipeline.record) computes every kind of a row. It covers every
+// selectable kind but PMAX and SAFE, whose values depend on the history
+// before the snapshot (worstStep).
+func (c *PipeContext) estimate(kind Kind, s *exec.Snapshot) float64 {
+	switch kind {
+	case DNE:
+		return c.ratioAt(c.Pipe.Drivers, s)
+	case TGN:
+		return c.ratioAt(c.Pipe.Nodes, s)
+	case BATCHDNE:
+		return c.ratioAt(c.batchDrivers, s)
+	case DNESEEK:
+		return c.ratioAt(c.seekDrivers, s)
+	case TGNINT:
+		return c.tgnintAt(s)
+	case LUO:
+		return c.luoAt(s)
+	}
+	panic("progress: estimator " + kind.String() + " is not a function of one snapshot")
+}
+
 // driverFractionAt is alpha_Pj (eq. 1) at one snapshot.
 func (c *PipeContext) driverFractionAt(s *exec.Snapshot) float64 {
 	k, e := c.sums(c.Pipe.Drivers, s)

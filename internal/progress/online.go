@@ -1,6 +1,8 @@
 package progress
 
 import (
+	"sync"
+
 	"progressest/internal/exec"
 	"progressest/internal/pipeline"
 	"progressest/internal/plan"
@@ -16,6 +18,14 @@ import (
 // whole-query AppendQuerySeries, QueryErrors, QueryWeight) answer from
 // what the view accumulated plus the trace's true totals. A finished
 // trace is read the same way: Replay feeds it through a fresh view.
+//
+// A view keeps only the history a pick can still read. Once a
+// pipeline's pick is final (OnlinePipeline.Settle), a snapshot advances
+// just the served estimator and the driver fraction; the rows after the
+// settle point are deferred. The first finished read fills them in from
+// the trace, once, with the same row function the live feed runs — so
+// the finished reads are those of a view that never settled, and a run
+// nobody reads after completion never pays for them.
 type OnlineView struct {
 	exec.BaseObserver
 
@@ -39,6 +49,10 @@ type OnlineView struct {
 
 	wbuf  []float64  // QueryEstimate weight scratch, reused across calls
 	cache *PlanCache // shared start contexts of a cached plan, or nil
+
+	// filled materializes the settled pipelines' deferred rows on the
+	// first finished read (see materialize).
+	filled sync.Once
 }
 
 // NewOnlineView prepares a streaming view for one execution of the plan,
@@ -70,7 +84,7 @@ func NewCachedOnlineView(p *plan.Plan, pipes *pipeline.Decomposition, cache *Pla
 	sig := make([]int64, sigs)
 	for i, pl := range pipes.Pipelines {
 		k := 3 * len(pl.Nodes)
-		slab[i] = OnlinePipeline{pipe: pl, plan: p, lastSig: sig[:k:k]}
+		slab[i] = OnlinePipeline{pipe: pl, plan: p, view: o, lastSig: sig[:k:k]}
 		sig = sig[k:]
 		o.Pipelines[i] = &slab[i]
 	}
@@ -127,28 +141,47 @@ func (o *OnlineView) OnThin() {
 	}
 }
 
-// OnPipelineEnd implements exec.Observer: estimates recorded after the
-// span's final activity are discarded, leaving exactly the observations
-// the finished trace attributes to the pipeline (Trace.ObsRange).
+// OnPipelineEnd implements exec.Observer. The engine reports ends only
+// at completion, just before OnDone, which drops the observations past
+// the span's end from the pipeline's series.
 func (o *OnlineView) OnPipelineEnd(pi int, end float64) {
 	p := o.Pipelines[pi]
 	p.Ended = true
 	p.EndTime = end
-	if end <= p.StartTime {
-		// Degenerate span (a single activity instant): the trace
-		// attributes no observations to it.
-		p.n = 0
-		return
-	}
-	for p.n > 0 && p.at(colTime, p.n-1) > end {
-		p.n--
-	}
 }
 
-// OnDone implements exec.Observer.
+// OnDone implements exec.Observer: every ended pipeline keeps exactly the
+// observations the finished trace attributes to it (Trace.ObsRange) —
+// the rows it was fed up to its span's end; the rows after stay in the
+// table for the whole-query reads. A settled pipeline's latest values
+// move back to its last in-span observation, read off the trace row.
 func (o *OnlineView) OnDone(tr *exec.Trace) {
 	o.Trace = tr
 	o.done = true
+	for pi, p := range o.Pipelines {
+		if !p.Ended {
+			continue
+		}
+		_, hi := tr.ObsRange(pi)
+		p.n = max(0, hi-p.g0)
+		if p.settled && p.n > 0 {
+			p.live[1] = p.liveAt(&tr.Snapshots[p.g0+p.n-1])
+		}
+	}
+}
+
+// materialize fills in every settled pipeline's deferred rows — the
+// post-span tail included — from the finished trace, once: the first
+// finished read that reaches a settled pipeline's table runs it, and
+// every later one, on any goroutine, reads the filled table.
+func (o *OnlineView) materialize() {
+	o.filled.Do(func() {
+		for _, p := range o.Pipelines {
+			if p.settled {
+				p.fill(o.Trace.Snapshots[p.g0:o.snapCount])
+			}
+		}
+	})
 }
 
 // QueryEstimate is the whole-query estimate a monitor serves after the
@@ -163,8 +196,10 @@ func (o *OnlineView) QueryEstimate(choose func(p int) Kind) float64 {
 	if o.done {
 		return 1
 	}
-	return o.combine(o.snapCount-1, o.wbuf, func(p, i int) float64 {
-		return o.Pipelines[p].EstimateAt(choose(p), i)
+	// A started pipeline's estimate at the latest snapshot is its latest
+	// one: it is fed every snapshot until the run ends.
+	return o.combine(o.snapCount-1, o.wbuf, func(p, _ int) float64 {
+		return o.Pipelines[p].Estimate(choose(p))
 	})
 }
 
@@ -213,7 +248,8 @@ func (o *OnlineView) weight(p *OnlinePipeline, g int) float64 {
 }
 
 // The finished-run reads below need the completed view (OnDone has
-// fired); they write nothing, so any number of goroutines may call them.
+// fired). Past the one materialization they write nothing, so any number
+// of goroutines may call them.
 
 // Context returns pipeline p's static context: the one frozen at its
 // start, or — for a pipeline that never started — the one the trace's
@@ -244,6 +280,7 @@ func (o *OnlineView) appendRows(dst []float64, p int, kind Kind, rows int) []flo
 		return pl.appendRows(dst, kind, rows)
 	case rows == 0:
 	case kind == OracleGetNext:
+		pl.readable(rows)
 		total := pl.oracleGetNextTotal(o.Trace)
 		for i := 0; i < rows; i++ {
 			dst = append(dst, oracleRatio(pl.at(colKNodes, i), total))
@@ -342,6 +379,14 @@ func (o *OnlineView) QueryWeight(p int) float64 {
 // OnlinePipeline is the incremental estimator state of one pipeline: the
 // static PipeContext (frozen at pipeline start) plus the accumulated
 // per-observation estimates of every candidate estimator.
+//
+// Until it settles, every observation appends a row of every estimate
+// to the pipeline's table: the picks read that history. Once settled —
+// its pick final — an observation only advances the served estimate and
+// the driver fraction; the table keeps the rows up to the settle point,
+// thinned as the history is, and a finished read fills in the rest (see
+// OnlineView.materialize). Reading a deferred row before the run is done
+// panics.
 type OnlinePipeline struct {
 	*PipeContext
 
@@ -366,15 +411,19 @@ type OnlinePipeline struct {
 
 	pipe *pipeline.Pipeline
 	plan *plan.Plan
+	view *OnlineView
 
 	// The observation table: one column per obsCols value (see the col
 	// constants), one row per observation, in fixed-size chunks allocated
 	// as the pipeline's history grows — growing moves nothing, and a
 	// pipeline holds what its observation count needs, to within a chunk.
 	chunks []*obsChunk
-	// n is the observations held. OnPipelineEnd drops the post-span tail
-	// from n, not from the table: the query reads still see those rows.
+	// n is the observations held. OnDone drops the post-span tail from n,
+	// not from the table: the query reads still see those rows.
 	n int
+	// kept is the rows the table holds: every row fed until the pipeline
+	// settles, the rows up to the settle point after.
+	kept int
 	// g0 is the retained global snapshot index of the first snapshot
 	// after the pipeline's start, its observation 0. A started pipeline
 	// is fed every snapshot until it ends, so observation i is global
@@ -388,7 +437,18 @@ type OnlinePipeline struct {
 	// verbatim (they are pure functions of these counters).
 	lastSig []int64
 	valid   bool // lastSig corresponds to the last appended observation
+
+	// settled reports that the pick is final: served is the estimator
+	// served to the end of the run, and live holds the driver fraction and
+	// served estimate at the latest observation (live[1]) and the one
+	// before it (live[0], the latest again should a thin drop live[1]).
+	settled bool
+	served  Kind
+	live    [2]liveObs
 }
+
+// liveObs is what a settled pipeline keeps of one observation.
+type liveObs struct{ frac, est float64 }
 
 // Columns of the observation table: the snapshot's virtual time, the
 // driver fraction, the three sums the worst-case (PMAX/SAFE) state is
@@ -429,6 +489,36 @@ func (p *OnlinePipeline) reserve(n int) {
 	}
 }
 
+// readable makes the table's first rows rows readable. A settled
+// pipeline's deferred rows exist only once the run is done, after the
+// view's one materialization; before, reading one panics rather than
+// return a row never computed.
+func (p *OnlinePipeline) readable(rows int) {
+	switch {
+	case !p.settled:
+	case p.view.done:
+		p.view.materialize()
+	case rows > p.kept:
+		panic("progress: observation deferred past the pipeline's settle point read before the run is done")
+	}
+}
+
+// Settle makes kind the pipeline's final pick: from the next snapshot on
+// the pipeline advances only kind's estimate and the driver fraction.
+// PMAX and SAFE are functions of the whole history, so a pipeline they
+// serve never settles.
+func (p *OnlinePipeline) Settle(kind Kind) {
+	if p.settled || kind == PMAX || kind == SAFE {
+		return
+	}
+	p.settled, p.served = true, kind
+	for j := range p.live {
+		if i := p.n - len(p.live) + j; i >= 0 {
+			p.live[j] = liveObs{p.at(colFrac, i), p.at(colEst+int(kind), i)}
+		}
+	}
+}
+
 // StaticPrefix returns the pipeline's static feature prefix, built from
 // the PipeContext by build on first use. A pipeline whose context came
 // from a PlanCache takes the prefix an earlier run of the plan published
@@ -462,11 +552,36 @@ func (p *OnlinePipeline) Estimate(kind Kind) float64 {
 	if p.n == 0 {
 		return 0
 	}
-	return p.EstimateAt(kind, p.n-1)
+	if p.settled && kind == p.served {
+		return p.live[1].est
+	}
+	return p.Rows().EstimateAt(kind, p.n-1)
+}
+
+// Rows is a read handle on a pipeline's observations, from
+// OnlinePipeline.Rows: a scan pays the readability check once, and each
+// read is a plain load.
+type Rows struct{ p *OnlinePipeline }
+
+// Rows makes the pipeline's NumObs observations readable and returns the
+// handle that reads them: on a finished view after the one
+// materialization; live, it panics once the pipeline has settled and
+// been fed since, as the latest observation is then deferred.
+func (p *OnlinePipeline) Rows() Rows {
+	p.readable(p.n)
+	return Rows{p}
 }
 
 // EstimateAt returns estimator kind's value at observation ordinal i.
-func (p *OnlinePipeline) EstimateAt(kind Kind, i int) float64 { return p.at(colEst+int(kind), i) }
+func (r Rows) EstimateAt(kind Kind, i int) float64 { return r.p.at(colEst+int(kind), i) }
+
+// DriverFraction returns the consumed driver-input fraction at
+// observation ordinal i.
+func (r Rows) DriverFraction(i int) float64 { return r.p.at(colFrac, i) }
+
+// TimeSinceStart returns the virtual time elapsed since the pipeline's
+// start at observation ordinal i.
+func (r Rows) TimeSinceStart(i int) float64 { return r.p.at(colTime, i) - r.p.StartTime }
 
 // AppendSeries appends estimator kind's accumulated series to dst and
 // returns the extended slice — the alloc-free counterpart of Series for
@@ -477,6 +592,7 @@ func (p *OnlinePipeline) AppendSeries(dst []float64, kind Kind) []float64 {
 
 // appendRows appends estimator kind's first rows values to dst.
 func (p *OnlinePipeline) appendRows(dst []float64, kind Kind, rows int) []float64 {
+	p.readable(rows)
 	for left, ci := rows, 0; left > 0; left, ci = left-obsChunkRows, ci+1 {
 		dst = append(dst, p.chunks[ci][colEst+int(kind)][:min(left, obsChunkRows)]...)
 	}
@@ -495,6 +611,7 @@ func (p *OnlinePipeline) Series(kind Kind) []float64 {
 // (the paper's concluding outlook points at online cardinality
 // refinement as the main lever for further progress-estimation gains).
 func (p *OnlinePipeline) UnrefinedTGNSeries() []float64 {
+	p.readable(p.n)
 	var e0 float64
 	for _, id := range p.pipe.Nodes {
 		e0 += p.plan.Node(id).EstRows
@@ -506,38 +623,55 @@ func (p *OnlinePipeline) UnrefinedTGNSeries() []float64 {
 	return out
 }
 
-// DriverFraction returns the consumed driver-input fraction at observation
-// ordinal i.
-func (p *OnlinePipeline) DriverFraction(i int) float64 { return p.at(colFrac, i) }
-
 // CurrentDriverFraction returns the latest driver fraction (0 before the
 // first observation).
 func (p *OnlinePipeline) CurrentDriverFraction() float64 {
 	if p.n == 0 {
 		return 0
 	}
-	return p.DriverFraction(p.n - 1)
+	if p.settled {
+		return p.live[1].frac
+	}
+	return p.Rows().DriverFraction(p.n - 1)
 }
 
-// TimeSinceStart returns the virtual time elapsed since the pipeline's
-// start at observation ordinal i.
-func (p *OnlinePipeline) TimeSinceStart(i int) float64 { return p.at(colTime, i) - p.StartTime }
-
-// feed appends the estimates for one snapshot.
+// feed advances the pipeline by one snapshot: a row of every estimate
+// until it settles, the served estimate and driver fraction after.
 func (p *OnlinePipeline) feed(s *exec.Snapshot) {
-	p.reserve(p.n + 1)
-	c, r := p.slot(p.n)
 	p.n++
+	if p.settled {
+		p.live[0], p.live[1] = p.live[1], p.liveAt(s)
+		return
+	}
+	i := p.kept
+	p.kept++
+	if p.record(i, s) {
+		c, r := p.slot(i)
+		c[colEst+int(PMAX)][r], c[colEst+int(SAFE)][r] = worstStep(&p.worst, c[colKNodes][r], c[colKDrivers][r], c[colEDrivers][r])
+	}
+}
+
+// liveAt is what a settled pipeline keeps of snapshot s.
+func (p *OnlinePipeline) liveAt(s *exec.Snapshot) liveObs {
+	return liveObs{p.driverFractionAt(s), p.estimate(p.served, s)}
+}
+
+// record is the row function: it writes observation i's row from
+// snapshot s — every column but the worst-case estimators', which the
+// caller folds (worstStep) — and reports whether it computed the row.
+// Counters identical to the previous observation's repeat that row
+// whole: every estimator is a pure function of them (and of state that
+// only moves when they move).
+func (p *OnlinePipeline) record(i int, s *exec.Snapshot) bool {
+	p.reserve(i + 1)
+	c, r := p.slot(i)
 	c[colTime][r] = s.Time
 	if p.unchanged(s) {
-		// Counters identical to the previous observation: every estimator
-		// is a pure function of them (and of state that only moves when
-		// they move), so the previous values repeat exactly.
-		pc, pr := p.slot(p.n - 2)
+		pc, pr := p.slot(i - 1)
 		for col := colTime + 1; col < obsCols; col++ {
 			c[col][r] = pc[col][pr]
 		}
-		return
+		return false
 	}
 	c[colFrac][r] = p.driverFractionAt(s)
 	k, _ := p.sums(p.Pipe.Nodes, s)
@@ -550,8 +684,19 @@ func (p *OnlinePipeline) feed(s *exec.Snapshot) {
 	est[DNESEEK][r] = p.ratioAt(p.seekDrivers, s)
 	est[TGNINT][r] = p.tgnintAt(s)
 	est[LUO][r] = p.luoAt(s)
-	est[PMAX][r], est[SAFE][r] = worstStep(&p.worst, k, dk, de)
 	p.remember(s)
+	return true
+}
+
+// fill computes the rows a settled pipeline deferred, from the snapshots
+// it was fed (observation i is snaps[i]), and refolds the worst-case
+// estimators over the whole table.
+func (p *OnlinePipeline) fill(snaps []exec.Snapshot) {
+	for i := p.kept; i < len(snaps); i++ {
+		p.record(i, &snaps[i])
+	}
+	p.kept = len(snaps)
+	p.rebuildWorst()
 }
 
 // unchanged reports whether the snapshot's counters over the pipeline's
@@ -580,10 +725,14 @@ func (p *OnlinePipeline) remember(s *exec.Snapshot) {
 // thin mirrors the engine's history thinning: observations whose retained
 // global index is even are dropped, the survivors move down the table
 // (global index g becomes (g-1)/2, so they stay consecutive), and the
-// history-dependent worst-case series is rebuilt over what remains.
+// history-dependent worst-case series is rebuilt over what remains. A
+// settled pipeline's deferred observations thin by count alone.
 func (p *OnlinePipeline) thin() {
+	if p.settled && (p.g0+p.n-1)%2 == 0 {
+		p.live[1] = p.live[0]
+	}
 	w := 0
-	for r := 1 - p.g0%2; r < p.n; r += 2 {
+	for r := 1 - p.g0%2; r < p.kept; r += 2 {
 		wc, wr := p.slot(w)
 		rc, rr := p.slot(r)
 		for col := range wc {
@@ -591,20 +740,24 @@ func (p *OnlinePipeline) thin() {
 		}
 		w++
 	}
+	// The odd global indices in [g0, g0+n).
+	p.n = (p.g0+p.n)/2 - p.g0/2
 	p.g0 /= 2
-	p.n = w
+	p.kept = w
 	p.rebuildWorst()
 	// The last retained observation may no longer be the last fed
 	// snapshot, so the pure-function shortcut must re-verify.
 	p.valid = false
 }
 
-// rebuildWorst recomputes the PMAX/SAFE series: after thinning, the
-// fan-out bound m derives from the deltas of the retained observations,
-// exactly as a replay of the thinned trace computes it.
+// rebuildWorst recomputes the PMAX/SAFE series, a worstStep fold over
+// the rows the table holds: after thinning, the fan-out bound m derives
+// from the deltas of the retained observations, exactly as a replay of
+// the thinned trace computes it. A repeated row leaves the fold's state
+// unchanged, so the fold equals the live feed's, which skips them.
 func (p *OnlinePipeline) rebuildWorst() {
 	st := newWorstState()
-	for i := 0; i < p.n; i++ {
+	for i := 0; i < p.kept; i++ {
 		c, r := p.slot(i)
 		c[colEst+int(PMAX)][r], c[colEst+int(SAFE)][r] = worstStep(&st, c[colKNodes][r], c[colKDrivers][r], c[colEDrivers][r])
 	}

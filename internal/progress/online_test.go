@@ -94,8 +94,9 @@ func assertOnlineEqualsReference(t *testing.T, ov *progress.OnlineView, tr *exec
 		}
 		// What the dynamic features read besides the series.
 		truth := ov.AppendTrueSeries(nil, p)
+		rows := op.Rows()
 		for i, want := range ref.TrueSeries() {
-			if op.DriverFraction(i) != ref.DriverFraction(i) || op.TimeSinceStart(i) != ref.TimeSinceStart(i) || truth[i] != want {
+			if rows.DriverFraction(i) != ref.DriverFraction(i) || rows.TimeSinceStart(i) != ref.TimeSinceStart(i) || truth[i] != want {
 				t.Fatalf("query %d pipeline %d obs %d: driver fraction, elapsed time or truth diverges", qi, p, i)
 			}
 		}

@@ -22,9 +22,12 @@ var reselectMarkers = func() []float64 {
 // pipeline's first pick is made at its start from the static prefix (the
 // dynamic suffix still holds its neutral defaults), and revised each time
 // its driver-input fraction crosses a marker. Without a selector every
-// pipeline keeps the fixed estimator. The live monitor and the replays
-// that score it drive the same Policy, so what is scored is what was
-// served. A Policy serves one run.
+// pipeline keeps the fixed estimator. A pick that can no longer change —
+// the fixed one, or the one made at the last marker — settles its
+// pipeline (progress.OnlinePipeline.Settle), so the view advances only
+// what is served. The live monitor and the replays that score it drive
+// the same Policy, so what is scored is what was served. A Policy serves
+// one run.
 type Policy struct {
 	sel       *Selector
 	choice    []progress.Kind
@@ -50,11 +53,15 @@ func NewPolicy(sel *Selector, n int, fixed progress.Kind) Policy {
 func (p *Policy) Choice(pi int) progress.Kind { return p.choice[pi] }
 
 // Start starts pipeline st.Pipe in view and makes its first pick.
+// Without a selector that pick is final, so the pipeline settles at once.
 func (p *Policy) Start(view *progress.OnlineView, st exec.PipelineStart) {
 	view.OnPipelineStart(st)
-	if p.sel != nil {
-		p.choice[st.Pipe] = p.sel.PickOnline(view.Pipelines[st.Pipe])
+	pl := view.Pipelines[st.Pipe]
+	if p.sel == nil {
+		pl.Settle(p.choice[st.Pipe])
+		return
 	}
+	p.choice[st.Pipe] = p.sel.PickOnline(pl)
 }
 
 // Advance feeds a segment of snapshots to view and re-picks every
@@ -79,21 +86,29 @@ func (p *Policy) Advance(view *progress.OnlineView, seg []exec.Snapshot) {
 // first-crossing ordinals and the immutable history at them — identical
 // to per-snapshot delivery. Pipeline starts and thins always flush the
 // pending batch, so the active set and the history are segment-stable.
+// Once the cursor has passed the last marker, nothing is left to cross:
+// the pick made there is final, the pipeline settles, and the policy
+// reads none of its later observations.
 func (p *Policy) repickCrossed(view *progress.OnlineView) {
+	last := len(reselectMarkers)
 	for pi, pl := range view.Pipelines {
-		if !pl.Started || pl.Ended {
+		if !pl.Started || pl.Ended || p.nextMark[pi] == last {
 			continue
 		}
 		crossed := false
-		for i := p.obsBefore[pi]; i < pl.NumObs(); i++ {
-			f := pl.DriverFraction(i)
-			for p.nextMark[pi] < len(reselectMarkers) && f >= reselectMarkers[p.nextMark[pi]] {
+		rows := pl.Rows()
+		for i := p.obsBefore[pi]; i < pl.NumObs() && p.nextMark[pi] < last; i++ {
+			f := rows.DriverFraction(i)
+			for p.nextMark[pi] < last && f >= reselectMarkers[p.nextMark[pi]] {
 				p.nextMark[pi]++
 				crossed = true
 			}
 		}
 		if crossed {
 			p.choice[pi] = p.sel.PickOnline(pl)
+			if p.nextMark[pi] == last {
+				pl.Settle(p.choice[pi])
+			}
 		}
 	}
 }

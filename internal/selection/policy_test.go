@@ -26,8 +26,9 @@ func (v served) pipe() *progress.OnlinePipeline { return v.view.Pipelines[v.p] }
 // series is the per-pipeline progress the policy served.
 func (v served) series() []float64 {
 	out := make([]float64, len(v.picks))
+	rows := v.pipe().Rows()
 	for i, k := range v.picks {
-		out[i] = v.pipe().EstimateAt(k, i)
+		out[i] = rows.EstimateAt(k, i)
 	}
 	return out
 }
@@ -107,7 +108,7 @@ func firstCrossings(p *progress.OnlinePipeline) []int {
 	for mi, x := range features.Markers {
 		out[mi] = -1
 		for i := 0; i < p.NumObs(); i++ {
-			if p.DriverFraction(i) >= float64(x)/100 {
+			if p.Rows().DriverFraction(i) >= float64(x)/100 {
 				out[mi] = i
 				break
 			}

@@ -7,9 +7,12 @@ import (
 )
 
 // TestSharedRunConcurrentReads (run under -race in CI): Wait hands every
-// caller the same QueryRun, so its readers must write nothing. Goroutines
-// read one run's series, errors, features and whole-query series at once;
-// each reads what a single reader does.
+// caller the same QueryRun, so its readers must write nothing past the
+// one materialization of the rows the served view deferred, which the
+// first of them runs. Goroutines read one run's series, errors, features
+// and whole-query series at once; each reads what a single reader does —
+// for a fixed estimator, whose pipelines settle at their start, and for a
+// trained selector, whose pipelines settle at the last marker crossing.
 func TestSharedRunConcurrentReads(t *testing.T) {
 	w, err := Open(Config{Dataset: TPCH, Queries: 2, Scale: 0.08, Seed: 3})
 	if err != nil {
@@ -20,45 +23,52 @@ func TestSharedRunConcurrentReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := runFingerprint(ref)
-	m, err := w.Start(0, MonitorOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range m.Updates {
-	}
-	const readers = 4
-	got := make([][][]float64, readers)
-	var wg sync.WaitGroup
-	for g := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run, err := m.Wait()
+	for name, opts := range map[string]MonitorOptions{
+		"fixed":    {},
+		"selector": {Selector: trainedSelector(t)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, err := w.Start(0, opts)
 			if err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
-			fp := runFingerprint(run)
-			for _, e := range AllEstimators() {
-				l1, l2 := run.QueryErrors(e)
-				fp = append(fp, run.QueryEstimates(e), []float64{l1, l2})
+			for range m.Updates {
 			}
-			for p := 0; p < run.NumPipelines(); p++ {
-				fp = append(fp, []float64{run.PipelineWeight(p)})
+			const readers = 4
+			got := make([][][]float64, readers)
+			var wg sync.WaitGroup
+			for g := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					run, err := m.Wait()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					fp := runFingerprint(run)
+					for _, e := range AllEstimators() {
+						l1, l2 := run.QueryErrors(e)
+						fp = append(fp, run.QueryEstimates(e), []float64{l1, l2})
+					}
+					for p := 0; p < run.NumPipelines(); p++ {
+						fp = append(fp, []float64{run.PipelineWeight(p)})
+					}
+					got[g] = fp
+				}()
 			}
-			got[g] = fp
-		}()
-	}
-	wg.Wait()
-	for g, fp := range got {
-		if len(fp) < len(want) {
-			t.Fatalf("reader %d read %d series, want at least %d", g, len(fp), len(want))
-		}
-		for i := range want {
-			if !sameSeries(fp[i], want[i]) {
-				t.Fatalf("reader %d series %d differs from a single reader's", g, i)
+			wg.Wait()
+			for g, fp := range got {
+				if len(fp) < len(want) {
+					t.Fatalf("reader %d read %d series, want at least %d", g, len(fp), len(want))
+				}
+				for i := range want {
+					if !sameSeries(fp[i], want[i]) {
+						t.Fatalf("reader %d series %d differs from a single reader's", g, i)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
