@@ -8,7 +8,6 @@
 package progressest_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -370,36 +369,13 @@ func BenchmarkEstimatorReplay(b *testing.B) {
 func BenchmarkDriftRecord(b *testing.B) {
 	reg := feedback.NewRegistry()
 	tr := feedback.NewDriftTracker(reg, feedback.DriftConfig{})
-	served := reg.Publish(nil, feedback.VersionMeta{Family: "fam", HoldoutL1: 0.05, HoldoutN: 50})
+	served := reg.Publish(nil, feedback.VersionMeta{HoldoutL1: 0.05, HoldoutN: 50})
 	errs := []float64{0.04, 0.07, 0.05, 0.06}
 	tr.Record(served, errs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Record(served, errs)
-	}
-}
-
-// BenchmarkRouterLookup measures the per-query cost of resolving the
-// serving model version for a family — the lock-free routing-table read
-// on the admission hot path, with the drift monitor's per-target
-// accounting hanging off its answer.
-func BenchmarkRouterLookup(b *testing.B) {
-	r := selection.NewRouter[int]()
-	r.Set("", 0)
-	families := make([]string, 16)
-	for i := range families {
-		families[i] = fmt.Sprintf("fam%02d", i)
-		if i%2 == 0 {
-			r.Set(families[i], i+1) // odd families fall back to the global entry
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := r.Route(families[i%len(families)]); !ok {
-			b.Fatal("route missed")
-		}
 	}
 }
 

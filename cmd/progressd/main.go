@@ -38,12 +38,12 @@
 // With -learn the daemon closes the paper's training loop on its own
 // traffic: every finished query is harvested into an on-disk corpus
 // (tagged with its workload family), a background retrainer periodically
-// fits fresh selection models on it — one global model, plus one per
-// sufficiently represented family with -route-by-family — and versions
-// that pass the retrain-quality gate are hot-swapped into serving without
-// dropping a progress request. Accepted versions are persisted next to
-// the corpus, so a restarted daemon resumes from its last trained models.
-// -model (or an earlier corpus) seeds the loop.
+// fits a fresh selection model on it — one model serves every query, as
+// in the paper — and versions that pass the retrain-quality gate are
+// hot-swapped into serving without dropping a progress request. Accepted
+// versions are persisted next to the corpus, so a restarted daemon
+// resumes from its last trained model. -model (or an earlier corpus)
+// seeds the loop.
 //
 // Endpoints:
 //
@@ -54,9 +54,9 @@
 //	POST /engine/resize          {"shards": n} operator pool resize
 //	GET  /healthz                              liveness probe
 //	GET  /models                               corpus + model versions + drift (-learn)
-//	GET  /models/drift                         observed-vs-predicted per target (-learn)
+//	GET  /models/drift                         observed-vs-predicted standing (-learn)
 //	POST /models/retrain                       train + gate + hot-swap (-learn)
-//	POST /models/rollback      [{"family":f}]  revert to previous (-learn)
+//	POST /models/rollback                      revert to previous (-learn)
 //	POST   /sessions                           open an external estimation session
 //	POST   /sessions/{id}/observations         stream counter observations
 //	GET    /sessions/{id}/progress             freshest session progress update
@@ -76,7 +76,7 @@
 //
 //	progressd [-addr :8080] [-workload tpch|tpcds|real1|real2]
 //	          [-design 0|1|2] [-queries N] [-scale F] [-zipf F] [-seed N]
-//	          [-shards N] [-queue-depth N] [-max-live N] [-route-by-family]
+//	          [-shards N] [-queue-depth N] [-max-live N]
 //	          [-min-shards N] [-max-shards N] [-autoscale-interval D]
 //	          [-no-autoscale]
 //	          [-qos-weights fam=w,...] [-class-queue-depth N]
@@ -101,21 +101,21 @@
 // serving model beyond a 0.01 absolute slack); -no-gate hot-swaps every
 // retrain unconditionally.
 //
-// With -learn the daemon also monitors model drift: per routing target it
-// joins each served query's pinned model version with the estimator
-// errors later harvested for that query, and once the windowed observed
-// error exceeds the version's holdout baseline by -drift-ratio (plus a
-// 0.01 absolute slack), exactly that target is retrained with trigger
-// "drift" — unless -no-drift-retrain leaves the decision to the operator.
-// GET /models/drift exposes the per-target standing and the retrainer's
-// decision history.
+// With -learn the daemon also monitors model drift: it joins each served
+// query's pinned model version with the estimator errors later harvested
+// for that query, and once the windowed observed error exceeds the
+// version's holdout baseline by -drift-ratio (plus a 0.01 absolute
+// slack), the model is retrained with trigger "drift" — unless
+// -no-drift-retrain leaves the decision to the operator. GET
+// /models/drift exposes the serving version's standing and the
+// retrainer's decision history.
 //
 // The learning loop scales to large corpora: the corpus is seg-*.log
 // files only, each sealed segment is indexed in memory at open (record
 // offsets and per-family ordinals) and decoded through a bounded cache
 // (-corpus-cache-mb), so a retrain re-reads only the active tail. Every
-// background poll takes one corpus snapshot and fits each due target —
-// global, families with new evidence, drifted targets — at most once.
+// background poll takes one corpus snapshot and fits the model at most
+// once, whether the size/age policy or a drift verdict asked for it.
 // Every selector fit bins its matrix once and fits the candidate estimators' models on
 // min(GOMAXPROCS, candidates) goroutines; there is no knob.
 //
@@ -123,8 +123,8 @@
 // retention and compaction keep at least N examples of every tagged
 // family on disk, and every background retrainer poll first compacts the
 // corpus, rewriting sealed segments and downsampling the largest (family,
-// plan signature) groups first, so one hot family's flood cannot evict the
-// examples a rarer family's drift retrain will need.
+// plan signature) groups first, so one hot family's flood cannot evict a
+// rarer family's examples from the training corpus.
 //
 // -canary-window gates hot-swaps on live evidence: a background-retrained
 // model that passes the holdout gate first shadow-scores on N live
@@ -132,9 +132,8 @@
 // error holds up (pending challengers are visible in GET /models as
 // "canaries"; -canary-max-age bounds the wait). -drift-reject-limit is
 // the auto-rollback breaker: after N consecutive rejected drift retrains
-// of a still-drifting target, the serving version itself is rolled back
-// (or the family pinned to the global model), exactly as POST
-// /models/rollback would.
+// of a still-drifting model, the serving version itself is rolled back,
+// exactly as POST /models/rollback would.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: it stops accepting
 // connections, fails queued admissions instead of stranding them, drains
@@ -176,7 +175,6 @@ func main() {
 	classQueueDepth := flag.Int("class-queue-depth", 0, "one admission class's share of the queue (default: -queue-depth, no per-class tightening)")
 	sloP99 := flag.Duration("slo-p99", 0, "p99 queue-wait SLO the autoscaler defends: sustained breach grows the pool before rejections (0 = off)")
 	deadlineAdmission := flag.Bool("deadline-admission", false, "shed submissions whose deadline_ms cannot cover the predicted queue wait instead of queueing them")
-	routeByFamily := flag.Bool("route-by-family", false, "train and serve per-workload-family selection models (needs -learn)")
 	every := flag.Int("every", 8, "record a progress update every N counter snapshots")
 	pace := flag.Duration("pace", 0, "pace execution: sleep per progress update (0 = full speed)")
 	model := flag.String("model", "", "optional trained selector (see cmd/trainsel)")
@@ -185,13 +183,13 @@ func main() {
 	retrainEvery := flag.Duration("retrain-every", time.Minute, "minimum interval between automatic retrains")
 	gateTolerance := flag.Float64("gate-tolerance", 0.25, "retrain-quality gate: accepted relative holdout-L1 regression (0 = strict)")
 	noGate := flag.Bool("no-gate", false, "disable the retrain-quality gate (every retrain hot-swaps)")
-	driftRatio := flag.Float64("drift-ratio", 1.5, "drift monitor: a target drifts once its observed serving L1 exceeds baseline*ratio + 0.01")
-	driftWindow := flag.Int("drift-window", 256, "drift monitor: observed errors kept per routing target")
+	driftRatio := flag.Float64("drift-ratio", 1.5, "drift monitor: the serving model drifts once its observed serving L1 exceeds baseline*ratio + 0.01")
+	driftWindow := flag.Int("drift-window", 256, "drift monitor: observed errors kept per serving version")
 	noDriftRetrain := flag.Bool("no-drift-retrain", false, "track drift but never auto-retrain on it (operator decides)")
 	familyQuota := flag.Int("family-quota", 0, "per-family corpus retention floor: keep at least N examples of every tagged family through retention and compaction (0 = off)")
 	canaryWindow := flag.Int("canary-window", 0, "champion/challenger confirmation: shadow-score retrained models on N live queries before hot-swap (0 = swap immediately)")
 	canaryMaxAge := flag.Duration("canary-max-age", 5*time.Minute, "reject a challenger that cannot fill its confirmation window within this long")
-	driftRejectLimit := flag.Int("drift-reject-limit", 3, "auto-rollback after N consecutive rejected drift retrains of a still-drifting target (0 = off)")
+	driftRejectLimit := flag.Int("drift-reject-limit", 3, "auto-rollback after N consecutive rejected drift retrains of a still-drifting model (0 = off)")
 	trees := flag.Int("trees", 200, "MART boosting iterations for retrained models")
 	corpusCacheMB := flag.Int("corpus-cache-mb", 64, "decode-cache budget for sealed corpus segments in MiB (0 disables)")
 	ingestTTL := flag.Duration("ingest-ttl", 2*time.Minute, "expire external estimation sessions that ingested nothing for this long (negative = never)")
@@ -267,7 +265,6 @@ func main() {
 			MinNewExamples:      *retrainAfter,
 			MinInterval:         *retrainEvery,
 			SeedSelector:        sel,
-			FamilyModels:        *routeByFamily,
 			GateTolerance:       gt,
 			DisableGate:         *noGate,
 			DriftRatio:          *driftRatio,
@@ -288,15 +285,9 @@ func main() {
 		if cur, ok := learning.Current(); ok {
 			log.Printf("serving model v%d (source %s)", cur.ID, cur.Source)
 		}
-		if fams := learning.FamilyVersions(); len(fams) > 0 {
-			log.Printf("restored %d family model(s)", len(fams))
-		}
 	} else {
 		// Without learning the explicit model (if any) serves statically.
 		opts.Selector = sel
-		if *routeByFamily {
-			log.Printf("warning: -route-by-family needs -learn; serving the global model only")
-		}
 	}
 
 	if *pprofAddr != "" {
@@ -315,7 +306,6 @@ func main() {
 		Shards:            *shards,
 		MaxLivePerShard:   *maxLive,
 		QueueDepth:        *queueDepth,
-		RouteByFamily:     *routeByFamily,
 		MinShards:         *minShards,
 		MaxShards:         *maxShards,
 		DisableAutoscale:  *noAutoscale,

@@ -12,30 +12,15 @@ import (
 
 // TestDriftDetectAutoRetrainEndToEnd is the full loop of the drift
 // monitor over HTTP: a deliberately stale model — a real selector
-// published for one workload family with a fabricated near-zero holdout
-// baseline, so any live traffic reads as drift — serves that family's
-// queries; the harvester joins each query's estimator errors back to the
-// pinned version; the background retrainer's drift trigger fires and
-// retrains exactly that family (trigger "drift" in the decision
-// history); and GET /models/drift reflects the whole transition: drifted
-// true with the stale version, then the fresh version's own window.
+// published with a fabricated near-zero holdout baseline, so any live
+// traffic reads as drift — serves the queries; the harvester joins each
+// query's estimator errors back to the pinned version; the background
+// retrainer's drift trigger fires and retrains the model (trigger
+// "drift" in the decision history); and GET /models/drift reflects the
+// whole transition: drifted true with the stale version, then the fresh
+// version's own window.
 func TestDriftDetectAutoRetrainEndToEnd(t *testing.T) {
 	w := learningWorkload(t)
-	// Pick the family to poison and a query of another family as the
-	// control.
-	fam := w.QueryFamily(0)
-	var famQueries, otherQueries []int
-	for i := 0; i < w.NumQueries(); i++ {
-		if w.QueryFamily(i) == fam {
-			famQueries = append(famQueries, i)
-		} else {
-			otherQueries = append(otherQueries, i)
-		}
-	}
-	if len(otherQueries) == 0 {
-		t.Fatal("workload has a single family; cannot prove per-family isolation")
-	}
-
 	lrn, err := OpenLearning(LearningConfig{
 		Dir:      t.TempDir(),
 		Selector: SelectorConfig{Trees: 10},
@@ -48,12 +33,10 @@ func TestDriftDetectAutoRetrainEndToEnd(t *testing.T) {
 		DisableGate:     true,
 		DisablePersist:  true,
 		MinObservations: 1,
-		// A few live queries must clear the family training floor.
-		MinFamilyExamples: 1,
-		DriftWindow:       64,
-		DriftMinSamples:   3,
-		DriftRatio:        1.5,
-		DriftAbsSlack:     -1, // zero slack: vs. the near-zero baseline, any real error drifts
+		DriftWindow:     64,
+		DriftMinSamples: 3,
+		DriftRatio:      1.5,
+		DriftAbsSlack:   -1, // zero slack: vs. the near-zero baseline, any real error drifts
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,19 +60,17 @@ func TestDriftDetectAutoRetrainEndToEnd(t *testing.T) {
 		HoldoutL1: 1e-9,
 		HoldoutN:  50,
 		Source:    "manual",
-		Family:    fam,
 	})
 
-	eng := NewEngine(w, EngineConfig{RouteByFamily: true}, MonitorOptions{UpdateEvery: 4, Learning: lrn})
+	eng := NewEngine(w, EngineConfig{}, MonitorOptions{UpdateEvery: 4, Learning: lrn})
 	srv := httptest.NewServer(NewEngineServer(eng))
 	defer srv.Close()
 
 	runQuery := func(q int) {
 		t.Helper()
 		var info struct {
-			ID          string `json:"id"`
-			Model       int    `json:"model"`
-			ModelFamily string `json:"model_family"`
+			ID    string `json:"id"`
+			Model int    `json:"model"`
 		}
 		if code := doJSON(t, http.MethodPost, srv.URL+"/queries", `{"query": `+strconv.Itoa(q)+`}`, &info); code != http.StatusAccepted {
 			t.Fatalf("submit query %d: HTTP %d", q, code)
@@ -112,7 +93,6 @@ func TestDriftDetectAutoRetrainEndToEnd(t *testing.T) {
 
 	type driftWire struct {
 		Targets []struct {
-			Family       string  `json:"family"`
 			Version      int     `json:"version"`
 			BaselineL1   float64 `json:"baseline_l1"`
 			ObservedL1   float64 `json:"observed_l1"`
@@ -123,7 +103,6 @@ func TestDriftDetectAutoRetrainEndToEnd(t *testing.T) {
 		} `json:"targets"`
 		Decisions []struct {
 			Trigger  string `json:"trigger"`
-			Family   string `json:"family"`
 			Version  int    `json:"version"`
 			Decision string `json:"decision"`
 		} `json:"decisions"`
@@ -137,15 +116,13 @@ func TestDriftDetectAutoRetrainEndToEnd(t *testing.T) {
 		return dw
 	}
 
-	// A control query of another family first: it has no model to serve
-	// it (only fam has a version), so no drift window may appear for it.
-	runQuery(otherQueries[0])
+	// Before any harvest the stale version has no window to report.
 	if dw := getDrift(); len(dw.Targets) != 0 {
-		t.Fatalf("control query created drift state: %+v", dw.Targets)
+		t.Fatalf("drift state before any served query: %+v", dw.Targets)
 	}
 
-	// Serve the poisoned family until its window has MinSamples and the
-	// background loop retrains it. Every query contributes >= 1 example
+	// Serve queries until the window has MinSamples and the background
+	// loop retrains. Every query contributes >= 1 example
 	// (MinObservations 1), so a handful suffices; keep cycling until the
 	// transition is visible or the deadline passes.
 	deadline := time.Now().Add(30 * time.Second)
@@ -155,7 +132,7 @@ func TestDriftDetectAutoRetrainEndToEnd(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("drift retrain never fired; last standing: %+v", after)
 		}
-		for _, q := range famQueries {
+		for q := 0; q < w.NumQueries(); q++ {
 			runQuery(q)
 		}
 		after = getDrift()
@@ -166,60 +143,48 @@ func TestDriftDetectAutoRetrainEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The decision history pins provenance: every drift-triggered retrain
-	// hit exactly the poisoned family, and no other target was trained at
-	// all (the size/age trigger was disabled, so the history is pure).
+	// The decision history pins provenance: every retrain was
+	// drift-triggered (the size/age trigger was disabled, so the history
+	// is pure).
 	for _, d := range after.Decisions {
 		if d.Trigger != "drift" {
 			t.Fatalf("unexpected non-drift decision %+v (size/age trigger should be off)", d)
-		}
-		if d.Family != fam {
-			t.Fatalf("drift retrain hit family %q, want only %q", d.Family, fam)
 		}
 		if d.Decision != "accepted" {
 			t.Fatalf("ungated drift retrain was not accepted: %+v", d)
 		}
 	}
 
-	// The registry swapped in a fresh version for fam only.
-	cur := lrn.reg.CurrentFor(fam)
+	// The registry swapped in a fresh version.
+	cur := lrn.reg.Current()
 	if cur == nil || cur.ID == stale.ID {
-		t.Fatalf("family %q still serves the stale version", fam)
+		t.Fatal("the stale version still serves")
 	}
-	if cur.Meta.Source != "drift" || cur.Meta.Family != fam {
+	if cur.Meta.Source != "drift" {
 		t.Fatalf("replacement version provenance: %+v", cur.Meta)
-	}
-	if lrn.reg.Current() != nil {
-		t.Fatal("a global version appeared although only the family drifted")
 	}
 
 	// GET /models/drift reflects the transition: once the replacement has
-	// served a query, the fam target reports its window — never again the
-	// stale version's — with drift provenance attached. (The replacement
-	// omits the target until its first harvest.)
-	runQuery(famQueries[0])
+	// served a query, its window is reported — never again the stale
+	// version's — with drift provenance attached. (The replacement is
+	// omitted until its first harvest.)
+	runQuery(0)
 	after = getDrift()
-	found := false
-	for _, tg := range after.Targets {
-		if tg.Family != fam {
-			t.Fatalf("drift window for unexpected target %q", tg.Family)
-		}
-		found = true
-		if tg.Version == stale.ID && tg.Drifted {
-			t.Fatalf("stale version still drifting after retrain: %+v", tg)
-		}
-		if tg.LastTrigger != "drift" || tg.LastDecision != "accepted" {
-			t.Fatalf("per-target provenance: %+v", tg)
-		}
+	if len(after.Targets) != 1 {
+		t.Fatalf("drift standing = %+v, want the serving version's", after.Targets)
 	}
-	if !found {
-		t.Fatal("poisoned family vanished from /models/drift")
+	tg := after.Targets[0]
+	if tg.Version == stale.ID && tg.Drifted {
+		t.Fatalf("stale version still drifting after retrain: %+v", tg)
+	}
+	if tg.LastTrigger != "drift" || tg.LastDecision != "accepted" {
+		t.Fatalf("provenance: %+v", tg)
 	}
 
 	// GET /models carries the same drift standing inline.
 	var models struct {
 		Drift []struct {
-			Family string `json:"family"`
+			Version int `json:"version"`
 		} `json:"drift"`
 		Decisions []struct {
 			Trigger string `json:"trigger"`

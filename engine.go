@@ -28,9 +28,8 @@ type EngineConfig struct {
 	// shard is at capacity; 0 disables queueing, so a saturated engine
 	// rejects immediately (IsSaturated).
 	QueueDepth int
-	// RouteByFamily serves each query with the selector version trained
-	// for its workload family (falling back to the global model) when the
-	// monitor options carry a Learning loop.
+	// Deprecated: ignored; one model serves every query. Kept only so
+	// bench/ builds; removed with ROADMAP item 16.
 	RouteByFamily bool
 
 	// MinShards and MaxShards bound runtime resizing (both default to the
@@ -107,9 +106,9 @@ func ParseQoSWeights(s string) (map[string]int, error) {
 // Engine is the sharded execution engine: one Workload behind one
 // admission gate (bounded fair queue, per-shard live bound, least-loaded
 // dispatch) and one Learning loop — every query harvests into the same
-// corpus and is served from the same hot-swapped model registry,
-// optionally routed per workload family. Its shards are buckets of
-// admission slots: pool size × MaxLivePerShard is the concurrency cap.
+// corpus and is served from the same hot-swapped model registry. Its
+// shards are buckets of admission slots: pool size × MaxLivePerShard is
+// the concurrency cap.
 // The pool is elastic: Resize moves the cap at runtime, and an optional
 // autoscaler drives Resize from the gate's own queue-depth and rejection
 // signals. It is the serving core progressd wraps in HTTP.
@@ -125,16 +124,11 @@ type Engine struct {
 }
 
 // NewEngine builds an engine of cfg.Shards shards over w. The monitor
-// options apply to every query the engine starts; cfg.RouteByFamily
-// switches them to per-family model routing. Defaulting of the gate
+// options apply to every query the engine starts. Defaulting of the gate
 // bounds (per-shard live limit, queue depth) is owned by the internal
 // gate; the initial pool size is clamped into [MinShards, MaxShards].
 func NewEngine(w *Workload, cfg EngineConfig, opts MonitorOptions) *Engine {
 	opts = opts.withDefaults()
-	// Family routing needs a model registry to route over; without a
-	// Learning loop the flag would only make Stats report a capability
-	// that cannot act.
-	opts.RouteByFamily = (opts.RouteByFamily || cfg.RouteByFamily) && opts.Learning != nil
 	shards := cfg.Shards
 	if shards <= 0 {
 		shards = 1
@@ -431,8 +425,6 @@ type EngineStats struct {
 	LastDecision *AutoscaleDecision `json:"last_decision,omitempty"`
 	// Draining is true once Drain began.
 	Draining bool `json:"draining"`
-	// RouteByFamily reports whether per-family model routing is on.
-	RouteByFamily bool `json:"route_by_family"`
 	// Ingest is the external counter-ingestion session accounting, when
 	// the stats come from a Server with the session layer attached.
 	Ingest *IngestStats `json:"ingest,omitempty"`
@@ -481,7 +473,6 @@ func (e *Engine) Stats() EngineStats {
 		Resizes:         gs.Resizes,
 		ResizeEvents:    gs.ResizeEvents,
 		Draining:        gs.Draining,
-		RouteByFamily:   e.opts.RouteByFamily,
 
 		SLOQueueWaitP99MS: float64(e.sloP99) / float64(time.Millisecond),
 		DeadlineAdmission: e.deadline,

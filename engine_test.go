@@ -2,7 +2,6 @@ package progressest
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -177,135 +176,6 @@ func TestEngineDrainFailsQueuedSubmissions(t *testing.T) {
 	}
 	if code := doJSON(t, http.MethodGet, srv.URL+"/queries/"+first.ID+"/progress", "", &resp); code != http.StatusOK || !resp.Done {
 		t.Fatalf("drained query: status %d done %v", code, resp.Done)
-	}
-}
-
-// TestEngineFamilyRoutingEndToEnd is the acceptance e2e: after a retrain
-// with family models on, a query of the family with its own trained
-// model is served by that family version, while queries of other
-// families fall back to the global selector — visible both on the
-// Monitor and in the HTTP responses.
-func TestEngineFamilyRoutingEndToEnd(t *testing.T) {
-	w, err := Open(Config{Dataset: TPCH, Queries: 24, Scale: 0.08, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Batch-harvest once to fill the corpus; examples are family-tagged.
-	ex, err := w.HarvestParallel(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make(map[string]int)
-	for i := range ex {
-		counts[ex[i].Family]++
-	}
-	top, topN := "", 0
-	for f, n := range counts {
-		if n > topN {
-			top, topN = f, n
-		}
-	}
-	if top == "" || len(counts) < 2 {
-		t.Fatalf("workload yielded %d families: %v — the fixture needs at least 2", len(counts), counts)
-	}
-	dir := t.TempDir()
-	if err := ExportExamples(dir, ex); err != nil {
-		t.Fatal(err)
-	}
-	lrn, err := OpenLearning(LearningConfig{
-		Dir:               dir,
-		Selector:          SelectorConfig{Trees: 10},
-		DisableBackground: true,
-		DisableGate:       true,
-		FamilyModels:      true,
-		// Only the best-represented family qualifies for its own model.
-		MinFamilyExamples: topN,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lrn.Close()
-	global, err := lrn.Retrain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fams := lrn.FamilyVersions()
-	if len(fams) != 1 {
-		t.Fatalf("family versions %v, want exactly {%s}", fams, top)
-	}
-	famVersion, ok := fams[top]
-	if !ok || famVersion == global.ID {
-		t.Fatalf("family %s has version %d (global %d)", top, famVersion, global.ID)
-	}
-
-	eng := NewEngine(w, EngineConfig{Shards: 2, RouteByFamily: true},
-		MonitorOptions{UpdateEvery: 8, Learning: lrn})
-	qTop, qOther := -1, -1
-	for i := 0; i < w.NumQueries(); i++ {
-		if w.QueryFamily(i) == top && qTop < 0 {
-			qTop = i
-		}
-		if w.QueryFamily(i) != top && qOther < 0 {
-			qOther = i
-		}
-	}
-	if qTop < 0 || qOther < 0 {
-		t.Fatalf("query fixture lacks families: top=%d other=%d", qTop, qOther)
-	}
-
-	mTop, err := eng.Start(context.Background(), qTop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mOther, err := eng.Start(context.Background(), qOther)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mTop.ModelVersion() != famVersion || mTop.ModelFamily() != top {
-		t.Fatalf("family query served by v%d (family %q), want family version v%d (%q)",
-			mTop.ModelVersion(), mTop.ModelFamily(), famVersion, top)
-	}
-	if mOther.ModelVersion() != global.ID || mOther.ModelFamily() != "" {
-		t.Fatalf("other-family query served by v%d (family %q), want global v%d",
-			mOther.ModelVersion(), mOther.ModelFamily(), global.ID)
-	}
-	if mTop.Shard() == mOther.Shard() {
-		t.Fatalf("both queries landed on shard %d despite a free shard", mTop.Shard())
-	}
-	for range mTop.Updates {
-	}
-	for range mOther.Updates {
-	}
-	if _, err := mTop.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mOther.Wait(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The same routing is visible over HTTP, including in /models.
-	srv := httptest.NewServer(NewEngineServer(eng))
-	defer srv.Close()
-	var info struct {
-		ID          string `json:"id"`
-		Family      string `json:"family"`
-		Model       int    `json:"model"`
-		ModelFamily string `json:"model_family"`
-	}
-	if code := doJSON(t, http.MethodPost, srv.URL+"/queries",
-		fmt.Sprintf(`{"query": %d}`, qTop), &info); code != http.StatusAccepted {
-		t.Fatalf("submit: status %d", code)
-	}
-	if info.Family != top || info.Model != famVersion || info.ModelFamily != top {
-		t.Fatalf("HTTP family routing: %+v", info)
-	}
-	waitDone(t, srv.URL, info.ID)
-	var models modelsResponse
-	if code := doJSON(t, http.MethodGet, srv.URL+"/models", "", &models); code != http.StatusOK {
-		t.Fatalf("GET /models: status %d", code)
-	}
-	if models.Families[top] != famVersion || models.Current != global.ID {
-		t.Fatalf("models routing table: current %d families %v", models.Current, models.Families)
 	}
 }
 

@@ -1,7 +1,6 @@
 package feedback
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -57,22 +56,22 @@ type canaryState struct {
 	n          int
 }
 
-// Canary tracks pending challengers, one per routing target; a newer
-// proposal for the same target replaces the older one (the older
-// candidate is stale the moment a fresher training run completes).
-// Observe is called from the harvest path and take from the retrainer's
-// tick, so all state is guarded by its own lock.
+// Canary holds at most one pending challenger; a newer proposal
+// replaces the older one (the older candidate is stale the moment a
+// fresher training run completes). Observe is called from the harvest
+// path and take from the retrainer's tick, so all state is guarded by
+// its own lock.
 type Canary struct {
 	cfg CanaryConfig
 
 	mu      sync.Mutex
-	pending map[string]*canaryState
+	pending *canaryState
 }
 
 // NewCanary creates a canary controller. A nil *Canary is a valid "off"
 // value everywhere.
 func NewCanary(cfg CanaryConfig) *Canary {
-	return &Canary{cfg: cfg.withDefaults(), pending: make(map[string]*canaryState)}
+	return &Canary{cfg: cfg.withDefaults()}
 }
 
 // enabled reports whether canary confirmation applies (nil-safe).
@@ -86,12 +85,11 @@ func (c *Canary) Window() int {
 	return c.cfg.Window
 }
 
-// propose registers a challenger for its target, replacing any pending
-// one.
+// propose registers a challenger, replacing any pending one.
 func (c *Canary) propose(f *targetFit, meta VersionMeta, source string, observedL1 float64, champion *Version, now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.pending[meta.Family] = &canaryState{
+	c.pending = &canaryState{
 		fit:        f,
 		meta:       meta,
 		source:     source,
@@ -101,22 +99,21 @@ func (c *Canary) propose(f *targetFit, meta VersionMeta, source string, observed
 	}
 }
 
-// Observe shadow-scores the pending challenger of champion's routing
-// target on a harvest batch: exs are the examples harvested from queries
-// champion answered, champErrs the L1 error its estimator choices
-// incurred on each (the same values fed to the drift window). The
-// challenger replays each example through its own selector. Observations
-// are only credited while the champion the challenger was proposed
-// against is still the one serving — evidence against a different
-// champion would corrupt the comparison — and accumulation stops at the
-// confirmation window.
+// Observe shadow-scores the pending challenger on a harvest batch: exs
+// are the examples harvested from queries champion answered, champErrs
+// the L1 error its estimator choices incurred on each (the same values
+// fed to the drift window). The challenger replays each example through
+// its own selector. Observations are only credited while the champion
+// the challenger was proposed against is the one that served them —
+// evidence against a different champion would corrupt the comparison —
+// and accumulation stops at the confirmation window.
 func (c *Canary) Observe(champion *Version, exs []selection.Example, champErrs []float64) {
 	if !c.enabled() || len(exs) == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.pending[champion.Meta.Family]
+	st := c.pending
 	if st == nil || st.champion != champion || st.fit.sel == nil {
 		return
 	}
@@ -131,59 +128,55 @@ func (c *Canary) Observe(champion *Version, exs []selection.Example, champErrs [
 	}
 }
 
-// resolvable reports whether any pending challenger is ready for a
-// verdict (window full or expired). Nil-safe; cheap enough for every
-// poll tick.
+// ripeLocked reports whether the pending challenger is ready for a
+// verdict (window full or expired).
+func (c *Canary) ripeLocked(now time.Time) bool {
+	st := c.pending
+	return st != nil && (st.n >= c.cfg.Window || now.Sub(st.proposedAt) >= c.cfg.MaxAge)
+}
+
+// resolvable reports whether the pending challenger is ready for a
+// verdict. Nil-safe; cheap enough for every poll tick.
 func (c *Canary) resolvable(now time.Time) bool {
 	if !c.enabled() {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, st := range c.pending {
-		if st.n >= c.cfg.Window || now.Sub(st.proposedAt) >= c.cfg.MaxAge {
-			return true
-		}
-	}
-	return false
+	return c.ripeLocked(now)
 }
 
-// take removes and returns every challenger ready for a verdict, sorted
-// by target for deterministic resolution order.
-func (c *Canary) take(now time.Time) []*canaryState {
+// take removes and returns the pending challenger when it is ready for a
+// verdict, else nil.
+func (c *Canary) take(now time.Time) *canaryState {
 	if !c.enabled() {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var due []*canaryState
-	for target, st := range c.pending {
-		if st.n >= c.cfg.Window || now.Sub(st.proposedAt) >= c.cfg.MaxAge {
-			due = append(due, st)
-			delete(c.pending, target)
-		}
+	if !c.ripeLocked(now) {
+		return nil
 	}
-	sort.Slice(due, func(i, j int) bool { return due[i].meta.Family < due[j].meta.Family })
-	return due
+	st := c.pending
+	c.pending = nil
+	return st
 }
 
-// Drop discards the target's pending challenger, if any — a rollback or
-// pin means the operator (or the auto-rollback) moved off this model
-// line and the challenger's comparison is moot. Nil-safe.
-func (c *Canary) Drop(target string) {
+// Drop discards the pending challenger, if any — a rollback means the
+// operator (or the auto-rollback) moved off this model line and the
+// challenger's comparison is moot. Nil-safe.
+func (c *Canary) Drop() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.pending, target)
+	c.pending = nil
 }
 
-// CanaryState is one pending challenger's public standing, surfaced in
+// CanaryState is the pending challenger's public standing, surfaced in
 // GET /models as "canaries".
 type CanaryState struct {
-	// Family is the routing target ("" = the global model).
-	Family string `json:"family"`
 	// Source is the trigger of the training run that produced the
 	// challenger ("auto" or "drift").
 	Source string `json:"source"`
@@ -205,31 +198,30 @@ type CanaryState struct {
 	HoldoutL1 float64 `json:"holdout_l1"`
 }
 
-// States returns the pending challengers sorted by target. Nil-safe.
+// States returns the pending challenger, if any, as a list of at most
+// one. Nil-safe.
 func (c *Canary) States() []CanaryState {
 	if !c.enabled() {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]CanaryState, 0, len(c.pending))
-	for target, st := range c.pending {
-		cs := CanaryState{
-			Family:     target,
-			Source:     st.source,
-			Champion:   st.champion.ID,
-			ProposedAt: st.proposedAt,
-			ExpiresAt:  st.proposedAt.Add(c.cfg.MaxAge),
-			Samples:    st.n,
-			Window:     c.cfg.Window,
-			HoldoutL1:  st.meta.HoldoutL1,
-		}
-		if st.n > 0 {
-			cs.ChampionL1 = st.champSum / float64(st.n)
-			cs.ChallengerL1 = st.chalSum / float64(st.n)
-		}
-		out = append(out, cs)
+	st := c.pending
+	if st == nil {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Family < out[j].Family })
-	return out
+	cs := CanaryState{
+		Source:     st.source,
+		Champion:   st.champion.ID,
+		ProposedAt: st.proposedAt,
+		ExpiresAt:  st.proposedAt.Add(c.cfg.MaxAge),
+		Samples:    st.n,
+		Window:     c.cfg.Window,
+		HoldoutL1:  st.meta.HoldoutL1,
+	}
+	if st.n > 0 {
+		cs.ChampionL1 = st.champSum / float64(st.n)
+		cs.ChallengerL1 = st.chalSum / float64(st.n)
+	}
+	return []CanaryState{cs}
 }

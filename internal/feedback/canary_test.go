@@ -60,9 +60,9 @@ func TestCanaryDivertsBackgroundRetrain(t *testing.T) {
 		t.Fatal("challenger hot-swapped past the confirmation window")
 	}
 	states := canary.States()
-	if len(states) != 1 || states[0].Family != "" || states[0].Champion != v1.ID ||
+	if len(states) != 1 || states[0].Champion != v1.ID ||
 		states[0].Samples != 0 || states[0].Window != 8 {
-		t.Fatalf("canary state = %+v, want one fresh global challenger", states)
+		t.Fatalf("canary state = %+v, want one fresh challenger", states)
 	}
 	ds := r.Decisions()
 	last := ds[len(ds)-1]
@@ -289,20 +289,20 @@ func TestAutoRollbackAfterConsecutiveDriftRejects(t *testing.T) {
 	if reg.Current() != v2 {
 		t.Fatal("rejected drift retrain replaced the serving version")
 	}
-	if got := r.DriftRejects()[""]; got != 1 {
+	if got := r.DriftRejects(); got != 1 {
 		t.Fatalf("streak after first reject = %d, want 1", got)
 	}
 
-	// Expire the per-target cooldown so the second drift verdict is
+	// Expire the cooldown so the second drift verdict is
 	// actionable immediately (mirrors TestRetrainerDriftCooldown).
-	r.lastDriftAt[""] = time.Now().Add(-2 * time.Hour)
+	r.lastDriftAt = time.Now().Add(-2 * time.Hour)
 	driftOn()
 	r.retrainDrifted()
 
 	if cur := reg.Current(); cur != v1 {
 		t.Fatalf("breaker did not roll back to v%d: serving %+v", v1.ID, cur)
 	}
-	if got := r.DriftRejects()[""]; got != 0 {
+	if got := r.DriftRejects(); got != 0 {
 		t.Fatalf("streak not reset after the breaker tripped: %d", got)
 	}
 	ds := r.Decisions()
@@ -311,72 +311,8 @@ func TestAutoRollbackAfterConsecutiveDriftRejects(t *testing.T) {
 		t.Fatalf("auto-rollback decision = %+v", last)
 	}
 	// The drift window must follow the rollback: v1's, fresh and empty.
-	if st, ok := drift.Status(""); !ok || st.Version != v1.ID || st.Samples != 0 {
+	if st, ok := drift.Status(); !ok || st.Version != v1.ID || st.Samples != 0 {
 		t.Fatalf("drift window not the rolled-back-to version's: %+v", st)
-	}
-}
-
-// TestAutoRollbackPinsFamilyToGlobal: a family whose only version keeps
-// drifting through the breaker has no earlier family version — it is
-// pinned to the global fallback instead, and the pin then holds off
-// further background retrains exactly like an operator pin.
-func TestAutoRollbackPinsFamilyToGlobal(t *testing.T) {
-	store, err := OpenStore(t.TempDir(), StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	if _, err := store.AppendAll(familyExamples(60, 0, "a", false)); err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry()
-	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
-	r := NewRetrainer(store, reg, RetrainerConfig{
-		Selection: fastConfig(), FamilyModels: true, MinFamilyExamples: 10,
-		Drift: drift, DriftRetrain: true, DriftRejectLimit: 2,
-	})
-	if _, err := r.Retrain("manual"); err != nil {
-		t.Fatal(err)
-	}
-	va := reg.CurrentFor("a")
-	if va == nil || va.Meta.Family != "a" {
-		t.Fatalf("family model missing: %+v", va)
-	}
-	// Poisoned family examples (training-side labels inverted, holdout
-	// truthful): every drift retrain of "a" is rejected.
-	for i := 1000; i < 1240; i++ {
-		probe := familyExample(i, "a", false)
-		if err := store.Append(familyExample(i, "a", !isHoldout(&probe))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	driftOn := func() {
-		v := reg.CurrentFor("a")
-		drift.Record(v, repeat(0.9, 8))
-	}
-
-	driftOn()
-	r.retrainDrifted()
-	if got := r.DriftRejects()["a"]; got != 1 {
-		t.Fatalf("streak after first reject = %d, want 1", got)
-	}
-	r.lastDriftAt["a"] = time.Now().Add(-2 * time.Hour)
-	driftOn()
-	r.retrainDrifted()
-
-	if !reg.FallbackPinned("a") {
-		t.Fatal("breaker did not pin the family to the global fallback")
-	}
-	if cur := reg.CurrentFor("a"); cur == nil || cur.Meta.Family != "" {
-		t.Fatalf("family a not serving from the global model: %+v", cur)
-	}
-	ds := r.Decisions()
-	last := ds[len(ds)-1]
-	if last.Trigger != "auto-rollback" || last.Decision != "pinned_to_global" || last.Family != "a" {
-		t.Fatalf("auto-rollback decision = %+v", last)
-	}
-	if _, ok := drift.Status("a"); ok {
-		t.Fatal("pinned family still reports a drift window")
 	}
 }
 

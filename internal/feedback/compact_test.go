@@ -73,8 +73,7 @@ func TestPlanCompaction(t *testing.T) {
 // property: a sparse family interleaved with a 3× burst across every
 // segment blocks whole-segment retention entirely (each segment holds
 // quota-protected records), the signature-aware compactor then sheds the
-// burst's bulk record-by-record, and the sparse family survives intact —
-// with enough examples that its own drift retrain still trains on them.
+// burst's bulk record-by-record, and the sparse family survives intact.
 func TestCompactionShedsBurstPreservesSparse(t *testing.T) {
 	dir := t.TempDir()
 	store, err := OpenStore(dir, StoreOptions{
@@ -130,31 +129,6 @@ func TestCompactionShedsBurstPreservesSparse(t *testing.T) {
 		if int(got[i].Meta["query"]) != sparse[i] {
 			t.Fatalf("sparse example %d is query %v, want %d", i, got[i].Meta["query"], sparse[i])
 		}
-	}
-
-	// The sparse family's drift retrain still finds them: after the burst,
-	// a drifted "sparse" target trains on its full 100-example slice.
-	reg := NewRegistry()
-	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
-	r := NewRetrainer(store, reg, RetrainerConfig{
-		Selection: fastConfig(), FamilyModels: true, MinFamilyExamples: 10,
-		Drift: drift, DriftRetrain: true,
-	})
-	if _, err := r.Retrain("manual"); err != nil {
-		t.Fatal(err)
-	}
-	vs := reg.CurrentFor("sparse")
-	if vs == nil || vs.Meta.Family != "sparse" {
-		t.Fatalf("sparse family model missing after burst: %+v", vs)
-	}
-	drift.Record(vs, repeat(0.9, 8))
-	r.retrainDrifted()
-	ns := reg.CurrentFor("sparse")
-	if ns == nil || ns.ID == vs.ID || ns.Meta.Source != "drift" {
-		t.Fatalf("sparse drift retrain did not run: %+v", ns)
-	}
-	if ns.Meta.CorpusSize != 100 {
-		t.Fatalf("sparse drift retrain saw %d examples, want the full 100", ns.Meta.CorpusSize)
 	}
 }
 

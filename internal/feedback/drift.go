@@ -17,7 +17,7 @@ type DriftConfig struct {
 	// drift verdict can fire (default 32): a fresh version — or a freshly
 	// reset window — must accrue evidence first.
 	MinSamples int
-	// Ratio is the accepted observed/predicted error inflation: target is
+	// Ratio is the accepted observed/predicted error inflation: a version is
 	// drifted once meanObserved > baseline*Ratio + AbsSlack (default 1.5).
 	Ratio float64
 	// AbsSlack is the absolute slack added to the ratio bound (default
@@ -58,10 +58,8 @@ func (c DriftConfig) withDefaults() DriftConfig {
 	return c
 }
 
-// DriftState is one routing target's observed-vs-predicted standing.
+// DriftState is the serving version's observed-vs-predicted standing.
 type DriftState struct {
-	// Target is the routing target ("" = the global model).
-	Target string
 	// Version is the serving version the window is accounting against.
 	Version int
 	// BaselineL1/BaselineN are that version's holdout baseline (predicted
@@ -104,12 +102,12 @@ type driftWindow struct {
 // version's windowed observed error against its recorded holdout
 // baseline — König et al.'s serving-time signal that a selection model
 // has gone stale. Each window belongs to the Version it judges; the
-// registry's routing table alone says which windows are read: Status,
-// Statuses and Drifted report only the versions serving a target now, so
-// a late harvest for a replaced or rolled-back-from version lands in a
-// window no one reads. All methods are safe for concurrent use; Record
-// sits on the harvest path (one append per finished pipeline), so the
-// window keeps a running sum and defers anything O(window) to Status.
+// registry's serving pointer alone says which window is read: Status and
+// Drifted report only the version serving now, so a late harvest for a
+// replaced or rolled-back-from version lands in a window no one reads.
+// All methods are safe for concurrent use; Record sits on the harvest
+// path (one append per finished pipeline), so the window keeps a running
+// sum and defers anything O(window) to Status.
 type DriftTracker struct {
 	cfg DriftConfig
 	reg *Registry
@@ -117,7 +115,7 @@ type DriftTracker struct {
 	mu sync.Mutex // guards every Version's window
 }
 
-// NewDriftTracker returns a tracker reading reg's routing table.
+// NewDriftTracker returns a tracker judging reg's serving version.
 func NewDriftTracker(reg *Registry, cfg DriftConfig) *DriftTracker {
 	return &DriftTracker{cfg: cfg.withDefaults(), reg: reg}
 }
@@ -169,16 +167,16 @@ func (t *DriftTracker) driftedLocked(v *Version) bool {
 	return mean > v.Meta.HoldoutL1*t.cfg.Ratio+t.cfg.AbsSlack
 }
 
-// Reset gives the version serving target a fresh, empty window: a
+// Reset gives the serving version a fresh, empty window: a
 // drift-triggered retrain whose candidate the gate rejected (the old
 // version keeps serving) must re-accrue MinSamples fresh observations
 // before the verdict can fire again, instead of re-firing every poll
 // tick on the same stale window; a rollback starts the rolled-back-to
-// version's evidence afresh. A target with no route of its own is left
-// alone.
-func (t *DriftTracker) Reset(target string) {
-	v, ok := t.reg.router.Get(target)
-	if !ok {
+// version's evidence afresh. Before the first publication it does
+// nothing.
+func (t *DriftTracker) Reset() {
+	v := t.reg.Current()
+	if v == nil {
 		return
 	}
 	t.mu.Lock()
@@ -188,10 +186,9 @@ func (t *DriftTracker) Reset(target string) {
 
 // stateLocked snapshots v's window into its public form; the O(window)
 // p90 is computed only when withP90 is set.
-func (t *DriftTracker) stateLocked(target string, v *Version, withP90 bool) DriftState {
+func (t *DriftTracker) stateLocked(v *Version, withP90 bool) DriftState {
 	w := v.drift
 	st := DriftState{
-		Target:     target,
 		Version:    v.ID,
 		BaselineL1: v.Meta.HoldoutL1,
 		BaselineN:  v.Meta.HoldoutN,
@@ -217,12 +214,25 @@ func (t *DriftTracker) stateLocked(target string, v *Version, withP90 bool) Drif
 	return st
 }
 
-// Status returns the standing of the version serving target; ok is false
-// when no version of target's own serves it, or the serving one has no
+// Status returns the standing of the serving version; ok is false
+// before the first publication, or while the serving version has no
 // window yet (no harvest recorded since it started serving).
-func (t *DriftTracker) Status(target string) (DriftState, bool) {
-	v, ok := t.reg.router.Get(target)
-	if !ok {
+func (t *DriftTracker) Status() (DriftState, bool) {
+	return t.state(true)
+}
+
+// Drifted returns the serving version's standing when its verdict is
+// currently true — the retrainer's drift trigger. It runs every poll
+// tick, so unlike Status it stays O(1) (no window copy or sort): the
+// returned state leaves ObservedP90 zero.
+func (t *DriftTracker) Drifted() (DriftState, bool) {
+	st, ok := t.state(false)
+	return st, ok && st.Drifted
+}
+
+func (t *DriftTracker) state(withP90 bool) (DriftState, bool) {
+	v := t.reg.Current()
+	if v == nil {
 		return DriftState{}, false
 	}
 	t.mu.Lock()
@@ -230,33 +240,5 @@ func (t *DriftTracker) Status(target string) (DriftState, bool) {
 	if v.drift == nil {
 		return DriftState{}, false
 	}
-	return t.stateLocked(target, v, true), true
+	return t.stateLocked(v, withP90), true
 }
-
-// states returns the windowed standing of every serving version, sorted
-// by target (the global "" first), keeping only the drifted ones when
-// driftedOnly is set.
-func (t *DriftTracker) states(driftedOnly bool) []DriftState {
-	routed := t.reg.Routed()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []DriftState
-	for target, v := range routed {
-		if v.drift == nil || (driftedOnly && !t.driftedLocked(v)) {
-			continue
-		}
-		out = append(out, t.stateLocked(target, v, !driftedOnly))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Target < out[j].Target })
-	return out
-}
-
-// Statuses returns the standing of every serving version with a window,
-// sorted by target (the global "" first).
-func (t *DriftTracker) Statuses() []DriftState { return t.states(false) }
-
-// Drifted returns the serving versions whose verdict is currently true,
-// sorted by target — the retrainer's drift trigger. It runs every poll
-// tick, so unlike Statuses it stays O(1) per target (no window copy or
-// sort): the returned states leave ObservedP90 zero.
-func (t *DriftTracker) Drifted() []DriftState { return t.states(true) }

@@ -31,18 +31,18 @@ func driftRig(cfg DriftConfig) (*DriftTracker, *Registry, *Retrainer) {
 }
 
 // retrainDrifted runs one drift-only training pass, the part of a
-// background tick that retrains exactly the drifted routing targets.
+// background tick that retrains a drifted serving version.
 func (r *Retrainer) retrainDrifted() {
 	r.trainMu.Lock()
 	defer r.trainMu.Unlock()
 	r.trainLocked("", true)
 }
 
-// publishBaseline publishes a selector-less version of family with the
-// given holdout baseline (Record never touches the selector; the
-// harvester replays it before calling Record).
-func publishBaseline(reg *Registry, family string, baseline float64, baselineN int) *Version {
-	return reg.Publish(nil, VersionMeta{Family: family, HoldoutL1: baseline, HoldoutN: baselineN})
+// publishBaseline publishes a selector-less version with the given
+// holdout baseline (Record never touches the selector; the harvester
+// replays it before calling Record).
+func publishBaseline(reg *Registry, baseline float64, baselineN int) *Version {
+	return reg.Publish(nil, VersionMeta{HoldoutL1: baseline, HoldoutN: baselineN})
 }
 
 // TestDriftTrackerVerdicts drives the ratio+slack boundary, the
@@ -70,8 +70,8 @@ func TestDriftTrackerVerdicts(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr, reg, _ := driftRig(DriftConfig{Window: 16, MinSamples: 4, Ratio: 2, AbsSlack: 0.25})
-			tr.Record(publishBaseline(reg, "", tc.baseline, tc.baseN), tc.errs)
-			st, ok := tr.Status("")
+			tr.Record(publishBaseline(reg, tc.baseline, tc.baseN), tc.errs)
+			st, ok := tr.Status()
 			if !ok {
 				t.Fatal("no status after Record")
 			}
@@ -93,15 +93,15 @@ func TestDriftTrackerVerdicts(t *testing.T) {
 // ones displace it, and vice versa.
 func TestDriftTrackerWindowRollOver(t *testing.T) {
 	tr, reg, _ := driftRig(DriftConfig{Window: 4, MinSamples: 4, Ratio: 2, AbsSlack: 0.25})
-	v := publishBaseline(reg, "", 0.5, 50) // threshold 1.25
+	v := publishBaseline(reg, 0.5, 50) // threshold 1.25
 
 	tr.Record(v, repeat(10, 4))
-	if st, _ := tr.Status(""); !st.Drifted {
+	if st, _ := tr.Status(); !st.Drifted {
 		t.Fatalf("bad burst should drift: %+v", st)
 	}
 	// Four good observations displace the whole window.
 	tr.Record(v, repeat(0.1, 4))
-	st, _ := tr.Status("")
+	st, _ := tr.Status()
 	if st.Drifted {
 		t.Fatalf("recovered window still drifted: %+v", st)
 	}
@@ -117,37 +117,8 @@ func TestDriftTrackerWindowRollOver(t *testing.T) {
 	// A partial roll mixes: two bad ones -> window {0.1, 0.1, 10, 10},
 	// mean 5.05 -> drifted again.
 	tr.Record(v, repeat(10, 2))
-	if st, _ := tr.Status(""); !st.Drifted || !near(st.ObservedL1, 5.05) {
+	if st, _ := tr.Status(); !st.Drifted || !near(st.ObservedL1, 5.05) {
 		t.Fatalf("partial roll: %+v, want drifted with mean 5.05", st)
-	}
-}
-
-// TestDriftTrackerPerTargetIsolation: a drifting family must not move
-// the global window (or another family's), and Statuses reports each
-// target separately, sorted.
-func TestDriftTrackerPerTargetIsolation(t *testing.T) {
-	tr, reg, _ := driftRig(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
-	tr.Record(publishBaseline(reg, "", 0.5, 50), repeat(0.1, 4))
-	tr.Record(publishBaseline(reg, "scan", 0.5, 50), repeat(10, 4))
-	tr.Record(publishBaseline(reg, "join", 0.5, 50), repeat(0.2, 4))
-
-	sts := tr.Statuses()
-	if len(sts) != 3 {
-		t.Fatalf("got %d targets, want 3", len(sts))
-	}
-	for i, want := range []string{"", "join", "scan"} {
-		if sts[i].Target != want {
-			t.Fatalf("statuses[%d].Target = %q, want %q (sorted)", i, sts[i].Target, want)
-		}
-	}
-	for _, st := range sts {
-		if want := st.Target == "scan"; st.Drifted != want {
-			t.Fatalf("target %q drifted = %v, want %v", st.Target, st.Drifted, want)
-		}
-	}
-	drifted := tr.Drifted()
-	if len(drifted) != 1 || drifted[0].Target != "scan" {
-		t.Fatalf("Drifted() = %+v, want exactly [scan]", drifted)
 	}
 }
 
@@ -159,21 +130,21 @@ func TestDriftTrackerPerTargetIsolation(t *testing.T) {
 // must not poison the successor's window.
 func TestDriftTrackerVersionTransitions(t *testing.T) {
 	tr, reg, _ := driftRig(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
-	v1 := publishBaseline(reg, "", 0.5, 50)
+	v1 := publishBaseline(reg, 0.5, 50)
 	tr.Record(v1, repeat(10, 6)) // v1 drifts
-	if st, _ := tr.Status(""); !st.Drifted {
+	if st, _ := tr.Status(); !st.Drifted {
 		t.Fatal("v1 window should have drifted")
 	}
 
-	v2 := publishBaseline(reg, "", 0.25, 40) // v2 swaps in
-	if st, ok := tr.Status(""); ok {
+	v2 := publishBaseline(reg, 0.25, 40) // v2 swaps in
+	if st, ok := tr.Status(); ok {
 		t.Fatalf("replaced v1's window still reported: %+v", st)
 	}
-	if len(tr.Drifted()) != 0 {
+	if _, ok := tr.Drifted(); ok {
 		t.Fatal("replaced v1's verdict still fires")
 	}
 	tr.Record(v2, repeat(0.1, 2))
-	st, _ := tr.Status("")
+	st, _ := tr.Status()
 	if st.Version != v2.ID || st.BaselineL1 != 0.25 || st.BaselineN != 40 {
 		t.Fatalf("swap did not move the target onto v2's window: %+v", st)
 	}
@@ -182,12 +153,12 @@ func TestDriftTrackerVersionTransitions(t *testing.T) {
 	}
 
 	tr.Record(v1, repeat(10, 6)) // late v1 harvest
-	if st, _ := tr.Status(""); st.Samples != 2 || st.Version != v2.ID {
+	if st, _ := tr.Status(); st.Samples != 2 || st.Version != v2.ID {
 		t.Fatalf("late harvest for replaced v1 reached the serving window: %+v", st)
 	}
 
 	tr.Record(nil, repeat(10, 6)) // unversioned
-	if st, _ := tr.Status(""); st.Samples != 2 {
+	if st, _ := tr.Status(); st.Samples != 2 {
 		t.Fatalf("unversioned records should be ignored: %+v", st)
 	}
 }
@@ -198,13 +169,13 @@ func TestDriftTrackerVersionTransitions(t *testing.T) {
 // observations to fire again.
 func TestDriftTrackerResetForcesFreshEvidence(t *testing.T) {
 	tr, reg, _ := driftRig(DriftConfig{Window: 8, MinSamples: 4, Ratio: 2, AbsSlack: 0.25})
-	v := publishBaseline(reg, "scan", 0.5, 50)
+	v := publishBaseline(reg, 0.5, 50)
 	tr.Record(v, repeat(10, 8))
-	if st, _ := tr.Status("scan"); !st.Drifted {
+	if st, _ := tr.Status(); !st.Drifted {
 		t.Fatal("should drift before reset")
 	}
-	tr.Reset("scan")
-	st, _ := tr.Status("scan")
+	tr.Reset()
+	st, _ := tr.Status()
 	if st.Drifted || st.Samples != 0 || st.Total != 0 || !st.Since.IsZero() {
 		t.Fatalf("reset left state behind: %+v", st)
 	}
@@ -212,16 +183,17 @@ func TestDriftTrackerResetForcesFreshEvidence(t *testing.T) {
 		t.Fatalf("reset should keep the version binding, got %+v", st)
 	}
 	tr.Record(v, repeat(10, 3))
-	if st, _ := tr.Status("scan"); st.Drifted {
+	if st, _ := tr.Status(); st.Drifted {
 		t.Fatalf("verdict re-fired before MinSamples fresh observations: %+v", st)
 	}
 	tr.Record(v, repeat(10, 1))
-	if st, _ := tr.Status("scan"); !st.Drifted {
+	if st, _ := tr.Status(); !st.Drifted {
 		t.Fatalf("verdict should fire again after fresh evidence: %+v", st)
 	}
-	tr.Reset("nonexistent") // must not panic or invent a target
-	if _, ok := tr.Status("nonexistent"); ok {
-		t.Fatal("Reset conjured a target")
+	fresh, _, _ := driftRig(DriftConfig{})
+	fresh.Reset() // before any publication: must not panic or invent a window
+	if _, ok := fresh.Status(); ok {
+		t.Fatal("Reset conjured a window")
 	}
 }
 
@@ -231,35 +203,35 @@ func TestDriftTrackerResetForcesFreshEvidence(t *testing.T) {
 // fresh publish still moves the target forward.
 func TestDriftTrackerRollback(t *testing.T) {
 	tr, reg, ret := driftRig(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
-	v1 := publishBaseline(reg, "", 0.5, 50)
+	v1 := publishBaseline(reg, 0.5, 50)
 	tr.Record(v1, repeat(0.1, 2))
-	v2 := publishBaseline(reg, "", 0.25, 40)
+	v2 := publishBaseline(reg, 0.25, 40)
 	tr.Record(v2, repeat(10, 4)) // v2 serves, drifts
 
 	// Operator rolls back to v1.
-	if _, err := ret.Rollback(""); err != nil {
+	if _, err := ret.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	st, ok := tr.Status("")
+	st, ok := tr.Status()
 	if !ok || st.Version != v1.ID || st.BaselineL1 != 0.5 || st.Samples != 0 || st.Drifted {
 		t.Fatalf("rollback to v1: %+v", st)
 	}
 	// v1's observations now count again — this is the window the
 	// operator is watching to judge the rollback.
 	tr.Record(v1, repeat(0.1, 3))
-	if st, _ := tr.Status(""); st.Samples != 3 || st.Version != v1.ID {
+	if st, _ := tr.Status(); st.Samples != 3 || st.Version != v1.ID {
 		t.Fatalf("post-rollback v1 records dropped: %+v", st)
 	}
 	// A straggler query pinned to v2 pre-rollback finishes late: it lands
-	// in v2's own window, which the routing table no longer reads.
+	// in v2's own window, which the serving pointer no longer reads.
 	tr.Record(v2, repeat(10, 4))
-	if st, _ := tr.Status(""); st.Version != v1.ID || st.Samples != 3 {
+	if st, _ := tr.Status(); st.Version != v1.ID || st.Samples != 3 {
 		t.Fatalf("v2 straggler poisoned the rolled-back window: %+v", st)
 	}
 	// A genuinely new publish moves the target forward.
-	v3 := publishBaseline(reg, "", 0.3, 30)
+	v3 := publishBaseline(reg, 0.3, 30)
 	tr.Record(v3, repeat(0.1, 1))
-	if st, _ := tr.Status(""); st.Version != v3.ID || st.Samples != 1 {
+	if st, _ := tr.Status(); st.Version != v3.ID || st.Samples != 1 {
 		t.Fatalf("new publish after rollback: %+v", st)
 	}
 }
@@ -270,19 +242,19 @@ func TestDriftTrackerRollback(t *testing.T) {
 // target over and shut out the serving model's evidence.
 func TestDriftTrackerRollbackBeforeFirstHarvest(t *testing.T) {
 	tr, reg, ret := driftRig(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
-	v1 := publishBaseline(reg, "", 0.5, 50)
-	v2 := publishBaseline(reg, "", 0.2, 30)
-	if _, err := ret.Rollback(""); err != nil { // v2 -> v1, no harvest ever recorded
+	v1 := publishBaseline(reg, 0.5, 50)
+	v2 := publishBaseline(reg, 0.2, 30)
+	if _, err := ret.Rollback(); err != nil { // v2 -> v1, no harvest ever recorded
 		t.Fatal(err)
 	}
 
 	tr.Record(v2, repeat(10, 4)) // v2 straggler
-	st, ok := tr.Status("")
+	st, ok := tr.Status()
 	if !ok || st.Version != v1.ID || st.Samples != 0 {
 		t.Fatalf("straggler hijacked the pre-harvest rollback: %+v", st)
 	}
 	tr.Record(v1, repeat(0.1, 2))
-	if st, _ := tr.Status(""); st.Version != v1.ID || st.Samples != 2 {
+	if st, _ := tr.Status(); st.Version != v1.ID || st.Samples != 2 {
 		t.Fatalf("serving version's records dropped: %+v", st)
 	}
 }
@@ -293,29 +265,29 @@ func TestDriftTrackerRollbackBeforeFirstHarvest(t *testing.T) {
 // fresh publish and take the target from the version actually serving.
 func TestDriftTrackerRollbackNeverHarvestedSuperseded(t *testing.T) {
 	tr, reg, ret := driftRig(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
-	v5 := publishBaseline(reg, "", 0.5, 50)
+	v5 := publishBaseline(reg, 0.5, 50)
 	tr.Record(v5, repeat(0.1, 2))
 	// v6 publishes but no v6-served query has finished yet; the operator
 	// rolls back to v5 immediately.
-	v6 := publishBaseline(reg, "", 0.2, 30)
-	if _, err := ret.Rollback(""); err != nil {
+	v6 := publishBaseline(reg, 0.2, 30)
+	if _, err := ret.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 	// The in-flight v6 query finishes late.
 	tr.Record(v6, repeat(10, 4))
-	st, ok := tr.Status("")
+	st, ok := tr.Status()
 	if !ok || st.Version != v5.ID || st.Samples != 0 {
 		t.Fatalf("never-harvested superseded version hijacked the window: %+v", st)
 	}
 	// The serving v5's observations land normally.
 	tr.Record(v5, repeat(0.1, 2))
-	if st, _ := tr.Status(""); st.Version != v5.ID || st.Samples != 2 {
+	if st, _ := tr.Status(); st.Version != v5.ID || st.Samples != 2 {
 		t.Fatalf("serving version's records dropped: %+v", st)
 	}
 	// The NEXT real publish moves the target forward.
-	v7 := publishBaseline(reg, "", 0.3, 30)
+	v7 := publishBaseline(reg, 0.3, 30)
 	tr.Record(v7, repeat(0.1, 1))
-	if st, _ := tr.Status(""); st.Version != v7.ID {
+	if st, _ := tr.Status(); st.Version != v7.ID {
 		t.Fatalf("fresh publish after rollback: %+v", st)
 	}
 }
@@ -328,100 +300,15 @@ func TestDriftConfigClampsMinSamplesToWindow(t *testing.T) {
 	if got := tr.Config(); got.MinSamples != 8 {
 		t.Fatalf("MinSamples = %d, want clamped to window 8", got.MinSamples)
 	}
-	tr.Record(publishBaseline(reg, "", 0.001, 50), repeat(10, 8))
-	if len(tr.Drifted()) != 1 {
+	tr.Record(publishBaseline(reg, 0.001, 50), repeat(10, 8))
+	if _, ok := tr.Drifted(); !ok {
 		t.Fatal("a full window must be able to reach a verdict")
-	}
-}
-
-// TestDriftTrackerTombstone: rolling a family back past its last version
-// leaves no serving version of the target's own; the family disappears
-// from Statuses, its stragglers produce no verdict, the global model's
-// window is left alone, and the family comes back only with a fresh
-// publish.
-func TestDriftTrackerTombstone(t *testing.T) {
-	tr, reg, ret := driftRig(DriftConfig{Window: 8, MinSamples: 2, Ratio: 2, AbsSlack: 0.25})
-	global := publishBaseline(reg, "", 0.5, 50)
-	tr.Record(global, repeat(0.1, 3))
-	v5 := publishBaseline(reg, "scan", 0.5, 50)
-	tr.Record(v5, repeat(10, 4))
-	if _, err := ret.Rollback("scan"); err != nil { // rolled back past the last version
-		t.Fatal(err)
-	}
-
-	if _, ok := tr.Status("scan"); ok {
-		t.Fatal("rolled-past target still reports status")
-	}
-	if got := tr.Statuses(); len(got) != 1 || got[0].Target != "" {
-		t.Fatalf("Statuses = %+v, want the global target alone", got)
-	}
-	if st, _ := tr.Status(""); st.Version != global.ID || st.Samples != 3 {
-		t.Fatalf("rolling a family past its last version touched the global window: %+v", st)
-	}
-	tr.Record(v5, repeat(10, 4)) // straggler for the rolled-back-from version
-	if len(tr.Drifted()) != 0 {
-		t.Fatal("straggler revived the rolled-past target's verdict")
-	}
-	// A new publish for the family (which clears the registry pin)
-	// brings tracking back.
-	v6 := publishBaseline(reg, "scan", 0.3, 30)
-	tr.Record(v6, repeat(0.1, 2))
-	if st, ok := tr.Status("scan"); !ok || st.Version != v6.ID || st.Samples != 2 {
-		t.Fatalf("post-rollback publish: %+v", st)
-	}
-}
-
-// TestRetrainerDriftHonorsFallbackPin: a drift verdict pending when the
-// operator rolls the family back past its last version (pinning it to
-// the global fallback) must NOT republish an ungated family model — the
-// same operator decision the size/age path honors.
-func TestRetrainerDriftHonorsFallbackPin(t *testing.T) {
-	store, err := OpenStore(t.TempDir(), StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	if _, err := store.AppendAll(familyExamples(60, 0, "a", false)); err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry()
-	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
-	r := NewRetrainer(store, reg, RetrainerConfig{
-		Selection: fastConfig(), FamilyModels: true, MinFamilyExamples: 10,
-		Drift: drift, DriftRetrain: true,
-	})
-	if _, err := r.Retrain("manual"); err != nil {
-		t.Fatal(err)
-	}
-	va := reg.CurrentFor("a")
-	drift.Record(va, repeat(0.9, 8))
-
-	// Operator rolls the family back past its only version: route gone,
-	// pin set.
-	if _, err := reg.Rollback("a"); err != nil {
-		t.Fatal(err)
-	}
-	if !reg.FallbackPinned("a") {
-		t.Fatal("rollback past last version should pin the family")
-	}
-	histBefore := len(reg.Versions())
-
-	r.retrainDrifted()
-
-	if len(reg.Versions()) != histBefore {
-		t.Fatal("drift retrain published despite the operator pin")
-	}
-	if reg.CurrentFor("a").Meta.Family != "" {
-		t.Fatal("family a no longer falls back to the global model")
-	}
-	if _, ok := drift.Status("a"); ok {
-		t.Fatal("pinned family still reports a drift window")
 	}
 }
 
 // TestRetrainerDriftStaleVerdictSkipped: when a concurrent retrain
 // already replaced the drifted version, the background trigger must not
-// train against the old version's observations: the routing table no
+// train against the old version's observations: the serving pointer no
 // longer reads that window, and the serving version's own window starts
 // with its first harvest.
 func TestRetrainerDriftStaleVerdictSkipped(t *testing.T) {
@@ -459,55 +346,13 @@ func TestRetrainerDriftStaleVerdictSkipped(t *testing.T) {
 	if len(reg.Versions()) != histBefore || reg.Current() != v2 {
 		t.Fatal("stale drift verdict trained a fresh version anyway")
 	}
-	if st, ok := drift.Status(""); ok {
+	if st, ok := drift.Status(); ok {
 		t.Fatalf("replaced v1's window still reported: %+v", st)
 	}
 	drift.Record(v2, repeat(0.1, 2))
-	st, ok := drift.Status("")
+	st, ok := drift.Status()
 	if !ok || st.Version != v2.ID || st.Samples != 2 {
 		t.Fatalf("window not the serving version's: %+v", st)
-	}
-}
-
-// TestRetrainerDriftRespectsFamilyFloor: a drifted family whose retained
-// corpus slice shrank below MinFamilyExamples is not retrained (the
-// size/age path's training floor applies); its window resets to wait
-// for fresh evidence.
-func TestRetrainerDriftRespectsFamilyFloor(t *testing.T) {
-	store, err := OpenStore(t.TempDir(), StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	if _, err := store.AppendAll(familyExamples(60, 0, "a", false)); err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry()
-	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
-	r := NewRetrainer(store, reg, RetrainerConfig{
-		Selection: fastConfig(), FamilyModels: true,
-		MinFamilyExamples: 1000, // nothing can clear the floor
-		Drift:             drift, DriftRetrain: true,
-	})
-	if _, err := r.Retrain("manual"); err != nil {
-		t.Fatal(err)
-	}
-	// No family model trained (floor); fabricate the family serving
-	// version so the drift window has a real target to judge.
-	gv := reg.Current()
-	va := reg.Publish(gv.Selector, VersionMeta{
-		TrainedAt: time.Now(), HoldoutL1: 0.001, HoldoutN: 10, Source: "manual", Family: "a",
-	})
-	drift.Record(va, repeat(0.9, 8))
-	histBefore := len(reg.Versions())
-
-	r.retrainDrifted()
-
-	if len(reg.Versions()) != histBefore || reg.CurrentFor("a") != va {
-		t.Fatal("drift retrain ignored the family training floor")
-	}
-	if st, ok := drift.Status("a"); !ok || st.Samples != 0 || st.Drifted {
-		t.Fatalf("underfed family's window should reset: %+v", st)
 	}
 }
 
@@ -519,8 +364,8 @@ func TestDriftTrackerQuantile(t *testing.T) {
 	for i := range errs {
 		errs[i] = float64(i + 1) // 1..10
 	}
-	tr.Record(publishBaseline(reg, "", 0.5, 50), errs)
-	st, _ := tr.Status("")
+	tr.Record(publishBaseline(reg, 0.5, 50), errs)
+	st, _ := tr.Status()
 	if st.ObservedP90 != 9 {
 		t.Fatalf("p90 = %v, want 9 (nearest rank over 1..10)", st.ObservedP90)
 	}
@@ -529,31 +374,28 @@ func TestDriftTrackerQuantile(t *testing.T) {
 	}
 }
 
-// TestDriftTrackerConcurrent hammers Record, Status, Statuses, Drifted
-// and Reset from many goroutines while publishes move the routing table;
-// under -race this proves the tracker is data-race-free on the harvest
-// hot path.
+// TestDriftTrackerConcurrent hammers Record, Status, Drifted and Reset
+// from many goroutines while publishes move the serving pointer; under
+// -race this proves the tracker is data-race-free on the harvest hot
+// path.
 func TestDriftTrackerConcurrent(t *testing.T) {
 	tr, reg, _ := driftRig(DriftConfig{Window: 32, MinSamples: 8})
-	for _, f := range []string{"fam0", "fam1"} {
-		publishBaseline(reg, f, 0.05, 50)
-	}
+	publishBaseline(reg, 0.05, 50)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			target := fmt.Sprintf("fam%d", g%2)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				tr.Record(reg.CurrentFor(target), repeat(float64(i%5)/10, 3))
+				tr.Record(reg.Current(), repeat(float64(i%5)/10, 3))
 			}
-		}(g)
+		}()
 	}
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -567,16 +409,14 @@ func TestDriftTrackerConcurrent(t *testing.T) {
 				}
 				switch g {
 				case 0:
-					tr.Statuses()
 					tr.Drifted()
 				case 1:
-					tr.Status("fam0")
-					tr.Status("fam1")
+					tr.Status()
 				case 2:
-					tr.Reset("fam1")
+					tr.Reset()
 				case 3:
 					if i%100 == 0 {
-						publishBaseline(reg, "fam0", 0.05, 50)
+						publishBaseline(reg, 0.05, 50)
 					}
 				}
 			}
@@ -585,10 +425,8 @@ func TestDriftTrackerConcurrent(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	for _, st := range tr.Statuses() {
-		if st.Samples > 32 {
-			t.Fatalf("window overflowed: %+v", st)
-		}
+	if st, _ := tr.Status(); st.Samples > 32 {
+		t.Fatalf("window overflowed: %+v", st)
 	}
 }
 
@@ -613,100 +451,25 @@ func TestRetrainerDecisionRingBounded(t *testing.T) {
 	}
 }
 
-// TestRetrainerDriftRetrainsOnlyDriftedTarget: with two family models
-// serving, a drift verdict against one family retrains exactly that
-// family (source "drift", provenance in the decision ring) and leaves
-// the other family's and the global model untouched; the target then
-// reports no window until the new version's first harvest.
-func TestRetrainerDriftRetrainsOnlyDriftedTarget(t *testing.T) {
-	store, err := OpenStore(t.TempDir(), StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	if _, err := store.AppendAll(familyExamples(60, 0, "a", false)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.AppendAll(familyExamples(60, 200, "b", false)); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := NewRegistry()
-	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4, Ratio: 1.5, AbsSlack: 0.01})
-	r := NewRetrainer(store, reg, RetrainerConfig{
-		Selection:    fastConfig(),
-		FamilyModels: true,
-		Drift:        drift,
-		DriftRetrain: true,
-	})
-	if _, err := r.Retrain("manual"); err != nil {
-		t.Fatal(err)
-	}
-	va, vb := reg.CurrentFor("a"), reg.CurrentFor("b")
-	vg := reg.Current()
-	if va == nil || vb == nil || va.Meta.Family != "a" || vb.Meta.Family != "b" {
-		t.Fatalf("family models missing: a=%+v b=%+v", va, vb)
-	}
-
-	// Family a's serving model drifts: observed errors far above its
-	// holdout baseline.
-	drift.Record(va, repeat(0.9, 8))
-	if got := drift.Drifted(); len(got) != 1 || got[0].Target != "a" {
-		t.Fatalf("Drifted() = %+v, want [a]", got)
-	}
-
-	r.retrainDrifted()
-
-	na := reg.CurrentFor("a")
-	if na == nil || na.ID == va.ID {
-		t.Fatalf("drifted family was not retrained: %+v", na)
-	}
-	if na.Meta.Source != "drift" || na.Meta.Family != "a" {
-		t.Fatalf("drift retrain provenance wrong: %+v", na.Meta)
-	}
-	if reg.CurrentFor("b") != vb {
-		t.Fatal("healthy family b was retrained by a's drift")
-	}
-	if reg.Current() != vg {
-		t.Fatal("global model was retrained by a family drift")
-	}
-	var found *TrainDecision
-	for _, d := range r.Decisions() {
-		if d.Trigger == "drift" {
-			d := d
-			if found != nil {
-				t.Fatalf("more than one drift decision: %+v and %+v", *found, d)
-			}
-			found = &d
-		}
-	}
-	if found == nil || found.Family != "a" || found.Version != na.ID || !near(found.ObservedL1, 0.9) {
-		t.Fatalf("drift decision missing or wrong: %+v", found)
-	}
-	if st, ok := drift.Status("a"); ok {
-		t.Fatalf("drifted version's window still reported after the retrain: %+v", st)
-	}
-}
-
 // TestRetrainerDriftAcceptRekeysWindow: an accepted drift retrain moves
-// the target onto the version it published — no window until its first
-// harvest, then the new baseline — and no observer pairs the "accepted"
-// decision with the superseded version still drifting; a late harvest
-// pinned to the superseded version lands in a window no one reads.
+// the drift report onto the version it published — no window until its
+// first harvest, then the new baseline — and no observer pairs the
+// "accepted" decision with the superseded version still drifting; a late
+// harvest pinned to the superseded version lands in a window no one
+// reads.
 func TestRetrainerDriftAcceptRekeysWindow(t *testing.T) {
 	store, err := OpenStore(t.TempDir(), StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if _, err := store.AppendAll(familyExamples(60, 0, "a", false)); err != nil {
+	if _, err := store.AppendAll(trainable(60, 0)); err != nil {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
 	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4, Ratio: 1.5, AbsSlack: 0.01})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection:    fastConfig(),
-		FamilyModels: true,
 		Gate:         QualityGate{Disabled: true},
 		Drift:        drift,
 		DriftRetrain: true,
@@ -714,13 +477,10 @@ func TestRetrainerDriftAcceptRekeysWindow(t *testing.T) {
 	if _, err := r.Retrain("manual"); err != nil {
 		t.Fatal(err)
 	}
-	old := reg.CurrentFor("a")
-	if old == nil || old.Meta.Family != "a" {
-		t.Fatalf("family model missing: %+v", old)
-	}
+	old := reg.Current()
 	drift.Record(old, repeat(0.9, 8))
-	if got := drift.Drifted(); len(got) != 1 || got[0].Version != old.ID {
-		t.Fatalf("Drifted() = %+v, want the family model", got)
+	if st, ok := drift.Drifted(); !ok || st.Version != old.ID {
+		t.Fatalf("Drifted() = %+v, want the serving model", st)
 	}
 
 	// An observer reading decisions, then the window, while the retrain
@@ -732,7 +492,7 @@ func TestRetrainerDriftAcceptRekeysWindow(t *testing.T) {
 			for _, d := range r.Decisions() {
 				accepted = accepted || (d.Trigger == "drift" && d.Decision == DecisionAccepted)
 			}
-			if st, _ := drift.Status("a"); accepted && st.Version == old.ID {
+			if st, _ := drift.Status(); accepted && st.Version == old.ID {
 				watched <- fmt.Errorf("accepted drift decision visible next to the superseded window %+v", st)
 				return
 			}
@@ -750,22 +510,25 @@ func TestRetrainerDriftAcceptRekeysWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cur := reg.CurrentFor("a")
+	cur := reg.Current()
 	if cur == nil || cur.ID == old.ID || cur.Meta.Source != "drift" {
 		t.Fatalf("drift retrain did not publish: %+v", cur)
 	}
-	if st, ok := drift.Status("a"); ok {
+	if st, ok := drift.Status(); ok {
 		t.Fatalf("window after accepted drift retrain = %+v, want none before version %d's first harvest", st, cur.ID)
 	}
 	// A query pinned before the swap finishes afterwards: it lands in the
 	// superseded version's window, which no one reads.
 	drift.Record(old, repeat(0.9, 8))
-	if st, ok := drift.Status("a"); ok || len(drift.Drifted()) != 0 {
+	if st, ok := drift.Status(); ok {
 		t.Fatalf("late harvest for the superseded version was reported: %+v", st)
+	}
+	if _, ok := drift.Drifted(); ok {
+		t.Fatal("late harvest for the superseded version fired a verdict")
 	}
 	// The new version's own harvests land, against its own baseline.
 	drift.Record(cur, repeat(0.1, 3))
-	st, ok := drift.Status("a")
+	st, ok := drift.Status()
 	if !ok || st.Version != cur.ID || st.Samples != 3 || st.Drifted {
 		t.Fatalf("new version's harvest not recorded: %+v", st)
 	}
@@ -851,19 +614,19 @@ func TestRetrainerDriftCooldown(t *testing.T) {
 	if reg.Current() != v2 {
 		t.Fatal("drift retrain spun within MinInterval")
 	}
-	if st, _ := drift.Status(""); !st.Drifted {
+	if st, _ := drift.Status(); !st.Drifted {
 		t.Fatal("cooldown should leave the pending verdict intact")
 	}
 	// Expiring the cooldown releases it.
-	r.lastDriftAt[""] = time.Now().Add(-2 * time.Hour)
+	r.lastDriftAt = time.Now().Add(-2 * time.Hour)
 	r.retrainDrifted()
 	if reg.Current() == v2 {
 		t.Fatal("expired cooldown still blocked the retrain")
 	}
 }
 
-// TestRetrainerDriftGlobalTarget: a drifted GLOBAL window retrains the
-// global model on the full corpus.
+// TestRetrainerDriftGlobalTarget: a drifted window retrains the model on
+// the full corpus.
 func TestRetrainerDriftGlobalTarget(t *testing.T) {
 	store, err := OpenStore(t.TempDir(), StoreOptions{})
 	if err != nil {
@@ -885,8 +648,71 @@ func TestRetrainerDriftGlobalTarget(t *testing.T) {
 	drift.Record(v1, repeat(0.95, 8))
 	r.retrainDrifted()
 	v2 := reg.Current()
-	if v2 == v1 || v2.Meta.Source != "drift" || v2.Meta.Family != "" {
-		t.Fatalf("global drift retrain: %+v", v2.Meta)
+	if v2 == v1 || v2.Meta.Source != "drift" || v2.Meta.CorpusSize != 60 {
+		t.Fatalf("drift retrain: %+v", v2.Meta)
+	}
+}
+
+// TestRetrainerDriftRetrainsOnlyDriftedTarget: the drift pass leaves a
+// healthy serving model alone; once its window drifts, the pass retrains
+// it exactly once under source "drift", with the provenance in the
+// decision ring, and the drift report then waits for the new version's
+// first harvest.
+func TestRetrainerDriftRetrainsOnlyDriftedTarget(t *testing.T) {
+	store, err := OpenStore(t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if _, err := store.AppendAll(trainable(60, 0)); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4, Ratio: 1.5, AbsSlack: 0.01})
+	r := NewRetrainer(store, reg, RetrainerConfig{
+		Selection:    fastConfig(),
+		Drift:        drift,
+		DriftRetrain: true,
+	})
+	if _, err := r.Retrain("manual"); err != nil {
+		t.Fatal(err)
+	}
+	v1 := reg.Current()
+
+	// A healthy window holds no verdict: the drift pass trains nothing.
+	drift.Record(v1, repeat(0, 8))
+	r.retrainDrifted()
+	if reg.Current() != v1 || len(reg.Versions()) != 1 {
+		t.Fatalf("healthy model was retrained by the drift pass: %+v", reg.Current().Meta)
+	}
+
+	// The serving model drifts: observed errors far above its holdout
+	// baseline (window mean (8×0 + 8×0.9)/16).
+	drift.Record(v1, repeat(0.9, 8))
+	if st, ok := drift.Drifted(); !ok || st.Version != v1.ID {
+		t.Fatalf("Drifted() = %+v, %v; want v%d", st, ok, v1.ID)
+	}
+	r.retrainDrifted()
+
+	v2 := reg.Current()
+	if v2 == v1 || v2.Meta.Source != "drift" {
+		t.Fatalf("drift retrain provenance wrong: %+v", v2.Meta)
+	}
+	var found *TrainDecision
+	for _, d := range r.Decisions() {
+		if d.Trigger == "drift" {
+			d := d
+			if found != nil {
+				t.Fatalf("more than one drift decision: %+v and %+v", *found, d)
+			}
+			found = &d
+		}
+	}
+	if found == nil || found.Version != v2.ID || !near(found.ObservedL1, 0.45) {
+		t.Fatalf("drift decision missing or wrong: %+v", found)
+	}
+	if st, ok := drift.Status(); ok {
+		t.Fatalf("drifted version's window still reported after the retrain: %+v", st)
 	}
 }
 
@@ -911,15 +737,15 @@ func TestRetrainerDriftDisabled(t *testing.T) {
 	}
 	v1 := reg.Current()
 	drift.Record(v1, repeat(0.95, 8))
-	if len(r.driftDue()) != 0 {
-		t.Fatal("driftDue should be empty with DriftRetrain off")
+	if _, ok := r.driftDue(); ok {
+		t.Fatal("driftDue should be false with DriftRetrain off")
 	}
 	r.retrainDrifted() // must be a no-op
 	if reg.Current() != v1 {
 		t.Fatal("retrainDrifted retrained despite DriftRetrain off")
 	}
-	if got := drift.Drifted(); len(got) != 1 {
-		t.Fatalf("tracking itself should continue: %+v", got)
+	if _, ok := drift.Drifted(); !ok {
+		t.Fatal("tracking itself should continue")
 	}
 }
 
@@ -968,7 +794,7 @@ func TestTickFitsEachTargetOnce(t *testing.T) {
 		if reg.Current() != v1 {
 			t.Fatal("rejected candidate replaced the serving version")
 		}
-		if got := r.DriftRejects()[""]; got != 1 {
+		if got := r.DriftRejects(); got != 1 {
 			t.Fatalf("reject streak = %d, want 1", got)
 		}
 	})

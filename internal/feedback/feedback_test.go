@@ -45,7 +45,7 @@ func TestRegistryPublishCurrentRollback(t *testing.T) {
 	if r.Current() != nil {
 		t.Fatal("fresh registry should have no current version")
 	}
-	if _, err := r.Rollback(""); err == nil {
+	if _, err := r.Rollback(); err == nil {
 		t.Fatal("rollback on empty registry should fail")
 	}
 	s1 := &selection.Selector{}
@@ -58,11 +58,11 @@ func TestRegistryPublishCurrentRollback(t *testing.T) {
 	if r.Current() != v2 {
 		t.Fatal("current should be the latest publication")
 	}
-	back, err := r.Rollback("")
+	back, err := r.Rollback()
 	if err != nil || back != v1 || r.Current() != v1 {
 		t.Fatalf("rollback: %v %v", back, err)
 	}
-	if _, err := r.Rollback(""); err == nil {
+	if _, err := r.Rollback(); err == nil {
 		t.Fatal("rollback past the first version should fail")
 	}
 	// Publishing after a rollback moves forward with a fresh ID.
@@ -82,11 +82,11 @@ func TestRegistryRollbackSkipsRejectedVersions(t *testing.T) {
 	r := NewRegistry()
 	v1 := r.Publish(&selection.Selector{}, VersionMeta{Source: "seed"})
 	r.Publish(&selection.Selector{}, VersionMeta{Source: "auto"}) // v2, bad
-	if back, err := r.Rollback(""); err != nil || back != v1 {
+	if back, err := r.Rollback(); err != nil || back != v1 {
 		t.Fatalf("first rollback: %v %v", back, err)
 	}
 	r.Publish(&selection.Selector{}, VersionMeta{Source: "auto"}) // v3, also bad
-	back, err := r.Rollback("")
+	back, err := r.Rollback()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,43 @@ func TestRegistryRollbackSkipsRejectedVersions(t *testing.T) {
 		t.Fatalf("second rollback re-served the rejected v%d instead of v%d", back.ID, v1.ID)
 	}
 	// Nothing good remains before v1.
-	if _, err := r.Rollback(""); err == nil {
+	if _, err := r.Rollback(); err == nil {
 		t.Fatal("rollback past the last good version should fail")
+	}
+}
+
+// TestRegistryPruneProtectsRollbackTargets: the history budget prunes
+// gate-rejected versions first and never evicts the serving version or
+// its rollback chain — even when that chain holds the oldest versions
+// in the history, so heavy retraining cannot erode rollback.
+func TestRegistryPruneProtectsRollbackTargets(t *testing.T) {
+	r := NewRegistry()
+	good := r.Publish(&selection.Selector{}, VersionMeta{Source: "seed"})
+	prev := r.Publish(&selection.Selector{}, VersionMeta{Source: "auto"})
+	// Far more publications than the budget: per cycle, one accepted
+	// version the operator rolls back off again, plus one rejected
+	// record — so the chain prev → good stays the oldest history.
+	for cycle := 0; cycle < 3*maxVersions; cycle++ {
+		r.Publish(&selection.Selector{}, VersionMeta{Source: "auto"})
+		r.Record(&selection.Selector{}, VersionMeta{Source: "auto"})
+		if back, err := r.Rollback(); err != nil || back != prev {
+			t.Fatalf("cycle %d: rollback to %+v, %v; want v%d", cycle, back, err, prev.ID)
+		}
+	}
+	hist := r.Versions()
+	if len(hist) > maxVersions {
+		t.Fatalf("history %d versions, budget %d", len(hist), maxVersions)
+	}
+	for _, v := range hist {
+		if v.Meta.Decision == DecisionRejected {
+			t.Fatalf("rejected version %d survived pruning while accepted history was evicted", v.ID)
+		}
+	}
+	if r.Current() != prev {
+		t.Fatalf("serving %+v, want v%d", r.Current(), prev.ID)
+	}
+	if back, err := r.Rollback(); err != nil || back != good {
+		t.Fatalf("cannot roll back to v%d after pruning: %+v, %v", good.ID, back, err)
 	}
 }
 
@@ -127,7 +162,7 @@ func TestRegistryHotSwapNeverBlocksReaders(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		r.Publish(&selection.Selector{}, VersionMeta{Source: "auto"})
 		if i%3 == 0 {
-			if _, err := r.Rollback(""); err != nil {
+			if _, err := r.Rollback(); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -55,8 +55,8 @@ func NewHarvester(store *ExampleStore, minObs int, drift *DriftTracker, canary *
 }
 
 // HarvestTrace labels one finished trace and appends its examples to the
-// store, each tagged with the query's workload family (the per-family
-// retrain grouping key). It returns the number of examples durably
+// store, each tagged with the query's workload family (the retention
+// quota's key). It returns the number of examples durably
 // appended — on a partial failure the prefix written before the error is
 // still counted, so the stats stay consistent with the corpus.
 func (h *Harvester) HarvestTrace(tr *exec.Trace, workloadName, family string, queryIndex int) (int, error) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -16,25 +15,25 @@ import (
 
 // manifestFormat versions manifest.json; manifestName is its file name
 // inside the model directory.
-// Format history: v1 persisted only the serving version per target; v2
-// adds each target's bounded rollback history. v1 manifests still
-// restore (with empty histories).
+// Format history: v1 persisted only the serving version; v2 adds its
+// bounded rollback history. v1 manifests still restore (with an empty
+// history).
 const (
 	manifestFormat = 2
 	manifestName   = "manifest.json"
 )
 
-// manifest is the durable routing table: one entry per routing target
-// (global + families) pointing at its selector file, with the version
-// metadata a restart needs to rebuild the registry.
+// manifest is the durable serving pointer: the serving version's
+// selector file, with the version metadata a restart needs to rebuild
+// the registry, and its rollback history.
 type manifest struct {
-	Format  int              `json:"format"`
-	SavedAt time.Time        `json:"saved_at"`
+	Format  int       `json:"format"`
+	SavedAt time.Time `json:"saved_at"`
+	// Targets holds exactly one entry, the serving version. Manifests
+	// written while per-family model routing existed also list one entry
+	// per family (and a "pinned_families" list); Restore reads only the
+	// entry with an empty family.
 	Targets []manifestTarget `json:"targets"`
-	// Pinned lists families an operator rolled back to the global model;
-	// the pin must survive a restart, or the background retrainer would
-	// quietly re-publish the model they rejected.
-	Pinned []string `json:"pinned_families,omitempty"`
 }
 
 type manifestTarget struct {
@@ -46,15 +45,15 @@ type manifestTarget struct {
 	HoldoutL1  float64   `json:"holdout_l1"`
 	HoldoutN   int       `json:"holdout_n"`
 	Source     string    `json:"source"`
-	// History is the target's rollback chain, nearest candidate first —
-	// the versions successive POST /models/rollback calls would serve,
+	// History is the rollback chain, nearest candidate first — the
+	// versions successive POST /models/rollback calls would serve,
 	// bounded at maxPersistHistory. Restoring them means rollback still
 	// has somewhere to go after a restart.
 	History []manifestVersion `json:"history,omitempty"`
 }
 
-// manifestVersion is one persisted non-serving version in a target's
-// rollback history.
+// manifestVersion is one persisted non-serving version in the rollback
+// history.
 type manifestVersion struct {
 	File       string    `json:"file"`
 	ID         int       `json:"id"`
@@ -65,38 +64,33 @@ type manifestVersion struct {
 	Source     string    `json:"source"`
 }
 
-// ModelDir persists the serving selector versions next to the corpus so
-// a restarted daemon resumes from its last trained models instead of the
-// fixed-estimator fallback. Each routing target's selector goes to its
-// own per-version JSON file (global-v12.json, family-lineitem-v3.json)
-// via selection.Selector.Save (temp-file + fsync + rename, so a crash
-// never leaves a torn model), and the atomically renamed manifest.json is
-// the commit point for the whole file SET: selector files are only ever
-// written under fresh names, so a crash — or a later target's write
-// failure — between selector saves and the manifest rename leaves the old
-// manifest pointing at the old, untouched files, never at a file whose
-// contents changed underneath it. Files no longer referenced are
-// garbage-collected after a successful manifest write. Each target
-// persists its serving version PLUS its rollback chain (bounded at
-// maxPersistHistory), so a restarted daemon can still roll back.
+// ModelDir persists the serving selector version next to the corpus so
+// a restarted daemon resumes from its last trained model instead of the
+// fixed-estimator fallback. Each version's selector goes to its own
+// per-version JSON file (global-v12.json) via selection.Selector.Save
+// (temp-file + fsync + rename, so a crash never leaves a torn model),
+// and the atomically renamed manifest.json is the commit point for the
+// whole file SET: selector files are only ever written under fresh
+// names, so a crash — or a later file's write failure — between selector
+// saves and the manifest rename leaves the old manifest pointing at the
+// old, untouched files, never at a file whose contents changed
+// underneath it. Files no longer referenced are garbage-collected after
+// a successful manifest write. The serving version is persisted PLUS its
+// rollback chain (bounded at maxPersistHistory), so a restarted daemon
+// can still roll back.
 type ModelDir struct {
 	dir string
 
 	mu sync.Mutex
-	// saved maps (family, version id) → the file name on disk, so a Sync
-	// after a rollback (or an unchanged target) skips the multi-MB
+	// saved maps version id → the file name on disk, so a Sync after a
+	// rollback (or with an unchanged serving version) skips the multi-MB
 	// selector rewrite and only refreshes the manifest — and so a synced
 	// restored version keeps pointing at the file it was loaded from.
 	// Entries whose files the GC pass dropped are forgotten with them.
-	saved map[savedKey]string
+	saved map[int]string
 	// lastSync is the most recent Sync outcome (nil on success); while
-	// non-nil, the on-disk manifest may trail the live routing table.
+	// non-nil, the on-disk manifest may trail the serving version.
 	lastSync error
-}
-
-type savedKey struct {
-	family string
-	id     int
 }
 
 // OpenModelDir opens (or creates) the model directory.
@@ -104,43 +98,37 @@ func OpenModelDir(dir string) (*ModelDir, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("feedback: open model dir: %w", err)
 	}
-	return &ModelDir{dir: dir, saved: make(map[savedKey]string)}, nil
+	return &ModelDir{dir: dir, saved: make(map[int]string)}, nil
 }
 
 // Dir returns the model directory path.
 func (d *ModelDir) Dir() string { return d.dir }
 
-// Sync persists the registry's current routing table and each target's
-// rollback chain: every referenced version's selector file (skipped when
-// already on disk) plus the manifest. Selector files of versions no
-// longer referenced are garbage-collected after the manifest commit —
-// the manifest alone decides what Restore loads.
+// Sync persists the registry's serving version and its rollback chain:
+// every referenced version's selector file (skipped when already on
+// disk) plus the manifest. Selector files of versions no longer
+// referenced are garbage-collected after the manifest commit — the
+// manifest alone decides what Restore loads.
 func (d *ModelDir) Sync(reg *Registry) (err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	defer func() { d.lastSync = err }()
-	// Snapshot the routing state under d.mu: concurrent Sync callers
-	// (retrainer publish vs. operator rollback) then serialise in
-	// registry-mutation order, so the last manifest written always
-	// reflects the registry's latest state, never a stale preempted
-	// snapshot. PersistState couples the table, the rollback chains and
-	// the pins atomically — they must describe the same instant.
-	routed, chains, pins := reg.PersistState(maxPersistHistory)
-	families := make([]string, 0, len(routed))
-	for f := range routed {
-		families = append(families, f)
-	}
-	sort.Strings(families)
-	m := manifest{Format: manifestFormat, SavedAt: time.Now(), Pinned: pins}
-	for _, f := range families {
-		v := routed[f]
-		file, err := d.ensureSavedLocked(f, v)
-		if err != nil {
-			return err
+	// Snapshot the chain under d.mu: concurrent Sync callers (retrainer
+	// publish vs. operator rollback) then serialise in registry-mutation
+	// order, so the last manifest written always reflects the registry's
+	// latest state, never a stale preempted snapshot.
+	chain := reg.PersistState(maxPersistHistory)
+	m := manifest{Format: manifestFormat, SavedAt: time.Now()}
+	if len(chain) > 0 {
+		files := make([]string, len(chain))
+		for i, v := range chain {
+			if files[i], err = d.ensureSavedLocked(v); err != nil {
+				return err
+			}
 		}
+		v := chain[0]
 		t := manifestTarget{
-			Family:     f,
-			File:       file,
+			File:       files[0],
 			ID:         v.ID,
 			TrainedAt:  v.Meta.TrainedAt,
 			CorpusSize: v.Meta.CorpusSize,
@@ -148,13 +136,9 @@ func (d *ModelDir) Sync(reg *Registry) (err error) {
 			HoldoutN:   v.Meta.HoldoutN,
 			Source:     v.Meta.Source,
 		}
-		for _, h := range chains[f] {
-			hf, err := d.ensureSavedLocked(f, h)
-			if err != nil {
-				return err
-			}
+		for i, h := range chain[1:] {
 			t.History = append(t.History, manifestVersion{
-				File:       hf,
+				File:       files[i+1],
 				ID:         h.ID,
 				TrainedAt:  h.Meta.TrainedAt,
 				CorpusSize: h.Meta.CorpusSize,
@@ -163,7 +147,7 @@ func (d *ModelDir) Sync(reg *Registry) (err error) {
 				Source:     h.Meta.Source,
 			})
 		}
-		m.Targets = append(m.Targets, t)
+		m.Targets = []manifestTarget{t}
 	}
 	if err := d.writeManifestLocked(&m); err != nil {
 		return err
@@ -175,26 +159,27 @@ func (d *ModelDir) Sync(reg *Registry) (err error) {
 // ensureSavedLocked makes sure the version's selector file exists on
 // disk and returns its name. Versions already written (or restored) are
 // not rewritten.
-func (d *ModelDir) ensureSavedLocked(family string, v *Version) (string, error) {
-	k := savedKey{family: family, id: v.ID}
-	if file, ok := d.saved[k]; ok {
+func (d *ModelDir) ensureSavedLocked(v *Version) (string, error) {
+	if file, ok := d.saved[v.ID]; ok {
 		return file, nil
 	}
-	file := targetFile(family, v.ID)
+	file := fmt.Sprintf("global-v%d.json", v.ID)
 	if err := v.Selector.Save(filepath.Join(d.dir, file)); err != nil {
-		return "", fmt.Errorf("feedback: persist model for %q: %w", family, err)
+		return "", fmt.Errorf("feedback: persist model v%d: %w", v.ID, err)
 	}
-	d.saved[k] = file
+	d.saved[v.ID] = file
 	return file, nil
 }
 
 // collectGarbageLocked removes selector files the committed manifest no
-// longer references — leftovers of superseded versions or of writes whose
-// manifest commit never happened. Only files matching this package's
-// naming scheme are touched; removal failures are ignored (an orphan
-// costs disk, not correctness, and the next Sync retries).
+// longer references — leftovers of superseded versions, of writes whose
+// manifest commit never happened, and the family-*.json files of a
+// directory last written while per-family model routing existed. Only
+// files matching this package's naming schemes are touched; removal
+// failures are ignored (an orphan costs disk, not correctness, and the
+// next Sync retries).
 func (d *ModelDir) collectGarbageLocked(m *manifest) {
-	referenced := make(map[string]bool, 2*len(m.Targets))
+	referenced := make(map[string]bool, 1+maxPersistHistory)
 	for _, t := range m.Targets {
 		referenced[t.File] = true
 		for _, h := range t.History {
@@ -218,9 +203,9 @@ func (d *ModelDir) collectGarbageLocked(m *manifest) {
 	// Forget saved entries for files the manifest dropped — they may be
 	// deleted now, and without this the map grows one entry per version
 	// ever persisted.
-	for k, file := range d.saved {
+	for id, file := range d.saved {
 		if !referenced[file] {
-			delete(d.saved, k)
+			delete(d.saved, id)
 		}
 	}
 }
@@ -247,42 +232,42 @@ func (d *ModelDir) LastSyncError() error {
 	return d.lastSync
 }
 
-// Restore loads the persisted routing table into the registry: each
-// manifest target's selector is loaded and published for its family with
+// Restore loads the persisted serving version into the registry: its
+// rollback history and then the serving selector are published with
 // source "restored", preserving the original training metadata for
 // inspection in GET /models (the quality gate itself re-evaluates the
 // serving selector on each candidate's fresh holdout; it never reads
-// these stored numbers). It returns the number of targets restored; a
-// missing manifest restores nothing and is not an error.
-func (d *ModelDir) Restore(reg *Registry) (int, error) {
+// these stored numbers). It reports whether a serving version was
+// restored; a missing manifest restores nothing and is not an error.
+// Family entries of a manifest written while per-family routing existed
+// are ignored, and their files go at the next Sync.
+func (d *ModelDir) Restore(reg *Registry) (bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	data, err := os.ReadFile(filepath.Join(d.dir, manifestName))
 	if os.IsNotExist(err) {
-		return 0, nil
+		return false, nil
 	}
 	if err != nil {
-		return 0, fmt.Errorf("feedback: read manifest: %w", err)
+		return false, fmt.Errorf("feedback: read manifest: %w", err)
 	}
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return 0, fmt.Errorf("feedback: parse manifest: %w", err)
+		return false, fmt.Errorf("feedback: parse manifest: %w", err)
 	}
 	if m.Format > manifestFormat {
-		return 0, fmt.Errorf("feedback: manifest format %d is newer than this build understands (%d)",
+		return false, fmt.Errorf("feedback: manifest format %d is newer than this build understands (%d)",
 			m.Format, manifestFormat)
 	}
-	// Global first, then families sorted — so the IDs a restored daemon
-	// reports are deterministic.
-	targets := append([]manifestTarget(nil), m.Targets...)
-	sort.Slice(targets, func(i, j int) bool { return targets[i].Family < targets[j].Family })
-	restored := 0
-	for _, t := range targets {
-		// Rollback history first, deepest first, so the registry's version
-		// order reproduces the chain: each restored history version is an
-		// earlier accepted same-family version of the one published after
-		// it — exactly what rollbackCandidateLocked walks. History is
-		// best-effort: an unreadable entry only shortens the chain, it
+	for _, t := range m.Targets {
+		if t.Family != "" {
+			continue
+		}
+		// Rollback history first, deepest first, so the registry's
+		// version order reproduces the chain: each restored history
+		// version is an earlier accepted version of the one published
+		// after it — exactly what rollbackCandidateLocked walks. History
+		// is best-effort: an unreadable entry only shortens the chain, it
 		// must not block restoring the serving model.
 		for i := len(t.History) - 1; i >= 0; i-- {
 			h := t.History[i]
@@ -296,13 +281,12 @@ func (d *ModelDir) Restore(reg *Registry) (int, error) {
 				HoldoutL1:  h.HoldoutL1,
 				HoldoutN:   h.HoldoutN,
 				Source:     "restored",
-				Family:     t.Family,
 			})
-			d.saved[savedKey{family: t.Family, id: v.ID}] = h.File
+			d.saved[v.ID] = h.File
 		}
 		sel, err := selection.Load(filepath.Join(d.dir, t.File))
 		if err != nil {
-			return restored, fmt.Errorf("feedback: restore model for %q: %w", t.Family, err)
+			return false, fmt.Errorf("feedback: restore model: %w", err)
 		}
 		v := reg.Publish(sel, VersionMeta{
 			TrainedAt:  t.TrainedAt,
@@ -310,41 +294,13 @@ func (d *ModelDir) Restore(reg *Registry) (int, error) {
 			HoldoutL1:  t.HoldoutL1,
 			HoldoutN:   t.HoldoutN,
 			Source:     "restored",
-			Family:     t.Family,
 		})
 		// Remember the file each version came from: the registry assigned
 		// it a fresh ID, and a later Sync must keep the manifest pointing
 		// at this existing file rather than inventing a name that was
 		// never written.
-		d.saved[savedKey{family: t.Family, id: v.ID}] = t.File
-		restored++
+		d.saved[v.ID] = t.File
+		return true, nil
 	}
-	for _, f := range m.Pinned {
-		reg.RestoreFallbackPin(f)
-	}
-	return restored, nil
-}
-
-// targetFile maps a routing target and version to its selector file
-// name. The version id in the name is what makes the manifest rename an
-// atomic commit of the whole file set — a new version never overwrites a
-// file an older manifest references. Family names are sanitised so any
-// byte sequence stays a safe single path element.
-func targetFile(family string, id int) string {
-	if family == "" {
-		return fmt.Sprintf("global-v%d.json", id)
-	}
-	var b strings.Builder
-	b.WriteString("family-")
-	for i := 0; i < len(family); i++ {
-		c := family[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_', c == '-':
-			b.WriteByte(c)
-		default:
-			fmt.Fprintf(&b, "%%%02x", c)
-		}
-	}
-	fmt.Fprintf(&b, "-v%d.json", id)
-	return b.String()
+	return false, nil
 }

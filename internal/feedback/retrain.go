@@ -5,7 +5,6 @@ import (
 	"errors"
 	"hash/fnv"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -87,29 +86,20 @@ type RetrainerConfig struct {
 	Selection selection.Config
 	// Seed, when non-empty, is a synthetic corpus mixed into every
 	// training set (never into the holdout), so early versions trained on
-	// a thin observed corpus do not forget the offline baseline. Family
-	// training runs mix in only the seed examples of that family.
+	// a thin observed corpus do not forget the offline baseline.
 	Seed []selection.Example
 	// Policy drives the background loop.
 	Policy RetrainPolicy
 	// Gate guards hot-swaps (see QualityGate).
 	Gate QualityGate
-	// FamilyModels additionally trains one selector per workload family
-	// with at least MinFamilyExamples observed examples, published under
-	// that family as a routing target (queries of the family are then
-	// served by it instead of the global model).
-	FamilyModels bool
-	// MinFamilyExamples is the per-family training threshold (default 40).
-	MinFamilyExamples int
 	// Persist, when non-nil, saves the serving versions (selector files +
 	// manifest) after every run that published, so a restarted daemon
 	// resumes from its last trained models.
 	Persist *ModelDir
 	// Drift, when non-nil together with DriftRetrain, adds the third
-	// trigger next to size and age: a routing target whose windowed
-	// observed serving error exceeds its version's holdout baseline (see
-	// DriftTracker) is retrained on its own — only the drifted target, not
-	// the whole model set — with source "drift". The tracker can be wired
+	// trigger next to size and age: when the serving version's windowed
+	// observed error exceeds its holdout baseline (see DriftTracker), the
+	// model is retrained with source "drift". The tracker can be wired
 	// without DriftRetrain to monitor drift while leaving retraining to
 	// the operator.
 	Drift        *DriftTracker
@@ -121,11 +111,10 @@ type RetrainerConfig struct {
 	// error stays within the gate tolerance of the champion's (see
 	// Canary). Manual retrains always swap immediately.
 	Canary *Canary
-	// DriftRejectLimit is how many consecutive rejected drift retrains a
-	// routing target gets before the retrainer concludes the corpus —
-	// not the model — went bad and auto-rolls the target back (a family
-	// with nowhere to roll back to is pinned to the global model). 0
-	// means the default 3; negative disables auto-rollback.
+	// DriftRejectLimit is how many consecutive rejected drift retrains
+	// the serving version gets before the retrainer concludes the model
+	// itself went bad and auto-rolls it back. 0 means the default 3;
+	// negative disables auto-rollback.
 	DriftRejectLimit int
 }
 
@@ -140,8 +129,6 @@ type TrainDecision struct {
 	// live-traffic verdict) or "auto-rollback" (the consecutive-drift-
 	// rejection breaker firing).
 	Trigger string `json:"trigger"`
-	// Family is the routing target trained ("" = the global model).
-	Family string `json:"family,omitempty"`
 	// Version is the id of the trained version (accepted or rejected).
 	Version int `json:"version"`
 	// Decision is the quality-gate verdict (DecisionAccepted/Rejected).
@@ -168,7 +155,6 @@ var ErrEmptyCorpus = errors.New("feedback: corpus has no examples to train on")
 const (
 	holdoutStride     = 5
 	minHoldoutExample = 10
-	defaultMinFamily  = 40
 )
 
 // isHoldout assigns an example to the holdout by a content hash of its
@@ -195,30 +181,20 @@ func isHoldout(e *selection.Example) bool {
 // background goroutine (Start/Stop) that compacts the corpus and trains
 // on the size/age policy and the drift verdicts. Only one training runs
 // at a time; serving is never blocked because publication is an atomic
-// routing-table swap.
+// pointer swap.
 type Retrainer struct {
 	store *ExampleStore
 	reg   *Registry
 	cfg   RetrainerConfig
 
 	trainMu sync.Mutex // serialises training runs
-	// lastFamObserved maps family → observed-example count at its last
-	// successful training run, so a retrain cycle skips families that
-	// received no new examples — with many families and localized
-	// traffic, retraining (and re-persisting) every family's identical
-	// model every cycle would dominate the daemon's background cost.
-	// Count equality is a heuristic: retention dropping exactly as many
-	// old family examples as fresh ones arrived slips through one cycle
-	// unnoticed, which the next growth-triggered cycle corrects. Guarded
-	// by trainMu (only touched while it is held).
-	lastFamObserved map[string]int
-	// lastDriftAt maps target → when its last drift-triggered training
-	// run started (success or failure), rate-limiting the drift trigger
-	// to one run per Policy.MinInterval per target — without it a
-	// persistently drifting target (gate keeps rejecting, or traffic
-	// genuinely outruns the corpus) would re-arm within a few queries
-	// and spin a full training run every poll tick. Guarded by trainMu.
-	lastDriftAt map[string]time.Time
+	// lastDriftAt is when the last drift-triggered training run started
+	// (success or failure), rate-limiting the drift trigger to one run
+	// per Policy.MinInterval — without it a persistently drifting model
+	// (gate keeps rejecting, or traffic genuinely outruns the corpus)
+	// would re-arm within a few queries and spin a full training run
+	// every poll tick. Guarded by trainMu.
+	lastDriftAt time.Time
 
 	mu sync.Mutex // guards the policy state below
 	// lastAppended is the store's lifetime append counter at the last
@@ -232,12 +208,12 @@ type Retrainer struct {
 	// decisions is the bounded ring of recent publication decisions,
 	// newest last (see TrainDecision).
 	decisions []TrainDecision
-	// driftRejects counts each target's CONSECUTIVE rejected drift
-	// retrains (immediate gate rejections and full-window canary
-	// rejections alike); an acceptance clears it, and reaching
-	// DriftRejectLimit trips the auto-rollback breaker. Under r.mu so
-	// GET /models/drift never waits behind a training run.
-	driftRejects map[string]int
+	// driftRejects counts CONSECUTIVE rejected drift retrains (immediate
+	// gate rejections and full-window canary rejections alike); an
+	// acceptance clears it, and reaching DriftRejectLimit trips the
+	// auto-rollback breaker. Under r.mu so GET /models/drift never waits
+	// behind a training run.
+	driftRejects int
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -254,32 +230,23 @@ type Retrainer struct {
 func NewRetrainer(store *ExampleStore, reg *Registry, cfg RetrainerConfig) *Retrainer {
 	cfg.Policy = cfg.Policy.withDefaults()
 	cfg.Gate = cfg.Gate.withDefaults()
-	if cfg.MinFamilyExamples <= 0 {
-		cfg.MinFamilyExamples = defaultMinFamily
-	}
 	if cfg.DriftRejectLimit == 0 {
 		cfg.DriftRejectLimit = 3
 	}
 	return &Retrainer{
-		store:           store,
-		reg:             reg,
-		cfg:             cfg,
-		lastFamObserved: make(map[string]int),
-		lastDriftAt:     make(map[string]time.Time),
-		driftRejects:    make(map[string]int),
-		stop:            make(chan struct{}),
-		done:            make(chan struct{}),
+		store: store,
+		reg:   reg,
+		cfg:   cfg,
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 }
 
 // Retrain synchronously trains on the current corpus (plus the optional
-// synthetic seed) and publishes the results as new versions tagged with
-// source: one global version, plus — with FamilyModels — one per
-// sufficiently represented workload family. It returns the global
-// version; per-family versions are visible in the registry history. With
-// canary confirmation enabled, a non-manual run whose global candidate
-// entered confirmation returns a nil version (the verdict lands later in
-// the decision ring).
+// synthetic seed) and publishes the result as a new version tagged with
+// source. With canary confirmation enabled, a non-manual run whose
+// candidate entered confirmation returns a nil version (the verdict
+// lands later in the decision ring).
 func (r *Retrainer) Retrain(source string) (*Version, error) {
 	r.trainMu.Lock()
 	defer r.trainMu.Unlock()
@@ -299,7 +266,7 @@ func (r *Retrainer) tick() {
 		}
 	}
 	due := r.due()
-	drifted := len(r.driftDue()) > 0
+	_, drifted := r.driftDue()
 	canaryDue := r.cfg.Canary.resolvable(time.Now())
 	if !due && !drifted && !canaryDue {
 		return
@@ -322,48 +289,31 @@ func (r *Retrainer) tick() {
 }
 
 // trainLocked is the one training pass; trainMu must be held. It takes
-// one corpus capture and fits each due routing target at most once:
+// one corpus capture and fits the model at most once: for source "auto"
+// (size/age policy) or "manual", and — with drift set — for a serving
+// version that is drifted past its cooldown. A fit that is both trains
+// under trigger "drift", carrying the observed L1 and the drift
+// bookkeeping, so a tick both size/age- and drift-due never fits twice.
+// Source "" runs the drift part alone; that pass only records failures,
+// so it never hides an earlier size/age failure from LastError.
+// trainLocked returns the size/age or manual run's version.
 //
-//   - with source "auto" (size/age policy) or "manual", the global target
-//     first and then, once it trained, every family with new evidence in
-//     sorted order, so version ids, holdout metrics and gate decisions
-//     are deterministic;
-//   - with drift set, every drifted target past its cooldown that the
-//     first part did not list, in the tracker's (sorted) order.
-//
-// A listed target that is drifted past its cooldown trains under trigger
-// "drift" wherever it is listed, carrying its observed L1 and the drift
-// bookkeeping, so a tick both size/age- and drift-due never fits it
-// twice. Source "" runs the drift part alone; that pass only records
-// failures, so it never hides an earlier size/age failure from
-// LastError. trainLocked returns the first part's global version.
-//
-// The parallelism is inside each fit: selection.Train fits a selector's
-// kinds on every core, which left a pool across families nothing to add
-// (measured on the learn_cycle benchmark, 8 alternating pairs on 2 cores:
-// retrain p50 227.2 ms with a family pool, 231.7 ms without, pool lower
-// in 6 of 8 — inside the ±2 % that code layout alone moves a retrain —
-// so the pool went).
+// The parallelism is inside the fit: selection.Train fits a selector's
+// kinds on every core.
 func (r *Retrainer) trainLocked(source string, drift bool) (*Version, error) {
 	// Read after winning trainMu: a concurrent manual retrain may have
-	// just replaced the drifted version, whose window the routing table
-	// then no longer reads. The per-target cooldown mirrors the size/age
-	// age gate — the window is left alone, so a held verdict simply
-	// re-fires on the first tick past MinInterval — and is checked before
-	// the corpus read, so a drift-only pass where every verdict is
-	// cooling down costs no snapshot.
-	var driftOrder []DriftState
-	var drifted map[string]DriftState
+	// just replaced the drifted version, whose window is then no longer
+	// read. The cooldown mirrors the size/age age gate — the window is
+	// left alone, so a held verdict simply re-fires on the first tick past
+	// MinInterval — and is checked before the corpus read, so a
+	// drift-only pass that is cooling down costs no snapshot.
+	var st DriftState
+	drifted := false
 	if drift {
-		drifted = make(map[string]DriftState)
-		for _, st := range r.driftDue() {
-			if time.Since(r.lastDriftAt[st.Target]) >= r.cfg.Policy.MinInterval {
-				driftOrder = append(driftOrder, st)
-				drifted[st.Target] = st
-			}
-		}
+		st, drifted = r.driftDue()
+		drifted = drifted && time.Since(r.lastDriftAt) >= r.cfg.Policy.MinInterval
 	}
-	if source == "" && len(driftOrder) == 0 {
+	if source == "" && !drifted {
 		return nil, nil
 	}
 	// Capture the append counter BEFORE the snapshot: examples landing in
@@ -381,150 +331,71 @@ func (r *Retrainer) trainLocked(source string, drift bool) (*Version, error) {
 		r.mu.Unlock()
 		return nil, err
 	}
-	sizeAge := source != "" && len(observed)+len(r.cfg.Seed) > 0
-	// Group the capture and the seed by family once, and only when a
-	// family target can be listed.
-	var byFamily, seedByFamily map[string][]selection.Example
-	needFamilies := sizeAge && r.cfg.FamilyModels
-	for target := range drifted {
-		needFamilies = needFamilies || target != ""
+	if len(observed)+len(r.cfg.Seed) == 0 {
+		if drifted {
+			// Retention dropped every example: reset so the verdict waits
+			// for fresh evidence.
+			r.cfg.Drift.Reset()
+		}
+		if source == "" {
+			return nil, nil
+		}
+		return nil, ErrEmptyCorpus
 	}
-	if needFamilies {
-		byFamily, seedByFamily = groupByFamily(observed), groupByFamily(r.cfg.Seed)
+	trigger := source
+	if drifted {
+		// Charged whether the run succeeds or fails: a persistent
+		// training failure must not spin either.
+		r.lastDriftAt = time.Now()
+		trigger = "drift"
 	}
-
+	var v *Version
 	published := false
-	fit := func(target, trigger string) (*Version, error) {
-		obs, seed := observed, r.cfg.Seed
-		if target != "" {
-			obs, seed = byFamily[target], seedByFamily[target]
-		}
-		st, isDrift := drifted[target]
-		if isDrift {
-			delete(drifted, target)
-			if (target != "" && len(obs) < r.cfg.MinFamilyExamples) || len(obs)+len(seed) == 0 {
-				// Retention shrank the family below the training floor the
-				// size/age part enforces (a model fit on a handful of
-				// examples would publish ungated garbage), or dropped every
-				// example of the target. Reset so the verdict waits for
-				// fresh evidence.
-				r.cfg.Drift.Reset(target)
-				return nil, nil
-			}
-			// Charged whether the run succeeds or fails: a persistent
-			// training failure must not spin either.
-			r.lastDriftAt[target] = time.Now()
-			trigger = "drift"
-		}
-		f, err := r.fitTarget(target, obs, seed)
-		if err != nil {
-			return nil, err
-		}
-		v := r.publishFit(f, trigger, st.ObservedL1)
-		if target != "" {
-			r.lastFamObserved[target] = len(obs)
-		}
-		if !isDrift {
-			return v, nil
-		}
-		if v != nil && v.Meta.Decision == DecisionAccepted {
+	f, err := r.fitTarget(observed, r.cfg.Seed)
+	if err == nil {
+		v = r.publishFit(f, trigger, st.ObservedL1)
+		published = v != nil && v.Meta.Decision == DecisionAccepted
+		if drifted && published {
 			// The new version serves with a window of its own.
-			published = true
-			r.clearDriftRejects(target)
-			return v, nil
+			r.clearDriftRejects()
+		} else if drifted {
+			// The judged version keeps serving — rejected by the gate, or
+			// the candidate was diverted into canary confirmation (v ==
+			// nil; the reject streak then moves only on the eventual live
+			// verdict). Its window is reset, forcing MinSamples fresh
+			// observations before the verdict can fire again, so a model
+			// that cannot be improved does not spin a retrain per poll
+			// tick.
+			r.cfg.Drift.Reset()
+			if v != nil && r.bumpDriftRejects() {
+				published = r.autoRollbackLocked(st.ObservedL1)
+			}
 		}
-		// The judged version keeps serving — rejected by the gate, or the
-		// candidate was diverted into canary confirmation (v == nil; the
-		// reject streak then moves only on the eventual live verdict). Its
-		// window is reset, forcing MinSamples fresh observations before the
-		// verdict can fire again, so a model that cannot be improved does
-		// not spin a retrain per poll tick.
-		r.cfg.Drift.Reset(target)
-		if v != nil && r.bumpDriftRejects(target) {
-			published = r.autoRollbackLocked(target, st.ObservedL1) || published
-		}
-		return v, nil
 	}
-
-	var global *Version
-	var globalErr, errs error
-	if sizeAge {
-		global, globalErr = fit("", source)
+	if source != "" {
 		r.mu.Lock()
 		// A failed run only rearms the age gate (retry after MinInterval,
 		// so a persistent failure cannot spin training every poll tick);
 		// the growth budget is spent on success alone.
 		r.lastAt = time.Now()
-		if globalErr == nil {
+		if err == nil {
 			r.lastAppended = appended
 		}
 		r.mu.Unlock()
-		errs = globalErr
-		// Family failures are joined into LastError without failing the
-		// run, and the remaining families still train.
-		if globalErr == nil && r.cfg.FamilyModels {
-			for _, f := range r.familiesDue(byFamily, source) {
-				if _, err := fit(f, source); err != nil {
-					errs = errors.Join(errs, err)
-				}
-			}
-		}
-	} else if source != "" {
-		globalErr = ErrEmptyCorpus
 	}
-	for _, st := range driftOrder {
-		if _, pending := drifted[st.Target]; pending {
-			if _, err := fit(st.Target, "drift"); err != nil {
-				errs = errors.Join(errs, err)
-			}
-		}
-	}
-	if r.cfg.Persist != nil && ((sizeAge && globalErr == nil) || published) {
+	errs := err
+	if r.cfg.Persist != nil && ((source != "" && err == nil) || published) {
 		errs = errors.Join(errs, r.cfg.Persist.Sync(r.reg))
 	}
-	if sizeAge || errs != nil {
+	if source != "" || errs != nil {
 		r.mu.Lock()
 		r.lastErr = errs
 		r.mu.Unlock()
 	}
-	return global, globalErr
-}
-
-// familiesDue lists, sorted, the families a size/age or manual pass
-// trains: at least MinFamilyExamples examples and new evidence since the
-// family last trained.
-func (r *Retrainer) familiesDue(byFamily map[string][]selection.Example, source string) []string {
-	families := make([]string, 0, len(byFamily))
-	for f, exs := range byFamily {
-		if len(exs) < r.cfg.MinFamilyExamples {
-			continue
-		}
-		if r.reg.FallbackPinned(f) {
-			// An operator rolled this family back to the global model;
-			// the background loop honors the pin (a fresh auto model
-			// would train on largely the corpus they just rejected). A
-			// manual retrain re-publishes and clears it.
-			if source != "manual" {
-				continue
-			}
-		} else if len(exs) == r.lastFamObserved[f] {
-			continue // no new evidence: retraining would reproduce the same model
-		}
-		families = append(families, f)
+	if source == "" {
+		return nil, nil
 	}
-	sort.Strings(families)
-	return families
-}
-
-// groupByFamily splits tagged examples by family, keeping their order.
-func groupByFamily(exs []selection.Example) map[string][]selection.Example {
-	out := make(map[string][]selection.Example)
-	for _, ex := range exs {
-		if ex.Family != "" {
-			out[ex.Family] = append(out[ex.Family], ex)
-		}
-	}
-	return out
+	return v, err
 }
 
 // splitHoldout holds out a deterministic, position-independent slice of
@@ -550,11 +421,10 @@ func splitHoldout(observed []selection.Example) (train, holdout []selection.Exam
 	return train, holdout, false
 }
 
-// targetFit is the side-effect-free half of training one routing target:
-// everything fitTarget computes before the registry is consulted. A
-// canary challenger is held in this form until live traffic confirms it.
+// targetFit is the side-effect-free half of a training run: everything
+// fitTarget computes before the registry is consulted. A canary
+// challenger is held in this form until live traffic confirms it.
 type targetFit struct {
-	family     string
 	sel        *selection.Selector
 	holdout    []selection.Example
 	candEv     selection.Evaluation
@@ -563,9 +433,9 @@ type targetFit struct {
 }
 
 // fitTarget splits the holdout, trains the selector and evaluates the
-// candidate for one routing target (family "" = global). It is pure with
-// respect to the retrainer: no registry reads or writes, no shared state.
-func (r *Retrainer) fitTarget(family string, observed, seed []selection.Example) (*targetFit, error) {
+// candidate. It is pure with respect to the retrainer: no registry reads
+// or writes, no shared state.
+func (r *Retrainer) fitTarget(observed, seed []selection.Example) (*targetFit, error) {
 	trainSet, holdout, inSample := splitHoldout(observed)
 	full := make([]selection.Example, 0, len(seed)+len(trainSet))
 	full = append(full, seed...)
@@ -575,7 +445,6 @@ func (r *Retrainer) fitTarget(family string, observed, seed []selection.Example)
 		return nil, err
 	}
 	return &targetFit{
-		family:     family,
 		sel:        sel,
 		holdout:    holdout,
 		candEv:     selection.Evaluate(sel, holdout),
@@ -586,23 +455,14 @@ func (r *Retrainer) fitTarget(family string, observed, seed []selection.Example)
 
 // publishFit runs the quality gate on a completed fit and publishes or
 // records the version: the candidate is published (hot-swapped) when it
-// beats or stays within tolerance of the version currently serving the
-// target, evaluated on the same holdout; otherwise it is recorded as
-// rejected. The baseline must be a version of the SAME target: a family
-// whose queries are currently answered by the global fallback gets its
-// first family model ungated — the global model was trained on most of
-// the family's holdout (the strides don't align), so its holdout L1 there
-// is in-sample-optimistic and would starve family routing of a first
-// model that is genuinely better on fresh data. A bad first family model
-// is recoverable: rolling the family back past it falls back to the
-// global model.
+// beats or stays within tolerance of the serving version, evaluated on
+// the same holdout; otherwise it is recorded as rejected.
 func (r *Retrainer) publishFit(f *targetFit, source string, observedL1 float64) *Version {
 	meta := VersionMeta{
 		TrainedAt:  time.Now(),
 		CorpusSize: f.corpusSize,
 		HoldoutL1:  f.candEv.AvgL1,
 		Source:     source,
-		Family:     f.family,
 	}
 	if !f.inSample {
 		// In-sample evaluations record HoldoutN 0: the L1 stays visible
@@ -620,10 +480,7 @@ func (r *Retrainer) publishFit(f *targetFit, source string, observedL1 float64) 
 	// retrains. Symmetrically, an in-sample candidate (degenerate split)
 	// carries an optimistically biased L1 of its own and must not use it
 	// to displace an honestly measured serving model.
-	serving := r.reg.CurrentFor(f.family)
-	if serving != nil && serving.Meta.Family != f.family {
-		serving = nil // answered by the global fallback: no champion of its own
-	}
+	serving := r.reg.Current()
 	if serving != nil && serving.Meta.HoldoutN > 0 && !f.inSample &&
 		!r.cfg.Gate.Disabled && f.candEv.N > 0 && serving.Selector != nil && len(serving.Selector.Kinds) > 0 {
 		servEv := selection.Evaluate(serving.Selector, f.holdout)
@@ -635,20 +492,17 @@ func (r *Retrainer) publishFit(f *targetFit, source string, observedL1 float64) 
 		}
 	}
 	// Canary divert: with confirmation enabled, a background candidate
-	// that PASSED the holdout gate against a serving same-target champion
-	// still does not hot-swap — it becomes a pending challenger that must
-	// confirm on live traffic first (see canary.go). Manual retrains
-	// bypass the divert (the operator asked for the swap and the returned
-	// version), as does a target's FIRST model: the global fallback is a
-	// different target, so there is no champion to shadow-score against —
-	// exactly the asymmetry the gate above already encodes.
+	// that PASSED the holdout gate still does not hot-swap — it becomes a
+	// pending challenger that must confirm on live traffic first (see
+	// canary.go). Manual retrains bypass the divert (the operator asked
+	// for the swap and the returned version), as does the FIRST model:
+	// there is no champion to shadow-score against.
 	if r.cfg.Canary.enabled() && source != "manual" {
 		if serving != nil && serving.Selector != nil {
 			r.cfg.Canary.propose(f, meta, source, observedL1, serving, time.Now())
 			r.appendDecision(TrainDecision{
 				At:         meta.TrainedAt,
 				Trigger:    source,
-				Family:     meta.Family,
 				Decision:   DecisionCanary,
 				HoldoutL1:  meta.HoldoutL1,
 				BaselineL1: meta.BaselineL1,
@@ -667,7 +521,6 @@ func (r *Retrainer) recordDecision(v *Version, trigger string, observedL1 float6
 	r.appendDecision(TrainDecision{
 		At:         v.Meta.TrainedAt,
 		Trigger:    trigger,
-		Family:     v.Meta.Family,
 		Version:    v.ID,
 		Decision:   v.Meta.Decision,
 		HoldoutL1:  v.Meta.HoldoutL1,
@@ -693,61 +546,57 @@ func (r *Retrainer) Decisions() []TrainDecision {
 	return append([]TrainDecision(nil), r.decisions...)
 }
 
-// driftDue returns the currently drifted targets when drift-triggered
-// retraining is enabled.
-func (r *Retrainer) driftDue() []DriftState {
+// driftDue returns the serving version's standing when its verdict is
+// true and drift-triggered retraining is enabled.
+func (r *Retrainer) driftDue() (DriftState, bool) {
 	if r.cfg.Drift == nil || !r.cfg.DriftRetrain {
-		return nil
+		return DriftState{}, false
 	}
 	return r.cfg.Drift.Drifted()
 }
 
-// resolveCanariesLocked delivers verdicts on every ripe challenger
+// resolveCanariesLocked delivers the verdict on a ripe challenger
 // (confirmation window full, or expired waiting for traffic). Requires
 // trainMu: a promotion is a publication and must not interleave with a
 // concurrent training run's gate reads.
 func (r *Retrainer) resolveCanariesLocked() {
-	due := r.cfg.Canary.take(time.Now())
-	if len(due) == 0 {
+	st := r.cfg.Canary.take(time.Now())
+	if st == nil {
 		return
 	}
 	published := false
-	for _, st := range due {
-		target := st.meta.Family
+	switch {
+	case r.reg.Current() != st.champion:
 		// The champion the challenger shadow-scored against must still be
-		// serving: a manual retrain, rollback or pin in the meantime makes
-		// the comparison moot — record the challenger as rejected (the
-		// history keeps it inspectable) and move on.
-		if r.reg.CurrentFor(target) != st.champion {
-			v := r.reg.Record(st.fit.sel, st.meta)
-			r.recordDecision(v, "canary", st.observedL1)
-			continue
-		}
-		if st.n >= r.cfg.Canary.Window() {
-			champMean := st.champSum / float64(st.n)
-			chalMean := st.chalSum / float64(st.n)
-			// The live comparison supersedes the training-time baseline:
-			// record what the verdict was actually judged against.
-			st.meta.BaselineL1 = champMean
-			if r.cfg.Gate.passes(chalMean, champMean) {
-				v := r.reg.Publish(st.fit.sel, st.meta)
-				if st.source == "drift" {
-					r.clearDriftRejects(target)
-				}
-				r.recordDecision(v, "canary", chalMean)
-				published = true
-				continue
+		// serving: a manual retrain or rollback in the meantime makes the
+		// comparison moot — record the challenger as rejected (the history
+		// keeps it inspectable) and move on.
+		v := r.reg.Record(st.fit.sel, st.meta)
+		r.recordDecision(v, "canary", st.observedL1)
+	case st.n >= r.cfg.Canary.Window():
+		champMean := st.champSum / float64(st.n)
+		chalMean := st.chalSum / float64(st.n)
+		// The live comparison supersedes the training-time baseline:
+		// record what the verdict was actually judged against.
+		st.meta.BaselineL1 = champMean
+		if r.cfg.Gate.passes(chalMean, champMean) {
+			v := r.reg.Publish(st.fit.sel, st.meta)
+			if st.source == "drift" {
+				r.clearDriftRejects()
 			}
-			// Full window and live traffic disagreed with the holdout: a
-			// genuine quality rejection, so it counts against the drift
-			// breaker exactly like an immediate gate rejection.
-			v := r.reg.Record(st.fit.sel, st.meta)
 			r.recordDecision(v, "canary", chalMean)
-			if st.source == "drift" && r.bumpDriftRejects(target) {
-				published = r.autoRollbackLocked(target, st.observedL1) || published
-			}
-			continue
+			published = true
+			break
 		}
+		// Full window and live traffic disagreed with the holdout: a
+		// genuine quality rejection, so it counts against the drift
+		// breaker exactly like an immediate gate rejection.
+		v := r.reg.Record(st.fit.sel, st.meta)
+		r.recordDecision(v, "canary", chalMean)
+		if st.source == "drift" && r.bumpDriftRejects() {
+			published = r.autoRollbackLocked(st.observedL1)
+		}
+	default:
 		// Expired before the window filled: traffic dried up, so there is
 		// no quality judgement either way — rejected without moving the
 		// drift breaker.
@@ -763,95 +612,84 @@ func (r *Retrainer) resolveCanariesLocked() {
 	}
 }
 
-// Rollback moves family's routing target ("" = the global model) back
-// to its previous accepted version — or, for a family with none, pins it
-// to the global fallback — exactly as Registry.Rollback does, then
-// settles what hangs off the route: the target's pending challenger is
-// dropped (it was shadow-scoring against the rolled-off model) and the
-// version now serving the target starts a fresh drift window. A family
-// rolled back past its last version leaves the global model's window
-// alone. The operator's rollback and the auto-rollback breaker both come
-// here. It does not take trainMu, so an operator rollback never waits
-// behind a training run.
-func (r *Retrainer) Rollback(family string) (*Version, error) {
-	v, err := r.reg.Rollback(family)
+// Rollback moves the serving pointer back to the previous accepted
+// version exactly as Registry.Rollback does, then settles what hangs off
+// it: the pending challenger is dropped (it was shadow-scoring against
+// the rolled-off model) and the version now serving starts a fresh drift
+// window. The operator's rollback and the auto-rollback breaker both
+// come here. It does not take trainMu, so an operator rollback never
+// waits behind a training run.
+func (r *Retrainer) Rollback() (*Version, error) {
+	v, err := r.reg.Rollback()
 	if err != nil {
 		return nil, err
 	}
-	r.cfg.Canary.Drop(family)
-	if r.cfg.Drift != nil && v.Meta.Family == family {
-		r.cfg.Drift.Reset(family)
+	r.cfg.Canary.Drop()
+	if r.cfg.Drift != nil {
+		r.cfg.Drift.Reset()
 	}
 	return v, nil
 }
 
-// autoRollbackLocked trips the drift breaker for one routing target:
-// DriftRejectLimit consecutive drift-triggered retrains produced nothing
-// the gate (or the canary) would accept, so the live corpus cannot
-// currently beat the serving model — yet that model keeps drifting. The
-// champion itself is the problem; retraining harder will not fix it.
-// Roll the target back exactly as an operator rollback would (see
-// Rollback) and record the decision. Requires trainMu.
-func (r *Retrainer) autoRollbackLocked(target string, observedL1 float64) bool {
-	v, err := r.Rollback(target)
+// autoRollbackLocked trips the drift breaker: DriftRejectLimit
+// consecutive drift-triggered retrains produced nothing the gate (or the
+// canary) would accept, so the live corpus cannot currently beat the
+// serving model — yet that model keeps drifting. The champion itself is
+// the problem; retraining harder will not fix it. Roll back exactly as
+// an operator rollback would (see Rollback) and record the decision.
+// Requires trainMu.
+func (r *Retrainer) autoRollbackLocked(observedL1 float64) bool {
+	v, err := r.Rollback()
 	d := TrainDecision{
 		At:         time.Now(),
 		Trigger:    "auto-rollback",
-		Family:     target,
 		ObservedL1: observedL1,
 	}
 	if err != nil {
-		// Nothing to fall back to (a global model with no accepted
-		// predecessor). The breaker still resets — re-tripping it every
-		// K rejections would only spam the decision ring.
+		// Nothing to fall back to (no accepted predecessor). The breaker
+		// still resets — re-tripping it every K rejections would only
+		// spam the decision ring.
 		d.Decision = "rollback_unavailable"
 	} else {
 		d.Decision = "rolled_back"
-		if v.Meta.Family != target {
-			d.Decision = "pinned_to_global"
-		}
 		d.Version, d.HoldoutL1 = v.ID, v.Meta.HoldoutL1
 	}
 	r.appendDecision(d)
 	return err == nil
 }
 
-// clearDriftRejects resets the target's consecutive-rejection streak
-// (an accepted drift retrain proves the corpus can still beat serving).
-func (r *Retrainer) clearDriftRejects(target string) {
+// clearDriftRejects resets the consecutive-rejection streak (an accepted
+// drift retrain proves the corpus can still beat serving).
+func (r *Retrainer) clearDriftRejects() {
 	r.mu.Lock()
-	delete(r.driftRejects, target)
+	r.driftRejects = 0
 	r.mu.Unlock()
 }
 
-// bumpDriftRejects advances the target's consecutive gate-rejected
-// drift-retrain streak and reports whether the auto-rollback breaker
-// tripped (the streak resets when it does). A negative DriftRejectLimit
-// disables the breaker.
-func (r *Retrainer) bumpDriftRejects(target string) bool {
+// bumpDriftRejects advances the consecutive gate-rejected drift-retrain
+// streak and reports whether the auto-rollback breaker tripped (the
+// streak resets when it does). A negative DriftRejectLimit disables the
+// breaker.
+func (r *Retrainer) bumpDriftRejects() bool {
 	if r.cfg.DriftRejectLimit < 0 {
 		return false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.driftRejects[target]++
-	if r.driftRejects[target] >= r.cfg.DriftRejectLimit {
-		delete(r.driftRejects, target)
+	r.driftRejects++
+	if r.driftRejects >= r.cfg.DriftRejectLimit {
+		r.driftRejects = 0
 		return true
 	}
 	return false
 }
 
-// DriftRejects returns the per-target consecutive gate-rejected
-// drift-retrain streaks (targets at zero are omitted).
-func (r *Retrainer) DriftRejects() map[string]int {
+// DriftRejects returns the consecutive gate-rejected drift-retrain
+// streak.
+func (r *Retrainer) DriftRejects() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]int, len(r.driftRejects))
-	for k, n := range r.driftRejects {
-		out[k] = n
-	}
-	return out
+	return r.driftRejects
 }
 
 // LastError returns the most recent training failure (nil after a fully

@@ -248,7 +248,6 @@ func TestCorpusStatsShape(t *testing.T) {
 // comparison across two independently trained registries.
 type versionKey struct {
 	ID         int
-	Family     string
 	Source     string
 	Decision   string
 	CorpusSize int
@@ -264,7 +263,6 @@ func registryKeys(reg *Registry) []versionKey {
 	for i, v := range vs {
 		out[i] = versionKey{
 			ID:         v.ID,
-			Family:     v.Meta.Family,
 			Source:     v.Meta.Source,
 			Decision:   v.Meta.Decision,
 			CorpusSize: v.Meta.CorpusSize,
@@ -278,9 +276,10 @@ func registryKeys(reg *Registry) []versionKey {
 }
 
 // TestRetrainFamiliesParallelMatchesSequential: a parallel-fit retrain
-// publishes the exact version sequence — ids, metrics, gate decisions,
-// selectors, routing — a sequential retrain of the same corpus does. The
-// fit pool's width follows GOMAXPROCS, so that is what the two runs vary.
+// over a corpus of several families publishes the exact version sequence
+// — ids, metrics, gate decisions, selectors, the serving pointer — a
+// sequential retrain of the same corpus does. selection.Train fits the
+// kinds on GOMAXPROCS workers, so that is what the two runs vary.
 func TestRetrainFamiliesParallelMatchesSequential(t *testing.T) {
 	run := func(procs int) (*Registry, *Retrainer) {
 		t.Helper()
@@ -290,8 +289,8 @@ func TestRetrainFamiliesParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { store.Close() })
-		// Mixed truthful/inverted families so the models differ and the
-		// second round exercises the gate against real baselines.
+		// Mixed truthful/inverted families, and a second round that
+		// exercises the gate against a real baseline.
 		if _, err := store.AppendAll(familyExamples(30, 0, "alpha", false)); err != nil {
 			t.Fatal(err)
 		}
@@ -305,16 +304,12 @@ func TestRetrainFamiliesParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := NewRegistry()
-		ret := NewRetrainer(store, reg, RetrainerConfig{
-			Selection:         fastConfig(),
-			FamilyModels:      true,
-			MinFamilyExamples: 20,
-		})
+		ret := NewRetrainer(store, reg, RetrainerConfig{Selection: fastConfig()})
 		if _, err := ret.Retrain("manual"); err != nil {
 			t.Fatal(err)
 		}
-		// Second round on a grown corpus: families now have serving
-		// baselines, so the gate path runs too.
+		// Second round on a grown corpus: the serving version is now a
+		// holdout-evaluated baseline, so the gate path runs too.
 		if _, err := store.AppendAll(familyExamples(10, 400, "alpha", false)); err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"progressest/internal/progress"
@@ -519,5 +520,62 @@ func TestStoreConcurrentAppendSnapshot(t *testing.T) {
 	<-done
 	if s.Len() != 200 {
 		t.Fatalf("Len = %d, want 200", s.Len())
+	}
+}
+
+// TestStoreFamilyRoundTripAndV1Compat: family tags survive the record
+// format, and the compatibility story for a format-1 segment (the
+// pre-family layout, never released) is an explicit refusal — OpenStore
+// and ReadCorpus both answer the "uses corpus format" error instead of
+// misreading the records, and leave the file untouched.
+func TestStoreFamilyRoundTripAndV1Compat(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.AppendAll(familyExamples(5, 0, "lineitem", false)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 5 || got[0].Family != "lineitem" {
+		t.Fatalf("family lost in round trip: %d examples, family %q", len(got), got[0].Family)
+	}
+	store.Close()
+
+	// Stamp the segment as format 1, as an older build would have written
+	// it. The record bytes do not matter: the header alone decides.
+	names, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if len(names) != 1 {
+		t.Fatalf("segments: %v", names)
+	}
+	v1, err := os.ReadFile(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1[len(segMagic)] = 1 // format byte (little-endian uint32)
+	if err := os.WriteFile(names[0], v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "uses corpus format 1"
+	if _, err := OpenStore(dir, StoreOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenStore over a format-1 tail: err %v, want %q", err, want)
+	}
+	if _, err := ReadCorpus(dir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReadCorpus over a format-1 segment: err %v, want %q", err, want)
+	}
+	// Same refusal when the old segment is a sealed one behind a current tail.
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000002.log"), segmentHeader(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(dir, StoreOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenStore over a sealed format-1 segment: err %v, want %q", err, want)
+	}
+	after, err := os.ReadFile(names[0])
+	if err != nil || !bytes.Equal(after, v1) {
+		t.Fatalf("refused segment was modified (err %v)", err)
 	}
 }

@@ -18,14 +18,14 @@ import (
 
 // Spec is the session-open wire form (POST /sessions): the external
 // query's plan shape, pipeline decomposition and driver-input totals,
-// plus the routing metadata (workload, family, client) the admission
-// gate and the learning loop key on.
+// plus the metadata (workload, family, client) the admission gate and
+// the learning loop key on.
 type Spec struct {
 	// Workload names the external engine or workload; harvested examples
 	// record it as their workload tag.
 	Workload string `json:"workload"`
-	// Family is the session's workload family: its admission class, its
-	// model-routing key, and the corpus tag its harvested examples carry.
+	// Family is the session's workload family: its admission class and
+	// the corpus tag its harvested examples carry.
 	Family string `json:"family"`
 	// Client optionally refines the admission class to "family|client",
 	// exactly as a tagged native submission would.

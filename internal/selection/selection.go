@@ -38,8 +38,8 @@ type Example struct {
 	// Signature identifies the pipeline's operator shape; the selectivity
 	// sensitivity experiment groups recurring pipelines by it.
 	Signature string
-	// Family tags the query's workload family (the routing key of
-	// per-family model selection); "" on examples harvested before family
+	// Family tags the query's workload family (the key of the corpus's
+	// per-family retention quota); "" on examples harvested before family
 	// tagging existed.
 	Family string
 	// Meta carries free-form provenance (query/pipeline ids, GetNext

@@ -20,9 +20,8 @@ var labelKinds = progress.AllKinds()
 // and labels that view with LabelView — the labeller the serving
 // harvester applies to the view that watched the query live, so a batch
 // harvest and a served query's corpus examples agree by construction.
-// family tags each example with the query's workload family (the
-// per-family model routing key; see Workload.QueryFamily). minObs <= 0
-// uses the default (8).
+// family tags each example with the query's workload family (see
+// Workload.QueryFamily). minObs <= 0 uses the default (8).
 func HarvestTrace(tr *exec.Trace, workloadName, family string, queryIndex int, minObs int) []selection.Example {
 	return LabelView(progress.Replay(tr), tr, workloadName, family, queryIndex, minObs)
 }

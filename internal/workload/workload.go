@@ -76,13 +76,11 @@ func Build(spec Spec) (*Workload, error) {
 	return w, nil
 }
 
-// QueryFamily returns the routing family of query i: queries driven by
-// the same base table form one family. The driver table dominates a
-// query's pipeline shapes and counter profile (which estimators it favors
-// — see the template commentary in templates_*.go), so it is the natural
-// granularity for per-family selection models; examples harvested from a
-// query carry its family, and the serving layer routes queries to their
-// family's model.
+// QueryFamily returns the family of query i: queries driven by the same
+// base table form one family. The driver table dominates a query's
+// pipeline shapes and counter profile (which estimators it favors — see
+// the template commentary in templates_*.go); examples harvested from a
+// query carry its family, and the serving layer admits queries under it.
 func (w *Workload) QueryFamily(i int) string {
 	return w.Queries[i].First.Table
 }

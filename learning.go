@@ -64,14 +64,9 @@ type LearningConfig struct {
 	// on-disk bytes), so a warm retrain re-decodes only the active tail.
 	// 0 means the 64 MiB default; negative disables caching.
 	CorpusCacheBytes int64
-	// FamilyModels additionally trains one selector per workload family
-	// with at least MinFamilyExamples harvested examples (default 40).
-	// Queries routed by family (MonitorOptions.RouteByFamily, which
-	// EngineConfig.RouteByFamily sets engine-wide) are then served by
-	// their family's version, falling back to the global model for
-	// families without one.
-	FamilyModels      bool
-	MinFamilyExamples int
+	// Deprecated: ignored; one model serves every query. Kept only so
+	// bench/ builds; removed with ROADMAP item 16.
+	FamilyModels bool
 	// GateTolerance is the retrain-quality gate's accepted relative
 	// regression (zero means the default, 0.25; negative means strict —
 	// no relative regression allowed): a freshly trained version only
@@ -85,25 +80,24 @@ type LearningConfig struct {
 	// DisablePersist keeps trained versions in memory only. By default
 	// every accepted version is serialized under Dir/models (atomic
 	// temp+rename writes), and a restarted daemon restores the serving
-	// global and family models from there instead of falling back to
-	// fixed estimators.
+	// model from there instead of falling back to fixed estimators.
 	DisablePersist bool
 	// DriftWindow, DriftMinSamples, DriftRatio and DriftAbsSlack tune the
 	// observed-vs-predicted drift monitor: per serving version, the mean
 	// L1 error its estimator choices incur on the last DriftWindow
 	// harvested pipelines it served (default 256) is compared against
 	// the version's recorded holdout baseline once at least
-	// DriftMinSamples observations accrued (default 32); the target counts
-	// as drifted when observed > baseline*DriftRatio + DriftAbsSlack
-	// (defaults 1.5 and 0.01; a negative slack means zero).
+	// DriftMinSamples observations accrued (default 32); the version
+	// counts as drifted when observed > baseline*DriftRatio +
+	// DriftAbsSlack (defaults 1.5 and 0.01; a negative slack means zero).
 	DriftWindow     int
 	DriftMinSamples int
 	DriftRatio      float64
 	DriftAbsSlack   float64
 	// DisableDriftRetrain keeps drift tracking on (GET /models/drift,
 	// DriftStatus) but never auto-retrains on a drift verdict — the
-	// operator decides. By default a drifted target is retrained on its
-	// own, with trigger "drift", leaving healthy targets' models alone.
+	// operator decides. By default a drifted model is retrained with
+	// trigger "drift".
 	DisableDriftRetrain bool
 	// CanaryWindow enables champion/challenger serving: a gate-accepted
 	// version from a background retrain shadow-scores on CanaryWindow live
@@ -116,13 +110,11 @@ type LearningConfig struct {
 	// before being rejected for lack of traffic (default 5 minutes).
 	CanaryMaxAge time.Duration
 	// DriftRejectLimit is the auto-rollback breaker: after this many
-	// CONSECUTIVE drift-triggered retrains of one target were rejected (by
-	// the quality gate or by canary confirmation) while the target kept
-	// drifting, the serving version itself is judged bad and the target is
-	// rolled back to its previous accepted version (a family with no
-	// earlier version is pinned to the global fallback), exactly as POST
-	// /models/rollback would. 0 means the default, 3; negative disables
-	// the breaker.
+	// CONSECUTIVE drift-triggered retrains were rejected (by the quality
+	// gate or by canary confirmation) while the model kept drifting, the
+	// serving version itself is judged bad and rolled back to its previous
+	// accepted version, exactly as POST /models/rollback would. 0 means
+	// the default, 3; negative disables the breaker.
 	DriftRejectLimit int
 }
 
@@ -135,26 +127,21 @@ type ModelVersion struct {
 	HoldoutL1  float64   `json:"holdout_l1"`
 	HoldoutN   int       `json:"holdout_n"`
 	Source     string    `json:"source"`
-	// Family is the routing target the version was trained for ("" = the
-	// global model).
-	Family string `json:"family,omitempty"`
 	// Decision is the retrain-quality gate's verdict: "accepted" versions
 	// were hot-swapped into serving, "rejected" ones stay history-only.
 	Decision string `json:"decision,omitempty"`
 	// BaselineL1 is the serving version's L1 on the candidate's holdout
 	// that the gate compared against (0 when there was no baseline).
 	BaselineL1 float64 `json:"baseline_l1,omitempty"`
-	// Current marks the version serving its routing target right now.
+	// Current marks the version serving right now.
 	Current bool `json:"current"`
 }
 
-// DriftStatus is one routing target's observed-vs-predicted standing:
-// the windowed mean L1 error the serving version's estimator choices
-// incur on live traffic, against the holdout error predicted for the
-// version at training time.
+// DriftStatus is the serving version's observed-vs-predicted standing:
+// the windowed mean L1 error its estimator choices incur on live
+// traffic, against the holdout error predicted for the version at
+// training time.
 type DriftStatus struct {
-	// Family is the routing target ("" = the global model).
-	Family string `json:"family"`
 	// Version is the serving version the observations are accounted
 	// against.
 	Version int `json:"version"`
@@ -182,14 +169,14 @@ type DriftStatus struct {
 	// drifted).
 	Since time.Time `json:"since"`
 	// LastTrigger and LastDecision are the most recent retrain
-	// provenance for this target from the decision history ("" before any
-	// decision): what fired the last training run ("manual", "auto",
-	// "drift", "canary", "auto-rollback") and how the quality gate ruled.
+	// provenance from the decision history ("" before any decision): what
+	// fired the last training run ("manual", "auto", "drift", "canary",
+	// "auto-rollback") and how the quality gate ruled.
 	LastTrigger  string `json:"last_trigger,omitempty"`
 	LastDecision string `json:"last_decision,omitempty"`
-	// RejectStreak counts consecutive gate-rejected drift retrains of this
-	// target; at LearningConfig.DriftRejectLimit the auto-rollback breaker
-	// trips and the streak resets.
+	// RejectStreak counts consecutive gate-rejected drift retrains; at
+	// LearningConfig.DriftRejectLimit the auto-rollback breaker trips and
+	// the streak resets.
 	RejectStreak int `json:"reject_streak,omitempty"`
 }
 
@@ -198,8 +185,8 @@ type DriftStatus struct {
 type CanaryStatus = feedback.CanaryState
 
 // RetrainDecision is one entry of the retrainer's bounded decision
-// history: which trigger trained which routing target, and how the
-// quality gate ruled.
+// history: which trigger trained a version, and how the quality gate
+// ruled.
 type RetrainDecision = feedback.TrainDecision
 
 // HarvestStats counts the learning loop's harvesting activity.
@@ -249,7 +236,7 @@ func OpenLearning(cfg LearningConfig) (*Learning, error) {
 		})
 	}
 	// Restore AFTER the seed publication: persisted versions are newer
-	// evidence than a seed model, so they win the routing table.
+	// evidence than a seed model, so they serve.
 	var models *feedback.ModelDir
 	if !cfg.DisablePersist {
 		models, err = feedback.OpenModelDir(filepath.Join(cfg.Dir, "models"))
@@ -295,13 +282,11 @@ func OpenLearning(cfg LearningConfig) (*Learning, error) {
 			Disabled:  cfg.DisableGate,
 			Tolerance: cfg.GateTolerance,
 		},
-		FamilyModels:      cfg.FamilyModels,
-		MinFamilyExamples: cfg.MinFamilyExamples,
-		Persist:           models,
-		Drift:             drift,
-		DriftRetrain:      !cfg.DisableDriftRetrain,
-		Canary:            canary,
-		DriftRejectLimit:  cfg.DriftRejectLimit,
+		Persist:          models,
+		Drift:            drift,
+		DriftRetrain:     !cfg.DisableDriftRetrain,
+		Canary:           canary,
+		DriftRejectLimit: cfg.DriftRejectLimit,
 	})
 	if !cfg.DisableBackground {
 		ret.Start()
@@ -328,13 +313,11 @@ func (l *Learning) HarvestStats() HarvestStats { return l.harv.Stats() }
 // reads the in-memory segment indexes, never the disk.
 func (l *Learning) CorpusStats() CorpusStats { return l.store.Stats() }
 
-// Retrain synchronously trains new selector versions on the accumulated
-// corpus — the global model, plus one per sufficiently represented family
-// when FamilyModels is on — and hot-swaps in every version that passes
-// the quality gate. Serving is never blocked: queries keep using the
-// previous versions until the atomic swap. The returned version is the
-// global one; check its Decision — a rejected version did NOT replace the
-// serving model.
+// Retrain synchronously trains a new selector version on the accumulated
+// corpus and hot-swaps it in when it passes the quality gate. Serving is
+// never blocked: queries keep using the previous version until the
+// atomic swap. Check the returned version's Decision — a rejected version
+// did NOT replace the serving model.
 func (l *Learning) Retrain() (ModelVersion, error) {
 	v, err := l.ret.Retrain("manual")
 	if err != nil {
@@ -343,34 +326,26 @@ func (l *Learning) Retrain() (ModelVersion, error) {
 	return l.modelVersion(v), nil
 }
 
-// Rollback atomically reverts the global model to the previously
-// published version. A rollback that applied but could not persist the
-// routing table reports the failure via PersistError.
+// Rollback atomically reverts the model to the previously published
+// version. A rollback that applied but could not persist the serving
+// pointer reports the failure via PersistError.
 func (l *Learning) Rollback() (ModelVersion, error) {
-	v, _, err := l.rollback("")
+	v, _, err := l.rollback()
 	return v, err
 }
 
-// RollbackFamily atomically reverts one family's model to its previously
-// published version. A family serving from the global fallback (or with
-// only one version) has nothing to roll back to.
-func (l *Learning) RollbackFamily(family string) (ModelVersion, error) {
-	v, _, err := l.rollback(family)
-	return v, err
-}
-
-// rollback reverts one routing target. persistErr reports a rollback
-// that APPLIED in memory but failed to rewrite the on-disk manifest —
-// the caller must surface it (a restart would resume from the previously
-// persisted routing table), distinctly from err, which means the
-// rollback itself did not happen.
-func (l *Learning) rollback(family string) (v ModelVersion, persistErr, err error) {
-	rv, err := l.ret.Rollback(family)
+// rollback reverts the serving model. persistErr reports a rollback that
+// APPLIED in memory but failed to rewrite the on-disk manifest — the
+// caller must surface it (a restart would resume from the previously
+// persisted model), distinctly from err, which means the rollback itself
+// did not happen.
+func (l *Learning) rollback() (v ModelVersion, persistErr, err error) {
+	rv, err := l.ret.Rollback()
 	if err != nil {
 		return ModelVersion{}, nil, err
 	}
 	if l.models != nil {
-		// The routing table changed; refresh the persisted manifest so a
+		// The serving version changed; refresh the persisted manifest so a
 		// restart resumes from the rolled-back-to version. The rollback IS
 		// applied even when the write fails — returning it as err would
 		// read as "rollback failed" and bait a retry that walks back one
@@ -383,9 +358,9 @@ func (l *Learning) rollback(family string) (v ModelVersion, persistErr, err erro
 }
 
 // PersistError returns the most recent failure to persist the serving
-// routing table (nil once a later persist succeeds, which rewrites the
-// whole manifest). While non-nil, a daemon restart would resume from the
-// last successfully persisted models rather than the serving ones.
+// model (nil once a later persist succeeds, which rewrites the whole
+// manifest). While non-nil, a daemon restart would resume from the last
+// successfully persisted model rather than the serving one.
 func (l *Learning) PersistError() error {
 	if l.models == nil {
 		return nil
@@ -393,27 +368,14 @@ func (l *Learning) PersistError() error {
 	return l.models.LastSyncError()
 }
 
-// Current returns the serving global version; ok is false before any
-// version exists.
+// Current returns the serving version; ok is false before any version
+// exists.
 func (l *Learning) Current() (v ModelVersion, ok bool) {
 	cur := l.reg.Current()
 	if cur == nil {
 		return ModelVersion{}, false
 	}
 	return l.modelVersion(cur), true
-}
-
-// FamilyVersions returns the per-family routing table: workload family →
-// id of the family-trained version currently serving it. Families falling
-// back to the global model do not appear.
-func (l *Learning) FamilyVersions() map[string]int {
-	out := make(map[string]int)
-	for f, v := range l.reg.Routed() {
-		if f != "" {
-			out[f] = v.ID
-		}
-	}
-	return out
 }
 
 // Versions returns the publication history, oldest first, with the
@@ -431,9 +393,9 @@ func (l *Learning) Versions() []ModelVersion {
 // loop (training or compaction), or nil.
 func (l *Learning) LastTrainingError() error { return l.ret.LastError() }
 
-// DriftStatus returns the observed-vs-predicted standing of every routing
-// target that served at least one harvested query, sorted by target
-// (global first), with the latest retrain provenance for each attached.
+// DriftStatus returns the serving version's observed-vs-predicted
+// standing, with the latest retrain provenance attached — an empty list
+// until the serving version has served a harvested query.
 func (l *Learning) DriftStatus() []DriftStatus {
 	out, _ := l.driftReport()
 	return out
@@ -443,46 +405,41 @@ func (l *Learning) DriftStatus() []DriftStatus {
 // with, from one read of each.
 func (l *Learning) driftReport() ([]DriftStatus, []RetrainDecision) {
 	decisions := l.Decisions()
-	states := l.drift.Statuses()
-	rejects := l.ret.DriftRejects()
-	cfg := l.drift.Config()
-	out := make([]DriftStatus, len(states))
-	for i, st := range states {
-		out[i] = DriftStatus{
-			Family:       st.Target,
-			Version:      st.Version,
-			BaselineL1:   st.BaselineL1,
-			BaselineN:    st.BaselineN,
-			ObservedL1:   st.ObservedL1,
-			ObservedP90:  st.ObservedP90,
-			Samples:      st.Samples,
-			Window:       cfg.Window,
-			MinSamples:   cfg.MinSamples,
-			Ratio:        cfg.Ratio,
-			Drifted:      st.Drifted,
-			Since:        st.Since,
-			RejectStreak: rejects[st.Target],
-		}
-		// The ring is oldest-first; the last match is the target's most
-		// recent decision.
-		for _, d := range decisions {
-			if d.Family == st.Target {
-				out[i].LastTrigger = d.Trigger
-				out[i].LastDecision = d.Decision
-			}
-		}
+	st, ok := l.drift.Status()
+	if !ok {
+		return nil, decisions
 	}
-	return out, decisions
+	cfg := l.drift.Config()
+	out := DriftStatus{
+		Version:      st.Version,
+		BaselineL1:   st.BaselineL1,
+		BaselineN:    st.BaselineN,
+		ObservedL1:   st.ObservedL1,
+		ObservedP90:  st.ObservedP90,
+		Samples:      st.Samples,
+		Window:       cfg.Window,
+		MinSamples:   cfg.MinSamples,
+		Ratio:        cfg.Ratio,
+		Drifted:      st.Drifted,
+		Since:        st.Since,
+		RejectStreak: l.ret.DriftRejects(),
+	}
+	// The ring is oldest-first; its last entry is the most recent
+	// decision.
+	if n := len(decisions); n > 0 {
+		out.LastTrigger, out.LastDecision = decisions[n-1].Trigger, decisions[n-1].Decision
+	}
+	return []DriftStatus{out}, decisions
 }
 
-// Canaries returns the challengers currently in champion/challenger
-// confirmation, sorted by family (empty when canary serving is off or
-// nothing is pending).
+// Canaries returns the challenger currently in champion/challenger
+// confirmation, as a list of at most one (empty when canary serving is
+// off or nothing is pending).
 func (l *Learning) Canaries() []CanaryStatus { return l.canary.States() }
 
 // Decisions returns the retrainer's bounded decision history, oldest
 // first — trigger provenance (size/age, drift, manual) per trained
-// routing target, surviving the registry's version pruning.
+// version, surviving the registry's version pruning.
 func (l *Learning) Decisions() []RetrainDecision { return l.ret.Decisions() }
 
 // Close drains the retrainer goroutine (waiting out a training run in
@@ -525,7 +482,6 @@ func (l *Learning) modelVersion(v *feedback.Version) ModelVersion {
 		HoldoutL1:  v.Meta.HoldoutL1,
 		HoldoutN:   v.Meta.HoldoutN,
 		Source:     v.Meta.Source,
-		Family:     v.Meta.Family,
 		Decision:   v.Meta.Decision,
 		BaselineL1: v.Meta.BaselineL1,
 		Current:    l.reg.IsCurrent(v),
@@ -537,12 +493,6 @@ func IsEmptyCorpus(err error) bool { return errors.Is(err, feedback.ErrEmptyCorp
 
 // IsNoRollback reports whether err means no earlier version exists.
 func IsNoRollback(err error) bool { return errors.Is(err, feedback.ErrNoRollback) }
-
-// IsUnknownFamily reports whether err means the rollback named a routing
-// target the registry has never dealt with — no serving version, no
-// history, no fallback pin. Distinguishes a typo'd family name (not
-// found) from a real family with nothing to roll back to (conflict).
-func IsUnknownFamily(err error) bool { return errors.Is(err, feedback.ErrUnknownTarget) }
 
 // selectionConfig translates the public SelectorConfig into the internal
 // training configuration, applying the paper defaults.

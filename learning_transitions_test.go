@@ -12,14 +12,13 @@ import (
 )
 
 // TestLearningDriftFollowsRoutingAcrossRollback drives every transition
-// of the routing table through Learning — a manual publish, a
-// drift-accepted publish, an operator rollback, an auto-rollback and a
-// family rolled back past its last version — with one query pinned to
-// the serving version before the transition and finished after it. The
-// late harvest lands in the window of the version it was pinned to,
-// which the routing table no longer reads, so DriftStatus is unchanged
-// for every target, and every target's status names the version Current
-// and FamilyVersions report.
+// of the serving pointer through Learning — a manual publish, a
+// drift-accepted publish, an operator rollback and an auto-rollback —
+// with one query pinned to the serving version before the transition
+// and finished after it. The late harvest lands in the window of the
+// version it was pinned to, which the serving pointer no longer reads,
+// so DriftStatus is unchanged, and the status names the version Current
+// reports.
 func TestLearningDriftFollowsRoutingAcrossRollback(t *testing.T) {
 	w := learningWorkload(t)
 	ex, err := w.Harvest()
@@ -30,32 +29,15 @@ func TestLearningDriftFollowsRoutingAcrossRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fam := w.QueryFamily(0)
-	famQuery, otherQuery := 0, -1
-	for i := 0; i < w.NumQueries(); i++ {
-		if w.QueryFamily(i) != fam {
-			otherQuery = i
-			break
-		}
-	}
-	if otherQuery < 0 {
-		t.Fatal("workload has a single family; the global route needs a query of another")
-	}
-	var famExamples []Example
-	for _, e := range ex {
-		if e.Family == fam {
-			famExamples = append(famExamples, e)
-		}
-	}
-	if len(famExamples) < 4 {
-		t.Fatalf("family %q has %d examples, want at least 4", fam, len(famExamples))
+	if len(ex) < 4 {
+		t.Fatalf("harvest has %d examples, want at least 4", len(ex))
 	}
 
 	// A small, fair baseline: benign windows never drift against it, and
 	// a window of 1.0 errors always does.
-	publish := func(l *Learning, family string) *feedback.Version {
+	publish := func(l *Learning) *feedback.Version {
 		return l.reg.Publish(sel.inner, feedback.VersionMeta{
-			TrainedAt: time.Now(), HoldoutL1: 0.01, HoldoutN: 50, Source: "manual", Family: family,
+			TrainedAt: time.Now(), HoldoutL1: 0.01, HoldoutN: 50, Source: "manual",
 		})
 	}
 	const minSamples = 4
@@ -71,7 +53,7 @@ func TestLearningDriftFollowsRoutingAcrossRollback(t *testing.T) {
 		t.Helper()
 		for deadline := time.Now().Add(20 * time.Second); ; {
 			for _, d := range l.Decisions() {
-				if d.Trigger == want.Trigger && d.Family == want.Family && d.Decision == want.Decision {
+				if d.Trigger == want.Trigger && d.Decision == want.Decision {
 					return
 				}
 			}
@@ -81,42 +63,37 @@ func TestLearningDriftFollowsRoutingAcrossRollback(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	statusOf := func(sts []DriftStatus, family string) (DriftStatus, bool) {
-		for _, st := range sts {
-			if st.Family == family {
-				return st, true
-			}
+	statusOf := func(sts []DriftStatus) (DriftStatus, bool) {
+		if len(sts) == 0 {
+			return DriftStatus{}, false
 		}
-		return DriftStatus{}, false
+		return sts[0], true
 	}
 
-	type versions struct{ g1, g2, f1, f2 *feedback.Version }
+	type versions struct{ v1, v2 *feedback.Version }
 	cases := []struct {
 		name string
 		// tweak adjusts the shared learning configuration.
 		tweak func(*LearningConfig)
-		// famVersions is how many versions of fam's own are published.
-		famVersions int
-		// query is pinned before the transition and finished after it.
-		query      int
+		// transition runs while a query pinned before it is in flight.
 		transition func(t *testing.T, l *Learning, vs versions)
 		// check pins the transition's own outcome on the status read
 		// after the pinned query finished.
-		check func(t *testing.T, l *Learning, vs versions, before, after []DriftStatus)
+		check func(t *testing.T, l *Learning, vs versions, after []DriftStatus)
 	}{
 		{
-			name: "manual publish", famVersions: 2, query: otherQuery,
+			name: "manual publish",
 			transition: func(t *testing.T, l *Learning, _ versions) {
 				if _, err := l.Retrain(); err != nil {
 					t.Fatal(err)
 				}
 			},
-			check: func(t *testing.T, l *Learning, vs versions, _, after []DriftStatus) {
-				// The one intended difference: the target is omitted until
+			check: func(t *testing.T, l *Learning, vs versions, after []DriftStatus) {
+				// The one intended difference: the status is omitted until
 				// the new version's first harvest, never again showing the
 				// replaced version's window.
-				if st, ok := statusOf(after, ""); ok {
-					t.Fatalf("global target before the new version's first harvest: %+v", st)
+				if st, ok := statusOf(after); ok {
+					t.Fatalf("status before the new version's first harvest: %+v", st)
 				}
 				srv := httptest.NewServer(NewServer(w, MonitorOptions{UpdateEvery: 4, Learning: l}))
 				defer srv.Close()
@@ -124,7 +101,7 @@ func TestLearningDriftFollowsRoutingAcrossRollback(t *testing.T) {
 					ID    string `json:"id"`
 					Model int    `json:"model"`
 				}
-				if code := doJSON(t, http.MethodPost, srv.URL+"/queries", `{"query": `+strconv.Itoa(otherQuery)+`}`, &info); code != http.StatusAccepted {
+				if code := doJSON(t, http.MethodPost, srv.URL+"/queries", `{"query": `+strconv.Itoa(1)+`}`, &info); code != http.StatusAccepted {
 					t.Fatalf("submit: HTTP %d", code)
 				}
 				waitDone(t, srv.URL, info.ID)
@@ -132,78 +109,61 @@ func TestLearningDriftFollowsRoutingAcrossRollback(t *testing.T) {
 				if code := doJSON(t, http.MethodGet, srv.URL+"/models/drift", "", &dw); code != http.StatusOK {
 					t.Fatalf("GET /models/drift: HTTP %d", code)
 				}
-				st, ok := statusOf(dw.Targets, "")
+				st, ok := statusOf(dw.Targets)
 				if cur, _ := l.Current(); !ok || st.Version != cur.ID || st.Version != info.Model || st.Samples == 0 {
-					t.Fatalf("/models/drift global target %+v, want the new version %d with its first harvest", st, cur.ID)
+					t.Fatalf("/models/drift status %+v, want the new version %d with its first harvest", st, cur.ID)
 				}
 			},
 		},
 		{
-			name: "drift-accepted publish", famVersions: 2, query: famQuery,
+			name: "drift-accepted publish",
 			transition: func(t *testing.T, l *Learning, vs versions) {
-				driftOn(l, vs.f2)
-				waitDecision(t, l, RetrainDecision{Trigger: "drift", Family: fam, Decision: feedback.DecisionAccepted})
+				driftOn(l, vs.v2)
+				waitDecision(t, l, RetrainDecision{Trigger: "drift", Decision: feedback.DecisionAccepted})
 			},
-			check: func(t *testing.T, l *Learning, vs versions, _, after []DriftStatus) {
-				if cur := l.reg.CurrentFor(fam); cur == vs.f2 || cur.Meta.Source != "drift" {
-					t.Fatalf("family %q serves %+v, want the drift retrain", fam, cur.Meta)
+			check: func(t *testing.T, l *Learning, vs versions, _ []DriftStatus) {
+				if cur := l.reg.Current(); cur == vs.v2 || cur.Meta.Source != "drift" {
+					t.Fatalf("serving %+v, want the drift retrain", cur.Meta)
 				}
 			},
 		},
 		{
-			name: "operator rollback", famVersions: 2, query: otherQuery,
+			name: "operator rollback",
 			transition: func(t *testing.T, l *Learning, _ versions) {
 				if _, err := l.Rollback(); err != nil {
 					t.Fatal(err)
 				}
 			},
-			check: func(t *testing.T, l *Learning, vs versions, _, after []DriftStatus) {
-				if st, ok := statusOf(after, ""); !ok || st.Version != vs.g1.ID || st.Samples != 0 {
-					t.Fatalf("global target after rollback %+v, want a fresh window for v%d", st, vs.g1.ID)
+			check: func(t *testing.T, l *Learning, vs versions, after []DriftStatus) {
+				if st, ok := statusOf(after); !ok || st.Version != vs.v1.ID || st.Samples != 0 {
+					t.Fatalf("status after rollback %+v, want a fresh window for v%d", st, vs.v1.ID)
 				}
 			},
 		},
 		{
-			name: "auto-rollback", famVersions: 2, query: famQuery,
+			name: "auto-rollback",
 			tweak: func(c *LearningConfig) {
 				c.CanaryWindow = minSamples
 				c.DriftRejectLimit = 1
 			},
 			transition: func(t *testing.T, l *Learning, vs versions) {
-				driftOn(l, vs.f2)
-				waitDecision(t, l, RetrainDecision{Trigger: "drift", Family: fam, Decision: feedback.DecisionCanary})
+				driftOn(l, vs.v2)
+				waitDecision(t, l, RetrainDecision{Trigger: "drift", Decision: feedback.DecisionCanary})
 				// Live traffic says the challenger is far worse than the
 				// champion: the canary rejects it, which trips the breaker.
 				exs := make([]Example, minSamples)
 				for i := range exs {
-					exs[i] = famExamples[i]
+					exs[i] = ex[i]
 					for k := range exs[i].ErrL1 {
 						exs[i].ErrL1[k] = 1
 					}
 				}
-				l.canary.Observe(vs.f2, exs, make([]float64, len(exs)))
-				waitDecision(t, l, RetrainDecision{Trigger: "auto-rollback", Family: fam, Decision: "rolled_back"})
+				l.canary.Observe(vs.v2, exs, make([]float64, len(exs)))
+				waitDecision(t, l, RetrainDecision{Trigger: "auto-rollback", Decision: "rolled_back"})
 			},
-			check: func(t *testing.T, l *Learning, vs versions, _, after []DriftStatus) {
-				if st, ok := statusOf(after, fam); !ok || st.Version != vs.f1.ID || st.Samples != 0 {
-					t.Fatalf("family target after auto-rollback %+v, want a fresh window for v%d", st, vs.f1.ID)
-				}
-			},
-		},
-		{
-			name: "family rolled back past its last version", famVersions: 1, query: famQuery,
-			transition: func(t *testing.T, l *Learning, _ versions) {
-				if _, err := l.RollbackFamily(fam); err != nil {
-					t.Fatal(err)
-				}
-			},
-			check: func(t *testing.T, l *Learning, vs versions, before, after []DriftStatus) {
-				if st, ok := statusOf(after, fam); ok {
-					t.Fatalf("family pinned to global still reports %+v", st)
-				}
-				was, _ := statusOf(before, "")
-				if st, ok := statusOf(after, ""); !ok || !reflect.DeepEqual(st, was) {
-					t.Fatalf("global target %+v, want it left alone: %+v", st, was)
+			check: func(t *testing.T, l *Learning, vs versions, after []DriftStatus) {
+				if st, ok := statusOf(after); !ok || st.Version != vs.v1.ID || st.Samples != 0 {
+					t.Fatalf("status after auto-rollback %+v, want a fresh window for v%d", st, vs.v1.ID)
 				}
 			},
 		},
@@ -219,15 +179,13 @@ func TestLearningDriftFollowsRoutingAcrossRollback(t *testing.T) {
 				Selector: SelectorConfig{Trees: 5},
 				// Only the transition under test may train: the size/age
 				// trigger never fires, and the drift trigger polls fast.
-				MinNewExamples:    1 << 30,
-				Poll:              2 * time.Millisecond,
-				DisableGate:       true,
-				DisablePersist:    true,
-				FamilyModels:      true,
-				MinFamilyExamples: 1,
-				MinObservations:   1,
-				DriftWindow:       16,
-				DriftMinSamples:   minSamples,
+				MinNewExamples:  1 << 30,
+				Poll:            2 * time.Millisecond,
+				DisableGate:     true,
+				DisablePersist:  true,
+				MinObservations: 1,
+				DriftWindow:     16,
+				DriftMinSamples: minSamples,
 			}
 			if tc.tweak != nil {
 				tc.tweak(&cfg)
@@ -238,22 +196,15 @@ func TestLearningDriftFollowsRoutingAcrossRollback(t *testing.T) {
 			}
 			defer l.Close()
 
-			vs := versions{g1: publish(l, ""), g2: publish(l, "")}
-			vs.f1 = publish(l, fam)
-			if tc.famVersions == 2 {
-				vs.f2 = publish(l, fam)
-			}
-			// Every serving version starts with a benign window, so the
+			vs := versions{v1: publish(l), v2: publish(l)}
+			// The serving version starts with a benign window, so the
 			// statuses compared below are not vacuous.
-			for _, v := range l.reg.Routed() {
-				l.drift.Record(v, window(0))
-			}
-			before := l.DriftStatus()
-			if len(before) != 2 {
-				t.Fatalf("statuses before the transition: %+v, want the global and %q targets", before, fam)
+			l.drift.Record(vs.v2, window(0))
+			if before := l.DriftStatus(); len(before) != 1 || before[0].Version != vs.v2.ID {
+				t.Fatalf("status before the transition: %+v, want v%d's", before, vs.v2.ID)
 			}
 
-			m, run, err := w.prepare(tc.query, MonitorOptions{UpdateEvery: 4, Learning: l, RouteByFamily: true})
+			m, run, err := w.prepare(0, MonitorOptions{UpdateEvery: 4, Learning: l})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,21 +219,15 @@ func TestLearningDriftFollowsRoutingAcrossRollback(t *testing.T) {
 			if !reflect.DeepEqual(mid, after) {
 				t.Fatalf("late harvest for v%d moved the drift status:\nbefore %+v\nafter  %+v", pinned, mid, after)
 			}
-			families := l.FamilyVersions()
-			for _, st := range after {
-				want := families[st.Family]
-				if st.Family == "" {
-					cur, _ := l.Current()
-					want = cur.ID
-				}
-				if st.Version != want {
-					t.Fatalf("target %q reports v%d, the routing table serves v%d", st.Family, st.Version, want)
+			if st, ok := statusOf(after); ok {
+				if cur, _ := l.Current(); st.Version != cur.ID {
+					t.Fatalf("status reports v%d, v%d serves", st.Version, cur.ID)
 				}
 				if st.Version == pinned {
-					t.Fatalf("target %q still reports the replaced v%d", st.Family, pinned)
+					t.Fatalf("status still reports the replaced v%d", pinned)
 				}
 			}
-			tc.check(t, l, vs, before, after)
+			tc.check(t, l, vs, after)
 		})
 	}
 }

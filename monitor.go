@@ -36,12 +36,6 @@ type MonitorOptions struct {
 	// Selector is nil — the pipeline estimators are picked by the current
 	// hot-swapped selector version (Monitor.ModelVersion reports which).
 	Learning *Learning
-	// RouteByFamily routes the query to the selector version trained for
-	// its workload family (Workload.QueryFamily) when Learning has
-	// published one, falling back to the global model otherwise.
-	// Monitor.ModelFamily reports which target served. Without Learning
-	// the flag has no effect.
-	RouteByFamily bool
 }
 
 func (o MonitorOptions) withDefaults() MonitorOptions {
@@ -146,18 +140,8 @@ func (m *Monitor) ModelVersion() int {
 }
 
 // Family returns the workload family of the monitored query (see
-// Workload.QueryFamily) — the key per-family model routing dispatches on.
+// Workload.QueryFamily): its admission class and corpus tag.
 func (m *Monitor) Family() string { return m.family }
-
-// ModelFamily returns the routing target of the selector version serving
-// this query: the query's own family when a family-trained model serves
-// it, "" when the global model (or no model at all) does.
-func (m *Monitor) ModelFamily() string {
-	if m.served == nil {
-		return ""
-	}
-	return m.served.Meta.Family
-}
 
 // Shard returns the engine shard whose admission slot the query holds, or
 // -1 when the query was started directly on a Workload rather than
@@ -320,19 +304,13 @@ func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, starts *progress.P
 		return nil, fmt.Errorf("progressest: estimator %v is not computable online", opts.Estimator)
 	}
 	// Resolve the selector: an explicit one wins; otherwise the run is
-	// pinned to the learning registry's current version for its lifetime —
-	// the version routed for its family when RouteByFamily is on, else the
-	// global one.
+	// pinned to the learning registry's current version for its lifetime.
 	var sel *selection.Selector
 	var served *feedback.Version
 	if opts.Selector != nil {
 		sel = opts.Selector.inner
 	} else if opts.Learning != nil {
-		target := ""
-		if opts.RouteByFamily {
-			target = family
-		}
-		if served = opts.Learning.reg.CurrentFor(target); served != nil {
+		if served = opts.Learning.reg.Current(); served != nil {
 			sel = served.Selector
 		}
 	}

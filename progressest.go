@@ -187,11 +187,10 @@ func (w *Workload) QueryText(i int) string {
 }
 
 // QueryFamily returns the workload family of query i — queries driven by
-// the same base table form one family. Families are the routing key of
-// per-family model selection (EngineConfig.RouteByFamily,
-// LearningConfig.FamilyModels): harvested examples carry their query's
-// family, the retrainer fits one selector per sufficiently represented
-// family, and the engine routes queries to their family's model.
+// the same base table form one family. A family is a query's admission
+// class (its weighted-fair-queueing key) and the tag its harvested
+// examples carry (corpus retention quotas key on it); one selection model
+// serves every family.
 func (w *Workload) QueryFamily(i int) string {
 	if i < 0 || i >= len(w.inner.Queries) {
 		return ""

@@ -58,14 +58,13 @@ type trackedRun struct {
 	mirrored sync.WaitGroup
 
 	// Identity, fixed once the run is registered.
-	id          string
-	query       int    // workload query index; -1 for an external session
-	workload    string // bundled workload name, or the session's engine tag
-	family      string
-	class       string // admission class (family, or family|client)
-	shard       int    // engine slot the run occupies
-	model       int    // selector version serving it (0 = none)
-	modelFamily string // routing target of that version ("" = global)
+	id       string
+	query    int    // workload query index; -1 for an external session
+	workload string // bundled workload name, or the session's engine tag
+	family   string
+	class    string // admission class (family, or family|client)
+	shard    int    // engine slot the run occupies
+	model    int    // selector version serving it (0 = none)
 
 	// feed serialises a session's counter source — observation batches,
 	// abort and expiry. A native run is fed by its exec goroutine alone
@@ -151,18 +150,16 @@ type runInfo struct {
 	Query    int    `json:"query"`
 	Text     string `json:"text,omitempty"`
 	Workload string `json:"workload"`
-	// Family is the run's workload family (the model-routing key); Class
-	// the admission class it was admitted under (the family, or
+	// Family is the run's workload family (its corpus tag); Class the
+	// admission class it was admitted under (the family, or
 	// "family|client" — the QoS scheduling key).
 	Family string `json:"family"`
 	Class  string `json:"class"`
 	// Shard is the engine slot whose capacity the run occupies.
 	Shard int `json:"shard"`
 	// Model is the selector version that serves the run (0 = fixed
-	// estimator or explicitly configured selector); ModelFamily is that
-	// version's routing target ("" = the global model).
-	Model       int    `json:"model,omitempty"`
-	ModelFamily string `json:"model_family,omitempty"`
+	// estimator or explicitly configured selector).
+	Model int `json:"model,omitempty"`
 	// State is "open", "completed", "aborted" or "expired"; Done is
 	// State == "completed".
 	State string `json:"state"`
@@ -179,7 +176,7 @@ func (r *trackedRun) info(withUpdate bool) runInfo {
 	ri := runInfo{
 		ID: r.id, Query: r.query, Workload: r.workload,
 		Family: r.family, Class: r.class, Shard: r.shard,
-		Model: r.model, ModelFamily: r.modelFamily,
+		Model: r.model,
 		State: r.state.String(), Done: r.state == runCompleted,
 		Observations: r.ingested,
 	}
@@ -249,7 +246,7 @@ func (t *runTable) track(r *trackedRun, attach func() (*Monitor, error)) error {
 		return err
 	}
 	r.family, r.class, r.shard = m.Family(), m.Class(), m.Shard()
-	r.model, r.modelFamily = m.ModelVersion(), m.ModelFamily()
+	r.model = m.ModelVersion()
 	r.mirrored.Add(1)
 	go r.mirror(m.Updates)
 

@@ -43,7 +43,7 @@ import (
 //	GET  /healthz                              -> {"status": "ok"}
 //
 // Every run records its placement (shard), family, admission class and
-// the selector version that serves it ("model"/"model_family"). Once a
+// the selector version that serves it ("model"). Once a
 // run ends only that identity and its last update are retained — the
 // monitor, trace and counter source are dropped — until eviction: each
 // tree keeps its finished runs up to its own bound (1024 queries,
@@ -66,9 +66,9 @@ import (
 // alive too (404 otherwise):
 //
 //	GET  /models                               -> corpus + version history + drift
-//	GET  /models/drift                         -> observed-vs-predicted per target
+//	GET  /models/drift                         -> observed-vs-predicted standing
 //	POST /models/retrain                       -> train + gate + hot-swap
-//	POST /models/rollback     [{"family": f}]  -> revert to the previous one
+//	POST /models/rollback                      -> revert to the previous one
 type Server struct {
 	eng *Engine
 	mux *http.ServeMux
@@ -370,13 +370,9 @@ func (t *runTable) find(w http.ResponseWriter, r *http.Request) *trackedRun {
 
 // modelsResponse is the GET /models wire form.
 type modelsResponse struct {
-	// Current is the id of the serving global version (0 before the first
+	// Current is the id of the serving version (0 before the first
 	// publication).
 	Current int `json:"current"`
-	// Families maps each workload family with its own trained model to
-	// the version id serving it; families absent here fall back to the
-	// global model.
-	Families map[string]int `json:"families"`
 	// CorpusSize is the number of harvested examples retained on disk.
 	CorpusSize int `json:"corpus_size"`
 	// Corpus is the corpus shape — segment count, on-disk bytes,
@@ -388,27 +384,27 @@ type modelsResponse struct {
 	// quality-gate-rejected versions (decision "rejected") that never
 	// served.
 	Versions []ModelVersion `json:"versions"`
-	// Drift is the observed-vs-predicted standing per routing target —
-	// the serving version's windowed live error against its holdout
-	// baseline, the drift flag, and the target's last retrain trigger.
+	// Drift is the serving version's observed-vs-predicted standing — its
+	// windowed live error against its holdout baseline, the drift flag,
+	// and the last retrain trigger — once it has served a harvested
+	// query (a list of at most one).
 	Drift []DriftStatus `json:"drift"`
-	// Canaries are the challengers currently in champion/challenger
-	// confirmation, shadow-scoring on live traffic before they may
-	// hot-swap (empty unless canary serving is enabled).
+	// Canaries is the challenger currently in champion/challenger
+	// confirmation, shadow-scoring on live traffic before it may hot-swap
+	// (a list of at most one; empty unless canary serving is enabled).
 	Canaries []CanaryStatus `json:"canaries"`
 	// Decisions is the retrainer's bounded decision history, oldest
-	// first: which trigger (manual, auto, drift) trained which target and
+	// first: which trigger (manual, auto, drift) trained each version and
 	// how the quality gate ruled.
 	Decisions []RetrainDecision `json:"decisions"`
 	// PersistError, when set, means the on-disk model manifest trails the
-	// live routing table (a restart would resume from the last
-	// successfully persisted models); the next successful persist clears
-	// it.
+	// serving version (a restart would resume from the last successfully
+	// persisted model); the next successful persist clears it.
 	PersistError string `json:"persist_error,omitempty"`
 	// TrainingError, when set, is the most recent failure of the
-	// background loop (training or compaction), e.g. a family whose model
-	// could not be fit or a corpus segment compaction could not read; a
-	// fully successful retrain clears it.
+	// background loop (training or compaction), e.g. a model that could
+	// not be fit or a corpus segment compaction could not read; a fully
+	// successful retrain clears it.
 	TrainingError string `json:"training_error,omitempty"`
 }
 
@@ -429,7 +425,6 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 	}
 	drift, decisions := l.driftReport()
 	resp := modelsResponse{
-		Families:   l.FamilyVersions(),
 		CorpusSize: l.CorpusSize(),
 		Corpus:     l.CorpusStats(),
 		Harvest:    l.HarvestStats(),
@@ -464,9 +459,8 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 
 // driftResponse is the GET /models/drift wire form.
 type driftResponse struct {
-	// Targets is the observed-vs-predicted standing per routing target
-	// that served at least one harvested query (global target under
-	// family "").
+	// Targets is the serving version's observed-vs-predicted standing,
+	// once it has served a harvested query (a list of at most one).
 	Targets []DriftStatus `json:"targets"`
 	// Decisions is the retrainer's decision history, oldest first —
 	// "drift"-triggered entries record which verdicts turned into
@@ -508,8 +502,10 @@ func (s *Server) handleRetrain(w http.ResponseWriter, _ *http.Request) {
 
 // rollbackRequest is the optional POST /models/rollback body.
 type rollbackRequest struct {
-	// Family selects the routing target to roll back ("" = the global
-	// model).
+	// Family is refused when non-empty: one model serves every query, so
+	// there is no per-family model to roll back. Without the check a
+	// client written for per-family routing would silently roll back the
+	// one model instead.
 	Family string `json:"family"`
 }
 
@@ -519,7 +515,7 @@ type rollbackResponse struct {
 	ModelVersion
 	// PersistError, when set, means the rollback applied in memory but
 	// the on-disk manifest could not be rewritten — a restart would
-	// resume from the previously persisted routing table. The same
+	// resume from the previously persisted model. The same
 	// failure shows as "persist_error" in GET /models until a later
 	// sync repairs it.
 	PersistError string `json:"persist_error,omitempty"`
@@ -534,13 +530,12 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req, true) {
 		return
 	}
-	v, persistErr, err := l.rollback(req.Family)
+	if req.Family != "" {
+		writeError(w, http.StatusBadRequest, "rollback: one model serves every family; omit \"family\"")
+		return
+	}
+	v, persistErr, err := l.rollback()
 	switch {
-	case IsUnknownFamily(err):
-		// A routing target the registry has never dealt with is a client
-		// addressing error (likely a typo'd family name), not a conflict
-		// with the target's current state.
-		writeError(w, http.StatusNotFound, "rollback: %v", err)
 	case IsNoRollback(err):
 		writeError(w, http.StatusConflict, "rollback: %v", err)
 	case err != nil:

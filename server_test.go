@@ -302,8 +302,20 @@ func TestServerModelRoutes(t *testing.T) {
 	if code := doJSON(t, http.MethodPost, srv.URL+"/models/retrain", "", &v2); code != http.StatusOK || v2.ID != 2 {
 		t.Fatalf("second retrain: %+v", v2)
 	}
+	// A rollback naming a family is refused (400) and rolls nothing back:
+	// one model serves every family, and an old client's per-family
+	// rollback must not silently move it.
+	for _, body := range []string{`{"family": "lineitem"}`, `{"family": "no-such-family"}`} {
+		if code := doJSON(t, http.MethodPost, srv.URL+"/models/rollback", body, nil); code != http.StatusBadRequest {
+			t.Fatalf("rollback %s: status %d, want 400", body, code)
+		}
+		if cur, _ := lrn.Current(); cur.ID != v2.ID {
+			t.Fatalf("rollback %s moved the serving model to v%d", body, cur.ID)
+		}
+	}
+	// An empty family is the plain rollback.
 	var back ModelVersion
-	if code := doJSON(t, http.MethodPost, srv.URL+"/models/rollback", "", &back); code != http.StatusOK || back.ID != 1 {
+	if code := doJSON(t, http.MethodPost, srv.URL+"/models/rollback", `{"family": ""}`, &back); code != http.StatusOK || back.ID != 1 {
 		t.Fatalf("rollback: %+v", back)
 	}
 	if code := doJSON(t, http.MethodGet, srv.URL+"/models", "", &models); code != http.StatusOK {
@@ -315,12 +327,6 @@ func TestServerModelRoutes(t *testing.T) {
 	// Rolling back past the first version fails.
 	if code := doJSON(t, http.MethodPost, srv.URL+"/models/rollback", "", nil); code != http.StatusConflict {
 		t.Fatalf("rollback past first: status %d, want 409", code)
-	}
-	// A typo'd family is "unknown target", not "nothing to roll back to":
-	// 404, so an operator fat-fingering the family name can tell the
-	// difference from a real exhausted history.
-	if code := doJSON(t, http.MethodPost, srv.URL+"/models/rollback", `{"family": "no-such-family"}`, nil); code != http.StatusNotFound {
-		t.Fatalf("rollback of unknown family: status %d, want 404", code)
 	}
 
 	// Healthz reports the serving model and corpus size.

@@ -277,8 +277,8 @@ func TestSessionTTLJanitorHTTP(t *testing.T) {
 
 // TestSessionIngestHarvestRetrain is the learning-loop e2e for external
 // sessions: a completed ingested session harvests into the corpus under
-// its own family tag (visible in GET /models), and a retrain fits a
-// family model for it.
+// its own family tag (visible in GET /models), and a retrain fits the
+// one model on it.
 func TestSessionIngestHarvestRetrain(t *testing.T) {
 	w, tr := sessionWorkload(t)
 	lrn, err := OpenLearning(LearningConfig{
@@ -286,8 +286,6 @@ func TestSessionIngestHarvestRetrain(t *testing.T) {
 		Selector:          SelectorConfig{Trees: 10},
 		DisableBackground: true,
 		DisableGate:       true,
-		FamilyModels:      true,
-		MinFamilyExamples: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,12 +312,13 @@ func TestSessionIngestHarvestRetrain(t *testing.T) {
 	if models.Corpus.Families[family] == 0 {
 		t.Fatalf("GET /models corpus families: %+v", models.Corpus.Families)
 	}
-	// ...and a retrain fits a model for the external family.
-	if code := doJSON(t, http.MethodPost, srv.URL+"/models/retrain", "", nil); code != http.StatusOK {
+	// ...and a retrain fits the serving model on them.
+	var v ModelVersion
+	if code := doJSON(t, http.MethodPost, srv.URL+"/models/retrain", "", &v); code != http.StatusOK {
 		t.Fatal("retrain failed")
 	}
-	if _, ok := lrn.FamilyVersions()[family]; !ok {
-		t.Fatalf("no family model for %q after retrain: %v", family, lrn.FamilyVersions())
+	if cur, ok := lrn.Current(); !ok || cur.ID != v.ID || v.CorpusSize != lrn.CorpusSize() {
+		t.Fatalf("retrain published %+v over a %d-example corpus; serving %+v", v, lrn.CorpusSize(), cur)
 	}
 }
 
@@ -354,7 +353,7 @@ func TestDrainingRetryAfter(t *testing.T) {
 }
 
 // TestRollbackSurfacesPersistError is the satellite regression test for
-// the rollback path: when the rolled-back routing table cannot be
+// the rollback path: when the rolled-back serving version cannot be
 // persisted, the rollback response says so instead of silently
 // reporting success, and GET /models carries the same standing error.
 func TestRollbackSurfacesPersistError(t *testing.T) {

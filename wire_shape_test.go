@@ -191,13 +191,13 @@ func TestWireKeyOrder(t *testing.T) {
 			"resize_events[].source", "resize_events[].reason",
 			"last_decision", "last_decision.at", "last_decision.action", "last_decision.from",
 			"last_decision.to", "last_decision.reason",
-			"draining", "route_by_family",
+			"draining",
 			"ingest", "ingest.open_sessions", "ingest.opened", "ingest.completed", "ingest.expired",
 			"ingest.aborted", "ingest.batches", "ingest.rejected_batches", "ingest.observations",
 			"ingest.ttl_seconds"}))
 
-	assertKeys(t, "GET /models", keyPaths(t, getRaw(t, srv.URL+"/models"), "families", "corpus.families"),
-		[]string{"current", "families", "corpus_size",
+	assertKeys(t, "GET /models", keyPaths(t, getRaw(t, srv.URL+"/models"), "corpus.families"),
+		[]string{"current", "corpus_size",
 			"corpus", "corpus.segments", "corpus.bytes", "corpus.examples", "corpus.families",
 			"corpus.cache_hits", "corpus.cache_misses", "corpus.cache_bytes", "corpus.cache_cap_bytes",
 			"corpus.cached_segments", "corpus.family_quota",
@@ -205,11 +205,11 @@ func TestWireKeyOrder(t *testing.T) {
 			"versions", "versions[].id", "versions[].trained_at", "versions[].corpus_size",
 			"versions[].holdout_l1", "versions[].holdout_n", "versions[].source", "versions[].decision",
 			"versions[].current",
-			"drift", "drift[].family", "drift[].version", "drift[].baseline_l1", "drift[].baseline_n",
+			"drift", "drift[].version", "drift[].baseline_l1", "drift[].baseline_n",
 			"drift[].observed_l1", "drift[].observed_p90", "drift[].samples", "drift[].window",
 			"drift[].min_samples", "drift[].ratio", "drift[].drifted", "drift[].since",
 			"drift[].last_trigger", "drift[].last_decision",
-			"canaries", "canaries[].family", "canaries[].source", "canaries[].champion",
+			"canaries", "canaries[].source", "canaries[].champion",
 			"canaries[].proposed_at", "canaries[].expires_at", "canaries[].samples", "canaries[].window",
 			"canaries[].champion_l1", "canaries[].challenger_l1", "canaries[].holdout_l1",
 			"decisions", "decisions[].at", "decisions[].trigger", "decisions[].version",
@@ -247,10 +247,9 @@ func TestWireStructFields(t *testing.T) {
 			"CachedSegments int cached_segments", "FamilyQuota int family_quota,omitempty",
 			"CompactionRuns int compaction_runs,omitempty", "CompactedSegments int compacted_segments,omitempty",
 			"CompactionDropped int compaction_dropped,omitempty"}},
-		{RetrainDecision{}, []string{"At time.Time at", "Trigger string trigger", "Family string family,omitempty",
-			"Version int version", "Decision string decision", "HoldoutL1 float64 holdout_l1",
+		{RetrainDecision{}, []string{"At time.Time at", "Trigger string trigger", "Version int version", "Decision string decision", "HoldoutL1 float64 holdout_l1",
 			"BaselineL1 float64 baseline_l1,omitempty", "ObservedL1 float64 observed_l1,omitempty"}},
-		{CanaryStatus{}, []string{"Family string family", "Source string source", "Champion int champion",
+		{CanaryStatus{}, []string{"Source string source", "Champion int champion",
 			"ProposedAt time.Time proposed_at", "ExpiresAt time.Time expires_at", "Samples int samples",
 			"Window int window", "ChampionL1 float64 champion_l1", "ChallengerL1 float64 challenger_l1",
 			"HoldoutL1 float64 holdout_l1"}},
