@@ -2,23 +2,13 @@
 // workload (database + parameterised queries), optionally loads a trained
 // selection model, and serves live query monitoring over HTTP. The
 // serving core is a sharded engine — one workload behind one admission
-// gate with a bounded queue and least-loaded dispatch over a pool of
-// shards, each a bucket of -max-live admission slots, so pool size ×
-// -max-live is the concurrency cap — and submitted queries execute
-// concurrently up to that cap while their streaming progress estimates
-// (per pipeline and combined per eq. 5 of the paper) are polled as JSON.
-//
-// The pool is elastic: with -max-shards above -min-shards a background
-// controller polls the gate every -autoscale-interval and grows the pool
-// by one shard after sustained saturation (admission queue more than
-// half full, or rejections, across consecutive polls) up to -max-shards,
-// and drains one shard back after sustained idleness down to
-// -min-shards — with a cooldown between resizes so a single bursty poll
-// never flaps the pool. A shrunk shard finishes its live queries,
-// receives nothing new, and is reaped once empty; its lifetime counters
-// survive in GET /engine/stats, which also reports the resize history
-// and the controller's last decision. POST /engine/resize is the
-// operator override; -no-autoscale keeps the pool fixed.
+// gate with a bounded queue and least-loaded dispatch over a fixed pool
+// of -shards shards, each a bucket of -max-live admission slots, so
+// -shards × -max-live is the concurrency cap — and submitted queries
+// execute concurrently up to that cap while their streaming progress
+// estimates (per pipeline and combined per eq. 5 of the paper) are
+// polled as JSON. GET /engine/stats reports each shard's live and
+// lifetime admission counters.
 //
 // Admission is QoS-aware. -qos-weights assigns weighted-fair-queueing
 // weights to workload families ("tpch=9,tpcds=1"): queued submissions
@@ -27,9 +17,7 @@
 // under saturation every class converges to at least its weight share
 // of the admissions instead of one hot family (or client) starving the
 // rest. Per-class windowed queue-wait and admission-to-done percentiles
-// (p50/p90/p99) are exported in GET /engine/stats. -slo-p99 declares a
-// p99 queue-wait SLO the autoscaler defends: a sustained breach grows
-// the pool BEFORE the queue fills and submissions start bouncing.
+// (p50/p90/p99) are exported in GET /engine/stats.
 // -deadline-admission sheds a submission whose "deadline_ms" cannot
 // cover the predicted queue wait immediately (429, reason
 // "deadline_shed") instead of letting it queue to die; rejected
@@ -50,8 +38,7 @@
 //	POST /queries                {"query": i}  start workload query i
 //	GET  /queries                              list submitted queries
 //	GET  /queries/{id}/progress                freshest progress update
-//	GET  /engine/stats                         shard pool, queue + resize state
-//	POST /engine/resize          {"shards": n} operator pool resize
+//	GET  /engine/stats                         shard pool, queue + QoS state
 //	GET  /healthz                              liveness probe
 //	GET  /models                               corpus + model versions + drift (-learn)
 //	GET  /models/drift                         observed-vs-predicted standing (-learn)
@@ -77,10 +64,8 @@
 //	progressd [-addr :8080] [-workload tpch|tpcds|real1|real2]
 //	          [-design 0|1|2] [-queries N] [-scale F] [-zipf F] [-seed N]
 //	          [-shards N] [-queue-depth N] [-max-live N]
-//	          [-min-shards N] [-max-shards N] [-autoscale-interval D]
-//	          [-no-autoscale]
 //	          [-qos-weights fam=w,...] [-class-queue-depth N]
-//	          [-slo-p99 D] [-deadline-admission]
+//	          [-deadline-admission]
 //	          [-every N] [-pace D] [-model selector.json]
 //	          [-learn corpus/] [-retrain-after N] [-retrain-every D]
 //	          [-gate-tolerance F] [-no-gate]
@@ -164,16 +149,11 @@ func main() {
 	scale := flag.Float64("scale", 0.15, "database scale")
 	zipf := flag.Float64("zipf", 1, "data skew factor z")
 	seed := flag.Int64("seed", 1, "random seed")
-	shards := flag.Int("shards", 1, "shards the pool starts with: buckets of -max-live admission slots, so the concurrency cap is shards × max-live")
+	shards := flag.Int("shards", 1, "shards in the pool: buckets of -max-live admission slots, so the concurrency cap is shards × max-live")
 	queueDepth := flag.Int("queue-depth", 64, "admissions queued once all shards are at capacity (0 = reject immediately)")
 	maxLive := flag.Int("max-live", 64, "concurrent queries per shard")
-	minShards := flag.Int("min-shards", 0, "lower autoscale bound for the shard pool (default: -shards)")
-	maxShards := flag.Int("max-shards", 0, "upper autoscale bound; above -min-shards it enables load-driven grow/shrink (default: -shards, fixed pool)")
-	autoscaleInterval := flag.Duration("autoscale-interval", 2*time.Second, "how often the autoscaler polls the admission gate")
-	noAutoscale := flag.Bool("no-autoscale", false, "never resize the pool automatically (POST /engine/resize still works)")
 	qosWeights := flag.String("qos-weights", "", "fair-queueing weights per workload family, e.g. tpch=9,tpcds=1 (unlisted classes weigh 1)")
 	classQueueDepth := flag.Int("class-queue-depth", 0, "one admission class's share of the queue (default: -queue-depth, no per-class tightening)")
-	sloP99 := flag.Duration("slo-p99", 0, "p99 queue-wait SLO the autoscaler defends: sustained breach grows the pool before rejections (0 = off)")
 	deadlineAdmission := flag.Bool("deadline-admission", false, "shed submissions whose deadline_ms cannot cover the predicted queue wait instead of queueing them")
 	every := flag.Int("every", 8, "record a progress update every N counter snapshots")
 	pace := flag.Duration("pace", 0, "pace execution: sleep per progress update (0 = full speed)")
@@ -306,13 +286,8 @@ func main() {
 		Shards:            *shards,
 		MaxLivePerShard:   *maxLive,
 		QueueDepth:        *queueDepth,
-		MinShards:         *minShards,
-		MaxShards:         *maxShards,
-		DisableAutoscale:  *noAutoscale,
-		AutoscaleInterval: *autoscaleInterval,
 		QoSWeights:        weights,
 		ClassQueueDepth:   *classQueueDepth,
-		SLOQueueWaitP99:   *sloP99,
 		DeadlineAdmission: *deadlineAdmission,
 	}, opts)
 	server := progressest.NewEngineServer(eng)
@@ -326,24 +301,15 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() {
-		st := eng.Stats()
-		pool := fmt.Sprintf("%d shard(s)", st.CurrentShards)
-		if st.Autoscale {
-			pool = fmt.Sprintf("%d shard(s), autoscaling %d..%d every %s",
-				st.CurrentShards, st.MinShards, st.MaxShards, *autoscaleInterval)
-		}
 		qos := ""
 		if len(weights) > 0 {
 			qos = fmt.Sprintf(", qos weights %v", weights)
 		}
-		if *sloP99 > 0 {
-			qos += fmt.Sprintf(", p99 SLO %s", *sloP99)
-		}
 		if *deadlineAdmission {
 			qos += ", deadline admission"
 		}
-		log.Printf("progressd listening on %s (%d queries ready, %s × %d live, queue %d%s)",
-			*addr, w.NumQueries(), pool, *maxLive, *queueDepth, qos)
+		log.Printf("progressd listening on %s (%d queries ready, %d shard(s) × %d live, queue %d%s)",
+			*addr, w.NumQueries(), eng.NumShards(), *maxLive, *queueDepth, qos)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 

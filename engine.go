@@ -14,15 +14,14 @@ import (
 
 // EngineConfig sizes the sharded execution engine.
 type EngineConfig struct {
-	// Shards is the number of shards the pool starts with (default 1,
-	// clamped into [MinShards, MaxShards]). A shard is a bucket of
-	// MaxLivePerShard admission slots, not a copy of anything: every
-	// shard executes on the engine's one Workload, so the pool size only
-	// sets the concurrency cap, and resizing moves that cap.
+	// Shards is the number of shards in the pool (default 1), fixed for
+	// the engine's life. A shard is a bucket of MaxLivePerShard admission
+	// slots, not a copy of anything: every shard executes on the engine's
+	// one Workload, so the pool size only sets the concurrency cap.
 	Shards int
 	// MaxLivePerShard bounds the queries holding a slot of one shard at
 	// once (default 64); the engine-wide live bound is
-	// active shards × MaxLivePerShard.
+	// Shards × MaxLivePerShard.
 	MaxLivePerShard int
 	// QueueDepth bounds the admissions waiting for a slot once every
 	// shard is at capacity; 0 disables queueing, so a saturated engine
@@ -31,30 +30,6 @@ type EngineConfig struct {
 	// Deprecated: ignored; one model serves every query. Kept only so
 	// bench/ builds; removed with ROADMAP item 16.
 	RouteByFamily bool
-
-	// MinShards and MaxShards bound runtime resizing (both default to the
-	// initial pool size, i.e. a fixed pool; MinShards wins when they
-	// conflict). When MaxShards > MinShards and autoscaling is not
-	// disabled, a background controller grows the pool while the
-	// admission queue runs hot and shrinks it back while shards idle —
-	// see the Autoscale* knobs. Resize is available either way.
-	MinShards int
-	MaxShards int
-	// DisableAutoscale keeps the pool at its initial size unless Resize
-	// (or POST /engine/resize) moves it.
-	DisableAutoscale bool
-	// AutoscaleInterval is the controller's poll period (default 2s).
-	AutoscaleInterval time.Duration
-	// AutoscaleGrowPolls is the number of consecutive polls the admission
-	// queue must be more than half full (or rejecting) before one shard
-	// is added (default 3); AutoscaleShrinkPolls the consecutive polls
-	// with an empty queue and an idle shard before one is drained
-	// (default 10). AutoscaleCooldown is the minimum gap between two
-	// resizes (default 3× the interval). The hysteresis exists so one
-	// bursty poll never flaps the pool.
-	AutoscaleGrowPolls   int
-	AutoscaleShrinkPolls int
-	AutoscaleCooldown    time.Duration
 
 	// QoSWeights maps workload families to their weighted-fair-queueing
 	// admission weight (default 1 each). Queued admissions are scheduled
@@ -67,11 +42,6 @@ type EngineConfig struct {
 	// ClassQueueDepth bounds one class's share of the admission queue
 	// (default QueueDepth: no per-class tightening).
 	ClassQueueDepth int
-	// SLOQueueWaitP99, when positive, declares the latency SLO the
-	// autoscaler defends: a sustained breach of the windowed p99 queue
-	// wait counts as a hot poll, so the pool grows BEFORE the queue
-	// fills and admissions start being rejected.
-	SLOQueueWaitP99 time.Duration
 	// DeadlineAdmission sheds a submission whose remaining deadline
 	// cannot cover the predicted queue wait with an IsDeadlineShed error
 	// immediately, instead of letting it occupy a queue slot it is
@@ -81,7 +51,8 @@ type EngineConfig struct {
 
 // ParseQoSWeights parses an operator weight spec of the form
 // "tpch=9,tpcds=1" (the cmd/progressd -qos-weights flag) into the
-// EngineConfig.QoSWeights map. Weights must be positive integers.
+// EngineConfig.QoSWeights map. Weights must be positive integers, and a
+// family may be listed once.
 func ParseQoSWeights(s string) (map[string]int, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -98,6 +69,9 @@ func ParseQoSWeights(s string) (map[string]int, error) {
 		if !ok || name == "" || err != nil || w < 1 {
 			return nil, fmt.Errorf("progressest: qos weight %q: want family=positive-integer", part)
 		}
+		if _, dup := out[name]; dup {
+			return nil, fmt.Errorf("progressest: qos weight %q: family %q listed twice", part, name)
+		}
 		out[name] = w
 	}
 	return out, nil
@@ -107,137 +81,45 @@ func ParseQoSWeights(s string) (map[string]int, error) {
 // admission gate (bounded fair queue, per-shard live bound, least-loaded
 // dispatch) and one Learning loop — every query harvests into the same
 // corpus and is served from the same hot-swapped model registry. Its
-// shards are buckets of admission slots: pool size × MaxLivePerShard is
-// the concurrency cap.
-// The pool is elastic: Resize moves the cap at runtime, and an optional
-// autoscaler drives Resize from the gate's own queue-depth and rejection
-// signals. It is the serving core progressd wraps in HTTP.
+// shards are buckets of admission slots: Shards × MaxLivePerShard is the
+// concurrency cap, fixed when the engine is built. It is the serving
+// core progressd wraps in HTTP.
 type Engine struct {
-	w    *Workload
-	opts MonitorOptions
-	gate *engine.Gate
-
-	minShards, maxShards int
-	sloP99               time.Duration
-	deadline             bool
-	scaler               *engine.Autoscaler // nil with autoscaling off
+	w        *Workload
+	opts     MonitorOptions
+	gate     *engine.Gate
+	deadline bool
 }
 
 // NewEngine builds an engine of cfg.Shards shards over w. The monitor
 // options apply to every query the engine starts. Defaulting of the gate
-// bounds (per-shard live limit, queue depth) is owned by the internal
-// gate; the initial pool size is clamped into [MinShards, MaxShards].
+// bounds (pool size, per-shard live limit, queue depth) is owned by the
+// internal gate.
 func NewEngine(w *Workload, cfg EngineConfig, opts MonitorOptions) *Engine {
-	opts = opts.withDefaults()
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 1
+	return &Engine{
+		w:    w,
+		opts: opts.withDefaults(),
+		gate: engine.NewGate(engine.Config{
+			Shards:            cfg.Shards,
+			MaxLivePerShard:   cfg.MaxLivePerShard,
+			QueueDepth:        cfg.QueueDepth,
+			Weights:           cfg.QoSWeights,
+			ClassQueueDepth:   cfg.ClassQueueDepth,
+			DeadlineAdmission: cfg.DeadlineAdmission,
+		}),
+		deadline: cfg.DeadlineAdmission,
 	}
-	minShards := cfg.MinShards
-	if minShards < 1 {
-		minShards = shards
-	}
-	maxShards := cfg.MaxShards
-	if maxShards < 1 {
-		// Unset defaults to the requested pool size, NOT to MinShards —
-		// `Shards: 10, MinShards: 2` means "start at 10, allowed to shrink
-		// to 2", not a 2-shard pool.
-		maxShards = shards
-	}
-	if maxShards < minShards {
-		maxShards = minShards
-	}
-	if shards < minShards {
-		shards = minShards
-	}
-	if shards > maxShards {
-		shards = maxShards
-	}
-	gate := engine.NewGate(engine.Config{
-		Shards:            shards,
-		MaxLivePerShard:   cfg.MaxLivePerShard,
-		QueueDepth:        cfg.QueueDepth,
-		Weights:           cfg.QoSWeights,
-		ClassQueueDepth:   cfg.ClassQueueDepth,
-		DeadlineAdmission: cfg.DeadlineAdmission,
-	})
-	e := &Engine{
-		w:         w,
-		opts:      opts,
-		gate:      gate,
-		minShards: minShards,
-		maxShards: maxShards,
-		sloP99:    cfg.SLOQueueWaitP99,
-		deadline:  cfg.DeadlineAdmission,
-	}
-	if !cfg.DisableAutoscale && maxShards > minShards {
-		e.scaler = engine.NewAutoscaler(engine.AutoscalerConfig{
-			Min:             minShards,
-			Max:             maxShards,
-			Interval:        cfg.AutoscaleInterval,
-			GrowAfter:       cfg.AutoscaleGrowPolls,
-			ShrinkAfter:     cfg.AutoscaleShrinkPolls,
-			Cooldown:        cfg.AutoscaleCooldown,
-			SLOQueueWaitP99: cfg.SLOQueueWaitP99,
-		}, gate.Stats, func(from, to int, reason string) error {
-			return e.resize(from, to, "autoscale", reason)
-		})
-		e.scaler.Start()
-	}
-	return e
 }
 
 // Workload returns the workload every shard of the engine executes on —
 // also the handle for query metadata like NumQueries and QueryText.
 func (e *Engine) Workload() *Workload { return e.w }
 
-// NumShards returns the number of active (dispatchable) shards right
-// now; a resize changes it.
+// NumShards returns the number of shards in the pool.
 func (e *Engine) NumShards() int { return e.gate.NumShards() }
 
 // learning returns the shared learning loop, or nil.
 func (e *Engine) learning() *Learning { return e.opts.Learning }
-
-// maxResizePool bounds any requested pool size: the gate scans its slots
-// on every dispatch and reports each one in Stats, so an absurd operator
-// request must fail fast. A configured MaxShards above it raises the
-// bound.
-const maxResizePool = 256
-
-// errResizeInvalid marks a resize request refused by validation (the
-// HTTP layer's 400, vs. IsDraining's 409).
-var errResizeInvalid = errors.New("invalid resize")
-
-// Resize sets the active shard count to n (operator override of the
-// autoscaler; POST /engine/resize in the daemon). Grow widens the gate,
-// admitting queued work immediately; shrink marks the emptiest shards
-// draining — their live queries finish, they receive nothing new, and
-// they are reaped once empty, keeping their lifetime counters in Stats.
-// n may land outside [MinShards, MaxShards] (the bounds steer the
-// autoscaler, not the operator, whose override also restarts the
-// controller's hysteresis) but never above max(256, MaxShards). Resizing
-// fails with an IsDraining error once Drain began.
-func (e *Engine) Resize(n int) error {
-	return e.resize(-1, n, "operator", "operator resize request")
-}
-
-// resize applies one pool resize. expectFrom >= 0 makes it conditional
-// on the active count still being expectFrom (the autoscaler's
-// compare-and-swap against concurrent operator overrides); -1 applies
-// unconditionally. The gate serialises resizers under its own lock and
-// is the authority on draining and the compare-and-swap.
-func (e *Engine) resize(expectFrom, n int, source, reason string) error {
-	if n < 1 {
-		return fmt.Errorf("progressest: %w: %d shards, need at least 1", errResizeInvalid, n)
-	}
-	if bound := max(maxResizePool, e.maxShards); n > bound {
-		return fmt.Errorf("progressest: %w: %d shards exceeds the pool cap %d", errResizeInvalid, n, bound)
-	}
-	if expectFrom >= 0 {
-		return e.gate.ResizeFrom(expectFrom, n, source, reason)
-	}
-	return e.gate.Resize(n, source, reason)
-}
 
 // Start admits query i through the gate — waiting in the bounded fair
 // queue under the query family's admission class when every shard is at
@@ -306,27 +188,14 @@ func (e *Engine) admit(ctx context.Context, family, client string,
 // any admission was observed).
 func (e *Engine) RetryAfterHint() time.Duration { return e.gate.QueueWaitHint() }
 
-// Drain stops the autoscaler and admission — queued submissions fail
-// immediately with an IsDraining error instead of stranding — and waits
-// until every in-flight query finishes or ctx expires. New Start calls
-// fail for the rest of the engine's life.
-func (e *Engine) Drain(ctx context.Context) error {
-	if e.scaler != nil {
-		e.scaler.Stop()
-	}
-	return e.gate.Drain(ctx)
-}
+// Drain stops admission — queued submissions fail immediately with an
+// IsDraining error instead of stranding — and waits until every
+// in-flight query finishes or ctx expires. New Start calls fail for the
+// rest of the engine's life.
+func (e *Engine) Drain(ctx context.Context) error { return e.gate.Drain(ctx) }
 
-// ShardStats is one shard's live/lifetime admission counters, with its
-// pool state: "active", "draining" or "reaped".
+// ShardStats is one shard's live/lifetime admission counters.
 type ShardStats = engine.ShardStats
-
-// ResizeEvent is one applied pool resize (the GET /engine/stats
-// "resize_events" entries, newest last, bounded history).
-type ResizeEvent = engine.ResizeEvent
-
-// AutoscaleDecision is the controller's most recent poll verdict.
-type AutoscaleDecision = engine.Decision
 
 // LatencyStats is one windowed latency distribution's wire form:
 // nearest-rank percentiles over the most recent Samples observations,
@@ -382,16 +251,9 @@ type ClassStats struct {
 // EngineStats is a point-in-time snapshot of the engine (the GET
 // /engine/stats wire form).
 type EngineStats struct {
-	// Shards holds the per-shard counters, including draining and
-	// reaped shards (whose lifetime counters survive a shrink).
+	// Shards holds the per-shard counters, one entry per shard of the
+	// pool.
 	Shards []ShardStats `json:"shards"`
-	// CurrentShards is the active (dispatchable) shard count;
-	// MinShards and MaxShards are the autoscaler's bounds.
-	CurrentShards int `json:"current_shards"`
-	MinShards     int `json:"min_shards"`
-	MaxShards     int `json:"max_shards"`
-	// Autoscale reports whether the load-driven controller is running.
-	Autoscale bool `json:"autoscale"`
 	// Queued is the number of admissions waiting for a slot; QueueDepth
 	// is the queue's bound.
 	Queued     int `json:"queued"`
@@ -405,24 +267,13 @@ type EngineStats struct {
 	Rejected  int64 `json:"rejected"`
 	ShedTotal int64 `json:"shed_total"`
 	// QueueWait is the gate-wide windowed Admit-to-grant latency across
-	// every class (the distribution the SLOQueueWaitP99 autoscaler signal
-	// and Retry-After hints are computed from).
+	// every class (the distribution Retry-After hints are computed from).
 	QueueWait LatencyStats `json:"queue_wait"`
 	// Classes is the per-admission-class QoS accounting, sorted by class
 	// name (empty before the first admission).
 	Classes []ClassStats `json:"classes,omitempty"`
-	// SLOQueueWaitP99MS is the declared p99 queue-wait SLO in
-	// milliseconds (0: none declared); DeadlineAdmission reports whether
-	// deadline-aware shedding is on.
-	SLOQueueWaitP99MS float64 `json:"slo_queue_wait_p99_ms,omitempty"`
-	DeadlineAdmission bool    `json:"deadline_admission"`
-	// Resizes counts applied pool resizes; ResizeEvents is the bounded
-	// event history, oldest first.
-	Resizes      int64         `json:"resizes"`
-	ResizeEvents []ResizeEvent `json:"resize_events,omitempty"`
-	// LastDecision is the autoscaler's most recent poll verdict (absent
-	// before its first poll or with autoscaling off).
-	LastDecision *AutoscaleDecision `json:"last_decision,omitempty"`
+	// DeadlineAdmission reports whether deadline-aware shedding is on.
+	DeadlineAdmission bool `json:"deadline_admission"`
 	// Draining is true once Drain began.
 	Draining bool `json:"draining"`
 	// Ingest is the external counter-ingestion session accounting, when
@@ -459,10 +310,6 @@ func (e *Engine) Stats() EngineStats {
 	gs := e.gate.Stats()
 	st := EngineStats{
 		Shards:          gs.Shards,
-		CurrentShards:   gs.ActiveShards,
-		MinShards:       e.minShards,
-		MaxShards:       e.maxShards,
-		Autoscale:       e.scaler != nil,
 		Queued:          gs.Queued,
 		QueueDepth:      gs.QueueDepth,
 		MaxLivePerShard: gs.MaxLivePerShard,
@@ -470,11 +317,8 @@ func (e *Engine) Stats() EngineStats {
 		Rejected:        gs.Rejected,
 		ShedTotal:       gs.Shed,
 		QueueWait:       latencyStats(gs.QueueWait),
-		Resizes:         gs.Resizes,
-		ResizeEvents:    gs.ResizeEvents,
 		Draining:        gs.Draining,
 
-		SLOQueueWaitP99MS: float64(e.sloP99) / float64(time.Millisecond),
 		DeadlineAdmission: e.deadline,
 	}
 	for _, c := range gs.Classes {
@@ -488,11 +332,6 @@ func (e *Engine) Stats() EngineStats {
 			QueueWait: latencyStats(c.QueueWait),
 			Latency:   latencyStats(c.Latency),
 		})
-	}
-	if e.scaler != nil {
-		if d, ok := e.scaler.Last(); ok {
-			st.LastDecision = &d
-		}
 	}
 	return st
 }
@@ -510,6 +349,5 @@ func IsSaturated(err error) bool { return errors.Is(err, engine.ErrSaturated) }
 func IsDeadlineShed(err error) bool { return errors.Is(err, engine.ErrDeadlineShed) }
 
 // IsDraining reports whether err means the engine is shutting down and no
-// longer admits queries (nor resizes) — the HTTP layer's 503 (and the
-// resize endpoint's 409).
+// longer admits queries — the HTTP layer's 503.
 func IsDraining(err error) bool { return errors.Is(err, engine.ErrDraining) }

@@ -64,6 +64,33 @@ func TestEngineShardsServeConcurrently(t *testing.T) {
 	}
 }
 
+// TestEngineFixedPoolSize pins the pool-size defaulting: an unset or
+// non-positive Shards is one shard, and a set one is the pool's size for
+// the engine's life — NumShards and the stats' shard list agree.
+func TestEngineFixedPoolSize(t *testing.T) {
+	w := serverWorkload(t)
+	for _, tc := range []struct {
+		name string
+		cfg  EngineConfig
+		want int
+	}{
+		{"all unset: fixed single shard", EngineConfig{}, 1},
+		{"shards only: fixed pool", EngineConfig{Shards: 5}, 5},
+		{"negative shards: fixed single shard", EngineConfig{Shards: -3}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := NewEngine(w, tc.cfg, MonitorOptions{})
+			defer eng.Drain(context.Background())
+			if got := eng.NumShards(); got != tc.want {
+				t.Fatalf("cfg %+v: %d shards, want %d", tc.cfg, got, tc.want)
+			}
+			if got := len(eng.Stats().Shards); got != tc.want {
+				t.Fatalf("cfg %+v: stats list %d shards, want %d", tc.cfg, got, tc.want)
+			}
+		})
+	}
+}
+
 // TestEngineQueueAdmitsWhenSlotFrees: with every shard busy a submission
 // waits in the bounded queue (visible in /engine/stats) and is admitted
 // once the live query finishes, rather than being rejected.

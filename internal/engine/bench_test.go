@@ -4,15 +4,15 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 )
 
-// BenchmarkGateAdmit pairs the admission hot path on a fixed pool
-// against the same pool under a concurrent resize storm — the cost the
-// adaptive pool adds to every Admit/Release is the difference between
-// the two. Tracked in the CI bench-smoke artifact.
+// BenchmarkGateAdmit measures the admission hot path — one Admit and
+// its Release — on a fixed pool under parallel load. Tracked in the CI
+// bench-smoke artifact.
 func BenchmarkGateAdmit(b *testing.B) {
-	run := func(b *testing.B, g *Gate) {
+	b.Run("fixed", func(b *testing.B) {
+		g := NewGate(Config{Shards: 4, MaxLivePerShard: 64, QueueDepth: 64})
+		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				s, err := g.Admit(context.Background())
@@ -25,34 +25,5 @@ func BenchmarkGateAdmit(b *testing.B) {
 				s.Release()
 			}
 		})
-	}
-	b.Run("fixed", func(b *testing.B) {
-		g := NewGate(Config{Shards: 4, MaxLivePerShard: 64, QueueDepth: 64})
-		b.ReportAllocs()
-		run(b, g)
-	})
-	b.Run("adaptive", func(b *testing.B) {
-		g := NewGate(Config{Shards: 4, MaxLivePerShard: 64, QueueDepth: 64})
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			n := 4
-			for {
-				select {
-				case <-stop:
-					return
-				case <-time.After(100 * time.Microsecond):
-				}
-				if n = n + 1; n > 6 {
-					n = 3
-				}
-				_ = g.Resize(n, "autoscale", "bench")
-			}
-		}()
-		b.ReportAllocs()
-		run(b, g)
-		close(stop)
-		<-done
 	})
 }

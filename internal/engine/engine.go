@@ -1,8 +1,8 @@
-// Package engine is the admission core of progressd: a pool of shards —
-// buckets of MaxLivePerShard admission slots each, so pool size × that
-// bound is the concurrency cap — behind one gate with a bounded wait
-// queue, least-loaded dispatch, a draining shutdown path and runtime
-// resizing, which moves the cap while admissions flow. The gate is
+// Package engine is the admission core of progressd: a fixed pool of
+// shards — buckets of MaxLivePerShard admission slots each, so
+// Shards × that bound is the concurrency cap — behind one gate with a
+// bounded wait queue, least-loaded dispatch and a draining shutdown
+// path. The pool's size is set when the gate is built. The gate is
 // execution-agnostic — it hands out shard slots and the caller runs
 // whatever work the slot admits (all of it on one shared workload),
 // releasing it on completion — so the admission logic is unit-testable
@@ -30,7 +30,6 @@ import (
 // Config sizes the gate.
 type Config struct {
 	// Shards is the number of slot buckets behind the gate (default 1).
-	// The pool can be resized at runtime (Resize).
 	Shards int
 	// MaxLivePerShard bounds the queries executing concurrently on one
 	// shard (default 64).
@@ -48,8 +47,6 @@ type Config struct {
 	// ClassQueueDepth bounds one class's share of the admission queue
 	// (default QueueDepth: no per-class tightening).
 	ClassQueueDepth int
-	// LatencyWindow is the per-class latency window size (default 512).
-	LatencyWindow int
 	// DeadlineAdmission sheds an admission whose ctx deadline cannot
 	// cover the predicted queue wait with ErrDeadlineShed instead of
 	// letting it occupy a queue slot it is doomed to time out of.
@@ -75,13 +72,7 @@ var ErrSaturated = errors.New("engine: all shards at capacity and the admission 
 
 // ErrDraining is returned by Admit once Drain has begun: the gate admits
 // nothing new, and already queued admissions fail rather than strand.
-// Resize fails with it too — a draining pool has no future to size.
 var ErrDraining = errors.New("engine: draining, not accepting new queries")
-
-// ErrResizeConflict is returned by ResizeFrom when the pool size changed
-// between the caller's observation and the resize — the decision was made
-// against a stale snapshot and must not be applied.
-var ErrResizeConflict = errors.New("engine: pool size changed concurrently; resize skipped")
 
 // ErrDeadlineShed is the sentinel behind DeadlineShedError: the
 // admission was refused because its remaining deadline cannot cover the
@@ -106,42 +97,11 @@ func (e *DeadlineShedError) Error() string {
 
 func (e *DeadlineShedError) Unwrap() error { return ErrDeadlineShed }
 
-// Shard lifecycle states reported in ShardStats.State.
-const (
-	// ShardActive shards receive dispatches.
-	ShardActive = "active"
-	// ShardDraining shards were shrink-marked: they finish their live
-	// queries but receive nothing new, and are reaped when empty. A grow
-	// reactivates them first — their live work is capacity already paid
-	// for.
-	ShardDraining = "draining"
-	// ShardReaped shards left the pool; their lifetime counters survive
-	// in Stats, and a later grow resurrects their slot before appending
-	// a new one.
-	ShardReaped = "reaped"
-)
-
 // shardState is one shard's admission bookkeeping. Shards are identified
-// by their index in the gate's slice, which is stable for the gate's
-// life: shrink never compacts the slice, it only marks shards
-// draining/reaped, so a Slot.Shard handed out earlier always refers to
-// the same counters.
+// by their index in the gate's slice, which is fixed for the gate's life.
 type shardState struct {
 	live     int
 	admitted int64
-	draining bool
-	reaped   bool
-}
-
-func (s *shardState) state() string {
-	switch {
-	case s.reaped:
-		return ShardReaped
-	case s.draining:
-		return ShardDraining
-	default:
-		return ShardActive
-	}
 }
 
 // Slot is one admitted unit of work, pinned to a shard. Release it
@@ -162,31 +122,10 @@ func (s *Slot) Release() {
 	s.once.Do(func() { s.g.release(s.Shard, s.cls, s.at) })
 }
 
-// maxResizeEvents bounds the retained resize history.
-const maxResizeEvents = 32
-
-// ResizeEvent records one applied pool resize (the GET /engine/stats
-// "resize_events" entries, oldest first, bounded history).
-type ResizeEvent struct {
-	// At is when the resize was applied.
-	At time.Time `json:"at"`
-	// From and To are the active shard counts before and after.
-	From int `json:"from"`
-	To   int `json:"to"`
-	// Source is who asked: "autoscale" or "operator".
-	Source string `json:"source"`
-	// Reason is the requester's rationale (the autoscaler's trigger, or
-	// the operator endpoint).
-	Reason string `json:"reason,omitempty"`
-}
-
 // Gate is the admission gate in front of the shard pool. Admissions are
-// dispatched to the least-loaded active shard; when every active shard is
-// at its per-shard live bound they wait in a bounded queue scheduled by
+// dispatched to the least-loaded shard; when every shard is at its
+// per-shard live bound they wait in a bounded queue scheduled by
 // weighted fair queueing across admission classes (FIFO within a class).
-// The pool is resizable at runtime: grow makes fresh slots dispatchable
-// (admitting queued work immediately), shrink marks shards draining and
-// reaps them once their live count hits zero.
 type Gate struct {
 	cfg Config
 
@@ -197,8 +136,6 @@ type Gate struct {
 	rejected int64
 	shed     int64
 	draining bool
-	resizes  int64
-	events   []ResizeEvent
 }
 
 // NewGate builds a gate for cfg.
@@ -211,38 +148,22 @@ func NewGate(cfg Config) *Gate {
 			Weights:    cfg.Weights,
 			TotalDepth: cfg.QueueDepth,
 			ClassDepth: cfg.ClassQueueDepth,
-			Window:     cfg.LatencyWindow,
 		}),
 	}
 }
 
-// NumShards returns the number of active (dispatchable) shards.
-func (g *Gate) NumShards() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.activeLocked()
-}
+// NumShards returns the number of shards in the pool.
+func (g *Gate) NumShards() int { return len(g.shards) }
 
-func (g *Gate) activeLocked() int {
-	n := 0
-	for i := range g.shards {
-		if !g.shards[i].draining && !g.shards[i].reaped {
-			n++
-		}
-	}
-	return n
-}
-
-// leastLoadedLocked returns the active shard with the fewest live queries
-// that still has capacity, or -1 when all are full. Draining and reaped
-// shards never receive dispatches. Ties break to the lowest index, which
-// keeps dispatch deterministic (and spreads a burst round-robin across
-// idle shards).
+// leastLoadedLocked returns the shard with the fewest live queries that
+// still has capacity, or -1 when all are full. Ties break to the lowest
+// index, which keeps dispatch deterministic (and spreads a burst
+// round-robin across idle shards).
 func (g *Gate) leastLoadedLocked() int {
 	best := -1
 	for s := range g.shards {
 		sh := &g.shards[s]
-		if sh.draining || sh.reaped || sh.live >= g.cfg.MaxLivePerShard {
+		if sh.live >= g.cfg.MaxLivePerShard {
 			continue
 		}
 		if best < 0 || sh.live < g.shards[best].live {
@@ -258,9 +179,9 @@ func (g *Gate) grantLocked(shard int) {
 	g.admitted++
 }
 
-// dispatchLocked grants scheduled admissions while active capacity
-// remains — the shared tail of release and grow. The fair queue decides
-// WHO goes next; the least-loaded scan decides WHERE.
+// dispatchLocked grants scheduled admissions while capacity remains.
+// The fair queue decides WHO goes next; the least-loaded scan decides
+// WHERE.
 func (g *Gate) dispatchLocked() {
 	for g.sched.Len() > 0 {
 		s := g.leastLoadedLocked()
@@ -280,8 +201,8 @@ func (g *Gate) Admit(ctx context.Context) (*Slot, error) {
 	return g.AdmitClass(ctx, "")
 }
 
-// AdmitClass claims a slot on the least-loaded active shard for one
-// admission of the named class. When every active shard is at capacity
+// AdmitClass claims a slot on the least-loaded shard for one admission
+// of the named class. When every shard is at capacity
 // the admission waits in the bounded fair queue until the scheduler
 // grants it a freed slot, its queue (class or shared) overflows
 // (ErrSaturated), the gate starts draining (ErrDraining), deadline
@@ -357,118 +278,16 @@ func (g *Gate) AdmitClass(ctx context.Context, class string) (*Slot, error) {
 	}
 }
 
-// release frees one slot, records the admission-to-done latency, reaps
-// the shard if a shrink marked it draining and this was its last live
-// query, and dispatches scheduled admissions while capacity remains.
+// release frees one slot, records the admission-to-done latency, and
+// dispatches scheduled admissions while capacity remains.
 func (g *Gate) release(shard int, cls *qos.Class, at time.Time) {
 	g.mu.Lock()
-	sh := &g.shards[shard]
-	sh.live--
-	if sh.draining && !sh.reaped && sh.live == 0 {
-		sh.reaped = true
-	}
+	g.shards[shard].live--
 	if cls != nil {
 		cls.RecordDone(time.Since(at))
 	}
 	g.dispatchLocked()
 	g.mu.Unlock()
-}
-
-// Resize sets the number of active shards to n. Grow reactivates draining
-// shards first (their live work is capacity already paid for), then
-// resurrects reaped slots, and only appends brand-new slots for the
-// remainder; fresh capacity admits queued work immediately, inside this
-// call. Shrink marks the emptiest active shards draining (ties to the
-// highest index, so shard 0 is the last to go); a draining shard finishes
-// its live queries, receives nothing new, and is reaped when empty,
-// keeping its lifetime counters in Stats. Resizing a draining gate fails
-// with ErrDraining; n == current active count is a recorded no-op-free
-// success.
-func (g *Gate) Resize(n int, source, reason string) error {
-	return g.resizeChecked(-1, n, source, reason)
-}
-
-// ResizeFrom is Resize guarded by the caller's observed active count: it
-// applies only while the pool is still `from` shards, failing with
-// ErrResizeConflict otherwise. The autoscaler uses it so a decision
-// computed from a stats snapshot can never revert an operator resize
-// that landed between the snapshot and the actuation.
-func (g *Gate) ResizeFrom(from, n int, source, reason string) error {
-	return g.resizeChecked(from, n, source, reason)
-}
-
-func (g *Gate) resizeChecked(expectFrom, n int, source, reason string) error {
-	if n < 1 {
-		return fmt.Errorf("engine: resize to %d shards: need at least 1", n)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.draining {
-		return ErrDraining
-	}
-	from := g.activeLocked()
-	if expectFrom >= 0 && from != expectFrom {
-		return ErrResizeConflict
-	}
-	switch {
-	case n == from:
-		return nil
-	case n > from:
-		// Grow order: reactivate draining, resurrect reaped lowest-index
-		// first, append.
-		need := n - from
-		for i := range g.shards {
-			if need == 0 {
-				break
-			}
-			if g.shards[i].draining && !g.shards[i].reaped {
-				g.shards[i].draining = false
-				need--
-			}
-		}
-		for i := range g.shards {
-			if need == 0 {
-				break
-			}
-			if g.shards[i].reaped {
-				g.shards[i].reaped = false
-				g.shards[i].draining = false
-				need--
-			}
-		}
-		for ; need > 0; need-- {
-			g.shards = append(g.shards, shardState{})
-		}
-		// A grow under saturation is exactly when it matters: the queued
-		// work spreads onto the fresh capacity right now.
-		g.dispatchLocked()
-	default:
-		for mark := from - n; mark > 0; mark-- {
-			pick := -1
-			for i := range g.shards {
-				s := &g.shards[i]
-				if s.draining || s.reaped {
-					continue
-				}
-				if pick < 0 || s.live < g.shards[pick].live ||
-					(s.live == g.shards[pick].live && i > pick) {
-					pick = i
-				}
-			}
-			g.shards[pick].draining = true
-			if g.shards[pick].live == 0 {
-				g.shards[pick].reaped = true
-			}
-		}
-	}
-	g.resizes++
-	g.events = append(g.events, ResizeEvent{
-		At: time.Now(), From: from, To: n, Source: source, Reason: reason,
-	})
-	if len(g.events) > maxResizeEvents {
-		g.events = append(g.events[:0], g.events[len(g.events)-maxResizeEvents:]...)
-	}
-	return nil
 }
 
 // Drain stops admission: new Admit calls and every already queued waiter
@@ -514,36 +333,25 @@ type ShardStats struct {
 	// Live is the number of queries holding one of the shard's slots
 	// right now.
 	Live int `json:"live"`
-	// Admitted counts the queries ever dispatched to the shard; a reaped
-	// shard keeps its count — shrinking never erases history.
+	// Admitted counts the queries ever dispatched to the shard.
 	Admitted int64 `json:"admitted"`
-	// State is the shard's pool state: ShardActive (dispatchable),
-	// ShardDraining (shrink-marked: finishing live queries, receiving
-	// nothing new) or ShardReaped (out of the pool; counters retained).
-	State string `json:"state"`
 }
 
-// Stats is a point-in-time snapshot of the gate. The whole snapshot —
-// shard slice, active count, counters, per-class QoS accounting and
-// resize history — is taken under the same lock Resize mutates them
-// with, so a concurrent resize can never yield a torn view (e.g. an
-// ActiveShards count disagreeing with the per-shard states).
+// Stats is a point-in-time snapshot of the gate, taken under one lock so
+// the shard counters, the queue and the per-class accounting agree.
 type Stats struct {
-	Shards          []ShardStats  `json:"shards"`
-	ActiveShards    int           `json:"active_shards"`
-	Queued          int           `json:"queued"`
-	QueueDepth      int           `json:"queue_depth"`
-	MaxLivePerShard int           `json:"max_live_per_shard"`
-	Admitted        int64         `json:"admitted"`
-	Rejected        int64         `json:"rejected"`
-	Shed            int64         `json:"shed"`
-	Resizes         int64         `json:"resizes"`
-	ResizeEvents    []ResizeEvent `json:"resize_events,omitempty"`
-	Draining        bool          `json:"draining"`
+	Shards          []ShardStats `json:"shards"`
+	Queued          int          `json:"queued"`
+	QueueDepth      int          `json:"queue_depth"`
+	MaxLivePerShard int          `json:"max_live_per_shard"`
+	Admitted        int64        `json:"admitted"`
+	Rejected        int64        `json:"rejected"`
+	Shed            int64        `json:"shed"`
+	Draining        bool         `json:"draining"`
 
 	// Classes is the per-admission-class QoS accounting, sorted by
 	// class name; QueueWait summarizes the gate-wide windowed queue wait
-	// (the autoscaler's SLO signal reads its P99).
+	// (Retry-After hints read its P90).
 	Classes   []qos.ClassStats `json:"-"`
 	QueueWait qos.Summary      `json:"-"`
 }
@@ -552,28 +360,23 @@ type Stats struct {
 func (g *Gate) Stats() Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	agg := g.sched.WaitSummary()
 	st := Stats{
 		Shards:          make([]ShardStats, len(g.shards)),
-		ActiveShards:    g.activeLocked(),
 		Queued:          g.sched.Len(),
 		QueueDepth:      g.cfg.QueueDepth,
 		MaxLivePerShard: g.cfg.MaxLivePerShard,
 		Admitted:        g.admitted,
 		Rejected:        g.rejected,
 		Shed:            g.shed,
-		Resizes:         g.resizes,
-		ResizeEvents:    append([]ResizeEvent(nil), g.events...),
 		Draining:        g.draining,
 		Classes:         g.sched.Stats(),
-		QueueWait:       agg,
+		QueueWait:       g.sched.WaitSummary(),
 	}
 	for s := range g.shards {
 		st.Shards[s] = ShardStats{
 			Shard:    s,
 			Live:     g.shards[s].live,
 			Admitted: g.shards[s].admitted,
-			State:    g.shards[s].state(),
 		}
 	}
 	return st

@@ -208,7 +208,8 @@ func TestGateAdmitContextCancel(t *testing.T) {
 
 // TestGateConcurrentAdmission hammers a small gate from many goroutines
 // under -race: the per-shard live bound must never be exceeded, every
-// admission must eventually land, and the final live count must be zero.
+// admission must eventually land, the final live and queued counts must
+// be zero, and the gate's admitted count must equal the shards' sum.
 func TestGateConcurrentAdmission(t *testing.T) {
 	const (
 		shards   = 4
@@ -253,6 +254,7 @@ func TestGateConcurrentAdmission(t *testing.T) {
 		t.Fatalf("admitted %d, want %d", got, workers*perGoros)
 	}
 	st := g.Stats()
+	var perShard int64
 	for _, sh := range st.Shards {
 		if sh.Live != 0 {
 			t.Fatalf("shard %d still has %d live after all releases", sh.Shard, sh.Live)
@@ -260,5 +262,12 @@ func TestGateConcurrentAdmission(t *testing.T) {
 		if sh.Admitted == 0 {
 			t.Fatalf("shard %d never admitted anything — dispatch is unfair: %+v", sh.Shard, st.Shards)
 		}
+		perShard += sh.Admitted
+	}
+	if st.Admitted != perShard {
+		t.Fatalf("gate admitted %d, shards admitted %d in sum", st.Admitted, perShard)
+	}
+	if st.Queued != 0 {
+		t.Fatalf("%d still queued after all releases", st.Queued)
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -187,15 +186,15 @@ func TestGateDeadlineShed(t *testing.T) {
 	}
 }
 
-// TestGateDrainResizeStormAcrossClasses: a resize under multi-class
-// saturation dispatches onto the fresh capacity in fair order, and the
-// following drain fails every still-queued waiter — nobody strands.
-func TestGateDrainResizeStormAcrossClasses(t *testing.T) {
+// TestGateDrainAcrossClasses: a drain under multi-class saturation fails
+// every queued waiter of every class with ErrDraining at once, refuses
+// new admissions of any class, and returns once the live slots release —
+// nobody strands and the queue ends empty.
+func TestGateDrainAcrossClasses(t *testing.T) {
 	g := NewGate(Config{
 		Shards: 2, MaxLivePerShard: 1, QueueDepth: 32,
 		Weights: map[string]int{"a": 4, "b": 2},
 	})
-	hold := make(chan struct{})
 	var blockers []*Slot
 	for i := 0; i < 2; i++ {
 		s, err := g.AdmitClass(context.Background(), "a")
@@ -205,15 +204,12 @@ func TestGateDrainResizeStormAcrossClasses(t *testing.T) {
 		blockers = append(blockers, s)
 	}
 
-	granted := make(chan struct{}, 16)
-	results := make(chan error, 16)
+	results := make(chan error, 12)
 	classes := []string{"a", "b", "c"}
 	for i := 0; i < 12; i++ {
 		go func(class string) {
 			s, err := g.AdmitClass(context.Background(), class)
 			if err == nil {
-				granted <- struct{}{}
-				<-hold
 				s.Release()
 			}
 			results <- err
@@ -221,115 +217,45 @@ func TestGateDrainResizeStormAcrossClasses(t *testing.T) {
 	}
 	waitQueued(t, g, 12)
 
-	// Grow 2 -> 4: exactly two queued waiters dispatch onto the fresh
-	// slots, inside Resize itself.
-	if err := g.Resize(4, "operator", "storm"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case <-granted:
-		case <-time.After(5 * time.Second):
-			t.Fatal("grow did not dispatch onto fresh capacity")
-		}
-	}
-	if st := g.Stats(); st.Queued != 10 {
-		t.Fatalf("queued %d after grow, want 10", st.Queued)
-	}
-
-	// Drain: the 10 still-queued waiters fail with ErrDraining now, the
-	// 4 held slots release when we let go.
 	drained := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		drained <- g.Drain(ctx)
 	}()
-	failed := 0
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 12; i++ {
 		select {
 		case err := <-results:
 			if !errors.Is(err, ErrDraining) {
 				t.Fatalf("queued waiter got %v, want ErrDraining", err)
 			}
-			failed++
 		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d queued waiters failed; the rest stranded", failed)
+			t.Fatalf("only %d queued waiters failed; the rest stranded", i)
 		}
 	}
-	close(hold)
+	for _, class := range classes {
+		if _, err := g.AdmitClass(context.Background(), class); !errors.Is(err, ErrDraining) {
+			t.Fatalf("class %q admit while draining: %v, want ErrDraining", class, err)
+		}
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned %v with slots still live", err)
+	case <-time.After(10 * time.Millisecond):
+	}
 	for _, b := range blockers {
 		b.Release()
 	}
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	for i := 0; i < 2; i++ { // the two granted-then-released waiters
-		if err := <-results; err != nil {
-			t.Fatalf("granted waiter got %v", err)
+	st := g.Stats()
+	if st.Queued != 0 || st.Admitted != 2 || st.Rejected != 15 {
+		t.Fatalf("after drain: queued %d admitted %d rejected %d, want 0/2/15", st.Queued, st.Admitted, st.Rejected)
+	}
+	for _, sh := range st.Shards {
+		if sh.Live != 0 {
+			t.Fatalf("shard %d still has %d live after drain", sh.Shard, sh.Live)
 		}
-	}
-	if st := g.Stats(); st.Queued != 0 {
-		t.Fatalf("queued %d after drain", st.Queued)
-	}
-}
-
-// sloTick runs one autoscaler poll with a mostly-empty queue, zero
-// rejections, and the fabricated gate-wide p99 queue wait.
-func sloTick(h *scalerHarness, a *Autoscaler, p99 time.Duration) {
-	h.advance(a.cfg.Interval)
-	st := h.stats()
-	h.setLoad(st.ActiveShards, 1, 64, st.Rejected)
-	h.mu.Lock()
-	h.st.QueueWait.P99 = p99
-	h.mu.Unlock()
-	a.tick()
-}
-
-// TestAutoscalerSLOBreachGrows: a sustained p99 queue-wait breach counts
-// as hot and grows the pool with ZERO rejections and a near-empty queue
-// — capacity arrives before anything bounces — while a poll back under
-// the SLO breaks the streak like any cold poll.
-func TestAutoscalerSLOBreachGrows(t *testing.T) {
-	h := newScalerHarness(1)
-	a := newTestScaler(h, AutoscalerConfig{
-		Min: 1, Max: 4, GrowAfter: 3, Cooldown: time.Nanosecond,
-		SLOQueueWaitP99: 50 * time.Millisecond,
-	})
-	sloTick(h, a, 80*time.Millisecond)
-	sloTick(h, a, 80*time.Millisecond)
-	if got := h.resized(); len(got) != 0 {
-		t.Fatalf("resized %v after 2/3 breached polls", got)
-	}
-	// Back under the SLO: the hysteresis streak restarts.
-	sloTick(h, a, 10*time.Millisecond)
-	sloTick(h, a, 80*time.Millisecond)
-	sloTick(h, a, 80*time.Millisecond)
-	if got := h.resized(); len(got) != 0 {
-		t.Fatalf("resized %v across a broken streak", got)
-	}
-	sloTick(h, a, 80*time.Millisecond)
-	if got := h.resized(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("resized %v, want [2] from the SLO signal", got)
-	}
-	d, _ := a.Last()
-	if d.Action != "grow" || !strings.Contains(d.Reason, "SLO") {
-		t.Fatalf("grow decision %+v, want an SLO-attributed reason", d)
-	}
-	if st := h.stats(); st.Rejected != 0 {
-		t.Fatalf("%d rejections before the SLO grow, want 0", st.Rejected)
-	}
-}
-
-// TestAutoscalerSLODisabledByDefault: without a declared SLO, even an
-// enormous p99 queue wait is not a hot signal on its own.
-func TestAutoscalerSLODisabledByDefault(t *testing.T) {
-	h := newScalerHarness(1)
-	a := newTestScaler(h, AutoscalerConfig{Min: 1, Max: 4, GrowAfter: 1, Cooldown: time.Nanosecond})
-	for i := 0; i < 3; i++ {
-		sloTick(h, a, time.Hour)
-	}
-	if got := h.resized(); len(got) != 0 {
-		t.Fatalf("resized %v with no SLO declared", got)
 	}
 }

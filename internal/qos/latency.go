@@ -20,8 +20,9 @@ type Window struct {
 	scratch []time.Duration
 }
 
-// DefaultWindow is the per-class latency window size when the owner
-// does not configure one.
+// DefaultWindow is the size of every latency window the scheduler keeps:
+// each class's queue-wait and admission-to-done windows and the
+// aggregate queue-wait window.
 const DefaultWindow = 512
 
 // NewWindow returns an empty window keeping the n most recent

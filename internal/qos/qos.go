@@ -29,13 +29,10 @@ import (
 // Options configures a scheduler.
 type Options struct {
 	// Weights maps class names to their fair-queueing weight (default
-	// DefaultWeight). A class named "family|client" that has no weight
-	// of its own inherits the weight of "family", so per-client classes
-	// split their family's share instead of multiplying it.
+	// 1). A class named "family|client" that has no weight of its own
+	// inherits the weight of "family", so per-client classes split their
+	// family's share instead of multiplying it.
 	Weights map[string]int
-	// DefaultWeight is the weight of classes absent from Weights
-	// (default 1).
-	DefaultWeight int
 	// TotalDepth bounds the waiters queued across all classes; 0
 	// disables queueing entirely (Enqueue always fails).
 	TotalDepth int
@@ -43,23 +40,14 @@ type Options struct {
 	// i.e. no per-class tightening), so a single saturating class can be
 	// kept from consuming the whole shared waiting room.
 	ClassDepth int
-	// Window is the per-class latency window size (default
-	// DefaultWindow).
-	Window int
 }
 
 func (o Options) withDefaults() Options {
-	if o.DefaultWeight <= 0 {
-		o.DefaultWeight = 1
-	}
 	if o.TotalDepth < 0 {
 		o.TotalDepth = 0
 	}
 	if o.ClassDepth <= 0 || o.ClassDepth > o.TotalDepth {
 		o.ClassDepth = o.TotalDepth
-	}
-	if o.Window <= 0 {
-		o.Window = DefaultWindow
 	}
 	return o
 }
@@ -206,7 +194,7 @@ type ClassStats struct {
 }
 
 // Sched is the weighted fair queue over all classes plus the aggregate
-// queue-wait window the SLO signal reads. Not safe for concurrent use:
+// queue-wait window Retry-After hints read. Not safe for concurrent use:
 // the owner serializes every call under its own mutex.
 type Sched struct {
 	opts Options
@@ -218,7 +206,7 @@ type Sched struct {
 	seq    uint64
 	queued int
 
-	aggWait *Window // queue waits across all classes (SLO signal)
+	aggWait *Window // queue waits across all classes (Retry-After hints)
 }
 
 // New builds an empty scheduler.
@@ -227,12 +215,12 @@ func New(opts Options) *Sched {
 	return &Sched{
 		opts:    opts,
 		classes: make(map[string]*Class),
-		aggWait: NewWindow(opts.Window),
+		aggWait: NewWindow(DefaultWindow),
 	}
 }
 
 // weightFor resolves a class name's weight: exact match first, then the
-// family prefix of a "family|client" name, then the default.
+// family prefix of a "family|client" name, then weight 1.
 func (s *Sched) weightFor(name string) int {
 	if w, ok := s.opts.Weights[name]; ok && w > 0 {
 		return w
@@ -242,7 +230,7 @@ func (s *Sched) weightFor(name string) int {
 			return w
 		}
 	}
-	return s.opts.DefaultWeight
+	return 1
 }
 
 // Lookup returns the named class, creating it on first sight. The
@@ -255,8 +243,8 @@ func (s *Sched) Lookup(name string) *Class {
 	c := &Class{
 		name:   name,
 		weight: float64(s.weightFor(name)),
-		wait:   NewWindow(s.opts.Window),
-		done:   NewWindow(s.opts.Window),
+		wait:   NewWindow(DefaultWindow),
+		done:   NewWindow(DefaultWindow),
 	}
 	s.classes[name] = c
 	s.order = append(s.order, c)
@@ -397,7 +385,7 @@ func (s *Sched) PredictWait(c *Class) time.Duration {
 }
 
 // WaitSummary summarizes the aggregate queue-wait window across all
-// classes — the autoscaler's SLO signal.
+// classes — the source of the serving layer's Retry-After hints.
 func (s *Sched) WaitSummary() Summary { return s.aggWait.Summary() }
 
 // Stats snapshots every class's accounting, sorted by name.

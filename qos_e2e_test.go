@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -22,7 +21,7 @@ func TestParseQoSWeights(t *testing.T) {
 	if w, err := ParseQoSWeights("  "); err != nil || w != nil {
 		t.Fatalf("empty spec: %v, %v", w, err)
 	}
-	for _, bad := range []string{"tpch", "tpch=0", "tpch=-2", "=3", "tpch=x"} {
+	for _, bad := range []string{"tpch", "tpch=0", "tpch=-2", "=3", "tpch=x", "tpch=9,tpch=1"} {
 		if _, err := ParseQoSWeights(bad); err == nil {
 			t.Errorf("spec %q parsed without error", bad)
 		}
@@ -241,63 +240,4 @@ func TestServerDeadlineShed(t *testing.T) {
 		t.Fatalf("stats shed=%d queued=%d deadline=%v, want 1, 0, true", st.ShedTotal, st.Queued, st.DeadlineAdmission)
 	}
 	waitDone(t, srv.URL, q2.ID)
-}
-
-// TestEngineSLOGrowBeforeRejection: under load that breaches the p99
-// queue-wait SLO — but never fills the (deep) queue — the autoscaler
-// grows the pool with ZERO rejections: capacity arrives before anything
-// bounces.
-func TestEngineSLOGrowBeforeRejection(t *testing.T) {
-	w := serverWorkload(t)
-	e := NewEngine(w, EngineConfig{
-		Shards: 1, MinShards: 1, MaxShards: 2,
-		MaxLivePerShard: 1, QueueDepth: 64,
-		AutoscaleInterval:  5 * time.Millisecond,
-		AutoscaleGrowPolls: 2,
-		AutoscaleCooldown:  time.Nanosecond,
-		SLOQueueWaitP99:    time.Millisecond,
-	}, MonitorOptions{UpdateEvery: 4, Pace: 10 * time.Millisecond})
-	defer e.Drain(context.Background())
-
-	// Four concurrent queries on a 1-wide pool: three queue, and the
-	// first queued grant records a wait of one whole paced runtime —
-	// far over the 1ms SLO.
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m, err := e.Start(context.Background(), 0)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := m.Wait(); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	grown := false
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if st := e.Stats(); st.CurrentShards == 2 {
-			grown = true
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	wg.Wait()
-	st := e.Stats()
-	if !grown {
-		t.Fatalf("pool never grew on the SLO breach: %+v", st)
-	}
-	if st.Rejected != 0 || st.ShedTotal != 0 {
-		t.Fatalf("rejected=%d shed=%d before the SLO grow, want 0", st.Rejected, st.ShedTotal)
-	}
-	if len(st.ResizeEvents) == 0 || !strings.Contains(st.ResizeEvents[0].Reason, "SLO") {
-		t.Fatalf("resize events %+v, want an SLO-attributed grow", st.ResizeEvents)
-	}
-	if st.SLOQueueWaitP99MS != 1 {
-		t.Fatalf("reported SLO %vms, want 1", st.SLOQueueWaitP99MS)
-	}
 }

@@ -195,7 +195,7 @@ func TestSlotReleasedBeforeWaitReturns(t *testing.T) {
 	})
 }
 
-// TestSmallBodiesBounded: the three small-JSON routes refuse a body past
+// TestSmallBodiesBounded: the two small-JSON routes refuse a body past
 // 64 KiB with 413 instead of decoding it.
 func TestSmallBodiesBounded(t *testing.T) {
 	w := learningWorkload(t)
@@ -209,7 +209,6 @@ func TestSmallBodiesBounded(t *testing.T) {
 	pad := strings.Repeat("a", maxSmallBody)
 	for _, c := range []struct{ path, body string }{
 		{"/queries", `{"query":0,"client":"` + pad + `"}`},
-		{"/engine/resize", `{"shards":1,"pad":"` + pad + `"}`},
 		{"/models/rollback", `{"family":"` + pad + `"}`},
 	} {
 		if code := doJSON(t, http.MethodPost, srv.URL+c.path, c.body, nil); code != http.StatusRequestEntityTooLarge {

@@ -38,8 +38,7 @@ import (
 //	GET    /sessions/{id}/progress                      -> run + freshest ProgressUpdate
 //	DELETE /sessions/{id}                               -> abort the session
 //
-//	GET  /engine/stats                         -> shard pool, queue, QoS + resize state
-//	POST /engine/resize          {"shards": n} -> operator pool resize
+//	GET  /engine/stats                         -> shard pool, queue + QoS state
 //	GET  /healthz                              -> {"status": "ok"}
 //
 // Every run records its placement (shard), family, admission class and
@@ -115,7 +114,6 @@ func NewEngineServer(e *Engine) *Server {
 	s.mux.HandleFunc("POST /sessions/{id}/observations", s.handleSessionObserve)
 	s.mux.HandleFunc("DELETE /sessions/{id}", s.handleSessionDelete)
 	s.mux.HandleFunc("GET /engine/stats", s.handleEngineStats)
-	s.mux.HandleFunc("POST /engine/resize", s.handleResize)
 	s.mux.HandleFunc("GET /models", s.handleModels)
 	s.mux.HandleFunc("GET /models/drift", s.handleDrift)
 	s.mux.HandleFunc("POST /models/retrain", s.handleRetrain)
@@ -160,7 +158,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// maxSmallBody bounds the small JSON request bodies (submit, resize,
+// maxSmallBody bounds the small JSON request bodies (submit,
 // rollback); the session routes bound theirs in requestScratch.readBody.
 const maxSmallBody = 64 << 10
 
@@ -223,41 +221,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleEngineStats is GET /engine/stats — and the answer of a successful
-// POST /engine/resize: the engine's snapshot plus the session layer's
-// accounting.
+// handleEngineStats is GET /engine/stats: the engine's snapshot plus the
+// session layer's accounting.
 func (s *Server) handleEngineStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.eng.Stats()
 	st.Ingest = s.sessionStats()
 	writeJSON(w, http.StatusOK, st)
-}
-
-// resizeRequest is the POST /engine/resize body.
-type resizeRequest struct {
-	// Shards is the desired active shard count: the concurrency cap in
-	// units of MaxLivePerShard admission slots.
-	Shards int `json:"shards"`
-}
-
-// handleResize is the operator override of the shard pool size: it
-// resizes immediately (the autoscaler, if any, restarts its hysteresis
-// from the new size) and answers with the post-resize engine stats.
-func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
-	var req resizeRequest
-	if !decodeBody(w, r, &req, false) {
-		return
-	}
-	err := s.eng.Resize(req.Shards)
-	switch {
-	case errors.Is(err, errResizeInvalid):
-		writeError(w, http.StatusBadRequest, "resize: %v", err)
-	case IsDraining(err):
-		writeError(w, http.StatusConflict, "resize: %v", err)
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "resize: %v", err)
-	default:
-		s.handleEngineStats(w, r)
-	}
 }
 
 // submitRequest is the POST /queries body.

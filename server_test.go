@@ -71,7 +71,7 @@ func TestServerRejectsBadRoutesAndMethods(t *testing.T) {
 	defer srv.Close()
 
 	// Unknown paths.
-	for _, path := range []string{"/nope", "/queries/q1", "/models/nope"} {
+	for _, path := range []string{"/nope", "/queries/q1", "/models/nope", "/engine/resize"} {
 		if code := doJSON(t, http.MethodGet, srv.URL+path, "", nil); code != http.StatusNotFound {
 			t.Errorf("GET %s: status %d, want 404", path, code)
 		}
@@ -82,7 +82,6 @@ func TestServerRejectsBadRoutesAndMethods(t *testing.T) {
 		{http.MethodDelete, "/queries"},
 		{http.MethodPost, "/queries/q1/progress"},
 		{http.MethodPost, "/engine/stats"},
-		{http.MethodGet, "/engine/resize"},
 		{http.MethodPost, "/models"},
 		{http.MethodGet, "/models/retrain"},
 		{http.MethodGet, "/models/rollback"},

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 // keyPaths returns the document's object keys in emission order, as
@@ -87,8 +86,8 @@ func under(prefix string, keys []string) []string {
 }
 
 // TestWireKeyOrder pins the exact ordered JSON keys of the documents the
-// daemon serves — engine stats after a resize and an autoscaler poll,
-// the model lifecycle with a version, a decision, a canary and corpus
+// daemon serves — engine stats with per-class accounting, the model
+// lifecycle with a version, a decision, a canary and corpus
 // stats present, health, and a run — so that re-declaring or aliasing a
 // wire struct cannot silently rename, drop or reorder a field.
 func TestWireKeyOrder(t *testing.T) {
@@ -105,11 +104,8 @@ func TestWireKeyOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lrn.Close()
-	eng := NewEngine(w, EngineConfig{
-		Shards: 1, MinShards: 1, MaxShards: 2, MaxLivePerShard: 4, QueueDepth: 4,
-		AutoscaleInterval: 5 * time.Millisecond, AutoscaleShrinkPolls: 1,
-		SLOQueueWaitP99: time.Second,
-	}, MonitorOptions{UpdateEvery: 4, Learning: lrn})
+	eng := NewEngine(w, EngineConfig{Shards: 2, MaxLivePerShard: 4, QueueDepth: 4},
+		MonitorOptions{UpdateEvery: 4, Learning: lrn})
 	srv := httptest.NewServer(NewEngineServer(eng))
 	defer srv.Close()
 	defer eng.Drain(t.Context())
@@ -157,41 +153,16 @@ func TestWireKeyOrder(t *testing.T) {
 	assertKeys(t, "GET /healthz", keyPaths(t, getRaw(t, srv.URL+"/healthz")),
 		[]string{"corpus_size", "model", "queries", "shards", "status"})
 
-	if code := doJSON(t, http.MethodPost, srv.URL+"/engine/resize", `{"shards": 2}`, nil); code != http.StatusOK {
-		t.Fatalf("resize: status %d", code)
-	}
-	// Every poll of an idle pool explains itself (at min, cooling down, or
-	// shrinking), so a decision with a reason shows up within a few ticks.
-	var stats []byte
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-		stats = getRaw(t, srv.URL+"/engine/stats")
-		var st EngineStats
-		if err := json.Unmarshal(stats, &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.LastDecision != nil && st.LastDecision.Reason != "" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no reasoned autoscaler decision: %s", stats)
-		}
-	}
-	assertKeys(t, "GET /engine/stats", keyPaths(t, stats), slices.Concat(
-		[]string{"shards", "shards[].shard", "shards[].live", "shards[].admitted", "shards[].state",
-			"current_shards", "min_shards", "max_shards", "autoscale", "queued", "queue_depth",
-			"max_live_per_shard", "admitted", "rejected", "shed_total", "queue_wait"},
+	assertKeys(t, "GET /engine/stats", keyPaths(t, getRaw(t, srv.URL+"/engine/stats")), slices.Concat(
+		[]string{"shards", "shards[].shard", "shards[].live", "shards[].admitted",
+			"queued", "queue_depth", "max_live_per_shard", "admitted", "rejected", "shed_total", "queue_wait"},
 		under("queue_wait", latencyKeys),
 		[]string{"classes", "classes[].class", "classes[].weight", "classes[].queued", "classes[].admitted",
 			"classes[].rejected", "classes[].shed", "classes[].queue_wait"},
 		under("classes[].queue_wait", latencyKeys),
 		[]string{"classes[].latency"},
 		under("classes[].latency", latencyKeys),
-		[]string{"slo_queue_wait_p99_ms", "deadline_admission", "resizes",
-			"resize_events", "resize_events[].at", "resize_events[].from", "resize_events[].to",
-			"resize_events[].source", "resize_events[].reason",
-			"last_decision", "last_decision.at", "last_decision.action", "last_decision.from",
-			"last_decision.to", "last_decision.reason",
-			"draining",
+		[]string{"deadline_admission", "draining",
 			"ingest", "ingest.open_sessions", "ingest.opened", "ingest.completed", "ingest.expired",
 			"ingest.aborted", "ingest.batches", "ingest.rejected_batches", "ingest.observations",
 			"ingest.ttl_seconds"}))
@@ -234,11 +205,7 @@ func TestWireStructFields(t *testing.T) {
 		v    any
 		want []string
 	}{
-		{ShardStats{}, []string{"Shard int shard", "Live int live", "Admitted int64 admitted", "State string state"}},
-		{ResizeEvent{}, []string{"At time.Time at", "From int from", "To int to", "Source string source",
-			"Reason string reason,omitempty"}},
-		{AutoscaleDecision{}, []string{"At time.Time at", "Action string action", "From int from", "To int to",
-			"Reason string reason,omitempty"}},
+		{ShardStats{}, []string{"Shard int shard", "Live int live", "Admitted int64 admitted"}},
 		{HarvestStats{}, []string{"Queries int queries", "Examples int examples", "Skipped int skipped",
 			"Errors int errors"}},
 		{CorpusStats{}, []string{"Segments int segments", "Bytes int64 bytes", "Examples int examples",
