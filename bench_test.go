@@ -232,24 +232,11 @@ func BenchmarkAblationStaticVsDynamicFeatures(b *testing.B) {
 	}
 }
 
-// BenchmarkHarvestSequential and BenchmarkHarvestParallel are the paired
-// benchmark for the training hot path: harvesting labelled examples from
-// every query of a workload, sequentially vs. fanned out across a worker
-// pool. The parallel variant produces bit-identical examples (asserted by
-// TestHarvestParallelMatchesHarvest); compare ns/op for the wall-clock
-// speedup.
-func harvestWorkload(b *testing.B) *progressest.Workload {
-	b.Helper()
-	w, err := progressest.Open(progressest.Config{
-		Dataset: progressest.TPCH, Queries: 24, Scale: 0.1, Seed: 6,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return w
-}
-
-func BenchmarkHarvestSequential(b *testing.B) {
+// BenchmarkHarvest times the training hot path: harvesting labelled
+// examples from every query of a workload, fanned out across GOMAXPROCS
+// workers (run with -cpu 1,4 for the wall-clock speedup; the examples are
+// the same at any width).
+func BenchmarkHarvest(b *testing.B) {
 	w := harvestWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -259,14 +246,17 @@ func BenchmarkHarvestSequential(b *testing.B) {
 	}
 }
 
-func BenchmarkHarvestParallel(b *testing.B) {
-	w := harvestWorkload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.HarvestParallel(0); err != nil {
-			b.Fatal(err)
-		}
+// harvestWorkload is the TPC-H workload the harvest and replay
+// benchmarks share.
+func harvestWorkload(b *testing.B) *progressest.Workload {
+	b.Helper()
+	w, err := progressest.Open(progressest.Config{
+		Dataset: progressest.TPCH, Queries: 24, Scale: 0.1, Seed: 6,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
+	return w
 }
 
 // BenchmarkOnlineVsReplay compares the two ways a caller gets a finished

@@ -72,7 +72,6 @@
 //	          [-drift-ratio F] [-drift-window N] [-no-drift-retrain]
 //	          [-family-quota N]
 //	          [-canary-window N] [-canary-max-age D] [-drift-reject-limit N]
-//	          [-corpus-cache-mb N]
 //	          [-pprof addr]
 //
 // -pprof serves the net/http/pprof profiling endpoints on a separate
@@ -95,12 +94,11 @@
 // /models/drift exposes the serving version's standing and the
 // retrainer's decision history.
 //
-// The learning loop scales to large corpora: the corpus is seg-*.log
-// files only, each sealed segment is indexed in memory at open (record
-// offsets and per-family ordinals) and decoded through a bounded cache
-// (-corpus-cache-mb), so a retrain re-reads only the active tail. Every
-// background poll takes one corpus snapshot and fits the model at most
-// once, whether the size/age policy or a drift verdict asked for it.
+// The corpus is seg-*.log files only; open keeps a record count and
+// per-family counts for each segment, and a retrain reads the whole
+// corpus once (that read is a sliver of the fit). Every background poll
+// takes one corpus snapshot and fits the model at most once, whether the
+// size/age policy or a drift verdict asked for it.
 // Every selector fit bins its matrix once and fits the candidate estimators' models on
 // min(GOMAXPROCS, candidates) goroutines; there is no knob.
 //
@@ -171,7 +169,6 @@ func main() {
 	canaryMaxAge := flag.Duration("canary-max-age", 5*time.Minute, "reject a challenger that cannot fill its confirmation window within this long")
 	driftRejectLimit := flag.Int("drift-reject-limit", 3, "auto-rollback after N consecutive rejected drift retrains of a still-drifting model (0 = off)")
 	trees := flag.Int("trees", 200, "MART boosting iterations for retrained models")
-	corpusCacheMB := flag.Int("corpus-cache-mb", 64, "decode-cache budget for sealed corpus segments in MiB (0 disables)")
 	ingestTTL := flag.Duration("ingest-ttl", 2*time.Minute, "expire external estimation sessions that ingested nothing for this long (negative = never)")
 	ingestMaxSessions := flag.Int("ingest-max-sessions", 256, "concurrently open external estimation sessions")
 	ingestMaxObs := flag.Int("ingest-max-obs", 0, "counter snapshots one session may ingest (0 = default 65536)")
@@ -226,12 +223,6 @@ func main() {
 		if gt == 0 {
 			gt = -1
 		}
-		// -corpus-cache-mb 0 means OFF, which the config encodes as
-		// negative (its zero value selects the 64 MiB default).
-		cacheBytes := int64(*corpusCacheMB) << 20
-		if cacheBytes <= 0 {
-			cacheBytes = -1
-		}
 		// Same convention for -drift-reject-limit 0 (no auto-rollback
 		// breaker): explicit zero means OFF, which the config encodes as
 		// negative.
@@ -254,7 +245,6 @@ func main() {
 			CanaryWindow:        *canaryWindow,
 			CanaryMaxAge:        *canaryMaxAge,
 			DriftRejectLimit:    drl,
-			CorpusCacheBytes:    cacheBytes,
 		})
 		if err != nil {
 			log.Fatal(err)

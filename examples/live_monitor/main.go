@@ -42,7 +42,7 @@ func main() {
 
 	// Train a selector on this system's own history; the harvest fans the
 	// queries across all CPUs.
-	examples, err := w.HarvestParallel(0)
+	examples, err := w.Harvest()
 	if err != nil {
 		log.Fatal(err)
 	}

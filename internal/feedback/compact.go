@@ -13,9 +13,8 @@ import (
 // hardest, so a rare pipeline shape's examples outlive an abundant
 // shape's, and no tagged family is ever cut below its retention quota.
 // The rewritten file is a byte-for-byte valid segment — the original
-// header followed by the surviving records' original bytes — so the
-// sealed-segment reader, in-memory index, decode cache and family-sliced
-// snapshots work on it unchanged.
+// header followed by the surviving records' original bytes — so every
+// reader of a segment reads it unchanged.
 
 // planCompaction decides which records of one sealed segment a compaction
 // drops. fams/sigs are the segment's per-record family and signature
@@ -111,8 +110,9 @@ type CompactionResult struct {
 // ok=false when there is nothing to do — the store is at or under cap,
 // or every over-cap record is quota-protected. The heavy work (decode,
 // rewrite, fsync) happens outside the store lock; the swap re-validates
-// that the segment is still the one planned against before renaming over
-// it, so a concurrent retention delete simply voids the pass.
+// that the planned segment is still live at the byte watermark planned
+// against before renaming over it, so a concurrent retention delete or a
+// competing pass simply voids this one.
 func (s *ExampleStore) CompactOnce() (CompactionResult, bool, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -125,8 +125,8 @@ func (s *ExampleStore) CompactOnce() (CompactionResult, bool, error) {
 		return CompactionResult{}, false, nil
 	}
 	var victim *segment
-	for _, seg := range s.segments[:len(s.segments)-1] {
-		if seg.sealed() && s.droppableLocked(seg) > 0 {
+	for _, seg := range s.segments[:len(s.segments)-1] { // every segment but the tail is sealed
+		if s.droppableLocked(seg) > 0 {
 			victim = seg
 			break
 		}
@@ -140,7 +140,7 @@ func (s *ExampleStore) CompactOnce() (CompactionResult, bool, error) {
 		famTotals[f] = n
 	}
 	quota := s.opts.FamilyQuota
-	path, oldIdx := victim.path, victim.idx
+	path, good, count := victim.path, victim.bytes, victim.count
 	s.mu.Unlock()
 
 	data, err := os.ReadFile(path)
@@ -150,21 +150,16 @@ func (s *ExampleStore) CompactOnce() (CompactionResult, bool, error) {
 	if err != nil {
 		return CompactionResult{}, false, fmt.Errorf("feedback: compact: %w", err)
 	}
-	if int64(len(data)) > oldIdx.good {
-		data = data[:oldIdx.good] // ignore any post-seal foreign growth
+	if int64(len(data)) > good {
+		data = data[:good] // ignore any post-seal foreign growth
 	}
-	fams := make([]string, len(oldIdx.offsets))
-	sigs := make([]string, len(oldIdx.offsets))
-	for i, off := range oldIdx.offsets {
-		_, payload, ok := recordAt(data, off)
-		if !ok {
-			return CompactionResult{}, false, fmt.Errorf("feedback: compact: %s: record %d does not match its index", path, i)
-		}
-		ex, err := decodeExample(payload)
-		if err != nil {
-			return CompactionResult{}, false, fmt.Errorf("feedback: compact: %s: %w", path, err)
-		}
-		fams[i], sigs[i] = ex.Family, ex.Signature
+	spans, fams, sigs, err := recordTags(data, path)
+	if err != nil {
+		return CompactionResult{}, false, fmt.Errorf("feedback: compact: %w", err)
+	}
+	if len(spans) != count {
+		// The file changed under the store (sealed segments never do).
+		return CompactionResult{}, false, fmt.Errorf("feedback: compact: %s holds %d intact records, its bookkeeping %d", path, len(spans), count)
 	}
 	drop := planCompaction(fams, sigs, famTotals, quota, needed)
 	dropped := 0
@@ -180,11 +175,11 @@ func (s *ExampleStore) CompactOnce() (CompactionResult, bool, error) {
 	}
 	res := CompactionResult{Path: path, Dropped: dropped}
 
-	if dropped == len(oldIdx.offsets) {
+	if dropped == len(spans) {
 		// Every record goes: remove the whole segment.
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		i := s.segmentAtLocked(path, oldIdx)
+		i := s.plannedLocked(victim, good)
 		if i < 0 {
 			return CompactionResult{}, false, nil
 		}
@@ -196,16 +191,8 @@ func (s *ExampleStore) CompactOnce() (CompactionResult, bool, error) {
 		return res, true, nil
 	}
 
-	// Rewrite: original header, then the survivors' original record
-	// bytes. The image is a valid segment in the victim's own format.
-	img := make([]byte, 0, int64(len(data))-int64(dropped)*recHeaderSize)
-	img = append(img, data[:segHeaderSize]...)
-	for i, off := range oldIdx.offsets {
-		if !drop[i] {
-			img = append(img, data[off:oldIdx.recordEnd(i)]...)
-		}
-	}
-	newIdx, err := buildSegIndex(img, path)
+	img := survivorImage(data, spans, drop)
+	rebuilt, err := scanSegment(img, path)
 	if err != nil {
 		return CompactionResult{}, false, fmt.Errorf("feedback: compact: rebuilt image invalid: %w", err)
 	}
@@ -232,7 +219,7 @@ func (s *ExampleStore) CompactOnce() (CompactionResult, bool, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := s.segmentAtLocked(path, oldIdx)
+	i := s.plannedLocked(victim, good)
 	if i < 0 {
 		os.Remove(tmpPath)
 		return CompactionResult{}, false, nil
@@ -241,25 +228,9 @@ func (s *ExampleStore) CompactOnce() (CompactionResult, bool, error) {
 		os.Remove(tmpPath)
 		return CompactionResult{}, false, fmt.Errorf("feedback: compact: %w", err)
 	}
-	seg := s.segments[i]
-	if s.cache != nil {
-		s.cache.remove(seg.cacheKey())
-	}
-	seg.gen++
-	seg.idx = newIdx
-	seg.count = len(newIdx.offsets)
-	seg.bytes = newIdx.good
-	s.total -= dropped
-	for ord, d := range drop {
-		if !d {
-			continue
-		}
-		f := fams[ord]
-		s.famCounts[f]--
-		if s.famCounts[f] <= 0 {
-			delete(s.famCounts, f)
-		}
-	}
+	s.tallyLocked(victim, -1)
+	victim.count, victim.bytes, victim.fams = rebuilt.count, rebuilt.bytes, rebuilt.fams
+	s.tallyLocked(victim, 1)
 	s.compactRuns++
 	s.compactedSegs++
 	s.compactDropped += dropped
@@ -268,29 +239,60 @@ func (s *ExampleStore) CompactOnce() (CompactionResult, bool, error) {
 	return res, true, nil
 }
 
+// recordTags walks a sealed segment image and returns each intact
+// record's byte span with its family and signature tags — what
+// planCompaction groups by and survivorImage copies from. A record that
+// passes its CRC but does not decode is an error: compaction never
+// rewrites a segment it cannot read.
+func recordTags(data []byte, path string) (spans [][2]int64, fams, sigs []string, err error) {
+	_, err = walkRecords(data, path, func(off int64, payload []byte) error {
+		ex, err := decodeExample(payload)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		spans = append(spans, [2]int64{off, off + recHeaderSize + int64(len(payload))})
+		fams = append(fams, ex.Family)
+		sigs = append(sigs, ex.Signature)
+		return nil
+	})
+	return spans, fams, sigs, err
+}
+
+// survivorImage is a compacted segment image: the original header, then
+// the original bytes of every record drop keeps. It is a valid segment
+// in the original's own format, never re-encoded.
+func survivorImage(data []byte, spans [][2]int64, drop []bool) []byte {
+	img := append([]byte(nil), data[:segHeaderSize]...)
+	for i, sp := range spans {
+		if !drop[i] {
+			img = append(img, data[sp[0]:sp[1]]...)
+		}
+	}
+	return img
+}
+
 // droppableLocked returns how many of the segment's records compaction
 // may shed without cutting any tagged family below its quota.
 func (s *ExampleStore) droppableLocked(seg *segment) int {
 	quota := s.opts.FamilyQuota
 	n := 0
-	seg.forEachFamilyCount(func(fam string, c int) {
+	for fam, c := range seg.fams {
 		if quota <= 0 || fam == "" {
 			n += c
-			return
-		}
-		if over := s.famCounts[fam] - quota; over > 0 {
+		} else if over := s.famCounts[fam] - quota; over > 0 {
 			n += min(c, over)
 		}
-	})
+	}
 	return n
 }
 
-// segmentAtLocked finds the live segment whose path AND index identity
-// match what a compaction pass planned against; -1 means retention or a
-// competing pass invalidated the plan.
-func (s *ExampleStore) segmentAtLocked(path string, idx *segIndex) int {
-	for i, seg := range s.segments {
-		if seg.path == path && seg.idx == idx {
+// plannedLocked finds the planned segment if it is still live at the
+// byte watermark the pass planned against; -1 means retention deleted it
+// or a competing pass rewrote it (a rewrite always sheds bytes), so the
+// plan is void.
+func (s *ExampleStore) plannedLocked(seg *segment, good int64) int {
+	for i, live := range s.segments {
+		if live == seg && seg.bytes == good {
 			return i
 		}
 	}

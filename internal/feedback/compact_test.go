@@ -182,7 +182,7 @@ func TestCompactionByteCompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The rewritten segments index cleanly, end to end.
+	// The rewritten segments scan cleanly, end to end.
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments: %v", err)
@@ -192,8 +192,8 @@ func TestCompactionByteCompatible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ix, err := buildSegIndex(data, p); err != nil || ix.good != int64(len(data)) {
-			t.Fatalf("%s does not index end to end after compaction: %+v, err %v", p, ix, err)
+		if seg, err := scanSegment(data, p); err != nil || seg.bytes != int64(len(data)) {
+			t.Fatalf("%s does not scan end to end after compaction: %+v, err %v", p, seg, err)
 		}
 	}
 
@@ -274,8 +274,7 @@ func segImage(t testing.TB, exs []selection.Example) []byte {
 // byte blob that parses as a segment, planning + survivor byte-copy must
 // yield an image that (a) still parses with exactly the kept records,
 // (b) keeps the original format version, and (c) decodes to exactly the
-// kept examples in order — the invariants the sealed-segment reader,
-// in-memory index and decode cache rely on.
+// kept examples in order — the invariants every segment reader relies on.
 func FuzzCompactSegmentImage(f *testing.F) {
 	seed := []selection.Example{
 		sigExample(1, "a", "x"), sigExample(2, "a", "x"), sigExample(3, "b", "y"),
@@ -286,55 +285,50 @@ func FuzzCompactSegmentImage(f *testing.F) {
 	f.Add(segImage(f, nil), 2, 1)
 	f.Add([]byte("PESTCORP\x02\x00\x00\x00"), 1, 1)
 	f.Fuzz(func(t *testing.T, data []byte, quota, needed int) {
-		ix, err := buildSegIndex(data, "fuzz")
+		spans, fams, sigs, err := recordTags(data, "fuzz")
 		if err != nil {
-			return // not a segment: compaction never sees it
+			// Not a segment, or a CRC-valid record that does not decode:
+			// CompactOnce errors out, never rewrites.
+			return
 		}
-		data = data[:ix.good]
-		fams := make([]string, len(ix.offsets))
-		sigs := make([]string, len(ix.offsets))
-		for i, off := range ix.offsets {
-			_, payload, ok := recordAt(data, off)
-			if !ok {
-				t.Fatalf("index offset %d does not address an intact record", off)
+		good := int64(segHeaderSize)
+		for i, sp := range spans {
+			if sp[0] != good {
+				t.Fatalf("record %d starts at %d, previous ends at %d", i, sp[0], good)
 			}
-			ex, err := decodeExample(payload)
-			if err != nil {
-				return // CRC-valid but undecodable: CompactOnce errors out, never rewrites
-			}
-			fams[i], sigs[i] = ex.Family, ex.Signature
+			good = sp[1]
 		}
+		data = data[:good]
 		totals := map[string]int{}
 		for _, fam := range fams {
 			totals[fam]++
 		}
 		drop := planCompaction(fams, sigs, totals, quota, needed)
 
-		img := append([]byte(nil), data[:segHeaderSize]...)
+		img := survivorImage(data, spans, drop)
 		kept := 0
-		for i, off := range ix.offsets {
-			if !drop[i] {
-				img = append(img, data[off:ix.recordEnd(i)]...)
+		for _, d := range drop {
+			if !d {
 				kept++
 			}
 		}
-		nix, err := buildSegIndex(img, "fuzz-compacted")
+		nseg, err := scanSegment(img, "fuzz-compacted")
 		if err != nil {
 			t.Fatalf("compacted image does not parse: %v", err)
 		}
-		if len(nix.offsets) != kept {
-			t.Fatalf("compacted image has %d records, want %d", len(nix.offsets), kept)
+		if nseg.count != kept {
+			t.Fatalf("compacted image has %d records, want %d", nseg.count, kept)
 		}
 		was, _ := segFormat(data, "fuzz")
 		if now, _ := segFormat(img, "fuzz-compacted"); now != was {
 			t.Fatalf("compaction changed the format: %d -> %d", was, now)
 		}
-		if nix.good != int64(len(img)) {
-			t.Fatalf("compacted image has %d trailing junk bytes", int64(len(img))-nix.good)
+		if nseg.bytes != int64(len(img)) {
+			t.Fatalf("compacted image has %d trailing junk bytes", int64(len(img))-nseg.bytes)
 		}
-		got, count, _, _, err := scanRecords(img, "fuzz-compacted")
-		if err != nil || count != kept {
-			t.Fatalf("compacted image scan: %d records, err %v; want %d", count, err, kept)
+		got, _, err := scanRecords(img, "fuzz-compacted")
+		if err != nil || len(got) != kept {
+			t.Fatalf("compacted image scan: %d records, err %v; want %d", len(got), err, kept)
 		}
 		// Quota invariant: no tagged family that planCompaction was allowed
 		// to touch dropped below its floor (families already under quota

@@ -43,9 +43,8 @@ type Harvester struct {
 	// harvested examples (champion/challenger confirmation, see canary.go).
 	canary *Canary
 
-	mu      sync.Mutex
-	stats   HarvestStats
-	lastErr error
+	mu    sync.Mutex
+	stats HarvestStats
 }
 
 // NewHarvester wires a harvester to its corpus store. drift and canary
@@ -88,7 +87,6 @@ func (h *Harvester) harvest(tr *exec.Trace, exs []selection.Example, served *Ver
 	h.stats.Examples += n
 	if err != nil {
 		h.stats.Errors++
-		h.lastErr = err
 	}
 	h.mu.Unlock()
 	// Only the examples DURABLY appended feed the drift window (on a

@@ -40,7 +40,7 @@ func buildScaleCorpus(t testing.TB, dir string, n int) []selection.Example {
 	return want
 }
 
-// filterFamily mirrors SnapshotFamily's contract on a full snapshot.
+// filterFamily is the oracle for SnapshotFamily: a full snapshot, filtered.
 func filterFamily(exs []selection.Example, family string) []selection.Example {
 	var out []selection.Example
 	for _, ex := range exs {
@@ -51,8 +51,7 @@ func filterFamily(exs []selection.Example, family string) []selection.Example {
 	return out
 }
 
-// sameExamples compares element-wise, treating nil and empty as equal
-// (SnapshotFamily pre-sizes its result; the filter oracle does not).
+// sameExamples compares element-wise, treating nil and empty as equal.
 func sameExamples(a, b []selection.Example) bool {
 	if len(a) != len(b) {
 		return false
@@ -126,9 +125,9 @@ func TestCorpusDirHoldsOnlySegments(t *testing.T) {
 	}
 }
 
-// TestSnapshotFamilyMatchesFilter: the indexed per-family read is
-// indistinguishable from filtering a full snapshot, for every family
-// including the untagged "" slice and an absent one.
+// TestSnapshotFamilyMatchesFilter: the per-family read is filtering a
+// full snapshot, for every family including the untagged "" slice and an
+// absent one.
 func TestSnapshotFamilyMatchesFilter(t *testing.T) {
 	dir := t.TempDir()
 	buildScaleCorpus(t, dir, 60)
@@ -137,7 +136,7 @@ func TestSnapshotFamilyMatchesFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// Grow the live tail too, so the test covers the undecoded-tail path.
+	// Grow the live tail too, so the read covers sealed segments and tail.
 	if _, err := s.AppendAll(familyExamples(7, 500, "alpha", false)); err != nil {
 		t.Fatal(err)
 	}
@@ -154,58 +153,6 @@ func TestSnapshotFamilyMatchesFilter(t *testing.T) {
 			t.Fatalf("SnapshotFamily(%q) = %d examples, want %d (filter of full snapshot)",
 				fam, len(got), len(filterFamily(full, fam)))
 		}
-	}
-}
-
-// TestDecodeCacheWarmSnapshots: a second snapshot serves every sealed
-// segment from the cache; disabling the cache keeps misses growing; and
-// retention evicts the dropped segment's entry.
-func TestDecodeCacheWarmSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	buildScaleCorpus(t, dir, 60)
-	s, err := OpenStore(dir, StoreOptions{MaxSegmentBytes: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	cold := s.Stats()
-	if cold.CacheHits != 0 || cold.CacheMisses == 0 {
-		t.Fatalf("cold snapshot: hits=%d misses=%d, want 0 hits and >0 misses", cold.CacheHits, cold.CacheMisses)
-	}
-	if _, err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	warm := s.Stats()
-	if warm.CacheMisses != cold.CacheMisses {
-		t.Fatalf("warm snapshot re-decoded sealed segments: misses %d -> %d", cold.CacheMisses, warm.CacheMisses)
-	}
-	if wantHits := uint64(cold.Segments - 1); warm.CacheHits != wantHits {
-		t.Fatalf("warm snapshot hits = %d, want %d (every sealed segment)", warm.CacheHits, wantHits)
-	}
-	if warm.CachedSegments == 0 || warm.CacheBytes == 0 || warm.CacheCapBytes != defaultCacheBytes {
-		t.Fatalf("cache footprint not reported: %+v", warm)
-	}
-}
-
-func TestDecodeCacheDisabled(t *testing.T) {
-	dir := t.TempDir()
-	buildScaleCorpus(t, dir, 60)
-	s, err := OpenStore(dir, StoreOptions{MaxSegmentBytes: 2048, CacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 2; i++ {
-		if _, err := s.Snapshot(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.CacheHits != 0 || st.CacheMisses != 0 || st.CacheCapBytes != 0 {
-		t.Fatalf("disabled cache still counting: %+v", st)
 	}
 }
 
@@ -373,44 +320,72 @@ func TestTickTrainsWhenDue(t *testing.T) {
 	}
 }
 
-// TestStoreOptionsDefaults pins the cache knob's zero-value behavior.
+// TestStoreOptionsDefaults pins the zero-value behavior of the store's
+// bounds.
 func TestStoreOptionsDefaults(t *testing.T) {
 	o := StoreOptions{}.withDefaults()
-	if o.CacheBytes != defaultCacheBytes {
-		t.Fatalf("default CacheBytes = %d, want %d", o.CacheBytes, int64(defaultCacheBytes))
+	if o.MaxSegmentBytes != 4<<20 || o.MaxExamples != 100000 || o.FamilyQuota != 0 {
+		t.Fatalf("defaults = %+v", o)
 	}
-	o = StoreOptions{CacheBytes: -1}.withDefaults()
-	if o.CacheBytes > 0 {
+	o = StoreOptions{MaxSegmentBytes: -1, MaxExamples: -1, FamilyQuota: -1}.withDefaults()
+	if o.MaxSegmentBytes != 4<<20 || o.MaxExamples != -1 || o.FamilyQuota != 0 {
 		t.Fatalf("negative knobs not clamped: %+v", o)
 	}
 }
 
-// TestDecodeCacheEviction exercises the LRU bound directly.
-func TestDecodeCacheEviction(t *testing.T) {
-	c := newDecodeCache(100)
-	exs := func(n int) []selection.Example { return make([]selection.Example, n) }
-	c.put("a", exs(1), 40)
-	c.put("b", exs(2), 40)
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a evicted under budget")
+// TestSnapshotMatchesReadCorpus: the store's Snapshot and the read-only
+// ReadCorpus are one read path over one directory. After appends,
+// rotation, whole-segment retention and a compaction rewrite, both
+// return exactly the same examples in the same order, and so does a
+// fresh open.
+func TestSnapshotMatchesReadCorpus(t *testing.T) {
+	dir := t.TempDir()
+	opts := StoreOptions{MaxSegmentBytes: 2048, MaxExamples: 40, FamilyQuota: 12}
+	s, err := OpenStore(dir, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.put("c", exs(3), 40) // over budget: evicts b (a was just used)
-	if _, ok := c.get("b"); ok {
-		t.Fatal("LRU victim b survived")
+	defer s.Close()
+	for i := 0; i < 110; i++ {
+		fam := "burst"
+		if i >= 50 && i%5 == 4 {
+			fam = "sparse"
+		}
+		if err := s.Append(familyExample(i, fam, false)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("recently used a evicted")
+	if _, err := os.Stat(filepath.Join(dir, "seg-00000001.log")); !os.IsNotExist(err) {
+		t.Fatalf("retention kept the oldest segment (err %v)", err)
 	}
-	c.put("huge", exs(4), 1000) // larger than the whole budget: not admitted
-	if _, ok := c.get("huge"); ok {
-		t.Fatal("oversized entry admitted")
+	res, ok, err := s.CompactOnce()
+	if err != nil || !ok || res.Removed {
+		t.Fatalf("CompactOnce = %+v, %v, %v; want one segment rewritten", res, ok, err)
 	}
-	c.remove("a")
-	if _, ok := c.get("a"); ok {
-		t.Fatal("removed entry still served")
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
 	}
-	_, _, size, entries := c.stats()
-	if size != 40 || entries != 1 {
-		t.Fatalf("cache footprint after eviction: size=%d entries=%d, want 40/1", size, entries)
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadCorpus(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap) != s.Len() || !sameExamples(snap, read) {
+		t.Fatalf("Snapshot holds %d examples (Len %d), ReadCorpus %d, or they differ", len(snap), s.Len(), len(read))
+	}
+	s2, err := OpenStore(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	reopened, err := s2.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameExamples(reopened, read) {
+		t.Fatalf("reopened store reads %d examples, ReadCorpus %d, or they differ", len(reopened), len(read))
 	}
 }

@@ -61,11 +61,6 @@ type StoreOptions struct {
 	// entirely — required when appending to a corpus someone else bounds,
 	// so an "append" can never delete another owner's history.
 	MaxExamples int
-	// CacheBytes bounds the sealed-segment decode cache: immutable
-	// segments keep their decoded examples in memory (LRU by on-disk
-	// bytes), so a warm Snapshot re-decodes only the active tail. 0 means
-	// the 64 MiB default; negative disables caching entirely.
-	CacheBytes int64
 	// FamilyQuota protects each tagged family's newest examples from
 	// retention and compaction: while a family retains no more than this
 	// many examples, none of them may be dropped, no matter how far
@@ -77,9 +72,6 @@ type StoreOptions struct {
 	FamilyQuota int
 }
 
-// defaultCacheBytes is the decode-cache budget when CacheBytes is 0.
-const defaultCacheBytes = 64 << 20
-
 func (o StoreOptions) withDefaults() StoreOptions {
 	if o.MaxSegmentBytes <= 0 {
 		o.MaxSegmentBytes = 4 << 20
@@ -87,80 +79,10 @@ func (o StoreOptions) withDefaults() StoreOptions {
 	if o.MaxExamples == 0 {
 		o.MaxExamples = 100000
 	}
-	if o.CacheBytes == 0 {
-		o.CacheBytes = defaultCacheBytes
-	}
 	if o.FamilyQuota < 0 {
 		o.FamilyQuota = 0
 	}
 	return o
-}
-
-// segment is one corpus file's bookkeeping. Examples live on disk only —
-// the store never mirrors the corpus in memory; Snapshot decodes it on
-// demand (retrains are rare, serving-path memory is precious), with the
-// bounded decodeCache softening that for immutable sealed segments.
-type segment struct {
-	index int
-	path  string
-	count int
-	bytes int64
-	// idx is the sealed segment's in-memory index (non-nil iff the segment
-	// is sealed). Immutable once set.
-	idx *segIndex
-	// Active-tail bookkeeping, maintained incrementally on append so
-	// sealing builds the index without re-reading the file: per-record
-	// start offsets and family tags.
-	offsets []int64
-	fams    []string
-	// gen counts in-place rewrites of this segment (compaction). It
-	// qualifies the decode-cache key, so a reader that captured a view of
-	// the pre-compaction image can never install its decode under the key
-	// the post-compaction image lives at.
-	gen int
-}
-
-// sealed reports whether the segment stopped accepting appends.
-func (seg *segment) sealed() bool { return seg.idx != nil }
-
-// cacheKey returns the decode-cache key for the segment's CURRENT image.
-// Generation 0 (never compacted) keys by bare path.
-func (seg *segment) cacheKey() string {
-	if seg.gen == 0 {
-		return seg.path
-	}
-	return seg.path + "#" + fmt.Sprint(seg.gen)
-}
-
-// forEachFamilyCount calls fn with each family present in the segment and
-// its record count, whether the segment is sealed (index) or the active
-// tail (incremental bookkeeping).
-func (seg *segment) forEachFamilyCount(fn func(family string, n int)) {
-	if seg.idx != nil {
-		for f, ords := range seg.idx.families {
-			fn(f, len(ords))
-		}
-		return
-	}
-	counts := make(map[string]int, 4)
-	for _, f := range seg.fams {
-		counts[f]++
-	}
-	for f, n := range counts {
-		fn(f, n)
-	}
-}
-
-// sealLocked freezes the active-tail bookkeeping into the segment's
-// in-memory index. Nothing is written: the index is derived state the
-// next open rebuilds from the segment's bytes.
-func (seg *segment) sealLocked() {
-	fams := make(map[string][]int32, 4)
-	for ord, f := range seg.fams {
-		fams[f] = append(fams[f], int32(ord))
-	}
-	seg.idx = &segIndex{good: seg.bytes, offsets: seg.offsets, families: fams}
-	seg.offsets, seg.fams = nil, nil
 }
 
 // ExampleStore is an append-only, segmented, crash-safe on-disk corpus of
@@ -170,9 +92,6 @@ func (seg *segment) sealLocked() {
 type ExampleStore struct {
 	dir  string
 	opts StoreOptions
-	// cache memoises sealed segments' decoded examples (nil when
-	// disabled). It has its own lock; snapshot reads never hold s.mu.
-	cache *decodeCache
 
 	mu       sync.Mutex
 	segments []*segment
@@ -182,7 +101,7 @@ type ExampleStore struct {
 	closed   bool
 	// famCounts tracks retained examples per family, maintained
 	// incrementally on append, retention delete and compaction — the
-	// quota checks and Stats read it instead of walking segment indexes.
+	// quota checks and Stats read it instead of walking the segments.
 	famCounts map[string]int
 	// Compaction lifetime counters (under mu).
 	compactRuns    int
@@ -198,43 +117,21 @@ func OpenStore(dir string, opts StoreOptions) (*ExampleStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("feedback: open store: %w", err)
 	}
-	names, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	files, err := listSegments(dir)
 	if err != nil {
 		return nil, fmt.Errorf("feedback: scan store: %w", err)
 	}
-	sort.Strings(names)
-	// Identify real segment files first: the tail (crash-recovery
-	// semantics, reopened for append) must be the last PARSED segment,
-	// not whatever foreign seg-*.log file happens to sort last.
-	type segFile struct {
-		name string
-		idx  int
-	}
-	var files []segFile
-	for _, name := range names {
-		var idx int
-		if _, err := fmt.Sscanf(filepath.Base(name), "seg-%08d.log", &idx); err != nil {
-			continue // foreign file; leave it alone
-		}
-		files = append(files, segFile{name, idx})
-	}
 	s := &ExampleStore{dir: dir, opts: opts, famCounts: make(map[string]int)}
-	if opts.CacheBytes > 0 {
-		s.cache = newDecodeCache(opts.CacheBytes)
-	}
 	for i, f := range files {
-		var seg *segment
-		if i == len(files)-1 {
-			seg, err = readTailSegment(f.name, f.idx)
-		} else {
-			seg, err = readSealedSegment(f.name, f.idx)
-		}
+		// The tail (crash-recovery semantics, reopened for append) is the
+		// last PARSED segment, not whatever foreign seg-*.log file happens
+		// to sort last.
+		seg, err := openSegment(f, i == len(files)-1)
 		if err != nil {
 			return nil, err
 		}
 		s.segments = append(s.segments, seg)
-		s.total += seg.count
-		seg.forEachFamilyCount(func(fam string, n int) { s.famCounts[fam] += n })
+		s.tallyLocked(seg, 1)
 	}
 	s.appended = s.total
 	if tail := s.tail(); tail == nil {
@@ -265,128 +162,18 @@ func ReadCorpus(dir string) ([]selection.Example, error) {
 	if !info.IsDir() {
 		return nil, fmt.Errorf("feedback: read corpus: %s is not a directory", dir)
 	}
-	names, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	files, err := listSegments(dir)
 	if err != nil {
 		return nil, fmt.Errorf("feedback: read corpus: %w", err)
 	}
-	sort.Strings(names)
-	var out []selection.Example
-	found := false
-	for _, name := range names {
-		var idx int
-		if _, err := fmt.Sscanf(filepath.Base(name), "seg-%08d.log", &idx); err != nil {
-			continue
-		}
-		found = true
-		data, err := os.ReadFile(name)
-		if os.IsNotExist(err) {
-			continue // a live owner's retention deleted it after the glob
-		}
-		if err != nil {
-			return nil, fmt.Errorf("feedback: read corpus: %w", err)
-		}
-		exs, _, _, _, err := scanRecords(data, name) // read-only: never truncates
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, exs...)
-	}
-	if !found {
+	if len(files) == 0 {
 		return nil, fmt.Errorf("feedback: %s contains no corpus segments", dir)
 	}
-	return out, nil
-}
-
-// readSealedSegment validates one sealed segment file and returns its
-// bookkeeping WITHOUT materialising the examples: one file read, one CRC
-// pass and a family-tag skip per record (see buildSegIndex). Corruption
-// inside a sealed segment keeps the intact prefix and ignores the
-// remainder.
-func readSealedSegment(path string, index int) (*segment, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("feedback: read segment: %w", err)
+	views := make([]segView, len(files))
+	for i, f := range files {
+		views[i] = segView{path: f.path, limit: -1}
 	}
-	ix, err := buildSegIndex(data, path)
-	if err != nil {
-		return nil, err
-	}
-	return &segment{index: index, path: path, count: len(ix.offsets), bytes: ix.good, idx: ix}, nil
-}
-
-// readTailSegment recovers the tail segment with crash semantics: a torn
-// or corrupt record at the end is truncated away so the segment can keep
-// growing. The scan also rebuilds the tail's incremental index state
-// (per-record offsets and family tags), so a later seal needs no re-read.
-func readTailSegment(path string, index int) (*segment, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("feedback: read segment: %w", err)
-	}
-	seg := &segment{index: index, path: path}
-	if len(data) < segHeaderSize {
-		// A crash between create and header write; rewrite from scratch.
-		if err := os.WriteFile(path, segmentHeader(), 0o644); err != nil {
-			return nil, fmt.Errorf("feedback: reset torn segment: %w", err)
-		}
-		seg.bytes = int64(segHeaderSize)
-		return seg, nil
-	}
-	ix, err := buildSegIndex(data, path)
-	if err != nil {
-		return nil, err
-	}
-	seg.count = len(ix.offsets)
-	seg.bytes = ix.good
-	seg.offsets = ix.offsets
-	seg.fams = make([]string, len(ix.offsets))
-	for f, ords := range ix.families {
-		for _, o := range ords {
-			seg.fams[o] = f
-		}
-	}
-	if ix.good < int64(len(data)) {
-		if err := os.Truncate(path, ix.good); err != nil {
-			return nil, fmt.Errorf("feedback: truncate torn tail: %w", err)
-		}
-	}
-	return seg, nil
-}
-
-// scanRecords validates a segment image's header and decodes its
-// records, returning the examples, the record count, the byte offset of
-// the end of the last intact record and the segment's format version.
-// Torn or corrupt trailing records are ignored (never an error): the
-// caller decides whether to truncate them away.
-func scanRecords(data []byte, path string) ([]selection.Example, int, int, int, error) {
-	format, err := segFormat(data, path)
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	var examples []selection.Example
-	count := 0
-	off := int64(segHeaderSize)
-	for {
-		n, payload, ok := recordAt(data, off)
-		if !ok {
-			break // torn or corrupt record; everything after it is suspect
-		}
-		ex, err := decodeExample(payload)
-		if err != nil {
-			return nil, 0, 0, 0, fmt.Errorf("feedback: %s: %w", path, err)
-		}
-		examples = append(examples, ex)
-		count++
-		off += recHeaderSize + int64(n)
-	}
-	return examples, count, int(off), format, nil
-}
-
-func segmentHeader() []byte {
-	h := make([]byte, segHeaderSize)
-	copy(h, segMagic)
-	binary.LittleEndian.PutUint32(h[len(segMagic):], storeFormat)
-	return h
+	return readSegments(views)
 }
 
 // newSegmentLocked creates and activates segment #index. O_EXCL makes a
@@ -409,13 +196,8 @@ func (s *ExampleStore) newSegmentLocked(index int) error {
 		s.active.Sync()
 		s.active.Close()
 	}
-	// The outgoing tail is sealed from here on: freeze its incremental
-	// bookkeeping into the index that family-sliced snapshots read.
-	if prev := s.tail(); prev != nil && !prev.sealed() {
-		prev.sealLocked()
-	}
 	s.active = f
-	s.segments = append(s.segments, &segment{index: index, path: path, bytes: int64(segHeaderSize)})
+	s.segments = append(s.segments, &segment{index: index, path: path, bytes: int64(segHeaderSize), fams: make(map[string]int)})
 	return nil
 }
 
@@ -425,6 +207,17 @@ func (s *ExampleStore) tail() *segment {
 		return nil
 	}
 	return s.segments[len(s.segments)-1]
+}
+
+// tallyLocked adds a segment's records to the store-wide totals (sign 1)
+// or takes them out (sign -1).
+func (s *ExampleStore) tallyLocked(seg *segment, sign int) {
+	s.total += sign * seg.count
+	for fam, n := range seg.fams {
+		if s.famCounts[fam] += sign * n; s.famCounts[fam] <= 0 {
+			delete(s.famCounts, fam)
+		}
+	}
 }
 
 // enforceRetentionLocked deletes old whole segments while the corpus
@@ -456,28 +249,19 @@ func (s *ExampleStore) deletableLocked(seg *segment) bool {
 	if quota <= 0 {
 		return true
 	}
-	ok := true
-	seg.forEachFamilyCount(func(fam string, n int) {
+	for fam, n := range seg.fams {
 		if fam != "" && s.famCounts[fam]-n < quota {
-			ok = false
+			return false
 		}
-	})
-	return ok
+	}
+	return true
 }
 
 // dropSegmentLocked removes segment i from disk and bookkeeping.
 func (s *ExampleStore) dropSegmentLocked(i int) {
 	old := s.segments[i]
 	os.Remove(old.path)
-	if s.cache != nil {
-		s.cache.remove(old.cacheKey())
-	}
-	s.total -= old.count
-	old.forEachFamilyCount(func(fam string, n int) {
-		if s.famCounts[fam] -= n; s.famCounts[fam] <= 0 {
-			delete(s.famCounts, fam)
-		}
-	})
+	s.tallyLocked(old, -1)
 	s.segments = append(s.segments[:i], s.segments[i+1:]...)
 }
 
@@ -515,17 +299,15 @@ func (s *ExampleStore) AppendAll(exs []selection.Example) (int, error) {
 			// A short write leaves a torn record mid-segment; anything
 			// appended after it would be silently discarded by the next
 			// recovery scan. Roll the file back to the last good offset;
-			// if even that fails, seal the segment and move on so future
-			// appends land in a clean file. (The tracked offsets cover
-			// exactly the good prefix, so the index that seal freezes
-			// stays truthful about the torn remainder.)
+			// if even that fails, rotate so future appends land in a
+			// clean file. (The bookkeeping covers exactly the good prefix,
+			// so readers stop at the torn remainder.)
 			if terr := s.active.Truncate(tail.bytes); terr != nil {
 				_ = s.newSegmentLocked(tail.index + 1)
 			}
 			return i, fmt.Errorf("feedback: append: %w", err)
 		}
-		tail.offsets = append(tail.offsets, tail.bytes)
-		tail.fams = append(tail.fams, exs[i].Family)
+		tail.fams[exs[i].Family]++
 		tail.bytes += int64(len(rec))
 		tail.count++
 		s.total++
@@ -565,195 +347,48 @@ func (s *ExampleStore) Segments() int {
 	return len(s.segments)
 }
 
-// segView is one segment's snapshot-capture state: everything a reader
-// needs, lifted out of the store lock. For sealed segments idx is the
-// immutable in-memory index; the active tail has idx nil.
-type segView struct {
-	path  string
-	key   string // decode-cache key for the image this view captured
-	limit int64  // good bytes at capture time; later appends are excluded
-	count int
-	idx   *segIndex
-}
-
-// captureViews snapshots the segment list under the lock; the files are
-// read and decoded outside it, so a large snapshot never stalls
-// query-completion appends or the health probes.
-func (s *ExampleStore) captureViews() ([]segView, error) {
+// Snapshot decodes the retained corpus in append order. The segment list
+// and each segment's good bytes are captured under the lock; the files
+// are read and decoded outside it, so a large snapshot never stalls
+// query-completion appends or the health probes. Every call reads the
+// whole corpus: a retrain reads it once, and that read is a sliver of the
+// fit it feeds. The returned examples are the caller's.
+func (s *ExampleStore) Snapshot() ([]selection.Example, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil, ErrClosed
 	}
 	views := make([]segView, len(s.segments))
 	for i, seg := range s.segments {
-		views[i] = segView{path: seg.path, key: seg.cacheKey(), limit: seg.bytes, count: seg.count, idx: seg.idx}
+		views[i] = segView{path: seg.path, limit: seg.bytes}
 	}
-	return views, nil
+	s.mu.Unlock()
+	return readSegments(views)
 }
 
-// decodeView reads and decodes one segment view, serving sealed segments
-// from the decode cache when possible (and populating it on a miss). A
-// segment deleted by retention after the capture yields nil, nil.
-func (s *ExampleStore) decodeView(v segView) ([]selection.Example, error) {
-	if v.idx != nil && s.cache != nil {
-		if exs, ok := s.cache.get(v.key); ok {
-			return exs, nil
-		}
-	}
-	// Writes go straight to the file (no userspace buffering), so a
-	// plain read sees every record appended so far; the watermark
-	// bounds the view to the capture instant.
-	data, err := os.ReadFile(v.path)
-	if os.IsNotExist(err) {
-		return nil, nil // retention dropped this segment after the capture
-	}
-	if err != nil {
-		return nil, fmt.Errorf("feedback: snapshot: %w", err)
-	}
-	if int64(len(data)) > v.limit {
-		data = data[:v.limit]
-	}
-	exs, _, _, _, err := scanRecords(data, v.path)
-	if err != nil {
-		return nil, err
-	}
-	if v.idx != nil && s.cache != nil {
-		// The key is generation-qualified: if compaction replaced the
-		// image after this view was captured, this put lands under the
-		// retired key and can never shadow the new image's decode.
-		s.cache.put(v.key, exs, int64(len(data)))
-	}
-	return exs, nil
-}
-
-// snapshot captures the segment list and runs decode over every view in
-// segment order, concatenating the results. The output is sized exactly
-// from what the reads returned — segments dropped by retention
-// mid-snapshot contribute nothing, so it is never over-allocated from a
-// stale pre-capture total.
-func (s *ExampleStore) snapshot(decode func(segView) ([]selection.Example, error)) ([]selection.Example, error) {
-	views, err := s.captureViews()
-	if err != nil {
-		return nil, err
-	}
-	parts := make([][]selection.Example, len(views))
-	total := 0
-	for i, v := range views {
-		if parts[i], err = decode(v); err != nil {
-			return nil, err
-		}
-		total += len(parts[i])
-	}
-	out := make([]selection.Example, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
-}
-
-// Snapshot decodes the retained corpus in append order. The store keeps
-// no unbounded in-memory mirror — segments are read and decoded on
-// demand, one after another, with sealed (immutable) segments served from
-// the bounded decode cache — so a warm snapshot costs one decode of the
-// active tail plus slice copies. The returned slice is the caller's; the
-// examples themselves may share backing arrays with the cache and other
-// snapshots and must be treated as read-only (training and evaluation
-// never mutate them).
-func (s *ExampleStore) Snapshot() ([]selection.Example, error) {
-	return s.snapshot(s.decodeView)
-}
-
-// SnapshotFamily decodes only the examples of one workload family, in
-// the same order Snapshot would yield them. Sealed segments use their
-// in-memory index: a segment holding none of the family's records is
-// skipped without touching the disk, and one that does either filters
-// the cached decode or decodes exactly the family's records off its
-// offsets, so the read is O(family), not O(corpus). The active tail
-// (index-less) is scanned and filtered. The read-only sharing contract
-// matches Snapshot's. The retrainer no longer calls it — every training
-// pass groups one full Snapshot by family — but the benchmark's corpus
-// probe still times it.
+// SnapshotFamily returns the examples of one workload family, in the
+// order Snapshot yields them. The family is matched exactly.
 //
-// The family is matched exactly; use Snapshot for the global ("") target,
-// which trains on every example regardless of tag.
+// Deprecated: it filters a full Snapshot, and no caller in this module
+// reads one family; it stays only for the benchmark's corpus probe and
+// goes with that probe.
 func (s *ExampleStore) SnapshotFamily(family string) ([]selection.Example, error) {
-	return s.snapshot(func(v segView) ([]selection.Example, error) {
-		return s.decodeViewFamily(v, family)
-	})
-}
-
-// decodeViewFamily extracts one family's examples from a segment view.
-func (s *ExampleStore) decodeViewFamily(v segView, family string) ([]selection.Example, error) {
-	if v.idx == nil {
-		// Active tail: full decode, then filter.
-		exs, err := s.decodeView(v)
-		if err != nil {
-			return nil, err
-		}
-		var out []selection.Example
-		for _, ex := range exs {
-			if ex.Family == family {
-				out = append(out, ex)
-			}
-		}
-		return out, nil
-	}
-	ords := v.idx.families[family]
-	if len(ords) == 0 {
-		return nil, nil // no I/O: the index proves the family is absent here
-	}
-	if s.cache != nil {
-		if all, ok := s.cache.get(v.key); ok && len(all) == len(v.idx.offsets) {
-			out := make([]selection.Example, 0, len(ords))
-			for _, o := range ords {
-				out = append(out, all[o])
-			}
-			return out, nil
-		}
-	}
-	data, err := os.ReadFile(v.path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
+	exs, err := s.Snapshot()
 	if err != nil {
-		return nil, fmt.Errorf("feedback: snapshot: %w", err)
+		return nil, err
 	}
-	if int64(len(data)) > v.limit {
-		data = data[:v.limit]
-	}
-	out := make([]selection.Example, 0, len(ords))
-	for _, o := range ords {
-		_, payload, ok := recordAt(data, v.idx.offsets[o])
-		if !ok {
-			// The file under the index changed (it should never: sealed
-			// segments are immutable). Fall back to the full scan, whose
-			// corruption semantics — keep the intact prefix — are the
-			// ground truth the index is only a shortcut for.
-			exs, _, _, _, err := scanRecords(data, v.path)
-			if err != nil {
-				return nil, err
-			}
-			out = out[:0]
-			for _, ex := range exs {
-				if ex.Family == family {
-					out = append(out, ex)
-				}
-			}
-			return out, nil
+	out := exs[:0]
+	for _, ex := range exs {
+		if ex.Family == family {
+			out = append(out, ex)
 		}
-		ex, err := decodeExample(payload)
-		if err != nil {
-			return nil, fmt.Errorf("feedback: %s: %w", v.path, err)
-		}
-		out = append(out, ex)
 	}
 	return out, nil
 }
 
-// CorpusStats describes the on-disk corpus shape and the decode cache's
-// standing — what a retrain is about to pay for, surfaced to operators
-// via GET /models.
+// CorpusStats describes the on-disk corpus shape — what a retrain is
+// about to read — surfaced to operators via GET /models.
 type CorpusStats struct {
 	// Segments and Bytes are the on-disk segment count and their summed
 	// good bytes; Examples is the retained example count.
@@ -764,14 +399,6 @@ type CorpusStats struct {
 	// (the empty key counts untagged examples), from counters kept on
 	// append, retention and compaction — no scan.
 	Families map[string]int `json:"families"`
-	// CacheHits/CacheMisses are lifetime decode-cache lookups;
-	// CacheBytes/CachedSegments the current footprint; CacheCapBytes the
-	// configured budget (0 = caching disabled).
-	CacheHits      uint64 `json:"cache_hits"`
-	CacheMisses    uint64 `json:"cache_misses"`
-	CacheBytes     int64  `json:"cache_bytes"`
-	CacheCapBytes  int64  `json:"cache_cap_bytes"`
-	CachedSegments int    `json:"cached_segments"`
 	// FamilyQuota echoes the configured per-family retention floor (0 =
 	// quotas off); the compaction counters are lifetime totals:
 	// CompactionRuns successful CompactOnce passes, CompactedSegments
@@ -781,14 +408,20 @@ type CorpusStats struct {
 	CompactionRuns    int `json:"compaction_runs,omitempty"`
 	CompactedSegments int `json:"compacted_segments,omitempty"`
 	CompactionDropped int `json:"compaction_dropped,omitempty"`
+	// Deprecated: always zero, and not on the wire; the store keeps no
+	// decode cache. They stay only for the benchmark's corpus probe and
+	// go with that probe.
+	CacheHits   uint64 `json:"-"`
+	CacheMisses uint64 `json:"-"`
 }
 
-// Stats reports the corpus shape and cache counters. The lock is held
-// only to copy the incrementally-maintained counters — O(families), never
-// O(segments × families) — so a huge corpus can't stall appends behind a
+// Stats reports the corpus shape. The lock is held only to copy the
+// incrementally-maintained counters — O(families + segments), never a
+// read of the disk — so a huge corpus can't stall appends behind a
 // health probe.
 func (s *ExampleStore) Stats() CorpusStats {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	st := CorpusStats{
 		Segments:          len(s.segments),
 		Examples:          s.total,
@@ -803,11 +436,6 @@ func (s *ExampleStore) Stats() CorpusStats {
 	}
 	for _, seg := range s.segments {
 		st.Bytes += seg.bytes
-	}
-	s.mu.Unlock()
-	if s.cache != nil {
-		st.CacheCapBytes = s.opts.CacheBytes
-		st.CacheHits, st.CacheMisses, st.CacheBytes, st.CachedSegments = s.cache.stats()
 	}
 	return st
 }

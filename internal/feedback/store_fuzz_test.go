@@ -60,23 +60,26 @@ func FuzzScanRecords(f *testing.F) {
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		exs, count, good, format, err := scanRecords(data, "fuzz")
+		exs, good, err := scanRecords(data, "fuzz")
 		if err != nil {
 			return
 		}
-		if good < segHeaderSize || good > len(data) {
+		if good < int64(segHeaderSize) || good > int64(len(data)) {
 			t.Fatalf("watermark %d outside [%d,%d]", good, segHeaderSize, len(data))
 		}
-		if len(exs) != count {
-			t.Fatalf("decoded %d examples but counted %d", len(exs), count)
+		seg, err := scanSegment(data, "fuzz")
+		if err != nil || seg.count != len(exs) || seg.bytes != good {
+			t.Fatalf("bookkeeping scan disagrees: %+v, err %v; decoded %d examples to %d", seg, err, len(exs), good)
 		}
-		exs2, count2, good2, format2, err := scanRecords(data[:good], "fuzz")
+		format, _ := segFormat(data, "fuzz")
+		exs2, good2, err := scanRecords(data[:good], "fuzz")
 		if err != nil {
 			t.Fatalf("rescan of the good prefix failed: %v", err)
 		}
-		if count2 != count || good2 != good || format2 != format {
+		format2, _ := segFormat(data[:good], "fuzz")
+		if len(exs2) != len(exs) || good2 != good || format2 != format {
 			t.Fatalf("prefix rescan unstable: count %d->%d good %d->%d format %d->%d",
-				count, count2, good, good2, format, format2)
+				len(exs), len(exs2), good, good2, format, format2)
 		}
 		if !reflect.DeepEqual(exs, exs2) {
 			t.Fatal("prefix rescan decoded different examples")
@@ -212,23 +215,23 @@ func TestStoreCRCCorruptionEveryByte(t *testing.T) {
 	for off := rec2; off < rec2end; off++ {
 		mut := append([]byte(nil), img...)
 		mut[off] ^= 0x01
-		exs, count, good, _, err := scanRecords(mut, "crc")
+		exs, good, err := scanRecords(mut, "crc")
 		if err != nil {
 			t.Fatalf("offset %d: scan errored: %v", off, err)
 		}
 		// Flipping a length byte can make record 2 swallow record 3 yet
 		// still fail CRC; in every case at most record 1 survives.
-		if count != 1 || len(exs) != 1 {
-			t.Fatalf("offset %d: %d records survived, want 1", off, count)
+		if len(exs) != 1 {
+			t.Fatalf("offset %d: %d records survived, want 1", off, len(exs))
 		}
-		if good != rec2 {
+		if good != int64(rec2) {
 			t.Fatalf("offset %d: watermark %d, want %d (end of record 1)", off, good, rec2)
 		}
 	}
 
 	// Intact image as control: all three records scan.
-	if _, count, good, _, err := scanRecords(img, "crc"); err != nil || count != 3 || good != len(img) {
-		t.Fatalf("control scan: count %d good %d err %v", count, good, err)
+	if exs, good, err := scanRecords(img, "crc"); err != nil || len(exs) != 3 || good != int64(len(img)) {
+		t.Fatalf("control scan: count %d good %d err %v", len(exs), good, err)
 	}
 
 	// CRC corruption in the TAIL segment of a live store heals on reopen:
@@ -257,7 +260,7 @@ func TestStoreCRCCorruptionEveryByte(t *testing.T) {
 	if !bytes.Equal(data[:rec2], img[:rec2]) {
 		t.Fatal("recovery damaged the intact prefix")
 	}
-	if _, count, _, _, err := scanRecords(data, "healed"); err != nil || count != 2 {
-		t.Fatalf("healed segment: count %d err %v", count, err)
+	if exs, _, err := scanRecords(data, "healed"); err != nil || len(exs) != 2 {
+		t.Fatalf("healed segment: count %d err %v", len(exs), err)
 	}
 }

@@ -2,15 +2,16 @@ package workload
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"progressest/internal/datagen"
 )
 
-// TestRunParallelMatchesSequential proves the parallel harvest is a pure
+// TestRunParallelMatchesSequential proves the worker pool is a pure
 // speedup: with the memory-contention budgets drawn up front in query
-// order, fanning the queries across workers yields exactly the examples —
-// same values, same order — the sequential runner produces.
+// order, Run on four workers yields exactly the examples — same values,
+// same order — it yields on one.
 func TestRunParallelMatchesSequential(t *testing.T) {
 	w, err := Build(Spec{
 		Name: "tpch", Kind: datagen.TPCHLike, Queries: 10, Scale: 0.08, Zipf: 1, Seed: 4,
@@ -18,15 +19,16 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := RunOptions{Seed: 4}
-	seq, err := w.Run(opts)
-	if err != nil {
-		t.Fatal(err)
+	run := func(procs int) *Result {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := w.Run(RunOptions{Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	par, err := w.RunParallel(opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := run(1), run(4)
 	if len(par.Examples) != len(seq.Examples) {
 		t.Fatalf("parallel %d examples, sequential %d", len(par.Examples), len(seq.Examples))
 	}

@@ -53,8 +53,8 @@ type queryResult struct {
 
 // perQueryExecOptions draws the engine options for every query up front,
 // consuming the memory-contention RNG in query order. Precomputing the
-// whole sequence makes the per-query work order-independent, so the
-// parallel runner produces bit-identical results to the sequential one.
+// whole sequence makes the per-query work order-independent, so Run's
+// result is the same at any worker count.
 func (w *Workload) perQueryExecOptions(opts RunOptions) []exec.Options {
 	memRng := rand.New(rand.NewSource(opts.Seed ^ 0x0ddba11))
 	out := make([]exec.Options, len(w.Queries))
@@ -122,38 +122,21 @@ func merge(results []*queryResult) *Result {
 // Run executes every query of the workload and harvests per-pipeline
 // training examples: the full feature vector plus the measured L1/L2 error
 // of every candidate estimator (replayed over the shared counter trace).
-func (w *Workload) Run(opts RunOptions) (*Result, error) {
-	opts = opts.withDefaults()
-	execOpts := w.perQueryExecOptions(opts)
-	results := make([]*queryResult, len(w.Queries))
-	for qi := range w.Queries {
-		qr, err := w.runQuery(qi, execOpts[qi], opts.MinObservations)
-		if err != nil {
-			return nil, err
-		}
-		results[qi] = qr
-	}
-	return merge(results), nil
-}
-
-// RunParallel is Run with the queries fanned out across a worker pool.
 // Harvesting is the training hot path and embarrassingly parallel — each
 // query owns its plan, execution context and trace, while the database,
-// statistics and planner are only read — so the speedup is near-linear.
-// Results are merged in query order and are identical to Run's.
-// workers <= 0 uses GOMAXPROCS.
-func (w *Workload) RunParallel(opts RunOptions, workers int) (*Result, error) {
+// statistics and planner are only read — so the queries fan out across
+// GOMAXPROCS workers. The memory budgets are drawn up front in query
+// order and the results merged in query order, so the output does not
+// depend on the worker count.
+func (w *Workload) Run(opts RunOptions) (*Result, error) {
 	opts = opts.withDefaults()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	execOpts := w.perQueryExecOptions(opts)
 	results := make([]*queryResult, len(w.Queries))
 	errs := make([]error, len(w.Queries))
 
 	next := make(chan int)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -59,11 +59,6 @@ type LearningConfig struct {
 	// sparse families survive intact. DisableBackground turns compaction
 	// off with the retrainer.
 	FamilyQuota int
-	// CorpusCacheBytes bounds the sealed-segment decode cache: immutable
-	// corpus segments keep their decoded examples in memory (LRU by
-	// on-disk bytes), so a warm retrain re-decodes only the active tail.
-	// 0 means the 64 MiB default; negative disables caching.
-	CorpusCacheBytes int64
 	// Deprecated: ignored; one model serves every query. Kept only so
 	// bench/ builds; removed with ROADMAP item 16.
 	FamilyModels bool
@@ -192,9 +187,8 @@ type RetrainDecision = feedback.TrainDecision
 // HarvestStats counts the learning loop's harvesting activity.
 type HarvestStats = feedback.HarvestStats
 
-// CorpusStats describes the on-disk corpus shape and the standing of the
-// sealed-segment decode cache — what the next retrain is about to pay
-// for. Surfaced in GET /models as "corpus".
+// CorpusStats describes the on-disk corpus shape — what the next retrain
+// is about to read. Surfaced in GET /models as "corpus".
 type CorpusStats = feedback.CorpusStats
 
 // Learning is the continuous-learning subsystem: an on-disk corpus of
@@ -223,7 +217,6 @@ func OpenLearning(cfg LearningConfig) (*Learning, error) {
 		MaxSegmentBytes: cfg.MaxSegmentBytes,
 		MaxExamples:     cfg.MaxExamples,
 		FamilyQuota:     cfg.FamilyQuota,
-		CacheBytes:      cfg.CorpusCacheBytes,
 	})
 	if err != nil {
 		return nil, err
@@ -309,8 +302,8 @@ func (l *Learning) CorpusSize() int { return l.store.Len() }
 func (l *Learning) HarvestStats() HarvestStats { return l.harv.Stats() }
 
 // CorpusStats reports the corpus shape (segments, bytes, per-family
-// example counts) and the decode cache's hit/miss counters. Cheap: it
-// reads the in-memory segment indexes, never the disk.
+// example counts). Cheap: it reads the store's in-memory counters, never
+// the disk.
 func (l *Learning) CorpusStats() CorpusStats { return l.store.Stats() }
 
 // Retrain synchronously trains a new selector version on the accumulated

@@ -181,7 +181,7 @@ func (e *httpStatusError) Error() string { return http.StatusText(e.code) }
 // as version 1 so the very first query is selector-served.
 func TestLearningSeedSelectorServesImmediately(t *testing.T) {
 	w := learningWorkload(t)
-	ex, err := w.HarvestParallel(0)
+	ex, err := w.Harvest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestLearningRollbackSurvivesReopen(t *testing.T) {
 // corpus format (the cmd/trainsel -corpus/-export path).
 func TestExportImportExamples(t *testing.T) {
 	w := learningWorkload(t)
-	ex, err := w.HarvestParallel(0)
+	ex, err := w.Harvest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestExportImportExamples(t *testing.T) {
 // the registry (version reports 0) but harvesting still happens.
 func TestMonitorLearningWithExplicitSelector(t *testing.T) {
 	w := learningWorkload(t)
-	ex, err := w.HarvestParallel(0)
+	ex, err := w.Harvest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestModelsReportCompactionError(t *testing.T) {
 		t.Fatalf("corpus not over its cap across sealed segments: %+v", st)
 	}
 	// Cut the oldest sealed segment short under the open store: its
-	// in-memory index now names records the file no longer holds.
+	// bookkeeping now counts records the file no longer holds.
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil || len(segs) < 2 {
 		t.Fatalf("segments %v: %v", segs, err)

@@ -254,30 +254,3 @@ func TestServerServesLiveProgress(t *testing.T) {
 		t.Fatalf("list: %+v", list)
 	}
 }
-
-// TestHarvestParallelMatchesHarvest checks the public parallel harvest
-// yields exactly the sequential examples, in order.
-func TestHarvestParallelMatchesHarvest(t *testing.T) {
-	w := testWorkload(t)
-	seq, err := w.Harvest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := w.HarvestParallel(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) == 0 || len(par) != len(seq) {
-		t.Fatalf("parallel %d examples, sequential %d", len(par), len(seq))
-	}
-	for i := range seq {
-		if seq[i].Signature != par[i].Signature || seq[i].ErrL1 != par[i].ErrL1 {
-			t.Fatalf("example %d diverges", i)
-		}
-		for j := range seq[i].Features {
-			if seq[i].Features[j] != par[i].Features[j] {
-				t.Fatalf("example %d feature %d diverges", i, j)
-			}
-		}
-	}
-}

@@ -219,7 +219,8 @@ type Example = selection.Example
 
 // Harvest executes every query of the workload and returns one labelled
 // Example per sufficiently long pipeline — the training data for
-// TrainSelector.
+// TrainSelector. The queries fan out across GOMAXPROCS workers; the
+// examples come back in query order, the same at any worker count.
 func (w *Workload) Harvest() ([]Example, error) {
 	res, err := w.inner.Run(workload.RunOptions{Seed: w.inner.Spec.Seed})
 	if err != nil {
@@ -228,18 +229,11 @@ func (w *Workload) Harvest() ([]Example, error) {
 	return res.Examples, nil
 }
 
-// HarvestParallel is Harvest with the workload's queries fanned out across
-// a worker pool. Each query owns its plan, execution context and trace,
-// so harvesting parallelises embarrassingly; the returned examples are
-// identical to Harvest's, in the same deterministic order. workers <= 0
-// uses all available CPUs.
-func (w *Workload) HarvestParallel(workers int) ([]Example, error) {
-	res, err := w.inner.RunParallel(workload.RunOptions{Seed: w.inner.Spec.Seed}, workers)
-	if err != nil {
-		return nil, err
-	}
-	return res.Examples, nil
-}
+// HarvestParallel is Harvest; workers is ignored.
+//
+// Deprecated: Harvest already fans the queries across GOMAXPROCS
+// workers. It stays only because the benchmark's set-up calls it.
+func (w *Workload) HarvestParallel(workers int) ([]Example, error) { return w.Harvest() }
 
 // QueryRun is one executed query, read from the finished streaming view
 // that observed it. It writes nothing once built, so any number of

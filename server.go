@@ -345,7 +345,7 @@ type modelsResponse struct {
 	// CorpusSize is the number of harvested examples retained on disk.
 	CorpusSize int `json:"corpus_size"`
 	// Corpus is the corpus shape — segment count, on-disk bytes,
-	// per-family example counts — plus the decode cache's counters.
+	// per-family example counts — and the compaction counters.
 	Corpus CorpusStats `json:"corpus"`
 	// Harvest are the lifetime harvesting counters.
 	Harvest HarvestStats `json:"harvest"`

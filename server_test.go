@@ -258,8 +258,7 @@ func TestServerModelRoutes(t *testing.T) {
 		t.Fatalf("models after retrain: %+v", models)
 	}
 	// The corpus shape rides along: segment count, bytes and per-family
-	// example counts from the store's indexes, and the retrain just
-	// read the corpus, so the decode-cache counters moved.
+	// example counts from the store's in-memory counters.
 	if models.Corpus.Segments == 0 || models.Corpus.Bytes == 0 || models.Corpus.Examples != models.CorpusSize {
 		t.Fatalf("corpus stats missing from GET /models: %+v", models.Corpus)
 	}
@@ -269,9 +268,6 @@ func TestServerModelRoutes(t *testing.T) {
 	}
 	if total != models.Corpus.Examples {
 		t.Fatalf("corpus family counts sum to %d, want %d: %+v", total, models.Corpus.Examples, models.Corpus)
-	}
-	if models.Corpus.CacheCapBytes == 0 {
-		t.Fatalf("decode cache not enabled by default: %+v", models.Corpus)
 	}
 	if models.Harvest.Queries != 3 || models.Harvest.Examples == 0 {
 		t.Fatalf("harvest stats: %+v", models.Harvest)

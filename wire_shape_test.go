@@ -170,8 +170,7 @@ func TestWireKeyOrder(t *testing.T) {
 	assertKeys(t, "GET /models", keyPaths(t, getRaw(t, srv.URL+"/models"), "corpus.families"),
 		[]string{"current", "corpus_size",
 			"corpus", "corpus.segments", "corpus.bytes", "corpus.examples", "corpus.families",
-			"corpus.cache_hits", "corpus.cache_misses", "corpus.cache_bytes", "corpus.cache_cap_bytes",
-			"corpus.cached_segments", "corpus.family_quota",
+			"corpus.family_quota",
 			"harvest", "harvest.queries", "harvest.examples", "harvest.skipped", "harvest.errors",
 			"versions", "versions[].id", "versions[].trained_at", "versions[].corpus_size",
 			"versions[].holdout_l1", "versions[].holdout_n", "versions[].source", "versions[].decision",
@@ -209,11 +208,9 @@ func TestWireStructFields(t *testing.T) {
 		{HarvestStats{}, []string{"Queries int queries", "Examples int examples", "Skipped int skipped",
 			"Errors int errors"}},
 		{CorpusStats{}, []string{"Segments int segments", "Bytes int64 bytes", "Examples int examples",
-			"Families map[string]int families", "CacheHits uint64 cache_hits", "CacheMisses uint64 cache_misses",
-			"CacheBytes int64 cache_bytes", "CacheCapBytes int64 cache_cap_bytes",
-			"CachedSegments int cached_segments", "FamilyQuota int family_quota,omitempty",
+			"Families map[string]int families", "FamilyQuota int family_quota,omitempty",
 			"CompactionRuns int compaction_runs,omitempty", "CompactedSegments int compacted_segments,omitempty",
-			"CompactionDropped int compaction_dropped,omitempty"}},
+			"CompactionDropped int compaction_dropped,omitempty", "CacheHits uint64 -", "CacheMisses uint64 -"}},
 		{RetrainDecision{}, []string{"At time.Time at", "Trigger string trigger", "Version int version", "Decision string decision", "HoldoutL1 float64 holdout_l1",
 			"BaselineL1 float64 baseline_l1,omitempty", "ObservedL1 float64 observed_l1,omitempty"}},
 		{CanaryStatus{}, []string{"Source string source", "Champion int champion",
