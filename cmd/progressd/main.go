@@ -66,7 +66,7 @@
 //	          [-shards N] [-queue-depth N] [-max-live N]
 //	          [-qos-weights fam=w,...] [-class-queue-depth N]
 //	          [-deadline-admission]
-//	          [-every N] [-pace D] [-model selector.json]
+//	          [-every N] [-pace D] [-model selector.sel]
 //	          [-learn corpus/] [-retrain-after N] [-retrain-every D]
 //	          [-gate-tolerance F] [-no-gate]
 //	          [-drift-ratio F] [-drift-window N] [-no-drift-retrain]

@@ -1,6 +1,6 @@
 // Command trainsel trains an estimator-selection model on generated
-// workloads and saves it as JSON for use by cmd/progressd or an embedding
-// application.
+// workloads and saves it as a binary selector file for use by
+// cmd/progressd or an embedding application.
 //
 // Training runs are resumable through the same segmented on-disk corpus
 // the daemon's continuous-learning loop writes: -corpus seeds the
@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	trainsel [-out selector.json] [-queries N] [-scale F] [-trees M]
+//	trainsel [-out selector.sel] [-queries N] [-scale F] [-trees M]
 //	         [-dynamic] [-extended] [-seed N]
 //	         [-corpus dir] [-export dir] [-skip-harvest]
 package main
@@ -33,7 +33,7 @@ import (
 )
 
 func main() {
-	out := flag.String("out", "selector.json", "output model path")
+	out := flag.String("out", "selector.sel", "output model path")
 	queries := flag.Int("queries", 80, "queries per workload variant")
 	scale := flag.Float64("scale", 0.15, "database scale")
 	trees := flag.Int("trees", 200, "MART boosting iterations")

@@ -54,7 +54,7 @@ func (s *Suite) Table7() (*Table7Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := model.Encode(); err != nil {
+			if _, err := model.AppendBinary(nil); err != nil {
 				return nil, err
 			}
 			times = append(times, time.Since(start).Seconds())

@@ -67,17 +67,18 @@ type manifestVersion struct {
 // ModelDir persists the serving selector version next to the corpus so
 // a restarted daemon resumes from its last trained model instead of the
 // fixed-estimator fallback. Each version's selector goes to its own
-// per-version JSON file (global-v12.json) via selection.Selector.Save
-// (temp-file + fsync + rename, so a crash never leaves a torn model),
-// and the atomically renamed manifest.json is the commit point for the
-// whole file SET: selector files are only ever written under fresh
-// names, so a crash — or a later file's write failure — between selector
-// saves and the manifest rename leaves the old manifest pointing at the
-// old, untouched files, never at a file whose contents changed
-// underneath it. Files no longer referenced are garbage-collected after
-// a successful manifest write. The serving version is persisted PLUS its
-// rollback chain (bounded at maxPersistHistory), so a restarted daemon
-// can still roll back.
+// binary file (global-v12.sel; a version restored from an earlier
+// build's global-v12.json keeps that file) via selection.Selector.Save
+// (temp-file + fsync + rename, so a crash never leaves a torn model), and
+// the atomically renamed manifest.json is the commit point for the whole
+// file SET: selector files are only ever written under fresh names, so a
+// crash — or a later file's write failure — between selector saves and
+// the manifest rename leaves the old manifest pointing at the old,
+// untouched files, never at a file whose contents changed underneath it.
+// Files no longer referenced are garbage-collected after a successful
+// manifest write. The serving version is persisted PLUS its rollback
+// chain (bounded at maxPersistHistory), so a restarted daemon can still
+// roll back.
 type ModelDir struct {
 	dir string
 
@@ -163,7 +164,14 @@ func (d *ModelDir) ensureSavedLocked(v *Version) (string, error) {
 	if file, ok := d.saved[v.ID]; ok {
 		return file, nil
 	}
-	file := fmt.Sprintf("global-v%d.json", v.ID)
+	// Restore renumbers versions: never overwrite a restored one's file.
+	file := fmt.Sprintf("global-v%d.sel", v.ID)
+	for n := 2; ; n++ {
+		if _, err := os.Lstat(filepath.Join(d.dir, file)); os.IsNotExist(err) {
+			break
+		}
+		file = fmt.Sprintf("global-v%d-%d.sel", v.ID, n)
+	}
 	if err := v.Selector.Save(filepath.Join(d.dir, file)); err != nil {
 		return "", fmt.Errorf("feedback: persist model v%d: %w", v.ID, err)
 	}
@@ -173,9 +181,10 @@ func (d *ModelDir) ensureSavedLocked(v *Version) (string, error) {
 
 // collectGarbageLocked removes selector files the committed manifest no
 // longer references — leftovers of superseded versions, of writes whose
-// manifest commit never happened, and the family-*.json files of a
-// directory last written while per-family model routing existed. Only
-// files matching this package's naming schemes are touched; removal
+// manifest commit never happened, JSON files of earlier builds, and the
+// family-* files of a directory last written while per-family model
+// routing existed. Only files matching this package's naming schemes
+// (global-v* or family-*, ending .sel or .json) are touched; removal
 // failures are ignored (an orphan costs disk, not correctness, and the
 // next Sync retries).
 func (d *ModelDir) collectGarbageLocked(m *manifest) {
@@ -192,7 +201,7 @@ func (d *ModelDir) collectGarbageLocked(m *manifest) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || referenced[name] || !strings.HasSuffix(name, ".json") {
+		if e.IsDir() || referenced[name] || !strings.HasSuffix(name, ".sel") && !strings.HasSuffix(name, ".json") {
 			continue
 		}
 		if !strings.HasPrefix(name, "global-v") && !strings.HasPrefix(name, "family-") {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"progressest/internal/mart"
 	"progressest/internal/selection"
 )
 
@@ -195,7 +196,7 @@ func TestModelDirSyncSkipsUnchanged(t *testing.T) {
 	if err := md.Sync(reg); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "global-v1.json")
+	path := filepath.Join(dir, "global-v1.sel")
 	before, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +218,7 @@ func TestModelDirSyncSkipsUnchanged(t *testing.T) {
 	if err := md.Sync(reg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "global-v2.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "global-v2.sel")); err != nil {
 		t.Fatalf("new version file missing: %v", err)
 	}
 	if _, err := os.Stat(path); err != nil {
@@ -233,7 +234,7 @@ func TestModelDirSyncSkipsUnchanged(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("selector file beyond the history depth was not garbage-collected")
 	}
-	for _, keep := range []string{"global-v2.json", "global-v3.json", "global-v4.json"} {
+	for _, keep := range []string{"global-v2.sel", "global-v3.sel", "global-v4.sel"} {
 		if _, err := os.Stat(filepath.Join(dir, keep)); err != nil {
 			t.Fatalf("%s missing: %v", keep, err)
 		}
@@ -254,9 +255,7 @@ func TestModelDirRestoresPerFamilyManifest(t *testing.T) {
 	}
 	files := []string{"global-v2.json", "global-v5.json", "family-alpha-v3.json", "family-alpha-v4.json", "family-b%2Fc-v6.json"}
 	for _, f := range files {
-		if err := sel.Save(filepath.Join(dir, f)); err != nil {
-			t.Fatal(err)
-		}
+		saveLegacyJSON(t, sel, filepath.Join(dir, f))
 	}
 	const manifestJSON = `{"format":2,"saved_at":"2026-10-01T12:00:00Z","targets":[
 	{"family":"","file":"global-v5.json","id":5,"trained_at":"2026-10-01T11:00:00Z","corpus_size":500,"holdout_l1":0.04,"holdout_n":100,"source":"auto",
@@ -318,5 +317,191 @@ func TestModelDirRestoresPerFamilyManifest(t *testing.T) {
 	}
 	if _, err := reg.Rollback(); !errors.Is(err, ErrNoRollback) {
 		t.Fatalf("second rollback err = %v, want ErrNoRollback", err)
+	}
+}
+
+// saveLegacyJSON writes sel as the JSON selector file (format 1) that
+// builds before the binary format wrote.
+func saveLegacyJSON(t *testing.T, sel *selection.Selector, path string) {
+	t.Helper()
+	p := struct {
+		Format  int                    `json:"format"`
+		Kinds   []int                  `json:"kinds"`
+		Dynamic bool                   `json:"dynamic"`
+		Models  map[string]*mart.Model `json:"models"`
+	}{Format: 1, Dynamic: sel.Dynamic, Models: map[string]*mart.Model{}}
+	for _, k := range sel.Kinds {
+		p.Kinds = append(p.Kinds, int(k))
+		p.Models[k.String()] = sel.Models[k]
+	}
+	data, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// corrupt flips one byte in the middle of a selector file, so its
+// checksum no longer matches.
+func corrupt(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x55
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestModelDirRestoreCorruptFiles: a history file failing its checksum
+// only shortens the restored rollback chain, while a serving file failing
+// it fails the restore — a daemon must not silently come back serving an
+// older model than the one it was serving.
+func TestModelDirRestoreCorruptFiles(t *testing.T) {
+	sel, err := selection.Train(familyExamples(30, 0, "", false), fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	persist := func(t *testing.T) string {
+		dir := t.TempDir()
+		md, err := OpenModelDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewRegistry()
+		for size := 1; size <= 3; size++ {
+			reg.Publish(sel, VersionMeta{Source: "manual", CorpusSize: size})
+		}
+		if err := md.Sync(reg); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	t.Run("history", func(t *testing.T) {
+		dir := persist(t)
+		corrupt(t, filepath.Join(dir, "global-v1.sel"))
+		md, err := OpenModelDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewRegistry()
+		if ok, err := md.Restore(reg); err != nil || !ok {
+			t.Fatalf("restore: ok=%v err=%v", ok, err)
+		}
+		vs := reg.Versions()
+		if len(vs) != 2 || vs[0].Meta.CorpusSize != 2 || reg.Current().Meta.CorpusSize != 3 {
+			t.Fatalf("restored %d versions, current %+v; want v2 as the only history under v3", len(vs), reg.Current().Meta)
+		}
+	})
+	t.Run("serving", func(t *testing.T) {
+		dir := persist(t)
+		corrupt(t, filepath.Join(dir, "global-v3.sel"))
+		md, err := OpenModelDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := md.Restore(NewRegistry()); err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("restore with a corrupt serving file: err = %v, want a checksum error", err)
+		}
+	})
+}
+
+// TestModelDirRestoresLegacyJSONBesideBinary: a directory an earlier
+// build wrote a JSON history version into, and this build a binary
+// serving version, restores both; each keeps its own file while it stays
+// in the chain — a new version whose renumbered ID matches a restored
+// file's name is written beside it, not over it — and the GC pass
+// collects superseded and orphaned selector files of either suffix, but
+// nothing outside its naming scheme.
+func TestModelDirRestoresLegacyJSONBesideBinary(t *testing.T) {
+	dir := t.TempDir()
+	old, err := selection.Train(familyExamples(30, 0, "", false), fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := selection.Train(familyExamples(30, 0, "", true), fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := familyExamples(20, 1000, "", false)
+	if picksRight(old, probe) == picksRight(next, probe) {
+		t.Fatal("test needs selectors that pick differently")
+	}
+	saveLegacyJSON(t, old, filepath.Join(dir, "global-v2.json"))
+	saveLegacyJSON(t, old, filepath.Join(dir, "global-v1.json"))   // orphan of an earlier build
+	for _, f := range []string{"global-v3.sel", "global-v9.sel"} { // v9: an orphan too
+		if err := old.Save(filepath.Join(dir, f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "notes.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const manifestJSON = `{"format":2,"saved_at":"2026-10-01T12:00:00Z","targets":[
+	{"family":"","file":"global-v3.sel","id":3,"trained_at":"2026-10-01T11:00:00Z","corpus_size":500,"holdout_l1":0.04,"holdout_n":100,"source":"auto",
+	 "history":[{"file":"global-v2.json","id":2,"trained_at":"2026-10-01T10:00:00Z","corpus_size":200,"holdout_l1":0.05,"holdout_n":40,"source":"auto"}]}]}`
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifestJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restore := func() (*ModelDir, *Registry) {
+		t.Helper()
+		md, err := OpenModelDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewRegistry()
+		if ok, err := md.Restore(reg); err != nil || !ok {
+			t.Fatalf("restore: ok=%v err=%v", ok, err)
+		}
+		return md, reg
+	}
+	md, reg := restore()
+	vs := reg.Versions()
+	if len(vs) != 2 || vs[0].Meta.CorpusSize != 200 || reg.Current().Meta.CorpusSize != 500 {
+		t.Fatalf("restored %d versions, current %+v; want the JSON history under the binary serving version", len(vs), reg.Current().Meta)
+	}
+	for _, v := range vs {
+		if picksRight(v.Selector, probe) != picksRight(old, probe) {
+			t.Fatalf("restored version %d predicts unlike the saved selector", v.ID)
+		}
+	}
+
+	// A new version, v3 after the renumbering: the chain is v3, the
+	// restored serving version, the restored history — both restored
+	// files stay, the orphans go.
+	reg.Publish(next, VersionMeta{Source: "manual", CorpusSize: 600})
+	if err := md.Sync(reg); err != nil {
+		t.Fatal(err)
+	}
+	exists := func(f string) bool {
+		_, err := os.Stat(filepath.Join(dir, f))
+		return err == nil
+	}
+	for f, want := range map[string]bool{"global-v2.json": true, "global-v3.sel": true, "global-v3-2.sel": true,
+		"global-v1.json": false, "global-v9.sel": false, "notes.json": true} {
+		if exists(f) != want {
+			t.Fatalf("after the first Sync: %s exists = %v, want %v", f, !want, want)
+		}
+	}
+	_, again := restore()
+	vs = again.Versions()
+	if len(vs) != 3 || picksRight(vs[0].Selector, probe) != picksRight(old, probe) ||
+		picksRight(vs[1].Selector, probe) != picksRight(old, probe) || picksRight(vs[2].Selector, probe) != picksRight(next, probe) {
+		t.Fatal("a restart after the Sync does not restore the chain it persisted")
+	}
+
+	// Two more versions push both restored ones off the chain: the JSON
+	// and the binary file are collected alike.
+	reg.Publish(next, VersionMeta{Source: "manual"})
+	reg.Publish(next, VersionMeta{Source: "manual"})
+	if err := md.Sync(reg); err != nil {
+		t.Fatal(err)
+	}
+	if exists("global-v2.json") || exists("global-v3.sel") || !exists("notes.json") || !exists(manifestName) {
+		t.Fatal("superseded selector files of both suffixes should be collected, and nothing else")
 	}
 }

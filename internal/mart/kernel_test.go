@@ -347,7 +347,7 @@ func TestBinnerUsesAllSixtyFourBins(t *testing.T) {
 	}
 }
 
-// TestTrainMatchesRowMajorReference: whole models, marshalled, byte for
+// TestTrainMatchesRowMajorReference: whole models, encoded, byte for
 // byte — across the matrices above and the option edges that change which
 // rows a leaf holds and in what order.
 func TestTrainMatchesRowMajorReference(t *testing.T) {
@@ -367,11 +367,11 @@ func TestTrainMatchesRowMajorReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotBytes, err := got.Encode()
+				gotBytes, err := got.AppendBinary(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantBytes, err := refTrain(X, y, opts).Encode()
+				wantBytes, err := refTrain(X, y, opts).AppendBinary(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -411,7 +411,7 @@ func TestBinnedFitsConcurrently(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got[k], _ = m.Encode()
+			got[k], _ = m.AppendBinary(nil)
 		}()
 	}
 	wg.Wait()
@@ -420,7 +420,7 @@ func TestBinnedFitsConcurrently(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := m.Encode()
+		want, _ := m.AppendBinary(nil)
 		if !bytes.Equal(got[k], want) {
 			t.Fatalf("label vector %d: concurrent Fit on the shared matrix differs from Train", k)
 		}

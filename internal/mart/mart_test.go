@@ -1,9 +1,11 @@
 package mart
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
-	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -171,23 +173,90 @@ func TestErrorsOnBadInput(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip: a decoded model is the trained model to the last
+// bit — the same predictions, and the same bytes when encoded again.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	X, y := synth(500, 9)
 	m, err := Train(X, y, Options{Trees: 20, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "model.json")
-	if err := m.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
+	m.Names = []string{"a", "", "ccc", "d"}
+	data, err := m.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range X[:50] {
-		if math.Abs(m.Predict(x)-loaded.Predict(x)) > 1e-12 {
+	loaded, err := DecodeBinary(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := loaded.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, again) {
+		t.Fatal("decoded model encodes to different bytes")
+	}
+	if !slices.Equal(loaded.Names, m.Names) || !slices.Equal(loaded.Importance, m.Importance) {
+		t.Fatal("names or importances lost in the round trip")
+	}
+	for _, x := range X {
+		if math.Float64bits(m.Predict(x)) != math.Float64bits(loaded.Predict(x)) {
 			t.Fatal("loaded model predicts differently")
+		}
+	}
+}
+
+// TestDecodeBinaryRejects: truncated input, trailing bytes and every
+// structural fault Validate names are errors — a child that points back
+// at or before its parent (the loop a crafted file could make Predict
+// spin in), one past the tree, a split feature outside the vector, an
+// empty tree, and importances that disagree with the feature count.
+func TestDecodeBinaryRejects(t *testing.T) {
+	valid := func() *Model {
+		return &Model{Bias: 0.5, NumFeature: 2, Importance: []float64{1, 0}, Trees: []tree{{Nodes: []node{
+			{Feature: 1, Threshold: 0.5, Left: 1, Right: 2},
+			{Left: -1, Right: -1, Value: 0.25},
+			{Left: -1, Right: -1, Value: -0.25},
+		}}}}
+	}
+	data, err := valid().AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := range len(data) {
+		if _, err := DecodeBinary(data[:n]); err == nil {
+			t.Fatalf("truncation to %d of %d bytes decoded", n, len(data))
+		}
+	}
+	if _, err := DecodeBinary(append(data, 0)); err == nil {
+		t.Fatal("a trailing byte decoded")
+	}
+	for name, mutate := range map[string]func(m *Model){
+		"empty tree":  func(m *Model) { m.Trees = append(m.Trees, tree{}) },
+		"importances": func(m *Model) { m.Importance = m.Importance[:1] },
+		"leaf index":  func(m *Model) { m.Trees[0].Nodes[1].Left = math.MinInt32 - 1 },
+	} {
+		m := valid()
+		mutate(m)
+		if _, err := m.AppendBinary(nil); err == nil || !strings.Contains(err.Error(), "invalid model") {
+			t.Errorf("%s: AppendBinary err = %v, want an invalid-model error", name, err)
+		}
+	}
+	// Node faults, patched into the record: bias, feature count, two
+	// importances, no names, one tree of three nodes, then the nodes.
+	const root = 8 + 4 + 16 + 4 + 4 + 4
+	for name, patch := range map[string]struct{ at, v int }{
+		"self loop":        {root + 12, 0},
+		"backward child":   {root + 2*nodeSize + 12, 1}, // the last leaf turned into a split
+		"child past tree":  {root + 16, 3},
+		"feature past":     {root, 2},
+		"negative feature": {root, -1},
+	} {
+		bad := bytes.Clone(data)
+		binary.LittleEndian.PutUint32(bad[patch.at:], uint32(int32(patch.v)))
+		if _, err := DecodeBinary(bad); err == nil || !strings.Contains(err.Error(), "invalid model") {
+			t.Errorf("%s: DecodeBinary err = %v, want an invalid-model error", name, err)
 		}
 	}
 }

@@ -9,9 +9,11 @@
 package selection
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"runtime"
 	"sync"
@@ -193,63 +195,143 @@ func (s *Selector) Select(full []float64) progress.Kind {
 	return best
 }
 
-// SaveFormat is the current on-disk format version of Save. Format 0
-// denotes legacy files written before versioning; they load fine.
-const SaveFormat = 1
+const (
+	// SaveFormat is the current on-disk format version of Save. Formats
+	// 0 (unversioned) and 1 were JSON; Load still reads them.
+	SaveFormat = 2
+	// selMagic opens every binary selector file (a JSON one opens '{').
+	selMagic = "PESTSELR"
+)
 
-// persisted is the JSON form of a Selector.
-type persisted struct {
-	Format  int                    `json:"format"`
-	Kinds   []int                  `json:"kinds"`
-	Dynamic bool                   `json:"dynamic"`
-	Models  map[string]*mart.Model `json:"models"`
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Save writes the selector to path as JSON. The write is atomic under
-// crashes (see atomicio.WriteFile), so a reader (or a restart) only ever
-// sees the old complete file or the new complete file, never a torn one.
+// Save writes the selector to path, little-endian: selMagic, the uint32
+// SaveFormat, a Dynamic byte (0 or 1), a uint32 kind count and the kinds
+// as uint32s, then per kind a uint32 length and its mart.Model record,
+// and last a CRC-32C of everything before it. The write is atomic (see
+// atomicio.WriteFile): a reader sees the old or the new file, never a
+// torn one.
 func (s *Selector) Save(path string) error {
-	p := persisted{Format: SaveFormat, Dynamic: s.Dynamic, Models: map[string]*mart.Model{}}
-	for _, k := range s.Kinds {
-		p.Kinds = append(p.Kinds, int(k))
-		p.Models[k.String()] = s.Models[k]
+	data, err := s.encode()
+	if err == nil {
+		err = atomicio.WriteFile(path, data)
 	}
-	data, err := json.Marshal(p)
 	if err != nil {
-		return fmt.Errorf("selection: marshal: %w", err)
-	}
-	if err := atomicio.WriteFile(path, data); err != nil {
 		return fmt.Errorf("selection: save: %w", err)
 	}
 	return nil
 }
 
-// Load reads a selector saved by Save.
+func (s *Selector) encode() ([]byte, error) {
+	le := binary.LittleEndian
+	dyn := byte(0)
+	if s.Dynamic {
+		dyn = 1
+	}
+	b := le.AppendUint32(append(le.AppendUint32([]byte(selMagic), SaveFormat), dyn), uint32(len(s.Kinds)))
+	for _, k := range s.Kinds {
+		b = le.AppendUint32(b, uint32(k))
+	}
+	written := &Selector{Models: make(map[progress.Kind]*mart.Model, len(s.Kinds))}
+	for _, k := range s.Kinds {
+		if err := written.add(int(k), s.Models[k]); err != nil { // the checks Load makes
+			return nil, err
+		}
+		rec, _ := s.Models[k].AppendBinary(nil) // add validated the model
+		b = append(le.AppendUint32(b, uint32(len(rec))), rec...)
+	}
+	return le.AppendUint32(b, crc32.Checksum(b, castagnoli)), nil
+}
+
+// Load reads a selector saved by Save, or a JSON one (formats 0 and 1),
+// checking every kind and model (see add): a bad file fails here, not in
+// a prediction.
 func Load(path string) (*Selector, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("selection: load: %w", err)
 	}
-	var p persisted
+	s, err := decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("selection: load %s: %w", path, err)
+	}
+	return s, nil
+}
+
+func decode(data []byte) (*Selector, error) {
+	if len(data) > 0 && data[0] == '{' {
+		return decodeJSON(data)
+	}
+	le, head := binary.LittleEndian, len(selMagic)+4
+	if len(data) < head+9 || string(data[:len(selMagic)]) != selMagic {
+		return nil, errors.New("not a selector file")
+	}
+	if f := le.Uint32(data[len(selMagic):]); f != SaveFormat {
+		return nil, fmt.Errorf("selector format %d is not one this build reads (%d) — upgrade progressest or retrain the model with this version", f, SaveFormat)
+	}
+	if crc32.Checksum(data[:len(data)-4], castagnoli) != le.Uint32(data[len(data)-4:]) {
+		return nil, errors.New("checksum mismatch")
+	}
+	body := data[head : len(data)-4]
+	n := int(le.Uint32(body[1:]))
+	if body[0] > 1 || n > progress.TotalKinds || len(body) < 5+4*n {
+		return nil, fmt.Errorf("bad header: dynamic flag %d, %d kinds", body[0], n)
+	}
+	s := &Selector{Dynamic: body[0] == 1, Models: make(map[progress.Kind]*mart.Model, n)}
+	kinds, body := body[5:5+4*n], body[5+4*n:]
+	for i := range n {
+		if len(body) < 4 || int(le.Uint32(body)) > len(body)-4 {
+			return nil, errors.New("truncated model")
+		}
+		rec := body[4 : 4+int(le.Uint32(body))]
+		body = body[4+len(rec):]
+		m, err := mart.DecodeBinary(rec)
+		if err == nil {
+			err = s.add(int(le.Uint32(kinds[4*i:])), m)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if len(body) != 0 {
+		return nil, errors.New("trailing bytes")
+	}
+	return s, nil
+}
+
+// add appends kind ki and its model, refusing an unknown or repeated kind
+// and a missing or invalid model.
+func (s *Selector) add(ki int, m *mart.Model) error {
+	k := progress.Kind(ki)
+	if _, dup := s.Models[k]; dup || ki < 0 || ki >= progress.TotalKinds || m == nil {
+		return fmt.Errorf("estimator kind %d is unknown, repeated or has no model", ki)
+	}
+	if err := m.Validate(); err != nil {
+		return fmt.Errorf("model for %v: %w", k, err)
+	}
+	s.Kinds, s.Models[k] = append(s.Kinds, k), m
+	return nil
+}
+
+// decodeJSON reads the JSON selector files of formats 0 and 1.
+func decodeJSON(data []byte) (*Selector, error) {
+	var p struct {
+		Format  int                    `json:"format"`
+		Kinds   []int                  `json:"kinds"`
+		Dynamic bool                   `json:"dynamic"`
+		Models  map[string]*mart.Model `json:"models"`
+	}
 	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("selection: unmarshal: %w", err)
+		return nil, fmt.Errorf("unmarshal: %w", err)
 	}
-	if p.Format > SaveFormat {
-		return nil, fmt.Errorf("selection: %s uses selector format %d, but this build only understands formats <= %d — upgrade progressest or retrain the model with this version",
-			path, p.Format, SaveFormat)
+	if p.Format > 1 {
+		return nil, fmt.Errorf("JSON selector format %d: this build writes format %d and reads JSON formats 0 and 1", p.Format, SaveFormat)
 	}
-	s := &Selector{Dynamic: p.Dynamic, Models: map[progress.Kind]*mart.Model{}}
+	s := &Selector{Dynamic: p.Dynamic, Models: make(map[progress.Kind]*mart.Model, len(p.Kinds))}
 	for _, ki := range p.Kinds {
-		if ki < 0 || ki >= progress.TotalKinds {
-			return nil, fmt.Errorf("selection: invalid estimator kind %d in %s", ki, path)
+		if err := s.add(ki, p.Models[progress.Kind(ki).String()]); err != nil {
+			return nil, err
 		}
-		k := progress.Kind(ki)
-		s.Kinds = append(s.Kinds, k)
-		m, ok := p.Models[k.String()]
-		if !ok || m == nil {
-			return nil, fmt.Errorf("selection: model for %v missing", k)
-		}
-		s.Models[k] = m
 	}
 	return s, nil
 }

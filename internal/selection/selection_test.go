@@ -2,10 +2,14 @@ package selection_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -139,13 +143,16 @@ func TestDynamicSelectorUsesDynamicSuffix(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip: a loaded selector is the saved one to the last
+// bit — every model re-encodes to the original's bytes, and picks and
+// predicted errors agree exactly on every pool example.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ex := pool(t)
 	s, err := selection.Train(ex, selection.Config{Kinds: progress.ExtendedKinds(), Dynamic: true, Mart: fastOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "selector.json")
+	path := filepath.Join(t.TempDir(), "selector.sel")
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -153,19 +160,45 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Dynamic != s.Dynamic || len(loaded.Kinds) != len(s.Kinds) {
-		t.Fatal("selector metadata lost in round trip")
+	assertSameSelector(t, s, loaded, ex)
+}
+
+// assertSameSelector fails unless got carries want's kinds, flag and
+// models byte for byte, and predicts identically on every example.
+func assertSameSelector(t *testing.T, want, got *selection.Selector, ex []selection.Example) {
+	t.Helper()
+	if got.Dynamic != want.Dynamic || !slices.Equal(got.Kinds, want.Kinds) {
+		t.Fatalf("selector metadata lost: kinds %v dynamic %v, want %v %v", got.Kinds, got.Dynamic, want.Kinds, want.Dynamic)
 	}
-	for i := range ex[:30] {
-		if s.Select(ex[i].Features) != loaded.Select(ex[i].Features) {
-			t.Fatal("loaded selector selects differently")
+	for _, k := range want.Kinds {
+		a, err := want.Models[k].AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := got.Models[k].AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%v: loaded model encodes differently", k)
+		}
+	}
+	for i := range ex {
+		if want.Select(ex[i].Features) != got.Select(ex[i].Features) {
+			t.Fatalf("example %d: loaded selector selects differently", i)
+		}
+		pw, pg := want.PredictErrors(ex[i].Features), got.PredictErrors(ex[i].Features)
+		for _, k := range want.Kinds {
+			if math.Float64bits(pw[k]) != math.Float64bits(pg[k]) {
+				t.Fatalf("example %d: %v predicted error %v, want %v", i, k, pg[k], pw[k])
+			}
 		}
 	}
 }
 
 // TestSaveIsAtomicAndVersioned: Save leaves no temp droppings, embeds the
-// format version, refuses files from a future format with a friendly
-// message, and still accepts legacy (unversioned) files.
+// format version, and refuses files from a future format with a friendly
+// message.
 func TestSaveIsAtomicAndVersioned(t *testing.T) {
 	ex := pool(t)
 	s, err := selection.Train(ex, selection.Config{Kinds: progress.CoreKinds(), Mart: fastOpts()})
@@ -173,7 +206,7 @@ func TestSaveIsAtomicAndVersioned(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	path := filepath.Join(dir, "selector.json")
+	path := filepath.Join(dir, "selector.sel")
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -194,35 +227,72 @@ func TestSaveIsAtomicAndVersioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var head struct {
-		Format int `json:"format"`
-	}
-	if err := json.Unmarshal(data, &head); err != nil {
-		t.Fatal(err)
-	}
-	if head.Format != selection.SaveFormat {
-		t.Fatalf("saved format %d, want %d", head.Format, selection.SaveFormat)
+	// The header is an 8-byte magic, then the little-endian format.
+	const formatAt = 8
+	if got := binary.LittleEndian.Uint32(data[formatAt:]); got != selection.SaveFormat {
+		t.Fatalf("saved format %d, want %d", got, selection.SaveFormat)
 	}
 
 	// A future format must be rejected with a friendly error.
-	future := bytes.Replace(data,
-		[]byte(`"format":1`), []byte(`"format":99`), 1)
-	futurePath := filepath.Join(dir, "future.json")
+	future := slices.Clone(data)
+	binary.LittleEndian.PutUint32(future[formatAt:], 99)
+	futurePath := filepath.Join(dir, "future.sel")
 	if err := os.WriteFile(futurePath, future, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := selection.Load(futurePath); err == nil || !strings.Contains(err.Error(), "format 99") {
 		t.Fatalf("future format: err = %v, want friendly mismatch error", err)
 	}
+}
 
-	// A legacy file without the field (format 0) still loads.
-	legacy := bytes.Replace(data, []byte(`"format":1,`), nil, 1)
-	legacyPath := filepath.Join(dir, "legacy.json")
-	if err := os.WriteFile(legacyPath, legacy, 0o644); err != nil {
+// legacySelector is the JSON form Save wrote in formats 0 and 1; format
+// 0 files lack the "format" field.
+type legacySelector struct {
+	Format  int                    `json:"format,omitempty"`
+	Kinds   []int                  `json:"kinds"`
+	Dynamic bool                   `json:"dynamic"`
+	Models  map[string]*mart.Model `json:"models"`
+}
+
+// TestLoadLegacyJSON: selectors written as JSON by earlier versions
+// (format 0, unversioned, and format 1) still load, and predict exactly
+// as the selector they were written from; a JSON file claiming a newer
+// format is refused by name.
+func TestLoadLegacyJSON(t *testing.T) {
+	ex := pool(t)
+	s, err := selection.Train(ex, selection.Config{Kinds: progress.ExtendedKinds(), Dynamic: true, Mart: fastOpts()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := selection.Load(legacyPath); err != nil {
-		t.Fatalf("legacy file rejected: %v", err)
+	dir := t.TempDir()
+	for _, format := range []int{0, 1, 7} {
+		p := legacySelector{Format: format, Dynamic: s.Dynamic, Models: map[string]*mart.Model{}}
+		for _, k := range s.Kinds {
+			p.Kinds = append(p.Kinds, int(k))
+			p.Models[k.String()] = s.Models[k]
+		}
+		data, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hasField := bytes.Contains(data, []byte(`"format"`)); hasField != (format != 0) {
+			t.Fatalf("format %d fixture: format field present = %v", format, hasField)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("legacy-%d.json", format))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := selection.Load(path)
+		if format > 1 {
+			if err == nil || !strings.Contains(err.Error(), "format 7") {
+				t.Fatalf("JSON format 7: err = %v, want a format error", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("format %d: %v", format, err)
+		}
+		assertSameSelector(t, s, loaded, ex)
 	}
 }
 

@@ -65,7 +65,7 @@ func TestTrainParallelWidthIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(t.TempDir(), "sel.json")
+		path := filepath.Join(t.TempDir(), "sel.sel")
 		if err := s.Save(path); err != nil {
 			t.Fatal(err)
 		}
@@ -126,5 +126,26 @@ func BenchmarkSelectionTrain(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSelector = s
+	}
+}
+
+// BenchmarkSelectorLoad reads back a selector at the repo benchmark's
+// shape — six kinds of 20 trees over 211 features — i.e. one of the
+// files a restart loads per persisted version.
+func BenchmarkSelectorLoad(b *testing.B) {
+	s, err := selection.Train(syntheticCorpus(1500, 1), selection.Config{
+		Kinds: progress.ExtendedKinds(), Dynamic: true, Mart: mart.Options{Trees: 20, Seed: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "selector.sel")
+	if err := s.Save(path); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchSelector, err = selection.Load(path); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

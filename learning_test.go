@@ -262,6 +262,34 @@ func TestLearningCorpusPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestOpenLearningRefusesCorruptServingModel: a serving selector file
+// that fails its checksum fails OpenLearning — a restart must not come
+// back serving a different model than the one it persisted.
+func TestOpenLearningRefusesCorruptServingModel(t *testing.T) {
+	dir := t.TempDir()
+	models := filepath.Join(dir, "models")
+	if err := os.MkdirAll(models, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// A binary selector header (magic, format 2) over a body whose
+	// checksum does not match.
+	sel := append([]byte("PESTSELR\x02\x00\x00\x00"), make([]byte, 64)...)
+	if err := os.WriteFile(filepath.Join(models, "global-v1.sel"), sel, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manifest := `{"format":2,"targets":[{"family":"","file":"global-v1.sel","id":1}]}`
+	if err := os.WriteFile(filepath.Join(models, "manifest.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lrn, err := OpenLearning(LearningConfig{Dir: dir, DisableBackground: true})
+	if err == nil {
+		lrn.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("OpenLearning over a corrupt serving model: err = %v, want a checksum error", err)
+	}
+}
+
 // TestLearningRollbackSurvivesReopen: an operator rollback is durable.
 // The rolled-back-to version — not the version it displaced — must be the
 // one a restarted daemon serves, which is exactly what the manifest sync

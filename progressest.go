@@ -91,9 +91,11 @@ type Config struct {
 	Queries int
 	// Scale scales base-table row counts (default 0.15).
 	Scale float64
-	// Zipf is the data-skew factor z (default 1).
+	// Zipf is the data-skew factor z (default 1). 0 means the default,
+	// so Open cannot ask for uniform (z = 0) data.
 	Zipf float64
-	// Design is the physical-design preset (default PartiallyTuned).
+	// Design is the physical-design preset. The zero value is Untuned
+	// (primary-key indexes only).
 	Design Design
 	// Seed makes everything deterministic (default 1).
 	Seed int64
@@ -347,10 +349,11 @@ func (s *Selector) PredictedErrors(featureVector []float64) map[Estimator]float6
 	return s.inner.PredictErrors(featureVector)
 }
 
-// Save writes the selector to a JSON file.
+// Save writes the selector to a binary selector file.
 func (s *Selector) Save(path string) error { return s.inner.Save(path) }
 
-// LoadSelector reads a selector saved by Save.
+// LoadSelector reads a selector saved by Save, or a JSON selector file
+// written by an earlier version.
 func LoadSelector(path string) (*Selector, error) {
 	inner, err := selection.Load(path)
 	if err != nil {
