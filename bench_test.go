@@ -357,7 +357,7 @@ func BenchmarkEstimatorReplay(b *testing.B) {
 // allocs/op (the window is allocated on the version's first Record, made
 // here before the timer starts).
 func BenchmarkDriftRecord(b *testing.B) {
-	reg := feedback.NewRegistry()
+	reg := feedback.NewRegistry(selection.Fixed(progress.DNE))
 	tr := feedback.NewDriftTracker(reg, feedback.DriftConfig{})
 	served := reg.Publish(nil, feedback.VersionMeta{HoldoutL1: 0.05, HoldoutN: 50})
 	errs := []float64{0.04, 0.07, 0.05, 0.06}

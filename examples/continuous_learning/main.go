@@ -1,6 +1,6 @@
 // Continuous learning: the daemon improving under its own traffic. The
 // example opens a workload and an on-disk learning corpus, serves a burst
-// of queries with no model at all (fixed-estimator fallback), harvests
+// of queries with v0 (the fixed DNE estimator, no model at all), harvests
 // every finished query into the corpus, retrains, and serves the next
 // burst with the freshly hot-swapped selector version — then retrains
 // again and shows the version history the /models endpoint would report.
@@ -60,7 +60,7 @@ func main() {
 		}
 	}
 
-	fmt.Println("burst 1: no model yet — fixed-estimator serving, harvesting on")
+	fmt.Println("burst 1: no model yet — v0, the fixed DNE estimator, serving; harvesting on")
 	runBurst(0, 8)
 	fmt.Printf("corpus: %d examples from %d queries\n\n", lrn.CorpusSize(), lrn.HarvestStats().Queries)
 

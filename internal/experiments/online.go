@@ -77,7 +77,7 @@ func (s *Suite) Online() (*OnlineResult, error) {
 			return nil, fmt.Errorf("experiments: online query %d: %w", qi, err)
 		}
 		tr := exec.Run(w.DB, plan, exec.Options{})
-		pol := selection.NewPolicy(sel, len(tr.Pipes.Pipelines), progress.DNE)
+		pol := selection.NewPolicy(sel, len(tr.Pipes.Pipelines))
 		picks := make([][]progress.Kind, len(tr.Pipes.Pipelines)) // per observation
 		query := make([]float64, 0, len(tr.Snapshots))
 		view, first := pol.Replay(tr, func(view *progress.OnlineView) {

@@ -199,16 +199,16 @@ type CanaryState struct {
 }
 
 // States returns the pending challenger, if any, as a list of at most
-// one. Nil-safe.
+// one, never nil. Nil-safe.
 func (c *Canary) States() []CanaryState {
 	if !c.enabled() {
-		return nil
+		return []CanaryState{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.pending
 	if st == nil {
-		return nil
+		return []CanaryState{}
 	}
 	cs := CanaryState{
 		Source:     st.source,

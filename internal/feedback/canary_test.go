@@ -18,7 +18,7 @@ func canaryHarness(t *testing.T, window int, maxAge time.Duration) (*Retrainer, 
 	if _, err := store.AppendAll(trainable(60, 0)); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	canary := NewCanary(CanaryConfig{Window: window, MaxAge: maxAge})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), Canary: canary,
@@ -26,7 +26,7 @@ func canaryHarness(t *testing.T, window int, maxAge time.Duration) (*Retrainer, 
 	if _, err := r.Retrain("manual"); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Current() == nil {
+	if reg.Current().IsV0() {
 		t.Fatal("manual retrain did not publish a serving champion")
 	}
 	return r, reg, canary, store
@@ -253,7 +253,7 @@ func TestAutoRollbackAfterConsecutiveDriftRejects(t *testing.T) {
 	if _, err := store.AppendAll(trainable(60, 0)); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), Drift: drift, DriftRetrain: true,

@@ -238,7 +238,7 @@ func TestTickCompacts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := NewRetrainer(store, NewRegistry(), RetrainerConfig{Selection: fastConfig()})
+	r := NewRetrainer(store, newRegistry(), RetrainerConfig{Selection: fastConfig()})
 	r.tick()
 	if st := store.Stats(); st.CompactionRuns == 0 {
 		t.Fatalf("background tick never compacted: %+v", st)

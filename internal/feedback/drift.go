@@ -63,8 +63,8 @@ type DriftState struct {
 	// Version is the serving version the window is accounting against.
 	Version int
 	// BaselineL1/BaselineN are that version's holdout baseline (predicted
-	// error); BaselineN 0 means no fair baseline exists and Drifted stays
-	// false no matter the observations.
+	// error); BaselineN 0 (v0, seeds) means no fair baseline exists and
+	// Drifted stays false no matter the observations.
 	BaselineL1 float64
 	BaselineN  int
 	// ObservedL1 is the mean L1 error of the version's own estimator
@@ -172,13 +172,9 @@ func (t *DriftTracker) driftedLocked(v *Version) bool {
 // version keeps serving) must re-accrue MinSamples fresh observations
 // before the verdict can fire again, instead of re-firing every poll
 // tick on the same stale window; a rollback starts the rolled-back-to
-// version's evidence afresh. Before the first publication it does
-// nothing.
+// version's evidence afresh.
 func (t *DriftTracker) Reset() {
 	v := t.reg.Current()
-	if v == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	v.drift = &driftWindow{ring: make([]float64, t.cfg.Window)}
@@ -214,9 +210,9 @@ func (t *DriftTracker) stateLocked(v *Version, withP90 bool) DriftState {
 	return st
 }
 
-// Status returns the standing of the serving version; ok is false
-// before the first publication, or while the serving version has no
-// window yet (no harvest recorded since it started serving).
+// Status returns the standing of the serving version; ok is false while
+// the serving version has no window yet (no harvest recorded since it
+// started serving).
 func (t *DriftTracker) Status() (DriftState, bool) {
 	return t.state(true)
 }
@@ -232,9 +228,6 @@ func (t *DriftTracker) Drifted() (DriftState, bool) {
 
 func (t *DriftTracker) state(withP90 bool) (DriftState, bool) {
 	v := t.reg.Current()
-	if v == nil {
-		return DriftState{}, false
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if v.drift == nil {

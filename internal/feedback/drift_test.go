@@ -25,7 +25,7 @@ func repeat(v float64, n int) []float64 {
 // Rollback the operator and the auto-rollback breaker share. Nothing here
 // trains, so the retrainer has no store.
 func driftRig(cfg DriftConfig) (*DriftTracker, *Registry, *Retrainer) {
-	reg := NewRegistry()
+	reg := newRegistry()
 	tr := NewDriftTracker(reg, cfg)
 	return tr, reg, NewRetrainer(nil, reg, RetrainerConfig{Drift: tr})
 }
@@ -191,9 +191,9 @@ func TestDriftTrackerResetForcesFreshEvidence(t *testing.T) {
 		t.Fatalf("verdict should fire again after fresh evidence: %+v", st)
 	}
 	fresh, _, _ := driftRig(DriftConfig{})
-	fresh.Reset() // before any publication: must not panic or invent a window
-	if _, ok := fresh.Status(); ok {
-		t.Fatal("Reset conjured a window")
+	fresh.Reset() // v0 serves: it gets an empty window, which cannot fire
+	if st, ok := fresh.Status(); !ok || st.Version != 0 || st.Samples != 0 || st.BaselineN != 0 || st.Drifted {
+		t.Fatalf("Reset on v0: %+v, %v; want v0's empty window", st, ok)
 	}
 }
 
@@ -320,7 +320,7 @@ func TestRetrainerDriftStaleVerdictSkipped(t *testing.T) {
 	if _, err := store.AppendAll(trainable(60, 0)); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), Drift: drift, DriftRetrain: true,
@@ -438,7 +438,7 @@ func TestRetrainerDecisionRingBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	r := NewRetrainer(store, NewRegistry(), RetrainerConfig{Selection: fastConfig()})
+	r := NewRetrainer(store, newRegistry(), RetrainerConfig{Selection: fastConfig()})
 	for i := 1; i <= maxDecisions+10; i++ {
 		r.recordDecision(&Version{ID: i, Meta: VersionMeta{TrainedAt: time.Now(), Decision: DecisionAccepted}}, "auto", 0)
 	}
@@ -466,7 +466,7 @@ func TestRetrainerDriftAcceptRekeysWindow(t *testing.T) {
 	if _, err := store.AppendAll(trainable(60, 0)); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4, Ratio: 1.5, AbsSlack: 0.01})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection:    fastConfig(),
@@ -549,7 +549,7 @@ func TestRetrainerDriftDoesNotMaskTrainingErrors(t *testing.T) {
 	if _, err := store.AppendAll(trainable(60, 0)); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), Drift: drift, DriftRetrain: true,
@@ -588,7 +588,7 @@ func TestRetrainerDriftCooldown(t *testing.T) {
 	if _, err := store.AppendAll(trainable(60, 0)); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), Drift: drift, DriftRetrain: true,
@@ -636,7 +636,7 @@ func TestRetrainerDriftGlobalTarget(t *testing.T) {
 	if _, err := store.AppendAll(trainable(60, 0)); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), Drift: drift, DriftRetrain: true,
@@ -667,7 +667,7 @@ func TestRetrainerDriftRetrainsOnlyDriftedTarget(t *testing.T) {
 	if _, err := store.AppendAll(trainable(60, 0)); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4, Ratio: 1.5, AbsSlack: 0.01})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection:    fastConfig(),
@@ -682,7 +682,7 @@ func TestRetrainerDriftRetrainsOnlyDriftedTarget(t *testing.T) {
 	// A healthy window holds no verdict: the drift pass trains nothing.
 	drift.Record(v1, repeat(0, 8))
 	r.retrainDrifted()
-	if reg.Current() != v1 || len(reg.Versions()) != 1 {
+	if reg.Current() != v1 || len(reg.Versions()) != 2 {
 		t.Fatalf("healthy model was retrained by the drift pass: %+v", reg.Current().Meta)
 	}
 
@@ -727,7 +727,7 @@ func TestRetrainerDriftDisabled(t *testing.T) {
 	if _, err := store.AppendAll(trainable(60, 0)); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	drift := NewDriftTracker(reg, DriftConfig{MinSamples: 4})
 	r := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(), Drift: drift, DriftRetrain: false,
@@ -763,7 +763,7 @@ func TestTickFitsEachTargetOnce(t *testing.T) {
 		if _, err := store.AppendAll(familyExamples(200, 0, "", false)); err != nil {
 			t.Fatal(err)
 		}
-		reg := NewRegistry()
+		reg := newRegistry()
 		drift := NewDriftTracker(reg, DriftConfig{Window: 16, MinSamples: 4})
 		r := NewRetrainer(store, reg, RetrainerConfig{
 			Selection: fastConfig(), Drift: drift, DriftRetrain: true, Canary: canary,

@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -36,17 +37,22 @@ func trainable(n, from int) []selection.Example {
 	return out
 }
 
+// newRegistry returns a registry born serving v0 = always-DNE, as
+// OpenLearning's is.
+func newRegistry() *Registry { return NewRegistry(selection.Fixed(progress.DNE)) }
+
 func fastConfig() selection.Config {
 	return selection.Config{Kinds: progress.CoreKinds(), Mart: mart.Options{Trees: 10, Seed: 1}}
 }
 
 func TestRegistryPublishCurrentRollback(t *testing.T) {
-	r := NewRegistry()
-	if r.Current() != nil {
-		t.Fatal("fresh registry should have no current version")
+	r := newRegistry()
+	v0 := r.Current()
+	if !v0.IsV0() || v0.Meta.Source != "fixed" || v0.Meta.Decision != DecisionAccepted || len(v0.Selector.Models) != 0 {
+		t.Fatalf("fresh registry serves %+v, want v0, the fixed estimator", v0.Meta)
 	}
-	if _, err := r.Rollback(); err == nil {
-		t.Fatal("rollback on empty registry should fail")
+	if _, err := r.Rollback(); !errors.Is(err, ErrNoRollback) {
+		t.Fatalf("rollback from v0: %v, want ErrNoRollback", err)
 	}
 	s1 := &selection.Selector{}
 	s2 := &selection.Selector{}
@@ -62,16 +68,20 @@ func TestRegistryPublishCurrentRollback(t *testing.T) {
 	if err != nil || back != v1 || r.Current() != v1 {
 		t.Fatalf("rollback: %v %v", back, err)
 	}
-	if _, err := r.Rollback(); err == nil {
-		t.Fatal("rollback past the first version should fail")
+	// Rolling back past the first version returns to v0, and no further.
+	if back, err := r.Rollback(); err != nil || back != v0 {
+		t.Fatalf("rollback from v1: %+v %v, want v0", back, err)
+	}
+	if _, err := r.Rollback(); !errors.Is(err, ErrNoRollback) {
+		t.Fatalf("rollback past v0: %v, want ErrNoRollback", err)
 	}
 	// Publishing after a rollback moves forward with a fresh ID.
 	v3 := r.Publish(s2, VersionMeta{Source: "manual"})
 	if v3.ID != 3 || r.Current() != v3 {
 		t.Fatalf("post-rollback publish: %+v", v3)
 	}
-	if got := r.Versions(); len(got) != 3 {
-		t.Fatalf("history length %d, want 3", len(got))
+	if got := r.Versions(); len(got) != 4 || got[0] != v0 {
+		t.Fatalf("history length %d, want v0 and three publications", len(got))
 	}
 }
 
@@ -79,7 +89,7 @@ func TestRegistryPublishCurrentRollback(t *testing.T) {
 // earlier rollback must return to the last version that actually served
 // well, not re-serve the model already judged bad.
 func TestRegistryRollbackSkipsRejectedVersions(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	v1 := r.Publish(&selection.Selector{}, VersionMeta{Source: "seed"})
 	r.Publish(&selection.Selector{}, VersionMeta{Source: "auto"}) // v2, bad
 	if back, err := r.Rollback(); err != nil || back != v1 {
@@ -93,9 +103,12 @@ func TestRegistryRollbackSkipsRejectedVersions(t *testing.T) {
 	if back != v1 {
 		t.Fatalf("second rollback re-served the rejected v%d instead of v%d", back.ID, v1.ID)
 	}
-	// Nothing good remains before v1.
+	// Nothing good remains before v1 but v0, and nothing below v0.
+	if back, err := r.Rollback(); err != nil || !back.IsV0() {
+		t.Fatalf("rollback from v1: %+v %v, want v0", back, err)
+	}
 	if _, err := r.Rollback(); err == nil {
-		t.Fatal("rollback past the last good version should fail")
+		t.Fatal("rollback past v0 should fail")
 	}
 }
 
@@ -104,7 +117,7 @@ func TestRegistryRollbackSkipsRejectedVersions(t *testing.T) {
 // its rollback chain — even when that chain holds the oldest versions
 // in the history, so heavy retraining cannot erode rollback.
 func TestRegistryPruneProtectsRollbackTargets(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	good := r.Publish(&selection.Selector{}, VersionMeta{Source: "seed"})
 	prev := r.Publish(&selection.Selector{}, VersionMeta{Source: "auto"})
 	// Far more publications than the budget: per cycle, one accepted
@@ -138,7 +151,7 @@ func TestRegistryPruneProtectsRollbackTargets(t *testing.T) {
 // goroutines while versions are published and rolled back; under -race
 // this also proves the swap is data-race-free.
 func TestRegistryHotSwapNeverBlocksReaders(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Publish(&selection.Selector{}, VersionMeta{Source: "seed"})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -177,7 +190,7 @@ func TestRetrainerManualRetrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	reg := NewRegistry()
+	reg := newRegistry()
 	ret := NewRetrainer(store, reg, RetrainerConfig{Selection: fastConfig()})
 
 	if _, err := ret.Retrain("manual"); err != ErrEmptyCorpus {
@@ -218,7 +231,7 @@ func TestRetrainerSeedCorpusMixedIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	reg := NewRegistry()
+	reg := newRegistry()
 	ret := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(),
 		Seed:      trainable(50, 0),
@@ -243,7 +256,7 @@ func TestRetrainerBackgroundPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	reg := NewRegistry()
+	reg := newRegistry()
 	ret := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(),
 		Policy: RetrainPolicy{
@@ -260,7 +273,7 @@ func TestRetrainerBackgroundPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(40 * time.Millisecond)
-	if reg.Current() != nil {
+	if !reg.Current().IsV0() {
 		t.Fatal("retrainer fired below the growth threshold")
 	}
 	// Cross it: a version is published soon after.
@@ -268,7 +281,7 @@ func TestRetrainerBackgroundPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for reg.Current() == nil {
+	for reg.Current().IsV0() {
 		if time.Now().After(deadline) {
 			t.Fatal("background retrainer never published")
 		}
@@ -288,7 +301,7 @@ func TestRetrainerPolicyFiresAtRetentionCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	ret := NewRetrainer(store, NewRegistry(), RetrainerConfig{
+	ret := NewRetrainer(store, newRegistry(), RetrainerConfig{
 		Selection: fastConfig(),
 		Policy:    RetrainPolicy{MinNewExamples: 20, MinInterval: time.Millisecond, Poll: time.Hour},
 	})
@@ -324,12 +337,12 @@ func TestRetrainerStopIsCleanAndIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	ret := NewRetrainer(store, NewRegistry(), RetrainerConfig{Selection: fastConfig()})
+	ret := NewRetrainer(store, newRegistry(), RetrainerConfig{Selection: fastConfig()})
 	ret.Start()
 	ret.Stop()
 	ret.Stop() // idempotent
 	// Stop without Start must not hang either.
-	ret2 := NewRetrainer(store, NewRegistry(), RetrainerConfig{Selection: fastConfig()})
+	ret2 := NewRetrainer(store, newRegistry(), RetrainerConfig{Selection: fastConfig()})
 	done := make(chan struct{})
 	go func() { ret2.Stop(); close(done) }()
 	select {

@@ -108,7 +108,7 @@ func TestQualityGateRejectsRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	reg := NewRegistry()
+	reg := newRegistry()
 
 	// Baseline: a selector trained on the truthful rule, published as
 	// serving. HoldoutN > 0 marks it holdout-evaluated, so the gate
@@ -147,9 +147,9 @@ func TestQualityGateRejectsRegression(t *testing.T) {
 	if reg.IsCurrent(v) {
 		t.Fatal("rejected version claims to be current")
 	}
-	// The rejection is visible in the history.
+	// The rejection is visible in the history, above v0 and the baseline.
 	hist := reg.Versions()
-	if len(hist) != 2 || hist[1] != v {
+	if len(hist) != 3 || hist[2] != v {
 		t.Fatalf("history %v", hist)
 	}
 
@@ -189,7 +189,7 @@ func TestQualityGateDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	reg := NewRegistry()
+	reg := newRegistry()
 	baseSel, err := selection.Train(familyExamples(60, 0, "", false), fastConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestQualityGateExemptsSeedBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	reg := NewRegistry()
+	reg := newRegistry()
 	baseSel, err := selection.Train(familyExamples(60, 0, "", false), fastConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,8 @@ func TestQualityGateExemptsSeedBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Meta.Decision != DecisionAccepted || reg.Current() != v {
-		t.Fatalf("retrain against seed baseline: decision %q, current %+v", v.Meta.Decision, reg.Current())
+	if v.Meta.Decision != DecisionAccepted || reg.Current() != v || v.Meta.BaselineL1 != 0 {
+		t.Fatalf("retrain against seed baseline: decision %q, baseline %v, current %+v; want ungated",
+			v.Meta.Decision, v.Meta.BaselineL1, reg.Current())
 	}
 }

@@ -37,7 +37,7 @@ type Harvester struct {
 	// the batch default, 8).
 	minObs int
 	// drift, when non-nil, receives the observed serving errors of every
-	// harvested query that was served by a pinned model version.
+	// harvested query that was served by a pinned registry version.
 	drift *DriftTracker
 	// canary, when non-nil, shadow-scores pending challengers on the same
 	// harvested examples (champion/challenger confirmation, see canary.go).
@@ -65,10 +65,10 @@ func (h *Harvester) HarvestTrace(tr *exec.Trace, workloadName, family string, qu
 // HarvestView is HarvestTrace for a query the serving path monitored:
 // view is the streaming view that watched the run that produced tr, so
 // labelling reads the estimator series it already holds instead of
-// replaying them. served, when non-nil, is the model version pinned to
-// the query at start — its observed errors feed the drift tracker and
-// the canary. It runs on the executing goroutine, after the query's last
-// snapshot.
+// replaying them. served is the registry version pinned to the query at
+// start — its observed errors feed the drift tracker and the canary — or
+// nil for a run served by an explicit selector. It runs on the executing
+// goroutine, after the query's last snapshot.
 func (h *Harvester) HarvestView(view *progress.OnlineView, tr *exec.Trace, workloadName, family string, queryIndex int, served *Version) (int, error) {
 	return h.harvest(tr, workload.LabelView(view, tr, workloadName, family, queryIndex, h.minObs), served)
 }
@@ -93,7 +93,7 @@ func (h *Harvester) harvest(tr *exec.Trace, exs []selection.Example, served *Ver
 	// partial failure that is the prefix): a verdict built from evidence
 	// the corpus never stored would trigger retrains on a corpus that
 	// lacks the very traffic that drifted.
-	if served != nil && served.Selector != nil && n > 0 && (h.drift != nil || h.canary.enabled()) {
+	if served != nil && n > 0 && (h.drift != nil || h.canary.enabled()) {
 		obs := make([]float64, n)
 		for i := 0; i < n; i++ {
 			obs[i] = exs[i].ErrL1[served.Selector.Select(exs[i].Features)]

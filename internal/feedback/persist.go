@@ -29,10 +29,10 @@ const (
 type manifest struct {
 	Format  int       `json:"format"`
 	SavedAt time.Time `json:"saved_at"`
-	// Targets holds exactly one entry, the serving version. Manifests
-	// written while per-family model routing existed also list one entry
-	// per family (and a "pinned_families" list); Restore reads only the
-	// entry with an empty family.
+	// Targets holds exactly one entry, the serving version, or none while
+	// v0 serves. Manifests written while per-family model routing existed
+	// also list one entry per family (and a "pinned_families" list);
+	// Restore reads only the entry with an empty family.
 	Targets []manifestTarget `json:"targets"`
 }
 
@@ -65,10 +65,10 @@ type manifestVersion struct {
 }
 
 // ModelDir persists the serving selector version next to the corpus so
-// a restarted daemon resumes from its last trained model instead of the
-// fixed-estimator fallback. Each version's selector goes to its own
-// binary file (global-v12.sel; a version restored from an earlier
-// build's global-v12.json keeps that file) via selection.Selector.Save
+// a restarted daemon resumes from its last trained model instead of v0.
+// Each version's selector goes to its own binary file (global-v12.sel; a
+// version restored from an earlier build's global-v12.json keeps that
+// file) via selection.Selector.Save
 // (temp-file + fsync + rename, so a crash never leaves a torn model), and
 // the atomically renamed manifest.json is the commit point for the whole
 // file SET: selector files are only ever written under fresh names, so a
@@ -105,11 +105,11 @@ func OpenModelDir(dir string) (*ModelDir, error) {
 // Dir returns the model directory path.
 func (d *ModelDir) Dir() string { return d.dir }
 
-// Sync persists the registry's serving version and its rollback chain:
-// every referenced version's selector file (skipped when already on
-// disk) plus the manifest. Selector files of versions no longer
-// referenced are garbage-collected after the manifest commit — the
-// manifest alone decides what Restore loads.
+// Sync persists the registry's serving version and its rollback chain
+// above v0: every referenced version's selector file (skipped when
+// already on disk) plus the manifest, empty while v0 serves. Selector
+// files of versions no longer referenced are garbage-collected after the
+// manifest commit — the manifest alone decides what Restore loads.
 func (d *ModelDir) Sync(reg *Registry) (err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -247,9 +247,12 @@ func (d *ModelDir) LastSyncError() error {
 // inspection in GET /models (the quality gate itself re-evaluates the
 // serving selector on each candidate's fresh holdout; it never reads
 // these stored numbers). It reports whether a serving version was
-// restored; a missing manifest restores nothing and is not an error.
-// Family entries of a manifest written while per-family routing existed
-// are ignored, and their files go at the next Sync.
+// restored; a missing manifest restores nothing and is not an error. A
+// manifest with no targets records that v0 served: Restore rolls back
+// past whatever was published before it (a seed), so a rollback to v0
+// survives the restart. Family entries of a manifest written while
+// per-family routing existed are ignored, and their files go at the next
+// Sync.
 func (d *ModelDir) Restore(reg *Registry) (bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -310,6 +313,9 @@ func (d *ModelDir) Restore(reg *Registry) (bool, error) {
 		// never written.
 		d.saved[v.ID] = t.File
 		return true, nil
+	}
+	for len(m.Targets) == 0 && !reg.Current().IsV0() {
+		reg.Rollback() // fails only once v0 serves, which ends the loop
 	}
 	return false, nil
 }

@@ -28,7 +28,7 @@ func TestModelDirPersistsVersionHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	ret := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(),
 		Gate:      QualityGate{Disabled: true},
@@ -84,7 +84,7 @@ func TestModelDirPersistsVersionHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg2 := NewRegistry()
+	reg2 := newRegistry()
 	if _, err := md2.Restore(reg2); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestModelDirPersistsVersionHistory(t *testing.T) {
 	if err := md2.Sync(reg2); err != nil {
 		t.Fatal(err)
 	}
-	reg3 := NewRegistry()
+	reg3 := newRegistry()
 	if _, err := md2.Restore(reg3); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestModelDirPersistRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	ret := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(),
 		Gate:      QualityGate{Disabled: true},
@@ -150,7 +150,7 @@ func TestModelDirPersistRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg2 := NewRegistry()
+	reg2 := newRegistry()
 	ok, err := md2.Restore(reg2)
 	if err != nil || !ok {
 		t.Fatalf("restore: ok=%v err=%v", ok, err)
@@ -174,7 +174,7 @@ func TestModelDirPersistRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := mdEmpty.Restore(NewRegistry()); err != nil || ok {
+	if ok, err := mdEmpty.Restore(newRegistry()); err != nil || ok {
 		t.Fatalf("empty restore: ok=%v err=%v", ok, err)
 	}
 }
@@ -187,7 +187,7 @@ func TestModelDirSyncSkipsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	sel, err := selection.Train(familyExamples(30, 0, "", false), fastConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -272,12 +272,12 @@ func TestModelDirRestoresPerFamilyManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	ok, err := md.Restore(reg)
 	if err != nil || !ok {
 		t.Fatalf("restore: ok=%v err=%v", ok, err)
 	}
-	vs := reg.Versions()
+	vs := reg.Versions()[1:] // above v0
 	if len(vs) != 2 || vs[0].Meta.CorpusSize != 200 || vs[1].Meta.CorpusSize != 500 {
 		t.Fatalf("restored versions %+v, want the global history (corpus 200) then its serving version (corpus 500)", vs)
 	}
@@ -311,12 +311,17 @@ func TestModelDirRestoresPerFamilyManifest(t *testing.T) {
 		}
 	}
 
-	// Rollback walks the global history alone: no family version joined it.
+	// Rollback walks the global history alone: no family version joined
+	// it, so the second rollback lands on v0 and the third has nowhere to
+	// go.
 	if back, err := reg.Rollback(); err != nil || back != vs[0] {
 		t.Fatalf("rollback = %+v, %v; want the restored global history", back, err)
 	}
+	if back, err := reg.Rollback(); err != nil || !back.IsV0() {
+		t.Fatalf("second rollback = %+v, %v; want v0", back, err)
+	}
 	if _, err := reg.Rollback(); !errors.Is(err, ErrNoRollback) {
-		t.Fatalf("second rollback err = %v, want ErrNoRollback", err)
+		t.Fatalf("third rollback err = %v, want ErrNoRollback", err)
 	}
 }
 
@@ -372,7 +377,7 @@ func TestModelDirRestoreCorruptFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := NewRegistry()
+		reg := newRegistry()
 		for size := 1; size <= 3; size++ {
 			reg.Publish(sel, VersionMeta{Source: "manual", CorpusSize: size})
 		}
@@ -388,11 +393,11 @@ func TestModelDirRestoreCorruptFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := NewRegistry()
+		reg := newRegistry()
 		if ok, err := md.Restore(reg); err != nil || !ok {
 			t.Fatalf("restore: ok=%v err=%v", ok, err)
 		}
-		vs := reg.Versions()
+		vs := reg.Versions()[1:] // above v0
 		if len(vs) != 2 || vs[0].Meta.CorpusSize != 2 || reg.Current().Meta.CorpusSize != 3 {
 			t.Fatalf("restored %d versions, current %+v; want v2 as the only history under v3", len(vs), reg.Current().Meta)
 		}
@@ -404,7 +409,7 @@ func TestModelDirRestoreCorruptFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := md.Restore(NewRegistry()); err == nil || !strings.Contains(err.Error(), "checksum") {
+		if _, err := md.Restore(newRegistry()); err == nil || !strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("restore with a corrupt serving file: err = %v, want a checksum error", err)
 		}
 	})
@@ -453,14 +458,14 @@ func TestModelDirRestoresLegacyJSONBesideBinary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := NewRegistry()
+		reg := newRegistry()
 		if ok, err := md.Restore(reg); err != nil || !ok {
 			t.Fatalf("restore: ok=%v err=%v", ok, err)
 		}
 		return md, reg
 	}
 	md, reg := restore()
-	vs := reg.Versions()
+	vs := reg.Versions()[1:] // above v0
 	if len(vs) != 2 || vs[0].Meta.CorpusSize != 200 || reg.Current().Meta.CorpusSize != 500 {
 		t.Fatalf("restored %d versions, current %+v; want the JSON history under the binary serving version", len(vs), reg.Current().Meta)
 	}
@@ -488,7 +493,7 @@ func TestModelDirRestoresLegacyJSONBesideBinary(t *testing.T) {
 		}
 	}
 	_, again := restore()
-	vs = again.Versions()
+	vs = again.Versions()[1:]
 	if len(vs) != 3 || picksRight(vs[0].Selector, probe) != picksRight(old, probe) ||
 		picksRight(vs[1].Selector, probe) != picksRight(old, probe) || picksRight(vs[2].Selector, probe) != picksRight(next, probe) {
 		t.Fatal("a restart after the Sync does not restore the chain it persisted")

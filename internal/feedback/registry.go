@@ -34,11 +34,12 @@ type VersionMeta struct {
 	// the corpus (in-sample when the corpus was too small to split), and
 	// HoldoutN the number of held-out examples it was measured on —
 	// 0 when the evaluation was in-sample or the version was never
-	// holdout-evaluated at all (seed models); only versions with
-	// HoldoutN > 0 serve as quality-gate baselines.
+	// holdout-evaluated at all (seed models, v0); versions with
+	// HoldoutN > 0, and the untrained v0, serve as quality-gate baselines.
 	HoldoutL1 float64
 	HoldoutN  int
-	// Source tags provenance: "seed", "auto", "manual", "restored", ...
+	// Source tags provenance: "fixed" (v0), "seed", "auto", "manual",
+	// "restored", ...
 	Source string
 	// Decision records the quality-gate outcome (DecisionAccepted or
 	// DecisionRejected).
@@ -59,10 +60,15 @@ type Version struct {
 	drift *driftWindow
 }
 
+// IsV0 reports whether v is v0, the untrained selector a registry is
+// born serving.
+func (v *Version) IsV0() bool { return v.ID == 0 }
+
 // Registry holds the published selector versions and the one currently
-// serving every query. The serving pointer is atomic, so readers on the
-// query-admission hot path never block — not even mid-publish or
-// mid-rollback.
+// serving every query, from v0 — the bottom of every rollback chain,
+// never pruned or persisted — on. The serving pointer is atomic, so
+// readers on the query-admission hot path never block — not even
+// mid-publish or mid-rollback.
 type Registry struct {
 	current atomic.Pointer[Version]
 
@@ -75,10 +81,14 @@ type Registry struct {
 	nextID     int
 }
 
-// NewRegistry returns an empty registry; Current is nil until the first
-// Publish.
-func NewRegistry() *Registry {
-	return &Registry{nextID: 1, rolledBack: make(map[int]bool)}
+// NewRegistry returns a registry serving v0, an untrained selector such
+// as selection.Fixed(k), as version 0 with source "fixed".
+func NewRegistry(v0 *selection.Selector) *Registry {
+	r := &Registry{nextID: 1, rolledBack: make(map[int]bool)}
+	v := &Version{Selector: v0, Meta: VersionMeta{TrainedAt: time.Now(), Source: "fixed", Decision: DecisionAccepted}}
+	r.versions = []*Version{v}
+	r.current.Store(v)
+	return r
 }
 
 // maxPersistHistory is how deep a rollback chain is persisted (and
@@ -131,13 +141,13 @@ func (r *Registry) appendLocked(sel *selection.Selector, meta VersionMeta) *Vers
 }
 
 // pruneLocked drops the oldest versions beyond maxVersions; their
-// rollback marks go with them. The serving version and its rollback
+// rollback marks go with them. v0, the serving version and its rollback
 // chain are never pruned.
 func (r *Registry) pruneLocked() {
 	if len(r.versions) <= maxVersions {
 		return
 	}
-	protected := make(map[int]bool, 1+maxPersistHistory)
+	protected := make(map[int]bool, maxPersistHistory+1)
 	for _, v := range r.chainLocked(maxPersistHistory + 1) {
 		protected[v.ID] = true
 	}
@@ -147,7 +157,7 @@ func (r *Registry) pruneLocked() {
 		for len(r.versions) > maxVersions {
 			drop := -1
 			for i, v := range r.versions {
-				if protected[v.ID] || (pass == 0 && v.Meta.Decision != DecisionRejected) {
+				if v.IsV0() || protected[v.ID] || (pass == 0 && v.Meta.Decision != DecisionRejected) {
 					continue
 				}
 				drop = i
@@ -160,32 +170,16 @@ func (r *Registry) pruneLocked() {
 			r.versions = append(r.versions[:drop], r.versions[drop+1:]...)
 		}
 	}
-	// Defensive sweep: rollback marks must only reference live versions.
-	// The per-drop delete above keeps this true already, but the invariant
-	// is cheap to enforce and a leak here would grow for the life of the
-	// daemon.
-	if len(r.rolledBack) > len(r.versions) {
-		live := make(map[int]bool, len(r.versions))
-		for _, v := range r.versions {
-			live[v.ID] = true
-		}
-		for id := range r.rolledBack {
-			if !live[id] {
-				delete(r.rolledBack, id)
-			}
-		}
-	}
 }
 
-// Current returns the serving version, or nil if none was published
-// yet. It never blocks.
+// Current returns the serving version, never nil. It never blocks.
 func (r *Registry) Current() *Version { return r.current.Load() }
 
 // IsCurrent reports whether v is the serving version.
 func (r *Registry) IsCurrent(v *Version) bool { return r.current.Load() == v }
 
 // ErrNoRollback is returned when no earlier version exists to roll back
-// to.
+// to: v0 serves.
 var ErrNoRollback = errors.New("feedback: no earlier selector version to roll back to")
 
 // Rollback atomically moves the serving pointer to the newest earlier
@@ -198,9 +192,6 @@ func (r *Registry) Rollback() (*Version, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cur := r.current.Load()
-	if cur == nil {
-		return nil, ErrNoRollback
-	}
 	v := r.rollbackCandidateLocked(cur)
 	if v == nil {
 		return nil, ErrNoRollback
@@ -212,7 +203,7 @@ func (r *Registry) Rollback() (*Version, error) {
 
 // rollbackCandidateLocked returns the version Rollback would move the
 // serving pointer cur to: the newest earlier accepted, never-rolled-back
-// version — or nil when none exists.
+// version — or nil when cur is v0.
 func (r *Registry) rollbackCandidateLocked(cur *Version) *Version {
 	at := -1
 	for i, v := range r.versions {
@@ -232,13 +223,14 @@ func (r *Registry) rollbackCandidateLocked(cur *Version) *Version {
 }
 
 // chainLocked returns the serving version followed by the versions
-// successive Rollbacks would serve, n versions at most (empty before the
-// first Publish). Rollback, pruning and persistence share this walk, so
-// pruning can never evict a version a rollback — or a restart's restored
-// history — would need.
+// successive Rollbacks would serve, n versions at most, stopping above
+// v0 (empty while v0 serves). Pruning and persistence share this walk,
+// so pruning can never evict a version a rollback — or a restart's
+// restored history — would need.
 func (r *Registry) chainLocked(n int) []*Version {
 	var out []*Version
-	for v := r.current.Load(); v != nil && len(out) < n; v = r.rollbackCandidateLocked(v) {
+	// Every version but v0 has a rollback candidate: at worst v0.
+	for v := r.current.Load(); !v.IsV0() && len(out) < n; v = r.rollbackCandidateLocked(v) {
 		out = append(out, v)
 	}
 	return out
@@ -249,6 +241,7 @@ func (r *Registry) chainLocked(n int) []*Version {
 // versions — everything Sync writes to disk. The chain entries are
 // exactly what successive Rollback calls would serve, so a restart
 // restores not just the serving version but somewhere to roll back to.
+// v0 is configuration, not a model, so it is never part of it.
 func (r *Registry) PersistState(depth int) []*Version {
 	r.mu.Lock()
 	defer r.mu.Unlock()

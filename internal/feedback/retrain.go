@@ -225,8 +225,7 @@ type Retrainer struct {
 // budget starts at zero, so a store reopened with a recovered corpus of
 // at least MinNewExamples examples triggers a first training run on the
 // next poll — a restarted daemon rebuilds its model from the corpus
-// instead of serving the fixed-estimator fallback until fresh traffic
-// accrues.
+// instead of serving v0 until fresh traffic accrues.
 func NewRetrainer(store *ExampleStore, reg *Registry, cfg RetrainerConfig) *Retrainer {
 	cfg.Policy = cfg.Policy.withDefaults()
 	cfg.Gate = cfg.Gate.withDefaults()
@@ -473,16 +472,16 @@ func (r *Retrainer) publishFit(f *targetFit, source string, observedL1 float64) 
 	// The gate only fires on a fair comparison, which needs BOTH sides
 	// out-of-sample on the holdout. A baseline qualifies when it was
 	// itself holdout-evaluated under this trainer's protocol
-	// (Meta.HoldoutN > 0): seed selectors — and versions restored from
-	// them — were trained on the FULL corpus, hash-holdout rows
-	// included, so their error on the candidate's holdout is
-	// in-sample-optimistic and would systematically reject good first
-	// retrains. Symmetrically, an in-sample candidate (degenerate split)
-	// carries an optimistically biased L1 of its own and must not use it
-	// to displace an honestly measured serving model.
+	// (Meta.HoldoutN > 0), or when it is v0, which was never trained on
+	// anything: seed selectors — and versions restored from them — were
+	// trained on the FULL corpus, hash-holdout rows included, so their
+	// error on the candidate's holdout is in-sample-optimistic and would
+	// systematically reject good first retrains. Symmetrically, an
+	// in-sample candidate (degenerate split) carries an optimistically
+	// biased L1 of its own and must not use it to displace an honestly
+	// measured serving model.
 	serving := r.reg.Current()
-	if serving != nil && serving.Meta.HoldoutN > 0 && !f.inSample &&
-		!r.cfg.Gate.Disabled && f.candEv.N > 0 && serving.Selector != nil && len(serving.Selector.Kinds) > 0 {
+	if (serving.Meta.HoldoutN > 0 || serving.IsV0()) && !f.inSample && !r.cfg.Gate.Disabled && f.candEv.N > 0 {
 		servEv := selection.Evaluate(serving.Selector, f.holdout)
 		meta.BaselineL1 = servEv.AvgL1
 		if servEv.N > 0 && !r.cfg.Gate.passes(f.candEv.AvgL1, servEv.AvgL1) {
@@ -494,22 +493,19 @@ func (r *Retrainer) publishFit(f *targetFit, source string, observedL1 float64) 
 	// Canary divert: with confirmation enabled, a background candidate
 	// that PASSED the holdout gate still does not hot-swap — it becomes a
 	// pending challenger that must confirm on live traffic first (see
-	// canary.go). Manual retrains bypass the divert (the operator asked
-	// for the swap and the returned version), as does the FIRST model:
-	// there is no champion to shadow-score against.
+	// canary.go) against the serving champion, v0 included. Manual
+	// retrains bypass it: the operator asked for the swap.
 	if r.cfg.Canary.enabled() && source != "manual" {
-		if serving != nil && serving.Selector != nil {
-			r.cfg.Canary.propose(f, meta, source, observedL1, serving, time.Now())
-			r.appendDecision(TrainDecision{
-				At:         meta.TrainedAt,
-				Trigger:    source,
-				Decision:   DecisionCanary,
-				HoldoutL1:  meta.HoldoutL1,
-				BaselineL1: meta.BaselineL1,
-				ObservedL1: observedL1,
-			})
-			return nil
-		}
+		r.cfg.Canary.propose(f, meta, source, observedL1, serving, time.Now())
+		r.appendDecision(TrainDecision{
+			At:         meta.TrainedAt,
+			Trigger:    source,
+			Decision:   DecisionCanary,
+			HoldoutL1:  meta.HoldoutL1,
+			BaselineL1: meta.BaselineL1,
+			ObservedL1: observedL1,
+		})
+		return nil
 	}
 	v := r.reg.Publish(f.sel, meta)
 	r.recordDecision(v, source, observedL1)
@@ -539,11 +535,12 @@ func (r *Retrainer) appendDecision(d TrainDecision) {
 	r.mu.Unlock()
 }
 
-// Decisions returns the retained publication decisions, oldest first.
+// Decisions returns the retained publication decisions, oldest first
+// (empty, not nil, before the first).
 func (r *Retrainer) Decisions() []TrainDecision {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]TrainDecision(nil), r.decisions...)
+	return append([]TrainDecision{}, r.decisions...)
 }
 
 // driftDue returns the serving version's standing when its verdict is

@@ -250,7 +250,7 @@ func TestRetrainFamiliesParallelMatchesSequential(t *testing.T) {
 		if _, err := store.AppendAll(familyExamples(30, 300, "delta", true)); err != nil {
 			t.Fatal(err)
 		}
-		reg := NewRegistry()
+		reg := newRegistry()
 		ret := NewRetrainer(store, reg, RetrainerConfig{Selection: fastConfig()})
 		if _, err := ret.Retrain("manual"); err != nil {
 			t.Fatal(err)
@@ -306,7 +306,7 @@ func TestTickTrainsWhenDue(t *testing.T) {
 	if _, err := store.AppendAll(familyExamples(30, 0, "alpha", false)); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	ret := NewRetrainer(store, reg, RetrainerConfig{
 		Selection: fastConfig(),
 		Policy:    RetrainPolicy{MinNewExamples: 1, MinInterval: time.Nanosecond},

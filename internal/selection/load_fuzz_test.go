@@ -78,6 +78,20 @@ func FuzzLoadSelector(f *testing.F) {
 		}
 		f.Add(bad)
 	}
+	// A selector with no kinds, CRC-sealed and as JSON: nothing could
+	// serve from it, so neither form loads and none is written.
+	le := binary.LittleEndian
+	empty := le.AppendUint32(append(le.AppendUint32([]byte(selMagic), SaveFormat), 0), 0)
+	empty = le.AppendUint32(empty, crc32.Checksum(empty, castagnoli))
+	for _, bad := range [][]byte{empty, []byte(`{"format":1,"kinds":[],"models":{}}`)} {
+		if _, err := decode(bad); err == nil || !strings.Contains(err.Error(), " kinds") {
+			f.Fatalf("zero-kind selector %q: err = %v, want it refused for its kinds", bad, err)
+		}
+		f.Add(bad)
+	}
+	if _, err := (&Selector{}).encode(); err == nil {
+		f.Fatal("a zero-kind selector encoded")
+	}
 	legacy := struct { // the JSON form of format 1
 		Format  int                    `json:"format"`
 		Kinds   []int                  `json:"kinds"`

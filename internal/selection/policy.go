@@ -21,13 +21,12 @@ var reselectMarkers = func() []float64 {
 // Policy is the online estimator choice of Section 4.4, as served: a
 // pipeline's first pick is made at its start from the static prefix (the
 // dynamic suffix still holds its neutral defaults), and revised each time
-// its driver-input fraction crosses a marker. Without a selector every
-// pipeline keeps the fixed estimator. A pick that can no longer change —
-// the fixed one, or the one made at the last marker — settles its
-// pipeline (progress.OnlinePipeline.Settle), so the view advances only
-// what is served. The live monitor and the replays that score it drive
-// the same Policy, so what is scored is what was served. A Policy serves
-// one run.
+// its driver-input fraction crosses a marker. A pick that can no longer
+// change — a one-candidate selector's (Fixed), made without features, or
+// the one made at the last marker — settles its pipeline
+// (progress.OnlinePipeline.Settle), so the view advances only what is
+// served. The live monitor and the replays that score it drive the same
+// Policy, so what is scored is what was served. A Policy serves one run.
 type Policy struct {
 	sel       *Selector
 	choice    []progress.Kind
@@ -35,29 +34,32 @@ type Policy struct {
 	obsBefore []int // per pipeline, observation count at segment start
 }
 
-// NewPolicy prepares the policy for a plan of n pipelines: picks by sel,
-// or fixed for every pipeline when sel is nil.
-func NewPolicy(sel *Selector, n int, fixed progress.Kind) Policy {
+// NewPolicy prepares the policy for a plan of n pipelines picking by sel.
+// Until its start, a pipeline shows sel's first candidate.
+func NewPolicy(sel *Selector, n int) Policy {
 	p := Policy{sel: sel, choice: make([]progress.Kind, n)}
 	for i := range p.choice {
-		p.choice[i] = fixed
+		p.choice[i] = sel.Kinds[0]
 	}
-	if sel != nil {
+	if !p.fixed() {
 		marks := make([]int, 2*n)
 		p.nextMark, p.obsBefore = marks[:n:n], marks[n:]
 	}
 	return p
 }
 
+// fixed reports whether the one candidate's pick is final from the start.
+func (p *Policy) fixed() bool { return len(p.sel.Kinds) == 1 }
+
 // Choice returns the estimator currently chosen for pipeline pi.
 func (p *Policy) Choice(pi int) progress.Kind { return p.choice[pi] }
 
-// Start starts pipeline st.Pipe in view and makes its first pick.
-// Without a selector that pick is final, so the pipeline settles at once.
+// Start starts pipeline st.Pipe in view and makes its first pick. With
+// one candidate that pick is final, so the pipeline settles at once.
 func (p *Policy) Start(view *progress.OnlineView, st exec.PipelineStart) {
 	view.OnPipelineStart(st)
 	pl := view.Pipelines[st.Pipe]
-	if p.sel == nil {
+	if p.fixed() {
 		pl.Settle(p.choice[st.Pipe])
 		return
 	}
@@ -67,7 +69,7 @@ func (p *Policy) Start(view *progress.OnlineView, st exec.PipelineStart) {
 // Advance feeds a segment of snapshots to view and re-picks every
 // pipeline whose driver fraction crossed a marker within it.
 func (p *Policy) Advance(view *progress.OnlineView, seg []exec.Snapshot) {
-	if p.sel == nil {
+	if p.fixed() {
 		view.OnSnapshots(seg)
 		return
 	}

@@ -42,13 +42,12 @@ func (v served) errors() progress.ErrorStats {
 	return progress.ErrorStatsOf(dev)
 }
 
-// serve replays every trace under a fresh policy picking by sel (fixed
-// DNE when sel is nil) and returns the pipelines with at least 8
-// observations.
+// serve replays every trace under a fresh policy picking by sel and
+// returns the pipelines with at least 8 observations.
 func serve(sel *selection.Selector, traces []*exec.Trace) []served {
 	var out []served
 	for _, tr := range traces {
-		pol := selection.NewPolicy(sel, len(tr.Pipes.Pipelines), progress.DNE)
+		pol := selection.NewPolicy(sel, len(tr.Pipes.Pipelines))
 		picks := make([][]progress.Kind, len(tr.Pipes.Pipelines))
 		view, first := pol.Replay(tr, func(view *progress.OnlineView) {
 			for p, pl := range view.Pipelines {
@@ -152,14 +151,14 @@ func TestPolicyServedSeries(t *testing.T) {
 
 func TestPolicyWithoutDynamicFeaturesNeverRepicks(t *testing.T) {
 	static, _, traces := policyFixture(t)
-	for _, sel := range []*selection.Selector{static, nil} {
+	for _, sel := range []*selection.Selector{static, selection.Fixed(progress.DNE)} {
 		for _, v := range serve(sel, traces) {
 			for i, k := range v.picks {
 				if k != v.first {
 					t.Fatalf("pick changed to %v at obs %d without dynamic features", k, i)
 				}
 			}
-			if sel == nil && v.first != progress.DNE {
+			if len(sel.Kinds) == 1 && v.first != progress.DNE {
 				t.Fatalf("fixed policy picked %v", v.first)
 			}
 			// The served error is then exactly the first pick's.

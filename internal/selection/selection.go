@@ -75,12 +75,23 @@ type Config struct {
 	MaxTrainExamples int
 }
 
-// Selector is a trained estimator-selection module.
+// Selector is an estimator-selection module: one error model per
+// candidate. Fixed(k), one candidate and no model, is the fixed estimator.
 type Selector struct {
 	Kinds   []progress.Kind
 	Dynamic bool
 	Models  map[progress.Kind]*mart.Model
 }
+
+var fixed = func() (out [progress.TotalKinds]*Selector) {
+	for k := range out {
+		out[k] = &Selector{Kinds: []progress.Kind{progress.Kind(k)}}
+	}
+	return out
+}()
+
+// Fixed returns the shared selector that always picks k; Save refuses it.
+func Fixed(k progress.Kind) *Selector { return fixed[k] }
 
 // featureSlice truncates the vector to the static prefix for static-only
 // selectors.
@@ -161,12 +172,14 @@ func Train(examples []Example, cfg Config) (*Selector, error) {
 	return s, nil
 }
 
-// PredictErrors returns the predicted L1 error per candidate estimator.
+// PredictErrors returns the predicted L1 error per modelled candidate.
 func (s *Selector) PredictErrors(full []float64) map[progress.Kind]float64 {
 	x := featureSlice(full, s.Dynamic)
-	out := make(map[progress.Kind]float64, len(s.Kinds))
+	out := make(map[progress.Kind]float64, len(s.Models))
 	for _, k := range s.Kinds {
-		out[k] = s.Models[k].Predict(x)
+		if m := s.Models[k]; m != nil {
+			out[k] = m.Predict(x)
+		}
 	}
 	return out
 }
@@ -182,8 +195,12 @@ func (s *Selector) PickOnline(v *progress.OnlinePipeline) progress.Kind {
 	return s.Select(features.OnlineFull(v))
 }
 
-// Select returns the estimator with the smallest predicted error.
+// Select returns the estimator with the smallest predicted error, or the
+// only candidate without reading full.
 func (s *Selector) Select(full []float64) progress.Kind {
+	if len(s.Kinds) == 1 {
+		return s.Kinds[0]
+	}
 	x := featureSlice(full, s.Dynamic)
 	best := s.Kinds[0]
 	bestErr := s.Models[best].Predict(x)
@@ -223,6 +240,9 @@ func (s *Selector) Save(path string) error {
 }
 
 func (s *Selector) encode() ([]byte, error) {
+	if len(s.Kinds) == 0 {
+		return nil, errors.New("no kinds") // nothing could serve from it
+	}
 	le := binary.LittleEndian
 	dyn := byte(0)
 	if s.Dynamic {
@@ -274,7 +294,7 @@ func decode(data []byte) (*Selector, error) {
 	}
 	body := data[head : len(data)-4]
 	n := int(le.Uint32(body[1:]))
-	if body[0] > 1 || n > progress.TotalKinds || len(body) < 5+4*n {
+	if body[0] > 1 || n == 0 || n > progress.TotalKinds || len(body) < 5+4*n {
 		return nil, fmt.Errorf("bad header: dynamic flag %d, %d kinds", body[0], n)
 	}
 	s := &Selector{Dynamic: body[0] == 1, Models: make(map[progress.Kind]*mart.Model, n)}
@@ -326,6 +346,9 @@ func decodeJSON(data []byte) (*Selector, error) {
 	}
 	if p.Format > 1 {
 		return nil, fmt.Errorf("JSON selector format %d: this build writes format %d and reads JSON formats 0 and 1", p.Format, SaveFormat)
+	}
+	if len(p.Kinds) == 0 {
+		return nil, errors.New("no kinds")
 	}
 	s := &Selector{Dynamic: p.Dynamic, Models: make(map[progress.Kind]*mart.Model, len(p.Kinds))}
 	for _, ki := range p.Kinds {

@@ -6,8 +6,10 @@ import (
 
 	"progressest/internal/exec"
 	"progressest/internal/features"
+	"progressest/internal/mart"
 	"progressest/internal/pipeline"
 	"progressest/internal/progress"
+	"progressest/internal/selection"
 )
 
 // settleAt is when the settling property test settles one pipeline.
@@ -23,7 +25,8 @@ const (
 )
 
 // settlingObserver feeds one event stream to two views of the same plan:
-// plain never settles, settled settles each pipeline on its schedule. On
+// plain never settles, settled settles each pipeline on its schedule — or,
+// with pol set, as a one-candidate selector's policy settles it. On
 // the way it checks the live reads the monitor makes — the latest
 // estimate and driver fraction, and eq. 5 — against plain, and that
 // reading a row a settled pipeline deferred panics.
@@ -36,6 +39,7 @@ type settlingObserver struct {
 	isSettled       []bool
 	deferredChecked int // deferred reads that panicked as they must
 	thinSettled     int // pipelines settled at a thin
+	pol             *selection.Policy
 }
 
 func (o *settlingObserver) settle(p int) {
@@ -46,6 +50,14 @@ func (o *settlingObserver) settle(p int) {
 
 func (o *settlingObserver) OnPipelineStart(st exec.PipelineStart) {
 	o.plain.OnPipelineStart(st)
+	if o.pol != nil {
+		o.pol.Start(o.settled, st)
+		o.isSettled[st.Pipe] = true
+		if o.pol.Choice(st.Pipe) != o.kind[st.Pipe] {
+			o.t.Fatalf("pipeline %d: the policy picked %v, want %v", st.Pipe, o.pol.Choice(st.Pipe), o.kind[st.Pipe])
+		}
+		return
+	}
 	o.settled.OnPipelineStart(st)
 	if o.when[st.Pipe] == settleAtStart {
 		o.settle(st.Pipe)
@@ -54,7 +66,11 @@ func (o *settlingObserver) OnPipelineStart(st exec.PipelineStart) {
 
 func (o *settlingObserver) OnSnapshots(batch []exec.Snapshot) {
 	o.plain.OnSnapshots(batch)
-	o.settled.OnSnapshots(batch)
+	if o.pol != nil {
+		o.pol.Advance(o.settled, batch)
+	} else {
+		o.settled.OnSnapshots(batch)
+	}
 	for p, pl := range o.settled.Pipelines {
 		if !pl.Started || pl.Ended {
 			continue
@@ -141,11 +157,23 @@ func (o *settlingObserver) checkLive(at string) {
 // random point — at its start, mid-prefix, just before or just after a
 // thin, or never — every finished read of the view equals the same read
 // of a view that never settled, bit for bit, whichever read runs the
-// materialization; and live, a deferred row cannot be read.
+// materialization; and live, a deferred row cannot be read. The same
+// holds when the policy of a one-candidate selector — Fixed(DNE), or one
+// trained on DNE alone — settles every pipeline at its start.
 func TestSettledViewMatchesUnsettled(t *testing.T) {
 	for _, dk := range allDatasetKinds {
 		t.Run(dk.String(), func(t *testing.T) {
 			w, err := Build(smallSpec(dk, 10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := w.Run(RunOptions{Seed: 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			trainedDNE, err := selection.Train(res.Examples, selection.Config{
+				Kinds: []progress.Kind{progress.DNE}, Dynamic: true, Mart: mart.Options{Trees: 4, Seed: 1},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,6 +192,13 @@ func TestSettledViewMatchesUnsettled(t *testing.T) {
 							opts.TargetObservations, opts.MaxObservations = 900, 50
 						}
 						opts.SnapshotBatch = batch
+						for _, sel := range []*selection.Selector{selection.Fixed(progress.DNE), trainedDNE} {
+							obs := newPolicyObserver(t, w, qi, opts, sel)
+							popts := opts
+							popts.Observer = obs
+							assertSameFinishedReads(t, obs, exec.Run(w.DB, pl, popts), qi, first)
+							first++
+						}
 						obs := newSettlingObserver(t, w, qi, opts, rng)
 						opts.Observer = obs
 						tr := exec.Run(w.DB, pl, opts)
@@ -205,6 +240,31 @@ func newSettlingObserver(t *testing.T, w *Workload, qi int, opts exec.Options, r
 		o.when[p] = settleAt(rng.Intn(int(numSettleSchedule)))
 		o.ordinal[p] = 1 + rng.Intn(max(1, hi-lo))
 		o.kind[p] = progress.Kind(rng.Intn(int(progress.NumKinds)))
+	}
+	return o
+}
+
+// newPolicyObserver is a settlingObserver whose settled view is driven
+// by the policy of sel, a one-candidate selector.
+func newPolicyObserver(t *testing.T, w *Workload, qi int, opts exec.Options, sel *selection.Selector) *settlingObserver {
+	pl, err := w.Planner.Plan(w.Queries[qi])
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(pipeline.Decompose(pl).Pipelines)
+	pol := selection.NewPolicy(sel, n)
+	o := &settlingObserver{
+		t:         t,
+		plain:     progress.NewOnlineView(pl, pipeline.Decompose(pl)),
+		settled:   progress.NewOnlineView(pl, pipeline.Decompose(pl)),
+		when:      make([]settleAt, n),
+		ordinal:   make([]int, n),
+		kind:      make([]progress.Kind, n),
+		isSettled: make([]bool, n),
+		pol:       &pol,
+	}
+	for p := range o.kind {
+		o.kind[p] = sel.Kinds[0]
 	}
 	return o
 }

@@ -9,6 +9,7 @@ import (
 
 	"progressest/internal/feedback"
 	"progressest/internal/mart"
+	"progressest/internal/progress"
 	"progressest/internal/selection"
 )
 
@@ -75,7 +76,8 @@ type LearningConfig struct {
 	// DisablePersist keeps trained versions in memory only. By default
 	// every accepted version is serialized under Dir/models (atomic
 	// temp+rename writes), and a restarted daemon restores the serving
-	// model from there instead of falling back to fixed estimators.
+	// model from there instead of starting over from v0, the fixed DNE
+	// estimator, which is never written.
 	DisablePersist bool
 	// DriftWindow, DriftMinSamples, DriftRatio and DriftAbsSlack tune the
 	// observed-vs-predicted drift monitor: per serving version, the mean
@@ -142,7 +144,7 @@ type DriftStatus struct {
 	Version int `json:"version"`
 	// BaselineL1 is the version's holdout L1 (the predicted error);
 	// BaselineN the holdout size it was measured on. BaselineN 0 means no
-	// fair baseline exists (seed/restored models) and Drifted stays false.
+	// fair baseline exists (v0, seed models) and Drifted stays false.
 	BaselineL1 float64 `json:"baseline_l1"`
 	BaselineN  int     `json:"baseline_n"`
 	// ObservedL1 and ObservedP90 are the mean and 90th percentile L1
@@ -221,7 +223,7 @@ func OpenLearning(cfg LearningConfig) (*Learning, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := feedback.NewRegistry()
+	reg := feedback.NewRegistry(selection.Fixed(progress.DNE))
 	if cfg.SeedSelector != nil {
 		reg.Publish(cfg.SeedSelector.inner, feedback.VersionMeta{
 			TrainedAt: time.Now(),
@@ -361,14 +363,11 @@ func (l *Learning) PersistError() error {
 	return l.models.LastSyncError()
 }
 
-// Current returns the serving version; ok is false before any version
-// exists.
+// Current returns the serving version; ok is false while v0, the fixed
+// DNE estimator, serves.
 func (l *Learning) Current() (v ModelVersion, ok bool) {
 	cur := l.reg.Current()
-	if cur == nil {
-		return ModelVersion{}, false
-	}
-	return l.modelVersion(cur), true
+	return l.modelVersion(cur), !cur.IsV0()
 }
 
 // Versions returns the publication history, oldest first, with the
@@ -400,7 +399,7 @@ func (l *Learning) driftReport() ([]DriftStatus, []RetrainDecision) {
 	decisions := l.Decisions()
 	st, ok := l.drift.Status()
 	if !ok {
-		return nil, decisions
+		return []DriftStatus{}, decisions
 	}
 	cfg := l.drift.Config()
 	out := DriftStatus{
@@ -484,7 +483,7 @@ func (l *Learning) modelVersion(v *feedback.Version) ModelVersion {
 // IsEmptyCorpus reports whether err means there was nothing to train on.
 func IsEmptyCorpus(err error) bool { return errors.Is(err, feedback.ErrEmptyCorpus) }
 
-// IsNoRollback reports whether err means no earlier version exists.
+// IsNoRollback reports whether err means v0 serves: nothing is earlier.
 func IsNoRollback(err error) bool { return errors.Is(err, feedback.ErrNoRollback) }
 
 // selectionConfig translates the public SelectorConfig into the internal

@@ -156,7 +156,7 @@ func TestContinuousLearningLoopEndToEnd(t *testing.T) {
 	if code := doJSON(t, http.MethodGet, srv.URL+"/models", "", &models); code != http.StatusOK {
 		t.Fatalf("GET /models: status %d", code)
 	}
-	if models.Current != v2.ID || len(models.Versions) != 2 {
+	if models.Current != v2.ID || len(models.Versions) != 3 || models.Versions[0].ID != 0 {
 		t.Fatalf("models after swap: current %d, %d versions", models.Current, len(models.Versions))
 	}
 	var info2 struct {

@@ -18,10 +18,8 @@ type MonitorOptions struct {
 	// Selector, when non-nil, picks the estimator per pipeline and revises
 	// the choice as dynamic features accrue (re-selecting each time a
 	// driver-input marker is crossed, up to the paper's 20% cutoff).
+	// Without it the Learning registry's current version serves, else DNE.
 	Selector *Selector
-	// Estimator is the fixed estimator used when Selector is nil
-	// (default DNE).
-	Estimator Estimator
 	// UpdateEvery delivers a ProgressUpdate every n-th counter snapshot
 	// (default 8). The final update on completion is always delivered.
 	UpdateEvery int
@@ -34,7 +32,8 @@ type MonitorOptions struct {
 	// Learning, when non-nil, closes the training loop around the query:
 	// its finished trace is harvested into the on-disk corpus, and — when
 	// Selector is nil — the pipeline estimators are picked by the current
-	// hot-swapped selector version (Monitor.ModelVersion reports which).
+	// hot-swapped selector version, from v0 (always DNE) on
+	// (Monitor.ModelVersion reports which).
 	Learning *Learning
 }
 
@@ -93,8 +92,8 @@ type Monitor struct {
 	// completes; the last value delivered has Done == true.
 	Updates <-chan ProgressUpdate
 
-	// served is the registry version pinned at start (nil when none
-	// applied).
+	// served is the registry version pinned at start (nil without
+	// Learning or with an explicit Selector).
 	served *feedback.Version
 	family string
 	shard  int
@@ -128,10 +127,9 @@ func (m *Monitor) Wait() (*QueryRun, error) {
 }
 
 // ModelVersion returns the id of the hot-swapped selector version that
-// serves this query, or 0 when no Learning registry version applied (no
-// learning configured, an explicit Selector, or no version published
-// yet). The version is pinned at Start, so a swap mid-query never mixes
-// models within one execution.
+// serves this query — 0 for v0, the fixed DNE estimator — or 0 when no
+// registry version applies (no Learning, or an explicit Selector). It is
+// pinned at Start, so a swap mid-query never mixes models in one run.
 func (m *Monitor) ModelVersion() int {
 	if m.served == nil {
 		return 0
@@ -290,41 +288,36 @@ func (m *monitorObserver) send(u ProgressUpdate) {
 // (Workload.Start attaches exec.RunDecomposed as the counter source) and
 // external sessions (an ingest.Runner synthesizes the same exec.Observer
 // events from ingested counters, so the estimates are bit-identical):
-// estimator and selector validation, served-model resolution, the
-// streaming OnlineView and the harvest subscription. starts is the plan
-// entry's cache of pipeline start contexts for a workload query, nil for
-// a session (its plan is its own). queryIndex is -1 for a run that is not
-// one of the bundled workload's queries — it harvests under its own
-// workload and family tags, joining drift, retraining and canary serving
-// exactly as native queries do. Whoever feeds the observer ends the run
-// with Monitor.finish.
+// served-model resolution and validation, the streaming OnlineView and
+// the harvest subscription. starts is the plan entry's cache of pipeline
+// start contexts for a workload query, nil for a session (its plan is
+// its own). queryIndex is -1 for a run that is not one of the bundled
+// workload's queries — it harvests under its own workload and family
+// tags, joining drift, retraining and canary serving exactly as native
+// queries do. Whoever feeds the observer ends the run with
+// Monitor.finish.
 func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, starts *progress.PlanCache, workloadName, family string, queryIndex int, opts MonitorOptions) (*Monitor, error) {
-	if opts.Estimator < 0 || int(opts.Estimator) >= int(progress.NumKinds) {
-		// Oracle models need the finished trace; they cannot run online.
-		return nil, fmt.Errorf("progressest: estimator %v is not computable online", opts.Estimator)
-	}
 	// Resolve the selector: an explicit one wins; otherwise the run is
-	// pinned to the learning registry's current version for its lifetime.
-	var sel *selection.Selector
+	// pinned to the learning registry's current version for its lifetime;
+	// without either, DNE serves.
+	sel := selection.Fixed(progress.DNE)
 	var served *feedback.Version
-	if opts.Selector != nil {
+	switch {
+	case opts.Selector != nil:
 		sel = opts.Selector.inner
-	} else if opts.Learning != nil {
-		if served = opts.Learning.reg.Current(); served != nil {
-			sel = served.Selector
-		}
+	case opts.Learning != nil:
+		served = opts.Learning.reg.Current()
+		sel = served.Selector
 	}
-	if sel != nil {
-		for _, k := range sel.Kinds {
-			if k < 0 || int(k) >= int(progress.NumKinds) {
-				return nil, fmt.Errorf("progressest: selector candidate %v is not computable online", k)
-			}
+	for _, k := range sel.Kinds {
+		if k < 0 || k >= progress.NumKinds {
+			return nil, fmt.Errorf("progressest: selector candidate %v is not computable online", k)
 		}
 	}
 	opts = opts.withDefaults()
 	obs := &monitorObserver{
 		view:  progress.NewCachedOnlineView(pl, pipes, starts),
-		pick:  selection.NewPolicy(sel, len(pipes.Pipelines), opts.Estimator),
+		pick:  selection.NewPolicy(sel, len(pipes.Pipelines)),
 		every: opts.UpdateEvery,
 		pace:  opts.Pace,
 		ch:    make(chan ProgressUpdate, 1),

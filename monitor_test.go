@@ -132,12 +132,17 @@ func TestMonitorOutOfRange(t *testing.T) {
 }
 
 // TestMonitorRejectsOracleEstimators: the oracle models need the finished
-// trace, so Start must refuse them instead of panicking mid-execution.
+// trace, so FixedSelector refuses them when it is built, instead of a
+// monitor panicking mid-execution.
 func TestMonitorRejectsOracleEstimators(t *testing.T) {
-	w := testWorkload(t)
 	for _, e := range []progressest.Estimator{progressest.OracleGetNext, progressest.OracleBytes} {
-		if _, err := w.Start(0, progressest.MonitorOptions{Estimator: e}); err == nil {
-			t.Fatalf("expected error for oracle estimator %v", e)
+		if sel, err := progressest.FixedSelector(e); err == nil {
+			t.Fatalf("FixedSelector(%v) = %v, want an error", e, sel)
+		}
+	}
+	for _, e := range progressest.AllEstimators() {
+		if _, err := progressest.FixedSelector(e); err != nil {
+			t.Fatalf("FixedSelector(%v): %v", e, err)
 		}
 	}
 }

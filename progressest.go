@@ -338,18 +338,29 @@ func TrainSelector(examples []Example, cfg SelectorConfig) (*Selector, error) {
 	return &Selector{inner: s}, nil
 }
 
+// FixedSelector returns the selector that always picks e. It refuses the
+// oracle estimators, which need the finished trace.
+func FixedSelector(e Estimator) (*Selector, error) {
+	if e < 0 || e >= progress.NumKinds {
+		return nil, fmt.Errorf("progressest: estimator %v is not computable online", e)
+	}
+	return &Selector{inner: selection.Fixed(e)}, nil
+}
+
 // Pick returns the estimator with the smallest predicted error for the
 // feature vector.
 func (s *Selector) Pick(featureVector []float64) Estimator {
 	return s.inner.Select(featureVector)
 }
 
-// PredictedErrors returns the predicted L1 error per candidate.
+// PredictedErrors returns the predicted L1 error per candidate (none for
+// a FixedSelector).
 func (s *Selector) PredictedErrors(featureVector []float64) map[Estimator]float64 {
 	return s.inner.PredictErrors(featureVector)
 }
 
-// Save writes the selector to a binary selector file.
+// Save writes the selector to a binary selector file (not a
+// FixedSelector: it has no model).
 func (s *Selector) Save(path string) error { return s.inner.Save(path) }
 
 // LoadSelector reads a selector saved by Save, or a JSON selector file

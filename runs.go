@@ -64,7 +64,7 @@ type trackedRun struct {
 	family   string
 	class    string // admission class (family, or family|client)
 	shard    int    // engine slot the run occupies
-	model    int    // selector version serving it (0 = none)
+	model    int    // selector version serving it (0 = v0, the fixed estimator)
 
 	// feed serialises a session's counter source — observation batches,
 	// abort and expiry. A native run is fed by its exec goroutine alone
@@ -157,8 +157,8 @@ type runInfo struct {
 	Class  string `json:"class"`
 	// Shard is the engine slot whose capacity the run occupies.
 	Shard int `json:"shard"`
-	// Model is the selector version that serves the run (0 = fixed
-	// estimator or explicitly configured selector).
+	// Model is the selector version that serves the run (0 = v0, the
+	// fixed DNE estimator, or an explicitly configured selector).
 	Model int `json:"model,omitempty"`
 	// State is "open", "completed", "aborted" or "expired"; Done is
 	// State == "completed".

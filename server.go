@@ -408,21 +408,8 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 	if terr := l.LastTrainingError(); terr != nil {
 		resp.TrainingError = terr.Error()
 	}
-	if cur, ok := l.Current(); ok {
-		resp.Current = cur.ID
-	}
-	if resp.Versions == nil {
-		resp.Versions = []ModelVersion{}
-	}
-	if resp.Drift == nil {
-		resp.Drift = []DriftStatus{}
-	}
-	if resp.Canaries == nil {
-		resp.Canaries = []CanaryStatus{}
-	}
-	if resp.Decisions == nil {
-		resp.Decisions = []RetrainDecision{}
-	}
+	cur, _ := l.Current()
+	resp.Current = cur.ID
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -443,14 +430,7 @@ func (s *Server) handleDrift(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	targets, decisions := l.driftReport()
-	resp := driftResponse{Targets: targets, Decisions: decisions}
-	if resp.Targets == nil {
-		resp.Targets = []DriftStatus{}
-	}
-	if resp.Decisions == nil {
-		resp.Decisions = []RetrainDecision{}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, driftResponse{Targets: targets, Decisions: decisions})
 }
 
 func (s *Server) handleRetrain(w http.ResponseWriter, _ *http.Request) {

@@ -213,18 +213,20 @@ func TestServerModelRoutes(t *testing.T) {
 	srv := httptest.NewServer(NewServer(w, MonitorOptions{UpdateEvery: 8, Learning: lrn}))
 	defer srv.Close()
 
-	// Empty corpus: retrain must refuse, rollback has nothing to revert.
+	// Empty corpus: retrain must refuse, and v0 serves, with nothing
+	// beneath it to roll back to.
 	if code := doJSON(t, http.MethodPost, srv.URL+"/models/retrain", "", nil); code != http.StatusConflict {
 		t.Fatalf("retrain on empty corpus: status %d, want 409", code)
 	}
 	if code := doJSON(t, http.MethodPost, srv.URL+"/models/rollback", "", nil); code != http.StatusConflict {
-		t.Fatalf("rollback with no versions: status %d, want 409", code)
+		t.Fatalf("rollback from v0: status %d, want 409", code)
 	}
 	var models modelsResponse
 	if code := doJSON(t, http.MethodGet, srv.URL+"/models", "", &models); code != http.StatusOK {
 		t.Fatalf("GET /models: status %d", code)
 	}
-	if models.Current != 0 || len(models.Versions) != 0 || models.CorpusSize != 0 {
+	if models.Current != 0 || len(models.Versions) != 1 || models.CorpusSize != 0 ||
+		models.Versions[0].ID != 0 || models.Versions[0].Source != "fixed" || !models.Versions[0].Current {
 		t.Fatalf("initial models state: %+v", models)
 	}
 
@@ -254,7 +256,7 @@ func TestServerModelRoutes(t *testing.T) {
 	if code := doJSON(t, http.MethodGet, srv.URL+"/models", "", &models); code != http.StatusOK {
 		t.Fatalf("GET /models: status %d", code)
 	}
-	if models.Current != 1 || len(models.Versions) != 1 || !models.Versions[0].Current {
+	if models.Current != 1 || len(models.Versions) != 2 || models.Versions[0].Current || !models.Versions[1].Current {
 		t.Fatalf("models after retrain: %+v", models)
 	}
 	// The corpus shape rides along: segment count, bytes and per-family
@@ -316,12 +318,8 @@ func TestServerModelRoutes(t *testing.T) {
 	if code := doJSON(t, http.MethodGet, srv.URL+"/models", "", &models); code != http.StatusOK {
 		t.Fatalf("GET /models: status %d", code)
 	}
-	if models.Current != 1 || len(models.Versions) != 2 {
+	if models.Current != 1 || len(models.Versions) != 3 {
 		t.Fatalf("models after rollback: current %d, %d versions", models.Current, len(models.Versions))
-	}
-	// Rolling back past the first version fails.
-	if code := doJSON(t, http.MethodPost, srv.URL+"/models/rollback", "", nil); code != http.StatusConflict {
-		t.Fatalf("rollback past first: status %d, want 409", code)
 	}
 
 	// Healthz reports the serving model and corpus size.
@@ -334,5 +332,10 @@ func TestServerModelRoutes(t *testing.T) {
 	}
 	if health.Model != 1 || health.CorpusSize == 0 {
 		t.Fatalf("healthz learning fields: %+v", health)
+	}
+	// Rolling back past the first version returns to v0
+	// (TestRollbackFromV1LandsOnV0 covers what serves then).
+	if code := doJSON(t, http.MethodPost, srv.URL+"/models/rollback", "", &back); code != http.StatusOK || back.ID != 0 {
+		t.Fatalf("rollback past first: status %d, %+v; want 200 and v0", code, back)
 	}
 }
