@@ -61,8 +61,9 @@ func TestQueryEstimateZeroAlloc(t *testing.T) {
 
 // startToDoneCost is the allocation count and heap bytes of one monitored
 // query of BenchmarkMonitorStartToDone's fixture — Start, every update
-// drained, Wait — past the run that fills the plan entry, averaged the
-// way testing.AllocsPerRun averages (on one P, the count truncated).
+// drained, Wait — once the plan entry is filled and the executor's
+// scratch holds this query's operator memory, averaged the way
+// testing.AllocsPerRun averages (on one P, the count truncated).
 func startToDoneCost(t *testing.T, opts MonitorOptions) (allocs, bytes float64) {
 	t.Helper()
 	w, err := Open(Config{Dataset: TPCH, Queries: 2, Scale: 0.08, Seed: 3})
@@ -81,7 +82,13 @@ func startToDoneCost(t *testing.T, opts MonitorOptions) (allocs, bytes float64) 
 		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	query() // plans the query and fills its entry
+	// The first run plans the query and fills its entry. The executor's
+	// scratch may come in sized by larger plans of earlier tests, and it
+	// shrinks an oversized slab once every 64 runs: two windows of this
+	// query alone leave the measured runs nothing to regrow or trim.
+	for range 2*64 + 1 {
+		query()
+	}
 	const runs = 50
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -93,28 +100,38 @@ func startToDoneCost(t *testing.T, opts MonitorOptions) (allocs, bytes float64) 
 }
 
 // startToDoneAllocCeiling bounds a whole monitored query about 15 % over
-// the 54 allocations it measures today (64 while every pipeline kept a
-// row of every estimate for every snapshot after its pick was final; 78
-// while the hash operators indexed keys in Go maps and every join and
-// Project output row was carved from the row arena; 81 while Wait built
-// a second eq. 5 over the finished view and a fixed estimator carried
-// marker cursors; 95 while Wait rebuilt every
+// the 39 allocations it measures today (54 while every run allocated its
+// hash-join buffers, key indexes and row-arena chunks afresh; 64 while
+// every pipeline kept a row of every estimate for every snapshot after
+// its pick was final; 78 while the hash operators indexed keys in Go
+// maps and every join and Project output row was carved from the row
+// arena; 81 while Wait built a second eq. 5 over the finished view and a
+// fixed estimator carried marker cursors; 95 while Wait rebuilt every
 // pipeline context to replay the trace offline; 123 while every run
 // rebuilt its pipeline contexts and carved nothing from slabs; 959
 // before a run's rows, join table, snapshot sink and observation tables
-// stopped being allocated row by row). Every piece of a run's working
-// memory is sized by the run, none recycled through a pool, so the count
-// does not move with the collector's timing.
-const startToDoneAllocCeiling = 62
+// stopped being allocated row by row). The executor's operator memory —
+// hash-join build buffers, slot tables, keys, spans and destinations,
+// the semi join's key set, the hash aggregate's group index and the row
+// arena's chunks — is recycled: a run takes a scratch from a free list
+// of at most GOMAXPROCS and hands it back zeroed. The list is a plain
+// mutex-guarded slice, not a sync.Pool, which the collector empties at
+// any collection; here a collection drops only a scratch no run took
+// since the one before, so on one P the measured runs always find the
+// scratch the last one released, and the count does not move with the
+// collector's timing. Everything else a run allocates is sized by the
+// run.
+const startToDoneAllocCeiling = 45
 
 // startToDoneByteCeiling bounds the same query's heap bytes about 4 % over
-// the 98.4 KB it measures today (132.3 KB while every pipeline kept a row
-// of every estimate after its pick was final; 144.7 KB while the hash
+// the 46.4 KB it measures today (98.4 KB while every run allocated its
+// operator memory afresh; 132.3 KB while every pipeline kept a row of
+// every estimate after its pick was final; 144.7 KB while the hash
 // operators indexed keys in Go maps and every join and Project output row
 // was carved from the row arena). The bytes repeat to a few bytes run to
-// run, and join and Project outputs carved per row again read +6 % for
-// one more allocation, so only a ceiling this close sees them.
-const startToDoneByteCeiling = 102_500
+// run, and a row-arena chunk allocated per run again (4 KB or more)
+// reads over, so only a ceiling this close sees it.
+const startToDoneByteCeiling = 48_300
 
 // TestStartToDoneAllocBudget gates what BENCH_baseline.json only records:
 // a query's set-up and working memory, the dominant per-query cost once
@@ -135,21 +152,22 @@ func TestStartToDoneAllocBudget(t *testing.T) {
 
 // learningStartToDoneAllocCeiling bounds the same query with Learning
 // attached — its finished run labelled and appended to the corpus before
-// Wait returns — about 15 % over the 91 allocations it measures
-// today (105 while the hash operators indexed keys in Go maps and join
-// and Project outputs were carved per row; 108 while Wait built a second
-// eq. 5 over the finished view;
-// 122 while Wait replayed the trace offline; 176 while every run
-// rebuilt its pipeline contexts; 266 while harvest replayed every
-// estimator through an offline view of the trace).
-const learningStartToDoneAllocCeiling = 105
+// Wait returns — about 15 % over the 77 allocations it measures today
+// (92 while every run allocated its operator memory afresh; 105 while
+// the hash operators indexed keys in Go maps and join and Project
+// outputs were carved per row; 108 while Wait built a second eq. 5 over
+// the finished view; 122 while Wait replayed the trace offline; 176
+// while every run rebuilt its pipeline contexts; 266 while harvest
+// replayed every estimator through an offline view of the trace).
+const learningStartToDoneAllocCeiling = 89
 
 // learningStartToDoneByteCeiling bounds the same query's heap bytes about
-// 4 % over the 151.8 KB it measured while the live view still kept every
-// row its harvest reads. Harvest now fills in the rows the settled
-// pipelines deferred, from the trace; this ceiling holds that to what
-// the live table cost.
-const learningStartToDoneByteCeiling = 158_000
+// 4 % over the 99.8 KB it measures today (151.7 KB while every run
+// allocated its operator memory afresh — about what it cost while the
+// live view still kept every row its harvest reads). Harvest fills in
+// the rows the settled pipelines deferred, from the trace, once; this
+// ceiling holds that fill to what it costs today.
+const learningStartToDoneByteCeiling = 103_800
 
 // TestLearningStartToDoneAllocBudget gates what harvest adds to a
 // monitored query: labelling reads the monitor's own view, whose settled
@@ -179,22 +197,23 @@ func TestLearningStartToDoneAllocBudget(t *testing.T) {
 
 // selectorStartToDoneAllocCeiling bounds the same query served by a
 // trained selector — native_closed's configuration: a pick at every
-// pipeline start and marker crossing — about 15 % over the 61
-// allocations it measures today (67 while every pipeline kept a row of
-// every estimate after its last marker crossing; 81 while the hash
-// operators indexed keys in Go maps and join and Project outputs were
-// carved per row; 83 while
-// Wait built a second eq. 5 over the finished view; 97 while Wait
-// replayed the trace offline; 151 while every run rebuilt its pipeline
-// contexts and static feature prefixes).
-const selectorStartToDoneAllocCeiling = 70
+// pipeline start and marker crossing — about 15 % over the 46
+// allocations it measures today (61 while every run allocated its
+// operator memory afresh; 67 while every pipeline kept a row of every
+// estimate after its last marker crossing; 81 while the hash operators
+// indexed keys in Go maps and join and Project outputs were carved per
+// row; 83 while Wait built a second eq. 5 over the finished view; 97
+// while Wait replayed the trace offline; 151 while every run rebuilt its
+// pipeline contexts and static feature prefixes).
+const selectorStartToDoneAllocCeiling = 53
 
 // selectorStartToDoneByteCeiling bounds the same query's heap bytes about
-// 4 % over the 115.6 KB it measures today (135.9 KB while every pipeline
+// 4 % over the 63.6 KB it measures today (115.6 KB while every run
+// allocated its operator memory afresh; 135.9 KB while every pipeline
 // kept a row of every estimate after its last marker crossing; 148.3 KB
 // before that; 144.1 KB with join and Project outputs carved per row
 // again) — see startToDoneByteCeiling.
-const selectorStartToDoneByteCeiling = 120_500
+const selectorStartToDoneByteCeiling = 66_200
 
 // TestSelectorStartToDoneAllocBudget gates what selection adds to a
 // monitored query: the static prefix comes from the plan entry, so a

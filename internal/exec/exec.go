@@ -70,14 +70,24 @@ func Run(db *storage.Database, p *plan.Plan, opts Options) *Trace {
 // the caller. Execution never mutates the plan or the decomposition, so
 // callers that run the same plan repeatedly (the serving hot path) can
 // decompose once and reuse it across runs.
+//
+// The run's operator memory comes from one scratch of the free list,
+// shared by all its iterators, and goes back to the list once the root
+// is closed, when no iterator reads it any more.
 func RunDecomposed(db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposition, opts Options) *Trace {
+	return runWith(takeScratch(), db, p, pipes, opts)
+}
+
+// runWith is RunDecomposed on operator memory from sc, which it releases
+// once the root is closed.
+func runWith(sc *scratch, db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposition, opts Options) *Trace {
 	opts = opts.withDefaults()
 
 	obsEvery := int64(p.TotalEstRows()) / int64(opts.TargetObservations)
 	if obsEvery < 1 {
 		obsEvery = 1
 	}
-	ctx := newContext(db, p, pipes, opts, obsEvery)
+	ctx := newContext(db, p, pipes, opts, obsEvery, sc)
 
 	root := buildIter(ctx, p.Root)
 	root.open()
@@ -87,6 +97,7 @@ func RunDecomposed(db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposi
 		}
 	}
 	root.close()
+	sc.release()
 	ctx.snapshot() // final observation at tend
 	ctx.flushSnapshots()
 
@@ -164,7 +175,7 @@ func driverTotalAtStart(db *storage.Database, n *plan.Node, ctx *context) (int64
 // per-pipeline slices are carved from one slab per element type, each
 // capped at its own length, so the Trace's aliases of K, R, W,
 // driverTotal and pipeKnown stay independent of one another.
-func newContext(db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposition, opts Options, obsEvery int64) *context {
+func newContext(db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposition, opts Options, obsEvery int64, sc *scratch) *context {
 	n, np := p.NumNodes(), len(pipes.Pipelines)
 	counters := make([]int64, 5*n)
 	active := make([]float64, 2*n)
@@ -187,6 +198,8 @@ func newContext(db *storage.Database, p *plan.Plan, pipes *pipeline.Decompositio
 		obsEvery:    obsEvery,
 		untilSnap:   obsEvery,
 		sink:        NewTraceSink(n),
+		scratch:     sc,
+		rows:        rowArena{words: &sc.words},
 		batchSize:   max(opts.SnapshotBatch, 1),
 	}
 	for i := range ctx.firstActive {
@@ -229,6 +242,8 @@ type context struct {
 	sink      TraceSink
 	lastSnapT float64
 
+	// scratch lends the hash operators their buffers and indexes.
+	scratch *scratch
 	// rows backs every row an operator builds (see rowArena).
 	rows rowArena
 

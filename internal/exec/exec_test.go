@@ -269,9 +269,18 @@ func collectRows(db *storage.Database, p *plan.Plan) []storage.Row {
 	return runRows(db, p, Options{})
 }
 
-// runRows is collectRows under opts.
+// runRows is collectRows under opts, on a scratch of the free list.
 func runRows(db *storage.Database, p *plan.Plan, opts Options) []storage.Row {
-	ctx := newContext(db, p, pipeline.Decompose(p), opts.withDefaults(), 1<<30)
+	sc := takeScratch()
+	rows := runRowsOn(sc, db, p, opts)
+	sc.release()
+	return rows
+}
+
+// runRowsOn is runRows on operator memory from sc, which it leaves to
+// the caller to release or reset.
+func runRowsOn(sc *scratch, db *storage.Database, p *plan.Plan, opts Options) []storage.Row {
+	ctx := newContext(db, p, pipeline.Decompose(p), opts.withDefaults(), 1<<30, sc)
 	root := buildIter(ctx, p.Root)
 	root.open()
 	var rows []storage.Row

@@ -9,25 +9,29 @@ import "math/bits"
 // top bits so keys that agree in their low bits still spread. The keys
 // themselves live densely by ordinal. The table doubles when an insert
 // would fill more than half of it; sized from a hint of at least the
-// number of distinct keys, it never does.
+// number of distinct keys, it never does. The slot tables and the keys
+// come from the run's scratch, so the slots start zero: empty.
 type keyIndex struct {
 	slots []int32
 	keys  []int64 // keys[o] is the key with ordinal o
 	shift uint    // 64 - log2(len(slots))
+	sc    *scratch
 }
 
 const minKeySlots = 8
 
-// newKeyIndex sizes the index for hint keys without growing.
-func newKeyIndex(hint int) keyIndex {
+// newKeyIndex sizes the index for hint keys without growing, on memory
+// from sc.
+func newKeyIndex(hint int, sc *scratch) keyIndex {
 	n := minKeySlots
 	for n < 2*hint {
 		n <<= 1
 	}
 	return keyIndex{
-		slots: make([]int32, n),
-		keys:  make([]int64, 0, hint),
+		slots: sc.ords.take(n),
+		keys:  sc.words.take(hint)[:0],
 		shift: uint(64 - bits.TrailingZeros(uint(n))),
+		sc:    sc,
 	}
 }
 
@@ -54,7 +58,7 @@ func (x *keyIndex) insert(k int64) (o int32, added bool) {
 	if 2*(len(x.keys)+1) > len(x.slots) {
 		x.grow()
 	}
-	x.keys = append(x.keys, k)
+	x.keys = append(x.sc.words.grow(x.keys), k)
 	x.slots[x.free(k)] = int32(len(x.keys))
 	return int32(len(x.keys) - 1), true
 }
@@ -71,7 +75,7 @@ func (x *keyIndex) free(k int64) int {
 
 // grow doubles the slot table and re-slots every key by ordinal.
 func (x *keyIndex) grow() {
-	x.slots = make([]int32, 2*len(x.slots))
+	x.slots = x.sc.ords.take(2 * len(x.slots))
 	x.shift--
 	for o, k := range x.keys {
 		x.slots[x.free(k)] = int32(o + 1)

@@ -18,14 +18,23 @@ import (
 //
 // Ordinals must follow first insertion, every key must be found after
 // every growth, absent keys must miss, and a table sized from a hint at
-// least the number of distinct keys must never grow.
+// least the number of distinct keys must never grow. Every input's index
+// is built on the one scratch the inputs before it used and reset, the
+// way a run's index reuses the last run's memory: its slot table must
+// start empty, and a slot or key an earlier input left behind turns up
+// as a wrong ordinal or a found absent key.
 func FuzzKeyIndex(f *testing.F) {
+	var sc scratch
 	f.Add(uint16(0), []byte{})
 	f.Add(uint16(0), []byte{3, 0, 3, 0xff, 3, 0x80, 3, 1, 3, 0xff, 2, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(uint16(4), []byte{1, 1, 1, 2, 1, 3, 1, 0xff, 0xfd, 1, 0xfd, 2, 0xfd, 3, 0xfd, 0xfe})
 	f.Add(uint16(2), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 8, 7, 6, 5, 4, 3, 2, 1, 0x7d, 9, 0x7d, 10})
 	f.Fuzz(func(t *testing.T, hint uint16, ops []byte) {
-		x := newKeyIndex(int(hint % 512))
+		defer sc.reset()
+		x := newKeyIndex(int(hint%512), &sc)
+		if i := slices.IndexFunc(x.slots, func(s int32) bool { return s != 0 }); i >= 0 {
+			t.Fatalf("reused slot table holds %d at %d before any insert", x.slots[i], i)
+		}
 		initSlots := len(x.slots)
 		ref := map[int64]int32{}
 		var order []int64

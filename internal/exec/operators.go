@@ -21,10 +21,13 @@ type iter interface {
 
 // rowArena backs the rows a run keeps — aggregate states, the emitting
 // buffers of joins and Project, and the copies operators retain of those
-// buffers' rows — so a run pays one allocation per chunk instead of one
-// per row. Nothing carved here may be retained past RunDecomposed (the
-// Trace holds counters only), so the arena goes with the run's context.
+// buffers' rows — so a run pays one carve per chunk instead of one
+// allocation per row. The chunks come from the run's scratch (words),
+// which RunDecomposed zeroes and recycles once the root is closed:
+// nothing carved here may be retained past RunDecomposed (the Trace
+// holds counters only).
 type rowArena struct {
+	words *slab[int64]
 	free  []int64 // unused tail of the current chunk
 	chunk int     // words in the current chunk; the next one doubles it
 }
@@ -40,7 +43,7 @@ const (
 func (a *rowArena) row(n int) storage.Row {
 	if n > len(a.free) {
 		a.chunk = min(max(2*a.chunk, arenaFirstChunk), arenaMaxChunk)
-		a.free = make([]int64, max(a.chunk, n))
+		a.free = a.words.take(max(a.chunk, n))
 	}
 	r := a.free[:n:n]
 	a.free = a.free[n:]
@@ -280,21 +283,24 @@ type rowSpan struct{ lo, hi int32 }
 
 // newJoinTable groups rows — in place, the table keeps the slice — by
 // their key column: a stable counting sort on the key's first-arrival
-// ordinal. One pass counts each key's rows, one lays the spans out and
-// gives every row its destination (a group fills in arrival order), and
-// the last applies that permutation by following its cycles. Rows that
-// arrive already grouped, as a key column's do, never move.
-func newJoinTable(rows []storage.Row, key int) joinTable {
-	// Sized by the row count, the index never grows.
-	t := joinTable{rows: rows, index: newKeyIndex(len(rows))}
-	dest := make([]int32, len(rows)) // first the row's span ordinal, then its final position
+// ordinal. One pass numbers each row's key, one counts each key's rows,
+// one lays the spans out and gives every row its destination (a group
+// fills in arrival order), and the last applies that permutation by
+// following its cycles. Rows that arrive already grouped, as a key
+// column's do, never move. The index, spans and destinations come from
+// sc.
+func newJoinTable(rows []storage.Row, key int, sc *scratch) joinTable {
+	// The index grows with the distinct keys, not the rows: sized by the
+	// row count it would hold two to four slots per build row however few
+	// the keys, and the scratch would keep them.
+	t := joinTable{rows: rows, index: newKeyIndex(0, sc)}
+	dest := sc.ords.take(len(rows)) // first the row's span ordinal, then its final position
 	for i, row := range rows {
-		o, added := t.index.insert(row[key])
-		if added {
-			t.spans = append(t.spans, rowSpan{})
-		}
+		dest[i], _ = t.index.insert(row[key])
+	}
+	t.spans = sc.spans.take(len(t.index.keys))
+	for _, o := range dest {
 		t.spans[o].hi++ // a count until the spans are laid out below
-		dest[i] = o
 	}
 	at := int32(0)
 	for i, sp := range t.spans {
@@ -366,18 +372,20 @@ func (it *hashJoinIter) open() {
 	// Build phase: consume the entire build input. If the build side
 	// exceeds the memory budget, later rows in spilled partitions are
 	// written out (extra GetNext calls at this node, as the paper models
-	// spills). The buffer starts at the optimizer's estimate of the build
-	// side plus an eighth: right, it is the one allocation; low, append
-	// grows it; high, the bound caps what is wasted.
+	// spills). The buffer, from the run's scratch, starts at the
+	// optimizer's estimate of the build side plus an eighth: right, it is
+	// the one buffer; low, it doubles; high, the bound caps what is
+	// wasted.
+	sc := it.ctx.scratch
 	est := int(it.n.Children[1].EstRows)
-	buildRows := make([]storage.Row, 0, min(max(est+est/8, 16), 1<<14))
+	buildRows := sc.rows.take(min(max(est+est/8, 16), 1<<14))[:0]
 	for {
 		row, ok := it.build.next()
 		if !ok {
 			break
 		}
 		it.ctx.consumed(it.n)
-		buildRows = append(buildRows, it.ctx.rows.keep(row, it.copyBuild))
+		buildRows = append(sc.rows.grow(buildRows), it.ctx.rows.keep(row, it.copyBuild))
 	}
 	budget := it.ctx.opts.MemBudgetRows
 	if budget > 0 && len(buildRows) > budget {
@@ -398,7 +406,7 @@ func (it *hashJoinIter) open() {
 			}
 		}
 	}
-	it.table = newJoinTable(buildRows, it.n.JoinRightCol)
+	it.table = newJoinTable(buildRows, it.n.JoinRightCol, sc)
 }
 
 func (it *hashJoinIter) emit(probeRow, buildRow storage.Row) storage.Row {
@@ -478,7 +486,7 @@ type semiJoinIter struct {
 func (it *semiJoinIter) open() {
 	it.probe.open()
 	it.build.open()
-	it.keys = newKeyIndex(min(int(it.n.Children[1].EstRows), 1<<14))
+	it.keys = newKeyIndex(min(int(it.n.Children[1].EstRows), 1<<14), it.ctx.scratch)
 	key := it.n.JoinRightCol
 	for {
 		row, ok := it.build.next()
@@ -832,7 +840,7 @@ type hashAggIter struct {
 
 func (it *hashAggIter) open() {
 	it.child.open()
-	byKey := newKeyIndex(min(int(it.n.EstRows), 1<<14)) // group key -> ordinal in groups
+	byKey := newKeyIndex(min(int(it.n.EstRows), 1<<14), it.ctx.scratch) // group key -> ordinal in groups
 	for {
 		row, ok := it.child.next()
 		if !ok {

@@ -117,10 +117,11 @@ func runFingerprint(run *QueryRun) [][]float64 {
 
 // TestRunsShareNoWorkingMemory pins the ownership rule the per-run
 // memory rests on: a run's row arena, join tables, snapshot sink and
-// observation tables belong to that run alone. (Recycling observation
-// storage across runs was measured and left out — see README, hot path —
-// so there is no pool here to get wrong; this is the test a future one
-// has to keep passing.) A QueryRun reads the same series, errors and
+// observation tables belong to that run alone while it runs. (The
+// executor's operator memory — row-arena chunks, join tables, key
+// indexes — is recycled through a free list once the run's root is
+// closed; recycling observation storage was measured and left out — see
+// README, hot path.) A QueryRun reads the same series, errors and
 // features after 200 later runs of other plans as before them; and the
 // update streams of queries running concurrently — natively on eight
 // goroutines while external sessions replay through the ingestion path —
