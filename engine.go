@@ -139,12 +139,27 @@ func (e *Engine) Start(ctx context.Context, i int) (*Monitor, error) {
 // between a family's clients too — one flooding client cannot starve
 // the rest of its own family. Monitor.Class reports the class used.
 func (e *Engine) StartTagged(ctx context.Context, i int, client string) (*Monitor, error) {
+	return e.start(ctx, i, client, false)
+}
+
+// startServed is StartTagged for a run the server owns: nothing reads
+// its trace after the final update, so the run records its snapshot
+// history on memory borrowed from the executor's free list and hands it
+// back once finished. A run started through StartTagged keeps its trace
+// for Wait.
+func (e *Engine) startServed(ctx context.Context, i int, client string) (*Monitor, error) {
+	return e.start(ctx, i, client, true)
+}
+
+// start admits query i and runs it on its own goroutine; served is
+// Monitor.execute's.
+func (e *Engine) start(ctx context.Context, i int, client string, served bool) (*Monitor, error) {
 	if n := e.w.NumQueries(); i < 0 || i >= n {
 		return nil, fmt.Errorf("progressest: query index %d out of range [0,%d)", i, n)
 	}
 	var run func()
 	m, err := e.admit(ctx, e.w.QueryFamily(i), client, func(opts MonitorOptions) (m *Monitor, err error) {
-		m, run, err = e.w.prepare(i, opts)
+		m, run, err = e.w.prepare(i, opts, served)
 		return m, err
 	})
 	if err != nil {

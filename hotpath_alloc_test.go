@@ -253,3 +253,85 @@ func TestObserveAllocBudget(t *testing.T) {
 	}
 	t.Logf("observation batch through ServeHTTP: %v allocs (ceiling %d)", avg, observeAllocCeiling)
 }
+
+// serverCost is the allocation count and heap bytes of one op through
+// ServeHTTP on the server fixture — a native query or a session, start
+// to done — averaged as startToDoneCost averages, on one P. The warm-up
+// runs the op past the query table's retention bound, so every submit
+// evicts one finished run, and past two trim windows, so the executor's
+// scratch and the run's snapshot history hold what this plan needs.
+func serverCost(t *testing.T, op func()) (allocs, bytes float64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for range defaultMaxKept + 2*64 + 1 {
+		op()
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / runs), float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// serverStartToDoneAllocCeiling bounds one native query through
+// ServeHTTP — submit, the run, one progress read, request and recorder
+// included — about 15 % over the 95 allocations it measures today.
+// The run belongs to the server, which never reads its trace after the
+// final update: it records its snapshot history on memory borrowed from
+// the executor's free list and hands it back once finished (99
+// allocations while every served run allocated its own).
+const serverStartToDoneAllocCeiling = 109
+
+// serverStartToDoneByteCeiling bounds the same op's heap bytes about 4 %
+// over the 19.8 KB it measures today (61.3 KB while every served run
+// allocated its row chunks and trace headers): a history allocated per
+// run again reads far over.
+const serverStartToDoneByteCeiling = 20_600
+
+// TestServerStartToDoneAllocBudget gates the served path the way
+// TestStartToDoneAllocBudget gates the library one. Library runs keep
+// their trace for Wait, so only a run through the server shows whether
+// its history goes back to the free list.
+func TestServerStartToDoneAllocBudget(t *testing.T) {
+	f := newServerFixture(t)
+	avg, bytes := serverCost(t, f.query)
+	if avg > serverStartToDoneAllocCeiling {
+		t.Fatalf("served query start-to-done: %v allocs, ceiling %d", avg, serverStartToDoneAllocCeiling)
+	}
+	if bytes > serverStartToDoneByteCeiling {
+		t.Fatalf("served query start-to-done: %.0f bytes, ceiling %d", bytes, serverStartToDoneByteCeiling)
+	}
+	t.Logf("served query start-to-done: %v allocs (ceiling %d), %.0f bytes (ceiling %d)",
+		avg, serverStartToDoneAllocCeiling, bytes, serverStartToDoneByteCeiling)
+}
+
+// sessionStartToDoneAllocCeiling bounds one session through ServeHTTP —
+// open, every observation batch of the fixture's query, the last one
+// done, one progress read — about 15 % over the 245 allocations it
+// measures today (249 while every session allocated its snapshot
+// history).
+const sessionStartToDoneAllocCeiling = 281
+
+// sessionStartToDoneByteCeiling bounds the same session's heap bytes
+// about 4 % over the 44.4 KB it measures today (85.9 KB while every
+// session allocated its row chunks and trace headers).
+const sessionStartToDoneByteCeiling = 46_100
+
+// TestSessionStartToDoneAllocBudget gates a whole session the way
+// TestObserveAllocBudget gates one of its batches: a completed session
+// hands its history back, and an open one borrows it at open.
+func TestSessionStartToDoneAllocBudget(t *testing.T) {
+	f := newServerFixture(t)
+	avg, bytes := serverCost(t, f.session)
+	if avg > sessionStartToDoneAllocCeiling {
+		t.Fatalf("session open-to-done: %v allocs, ceiling %d", avg, sessionStartToDoneAllocCeiling)
+	}
+	if bytes > sessionStartToDoneByteCeiling {
+		t.Fatalf("session open-to-done: %.0f bytes, ceiling %d", bytes, sessionStartToDoneByteCeiling)
+	}
+	t.Logf("session open-to-done: %v allocs (ceiling %d), %.0f bytes (ceiling %d)",
+		avg, sessionStartToDoneAllocCeiling, bytes, sessionStartToDoneByteCeiling)
+}

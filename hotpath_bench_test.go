@@ -1,6 +1,7 @@
 package progressest
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -263,4 +264,111 @@ func BenchmarkSessionObserve(b *testing.B) {
 	for b.Loop() {
 		f.post()
 	}
+}
+
+// serverFixture drives BenchmarkMonitorStartToDone's query through
+// Server.ServeHTTP with a recorder, the way the server's clients do:
+// submitted as a native query, or replayed as an external session from
+// its recorded spec and observation batches. Responses are read for
+// their id and state only, so the fixture itself allocates little
+// beyond the requests and the recorders.
+type serverFixture struct {
+	tb      testing.TB
+	server  *Server
+	submit  []byte   // POST /queries body
+	spec    []byte   // POST /sessions body
+	batches [][]byte // the session's observation batches, the last done
+}
+
+func newServerFixture(tb testing.TB) *serverFixture {
+	tb.Helper()
+	w, err := Open(Config{Dataset: TPCH, Queries: 2, Scale: 0.08, Seed: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	run, err := w.Run(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f := &serverFixture{tb: tb, server: NewServer(w, MonitorOptions{}), submit: []byte(`{"query":0}`)}
+	tb.Cleanup(f.server.Close)
+	if f.spec, err = json.Marshal(ingest.SpecFromTrace(run.view.Trace, "bench-ext", "bench-fam")); err != nil {
+		tb.Fatal(err)
+	}
+	for _, b := range ingest.RecordBatches(run.view.Trace, 64) {
+		body, err := json.Marshal(b)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		f.batches = append(f.batches, body)
+	}
+	return f
+}
+
+// post sends body and returns the id the response names.
+func (f *serverFixture) post(path string, body []byte, want int) string {
+	rec := serve(f.server, http.MethodPost, path, body, true)
+	if rec.Code != want {
+		f.tb.Fatalf("POST %s: status %d: %s", path, rec.Code, rec.Body)
+	}
+	const key = `"id":"`
+	_, id, _ := bytes.Cut(rec.Body.Bytes(), []byte(key))
+	id, _, _ = bytes.Cut(id, []byte(`"`))
+	return string(id)
+}
+
+// completed reads the run's progress route once and reports whether the
+// run is completed.
+func (f *serverFixture) completed(tree, id string) bool {
+	rec := serve(f.server, http.MethodGet, "/"+tree+"/"+id+"/progress", nil, true)
+	if rec.Code != http.StatusOK {
+		f.tb.Fatalf("progress of %s: status %d: %s", id, rec.Code, rec.Body)
+	}
+	return bytes.Contains(rec.Body.Bytes(), []byte(`"state":"completed"`))
+}
+
+// query submits the query, waits until its run's mirror holds the final
+// update, and reads its progress once.
+func (f *serverFixture) query() {
+	id := f.post("/queries", f.submit, http.StatusAccepted)
+	run, ok := f.server.queries.lookup(id)
+	if !ok {
+		f.tb.Fatalf("query %q not in the table", id)
+	}
+	run.mirrored.Wait()
+	if !f.completed("queries", id) {
+		f.tb.Fatalf("query %s is not completed once mirrored", id)
+	}
+}
+
+// session opens the session, posts every batch — the last completes it —
+// and reads its progress once.
+func (f *serverFixture) session() {
+	id := f.post("/sessions", f.spec, http.StatusCreated)
+	path := "/sessions/" + id + "/observations"
+	for _, b := range f.batches {
+		f.post(path, b, http.StatusOK)
+	}
+	if !f.completed("sessions", id) {
+		f.tb.Fatalf("session %s is not completed after its done batch", id)
+	}
+}
+
+// BenchmarkServerStartToDone is the served twin of
+// BenchmarkMonitorStartToDone: one native query through ServeHTTP — POST
+// /queries, then progress reads until the run is completed — as the
+// server's clients run it, its snapshot history borrowed from the
+// executor's free list and handed back at the end. How many reads a
+// query takes depends on how the two goroutines were scheduled, so the
+// reads per query ride along as a metric of their own.
+func BenchmarkServerStartToDone(b *testing.B) {
+	f := newServerFixture(b)
+	b.ReportAllocs()
+	reads := 0
+	for b.Loop() {
+		id := f.post("/queries", f.submit, http.StatusAccepted)
+		for reads++; !f.completed("queries", id); reads++ {
+		}
+	}
+	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
 }

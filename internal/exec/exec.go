@@ -75,19 +75,20 @@ func Run(db *storage.Database, p *plan.Plan, opts Options) *Trace {
 // shared by all its iterators, and goes back to the list once the root
 // is closed, when no iterator reads it any more.
 func RunDecomposed(db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposition, opts Options) *Trace {
-	return runWith(takeScratch(), db, p, pipes, opts)
+	return runWith(takeScratch(), nil, db, p, pipes, opts)
 }
 
 // runWith is RunDecomposed on operator memory from sc, which it releases
-// once the root is closed.
-func runWith(sc *scratch, db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposition, opts Options) *Trace {
+// once the root is closed, recording the snapshot history on h (nil: on
+// memory the Trace owns).
+func runWith(sc *scratch, h *History, db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposition, opts Options) *Trace {
 	opts = opts.withDefaults()
 
 	obsEvery := int64(p.TotalEstRows()) / int64(opts.TargetObservations)
 	if obsEvery < 1 {
 		obsEvery = 1
 	}
-	ctx := newContext(db, p, pipes, opts, obsEvery, sc)
+	ctx := newContext(db, p, pipes, opts, obsEvery, sc, h)
 
 	root := buildIter(ctx, p.Root)
 	root.open()
@@ -175,7 +176,7 @@ func driverTotalAtStart(db *storage.Database, n *plan.Node, ctx *context) (int64
 // per-pipeline slices are carved from one slab per element type, each
 // capped at its own length, so the Trace's aliases of K, R, W,
 // driverTotal and pipeKnown stay independent of one another.
-func newContext(db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposition, opts Options, obsEvery int64, sc *scratch) *context {
+func newContext(db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposition, opts Options, obsEvery int64, sc *scratch, h *History) *context {
 	n, np := p.NumNodes(), len(pipes.Pipelines)
 	counters := make([]int64, 5*n)
 	active := make([]float64, 2*n)
@@ -197,7 +198,7 @@ func newContext(db *storage.Database, p *plan.Plan, pipes *pipeline.Decompositio
 		pipeKnown:   flags[np:],
 		obsEvery:    obsEvery,
 		untilSnap:   obsEvery,
-		sink:        NewTraceSink(n),
+		sink:        TraceSink{nodes: n, hist: h},
 		scratch:     sc,
 		rows:        rowArena{words: &sc.words},
 		batchSize:   max(opts.SnapshotBatch, 1),

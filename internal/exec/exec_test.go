@@ -280,7 +280,7 @@ func runRows(db *storage.Database, p *plan.Plan, opts Options) []storage.Row {
 // runRowsOn is runRows on operator memory from sc, which it leaves to
 // the caller to release or reset.
 func runRowsOn(sc *scratch, db *storage.Database, p *plan.Plan, opts Options) []storage.Row {
-	ctx := newContext(db, p, pipeline.Decompose(p), opts.withDefaults(), 1<<30, sc)
+	ctx := newContext(db, p, pipeline.Decompose(p), opts.withDefaults(), 1<<30, sc, nil)
 	root := buildIter(ctx, p.Root)
 	root.open()
 	var rows []storage.Row

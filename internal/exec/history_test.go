@@ -1,0 +1,134 @@
+package exec
+
+import (
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"progressest/internal/catalog"
+	"progressest/internal/pipeline"
+	"progressest/internal/plan"
+	"progressest/internal/storage"
+)
+
+// TestReleasedHistoryHoldsNoHeaders records three runs of two plans of
+// different node counts — two thinning — on one History through the
+// free list. Every run's trace must be the one recorded on memory of its
+// own; a released History must hold no non-zero Snapshot header over the
+// header slab's whole capacity, or it would pin the rows of a finished
+// run, and no counter word; and the released trace must have lost its
+// headers.
+func TestReleasedHistoryHoldsNoHeaders(t *testing.T) {
+	db := testDB(t, catalog.PartiallyTuned, 1)
+	join := mustPlan(t, db, joinSpec())
+	fdb, fixture, _ := scratchFixture()
+	if join.NumNodes() == fixture.NumNodes() {
+		t.Fatal("the two plans share a node count")
+	}
+	thinning := Options{TargetObservations: 4000, MaxObservations: 300}
+	runs := []struct {
+		db   *storage.Database
+		p    *plan.Plan
+		opts Options
+	}{{db, join, Options{}}, {fdb, fixture, thinning}, {db, join, thinning}}
+	h := BorrowHistory()
+	for i, r := range runs {
+		pipes := pipeline.Decompose(r.p)
+		want := RunDecomposed(r.db, r.p, pipes, r.opts)
+		tr := h.Run(r.db, r.p, pipes, r.opts)
+		if len(tr.Snapshots) == 0 || !slices.EqualFunc(tr.Snapshots, want.Snapshots, sameSnapshot) {
+			t.Fatalf("run %d: the trace recorded on a recycled history differs from its own", i)
+		}
+		if i > 0 && (h.words.used == 0 || h.heads.used == 0) {
+			t.Fatalf("run %d lent words %d, headers %d: a slab went unused", i, h.words.used, h.heads.used)
+		}
+		h.Release(tr)
+		if tr.Snapshots != nil {
+			t.Fatalf("run %d: the released trace keeps its headers", i)
+		}
+		if BorrowHistory() != h {
+			t.Fatalf("run %d: the free list did not hand back the history just released", i)
+		}
+		if len(h.words.buf) == 0 || len(h.heads.buf) == 0 {
+			t.Fatalf("run %d: the released history keeps words %d, headers %d", i, len(h.words.buf), len(h.heads.buf))
+		}
+		if j, ok := zeroed(&h.heads, func(s Snapshot) bool {
+			return s.Time == 0 && s.K == nil && s.R == nil && s.W == nil
+		}); !ok {
+			t.Fatalf("run %d: released header slab holds %+v at %d of %d", i, h.heads.buf[j], j, cap(h.heads.buf))
+		}
+		if j, ok := zeroed(&h.words, func(w int64) bool { return w == 0 }); !ok {
+			t.Fatalf("run %d: released row chunks hold %d at %d of %d", i, h.words.buf[j], j, cap(h.words.buf))
+		}
+	}
+	h.Release(nil)
+}
+
+func sameSnapshot(a, b Snapshot) bool {
+	return a.Time == b.Time && slices.Equal(a.K, b.K) && slices.Equal(a.R, b.R) && slices.Equal(a.W, b.W)
+}
+
+// TestReadAfterReleasePanics: once its history is handed back, a trace
+// has no snapshot to read — a stray read panics — even while the next
+// run records over the same chunks.
+func TestReadAfterReleasePanics(t *testing.T) {
+	db := testDB(t, catalog.PartiallyTuned, 1)
+	p := mustPlan(t, db, joinSpec())
+	pipes := pipeline.Decompose(p)
+	h := BorrowHistory()
+	tr := h.Run(db, p, pipes, Options{})
+	h.Release(tr)
+	next := BorrowHistory()
+	defer next.Release(next.Run(db, p, pipes, Options{}))
+	for name, read := range map[string]func(){
+		"Snapshots[0]":         func() { _ = tr.Snapshots[0].K[0] },
+		"TrueProgress":         func() { tr.TrueProgress(0) },
+		"TruePipelineProgress": func() { tr.TruePipelineProgress(0, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after release did not panic", name)
+				}
+			}()
+			read()
+		}()
+	}
+	if lo, hi := tr.ObsRange(0); lo != 0 || hi != 0 {
+		t.Errorf("ObsRange after release = [%d, %d), want empty", lo, hi)
+	}
+}
+
+// TestSweepDropsOnlyIdleHistories is TestSweepDropsOnlyIdleScratches for
+// the history list: a sweep drops the histories no run took since the
+// one before, keeps the others, and runs after collections.
+func TestSweepDropsOnlyIdleHistories(t *testing.T) {
+	idle, busy := new(History), new(History)
+	list := dropIdle([]*History{idle, busy})
+	if len(list) != 2 {
+		t.Fatalf("one sweep kept %d of two histories released since the last", len(list))
+	}
+	busy.idle = false // as its next release leaves it
+	if list = dropIdle(list); len(list) != 1 || list[0] != busy {
+		t.Fatalf("second sweep kept %v; want only the history released in between", list)
+	}
+
+	h := BorrowHistory()
+	h.Release(nil)
+	listed := func() bool {
+		histories.Lock()
+		defer histories.Unlock()
+		return slices.Contains(histories.free, h)
+	}
+	if !listed() {
+		t.Fatal("the free list did not keep a released history")
+	}
+	for deadline := time.Now().Add(10 * time.Second); listed(); {
+		if time.Now().After(deadline) {
+			t.Fatal("an idle history is still listed after collections ran for 10 s")
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -95,11 +95,19 @@ func (BaseObserver) OnDone(*Trace) {}
 // built on demand: a small reused window for delivery, and once,
 // at the run's final row count, for the Trace. They alias arena rows, so
 // the no-mutation contract of Observer extends to the finished Trace.
+//
+// A sink from NewTraceSink allocates its chunks and the Trace's headers,
+// which then belong to the Trace. A sink from History.Sink carves both
+// from the History — one word slab for the chunks of plans of any node
+// count, one header slab — and they go back to the free list with
+// History.Release: the server's runs, native and ingested, record this
+// way, since nothing reads their trace after the final update.
 type TraceSink struct {
 	nodes  int
 	n      int       // rows held
 	chunks [][]int64 // sinkChunkRows rows of 1+3·nodes words each
 	win    []Snapshot
+	hist   *History // where chunks and headers are carved from; nil: allocated
 }
 
 // NewTraceSink returns an empty sink for a plan of the given node count.
@@ -133,7 +141,7 @@ func (t *TraceSink) At(i int) Snapshot {
 // for every sinkChunkRows-th row beyond the arena's high-water mark.
 func (t *TraceSink) Add(time float64, K, R, W []int64) {
 	if t.n == len(t.chunks)*sinkChunkRows {
-		t.chunks = append(t.chunks, make([]int64, sinkChunkRows*(1+3*t.nodes)))
+		t.chunks = append(t.chunks, t.alloc(sinkChunkRows*(1+3*t.nodes)))
 	}
 	n := t.nodes
 	row := t.row(t.n)
@@ -155,10 +163,24 @@ func (t *TraceSink) Window(lo, hi int) []Snapshot {
 	return t.win
 }
 
-// Snapshots builds the finished trace's headers, one allocation at the
-// final row count.
+// alloc returns n words for a chunk: carved from the history, or
+// allocated.
+func (t *TraceSink) alloc(n int) []int64 {
+	if t.hist != nil {
+		return t.hist.words.take(n)
+	}
+	return make([]int64, n)
+}
+
+// Snapshots builds the finished trace's headers at the final row count:
+// carved from the history, or one allocation.
 func (t *TraceSink) Snapshots() []Snapshot {
-	out := make([]Snapshot, t.n)
+	var out []Snapshot
+	if t.hist != nil {
+		out = t.hist.heads.take(t.n)
+	} else {
+		out = make([]Snapshot, t.n)
+	}
 	for i := range out {
 		out[i] = t.At(i)
 	}

@@ -20,16 +20,16 @@ type scratch struct {
 	ords  slab[int32]       // key-index slot tables, hash-join row destinations
 	words slab[int64]       // key-index keys, rowArena chunks
 	spans slab[rowSpan]     // hash-join key spans
-	runs  int               // runs served, for the slabs' trim
-	idle  bool              // listed since the last sweep, no run took it
+	lease
 }
 
 // slab lends a run's buffers of T from one backing array, carved in the
 // order the run asks for them. A request the array cannot meet is
-// allocated on its own; the scratch's release then regrows the array to
-// everything the run asked for. Every trimRuns runs the array may shrink
-// to the most any of those runs asked for, so a scratch keeps what the
-// plans it serves now need, not what the largest run it ever served did.
+// allocated on its own; the release of the scratch or History that owns
+// the slab then regrows the array to everything the run asked for. Every
+// trimRuns runs the array may shrink to the most any of those runs asked
+// for, so the owner keeps what the plans it serves now need, not what
+// the largest run it ever served did.
 type slab[T any] struct {
 	buf    []T // zero beyond used
 	used   int // elements lent this run
@@ -75,83 +75,120 @@ func (s *slab[T]) reset(trim bool) {
 	s.used, s.demand = 0, 0
 }
 
-// scratches is the free list: at most runtime.GOMAXPROCS(0) idle
-// scratches, the most recently released on top. It is a plain list, not
-// a sync.Pool, whose contents the collector drops at any collection: a
-// scratch leaves this list only when no run took it between two
-// collections (sweep), or when a more recently released one needs its
-// place, so while runs keep coming what each allocates does not depend
-// on when the collector ran. The trim gives back what a busy scratch no
-// longer needs; the sweep, what an idle one holds.
-var scratches struct {
-	sync.Mutex
-	free []*scratch
+// lease is what a free list knows of the memory it lends: how many runs
+// took it, for the slabs' trim, and whether it sat in the list through a
+// whole sweep interval.
+type lease struct {
+	runs int  // runs served, for the slabs' trim
+	idle bool // listed since the last sweep, no run took it
 }
+
+func (l *lease) lent() *lease { return l }
+
+// trimRuns is how many runs a lease serves between trims: enough that a
+// window sees the plans a workload repeats, few enough that memory one
+// large run sized is given back soon after.
+const trimRuns = 64
+
+// renew counts a finished run and reports whether its slabs trim.
+func (l *lease) renew() (trim bool) {
+	l.runs++
+	return l.runs%trimRuns == 0
+}
+
+// freeList holds at most runtime.GOMAXPROCS(0) idle leased values, the
+// most recently released on top. It is a plain list, not a sync.Pool,
+// whose contents the collector drops at any collection: a value leaves
+// this list only when no run took it between two collections (sweep),
+// or when a more recently released one needs its place, so while runs
+// keep coming what each allocates does not depend on when the collector
+// ran. The trim gives back what a busy value no longer needs; the sweep,
+// what an idle one holds.
+type freeList[P interface{ lent() *lease }] struct {
+	sync.Mutex
+	free []P
+}
+
+// take returns the most recently released value, or ok false when the
+// list is empty.
+func (l *freeList[P]) take() (p P, ok bool) {
+	l.Lock()
+	defer l.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return p, false
+	}
+	p = l.free[n-1]
+	l.free = slices.Delete(l.free, n-1, n)
+	return p, true
+}
+
+// put lists p on top, dropping the least recently released value when
+// the list already holds one per P.
+func (l *freeList[P]) put(p P) {
+	p.lent().idle = false
+	l.Lock()
+	defer l.Unlock()
+	if n := len(l.free) + 1 - runtime.GOMAXPROCS(0); n > 0 {
+		l.free = slices.Delete(l.free, 0, n)
+	}
+	l.free = append(l.free, p)
+}
+
+// sweep drops the values no run has taken since the last sweep, so a
+// process that stops running plans does not keep their memory.
+func (l *freeList[P]) sweep() {
+	l.Lock()
+	defer l.Unlock()
+	l.free = dropIdle(l.free)
+}
+
+// dropIdle returns free without the values still idle since the last
+// call, and marks the rest idle until their next release.
+func dropIdle[P interface{ lent() *lease }](free []P) []P {
+	kept := free[:0]
+	for _, p := range free {
+		if l := p.lent(); !l.idle {
+			l.idle = true
+			kept = append(kept, p)
+		}
+	}
+	clear(free[len(kept):])
+	return kept
+}
+
+// scratches is the free list of operator memory.
+var scratches freeList[*scratch]
 
 // takeScratch returns an idle scratch, or a new empty one.
 func takeScratch() *scratch {
-	scratches.Lock()
-	defer scratches.Unlock()
-	n := len(scratches.free)
-	if n == 0 {
-		return new(scratch)
+	if s, ok := scratches.take(); ok {
+		return s
 	}
-	s := scratches.free[n-1]
-	scratches.free[n-1] = nil
-	scratches.free = scratches.free[:n-1]
-	return s
+	return new(scratch)
 }
 
-// release zeroes s and puts it on top of the free list, dropping the
-// least recently released scratch when the list already holds one per
-// P. Nothing lent from s may be read afterwards.
+// release zeroes s and puts it on top of the free list. Nothing lent
+// from s may be read afterwards.
 func (s *scratch) release() {
 	s.reset()
-	s.idle = false
-	scratches.Lock()
-	defer scratches.Unlock()
-	if n := len(scratches.free) + 1 - runtime.GOMAXPROCS(0); n > 0 {
-		scratches.free = slices.Delete(scratches.free, 0, n)
-	}
-	scratches.free = append(scratches.free, s)
+	scratches.put(s)
 }
-
-// trimRuns is how many runs a scratch serves between trims: enough that
-// a window sees the plans a workload repeats, few enough that memory one
-// large run sized is given back soon after.
-const trimRuns = 64
 
 // reset zeroes everything s lent and sizes each slab for the run it
 // served, trimming once every trimRuns runs.
 func (s *scratch) reset() {
-	s.runs++
-	trim := s.runs%trimRuns == 0
+	trim := s.renew()
 	s.rows.reset(trim)
 	s.ords.reset(trim)
 	s.words.reset(trim)
 	s.spans.reset(trim)
 }
 
-// sweep drops the scratches no run has taken since the last sweep, so a
-// process that stops running plans does not keep their memory.
+// sweep runs both free lists' sweeps.
 func sweep() {
-	scratches.Lock()
-	defer scratches.Unlock()
-	scratches.free = dropIdle(scratches.free)
-}
-
-// dropIdle returns free without the scratches still idle since the last
-// call, and marks the rest idle until their next release.
-func dropIdle(free []*scratch) []*scratch {
-	kept := free[:0]
-	for _, s := range free {
-		if !s.idle {
-			s.idle = true
-			kept = append(kept, s)
-		}
-	}
-	clear(free[len(kept):])
-	return kept
+	scratches.sweep()
+	histories.sweep()
 }
 
 // gcToken is an object no one keeps: its cleanup runs after the next

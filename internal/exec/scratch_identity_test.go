@@ -15,7 +15,7 @@ import (
 	"progressest/internal/workload"
 )
 
-// recycledJob is one run of TestRecycledScratchMatchesFreshRuns: a query
+// recycledJob is one run of the recycled-memory identity tests: a query
 // under one of the three observation modes, and the digest of its trace
 // on memory of its own.
 type recycledJob struct {
@@ -35,6 +35,33 @@ type recycledJob struct {
 // bit for bit the fresh one; a stale slot, key, span or arena word
 // moves a counter or the clock.
 func TestRecycledScratchMatchesFreshRuns(t *testing.T) {
+	runRecycledJobs(t, func(j recycledJob) [32]byte {
+		return traceDigest(exec.RunDecomposed(j.db, j.plan, j.pipes, j.opts))
+	})
+	n, bytes := exec.IdleScratches()
+	t.Logf("%d idle scratches keep %d bytes", n, bytes)
+}
+
+// TestRecycledHistoryMatchesFreshRuns is the same interleaving recorded
+// on snapshot histories borrowed from their free list and handed back
+// after each digest, so each run's sink fills chunks, and its trace
+// headers a slab, some other plan of another node count sized and left
+// behind: every trace must be the one recorded on memory of its own.
+func TestRecycledHistoryMatchesFreshRuns(t *testing.T) {
+	runRecycledJobs(t, func(j recycledJob) [32]byte {
+		h := exec.BorrowHistory()
+		tr := h.Run(j.db, j.plan, j.pipes, j.opts)
+		defer h.Release(tr)
+		return traceDigest(tr)
+	})
+	n, bytes := exec.IdleHistories()
+	t.Logf("%d idle histories keep %d bytes", n, bytes)
+}
+
+// runRecycledJobs digests every job's trace on memory of its own, then
+// checks run against it in one shuffled order: once on one goroutine,
+// once from four.
+func runRecycledJobs(t *testing.T, run func(recycledJob) [32]byte) {
 	kinds := []struct {
 		kind   datagen.DatasetKind
 		design catalog.DesignLevel
@@ -77,7 +104,7 @@ func TestRecycledScratchMatchesFreshRuns(t *testing.T) {
 	rand.New(rand.NewPCG(44, 1)).Shuffle(len(jobs), func(a, b int) { jobs[a], jobs[b] = jobs[b], jobs[a] })
 
 	check := func(t *testing.T, j recycledJob) {
-		if got := traceDigest(exec.RunDecomposed(j.db, j.plan, j.pipes, j.opts)); got != j.want {
+		if run(j) != j.want {
 			t.Errorf("%s: recycled trace differs from the fresh one", j.name)
 		}
 	}
@@ -99,6 +126,4 @@ func TestRecycledScratchMatchesFreshRuns(t *testing.T) {
 		}
 		wg.Wait()
 	})
-	n, bytes := exec.IdleScratches()
-	t.Logf("%d runs; %d idle scratches keep %d bytes", len(jobs), n, bytes)
 }

@@ -29,8 +29,11 @@ type Span struct {
 // ("the overhead for tracking multiple estimators is nearly identical to
 // the overhead for computing a single one").
 type Trace struct {
-	Plan      *plan.Plan
-	Pipes     *pipeline.Decomposition
+	Plan  *plan.Plan
+	Pipes *pipeline.Decomposition
+	// Snapshots is the observation history. A trace recorded on a
+	// borrowed History holds it until History.Release, which sets it to
+	// nil; any other trace owns it.
 	Snapshots []Snapshot
 
 	// N is the true total GetNext count per node (Q.N_i), known only at
@@ -70,22 +73,6 @@ func (tr *Trace) ObsRange(p int) (lo, hi int) {
 		return tr.Snapshots[lo+i].Time > span.End
 	})
 	return lo, hi
-}
-
-// PipelineObservations returns the indices of the snapshots that fall
-// within pipeline p's active span. The first and last indices bracket the
-// pipeline's execution. Callers that only need the bounds should use
-// ObsRange, which avoids materialising the slice.
-func (tr *Trace) PipelineObservations(p int) []int {
-	lo, hi := tr.ObsRange(p)
-	if lo >= hi {
-		return nil
-	}
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = lo + i
-	}
-	return out
 }
 
 // TrueProgress returns the true progress of the whole query at snapshot

@@ -23,7 +23,8 @@ func TestPipelineObservationsWithinSpan(t *testing.T) {
 	tr := sampleTrace(t)
 	for p := range tr.Pipes.Pipelines {
 		span := tr.PipeSpans[p]
-		for _, oi := range tr.PipelineObservations(p) {
+		lo, hi := tr.ObsRange(p)
+		for oi := lo; oi < hi; oi++ {
 			ts := tr.Snapshots[oi].Time
 			if ts < span.Start || ts > span.End {
 				t.Fatalf("pipeline %d: observation at %v outside span %+v", p, ts, span)
@@ -36,7 +37,8 @@ func TestTruePipelineProgressBounds(t *testing.T) {
 	tr := sampleTrace(t)
 	for p := range tr.Pipes.Pipelines {
 		prev := -1.0
-		for _, oi := range tr.PipelineObservations(p) {
+		lo, hi := tr.ObsRange(p)
+		for oi := lo; oi < hi; oi++ {
 			f := tr.TruePipelineProgress(p, oi)
 			if f < 0 || f > 1 {
 				t.Fatalf("pipeline %d progress %v", p, f)

@@ -195,13 +195,24 @@ type Runner struct {
 // delivery mode; one per call for batch <= 1). maxObs caps retained
 // snapshots (0 = DefaultMaxObservations).
 func NewRunner(m *Model, obs exec.Observer, batch, maxObs int) *Runner {
+	return newRunner(m, obs, batch, maxObs, exec.NewTraceSink(m.Plan.NumNodes()))
+}
+
+// NewRunnerOn is NewRunner retaining the snapshots on h, a history
+// borrowed from the executor's free list: the synthesized trace's
+// Snapshots are valid until the caller hands h back (h.Release).
+func NewRunnerOn(h *exec.History, m *Model, obs exec.Observer, batch, maxObs int) *Runner {
+	return newRunner(m, obs, batch, maxObs, h.Sink(m.Plan.NumNodes()))
+}
+
+func newRunner(m *Model, obs exec.Observer, batch, maxObs int, sink exec.TraceSink) *Runner {
 	n := m.Plan.NumNodes()
 	r := &Runner{
 		model:   m,
 		obs:     obs,
 		batch:   batch,
 		maxObs:  maxObs,
-		sink:    exec.NewTraceSink(n),
+		sink:    sink,
 		k:       make([]int64, n),
 		r:       make([]int64, n),
 		w:       make([]int64, n),

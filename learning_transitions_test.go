@@ -204,7 +204,7 @@ func TestLearningDriftFollowsRoutingAcrossRollback(t *testing.T) {
 				t.Fatalf("status before the transition: %+v, want v%d's", before, vs.v2.ID)
 			}
 
-			m, run, err := w.prepare(0, MonitorOptions{UpdateEvery: 4, Learning: l})
+			m, run, err := w.prepare(0, MonitorOptions{UpdateEvery: 4, Learning: l}, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,6 +11,7 @@ import (
 	"progressest/internal/plan"
 	"progressest/internal/progress"
 	"progressest/internal/selection"
+	"progressest/internal/storage"
 )
 
 // MonitorOptions configures live monitoring of one query.
@@ -111,6 +112,9 @@ type Monitor struct {
 	err     error
 	runOnce sync.Once
 	run     *QueryRun
+	// hist is the snapshot history a server-owned run borrowed (nil for a
+	// library run, whose trace Wait reads); handBack returns it.
+	hist *exec.History
 }
 
 // Wait blocks until the query completes and returns its QueryRun — the
@@ -367,10 +371,39 @@ func (m *Monitor) finish(tr *exec.Trace, err error) {
 	close(m.done)
 }
 
+// handBack gives a served run's snapshot history back to the executor's
+// free list, once nothing reads the run's trace: after finish, and for a
+// session after the mirror took the final update. tr is the finished
+// trace, or nil for a run that ended without one. The view loses its
+// trace with it, so a stray finished read panics instead of reading a
+// later run's counters.
+func (m *Monitor) handBack(tr *exec.Trace) {
+	if m.view != nil {
+		m.view.Trace = nil
+	}
+	m.hist.Release(tr)
+	m.hist = nil
+}
+
+// execute runs the plan to completion, feeding and finishing m. A served
+// run — one the server owns, which never waits for its QueryRun —
+// records its snapshot history on memory borrowed from the executor's
+// free list and hands it back on this goroutine once finished.
+func (m *Monitor) execute(db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposition, opts exec.Options, served bool) {
+	if !served {
+		m.finish(exec.RunDecomposed(db, p, pipes, opts), nil)
+		return
+	}
+	m.hist = exec.BorrowHistory()
+	tr := m.hist.Run(db, p, pipes, opts)
+	m.finish(tr, nil)
+	m.handBack(tr)
+}
+
 // Start plans query i and executes it on its own goroutine, streaming
 // live ProgressUpdates through the returned Monitor while the query runs.
 func (w *Workload) Start(i int, opts MonitorOptions) (*Monitor, error) {
-	m, run, err := w.prepare(i, opts)
+	m, run, err := w.prepare(i, opts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -381,8 +414,8 @@ func (w *Workload) Start(i int, opts MonitorOptions) (*Monitor, error) {
 // prepare plans query i and sets its monitor up; the returned function
 // executes the query to completion, feeding and finishing the monitor.
 // The split lets the Engine stamp placement on the monitor and attach the
-// slot release before execution can reach them.
-func (w *Workload) prepare(i int, opts MonitorOptions) (*Monitor, func(), error) {
+// slot release before execution can reach them. served is execute's.
+func (w *Workload) prepare(i int, opts MonitorOptions, served bool) (*Monitor, func(), error) {
 	if i < 0 || i >= len(w.inner.Queries) {
 		return nil, nil, fmt.Errorf("progressest: query index %d out of range [0,%d)", i, len(w.inner.Queries))
 	}
@@ -397,7 +430,5 @@ func (w *Workload) prepare(i int, opts MonitorOptions) (*Monitor, func(), error)
 	// One snapshot batch per update tick: the engine conflates delivery
 	// to the granularity updates are emitted at anyway.
 	execOpts := exec.Options{Observer: m.obs, SnapshotBatch: m.obs.every}
-	return m, func() {
-		m.finish(exec.RunDecomposed(w.inner.DB, pq.plan, pq.pipes, execOpts), nil)
-	}, nil
+	return m, func() { m.execute(w.inner.DB, pq.plan, pq.pipes, execOpts, served) }, nil
 }

@@ -117,7 +117,8 @@ func (r *trackedRun) endLocked(state runState) {
 
 // terminate ends a session without completion — DELETE, drain, TTL — and
 // returns the state it is left in: Wait unblocks with cause, the update
-// stream closes with no Done update, the admission slot comes back. A run
+// stream closes with no Done update, the admission slot comes back, the
+// snapshot history goes back to the executor's free list. A run
 // that is already terminal, or native (only its executor ends it), is
 // left as it is.
 func (r *trackedRun) terminate(state runState, cause error) runState {
@@ -134,6 +135,7 @@ func (r *trackedRun) terminate(state runState, cause error) runState {
 	r.mu.Lock()
 	r.endLocked(state)
 	r.mu.Unlock()
+	mon.handBack(nil)
 	return state
 }
 

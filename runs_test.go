@@ -253,7 +253,7 @@ func TestRetentionBothTables(t *testing.T) {
 					err := s.queries.track(run, func() (*Monitor, error) {
 						return s.eng.admit(context.Background(), "fam", "",
 							func(opts MonitorOptions) (m *Monitor, err error) {
-								m, execute, err = s.eng.w.prepare(0, opts)
+								m, execute, err = s.eng.w.prepare(0, opts, true)
 								return m, err
 							})
 					})

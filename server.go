@@ -299,7 +299,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	run := s.admitRun(w, r, "submit", req.DeadlineMS, func(ctx context.Context) (*trackedRun, error) {
 		run := &trackedRun{query: req.Query, workload: wl.inner.Spec.Name}
 		return run, s.queries.track(run, func() (*Monitor, error) {
-			return s.eng.StartTagged(ctx, req.Query, req.Client)
+			return s.eng.startServed(ctx, req.Query, req.Client)
 		})
 	})
 	if run != nil {

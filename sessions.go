@@ -137,7 +137,8 @@ func (s *Server) openSession(ctx context.Context, spec *ingest.Spec, model *inge
 			return nil, err
 		}
 		r.mon = m
-		r.runner = ingest.NewRunner(model, m.obs, m.obs.every, s.sessionCfg.MaxObservations)
+		m.hist = exec.BorrowHistory()
+		r.runner = ingest.NewRunnerOn(m.hist, model, m.obs, m.obs.every, s.sessionCfg.MaxObservations)
 		return m, nil
 	})
 	if err != nil {
@@ -177,9 +178,11 @@ func (s *Server) apply(r *trackedRun, b *ingest.Batch) (added int, state runStat
 			var tr *exec.Trace
 			if tr, err = runner.Finish(b.Ends); err == nil {
 				// The Done update this emits completes r once mirrored;
-				// the batch is not acknowledged before that.
+				// the batch is not acknowledged before that. Then no one
+				// reads the trace again.
 				mon.finish(tr, nil)
 				r.mirrored.Wait()
+				mon.handBack(tr)
 				state = runCompleted
 			}
 		}

@@ -9,12 +9,14 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"progressest/internal/exec"
 	"progressest/internal/ingest"
+	"progressest/internal/progress"
 )
 
 // The pooled request scratch (body buffer + batch decoder slabs) must be
@@ -77,44 +79,78 @@ func serve(h http.Handler, method, path string, body []byte, announceLength bool
 	return rec
 }
 
-// openScratchSession opens ss on the server and returns the session id
-// and its monitor (held so the trace is reachable after completion).
-func openScratchSession(server *Server, ss *scratchSession) (string, *Monitor, error) {
+// openedSession is a session opened on the server: its id, its monitor,
+// and — once it completes — a copy of the trace it synthesized, taken as
+// OnDone delivers it. The server hands a session's snapshot history back
+// to the executor's free list at completion, so nothing may read the
+// trace after that.
+type openedSession struct {
+	id    string
+	mon   *Monitor
+	trace *exec.Trace
+}
+
+// openScratchSession opens ss on the server and subscribes to its
+// finished trace.
+func openScratchSession(server *Server, ss *scratchSession) (*openedSession, error) {
 	rec := serve(server, http.MethodPost, "/sessions", ss.spec, true)
 	if rec.Code != http.StatusCreated {
-		return "", nil, fmt.Errorf("open: status %d: %s", rec.Code, rec.Body)
+		return nil, fmt.Errorf("open: status %d: %s", rec.Code, rec.Body)
 	}
 	var info runInfo
 	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	run, ok := server.sessions.lookup(info.ID)
 	if !ok {
-		return "", nil, fmt.Errorf("session %s not in the table", info.ID)
+		return nil, fmt.Errorf("session %s not in the table", info.ID)
 	}
 	run.mu.Lock()
-	mon := run.mon
+	sess := &openedSession{id: info.ID, mon: run.mon}
 	run.mu.Unlock()
-	return info.ID, mon, nil
+	harvest := sess.mon.obs.harvest
+	sess.mon.obs.harvest = func(view *progress.OnlineView, tr *exec.Trace) {
+		sess.trace = copyTrace(tr)
+		if harvest != nil {
+			harvest(view, tr)
+		}
+	}
+	return sess, nil
+}
+
+// copyTrace copies tr with its snapshot rows.
+func copyTrace(tr *exec.Trace) *exec.Trace {
+	c := *tr
+	c.Snapshots = make([]exec.Snapshot, len(tr.Snapshots))
+	for i, s := range tr.Snapshots {
+		c.Snapshots[i] = exec.Snapshot{Time: s.Time,
+			K: slices.Clone(s.K), R: slices.Clone(s.R), W: slices.Clone(s.W)}
+	}
+	return &c
 }
 
 // checkScratchSession compares a completed session with its reference:
-// the progress route's final update and the synthesized trace.
-func checkScratchSession(server *Server, id string, mon *Monitor, ss *scratchSession) error {
-	rec := serve(server, http.MethodGet, "/sessions/"+id+"/progress", nil, true)
+// the progress route's final update and the synthesized trace. The
+// session's history must be back in the free list: its finished view
+// holds no trace any more.
+func checkScratchSession(server *Server, sess *openedSession, ss *scratchSession) error {
+	rec := serve(server, http.MethodGet, "/sessions/"+sess.id+"/progress", nil, true)
 	var info runInfo
 	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
 		return err
 	}
 	if info.State != "completed" || info.Update == nil || !reflect.DeepEqual(*info.Update, ss.final) {
-		return fmt.Errorf("session %s final update\n got %+v (%s)\nwant %+v", id, info.Update, info.State, ss.final)
+		return fmt.Errorf("session %s final update\n got %+v (%s)\nwant %+v", sess.id, info.Update, info.State, ss.final)
 	}
-	run, err := mon.Wait()
+	run, err := sess.mon.Wait()
 	if err != nil {
 		return err
 	}
-	if !sameTraces(run.view.Trace, ss.trace) {
-		return fmt.Errorf("session %s: synthesized trace diverges from its sequential reference", id)
+	if run.view.Trace != nil {
+		return fmt.Errorf("session %s: the completed session still holds its trace", sess.id)
+	}
+	if sess.trace == nil || !sameTraces(sess.trace, ss.trace) {
+		return fmt.Errorf("session %s: synthesized trace diverges from its sequential reference", sess.id)
 	}
 	return nil
 }
@@ -131,16 +167,16 @@ func sameTraces(a, b *exec.Trace) bool {
 
 // runScratchSession drives one whole session through ServeHTTP.
 func runScratchSession(server *Server, ss *scratchSession, announceLength bool) error {
-	id, mon, err := openScratchSession(server, ss)
+	sess, err := openScratchSession(server, ss)
 	if err != nil {
 		return err
 	}
 	for _, body := range ss.batches {
-		if rec := serve(server, http.MethodPost, "/sessions/"+id+"/observations", body, announceLength); rec.Code != http.StatusOK {
-			return fmt.Errorf("session %s: observations: status %d: %s", id, rec.Code, rec.Body)
+		if rec := serve(server, http.MethodPost, "/sessions/"+sess.id+"/observations", body, announceLength); rec.Code != http.StatusOK {
+			return fmt.Errorf("session %s: observations: status %d: %s", sess.id, rec.Code, rec.Body)
 		}
 	}
-	return checkScratchSession(server, id, mon, ss)
+	return checkScratchSession(server, sess, ss)
 }
 
 // TestScratchPoolConcurrentSessions: 8 goroutines × 40 sessions, the
@@ -212,19 +248,19 @@ func TestScratchPoolPoisoned(t *testing.T) {
 		}
 		for round := 0; round < 2; round++ {
 			for i := range sessions {
-				id, mon, err := openScratchSession(server, &sessions[i])
+				sess, err := openScratchSession(server, &sessions[i])
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, body := range sessions[i].batches {
-					if rec := serve(server, http.MethodPost, "/sessions/"+id+"/observations", body, round == 0); rec.Code != http.StatusOK {
+					if rec := serve(server, http.MethodPost, "/sessions/"+sess.id+"/observations", body, round == 0); rec.Code != http.StatusOK {
 						t.Fatalf("observations: status %d: %s", rec.Code, rec.Body)
 					}
 				}
-				if err := checkScratchSession(server, id, mon, &sessions[i]); err != nil {
+				if err := checkScratchSession(server, sess, &sessions[i]); err != nil {
 					t.Fatal(err)
 				}
-				body := serve(server, http.MethodGet, "/sessions/"+id+"/progress", nil, true).Body.String()
+				body := serve(server, http.MethodGet, "/sessions/"+sess.id+"/progress", nil, true).Body.String()
 				// Session ids differ between the two servers only by position, which is the same.
 				progress = append(progress, body)
 			}
@@ -255,14 +291,15 @@ func TestScratchPoolPoisoned(t *testing.T) {
 func TestScratchPoolRejectedBatch(t *testing.T) {
 	server, sessions := scratchFixture(t, MonitorOptions{})
 	a, b := &sessions[0], &sessions[1]
-	idA, monA, err := openScratchSession(server, a)
+	sessA, err := openScratchSession(server, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idB, monB, err := openScratchSession(server, b)
+	sessB, err := openScratchSession(server, b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	idA, idB := sessA.id, sessB.id
 	released := 0
 	scratchReleased = func([]byte, *ingest.Batch) { released++ }
 	defer func() { scratchReleased = nil }()
@@ -291,7 +328,7 @@ func TestScratchPoolRejectedBatch(t *testing.T) {
 	for _, body := range b.batches {
 		post(idB, body, http.StatusOK)
 	}
-	if err := checkScratchSession(server, idB, monB, b); err != nil {
+	if err := checkScratchSession(server, sessB, b); err != nil {
 		t.Fatal(err)
 	}
 	// The refused session resumes from its consistent prefix: the rest of
@@ -302,7 +339,7 @@ func TestScratchPoolRejectedBatch(t *testing.T) {
 	for _, body := range a.batches[2:] {
 		post(idA, body, http.StatusOK)
 	}
-	if err := checkScratchSession(server, idA, monA, a); err != nil {
+	if err := checkScratchSession(server, sessA, a); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -312,10 +349,11 @@ func TestScratchPoolRejectedBatch(t *testing.T) {
 // 400; a body at the bound is judged on its content.
 func TestSessionBodyBound(t *testing.T) {
 	server, sessions := scratchFixture(t, MonitorOptions{})
-	id, _, err := openScratchSession(server, &sessions[0])
+	sess, err := openScratchSession(server, &sessions[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	id := sess.id
 	pad := func(body []byte, size int) []byte {
 		// Insignificant whitespace ahead of the closing brace.
 		out := append([]byte(nil), body[:len(body)-1]...)
@@ -360,10 +398,11 @@ func TestRetainedSessionHeap(t *testing.T) {
 	runSessions := func(n int) {
 		for i := 0; i < n; i++ {
 			ss := &sessions[i%len(sessions)]
-			id, _, err := openScratchSession(server, ss)
+			sess, err := openScratchSession(server, ss)
 			if err != nil {
 				t.Fatal(err)
 			}
+			id := sess.id
 			for _, body := range ss.batches {
 				if rec := serve(server, http.MethodPost, "/sessions/"+id+"/observations", body, true); rec.Code != http.StatusOK {
 					t.Fatalf("observations: status %d: %s", rec.Code, rec.Body)
