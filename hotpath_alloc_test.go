@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"progressest/internal/exec"
 	"progressest/internal/progress"
 )
 
@@ -36,13 +37,13 @@ func TestSnapshotUpdateCycleZeroAlloc(t *testing.T) {
 }
 
 // TestQueryEstimateZeroAlloc covers the satellite read-path fix: the live
-// eq. 5 combination — over settled pipelines and over table rows — and
-// the scratch-buffer series read allocate nothing once warm.
+// eq. 5 combination — over settled pipelines and over pipelines whose
+// pick is open — and the scratch-buffer series read of a finished view
+// allocate nothing once warm.
 func TestQueryEstimateZeroAlloc(t *testing.T) {
 	choose := func(int) progress.Kind { return progress.DNE }
-	var view *progress.OnlineView
 	for _, picking := range []bool{false, true} {
-		view = newSnapshotCycle(t, true, picking).obs.view
+		view := newSnapshotCycle(t, true, picking).obs.view
 		view.QueryEstimate(choose) // warm (already warm via ticks; belt and braces)
 		if avg := testing.AllocsPerRun(100, func() {
 			view.QueryEstimate(choose)
@@ -50,8 +51,17 @@ func TestQueryEstimateZeroAlloc(t *testing.T) {
 			t.Fatalf("QueryEstimate (picking %v): %v allocs/op, want 0", picking, avg)
 		}
 	}
-	// view is the picking cycle's: its pipelines hold every row live.
-	scratch := make([]float64, 0, 512)
+	// A series is a finished-run read: the first one builds the table.
+	w, err := Open(Config{Dataset: TPCH, Queries: 2, Scale: 0.08, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := w.planned(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := progress.Replay(exec.RunDecomposed(w.inner.DB, pq.plan, pq.pipes, exec.Options{}))
+	scratch := view.Pipelines[0].AppendSeries(make([]float64, 0, 512), progress.DNE)
 	if avg := testing.AllocsPerRun(100, func() {
 		scratch = view.Pipelines[0].AppendSeries(scratch[:0], progress.DNE)
 	}); avg != 0 {
@@ -124,7 +134,8 @@ func startToDoneCost(t *testing.T, opts MonitorOptions) (allocs, bytes float64) 
 const startToDoneAllocCeiling = 45
 
 // startToDoneByteCeiling bounds the same query's heap bytes about 4 % over
-// the 46.4 KB it measures today (98.4 KB while every run allocated its
+// the 46.4 KB it measured when set (46.6 KB today, each pipeline's latest
+// row now as wide as a row of every estimate; 98.4 KB while every run allocated its
 // operator memory afresh; 132.3 KB while every pipeline kept a row of
 // every estimate after its pick was final; 144.7 KB while the hash
 // operators indexed keys in Go maps and every join and Project output row
@@ -152,29 +163,28 @@ func TestStartToDoneAllocBudget(t *testing.T) {
 
 // learningStartToDoneAllocCeiling bounds the same query with Learning
 // attached — its finished run labelled and appended to the corpus before
-// Wait returns — about 15 % over the 77 allocations it measures today
-// (92 while every run allocated its operator memory afresh; 105 while
+// Wait returns — about 15 % over the 69 allocations it measures today
+// (77 while the live view kept a table of every row before a pick
+// settled; 92 while every run allocated its operator memory afresh; 105 while
 // the hash operators indexed keys in Go maps and join and Project
 // outputs were carved per row; 108 while Wait built a second eq. 5 over
 // the finished view; 122 while Wait replayed the trace offline; 176
 // while every run rebuilt its pipeline contexts; 266 while harvest
 // replayed every estimator through an offline view of the trace).
-const learningStartToDoneAllocCeiling = 89
+const learningStartToDoneAllocCeiling = 79
 
 // learningStartToDoneByteCeiling bounds the same query's heap bytes about
-// 4 % over the 99.8 KB it measures today (151.7 KB while every run
-// allocated its operator memory afresh — about what it cost while the
-// live view still kept every row its harvest reads). Harvest fills in
-// the rows the settled pipelines deferred, from the trace, once; this
-// ceiling holds that fill to what it costs today.
-const learningStartToDoneByteCeiling = 103_800
+// 4 % over the 88.8 KB it measures today (99.8 KB while the live view
+// kept a table of every row before a pick settled; 151.7 KB while every
+// run allocated its operator memory afresh). Harvest builds the view's
+// table from the trace, once; this ceiling holds that build to what it
+// costs today.
+const learningStartToDoneByteCeiling = 92_300
 
 // TestLearningStartToDoneAllocBudget gates what harvest adds to a
-// monitored query: labelling reads the monitor's own view, whose settled
-// pipelines' deferred rows it fills in from the trace once — the same
-// row function the live feed runs, over the rows the live table would
-// have held — not a second replay of every estimator through a fresh
-// view.
+// monitored query: labelling reads the monitor's own view, whose table
+// it builds from the trace once — the same row function the live feed
+// runs — not a second replay of every estimator through a fresh view.
 func TestLearningStartToDoneAllocBudget(t *testing.T) {
 	lrn, err := OpenLearning(LearningConfig{Dir: t.TempDir(), DisableBackground: true, DisableGate: true})
 	if err != nil {
@@ -197,23 +207,26 @@ func TestLearningStartToDoneAllocBudget(t *testing.T) {
 
 // selectorStartToDoneAllocCeiling bounds the same query served by a
 // trained selector — native_closed's configuration: a pick at every
-// pipeline start and marker crossing — about 15 % over the 46
-// allocations it measures today (61 while every run allocated its
+// pipeline start and marker crossing — about 15 % over the 43
+// allocations it measures today (46 while every pipeline kept a table of
+// every row until its last marker crossing; 61 while every run allocated its
 // operator memory afresh; 67 while every pipeline kept a row of every
 // estimate after its last marker crossing; 81 while the hash operators
 // indexed keys in Go maps and join and Project outputs were carved per
 // row; 83 while Wait built a second eq. 5 over the finished view; 97
 // while Wait replayed the trace offline; 151 while every run rebuilt its
 // pipeline contexts and static feature prefixes).
-const selectorStartToDoneAllocCeiling = 53
+const selectorStartToDoneAllocCeiling = 49
 
 // selectorStartToDoneByteCeiling bounds the same query's heap bytes about
-// 4 % over the 63.6 KB it measures today (115.6 KB while every run
+// 4 % over the 52.5 KB it measures today (63.6 KB while every pipeline
+// kept a table of every row until its last marker crossing; 115.6 KB
+// while every run
 // allocated its operator memory afresh; 135.9 KB while every pipeline
 // kept a row of every estimate after its last marker crossing; 148.3 KB
 // before that; 144.1 KB with join and Project outputs carved per row
 // again) — see startToDoneByteCeiling.
-const selectorStartToDoneByteCeiling = 66_200
+const selectorStartToDoneByteCeiling = 54_600
 
 // TestSelectorStartToDoneAllocBudget gates what selection adds to a
 // monitored query: the static prefix comes from the plan entry, so a
@@ -278,25 +291,28 @@ func serverCost(t *testing.T, op func()) (allocs, bytes float64) {
 
 // serverStartToDoneAllocCeiling bounds one native query through
 // ServeHTTP — submit, the run, one progress read, request and recorder
-// included — about 15 % over the 95 allocations it measures today.
+// included — about 15 % over the 91 allocations it measures today.
 // The run belongs to the server, which never reads its trace after the
-// final update: it records its snapshot history on memory borrowed from
-// the executor's free list and hands it back once finished (99
-// allocations while every served run allocated its own).
-const serverStartToDoneAllocCeiling = 109
+// final update: it records its snapshot history — row chunks, trace
+// headers and delivery window — on memory borrowed from the executor's
+// free list and hands it back once finished (95 allocations while every
+// run grew its own delivery window, 99 while every served run allocated
+// its whole history).
+const serverStartToDoneAllocCeiling = 105
 
 // serverStartToDoneByteCeiling bounds the same op's heap bytes about 4 %
-// over the 19.8 KB it measures today (61.3 KB while every served run
-// allocated its row chunks and trace headers): a history allocated per
-// run again reads far over.
-const serverStartToDoneByteCeiling = 20_600
+// over the 18.7 KB it measures today (19.8 KB while every run grew its
+// own delivery window; 61.3 KB while every served run allocated its row
+// chunks and trace headers): a history allocated per run again reads far
+// over.
+const serverStartToDoneByteCeiling = 19_500
 
 // TestServerStartToDoneAllocBudget gates the served path the way
 // TestStartToDoneAllocBudget gates the library one. Library runs keep
 // their trace for Wait, so only a run through the server shows whether
 // its history goes back to the free list.
 func TestServerStartToDoneAllocBudget(t *testing.T) {
-	f := newServerFixture(t)
+	f := newServerFixture(t, MonitorOptions{})
 	avg, bytes := serverCost(t, f.query)
 	if avg > serverStartToDoneAllocCeiling {
 		t.Fatalf("served query start-to-done: %v allocs, ceiling %d", avg, serverStartToDoneAllocCeiling)
@@ -308,23 +324,56 @@ func TestServerStartToDoneAllocBudget(t *testing.T) {
 		avg, serverStartToDoneAllocCeiling, bytes, serverStartToDoneByteCeiling)
 }
 
+// selectorServerStartToDoneAllocCeiling bounds the same native query
+// through ServeHTTP served by a trained selector — native_closed's
+// configuration: a pick at every pipeline start and marker crossing,
+// every pipeline's marker rows kept until its last crossing — about 15 %
+// over the 95 allocations it measures today (102 while every pipeline
+// kept a table of every row until then).
+const selectorServerStartToDoneAllocCeiling = 109
+
+// selectorServerStartToDoneByteCeiling bounds the same op's heap bytes
+// about 4 % over the 24.6 KB it measures today (37.0 KB while every
+// pipeline kept a table of every row until its last crossing): a row of
+// every estimate kept per snapshot again reads far over.
+const selectorServerStartToDoneByteCeiling = 25_600
+
+// TestSelectorServerStartToDoneAllocBudget gates the served path before
+// a pick settles. A fixed estimator settles every pipeline at its start,
+// so TestServerStartToDoneAllocBudget never sees what an open pick
+// keeps; a selector's pipelines keep it until their last marker
+// crossing.
+func TestSelectorServerStartToDoneAllocBudget(t *testing.T) {
+	f := newServerFixture(t, MonitorOptions{Selector: trainedSelector(t)})
+	avg, bytes := serverCost(t, f.query)
+	if avg > selectorServerStartToDoneAllocCeiling {
+		t.Fatalf("selector-served query through the server: %v allocs, ceiling %d", avg, selectorServerStartToDoneAllocCeiling)
+	}
+	if bytes > selectorServerStartToDoneByteCeiling {
+		t.Fatalf("selector-served query through the server: %.0f bytes, ceiling %d", bytes, selectorServerStartToDoneByteCeiling)
+	}
+	t.Logf("selector-served query through the server: %v allocs (ceiling %d), %.0f bytes (ceiling %d)",
+		avg, selectorServerStartToDoneAllocCeiling, bytes, selectorServerStartToDoneByteCeiling)
+}
+
 // sessionStartToDoneAllocCeiling bounds one session through ServeHTTP —
 // open, every observation batch of the fixture's query, the last one
-// done, one progress read — about 15 % over the 245 allocations it
-// measures today (249 while every session allocated its snapshot
-// history).
-const sessionStartToDoneAllocCeiling = 281
+// done, one progress read — about 15 % over the 241 allocations it
+// measures today (245 while every session grew its own delivery window;
+// 249 while every session allocated its snapshot history).
+const sessionStartToDoneAllocCeiling = 277
 
 // sessionStartToDoneByteCeiling bounds the same session's heap bytes
-// about 4 % over the 44.4 KB it measures today (85.9 KB while every
-// session allocated its row chunks and trace headers).
-const sessionStartToDoneByteCeiling = 46_100
+// about 4 % over the 43.3 KB it measures today (44.4 KB while every
+// session grew its own delivery window; 85.9 KB while every session
+// allocated its row chunks and trace headers).
+const sessionStartToDoneByteCeiling = 45_000
 
 // TestSessionStartToDoneAllocBudget gates a whole session the way
 // TestObserveAllocBudget gates one of its batches: a completed session
 // hands its history back, and an open one borrows it at open.
 func TestSessionStartToDoneAllocBudget(t *testing.T) {
-	f := newServerFixture(t)
+	f := newServerFixture(t, MonitorOptions{})
 	avg, bytes := serverCost(t, f.session)
 	if avg > sessionStartToDoneAllocCeiling {
 		t.Fatalf("session open-to-done: %v allocs, ceiling %d", avg, sessionStartToDoneAllocCeiling)

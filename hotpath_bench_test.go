@@ -19,14 +19,15 @@ import (
 // MaxObservations bound does in a long-running query — so each tick is
 // one Start→Update→Done-cycle slice at steady state. The monitor's fixed
 // estimator settles every pipeline at its start; a picking cycle starts
-// them on the view alone, so every snapshot appends a table row, as it
-// does while a selector's pick is still open.
+// them on the view alone, so every snapshot computes a full row and its
+// marker crossings, and every thin re-derives them, as while a
+// selector's pick is still open.
 type snapshotCycle struct {
 	obs      *monitorObserver
 	snaps    []exec.Snapshot
 	every    int
 	pos      int
-	retained int // mirrors the view's retained snapshot count
+	retained []exec.Snapshot // mirrors the view's retained snapshots
 	batched  bool
 }
 
@@ -65,7 +66,8 @@ func newSnapshotCycle(t testing.TB, batched, picking bool) *snapshotCycle {
 			DriverTotalsKnown: tr.DriverTotalsKnown[pi], DriverTotals: tr.DriverTotal,
 		})
 	}
-	c := &snapshotCycle{obs: obs, snaps: tr.Snapshots, every: every, batched: batched}
+	c := &snapshotCycle{obs: obs, snaps: tr.Snapshots, every: every, batched: batched,
+		retained: make([]exec.Snapshot, 0, thinAt+every)}
 	// Warm to steady state: past the first updates (whose buffers enter
 	// the conflation recycle) and through several thins, after which every
 	// buffer in the path has reached its final capacity.
@@ -91,10 +93,14 @@ func (c *snapshotCycle) tick() {
 			c.obs.OnSnapshots(seg[i : i+1])
 		}
 	}
-	c.retained += c.every
-	if c.retained >= thinAt {
-		c.obs.OnThin()
-		c.retained /= 2
+	c.retained = append(c.retained, seg...)
+	if len(c.retained) >= thinAt {
+		kept := c.retained[:0]
+		for r := 1; r < len(c.retained); r += 2 {
+			kept = append(kept, c.retained[r])
+		}
+		c.retained = kept
+		c.obs.OnThin(kept)
 	}
 }
 
@@ -280,7 +286,7 @@ type serverFixture struct {
 	batches [][]byte // the session's observation batches, the last done
 }
 
-func newServerFixture(tb testing.TB) *serverFixture {
+func newServerFixture(tb testing.TB, opts MonitorOptions) *serverFixture {
 	tb.Helper()
 	w, err := Open(Config{Dataset: TPCH, Queries: 2, Scale: 0.08, Seed: 3})
 	if err != nil {
@@ -290,7 +296,7 @@ func newServerFixture(tb testing.TB) *serverFixture {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	f := &serverFixture{tb: tb, server: NewServer(w, MonitorOptions{}), submit: []byte(`{"query":0}`)}
+	f := &serverFixture{tb: tb, server: NewServer(w, opts), submit: []byte(`{"query":0}`)}
 	tb.Cleanup(f.server.Close)
 	if f.spec, err = json.Marshal(ingest.SpecFromTrace(run.view.Trace, "bench-ext", "bench-fam")); err != nil {
 		tb.Fatal(err)
@@ -362,7 +368,7 @@ func (f *serverFixture) session() {
 // query takes depends on how the two goroutines were scheduled, so the
 // reads per query ride along as a metric of their own.
 func BenchmarkServerStartToDone(b *testing.B) {
-	f := newServerFixture(b)
+	f := newServerFixture(b, MonitorOptions{})
 	b.ReportAllocs()
 	reads := 0
 	for b.Loop() {

@@ -359,7 +359,7 @@ func (c *context) maybeSnapshot() {
 		c.sink.thin()
 		c.flushed = c.sink.Rows()
 		if c.observer != nil {
-			c.observer.OnThin()
+			c.observer.OnThin(c.sink.Window(0, c.sink.Rows()))
 		}
 		c.obsEvery *= 2
 		c.untilSnap = c.obsEvery - c.totalGN%c.obsEvery

@@ -7,7 +7,8 @@ import (
 )
 
 // History is the snapshot history one run borrows: the row chunks its
-// TraceSink fills and the Snapshot headers of its finished Trace. It is
+// TraceSink fills, the headers of the windows it delivers and the
+// Snapshot headers of its finished Trace. It is
 // for a run whose trace no one reads once the run is over — a
 // server-owned run, whose final update is the last thing anyone asks of
 // it. Such a run takes a History with BorrowHistory, records on it (Run,
@@ -23,6 +24,7 @@ import (
 type History struct {
 	words slab[int64]    // TraceSink row chunks
 	heads slab[Snapshot] // the finished Trace's Snapshot headers
+	win   []Snapshot     // the delivery window (TraceSink.Window)
 	lease
 }
 
@@ -60,5 +62,7 @@ func (h *History) Release(tr *Trace) {
 	trim := h.renew()
 	h.words.reset(trim)
 	h.heads.reset(trim)
+	h.win = h.win[:0]
+	clear(h.win[:cap(h.win)])
 	histories.put(h)
 }

@@ -16,9 +16,9 @@ import (
 // different node counts — two thinning — on one History through the
 // free list. Every run's trace must be the one recorded on memory of its
 // own; a released History must hold no non-zero Snapshot header over the
-// header slab's whole capacity, or it would pin the rows of a finished
-// run, and no counter word; and the released trace must have lost its
-// headers.
+// header slab's or the delivery window's whole capacity, or it would pin
+// the rows of a finished run, and no counter word; and the released trace
+// must have lost its headers.
 func TestReleasedHistoryHoldsNoHeaders(t *testing.T) {
 	db := testDB(t, catalog.PartiallyTuned, 1)
 	join := mustPlan(t, db, joinSpec())
@@ -36,7 +36,10 @@ func TestReleasedHistoryHoldsNoHeaders(t *testing.T) {
 	for i, r := range runs {
 		pipes := pipeline.Decompose(r.p)
 		want := RunDecomposed(r.db, r.p, pipes, r.opts)
-		tr := h.Run(r.db, r.p, pipes, r.opts)
+		// An observer makes the run deliver through the History's window.
+		opts := r.opts
+		opts.Observer = BaseObserver{}
+		tr := h.Run(r.db, r.p, pipes, opts)
 		if len(tr.Snapshots) == 0 || !slices.EqualFunc(tr.Snapshots, want.Snapshots, sameSnapshot) {
 			t.Fatalf("run %d: the trace recorded on a recycled history differs from its own", i)
 		}
@@ -57,6 +60,11 @@ func TestReleasedHistoryHoldsNoHeaders(t *testing.T) {
 			return s.Time == 0 && s.K == nil && s.R == nil && s.W == nil
 		}); !ok {
 			t.Fatalf("run %d: released header slab holds %+v at %d of %d", i, h.heads.buf[j], j, cap(h.heads.buf))
+		}
+		if win := h.win[:cap(h.win)]; len(h.win) != 0 || len(win) == 0 || slices.ContainsFunc(win, func(s Snapshot) bool {
+			return s.Time != 0 || s.K != nil || s.R != nil || s.W != nil
+		}) {
+			t.Fatalf("run %d: the released history's delivery window is %d of %d headers, not kept empty and zeroed", i, len(h.win), cap(h.win))
 		}
 		if j, ok := zeroed(&h.words, func(w int64) bool { return w == 0 }); !ok {
 			t.Fatalf("run %d: released row chunks hold %d at %d of %d", i, h.words.buf[j], j, cap(h.words.buf))

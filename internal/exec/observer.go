@@ -58,9 +58,12 @@ type Observer interface {
 	// OnThin fires when the snapshot history was thinned: every other
 	// previously delivered snapshot (the even 0-based ordinals of those
 	// retained so far) was dropped and the sampling interval doubled.
-	// Streaming consumers mirroring the history must drop the same
-	// ordinals.
-	OnThin()
+	// retained holds the snapshots kept, in order — the history as the
+	// finished trace would hold it now — so a streaming consumer can
+	// re-derive from them whatever it keeps of the history rather than
+	// mirror it. Like a batch, retained and the counter slices inside it
+	// are only valid for the duration of the call.
+	OnThin(retained []Snapshot)
 	// OnDone fires once with the completed trace.
 	OnDone(tr *Trace)
 }
@@ -79,7 +82,7 @@ func (BaseObserver) OnPipelineEnd(int, float64) {}
 func (BaseObserver) OnSnapshots([]Snapshot) {}
 
 // OnThin implements Observer.
-func (BaseObserver) OnThin() {}
+func (BaseObserver) OnThin([]Snapshot) {}
 
 // OnDone implements Observer.
 func (BaseObserver) OnDone(*Trace) {}
@@ -104,10 +107,10 @@ func (BaseObserver) OnDone(*Trace) {}
 // way, since nothing reads their trace after the final update.
 type TraceSink struct {
 	nodes  int
-	n      int       // rows held
-	chunks [][]int64 // sinkChunkRows rows of 1+3·nodes words each
-	win    []Snapshot
-	hist   *History // where chunks and headers are carved from; nil: allocated
+	n      int        // rows held
+	chunks [][]int64  // sinkChunkRows rows of 1+3·nodes words each
+	win    []Snapshot // the delivery window of a sink without a History
+	hist   *History   // where chunks and headers are carved from; nil: allocated
 }
 
 // NewTraceSink returns an empty sink for a plan of the given node count.
@@ -153,14 +156,19 @@ func (t *TraceSink) Add(time float64, K, R, W []int64) {
 }
 
 // Window returns the headers of rows [lo, hi) in a buffer reused by the
-// next call — the batch handed to Observer.OnSnapshots, which is only
-// valid for the duration of that call.
+// next call — the batch handed to Observer.OnSnapshots or OnThin, which
+// is only valid for the duration of that call. A sink on a History keeps
+// the buffer there, for the History's next run.
 func (t *TraceSink) Window(lo, hi int) []Snapshot {
-	t.win = t.win[:0]
-	for i := lo; i < hi; i++ {
-		t.win = append(t.win, t.At(i))
+	win := &t.win
+	if t.hist != nil {
+		win = &t.hist.win
 	}
-	return t.win
+	*win = (*win)[:0]
+	for i := lo; i < hi; i++ {
+		*win = append(*win, t.At(i))
+	}
+	return *win
 }
 
 // alloc returns n words for a chunk: carved from the history, or

@@ -16,6 +16,7 @@ type recordingObserver struct {
 	starts    []PipelineStart
 	ends      map[int]float64
 	thins     int
+	badThins  int // thins whose retained snapshots differ from the mirror
 	done      *Trace
 }
 
@@ -36,7 +37,9 @@ func (r *recordingObserver) OnSnapshots(batch []Snapshot) {
 }
 func (r *recordingObserver) OnDone(tr *Trace) { r.done = tr }
 
-func (r *recordingObserver) OnThin() {
+// OnThin drops the even ordinals of the mirrored history and checks that
+// what is left is what the engine says it retained.
+func (r *recordingObserver) OnThin(retained []Snapshot) {
 	r.thins++
 	kept := r.snapshots[:0]
 	for i, s := range r.snapshots {
@@ -45,6 +48,16 @@ func (r *recordingObserver) OnThin() {
 		}
 	}
 	r.snapshots = kept
+	if len(retained) != len(kept) {
+		r.badThins++
+		return
+	}
+	for i := range kept {
+		if !sameSnapshot(kept[i], retained[i]) {
+			r.badThins++
+			return
+		}
+	}
 }
 
 // TestObserverMirrorsTrace checks that an Observer consuming the event
@@ -128,6 +141,9 @@ func TestTraceThinning(t *testing.T) {
 	if rec.thins == 0 {
 		t.Fatal("expected at least one thinning event")
 	}
+	if rec.badThins != 0 {
+		t.Fatalf("%d of %d thins handed over retained snapshots other than the mirrored history", rec.badThins, rec.thins)
+	}
 	if len(tr.Snapshots) > maxObs+1 {
 		t.Fatalf("thinning failed to bound the history: %d > %d", len(tr.Snapshots), maxObs)
 	}
@@ -186,9 +202,9 @@ func (b *batchRecorder) OnPipelineStart(st PipelineStart) {
 	b.events = append(b.events, "start")
 	b.recordingObserver.OnPipelineStart(st)
 }
-func (b *batchRecorder) OnThin() {
+func (b *batchRecorder) OnThin(retained []Snapshot) {
 	b.events = append(b.events, "thin")
-	b.recordingObserver.OnThin()
+	b.recordingObserver.OnThin(retained)
 }
 func (b *batchRecorder) OnDone(tr *Trace) {
 	b.events = append(b.events, "done")

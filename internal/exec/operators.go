@@ -1,9 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"progressest/internal/plan"
 	"progressest/internal/storage"
@@ -647,14 +648,15 @@ func (it *nlJoinIter) close()             { it.outer.close(); it.inner.close() }
 
 // --- sorts ---
 
+// sortRows sorts rows stably by the columns cols, in order.
 func sortRows(rows []storage.Row, cols []int) {
-	sort.SliceStable(rows, func(a, b int) bool {
-		for _, c := range cols {
-			if rows[a][c] != rows[b][c] {
-				return rows[a][c] < rows[b][c]
+	slices.SortStableFunc(rows, func(a, b storage.Row) int {
+		for _, col := range cols {
+			if c := cmp.Compare(a[col], b[col]); c != 0 {
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 }
 
@@ -722,9 +724,17 @@ type batchSortIter struct {
 	done      bool
 }
 
+// open takes the batch buffer from the run's scratch, sized as the hash
+// join's build buffer is — the optimizer's estimate of the input plus an
+// eighth, doubling should that be low, at most 1<<14 rows — and capped
+// at the batch size.
 func (it *batchSortIter) open() {
 	it.child.open()
-	it.buf = nil
+	if it.buf == nil {
+		est := int(it.n.Children[0].EstRows)
+		it.buf = it.ctx.scratch.rows.take(min(it.n.BatchSize, max(est+est/8, 16), 1<<14))
+	}
+	it.buf = it.buf[:0]
 	it.pos = 0
 	it.done = false
 }
@@ -739,7 +749,7 @@ func (it *batchSortIter) fill() {
 			break
 		}
 		it.ctx.consumed(it.n)
-		it.buf = append(it.buf, it.ctx.rows.keep(row, it.copyChild))
+		it.buf = append(it.ctx.scratch.rows.grow(it.buf), it.ctx.rows.keep(row, it.copyChild))
 	}
 	sortRows(it.buf, it.n.SortCols)
 	nb := float64(len(it.buf))

@@ -161,4 +161,4 @@ type thinCounter struct {
 	n int
 }
 
-func (c *thinCounter) OnThin() { c.n++ }
+func (c *thinCounter) OnThin([]exec.Snapshot) { c.n++ }

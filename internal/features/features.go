@@ -8,20 +8,18 @@ package features
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"progressest/internal/plan"
 	"progressest/internal/progress"
 )
 
 // Markers are the driver-input fractions x (in percent) at which dynamic
-// features are sampled; estimator selection stops refining after 20% of
-// the driver input has been consumed (Section 6, "Dynamic Features").
-var Markers = []int{1, 2, 5, 10, 20}
+// features are sampled (progress.Markers).
+var Markers = progress.Markers
 
-// CorK is the number of time-correlation observations per marker (the
-// paper uses i = 1..4).
-const CorK = 4
+// CorK is the number of time-correlation observations per marker
+// (progress.CorK).
+const CorK = progress.CorK
 
 // corKinds are the estimators whose time correlation is measured.
 var corKinds = []progress.Kind{
@@ -196,53 +194,33 @@ func Static(v *progress.PipeContext) []float64 {
 	return out
 }
 
-// markerFracs are the driver fractions the dynamic features sample at:
-// the markers x/100 first (index mi), then the sub-markers x/100·i/CorK
-// (index subMarker(i, mi)). markerOrder lists their indices by ascending
-// fraction: the first ordinal reaching a fraction never precedes the one
-// reaching a smaller fraction, so one forward pass settles them in this
-// order.
-var markerFracs, markerOrder = func() ([]float64, []int) {
-	fracs := make([]float64, 0, len(Markers)*(1+CorK))
+// slotLevel maps the dynamic features' sample points to the marker
+// levels a pipeline keeps rows at (progress.MarkerLevel): the markers
+// first (index mi), then the sub-markers (index subMarker(i, mi)).
+var slotLevel = func() []int {
+	out := make([]int, 0, len(Markers)*(1+CorK))
 	for _, x := range Markers {
-		fracs = append(fracs, float64(x)/100)
+		out = append(out, progress.MarkerLevel(progress.MarkerFrac(x, 0)))
 	}
 	for i := 1; i <= CorK; i++ {
 		for _, x := range Markers {
-			fracs = append(fracs, float64(x)/100*float64(i)/CorK)
+			out = append(out, progress.MarkerLevel(progress.MarkerFrac(x, i)))
 		}
 	}
-	order := make([]int, len(fracs))
-	for j := range order {
-		order[j] = j
-	}
-	sort.SliceStable(order, func(a, b int) bool { return fracs[order[a]] < fracs[order[b]] })
-	return fracs, order
+	return out
 }()
 
-// subMarker is the markerFracs index of the sub-marker at fraction
+// subMarker is the slotLevel index of the sub-marker at fraction
 // (i/CorK)·x of marker mi.
 func subMarker(i, mi int) int { return i*len(Markers) + mi }
 
-// maxMarkerFracs bounds len(markerFracs), so the ordinals live on the
-// stack.
-const maxMarkerFracs = 32
-
-// markerOrdinals fills obs[j] with the first ordinal at which the
-// driver fraction reaches markerFracs[j], or -1 if none does, in a single
-// forward pass over the n observations.
-func markerOrdinals(rows progress.Rows, n int, obs []int) {
-	next := 0
-	for i := 0; i < n && next < len(markerOrder); i++ {
-		f := rows.DriverFraction(i)
-		for next < len(markerOrder) && f >= markerFracs[markerOrder[next]] {
-			obs[markerOrder[next]] = i
-			next++
-		}
+// markerAt returns the pipeline's row at sample point j, or nil if its
+// driver fraction has not reached it.
+func markerAt(marks []progress.MarkerRow, j int) *progress.MarkerRow {
+	if l := slotLevel[j]; l < len(marks) {
+		return &marks[l]
 	}
-	for ; next < len(markerOrder); next++ {
-		obs[markerOrder[next]] = -1
-	}
+	return nil
 }
 
 // Dynamic computes the dynamic features from the observations a pipeline
@@ -257,32 +235,21 @@ func Dynamic(v *progress.OnlinePipeline) []float64 {
 
 // AppendDynamic appends the dynamic features to dst and returns the
 // extended slice — the alloc-free form the streaming hot path uses with a
-// reusable scratch buffer.
+// reusable scratch buffer. It reads only the pipeline's marker rows
+// (progress.OnlinePipeline.Markers): the first observation at which the
+// driver fraction reaches each marker and sub-marker fraction.
 func AppendDynamic(dst []float64, v *progress.OnlinePipeline) []float64 {
 	out := dst
-
-	// First ordinal where the driver fraction reaches each marker and
-	// sub-marker fraction.
-	rows := v.Rows()
-	var obsArr [maxMarkerFracs]int
-	markerObs := obsArr[:len(markerFracs)]
-	markerOrdinals(rows, v.NumObs(), markerObs)
-	// Elapsed time at each reached marker and sub-marker.
-	var elapsed [maxMarkerFracs]float64
-	for j, o := range markerObs {
-		if o >= 0 {
-			elapsed[j] = rows.TimeSinceStart(o)
-		}
-	}
+	marks := v.Markers()
 
 	for _, pr := range diffPairs {
 		for mi := range Markers {
-			o := markerObs[mi]
-			if o < 0 {
+			m := markerAt(marks, mi)
+			if m == nil {
 				out = append(out, 0)
 				continue
 			}
-			d := rows.EstimateAt(pr[0], o) - rows.EstimateAt(pr[1], o)
+			d := m.Est[pr[0]] - m.Est[pr[1]]
 			if d < 0 {
 				d = -d
 			}
@@ -291,29 +258,22 @@ func AppendDynamic(dst []float64, v *progress.OnlinePipeline) []float64 {
 	}
 
 	for _, k := range corKinds {
-		// k's estimate at each reached marker.
-		var atMarker [maxMarkerFracs]float64
-		for mi, o := range markerObs[:len(Markers)] {
-			if o >= 0 {
-				atMarker[mi] = rows.EstimateAt(k, o)
-			}
-		}
 		for i := 1; i <= CorK; i++ {
 			for mi := range Markers {
-				if markerObs[mi] < 0 {
+				m := markerAt(marks, mi)
+				if m == nil {
 					out = append(out, 1) // neutral: looks perfectly linear
 					continue
 				}
 				// Sub-marker at fraction (i/k)*x of the driver input.
-				sub := subMarker(i, mi)
-				oSub := markerObs[sub]
-				so := atMarker[mi]
-				if oSub < 0 || elapsed[mi] <= 0 || so <= 0 {
+				sub := markerAt(marks, subMarker(i, mi))
+				so := m.Est[k]
+				if sub == nil || m.Elapsed <= 0 || so <= 0 {
 					out = append(out, 1)
 					continue
 				}
-				timeRatio := elapsed[sub] / elapsed[mi]
-				estRatio := rows.EstimateAt(k, oSub) / so
+				timeRatio := sub.Elapsed / m.Elapsed
+				estRatio := sub.Est[k] / so
 				if estRatio <= 0 {
 					out = append(out, 1)
 					continue

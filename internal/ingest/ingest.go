@@ -62,8 +62,10 @@ type Model struct {
 	Known []bool
 }
 
-// Build validates the spec and reconstructs the plan and decomposition
-// the estimator machinery runs on.
+// Build validates the spec — node order, reachability, no shared child,
+// and every node's child count against its operator's arity
+// (plan.OpType.Arity) — and reconstructs the plan and decomposition the
+// estimator machinery runs on.
 func Build(spec *Spec) (*Model, error) {
 	if len(spec.Nodes) == 0 {
 		return nil, fmt.Errorf("%w: spec has no nodes", ErrInvalid)
@@ -83,6 +85,9 @@ func Build(spec *Spec) (*Model, error) {
 		}
 		if ns.Total != nil && *ns.Total < 0 {
 			return nil, fmt.Errorf("%w: node %d has negative total", ErrInvalid, i)
+		}
+		if len(ns.Children) != op.Arity() {
+			return nil, fmt.Errorf("%w: node %d (%s) has %d children, want %d", ErrInvalid, i, op, len(ns.Children), op.Arity())
 		}
 		n := &plan.Node{
 			Op:           op,

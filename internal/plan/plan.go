@@ -81,6 +81,20 @@ func (op OpType) IsJoin() bool {
 	return op == HashJoin || op == MergeJoin || op == NestedLoopJoin || op == SemiJoin
 }
 
+// Arity is the number of children a node of the operator has: none for
+// a scan or a seek, two for a join, one for any other operator. The
+// executor, the pipeline decomposition and the estimators read a node's
+// children by this count.
+func (op OpType) Arity() int {
+	switch {
+	case op == TableScan || op == IndexScan || op == IndexSeek:
+		return 0
+	case op.IsJoin():
+		return 2
+	}
+	return 1
+}
+
 // IsBlocking reports whether the operator fully consumes its (left) input
 // before producing output, ending the input's pipeline. BatchSort is only
 // partially blocking and therefore not included (Section 5.1 treats it as

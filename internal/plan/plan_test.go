@@ -73,6 +73,22 @@ func TestTotalEstRowsAndCountOp(t *testing.T) {
 	}
 }
 
+func TestOpTypeArity(t *testing.T) {
+	want := map[OpType]int{
+		TableScan: 0, IndexScan: 0, IndexSeek: 0,
+		HashJoin: 2, MergeJoin: 2, NestedLoopJoin: 2, SemiJoin: 2,
+		Filter: 1, Project: 1, Sort: 1, BatchSort: 1, HashAgg: 1, StreamAgg: 1, Top: 1,
+	}
+	if len(want) != int(NumOpTypes) {
+		t.Fatalf("the table covers %d of %d operators", len(want), NumOpTypes)
+	}
+	for op, n := range want {
+		if op.Arity() != n {
+			t.Errorf("%v: arity %d, want %d", op, op.Arity(), n)
+		}
+	}
+}
+
 func TestOpTypePredicates(t *testing.T) {
 	for _, op := range []OpType{HashJoin, MergeJoin, NestedLoopJoin} {
 		if !op.IsJoin() {

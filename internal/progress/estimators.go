@@ -15,7 +15,12 @@ import (
 // the shape shared by DNE (eq. 4), TGN (eq. 3), BATCHDNE (eq. 6) and
 // DNESEEK (eq. 7).
 func (c *PipeContext) ratioAt(ids []int, s *exec.Snapshot) float64 {
-	k, e := c.sums(ids, s)
+	return ratio(c.sums(ids, s))
+}
+
+// ratio is k/e clamped to [0,1], or 1 when e is not positive: work done
+// over an estimated total — or, for the oracle models, the true one.
+func ratio(k, e float64) float64 {
 	if e <= 0 {
 		return 1
 	}
@@ -24,7 +29,8 @@ func (c *PipeContext) ratioAt(ids []int, s *exec.Snapshot) float64 {
 
 // estimate is estimator kind's value at one snapshot — what a settled
 // pipeline advances, one kind at a time, where the row function
-// (OnlinePipeline.record) computes every kind of a row. It covers every
+// (OnlinePipeline.record) computes every kind of a row from sums it
+// shares. It covers every
 // selectable kind but PMAX and SAFE, whose values depend on the history
 // before the snapshot (worstStep).
 func (c *PipeContext) estimate(kind Kind, s *exec.Snapshot) float64 {
@@ -45,13 +51,10 @@ func (c *PipeContext) estimate(kind Kind, s *exec.Snapshot) float64 {
 	panic("progress: estimator " + kind.String() + " is not a function of one snapshot")
 }
 
-// driverFractionAt is alpha_Pj (eq. 1) at one snapshot.
+// driverFractionAt is alpha_Pj (eq. 1) at one snapshot. It is DNE's
+// value too.
 func (c *PipeContext) driverFractionAt(s *exec.Snapshot) float64 {
-	k, e := c.sums(c.Pipe.Drivers, s)
-	if e <= 0 {
-		return 1
-	}
-	return clamp01(k / e)
+	return c.ratioAt(c.Pipe.Drivers, s)
 }
 
 // tgnintAt computes the cardinality-interpolation estimator (eq. 8) at one
@@ -60,16 +63,13 @@ func (c *PipeContext) driverFractionAt(s *exec.Snapshot) float64 {
 //	TGNINT = sum(K) / (sum(K) + (1 - DNE) * sum(E))
 func (c *PipeContext) tgnintAt(s *exec.Snapshot) float64 {
 	k, e := c.sums(c.Pipe.Nodes, s)
-	dk, de := c.sums(c.Pipe.Drivers, s)
-	dne := 1.0
-	if de > 0 {
-		dne = clamp01(dk / de)
-	}
-	den := k + (1-dne)*e
-	if den <= 0 {
-		return 1
-	}
-	return clamp01(k / den)
+	return tgnint(k, e, c.driverFractionAt(s))
+}
+
+// tgnint is eq. 8 from the GetNext sums over the pipeline's nodes and
+// DNE's value.
+func tgnint(k, e, dne float64) float64 {
+	return ratio(k, k+(1-dne)*e)
 }
 
 // luoAt computes the bytes-processed estimator of Luo et al. at one
@@ -79,9 +79,13 @@ func (c *PipeContext) tgnintAt(s *exec.Snapshot) float64 {
 // scaled-up observed count (Section 3.3, eq. 2). Spill I/O inside the
 // pipeline counts as bytes processed.
 func (c *PipeContext) luoAt(s *exec.Snapshot) float64 {
+	return c.luo(s, c.driverFractionAt(s))
+}
+
+// luo is luoAt given the driver fraction alpha at s.
+func (c *PipeContext) luo(s *exec.Snapshot, alpha float64) float64 {
 	done := c.luoDoneAt(s)
 	var total float64
-	alpha := c.driverFractionAt(s)
 	for _, d := range c.Pipe.Drivers {
 		total += c.refinedE(d, s) * c.Width[d]
 	}
@@ -92,10 +96,7 @@ func (c *PipeContext) luoAt(s *exec.Snapshot) float64 {
 		eTop = alpha*scaled + (1-alpha)*eTop
 	}
 	total += eTop * c.Width[c.top]
-	if total <= 0 {
-		return 1
-	}
-	return clamp01(done / total)
+	return ratio(done, total)
 }
 
 // luoDoneAt is the bytes-processed numerator at one snapshot.
@@ -173,14 +174,6 @@ func (c *PipeContext) oracleGetNextTotal(tr *exec.Trace) float64 {
 		total += float64(tr.N[id])
 	}
 	return total
-}
-
-// oracleRatio is an oracle model's value: work done over the true total.
-func oracleRatio(done, total float64) float64 {
-	if total <= 0 {
-		return 1
-	}
-	return clamp01(done / total)
 }
 
 // ErrorStats aggregates the deviation of an estimator from true progress

@@ -10,14 +10,13 @@
 // so one execution yields every estimator's series, and one
 // implementation computes them: the streaming OnlineView, which evaluates
 // every selectable estimator as the run advances — until a pipeline's
-// pick is final, and then only the one it serves, the first finished
-// read filling in the rest from the trace. Everything read about
-// a finished run — a served query's QueryRun, its training labels
-// (workload.LabelView), the experiments' series — is read from the view
-// that watched it, or from a fresh view a finished trace is replayed
-// through (Replay). Besides those deferred rows, only the oracle models,
-// which divide by the finished run's true totals, are computed
-// afterwards.
+// pick is final, and then only the one it serves — keeping of the
+// history only what a pick reads. The trace is the only history: the
+// first finished read builds the view's table of every row from it.
+// Everything read about a finished run — a served query's QueryRun, its
+// training labels (workload.LabelView), the experiments' series — is
+// read from the view that watched it, or from the finished view Replay
+// builds from a trace.
 //
 // Whole-query progress (eq. 5) is one rule on the view, too: the live
 // QueryEstimate a monitor serves after each snapshot and the finished

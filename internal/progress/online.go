@@ -12,20 +12,19 @@ import (
 // exec.Observer, consumes counter snapshots as the query runs, and
 // maintains every candidate estimator's estimate incrementally —
 // O(pipeline nodes + estimators) work per snapshot. Once the run
-// completes the view is its record: each pipeline holds exactly the
-// observations the finished trace attributes to it, and the finished-run
-// reads (AppendSeries, AppendTrueSeries, Errors, Context, and the
-// whole-query AppendQuerySeries, QueryErrors, QueryWeight) answer from
-// what the view accumulated plus the trace's true totals. A finished
-// trace is read the same way: Replay feeds it through a fresh view.
+// completes the view is its record: the finished-run reads
+// (AppendSeries, AppendTrueSeries, Errors, Context, and the whole-query
+// AppendQuerySeries, QueryErrors, QueryWeight) answer from a table of
+// every pipeline's observations, one row per snapshot it was fed, plus
+// the trace's true totals. A finished trace is read the same way:
+// Replay builds the view from it.
 //
-// A view keeps only the history a pick can still read. Once a
-// pipeline's pick is final (OnlinePipeline.Settle), a snapshot advances
-// just the served estimator and the driver fraction; the rows after the
-// settle point are deferred. The first finished read fills them in from
-// the trace, once, with the same row function the live feed runs — so
-// the finished reads are those of a view that never settled, and a run
-// nobody reads after completion never pays for them.
+// The trace is the only history. While the run is live a pipeline keeps
+// no table: its latest row, and the rows at which its driver fraction
+// first reached each marker level (MarkerRow) — what a pick reads. The
+// first finished read builds the table from the trace, once, with the
+// row function the live feed runs, so a run nobody reads after
+// completion never pays for it.
 type OnlineView struct {
 	exec.BaseObserver
 
@@ -36,12 +35,11 @@ type OnlineView struct {
 	// Trace is the finished trace, set by OnDone.
 	Trace *exec.Trace
 
-	// Reserve, when positive, allocates each pipeline's observation
-	// storage for this many observations at pipeline start, so feeding
-	// snapshots allocates nothing until the reservation is exceeded.
-	// Without it storage is allocated a chunk at a time, as observations
-	// arrive — what the live monitor does: most pipelines stay far below
-	// the engine's observation target.
+	// Reserve is a capacity hint for the finished table, in observations
+	// per pipeline. The table is built once, at the first finished read,
+	// when the trace already holds every row count, so each pipeline's
+	// rows are sized exactly and the hint changes neither a result nor
+	// an allocation.
 	Reserve int
 
 	snapCount int // retained snapshots seen so far (mirrors the trace sink)
@@ -50,8 +48,8 @@ type OnlineView struct {
 	wbuf  []float64  // QueryEstimate weight scratch, reused across calls
 	cache *PlanCache // shared start contexts of a cached plan, or nil
 
-	// filled materializes the settled pipelines' deferred rows on the
-	// first finished read (see materialize).
+	// filled builds the finished table on the first finished read (see
+	// materialize).
 	filled sync.Once
 }
 
@@ -91,13 +89,21 @@ func NewCachedOnlineView(p *plan.Plan, pipes *pipeline.Decomposition, cache *Pla
 	return o
 }
 
-// Replay feeds a finished trace through a fresh view, as one batch, and
-// returns the completed view.
+// Replay returns the completed view of a finished trace. Its table is
+// built from the trace on the first finished read, like any finished
+// view's, and the trace's snapshots are not fed to it first: each row is
+// computed once.
 func Replay(tr *exec.Trace) *OnlineView {
 	view := NewOnlineView(tr.Plan, tr.Pipes)
-	exec.Replay(tr, view, len(tr.Snapshots))
+	exec.Replay(tr, replayed{view}, len(tr.Snapshots))
 	return view
 }
+
+// replayed is a view as Replay drives it: it counts the snapshots
+// instead of feeding them.
+type replayed struct{ *OnlineView }
+
+func (r replayed) OnSnapshots(batch []exec.Snapshot) { r.snapCount += len(batch) }
 
 // Done reports whether the observed execution has completed.
 func (o *OnlineView) Done() bool { return o.done }
@@ -111,7 +117,6 @@ func (o *OnlineView) OnPipelineStart(st exec.PipelineStart) {
 	p.StartTime = st.Time
 	p.g0 = o.snapCount
 	p.worst = newWorstState()
-	p.reserve(o.Reserve)
 }
 
 // OnSnapshots implements exec.Observer: for each snapshot of the batch,
@@ -131,12 +136,14 @@ func (o *OnlineView) OnSnapshots(batch []exec.Snapshot) {
 
 // OnThin implements exec.Observer: the engine dropped the even 0-based
 // ordinals of the retained snapshots, so every pipeline drops the same
-// ones and rebuilds the history-dependent estimator state.
-func (o *OnlineView) OnThin() {
-	o.snapCount /= 2
+// ones and re-derives what it keeps — its latest row, and before it
+// settles its marker rows and the worst-case estimators' state — from
+// the retained snapshots.
+func (o *OnlineView) OnThin(retained []exec.Snapshot) {
+	o.snapCount = len(retained)
 	for _, p := range o.Pipelines {
 		if p.Started {
-			p.thin()
+			p.thin(retained)
 		}
 	}
 }
@@ -152,9 +159,10 @@ func (o *OnlineView) OnPipelineEnd(pi int, end float64) {
 
 // OnDone implements exec.Observer: every ended pipeline keeps exactly the
 // observations the finished trace attributes to it (Trace.ObsRange) —
-// the rows it was fed up to its span's end; the rows after stay in the
-// table for the whole-query reads. A settled pipeline's latest values
-// move back to its last in-span observation, read off the trace row.
+// the rows it was fed up to its span's end; the table holds the rows
+// after too, for the whole-query reads. The latest driver fraction, and
+// a settled pipeline's served estimate, move back to the last in-span
+// observation, read off the trace row.
 func (o *OnlineView) OnDone(tr *exec.Trace) {
 	o.Trace = tr
 	o.done = true
@@ -164,24 +172,49 @@ func (o *OnlineView) OnDone(tr *exec.Trace) {
 		}
 		_, hi := tr.ObsRange(pi)
 		p.n = max(0, hi-p.g0)
-		if p.settled && p.n > 0 {
-			p.live[1] = p.liveAt(&tr.Snapshots[p.g0+p.n-1])
+		if p.n > 0 {
+			p.advance(&tr.Snapshots[p.g0+p.n-1])
 		}
 	}
 }
 
-// materialize fills in every settled pipeline's deferred rows — the
-// post-span tail included — from the finished trace, once: the first
-// finished read that reaches a settled pipeline's table runs it, and
-// every later one, on any goroutine, reads the filled table.
+// materialize builds every started pipeline's table — the post-span
+// tail included — and its marker rows over its observations, from the
+// finished trace, once: the first finished read runs it, and every later
+// one, on any goroutine, reads what it built. The tables are carved from
+// one allocation.
 func (o *OnlineView) materialize() {
 	o.filled.Do(func() {
+		o.carveMarks()
+		rows := 0
 		for _, p := range o.Pipelines {
-			if p.settled {
-				p.fill(o.Trace.Snapshots[p.g0:o.snapCount])
+			if p.Started {
+				rows += o.snapCount - p.g0
+			}
+		}
+		slab := make([]obsRow, rows)
+		for _, p := range o.Pipelines {
+			if p.Started {
+				k := o.snapCount - p.g0
+				p.fill(o.Trace.Snapshots[p.g0:o.snapCount], slab[:k:k])
+				slab = slab[k:]
 			}
 		}
 	})
+}
+
+// carveMarks gives every pipeline its marker rows, from one slab, the
+// first time one is needed: a view whose picks all settle at pipeline
+// start never allocates them until a finished read.
+func (o *OnlineView) carveMarks() {
+	if len(o.Pipelines) == 0 || o.Pipelines[0].marks != nil {
+		return
+	}
+	k := len(markerLevels)
+	slab := make([]MarkerRow, k*len(o.Pipelines))
+	for i, p := range o.Pipelines {
+		p.marks = slab[i*k : (i+1)*k : (i+1)*k]
+	}
 }
 
 // QueryEstimate is the whole-query estimate a monitor serves after the
@@ -271,8 +304,8 @@ func (o *OnlineView) AppendSeries(dst []float64, p int, kind Kind) []float64 {
 }
 
 // appendRows is AppendSeries over the pipeline's first rows rows of the
-// observation table, which may reach into the post-span tail
-// OnPipelineEnd drops from the series but leaves in the table.
+// finished table, which may reach into the post-span tail OnDone drops
+// from the series but leaves in the table.
 func (o *OnlineView) appendRows(dst []float64, p int, kind Kind, rows int) []float64 {
 	pl := o.Pipelines[p]
 	switch {
@@ -280,15 +313,14 @@ func (o *OnlineView) appendRows(dst []float64, p int, kind Kind, rows int) []flo
 		return pl.appendRows(dst, kind, rows)
 	case rows == 0:
 	case kind == OracleGetNext:
-		pl.readable(rows)
 		total := pl.oracleGetNextTotal(o.Trace)
-		for i := 0; i < rows; i++ {
-			dst = append(dst, oracleRatio(pl.at(colKNodes, i), total))
+		for _, r := range pl.table(rows) {
+			dst = append(dst, ratio(r.kNodes, total))
 		}
 	case kind == OracleBytes:
 		total := pl.oracleBytesTotal(o.Trace)
 		for i := pl.g0; i < pl.g0+rows; i++ {
-			dst = append(dst, oracleRatio(pl.luoDoneAt(&o.Trace.Snapshots[i]), total))
+			dst = append(dst, ratio(pl.luoDoneAt(&o.Trace.Snapshots[i]), total))
 		}
 	default:
 		panic("progress: unknown estimator kind " + kind.String())
@@ -377,16 +409,16 @@ func (o *OnlineView) QueryWeight(p int) float64 {
 }
 
 // OnlinePipeline is the incremental estimator state of one pipeline: the
-// static PipeContext (frozen at pipeline start) plus the accumulated
-// per-observation estimates of every candidate estimator.
+// static PipeContext (frozen at pipeline start) plus what a pick reads of
+// its observations.
 //
-// Until it settles, every observation appends a row of every estimate
-// to the pipeline's table: the picks read that history. Once settled —
-// its pick final — an observation only advances the served estimate and
-// the driver fraction; the table keeps the rows up to the settle point,
-// thinned as the history is, and a finished read fills in the rest (see
-// OnlineView.materialize). Reading a deferred row before the run is done
-// panics.
+// Live, a pipeline keeps its latest row and, until it settles, the rows
+// at which its driver fraction first reached each marker level
+// (Markers): a pick reads nothing else. Once settled — its pick final —
+// an observation only advances the served estimate and the driver
+// fraction. The table of every row exists only once the run is done (see
+// OnlineView.materialize); reading it, or a settled pipeline's marker
+// rows, before then panics.
 type OnlinePipeline struct {
 	*PipeContext
 
@@ -413,94 +445,57 @@ type OnlinePipeline struct {
 	plan *plan.Plan
 	view *OnlineView
 
-	// The observation table: one column per obsCols value (see the col
-	// constants), one row per observation, in fixed-size chunks allocated
-	// as the pipeline's history grows — growing moves nothing, and a
-	// pipeline holds what its observation count needs, to within a chunk.
-	chunks []*obsChunk
-	// n is the observations held. OnDone drops the post-span tail from n,
+	// n is the observations fed. OnDone drops the post-span tail from n,
 	// not from the table: the query reads still see those rows.
 	n int
-	// kept is the rows the table holds: every row fed until the pipeline
-	// settles, the rows up to the settle point after.
-	kept int
 	// g0 is the retained global snapshot index of the first snapshot
 	// after the pipeline's start, its observation 0. A started pipeline
 	// is fed every snapshot until it ends, so observation i is global
 	// snapshot g0+i — before and after a thin.
 	g0 int
 
-	worst worstState
+	// last is the latest observation's row: every column until the
+	// pipeline settles, the driver fraction and served estimate after.
+	last  obsRow
+	worst worstState // the worst-case estimators' fold, through last
+
+	// marks[:reached] are the rows at the first observations reaching
+	// marker levels 0..reached-1, carved from the view's slab.
+	marks   []MarkerRow
+	reached int
+
+	// rows is the finished table, one row per snapshot fed (see
+	// OnlineView.materialize).
+	rows []obsRow
 
 	// lastSig caches the previous snapshot's K/R/W values over the
 	// pipeline's nodes; when unchanged, the previous estimates are reused
 	// verbatim (they are pure functions of these counters).
 	lastSig []int64
-	valid   bool // lastSig corresponds to the last appended observation
+	valid   bool // lastSig corresponds to the row last recorded
 
 	// settled reports that the pick is final: served is the estimator
-	// served to the end of the run, and live holds the driver fraction and
-	// served estimate at the latest observation (live[1]) and the one
-	// before it (live[0], the latest again should a thin drop live[1]).
+	// served to the end of the run.
 	settled bool
 	served  Kind
-	live    [2]liveObs
 }
 
-// liveObs is what a settled pipeline keeps of one observation.
-type liveObs struct{ frac, est float64 }
-
-// Columns of the observation table: the snapshot's virtual time, the
-// driver fraction, the three sums the worst-case (PMAX/SAFE) state is
-// rebuilt from after thinning, then one estimate per kind.
-const (
-	colTime = iota
-	colFrac
-	colKNodes
-	colKDrivers
-	colEDrivers
-	colEst
-	obsCols = colEst + int(NumKinds)
-)
-
-// obsChunkRows is the table's growth step: a third of the benchmark's
-// pipelines never outgrow one chunk (6.5 KB), the longest take 14.
-const obsChunkRows = 64
-
-// obsChunk holds obsChunkRows observations column by column, so a scan
-// down one column — the marker searches of the dynamic features — reads
-// consecutive words.
-type obsChunk [obsCols][obsChunkRows]float64
-
-// slot returns observation i's chunk and its row there.
-func (p *OnlinePipeline) slot(i int) (*obsChunk, int) {
-	return p.chunks[i/obsChunkRows], i % obsChunkRows
+// obsRow is one observation: the snapshot's virtual time, the driver
+// fraction, the GetNext sum over the pipeline's nodes (the OracleGetNext
+// numerator), and every selectable estimate.
+type obsRow struct {
+	time, frac, kNodes float64
+	est                [NumKinds]float64
 }
 
-// at returns column col of observation i.
-func (p *OnlinePipeline) at(col, i int) float64 {
-	return p.chunks[i/obsChunkRows][col][i%obsChunkRows]
-}
-
-// reserve makes room for n observations.
-func (p *OnlinePipeline) reserve(n int) {
-	for len(p.chunks)*obsChunkRows < n {
-		p.chunks = append(p.chunks, new(obsChunk))
+// table returns the finished table's first rows rows. It exists only
+// once the run is done, after the view's one materialization.
+func (p *OnlinePipeline) table(rows int) []obsRow {
+	if !p.view.done {
+		panic("progress: a pipeline's observation table is read before the run is done")
 	}
-}
-
-// readable makes the table's first rows rows readable. A settled
-// pipeline's deferred rows exist only once the run is done, after the
-// view's one materialization; before, reading one panics rather than
-// return a row never computed.
-func (p *OnlinePipeline) readable(rows int) {
-	switch {
-	case !p.settled:
-	case p.view.done:
-		p.view.materialize()
-	case rows > p.kept:
-		panic("progress: observation deferred past the pipeline's settle point read before the run is done")
-	}
+	p.view.materialize()
+	return p.rows[:rows]
 }
 
 // Settle makes kind the pipeline's final pick: from the next snapshot on
@@ -512,11 +507,6 @@ func (p *OnlinePipeline) Settle(kind Kind) {
 		return
 	}
 	p.settled, p.served = true, kind
-	for j := range p.live {
-		if i := p.n - len(p.live) + j; i >= 0 {
-			p.live[j] = liveObs{p.at(colFrac, i), p.at(colEst+int(kind), i)}
-		}
-	}
 }
 
 // StaticPrefix returns the pipeline's static feature prefix, built from
@@ -547,41 +537,71 @@ func (p *OnlinePipeline) startedBy(g int) bool { return p.Started && g >= p.g0 }
 func (p *OnlinePipeline) NumObs() int { return p.n }
 
 // Estimate returns estimator kind's current (latest) value, or 0 before
-// the first observation.
+// the first observation. A settled pipeline holds only its served
+// estimate live; on a finished view any kind is read off the table.
 func (p *OnlinePipeline) Estimate(kind Kind) float64 {
+	switch {
+	case p.n == 0:
+		return 0
+	case p.settled && kind == p.served:
+	case p.view.done:
+		return p.table(p.n)[p.n-1].est[kind]
+	case p.settled:
+		panic("progress: an estimate a settled pipeline no longer advances is read before the run is done")
+	}
+	return p.last.est[kind]
+}
+
+// CurrentDriverFraction returns the latest driver fraction (0 before the
+// first observation).
+func (p *OnlinePipeline) CurrentDriverFraction() float64 {
 	if p.n == 0 {
 		return 0
 	}
-	if p.settled && kind == p.served {
-		return p.live[1].est
+	return p.last.frac
+}
+
+// Markers returns the rows at which the pipeline's driver fraction first
+// reached each marker level, in level order (see MarkerLevel): level l is
+// reached iff l < len(rows). On a finished view they are those of the
+// pipeline's observations, after the view's one materialization; live,
+// those of the observations fed so far — which a settled pipeline no
+// longer tracks, so reading its rows before the run is done panics.
+func (p *OnlinePipeline) Markers() []MarkerRow {
+	switch {
+	case p.view.done:
+		p.view.materialize()
+	case p.settled:
+		panic("progress: a settled pipeline's marker rows are read before the run is done")
 	}
-	return p.Rows().EstimateAt(kind, p.n-1)
+	return p.marks[:p.reached]
 }
 
-// Rows is a read handle on a pipeline's observations, from
-// OnlinePipeline.Rows: a scan pays the readability check once, and each
-// read is a plain load.
-type Rows struct{ p *OnlinePipeline }
+// MarkersCrossed returns how many of the Markers the pipeline's driver
+// fraction has reached.
+func (p *OnlinePipeline) MarkersCrossed() int { return markersAt[p.reached] }
 
-// Rows makes the pipeline's NumObs observations readable and returns the
-// handle that reads them: on a finished view after the one
-// materialization; live, it panics once the pipeline has settled and
-// been fed since, as the latest observation is then deferred.
-func (p *OnlinePipeline) Rows() Rows {
-	p.readable(p.n)
-	return Rows{p}
+// Rows is a read handle on a finished pipeline's observations, from
+// OnlinePipeline.Rows.
+type Rows struct {
+	t     []obsRow
+	start float64
 }
+
+// Rows returns the handle that reads the pipeline's NumObs observations
+// off the finished table; it panics before the run is done.
+func (p *OnlinePipeline) Rows() Rows { return Rows{p.table(p.n), p.StartTime} }
 
 // EstimateAt returns estimator kind's value at observation ordinal i.
-func (r Rows) EstimateAt(kind Kind, i int) float64 { return r.p.at(colEst+int(kind), i) }
+func (r Rows) EstimateAt(kind Kind, i int) float64 { return r.t[i].est[kind] }
 
 // DriverFraction returns the consumed driver-input fraction at
 // observation ordinal i.
-func (r Rows) DriverFraction(i int) float64 { return r.p.at(colFrac, i) }
+func (r Rows) DriverFraction(i int) float64 { return r.t[i].frac }
 
 // TimeSinceStart returns the virtual time elapsed since the pipeline's
 // start at observation ordinal i.
-func (r Rows) TimeSinceStart(i int) float64 { return r.p.at(colTime, i) - r.p.StartTime }
+func (r Rows) TimeSinceStart(i int) float64 { return r.t[i].time - r.start }
 
 // AppendSeries appends estimator kind's accumulated series to dst and
 // returns the extended slice — the alloc-free counterpart of Series for
@@ -592,9 +612,8 @@ func (p *OnlinePipeline) AppendSeries(dst []float64, kind Kind) []float64 {
 
 // appendRows appends estimator kind's first rows values to dst.
 func (p *OnlinePipeline) appendRows(dst []float64, kind Kind, rows int) []float64 {
-	p.readable(rows)
-	for left, ci := rows, 0; left > 0; left, ci = left-obsChunkRows, ci+1 {
-		dst = append(dst, p.chunks[ci][colEst+int(kind)][:min(left, obsChunkRows)]...)
+	for _, r := range p.table(rows) {
+		dst = append(dst, r.est[kind])
 	}
 	return dst
 }
@@ -611,92 +630,95 @@ func (p *OnlinePipeline) Series(kind Kind) []float64 {
 // (the paper's concluding outlook points at online cardinality
 // refinement as the main lever for further progress-estimation gains).
 func (p *OnlinePipeline) UnrefinedTGNSeries() []float64 {
-	p.readable(p.n)
 	var e0 float64
 	for _, id := range p.pipe.Nodes {
 		e0 += p.plan.Node(id).EstRows
 	}
 	out := make([]float64, p.n)
-	for i := range out {
-		out[i] = oracleRatio(p.at(colKNodes, i), e0)
+	for i, r := range p.table(p.n) {
+		out[i] = ratio(r.kNodes, e0)
 	}
 	return out
 }
 
-// CurrentDriverFraction returns the latest driver fraction (0 before the
-// first observation).
-func (p *OnlinePipeline) CurrentDriverFraction() float64 {
-	if p.n == 0 {
-		return 0
-	}
+// feed advances the pipeline by one snapshot: the latest row and the
+// marker rows it reaches until it settles, the served estimate and
+// driver fraction after.
+func (p *OnlinePipeline) feed(s *exec.Snapshot) {
 	if p.settled {
-		return p.live[1].frac
+		p.advance(s)
+	} else {
+		if p.marks == nil {
+			p.view.carveMarks()
+		}
+		p.record(&p.last, s, &p.worst)
+		p.mark(p.n, &p.last)
 	}
-	return p.Rows().DriverFraction(p.n - 1)
+	p.n++
 }
 
-// feed advances the pipeline by one snapshot: a row of every estimate
-// until it settles, the served estimate and driver fraction after.
-func (p *OnlinePipeline) feed(s *exec.Snapshot) {
-	p.n++
+// advance moves the latest row to snapshot s as far as a settled
+// pipeline reads it: the driver fraction, and the served estimate.
+func (p *OnlinePipeline) advance(s *exec.Snapshot) {
+	p.last.time = s.Time
+	p.last.frac = p.driverFractionAt(s)
 	if p.settled {
-		p.live[0], p.live[1] = p.live[1], p.liveAt(s)
+		p.last.est[p.served] = p.estimate(p.served, s)
+	}
+}
+
+// record is the row function: it advances r, the row of the snapshot
+// recorded before (if lastSig is valid), to snapshot s, folding the
+// worst-case estimators into st. Counters identical to the previous
+// snapshot's repeat its row at s's time: every estimator is a pure
+// function of them (and a repeated row leaves the fold unchanged). The
+// sums each estimator shares are computed once.
+func (p *OnlinePipeline) record(r *obsRow, s *exec.Snapshot, st *worstState) {
+	r.time = s.Time
+	if p.unchanged(s) {
 		return
 	}
-	i := p.kept
-	p.kept++
-	if p.record(i, s) {
-		c, r := p.slot(i)
-		c[colEst+int(PMAX)][r], c[colEst+int(SAFE)][r] = worstStep(&p.worst, c[colKNodes][r], c[colKDrivers][r], c[colEDrivers][r])
-	}
-}
-
-// liveAt is what a settled pipeline keeps of snapshot s.
-func (p *OnlinePipeline) liveAt(s *exec.Snapshot) liveObs {
-	return liveObs{p.driverFractionAt(s), p.estimate(p.served, s)}
-}
-
-// record is the row function: it writes observation i's row from
-// snapshot s — every column but the worst-case estimators', which the
-// caller folds (worstStep) — and reports whether it computed the row.
-// Counters identical to the previous observation's repeat that row
-// whole: every estimator is a pure function of them (and of state that
-// only moves when they move).
-func (p *OnlinePipeline) record(i int, s *exec.Snapshot) bool {
-	p.reserve(i + 1)
-	c, r := p.slot(i)
-	c[colTime][r] = s.Time
-	if p.unchanged(s) {
-		pc, pr := p.slot(i - 1)
-		for col := colTime + 1; col < obsCols; col++ {
-			c[col][r] = pc[col][pr]
-		}
-		return false
-	}
-	c[colFrac][r] = p.driverFractionAt(s)
-	k, _ := p.sums(p.Pipe.Nodes, s)
+	k, e := p.sums(p.Pipe.Nodes, s)
 	dk, de := p.sums(p.Pipe.Drivers, s)
-	c[colKNodes][r], c[colKDrivers][r], c[colEDrivers][r] = k, dk, de
-	est := c[colEst:]
-	est[DNE][r] = p.ratioAt(p.Pipe.Drivers, s)
-	est[TGN][r] = p.ratioAt(p.Pipe.Nodes, s)
-	est[BATCHDNE][r] = p.ratioAt(p.batchDrivers, s)
-	est[DNESEEK][r] = p.ratioAt(p.seekDrivers, s)
-	est[TGNINT][r] = p.tgnintAt(s)
-	est[LUO][r] = p.luoAt(s)
+	frac := ratio(dk, de)
+	r.frac, r.kNodes = frac, k
+	r.est[DNE] = frac
+	r.est[TGN] = ratio(k, e)
+	r.est[BATCHDNE] = p.ratioAt(p.batchDrivers, s)
+	r.est[DNESEEK] = p.ratioAt(p.seekDrivers, s)
+	r.est[TGNINT] = tgnint(k, e, frac)
+	r.est[LUO] = p.luo(s, frac)
+	r.est[PMAX], r.est[SAFE] = worstStep(st, k, dk, de)
 	p.remember(s)
-	return true
 }
 
-// fill computes the rows a settled pipeline deferred, from the snapshots
-// it was fed (observation i is snaps[i]), and refolds the worst-case
-// estimators over the whole table.
-func (p *OnlinePipeline) fill(snaps []exec.Snapshot) {
-	for i := p.kept; i < len(snaps); i++ {
-		p.record(i, &snaps[i])
+// mark keeps row r, observation i, at every marker level it is the
+// first to reach. Levels ascend and a row reaching one reaches every
+// lower one, so the forward pass finds each level's first reaching
+// observation whether or not the driver fraction moves monotonically.
+func (p *OnlinePipeline) mark(i int, r *obsRow) {
+	for p.reached < len(markerLevels) && r.frac >= markerLevels[p.reached] {
+		p.marks[p.reached] = MarkerRow{Obs: i, Elapsed: r.time - p.StartTime, Est: r.est}
+		p.reached++
 	}
-	p.kept = len(snaps)
-	p.rebuildWorst()
+}
+
+// fill builds the finished table from the snapshots the pipeline was fed
+// (observation i is snaps[i]) into rows, and the marker rows over its
+// observations.
+func (p *OnlinePipeline) fill(snaps []exec.Snapshot, rows []obsRow) {
+	st := newWorstState()
+	p.valid = false
+	p.reached = 0
+	var r obsRow
+	for i := range snaps {
+		p.record(&r, &snaps[i], &st)
+		rows[i] = r
+		if i < p.n {
+			p.mark(i, &r)
+		}
+	}
+	p.rows = rows
 }
 
 // unchanged reports whether the snapshot's counters over the pipeline's
@@ -723,43 +745,30 @@ func (p *OnlinePipeline) remember(s *exec.Snapshot) {
 }
 
 // thin mirrors the engine's history thinning: observations whose retained
-// global index is even are dropped, the survivors move down the table
-// (global index g becomes (g-1)/2, so they stay consecutive), and the
-// history-dependent worst-case series is rebuilt over what remains. A
-// settled pipeline's deferred observations thin by count alone.
-func (p *OnlinePipeline) thin() {
-	if p.settled && (p.g0+p.n-1)%2 == 0 {
-		p.live[1] = p.live[0]
-	}
-	w := 0
-	for r := 1 - p.g0%2; r < p.kept; r += 2 {
-		wc, wr := p.slot(w)
-		rc, rr := p.slot(r)
-		for col := range wc {
-			wc[col][wr] = rc[col][rr]
-		}
-		w++
-	}
+// global index is even are dropped (global index g becomes (g-1)/2, so
+// the survivors stay consecutive), and what the pipeline keeps is
+// re-derived from the survivors, retained[g0:g0+n]: a settled pipeline's
+// latest row; an unsettled one's latest row, its marker rows — a thin
+// can change which observation first reaches a level — and the
+// worst-case fold, whose fan-out bound m derives from the deltas of the
+// retained observations, exactly as a replay of the thinned trace
+// computes it.
+func (p *OnlinePipeline) thin(retained []exec.Snapshot) {
 	// The odd global indices in [g0, g0+n).
 	p.n = (p.g0+p.n)/2 - p.g0/2
 	p.g0 /= 2
-	p.kept = w
-	p.rebuildWorst()
-	// The last retained observation may no longer be the last fed
-	// snapshot, so the pure-function shortcut must re-verify.
-	p.valid = false
-}
-
-// rebuildWorst recomputes the PMAX/SAFE series, a worstStep fold over
-// the rows the table holds: after thinning, the fan-out bound m derives
-// from the deltas of the retained observations, exactly as a replay of
-// the thinned trace computes it. A repeated row leaves the fold's state
-// unchanged, so the fold equals the live feed's, which skips them.
-func (p *OnlinePipeline) rebuildWorst() {
-	st := newWorstState()
-	for i := 0; i < p.kept; i++ {
-		c, r := p.slot(i)
-		c[colEst+int(PMAX)][r], c[colEst+int(SAFE)][r] = worstStep(&st, c[colKNodes][r], c[colKDrivers][r], c[colEDrivers][r])
+	snaps := retained[p.g0 : p.g0+p.n]
+	if p.settled {
+		if p.n > 0 {
+			p.advance(&snaps[p.n-1])
+		}
+		return
 	}
-	p.worst = st
+	p.worst = newWorstState()
+	p.valid = false
+	p.reached = 0
+	for i := range snaps {
+		p.record(&p.last, &snaps[i], &p.worst)
+		p.mark(i, &p.last)
+	}
 }

@@ -78,9 +78,9 @@ func (r *ReferencePipeline) Series(kind Kind) []float64 {
 			}
 		case OracleGetNext:
 			k, _ := r.sums(r.Pipe.Nodes, s)
-			out[i] = oracleRatio(k, r.oracleGetNextTotal(r.tr))
+			out[i] = ratio(k, r.oracleGetNextTotal(r.tr))
 		case OracleBytes:
-			out[i] = oracleRatio(r.luoDoneAt(s), r.oracleBytesTotal(r.tr))
+			out[i] = ratio(r.luoDoneAt(s), r.oracleBytesTotal(r.tr))
 		default:
 			panic("progress: unknown estimator kind " + kind.String())
 		}

@@ -2,21 +2,8 @@ package selection
 
 import (
 	"progressest/internal/exec"
-	"progressest/internal/features"
 	"progressest/internal/progress"
 )
-
-// reselectMarkers are the driver-input fractions at which the policy
-// revises its choice — derived from the dynamic-feature markers so that
-// re-selection always coincides with the crossings the feature vector
-// encodes (selection stops refining after the last marker, 20%).
-var reselectMarkers = func() []float64 {
-	out := make([]float64, len(features.Markers))
-	for i, x := range features.Markers {
-		out[i] = float64(x) / 100
-	}
-	return out
-}()
 
 // Policy is the online estimator choice of Section 4.4, as served: a
 // pipeline's first pick is made at its start from the static prefix (the
@@ -28,10 +15,9 @@ var reselectMarkers = func() []float64 {
 // served. The live monitor and the replays that score it drive the same
 // Policy, so what is scored is what was served. A Policy serves one run.
 type Policy struct {
-	sel       *Selector
-	choice    []progress.Kind
-	nextMark  []int // per pipeline, the next marker to cross
-	obsBefore []int // per pipeline, observation count at segment start
+	sel    *Selector
+	choice []progress.Kind
+	marks  []int // per pipeline, the markers crossed at its latest pick
 }
 
 // NewPolicy prepares the policy for a plan of n pipelines picking by sel.
@@ -42,8 +28,7 @@ func NewPolicy(sel *Selector, n int) Policy {
 		p.choice[i] = sel.Kinds[0]
 	}
 	if !p.fixed() {
-		marks := make([]int, 2*n)
-		p.nextMark, p.obsBefore = marks[:n:n], marks[n:]
+		p.marks = make([]int, n)
 	}
 	return p
 }
@@ -68,47 +53,31 @@ func (p *Policy) Start(view *progress.OnlineView, st exec.PipelineStart) {
 
 // Advance feeds a segment of snapshots to view and re-picks every
 // pipeline whose driver fraction crossed a marker within it.
+//
+// The view finds the crossings (progress.OnlinePipeline.MarkersCrossed):
+// it tracks, observation by observation, the first one reaching each
+// marker, so the picks — whose dynamic features depend only on those
+// observations — are those of per-snapshot delivery. Pipeline starts and
+// thins always flush the pending batch, so the active set is
+// segment-stable. A thin may leave fewer markers reached than before; a
+// marker counts as crossed only once, so the pick waits until the
+// driver fraction passes one not crossed yet. Once the last marker is
+// crossed, nothing is left to cross: the pick made there is final, and
+// the pipeline settles.
 func (p *Policy) Advance(view *progress.OnlineView, seg []exec.Snapshot) {
+	view.OnSnapshots(seg)
 	if p.fixed() {
-		view.OnSnapshots(seg)
 		return
 	}
+	last := len(progress.Markers)
 	for pi, pl := range view.Pipelines {
-		p.obsBefore[pi] = pl.NumObs()
-	}
-	view.OnSnapshots(seg)
-	p.repickCrossed(view)
-}
-
-// repickCrossed advances each active pipeline's marker cursor over the
-// observations its segment appended, re-picking the estimator when a
-// marker was crossed. Scanning every new observation's recorded fraction
-// (not just the segment's final one) keeps the marker bookkeeping — and
-// therefore the picks, whose dynamic features depend only on the
-// first-crossing ordinals and the immutable history at them — identical
-// to per-snapshot delivery. Pipeline starts and thins always flush the
-// pending batch, so the active set and the history are segment-stable.
-// Once the cursor has passed the last marker, nothing is left to cross:
-// the pick made there is final, the pipeline settles, and the policy
-// reads none of its later observations.
-func (p *Policy) repickCrossed(view *progress.OnlineView) {
-	last := len(reselectMarkers)
-	for pi, pl := range view.Pipelines {
-		if !pl.Started || pl.Ended || p.nextMark[pi] == last {
+		if !pl.Started || pl.Ended || p.marks[pi] == last {
 			continue
 		}
-		crossed := false
-		rows := pl.Rows()
-		for i := p.obsBefore[pi]; i < pl.NumObs() && p.nextMark[pi] < last; i++ {
-			f := rows.DriverFraction(i)
-			for p.nextMark[pi] < last && f >= reselectMarkers[p.nextMark[pi]] {
-				p.nextMark[pi]++
-				crossed = true
-			}
-		}
-		if crossed {
+		if n := pl.MarkersCrossed(); n > p.marks[pi] {
+			p.marks[pi] = n
 			p.choice[pi] = p.sel.PickOnline(pl)
-			if p.nextMark[pi] == last {
+			if n == last {
 				pl.Settle(p.choice[pi])
 			}
 		}

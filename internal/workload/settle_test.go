@@ -76,10 +76,11 @@ func (o *settlingObserver) OnSnapshots(batch []exec.Snapshot) {
 			continue
 		}
 		// A pipeline settled before this batch has just been fed: its
-		// latest row is deferred.
+		// rows, marker rows included, are deferred.
 		if o.isSettled[p] {
 			o.mustPanic(p, func() { pl.Rows() })
 			o.mustPanic(p, func() { pl.Series(progress.DNE) })
+			o.mustPanic(p, func() { pl.Markers() })
 			o.deferredChecked++
 		}
 		if o.when[p] == settleAtOrdinal && pl.NumObs() >= o.ordinal[p] {
@@ -89,15 +90,15 @@ func (o *settlingObserver) OnSnapshots(batch []exec.Snapshot) {
 	o.checkLive("snapshots")
 }
 
-func (o *settlingObserver) OnThin() {
+func (o *settlingObserver) OnThin(retained []exec.Snapshot) {
 	for p, pl := range o.settled.Pipelines {
 		if pl.Started && o.when[p] == settleBeforeThin {
 			o.settle(p)
 			o.thinSettled++
 		}
 	}
-	o.plain.OnThin()
-	o.settled.OnThin()
+	o.plain.OnThin(retained)
+	o.settled.OnThin(retained)
 	for p, pl := range o.settled.Pipelines {
 		if pl.Started && o.when[p] == settleAfterThin {
 			o.settle(p)

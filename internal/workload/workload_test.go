@@ -152,3 +152,32 @@ func TestRunThroughput(t *testing.T) {
 		t.Errorf("20 queries took %v", d)
 	}
 }
+
+// TestPlansSatisfyOperatorArity walks every plan the optimizer makes for
+// the four dataset kinds, under each physical design: every node has
+// exactly as many children as its operator's arity, the rule a session
+// spec must satisfy at open.
+func TestPlansSatisfyOperatorArity(t *testing.T) {
+	for _, kind := range allDatasetKinds {
+		for _, design := range []catalog.DesignLevel{catalog.Untuned, catalog.PartiallyTuned, catalog.FullyTuned} {
+			spec := smallSpec(kind, 60)
+			spec.Design = design
+			w, err := Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi, q := range w.Queries {
+				pl, err := w.Planner.Plan(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range pl.Nodes() {
+					if len(n.Children) != n.Op.Arity() {
+						t.Fatalf("%v %v query %d node %d: %v with %d children, arity %d",
+							kind, design, qi, n.ID, n.Op, len(n.Children), n.Op.Arity())
+					}
+				}
+			}
+		}
+	}
+}

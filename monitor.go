@@ -187,7 +187,7 @@ type monitorObserver struct {
 func (m *monitorObserver) OnPipelineStart(st exec.PipelineStart) { m.pick.Start(m.view, st) }
 
 func (m *monitorObserver) OnPipelineEnd(pipe int, end float64) { m.view.OnPipelineEnd(pipe, end) }
-func (m *monitorObserver) OnThin()                             { m.view.OnThin() }
+func (m *monitorObserver) OnThin(retained []exec.Snapshot)     { m.view.OnThin(retained) }
 
 func (m *monitorObserver) OnDone(tr *exec.Trace) {
 	m.view.OnDone(tr)
@@ -258,11 +258,15 @@ func (m *monitorObserver) update(done bool) ProgressUpdate {
 			EstimatorName: kind.String(),
 		}
 		if p.Started && p.NumObs() > 0 {
-			pp.Estimate = p.Estimate(kind)
 			pp.DriverFraction = p.CurrentDriverFraction()
 		}
-		if pp.Done {
+		// A done pipeline shows 1; reading its estimate would build the
+		// finished view's table.
+		switch {
+		case pp.Done:
 			pp.Estimate = 1
+		case p.Started && p.NumObs() > 0:
+			pp.Estimate = p.Estimate(kind)
 		}
 		buf = append(buf, pp)
 	}

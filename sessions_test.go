@@ -473,3 +473,30 @@ func TestSessionLimit(t *testing.T) {
 		t.Fatalf("stats after drain: %+v", got)
 	}
 }
+
+// TestSessionRefusesSpecsEstimatorsCannotRun posts, through ServeHTTP,
+// well-formed session specs whose operators have the wrong number of
+// children — specs the pipeline decomposition or the estimators would
+// panic on, at open or at the first snapshot. Each answers 400 at open,
+// and the server goes on opening sessions.
+func TestSessionRefusesSpecsEstimatorsCannotRun(t *testing.T) {
+	w, tr := sessionWorkload(t)
+	server := NewServer(w, MonitorOptions{})
+	defer server.Close()
+	const scan = `{"op":"TableScan","table":"t","est_rows":100,"total":100}`
+	for name, nodes := range map[string]string{
+		"one-child HashJoin":       scan + `,{"op":"HashJoin","children":[0],"est_rows":100}`,
+		"one-child NestedLoopJoin": scan + `,{"op":"NestedLoopJoin","children":[0],"est_rows":100}`,
+		"three-child SemiJoin":     scan + `,` + scan + `,` + scan + `,{"op":"SemiJoin","children":[0,1,2],"est_rows":100}`,
+		"lone Filter":              `{"op":"Filter","est_rows":100}`,
+	} {
+		rec := serve(server, http.MethodPost, "/sessions", []byte(`{"family":"f","nodes":[`+nodes+`]}`), true)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", name, rec.Code, strings.TrimSpace(rec.Body.String()))
+		}
+	}
+	rec := serve(server, http.MethodPost, "/sessions", []byte(marshalJSON(t, ingest.SpecFromTrace(tr, "ext", "f"))), true)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("a valid spec after the refusals: status %d", rec.Code)
+	}
+}
