@@ -163,8 +163,9 @@ func TestStartToDoneAllocBudget(t *testing.T) {
 
 // learningStartToDoneAllocCeiling bounds the same query with Learning
 // attached — its finished run labelled and appended to the corpus before
-// Wait returns — about 15 % over the 69 allocations it measures today
-// (77 while the live view kept a table of every row before a pick
+// Wait returns — about 15 % over the 68 allocations it measures today
+// (69 while each pipeline assembled its features in a buffer of its own;
+// 77 while the live view kept a table of every row before a pick
 // settled; 92 while every run allocated its operator memory afresh; 105 while
 // the hash operators indexed keys in Go maps and join and Project
 // outputs were carved per row; 108 while Wait built a second eq. 5 over
@@ -174,7 +175,8 @@ func TestStartToDoneAllocBudget(t *testing.T) {
 const learningStartToDoneAllocCeiling = 79
 
 // learningStartToDoneByteCeiling bounds the same query's heap bytes about
-// 4 % over the 88.8 KB it measures today (99.8 KB while the live view
+// 4 % over the 86.9 KB it measures today (88.8 KB while each pipeline
+// assembled its features in a buffer of its own; 99.8 KB while the live view
 // kept a table of every row before a pick settled; 151.7 KB while every
 // run allocated its operator memory afresh). Harvest builds the view's
 // table from the trace, once; this ceiling holds that build to what it
@@ -207,8 +209,9 @@ func TestLearningStartToDoneAllocBudget(t *testing.T) {
 
 // selectorStartToDoneAllocCeiling bounds the same query served by a
 // trained selector — native_closed's configuration: a pick at every
-// pipeline start and marker crossing — about 15 % over the 43
-// allocations it measures today (46 while every pipeline kept a table of
+// pipeline start and marker crossing — about 15 % over the 42
+// allocations it measures today (43 while each pipeline assembled its
+// features in a buffer of its own; 46 while every pipeline kept a table of
 // every row until its last marker crossing; 61 while every run allocated its
 // operator memory afresh; 67 while every pipeline kept a row of every
 // estimate after its last marker crossing; 81 while the hash operators
@@ -219,7 +222,8 @@ func TestLearningStartToDoneAllocBudget(t *testing.T) {
 const selectorStartToDoneAllocCeiling = 49
 
 // selectorStartToDoneByteCeiling bounds the same query's heap bytes about
-// 4 % over the 52.5 KB it measures today (63.6 KB while every pipeline
+// 4 % over the 50.7 KB it measures today (52.5 KB while each pipeline
+// assembled its features in a buffer of its own; 63.6 KB while every pipeline
 // kept a table of every row until its last marker crossing; 115.6 KB
 // while every run
 // allocated its operator memory afresh; 135.9 KB while every pipeline
@@ -230,7 +234,7 @@ const selectorStartToDoneByteCeiling = 54_600
 
 // TestSelectorStartToDoneAllocBudget gates what selection adds to a
 // monitored query: the static prefix comes from the plan entry, so a
-// pick must stay a copy into the pipeline's feature scratch.
+// pick must stay a copy into the view's one feature buffer.
 func TestSelectorStartToDoneAllocBudget(t *testing.T) {
 	avg, bytes := startToDoneCost(t, MonitorOptions{Selector: trainedSelector(t)})
 	if avg > selectorStartToDoneAllocCeiling {
@@ -291,21 +295,25 @@ func serverCost(t *testing.T, op func()) (allocs, bytes float64) {
 
 // serverStartToDoneAllocCeiling bounds one native query through
 // ServeHTTP — submit, the run, one progress read, request and recorder
-// included — about 15 % over the 91 allocations it measures today.
-// The run belongs to the server, which never reads its trace after the
-// final update: it records its snapshot history — row chunks, trace
-// headers and delivery window — on memory borrowed from the executor's
-// free list and hands it back once finished (95 allocations while every
-// run grew its own delivery window, 99 while every served run allocated
-// its whole history).
-const serverStartToDoneAllocCeiling = 105
+// included — about 15 % over the 83 allocations it measures today.
+// The run belongs to the server, which never reads its trace or its view
+// after the final update: it records its snapshot history — counter
+// block, row chunks, trace headers and delivery window — on memory
+// borrowed from the executor's free list, keeps its estimator state —
+// pipelines, marker rows, feature vector, policy state — on view memory
+// borrowed from the estimators' free list, and hands both back once
+// finished (91 allocations while every served view and counter block
+// was allocated per run, 95 while every run grew its own delivery
+// window, 99 while every served run allocated its whole history).
+const serverStartToDoneAllocCeiling = 95
 
 // serverStartToDoneByteCeiling bounds the same op's heap bytes about 4 %
-// over the 18.7 KB it measures today (19.8 KB while every run grew its
-// own delivery window; 61.3 KB while every served run allocated its row
-// chunks and trace headers): a history allocated per run again reads far
-// over.
-const serverStartToDoneByteCeiling = 19_500
+// over the 17.5 KB it measures today (18.7 KB while every served view
+// and counter block was allocated per run; 19.8 KB while every run grew
+// its own delivery window; 61.3 KB while every served run allocated its
+// row chunks and trace headers): a history allocated per run again reads
+// far over.
+const serverStartToDoneByteCeiling = 18_200
 
 // TestServerStartToDoneAllocBudget gates the served path the way
 // TestStartToDoneAllocBudget gates the library one. Library runs keep
@@ -328,15 +336,20 @@ func TestServerStartToDoneAllocBudget(t *testing.T) {
 // through ServeHTTP served by a trained selector — native_closed's
 // configuration: a pick at every pipeline start and marker crossing,
 // every pipeline's marker rows kept until its last crossing — about 15 %
-// over the 95 allocations it measures today (102 while every pipeline
-// kept a table of every row until then).
-const selectorServerStartToDoneAllocCeiling = 109
+// over the 83 allocations it measures today, as many as the fixed
+// estimator's: the marker rows, the feature vector and the policy's
+// state are carved from the borrowed view memory (95 while every served
+// view allocated them and each pipeline its own feature vector, 102
+// while every pipeline kept a table of every row until then).
+const selectorServerStartToDoneAllocCeiling = 95
 
 // selectorServerStartToDoneByteCeiling bounds the same op's heap bytes
-// about 4 % over the 24.6 KB it measures today (37.0 KB while every
-// pipeline kept a table of every row until its last crossing): a row of
-// every estimate kept per snapshot again reads far over.
-const selectorServerStartToDoneByteCeiling = 25_600
+// about 4 % over the 17.5 KB it measures today (24.6 KB while every
+// served view allocated its marker rows and each pipeline its own
+// feature vector; 37.0 KB while every pipeline kept a table of every
+// row until its last crossing): marker rows or a feature vector
+// allocated per run again read over.
+const selectorServerStartToDoneByteCeiling = 18_200
 
 // TestSelectorServerStartToDoneAllocBudget gates the served path before
 // a pick settles. A fixed estimator settles every pipeline at its start,
@@ -358,20 +371,23 @@ func TestSelectorServerStartToDoneAllocBudget(t *testing.T) {
 
 // sessionStartToDoneAllocCeiling bounds one session through ServeHTTP —
 // open, every observation batch of the fixture's query, the last one
-// done, one progress read — about 15 % over the 241 allocations it
-// measures today (245 while every session grew its own delivery window;
-// 249 while every session allocated its snapshot history).
-const sessionStartToDoneAllocCeiling = 277
+// done, one progress read — about 15 % over the 236 allocations it
+// measures today (241 while every session allocated its view; 245 while
+// every session grew its own delivery window; 249 while every session
+// allocated its snapshot history).
+const sessionStartToDoneAllocCeiling = 271
 
 // sessionStartToDoneByteCeiling bounds the same session's heap bytes
-// about 4 % over the 43.3 KB it measures today (44.4 KB while every
-// session grew its own delivery window; 85.9 KB while every session
-// allocated its row chunks and trace headers).
-const sessionStartToDoneByteCeiling = 45_000
+// about 4 % over the 42.4 KB it measures today (43.3 KB while every
+// session allocated its view; 44.4 KB while every session grew its own
+// delivery window; 85.9 KB while every session allocated its row chunks
+// and trace headers).
+const sessionStartToDoneByteCeiling = 44_100
 
 // TestSessionStartToDoneAllocBudget gates a whole session the way
 // TestObserveAllocBudget gates one of its batches: a completed session
-// hands its history back, and an open one borrows it at open.
+// hands its history and view memory back, and an open one borrows them
+// at open.
 func TestSessionStartToDoneAllocBudget(t *testing.T) {
 	f := newServerFixture(t, MonitorOptions{})
 	avg, bytes := serverCost(t, f.session)

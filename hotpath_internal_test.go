@@ -38,7 +38,7 @@ func newTestObserver(t testing.TB, w *Workload, qi int, sel *Selector, every int
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := newMonitor(pq.plan, pq.pipes, pq.starts, "", "", qi, MonitorOptions{Selector: sel, UpdateEvery: every})
+	m, err := newMonitor(pq.plan, pq.pipes, pq.starts, "", "", qi, MonitorOptions{Selector: sel, UpdateEvery: every}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // necessarily a workload query's) through the shared set-up, capturing
 // the exact update stream through the deliver hook.
 func identityObserver(pl *plan.Plan, pipes *pipeline.Decomposition, sel *Selector, every int, got *[]ProgressUpdate) *monitorObserver {
-	m, err := newMonitor(pl, pipes, nil, "", "", -1, MonitorOptions{Selector: sel, UpdateEvery: every})
+	m, err := newMonitor(pl, pipes, nil, "", "", -1, MonitorOptions{Selector: sel, UpdateEvery: every}, false)
 	if err != nil {
 		panic(err)
 	}
@@ -127,7 +127,7 @@ func TestIngestedSessionHarvestMatchesBatch(t *testing.T) {
 				tr := exec.RunDecomposed(w.inner.DB, pq.plan, pq.pipes, execOpts)
 				streamIngested(t, tr, every, 5, func(model *ingest.Model) *monitorObserver {
 					m, err := newMonitor(model.Plan, model.Pipes, nil, "ext-engine", "ext-fam", -1,
-						MonitorOptions{Learning: lrn, UpdateEvery: every})
+						MonitorOptions{Learning: lrn, UpdateEvery: every}, false)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -173,14 +173,20 @@ func driverTotalAtStart(db *storage.Database, n *plan.Node, ctx *context) (int64
 }
 
 // newContext builds the execution state for one run. Its per-node and
-// per-pipeline slices are carved from one slab per element type, each
-// capped at its own length, so the Trace's aliases of K, R, W,
-// driverTotal and pipeKnown stay independent of one another.
+// per-pipeline slices are carved from one block per element type — lent
+// by h when the run records on a History, allocated for the Trace to own
+// otherwise — each capped at its own length, so the Trace's aliases of
+// K, R, W, driverTotal and pipeKnown stay independent of one another.
 func newContext(db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposition, opts Options, obsEvery int64, sc *scratch, h *History) *context {
 	n, np := p.NumNodes(), len(pipes.Pipelines)
-	counters := make([]int64, 5*n)
-	active := make([]float64, 2*n)
-	flags := make([]bool, 2*np)
+	var counters []int64
+	var active []float64
+	var flags []bool
+	if h != nil {
+		counters, active, flags = h.words.Take(5*n), h.times.Take(2*n), h.flags.Take(2*np)
+	} else {
+		counters, active, flags = make([]int64, 5*n), make([]float64, 2*n), make([]bool, 2*np)
+	}
 	ctx := &context{
 		db:          db,
 		p:           p,

@@ -5,6 +5,7 @@ import (
 
 	"progressest/internal/pipeline"
 	"progressest/internal/plan"
+	"progressest/internal/recycle"
 	"progressest/internal/storage"
 )
 
@@ -14,25 +15,34 @@ func RunFresh(db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposition,
 	return runWith(new(scratch), nil, db, p, pipes, opts)
 }
 
+// slabBytes is the bytes a slab keeps between runs.
+func slabBytes[T any](s *recycle.Slab[T]) int {
+	var v T
+	return len(s.Array()) * int(unsafe.Sizeof(v))
+}
+
 // IdleScratches is the number of scratches in the free list and the
 // bytes their slabs keep between runs.
 func IdleScratches() (n, bytes int) {
-	scratches.Lock()
-	defer scratches.Unlock()
-	for _, s := range scratches.free {
-		bytes += len(s.rows.buf)*int(unsafe.Sizeof(storage.Row(nil))) +
-			len(s.ords.buf)*4 + len(s.words.buf)*8 + len(s.spans.buf)*int(unsafe.Sizeof(rowSpan{}))
-	}
-	return len(scratches.free), bytes
+	scratches.Idle(func(s *scratch) {
+		n++
+		bytes += slabBytes(&s.rows) + slabBytes(&s.ords) + slabBytes(&s.words) + slabBytes(&s.spans) + slabBytes(&s.aggs)
+	})
+	return n, bytes
 }
 
 // IdleHistories is the number of snapshot histories in the free list and
 // the bytes their slabs keep between runs.
 func IdleHistories() (n, bytes int) {
-	histories.Lock()
-	defer histories.Unlock()
-	for _, h := range histories.free {
-		bytes += len(h.words.buf)*8 + len(h.heads.buf)*int(unsafe.Sizeof(Snapshot{}))
-	}
-	return len(histories.free), bytes
+	histories.Idle(func(h *History) {
+		n++
+		bytes += slabBytes(&h.words) + slabBytes(&h.times) + slabBytes(&h.flags) + slabBytes(&h.heads)
+	})
+	return n, bytes
+}
+
+// listed reports whether p is idle in l.
+func listed[P comparable](l *recycle.List[P], p P) (in bool) {
+	l.Idle(func(q P) { in = in || q == p })
+	return in
 }

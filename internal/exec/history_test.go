@@ -17,8 +17,9 @@ import (
 // free list. Every run's trace must be the one recorded on memory of its
 // own; a released History must hold no non-zero Snapshot header over the
 // header slab's or the delivery window's whole capacity, or it would pin
-// the rows of a finished run, and no counter word; and the released trace
-// must have lost its headers.
+// the rows of a finished run, and no counter word, activity time or
+// pipeline flag; and the released trace must have lost its headers and
+// the counters it aliased.
 func TestReleasedHistoryHoldsNoHeaders(t *testing.T) {
 	db := testDB(t, catalog.PartiallyTuned, 1)
 	join := mustPlan(t, db, joinSpec())
@@ -43,23 +44,31 @@ func TestReleasedHistoryHoldsNoHeaders(t *testing.T) {
 		if len(tr.Snapshots) == 0 || !slices.EqualFunc(tr.Snapshots, want.Snapshots, sameSnapshot) {
 			t.Fatalf("run %d: the trace recorded on a recycled history differs from its own", i)
 		}
-		if i > 0 && (h.words.used == 0 || h.heads.used == 0) {
-			t.Fatalf("run %d lent words %d, headers %d: a slab went unused", i, h.words.used, h.heads.used)
+		if !slices.Equal(tr.N, want.N) || !slices.Equal(tr.FinalR, want.FinalR) || !slices.Equal(tr.FinalW, want.FinalW) ||
+			!slices.Equal(tr.DriverTotal, want.DriverTotal) || !slices.Equal(tr.DriverTotalsKnown, want.DriverTotalsKnown) ||
+			!slices.Equal(tr.PipeSpans, want.PipeSpans) {
+			t.Fatalf("run %d: the counters recorded on a recycled history differ from their own", i)
+		}
+		// The second plan's counter block may outgrow the first's; the
+		// third run's fits what the two sized.
+		if i > 0 && (h.words.Lent() == 0 || h.heads.Lent() == 0) || i == 2 && (h.times.Lent() == 0 || h.flags.Lent() == 0) {
+			t.Fatalf("run %d lent words %d, times %d, flags %d, headers %d: a slab went unused",
+				i, h.words.Lent(), h.times.Lent(), h.flags.Lent(), h.heads.Lent())
 		}
 		h.Release(tr)
-		if tr.Snapshots != nil {
-			t.Fatalf("run %d: the released trace keeps its headers", i)
+		if tr.Snapshots != nil || tr.N != nil || tr.FinalR != nil || tr.FinalW != nil || tr.DriverTotal != nil || tr.DriverTotalsKnown != nil {
+			t.Fatalf("run %d: the released trace keeps its headers or counters", i)
 		}
 		if BorrowHistory() != h {
 			t.Fatalf("run %d: the free list did not hand back the history just released", i)
 		}
-		if len(h.words.buf) == 0 || len(h.heads.buf) == 0 {
-			t.Fatalf("run %d: the released history keeps words %d, headers %d", i, len(h.words.buf), len(h.heads.buf))
+		if len(h.words.Array()) == 0 || len(h.heads.Array()) == 0 {
+			t.Fatalf("run %d: the released history keeps words %d, headers %d", i, len(h.words.Array()), len(h.heads.Array()))
 		}
 		if j, ok := zeroed(&h.heads, func(s Snapshot) bool {
 			return s.Time == 0 && s.K == nil && s.R == nil && s.W == nil
 		}); !ok {
-			t.Fatalf("run %d: released header slab holds %+v at %d of %d", i, h.heads.buf[j], j, cap(h.heads.buf))
+			t.Fatalf("run %d: released header slab holds %+v at %d of %d", i, h.heads.Array()[j], j, len(h.heads.Array()))
 		}
 		if win := h.win[:cap(h.win)]; len(h.win) != 0 || len(win) == 0 || slices.ContainsFunc(win, func(s Snapshot) bool {
 			return s.Time != 0 || s.K != nil || s.R != nil || s.W != nil
@@ -67,7 +76,13 @@ func TestReleasedHistoryHoldsNoHeaders(t *testing.T) {
 			t.Fatalf("run %d: the released history's delivery window is %d of %d headers, not kept empty and zeroed", i, len(h.win), cap(h.win))
 		}
 		if j, ok := zeroed(&h.words, func(w int64) bool { return w == 0 }); !ok {
-			t.Fatalf("run %d: released row chunks hold %d at %d of %d", i, h.words.buf[j], j, cap(h.words.buf))
+			t.Fatalf("run %d: released counters and row chunks hold %d at %d of %d", i, h.words.Array()[j], j, len(h.words.Array()))
+		}
+		if j, ok := zeroed(&h.times, func(v float64) bool { return v == 0 }); !ok {
+			t.Fatalf("run %d: released activity spans hold %v at %d of %d", i, h.times.Array()[j], j, len(h.times.Array()))
+		}
+		if j, ok := zeroed(&h.flags, func(v bool) bool { return !v }); !ok {
+			t.Fatalf("run %d: released pipeline flags hold true at %d of %d", i, j, len(h.flags.Array()))
 		}
 	}
 	h.Release(nil)
@@ -109,30 +124,14 @@ func TestReadAfterReleasePanics(t *testing.T) {
 }
 
 // TestSweepDropsOnlyIdleHistories is TestSweepDropsOnlyIdleScratches for
-// the history list: a sweep drops the histories no run took since the
-// one before, keeps the others, and runs after collections.
+// the history list: an idle history goes once collections run.
 func TestSweepDropsOnlyIdleHistories(t *testing.T) {
-	idle, busy := new(History), new(History)
-	list := dropIdle([]*History{idle, busy})
-	if len(list) != 2 {
-		t.Fatalf("one sweep kept %d of two histories released since the last", len(list))
-	}
-	busy.idle = false // as its next release leaves it
-	if list = dropIdle(list); len(list) != 1 || list[0] != busy {
-		t.Fatalf("second sweep kept %v; want only the history released in between", list)
-	}
-
 	h := BorrowHistory()
 	h.Release(nil)
-	listed := func() bool {
-		histories.Lock()
-		defer histories.Unlock()
-		return slices.Contains(histories.free, h)
-	}
-	if !listed() {
+	if !listed(histories, h) {
 		t.Fatal("the free list did not keep a released history")
 	}
-	for deadline := time.Now().Add(10 * time.Second); listed(); {
+	for deadline := time.Now().Add(10 * time.Second); listed(histories, h); {
 		if time.Now().After(deadline) {
 			t.Fatal("an idle history is still listed after collections ran for 10 s")
 		}

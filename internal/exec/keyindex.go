@@ -28,8 +28,8 @@ func newKeyIndex(hint int, sc *scratch) keyIndex {
 		n <<= 1
 	}
 	return keyIndex{
-		slots: sc.ords.take(n),
-		keys:  sc.words.take(hint)[:0],
+		slots: sc.ords.Take(n),
+		keys:  sc.words.Take(hint)[:0],
 		shift: uint(64 - bits.TrailingZeros(uint(n))),
 		sc:    sc,
 	}
@@ -58,7 +58,7 @@ func (x *keyIndex) insert(k int64) (o int32, added bool) {
 	if 2*(len(x.keys)+1) > len(x.slots) {
 		x.grow()
 	}
-	x.keys = append(x.sc.words.grow(x.keys), k)
+	x.keys = append(x.sc.words.Grow(x.keys), k)
 	x.slots[x.free(k)] = int32(len(x.keys))
 	return int32(len(x.keys) - 1), true
 }
@@ -75,7 +75,7 @@ func (x *keyIndex) free(k int64) int {
 
 // grow doubles the slot table and re-slots every key by ordinal.
 func (x *keyIndex) grow() {
-	x.slots = x.sc.ords.take(2 * len(x.slots))
+	x.slots = x.sc.ords.Take(2 * len(x.slots))
 	x.shift--
 	for o, k := range x.keys {
 		x.slots[x.free(k)] = int32(o + 1)

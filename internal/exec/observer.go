@@ -175,7 +175,7 @@ func (t *TraceSink) Window(lo, hi int) []Snapshot {
 // allocated.
 func (t *TraceSink) alloc(n int) []int64 {
 	if t.hist != nil {
-		return t.hist.words.take(n)
+		return t.hist.words.Take(n)
 	}
 	return make([]int64, n)
 }
@@ -185,7 +185,7 @@ func (t *TraceSink) alloc(n int) []int64 {
 func (t *TraceSink) Snapshots() []Snapshot {
 	var out []Snapshot
 	if t.hist != nil {
-		out = t.hist.heads.take(t.n)
+		out = t.hist.heads.Take(t.n)
 	} else {
 		out = make([]Snapshot, t.n)
 	}

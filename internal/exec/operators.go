@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"progressest/internal/plan"
+	"progressest/internal/recycle"
 	"progressest/internal/storage"
 )
 
@@ -28,7 +29,7 @@ type iter interface {
 // nothing carved here may be retained past RunDecomposed (the Trace
 // holds counters only).
 type rowArena struct {
-	words *slab[int64]
+	words *recycle.Slab[int64]
 	free  []int64 // unused tail of the current chunk
 	chunk int     // words in the current chunk; the next one doubles it
 }
@@ -44,7 +45,7 @@ const (
 func (a *rowArena) row(n int) storage.Row {
 	if n > len(a.free) {
 		a.chunk = min(max(2*a.chunk, arenaFirstChunk), arenaMaxChunk)
-		a.free = a.words.take(max(a.chunk, n))
+		a.free = a.words.Take(max(a.chunk, n))
 	}
 	r := a.free[:n:n]
 	a.free = a.free[n:]
@@ -295,11 +296,11 @@ func newJoinTable(rows []storage.Row, key int, sc *scratch) joinTable {
 	// row count it would hold two to four slots per build row however few
 	// the keys, and the scratch would keep them.
 	t := joinTable{rows: rows, index: newKeyIndex(0, sc)}
-	dest := sc.ords.take(len(rows)) // first the row's span ordinal, then its final position
+	dest := sc.ords.Take(len(rows)) // first the row's span ordinal, then its final position
 	for i, row := range rows {
 		dest[i], _ = t.index.insert(row[key])
 	}
-	t.spans = sc.spans.take(len(t.index.keys))
+	t.spans = sc.spans.Take(len(t.index.keys))
 	for _, o := range dest {
 		t.spans[o].hi++ // a count until the spans are laid out below
 	}
@@ -379,14 +380,14 @@ func (it *hashJoinIter) open() {
 	// wasted.
 	sc := it.ctx.scratch
 	est := int(it.n.Children[1].EstRows)
-	buildRows := sc.rows.take(min(max(est+est/8, 16), 1<<14))[:0]
+	buildRows := sc.rows.Take(min(max(est+est/8, 16), 1<<14))[:0]
 	for {
 		row, ok := it.build.next()
 		if !ok {
 			break
 		}
 		it.ctx.consumed(it.n)
-		buildRows = append(sc.rows.grow(buildRows), it.ctx.rows.keep(row, it.copyBuild))
+		buildRows = append(sc.rows.Grow(buildRows), it.ctx.rows.keep(row, it.copyBuild))
 	}
 	budget := it.ctx.opts.MemBudgetRows
 	if budget > 0 && len(buildRows) > budget {
@@ -732,7 +733,7 @@ func (it *batchSortIter) open() {
 	it.child.open()
 	if it.buf == nil {
 		est := int(it.n.Children[0].EstRows)
-		it.buf = it.ctx.scratch.rows.take(min(it.n.BatchSize, max(est+est/8, 16), 1<<14))
+		it.buf = it.ctx.scratch.rows.Take(min(it.n.BatchSize, max(est+est/8, 16), 1<<14))
 	}
 	it.buf = it.buf[:0]
 	it.pos = 0
@@ -749,7 +750,7 @@ func (it *batchSortIter) fill() {
 			break
 		}
 		it.ctx.consumed(it.n)
-		it.buf = append(it.ctx.scratch.rows.grow(it.buf), it.ctx.rows.keep(row, it.copyChild))
+		it.buf = append(it.ctx.scratch.rows.Grow(it.buf), it.ctx.rows.keep(row, it.copyChild))
 	}
 	sortRows(it.buf, it.n.SortCols)
 	nb := float64(len(it.buf))
@@ -848,9 +849,15 @@ type hashAggIter struct {
 	pos    int
 }
 
+// open takes the groups from the run's scratch, sized as the hash
+// join's build buffer is — the optimizer's estimate of the groups plus an
+// eighth, doubling should that be low, at most 1<<14 groups.
 func (it *hashAggIter) open() {
 	it.child.open()
-	byKey := newKeyIndex(min(int(it.n.EstRows), 1<<14), it.ctx.scratch) // group key -> ordinal in groups
+	sc := it.ctx.scratch
+	est := int(it.n.EstRows)
+	byKey := newKeyIndex(min(est, 1<<14), sc) // group key -> ordinal in groups
+	it.groups = sc.aggs.Take(min(max(est+est/8, 16), 1<<14))[:0]
 	for {
 		row, ok := it.child.next()
 		if !ok {
@@ -859,7 +866,7 @@ func (it *hashAggIter) open() {
 		it.ctx.consumed(it.n)
 		g, added := byKey.insert(groupKey(row, it.n.GroupCols))
 		if added {
-			it.groups = append(it.groups, newAggState(it.ctx, it.n, row))
+			it.groups = append(sc.aggs.Grow(it.groups), newAggState(it.ctx, it.n, row))
 		}
 		it.groups[g].update(it.n, row)
 	}

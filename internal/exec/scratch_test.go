@@ -8,6 +8,7 @@ import (
 
 	"progressest/internal/catalog"
 	"progressest/internal/plan"
+	"progressest/internal/recycle"
 	"progressest/internal/storage"
 )
 
@@ -56,8 +57,8 @@ func scratchFixture() (*storage.Database, *plan.Plan, []storage.Row) {
 }
 
 // zeroed reports the first non-zero element of a slab's whole array.
-func zeroed[T any](s *slab[T], isZero func(T) bool) (int, bool) {
-	i := slices.IndexFunc(s.buf[:cap(s.buf)], func(v T) bool { return !isZero(v) })
+func zeroed[T any](s *recycle.Slab[T], isZero func(T) bool) (int, bool) {
+	i := slices.IndexFunc(s.Array(), func(v T) bool { return !isZero(v) })
 	return i, i < 0
 }
 
@@ -78,28 +79,31 @@ func TestReleasedScratchHoldsNoRows(t *testing.T) {
 		if g, w := sortedRows(got), sortedRows(want); !slices.EqualFunc(g, w, slices.Equal) {
 			t.Fatalf("run %d: %d groups, want %d\n got %v\nwant %v", run, len(g), len(w), head(g), head(w))
 		}
-		if run > 0 && (sc.rows.used == 0 || sc.ords.used == 0 || sc.words.used == 0 || sc.spans.used == 0) {
-			t.Fatalf("run %d lent rows %d, ords %d, words %d, spans %d: a slab went unused",
-				run, sc.rows.used, sc.ords.used, sc.words.used, sc.spans.used)
+		if run > 0 && (sc.rows.Lent() == 0 || sc.ords.Lent() == 0 || sc.words.Lent() == 0 || sc.spans.Lent() == 0 || sc.aggs.Lent() == 0) {
+			t.Fatalf("run %d lent rows %d, ords %d, words %d, spans %d, groups %d: a slab went unused",
+				run, sc.rows.Lent(), sc.ords.Lent(), sc.words.Lent(), sc.spans.Lent(), sc.aggs.Lent())
 		}
 		sc.release()
 		if takeScratch() != sc {
 			t.Fatalf("run %d: the free list did not hand back the scratch just released", run)
 		}
-		if len(sc.rows.buf) == 0 {
+		if len(sc.rows.Array()) == 0 {
 			t.Fatalf("run %d: the released scratch keeps no build buffer", run)
 		}
 		if i, ok := zeroed(&sc.rows, func(r storage.Row) bool { return r == nil }); !ok {
-			t.Fatalf("run %d: released build buffer holds a row at %d of %d", run, i, cap(sc.rows.buf))
+			t.Fatalf("run %d: released build buffer holds a row at %d of %d", run, i, len(sc.rows.Array()))
 		}
 		if i, ok := zeroed(&sc.ords, func(o int32) bool { return o == 0 }); !ok {
-			t.Fatalf("run %d: released slot tables hold %d at %d", run, sc.ords.buf[i], i)
+			t.Fatalf("run %d: released slot tables hold %d at %d", run, sc.ords.Array()[i], i)
 		}
 		if i, ok := zeroed(&sc.words, func(w int64) bool { return w == 0 }); !ok {
-			t.Fatalf("run %d: released keys and arena chunks hold %d at %d", run, sc.words.buf[i], i)
+			t.Fatalf("run %d: released keys and arena chunks hold %d at %d", run, sc.words.Array()[i], i)
 		}
 		if i, ok := zeroed(&sc.spans, func(sp rowSpan) bool { return sp == rowSpan{} }); !ok {
-			t.Fatalf("run %d: released spans hold %v at %d", run, sc.spans.buf[i], i)
+			t.Fatalf("run %d: released spans hold %v at %d", run, sc.spans.Array()[i], i)
+		}
+		if i, ok := zeroed(&sc.aggs, func(g aggState) bool { return g.out == nil && !g.inited }); !ok {
+			t.Fatalf("run %d: released groups hold %v at %d", run, sc.aggs.Array()[i], i)
 		}
 	}
 	sc.release()
@@ -178,33 +182,17 @@ func TestRecycledArenaChunkCarvesZeroedRows(t *testing.T) {
 	}
 }
 
-// TestSweepDropsOnlyIdleScratches sweeps a list of two released
-// scratches twice, releasing one of them again in between: the one no
-// run took across both sweeps is dropped, the other kept. Then it checks
-// the sweep is wired to the collector: a scratch left idle in the free
-// list goes once collections run.
+// TestSweepDropsOnlyIdleScratches checks the sweep is wired to the
+// collector for the scratch list: a scratch left idle in the free list
+// goes once collections run. (recycle.TestSweepDropsOnlyIdle checks
+// which values a sweep drops.)
 func TestSweepDropsOnlyIdleScratches(t *testing.T) {
-	idle, busy := new(scratch), new(scratch)
-	list := dropIdle([]*scratch{idle, busy})
-	if len(list) != 2 {
-		t.Fatalf("one sweep kept %d of two scratches released since the last", len(list))
-	}
-	busy.idle = false // as its next release leaves it
-	if list = dropIdle(list); len(list) != 1 || list[0] != busy {
-		t.Fatalf("second sweep kept %v; want only the scratch released in between", list)
-	}
-
 	sc := takeScratch()
 	sc.release()
-	listed := func() bool {
-		scratches.Lock()
-		defer scratches.Unlock()
-		return slices.Contains(scratches.free, sc)
-	}
-	if !listed() {
+	if !listed(scratches, sc) {
 		t.Fatal("the free list did not keep a released scratch")
 	}
-	for deadline := time.Now().Add(10 * time.Second); listed(); {
+	for deadline := time.Now().Add(10 * time.Second); listed(scratches, sc); {
 		if time.Now().After(deadline) {
 			t.Fatal("an idle scratch is still listed after collections ran for 10 s")
 		}

@@ -302,18 +302,13 @@ func OnlineStatic(v *progress.OnlinePipeline) []float64 {
 // seen so far. Markers not yet reached contribute their neutral defaults,
 // so the vector is well-formed from the very first observation onwards.
 //
-// The vector is assembled into the pipeline's FeatBuf scratch, so at
-// steady state a re-pick allocates nothing; the returned slice is only
-// valid until the next OnlineFull call on the same pipeline.
+// The vector is assembled into the view's one feature buffer
+// (progress.OnlinePipeline.FeatureBuffer), so a pick allocates nothing
+// once the view has it; the returned slice is only valid until the next
+// OnlineFull call on any pipeline of the same view.
 func OnlineFull(v *progress.OnlinePipeline) []float64 {
-	st := OnlineStatic(v)
-	if cap(v.FeatBuf) < NumTotal {
-		v.FeatBuf = make([]float64, 0, NumTotal)
-	}
-	out := append(v.FeatBuf[:0], st...)
-	out = AppendDynamic(out, v)
-	v.FeatBuf = out
-	return out
+	out := append(v.FeatureBuffer(NumTotal), OnlineStatic(v)...)
+	return AppendDynamic(out, v)
 }
 
 func logp1(x float64) float64 {

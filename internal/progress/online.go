@@ -25,6 +25,10 @@ import (
 // first finished read builds the table from the trace, once, with the
 // row function the live feed runs, so a run nobody reads after
 // completion never pays for it.
+//
+// A view owns its memory, unless it is a served run's: BorrowOnlineView
+// lends that view everything it allocates from a free list, and Release
+// hands it back once the run is over.
 type OnlineView struct {
 	exec.BaseObserver
 
@@ -45,8 +49,10 @@ type OnlineView struct {
 	snapCount int // retained snapshots seen so far (mirrors the trace sink)
 	done      bool
 
-	wbuf  []float64  // QueryEstimate weight scratch, reused across calls
-	cache *PlanCache // shared start contexts of a cached plan, or nil
+	wbuf  []float64   // QueryEstimate weight scratch, reused across calls
+	feat  []float64   // the one feature vector (OnlinePipeline.FeatureBuffer)
+	cache *PlanCache  // shared start contexts of a cached plan, or nil
+	mem   *viewMemory // the borrowed memory everything above is carved from, or nil
 
 	// filled builds the finished table on the first finished read (see
 	// materialize).
@@ -66,20 +72,27 @@ func NewOnlineView(p *plan.Plan, pipes *pipeline.Decomposition) *OnlineView {
 //
 // The pipelines and their lastSig rows are carved from one slab each.
 func NewCachedOnlineView(p *plan.Plan, pipes *pipeline.Decomposition, cache *PlanCache) *OnlineView {
+	return newOnlineView(p, pipes, cache, nil)
+}
+
+// newOnlineView builds the view on memory carved from m, or allocated
+// when m is nil.
+func newOnlineView(p *plan.Plan, pipes *pipeline.Decomposition, cache *PlanCache, m *viewMemory) *OnlineView {
 	n := len(pipes.Pipelines)
 	o := &OnlineView{
 		Plan:      p,
 		Pipes:     pipes,
-		Pipelines: make([]*OnlinePipeline, n),
-		wbuf:      make([]float64, n),
+		Pipelines: lend(m, (*viewMemory).ptrSlab, n),
+		wbuf:      lend(m, (*viewMemory).floatSlab, n),
 		cache:     cache,
+		mem:       m,
 	}
 	sigs := 0
 	for _, pl := range pipes.Pipelines {
 		sigs += 3 * len(pl.Nodes)
 	}
-	slab := make([]OnlinePipeline, n)
-	sig := make([]int64, sigs)
+	slab := lend(m, (*viewMemory).pipeSlab, n)
+	sig := lend(m, (*viewMemory).sigSlab, sigs)
 	for i, pl := range pipes.Pipelines {
 		k := 3 * len(pl.Nodes)
 		slab[i] = OnlinePipeline{pipe: pl, plan: p, view: o, lastSig: sig[:k:k]}
@@ -182,7 +195,7 @@ func (o *OnlineView) OnDone(tr *exec.Trace) {
 // tail included — and its marker rows over its observations, from the
 // finished trace, once: the first finished read runs it, and every later
 // one, on any goroutine, reads what it built. The tables are carved from
-// one allocation.
+// one slab.
 func (o *OnlineView) materialize() {
 	o.filled.Do(func() {
 		o.carveMarks()
@@ -192,7 +205,7 @@ func (o *OnlineView) materialize() {
 				rows += o.snapCount - p.g0
 			}
 		}
-		slab := make([]obsRow, rows)
+		slab := lend(o.mem, (*viewMemory).rowSlab, rows)
 		for _, p := range o.Pipelines {
 			if p.Started {
 				k := o.snapCount - p.g0
@@ -211,7 +224,7 @@ func (o *OnlineView) carveMarks() {
 		return
 	}
 	k := len(markerLevels)
-	slab := make([]MarkerRow, k*len(o.Pipelines))
+	slab := lend(o.mem, (*viewMemory).markSlab, k*len(o.Pipelines))
 	for i, p := range o.Pipelines {
 		p.marks = slab[i*k : (i+1)*k : (i+1)*k]
 	}
@@ -419,6 +432,11 @@ func (o *OnlineView) QueryWeight(p int) float64 {
 // fraction. The table of every row exists only once the run is done (see
 // OnlineView.materialize); reading it, or a settled pipeline's marker
 // rows, before then panics.
+//
+// A pipeline, its lastSig row, its marker rows and its share of the
+// finished table are carved from its view's slabs — lent by the free
+// list on a borrowed view — and its full feature vector is assembled in
+// the view's one buffer (FeatureBuffer), not in one of its own.
 type OnlinePipeline struct {
 	*PipeContext
 
@@ -434,12 +452,6 @@ type OnlinePipeline struct {
 	// PipeContext came from, nil for a private context.
 	static []float64
 	shared *startContext
-
-	// FeatBuf is the reusable scratch the features package assembles the
-	// full online feature vector into, so a selector re-pick allocates
-	// nothing at steady state. Owned by features.OnlineFull; callers must
-	// consume the returned vector before the next pick on this pipeline.
-	FeatBuf []float64
 
 	pipe *pipeline.Pipeline
 	plan *plan.Plan

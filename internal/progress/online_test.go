@@ -172,7 +172,8 @@ func TestOnlineBatchedDeliveryMatches(t *testing.T) {
 // cached static prefix plus the dynamic suffix of the view that watched
 // the run live equals the vector of the same trace replayed through a
 // fresh view in one batch, whose inputs assertOnlineEqualsReference pins to
-// the reference.
+// the reference. Every pipeline of one view assembles its vector in the
+// view's one buffer.
 func TestOnlineFeaturesConvergeToOffline(t *testing.T) {
 	w, err := workload.Build(workload.Spec{
 		Name: "real1", Kind: datagen.Real1Like, Queries: 5, Scale: 0.1, Zipf: 1, Seed: 5,
@@ -180,17 +181,26 @@ func TestOnlineFeaturesConvergeToOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
+	checked, shared := 0, 0
 	for qi := range w.Queries {
 		ov, tr := runOnline(t, w, qi, exec.Options{})
 		replayed := progress.Replay(tr)
 		assertOnlineEqualsReference(t, replayed, tr, qi)
+		var buf *float64
 		for p, rp := range replayed.Pipelines {
 			if rp.NumObs() < 8 {
 				continue
 			}
 			want := append(features.Static(rp.PipeContext), features.Dynamic(rp)...)
 			online := features.OnlineFull(ov.Pipelines[p])
+			switch {
+			case buf == nil:
+				buf = &online[0]
+			case buf != &online[0]:
+				t.Fatalf("query %d pipeline %d: the features of one view are assembled in more than one buffer", qi, p)
+			default:
+				shared++
+			}
 			if len(online) != len(want) {
 				t.Fatalf("feature width: online %d replayed %d", len(online), len(want))
 			}
@@ -203,8 +213,8 @@ func TestOnlineFeaturesConvergeToOffline(t *testing.T) {
 			checked++
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no pipelines checked")
+	if checked == 0 || shared == 0 {
+		t.Fatalf("%d pipelines checked, %d of them after another of the same view", checked, shared)
 	}
 }
 

@@ -9,10 +9,18 @@ import (
 	"progressest/internal/exec"
 	"progressest/internal/optimizer"
 	"progressest/internal/plan"
+	"progressest/internal/storage"
 )
 
 // queryView replays a multi-pipeline query into a finished view.
 func queryView(t *testing.T) *OnlineView {
+	t.Helper()
+	db, pl := queryPlan(t)
+	return Replay(exec.Run(db, pl, exec.Options{}))
+}
+
+// queryPlan is queryView's database and plan.
+func queryPlan(t *testing.T) (*storage.Database, *plan.Plan) {
 	t.Helper()
 	db := datagen.GenTPCH(datagen.Params{Scale: 0.08, Zipf: 1, Seed: 21})
 	if err := db.ApplyDesign(datagen.Designs(datagen.TPCHLike)[catalog.Untuned]); err != nil {
@@ -35,7 +43,7 @@ func queryView(t *testing.T) *OnlineView {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Replay(exec.Run(db, pl, exec.Options{}))
+	return db, pl
 }
 
 // single chooses kind for every pipeline.

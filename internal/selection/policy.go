@@ -23,14 +23,28 @@ type Policy struct {
 // NewPolicy prepares the policy for a plan of n pipelines picking by sel.
 // Until its start, a pipeline shows sel's first candidate.
 func NewPolicy(sel *Selector, n int) Policy {
-	p := Policy{sel: sel, choice: make([]progress.Kind, n)}
-	for i := range p.choice {
-		p.choice[i] = sel.Kinds[0]
+	var marks []int
+	if len(sel.Kinds) > 1 {
+		marks = make([]int, n)
 	}
-	if !p.fixed() {
-		p.marks = make([]int, n)
+	return newPolicy(sel, make([]progress.Kind, n), marks)
+}
+
+// PolicyOn is NewPolicy for the run view observes: the per-pipeline
+// state is the view's (progress.OnlineView.PickState), lent by its
+// memory when the view borrowed some, and handed back with it.
+func PolicyOn(sel *Selector, view *progress.OnlineView) Policy {
+	choice, marks := view.PickState(len(sel.Kinds) > 1)
+	return newPolicy(sel, choice, marks)
+}
+
+// newPolicy is the policy over zero per-pipeline state: every pipeline
+// shows sel's first candidate until its start.
+func newPolicy(sel *Selector, choice []progress.Kind, marks []int) Policy {
+	for i := range choice {
+		choice[i] = sel.Kinds[0]
 	}
-	return p
+	return Policy{sel: sel, choice: choice, marks: marks}
 }
 
 // fixed reports whether the one candidate's pick is final from the start.

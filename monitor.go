@@ -112,9 +112,11 @@ type Monitor struct {
 	err     error
 	runOnce sync.Once
 	run     *QueryRun
-	// hist is the snapshot history a server-owned run borrowed (nil for a
-	// library run, whose trace Wait reads); handBack returns it.
+	// hist and lent are the snapshot history and the view a server-owned
+	// run borrowed (nil for a library run, whose trace and view Wait
+	// reads); handBack returns them.
 	hist *exec.History
+	lent *progress.OnlineView
 }
 
 // Wait blocks until the query completes and returns its QueryRun — the
@@ -303,8 +305,11 @@ func (m *monitorObserver) send(u ProgressUpdate) {
 // workload's queries — it harvests under its own workload and family
 // tags, joining drift, retraining and canary serving exactly as native
 // queries do. Whoever feeds the observer ends the run with
-// Monitor.finish.
-func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, starts *progress.PlanCache, workloadName, family string, queryIndex int, opts MonitorOptions) (*Monitor, error) {
+// Monitor.finish. A run the server owns, which never waits for its
+// QueryRun, borrows (borrow true) its snapshot history and its view's
+// memory from their free lists; whoever ends it hands them back with
+// Monitor.handBack.
+func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, starts *progress.PlanCache, workloadName, family string, queryIndex int, opts MonitorOptions, borrow bool) (*Monitor, error) {
 	// Resolve the selector: an explicit one wins; otherwise the run is
 	// pinned to the learning registry's current version for its lifetime;
 	// without either, DNE serves.
@@ -323,9 +328,23 @@ func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, starts *progress.P
 		}
 	}
 	opts = opts.withDefaults()
+	m := &Monitor{
+		served: served,
+		family: family,
+		shard:  -1,
+		done:   make(chan struct{}),
+	}
+	var view *progress.OnlineView
+	if borrow {
+		m.hist = exec.BorrowHistory()
+		view = progress.BorrowOnlineView(pl, pipes, starts)
+		m.lent = view
+	} else {
+		view = progress.NewCachedOnlineView(pl, pipes, starts)
+	}
 	obs := &monitorObserver{
-		view:  progress.NewCachedOnlineView(pl, pipes, starts),
-		pick:  selection.NewPolicy(sel, len(pipes.Pipelines)),
+		view:  view,
+		pick:  selection.PolicyOn(sel, view),
 		every: opts.UpdateEvery,
 		pace:  opts.Pace,
 		ch:    make(chan ProgressUpdate, 1),
@@ -341,14 +360,8 @@ func newMonitor(pl *plan.Plan, pipes *pipeline.Decomposition, starts *progress.P
 			_, _ = harv.HarvestView(view, tr, workloadName, family, queryIndex, served)
 		}
 	}
-	return &Monitor{
-		Updates: obs.ch,
-		served:  served,
-		family:  family,
-		shard:   -1,
-		obs:     obs,
-		done:    make(chan struct{}),
-	}, nil
+	m.Updates, m.obs = obs.ch, obs
+	return m, nil
 }
 
 // finish is the one end of a monitored run. With the completed trace
@@ -375,30 +388,27 @@ func (m *Monitor) finish(tr *exec.Trace, err error) {
 	close(m.done)
 }
 
-// handBack gives a served run's snapshot history back to the executor's
-// free list, once nothing reads the run's trace: after finish, and for a
-// session after the mirror took the final update. tr is the finished
-// trace, or nil for a run that ended without one. The view loses its
-// trace with it, so a stray finished read panics instead of reading a
-// later run's counters.
+// handBack gives a served run's borrowed memory — its snapshot history
+// and its view's — back to their free lists, once nothing reads the run:
+// after finish, and for a session after the mirror took the final
+// update. tr is the finished trace, or nil for a run that ended without
+// one. The view loses its pipelines and its trace with them, so a stray
+// finished read panics instead of reading a later run's state.
 func (m *Monitor) handBack(tr *exec.Trace) {
-	if m.view != nil {
-		m.view.Trace = nil
-	}
+	m.lent.Release()
+	m.lent = nil
 	m.hist.Release(tr)
 	m.hist = nil
 }
 
 // execute runs the plan to completion, feeding and finishing m. A served
-// run — one the server owns, which never waits for its QueryRun —
-// records its snapshot history on memory borrowed from the executor's
-// free list and hands it back on this goroutine once finished.
-func (m *Monitor) execute(db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposition, opts exec.Options, served bool) {
-	if !served {
+// run records its snapshot history on the History it borrowed and hands
+// it back, with its view's memory, on this goroutine once finished.
+func (m *Monitor) execute(db *storage.Database, p *plan.Plan, pipes *pipeline.Decomposition, opts exec.Options) {
+	if m.hist == nil {
 		m.finish(exec.RunDecomposed(db, p, pipes, opts), nil)
 		return
 	}
-	m.hist = exec.BorrowHistory()
 	tr := m.hist.Run(db, p, pipes, opts)
 	m.finish(tr, nil)
 	m.handBack(tr)
@@ -418,7 +428,8 @@ func (w *Workload) Start(i int, opts MonitorOptions) (*Monitor, error) {
 // prepare plans query i and sets its monitor up; the returned function
 // executes the query to completion, feeding and finishing the monitor.
 // The split lets the Engine stamp placement on the monitor and attach the
-// slot release before execution can reach them. served is execute's.
+// slot release before execution can reach them. served is newMonitor's
+// borrow: the run is the server's.
 func (w *Workload) prepare(i int, opts MonitorOptions, served bool) (*Monitor, func(), error) {
 	if i < 0 || i >= len(w.inner.Queries) {
 		return nil, nil, fmt.Errorf("progressest: query index %d out of range [0,%d)", i, len(w.inner.Queries))
@@ -427,12 +438,12 @@ func (w *Workload) prepare(i int, opts MonitorOptions, served bool) (*Monitor, f
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := newMonitor(pq.plan, pq.pipes, pq.starts, w.inner.Spec.Name, w.inner.QueryFamily(i), i, opts)
+	m, err := newMonitor(pq.plan, pq.pipes, pq.starts, w.inner.Spec.Name, w.inner.QueryFamily(i), i, opts, served)
 	if err != nil {
 		return nil, nil, err
 	}
 	// One snapshot batch per update tick: the engine conflates delivery
 	// to the granularity updates are emitted at anyway.
 	execOpts := exec.Options{Observer: m.obs, SnapshotBatch: m.obs.every}
-	return m, func() { m.execute(w.inner.DB, pq.plan, pq.pipes, execOpts, served) }, nil
+	return m, func() { m.execute(w.inner.DB, pq.plan, pq.pipes, execOpts) }, nil
 }

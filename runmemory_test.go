@@ -58,7 +58,7 @@ func TestWaitBuildsRunOnceForEveryCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aborted, err := newMonitor(pq.plan, pq.pipes, pq.starts, "", "", 1, MonitorOptions{})
+	aborted, err := newMonitor(pq.plan, pq.pipes, pq.starts, "", "", 1, MonitorOptions{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func entryStream(w *Workload, qi int, sel *Selector, private bool, execOpts exec
 	if private {
 		starts = nil
 	}
-	m, err := newMonitor(pq.plan, pq.pipes, starts, "", "", qi, MonitorOptions{Selector: sel, UpdateEvery: 4})
+	m, err := newMonitor(pq.plan, pq.pipes, starts, "", "", qi, MonitorOptions{Selector: sel, UpdateEvery: 4}, false)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -74,10 +74,10 @@ type servedSession struct {
 	batches []ingest.Batch
 }
 
-// run executes j — on a history borrowed from the free list and handed
-// back at the end when served, on memory the trace owns otherwise — and
-// returns its outcome. A served run's finished view must have lost its
-// trace.
+// run executes j — on a history and view memory borrowed from their
+// free lists and handed back at the end when served, on memory the trace
+// and the view own otherwise — and returns its outcome. A served run's
+// finished view must have lost its trace and its pipelines.
 func (j *servedJob) run(served bool) (*servedOutcome, error) {
 	if j.session != nil {
 		return j.runSession(served)
@@ -86,16 +86,16 @@ func (j *servedJob) run(served bool) (*servedOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := newMonitor(pq.plan, pq.pipes, pq.starts, j.w.inner.Spec.Name, j.w.inner.QueryFamily(j.qi), j.qi, j.opts)
+	m, err := newMonitor(pq.plan, pq.pipes, pq.starts, j.w.inner.Spec.Name, j.w.inner.QueryFamily(j.qi), j.qi, j.opts, served)
 	if err != nil {
 		return nil, err
 	}
 	out := observe(m, j.qi, false)
 	opts := j.exec
 	opts.Observer, opts.SnapshotBatch = m.obs, m.obs.every
-	m.execute(j.w.inner.DB, pq.plan, pq.pipes, opts, served)
-	if served && m.view.Trace != nil {
-		return nil, fmt.Errorf("%s: a served run kept its trace", j.name)
+	m.execute(j.w.inner.DB, pq.plan, pq.pipes, opts)
+	if served && (m.view.Trace != nil || m.view.Pipelines != nil || m.lent != nil) {
+		return nil, fmt.Errorf("%s: a served run kept its trace or its view's memory", j.name)
 	}
 	return out, nil
 }
@@ -106,7 +106,7 @@ func (j *servedJob) run(served bool) (*servedOutcome, error) {
 func (j *servedJob) runSession(served bool) (*servedOutcome, error) {
 	s := j.session
 	if !served {
-		m, err := newMonitor(s.model.Plan, s.model.Pipes, nil, s.spec.Workload, s.spec.Family, -1, j.opts)
+		m, err := newMonitor(s.model.Plan, s.model.Pipes, nil, s.spec.Workload, s.spec.Family, -1, j.opts, false)
 		if err != nil {
 			return nil, err
 		}
@@ -135,8 +135,9 @@ func (j *servedJob) runSession(served bool) (*servedOutcome, error) {
 			return nil, err
 		}
 	}
-	if st := r.info(false).State; st != "completed" || mon.view.Trace != nil || mon.hist != nil {
-		return nil, fmt.Errorf("%s: session %s, trace kept %v, history kept %v", j.name, st, mon.view.Trace != nil, mon.hist != nil)
+	if st := r.info(false).State; st != "completed" || mon.view.Trace != nil || mon.hist != nil || mon.view.Pipelines != nil || mon.lent != nil {
+		return nil, fmt.Errorf("%s: session %s, trace kept %v, history kept %v, view memory kept %v",
+			j.name, st, mon.view.Trace != nil, mon.hist != nil, mon.view.Pipelines != nil || mon.lent != nil)
 	}
 	return out, nil
 }
@@ -148,8 +149,11 @@ func (j *servedJob) runSession(served bool) (*servedOutcome, error) {
 // shuffled interleaving on snapshot histories borrowed from the free
 // list and handed back when the run is over, so each run records on
 // chunks and a header slab some other plan sized and left behind: once
-// on one goroutine, once from four. Every update stream, final update
-// included, and every harvested-example digest must be the fresh run's.
+// on one goroutine, once from four; their views, likewise, on view
+// memory — pipelines, marker rows, the feature vector, the policy's
+// state, the harvest's finished table — another plan sized and left
+// behind. Every update stream, final update included, and every
+// harvested-example digest must be the fresh run's.
 // Then every native query goes through POST /queries once per
 // configuration, and its progress route's final update must be the
 // fresh run's too.
@@ -281,10 +285,12 @@ func submitAndWait(tb testing.TB, server *Server, qi int) ProgressUpdate {
 	return *info.Update
 }
 
-// TestServedReadAfterReleasePanics: once a served run's history is back
-// in the free list, its finished view holds no trace, so a finished read
-// — here through the QueryRun Wait still hands out — panics instead of
-// reading the counters of the run that recorded over it next.
+// TestServedReadAfterReleasePanics: once a served run's history and view
+// memory are back in their free lists, its finished view holds neither
+// trace nor pipelines, so a finished read — here through the QueryRun
+// Wait still hands out — panics instead of reading the counters or the
+// estimator state of the run that recorded over them next, the reads
+// that touch only the view's pipelines included.
 func TestServedReadAfterReleasePanics(t *testing.T) {
 	w, err := Open(Config{Dataset: TPCH, Queries: 2, Scale: 0.08, Seed: 3})
 	if err != nil {
@@ -307,6 +313,10 @@ func TestServedReadAfterReleasePanics(t *testing.T) {
 		"Estimates":    func() { run.Estimates(0, DNE) },
 		"TrueProgress": func() { run.TrueProgress(0) },
 		"Errors":       func() { run.Errors(0, DNE) },
+		"Observations": func() { run.Observations(0) },
+		"Features":     func() { run.Features(0) },
+		"Weight":       func() { run.PipelineWeight(0) },
+		"Query":        func() { run.QueryEstimates(DNE) },
 	} {
 		func() {
 			defer func() {

@@ -22,7 +22,7 @@ func servedStream(t *testing.T, w *Workload, qi int, opts MonitorOptions, execOp
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := newMonitor(pq.plan, pq.pipes, pq.starts, w.inner.Spec.Name, w.inner.QueryFamily(qi), qi, opts)
+	m, err := newMonitor(pq.plan, pq.pipes, pq.starts, w.inner.Spec.Name, w.inner.QueryFamily(qi), qi, opts, false)
 	if err != nil {
 		t.Fatal(err)
 	}

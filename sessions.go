@@ -131,13 +131,12 @@ func (s *Server) openSession(ctx context.Context, spec *ingest.Spec, model *inge
 					opts.UpdateEvery = spec.UpdateEvery
 				}
 				opts.Pace = 0 // pacing slows the executor; sessions have none
-				return newMonitor(model.Plan, model.Pipes, nil, r.workload, spec.Family, -1, opts)
+				return newMonitor(model.Plan, model.Pipes, nil, r.workload, spec.Family, -1, opts, true)
 			})
 		if err != nil {
 			return nil, err
 		}
 		r.mon = m
-		m.hist = exec.BorrowHistory()
 		r.runner = ingest.NewRunnerOn(m.hist, model, m.obs, m.obs.every, s.sessionCfg.MaxObservations)
 		return m, nil
 	})
